@@ -22,11 +22,16 @@ from .gadgets import (
     parity_gadget,
     to_isolating_lattice,
     to_on_off,
-    verify_lattice_condition,
     verify_parallelepiped,
 )
 from .numeric import CubePoint, PNorm, Tolerance, fourier_vector, pnorm
-from .oracle import CvpSolution, cvp_enumerate, max_sat_brute, validate_reduction
+from .oracle import (
+    CvpSolution,
+    cvp_enumerate,
+    max_sat_brute,
+    validate_reduction,
+    verify_lattice_condition,
+)
 from .reductions import (
     CvpInstance,
     CvppArtifacts,

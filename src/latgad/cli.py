@@ -8,10 +8,8 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
-import random
+import math
 import sys
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -31,19 +29,6 @@ EXIT_OK = 0
 EXIT_FAIL = 1
 EXIT_USAGE = 2
 EXIT_RESOURCE = 3
-
-
-@dataclass(frozen=True)
-class RunConfig:
-    """Validated global run options shared by every subcommand."""
-
-    seed: int
-    threads: int
-    tol: Tolerance
-
-    def __post_init__(self):
-        if self.threads < 1:
-            raise InvalidInputError("--threads must be positive")
 
 
 def _log(msg: str) -> None:
@@ -88,6 +73,14 @@ def _read_points(path: str):
     return [int(ln, 16) for ln in lines], 4 * width
 
 
+def _parse_formula(text: str):
+    """A parity formula when the problem line reads `p xor`, else DIMACS.
+    Comment lines start with `c`, so the first line starting with `p` is the
+    problem line."""
+    header = next((ln.split() for ln in text.splitlines() if ln.lstrip().startswith("p")), [])
+    return parse_xor(text) if header[:2] == ["p", "xor"] else parse_dimacs(text)
+
+
 def _report_exit(report) -> int:
     _emit(report.to_json(), None)
     if not report.passed:
@@ -100,7 +93,7 @@ def _report_exit(report) -> int:
 # subcommand handlers
 
 
-def _cmd_gadget(args, config: RunConfig) -> int:
+def _cmd_gadget(args, tol: Tolerance) -> int:
     if args.action == "find":
         g = gadgets.find_isolating_parallelepiped(args.k, args.p)
         _emit(serialize.gadget_to_json(g), args.out)
@@ -121,10 +114,9 @@ def _cmd_gadget(args, config: RunConfig) -> int:
         return EXIT_OK
     if args.action == "verify":
         g = serialize.gadget_from_json(_load_json(args.infile))
-        tol = config.tol
         report = gadgets.verify_parallelepiped(g, tol)
         if g.kind == gadgets.KIND_LATTICE:
-            lattice = gadgets.verify_lattice_condition(g, args.box_radius, tol)
+            lattice = oracle.verify_lattice_condition(g, args.box_radius, tol)
             report = gadgets.VerificationReport(
                 passed=report.passed and lattice.passed,
                 conditions=report.conditions + lattice.conditions,
@@ -134,7 +126,7 @@ def _cmd_gadget(args, config: RunConfig) -> int:
     raise InvalidInputError(f"unknown gadget action {args.action!r}")
 
 
-def _cmd_reduce(args, config: RunConfig) -> int:
+def _cmd_reduce(args, tol: Tolerance) -> int:
     if args.action == "sat":
         formula = parse_dimacs(_read(args.cnf))
         gadget = serialize.gadget_from_json(_load_json(args.gadget))
@@ -169,7 +161,7 @@ def _cmd_reduce(args, config: RunConfig) -> int:
     raise InvalidInputError(f"unknown reduce action {args.action!r}")
 
 
-def _cmd_params(args, config: RunConfig) -> int:
+def _cmd_params(args, tol: Tolerance) -> int:
     result = reductions.sat_gap_params(args.p, args.k, args.s, args.c, args.eps)
     payload = {
         "s_prime": serialize.fmt_real(result.s_prime),
@@ -183,7 +175,7 @@ def _cmd_params(args, config: RunConfig) -> int:
     return EXIT_OK
 
 
-def _cmd_cvpp(args, config: RunConfig) -> int:
+def _cmd_cvpp(args, tol: Tolerance) -> int:
     if args.action == "prep":
         gadget = serialize.gadget_from_json(_load_json(args.gadget))
         onoff = gadgets.to_on_off(gadget)
@@ -202,34 +194,26 @@ def _cmd_cvpp(args, config: RunConfig) -> int:
             formula.threshold = args.w
         if args.action == "query":
             target, radius = reductions.cvpp_query(art, formula)
-            p = serialize.fmt_pnorm(art.gadget.p)
+            p = art.gadget.p
             mode = "cvpp-lp"
         else:
             target, radius = reductions.cvpp_inf_query(art, formula)
-            p = "inf"
+            p = math.inf
             mode = "cvpp-inf"
-        threshold = formula.threshold if formula.threshold is not None else formula.m
-        payload = {
-            "schema": serialize.CVP_SCHEMA,
-            "p": p,
-            "basis": serialize.fmt_columns(art.basis),
-            "target": serialize.fmt_vector(target),
-            "radius": serialize.fmt_real(radius),
-            "meta": {
-                "mode": mode,
-                "n": art.n,
-                "k": art.k,
-                "m": formula.m,
-                "threshold": threshold,
-                "eps": serialize.fmt_real(art.gadget.eps) if art.gadget is not None else None,
-            },
+        meta = {
+            "mode": mode,
+            "n": art.n,
+            "k": art.k,
+            "m": formula.m,
+            "threshold": formula.threshold if formula.threshold is not None else formula.m,
+            "eps": art.gadget.eps if art.gadget is not None else None,
         }
-        _emit(payload, args.out)
+        _emit(serialize.cvp_to_json(p, art.basis, target, radius, meta), args.out)
         return EXIT_OK
     raise InvalidInputError(f"unknown cvpp action {args.action!r}")
 
 
-def _cmd_oracle(args, config: RunConfig) -> int:
+def _cmd_oracle(args, tol: Tolerance) -> int:
     if args.action == "solve":
         inst = serialize.instance_from_json(_load_json(args.instance))
         box = _parse_box(args.box) if args.box else (0, 1)
@@ -246,15 +230,14 @@ def _cmd_oracle(args, config: RunConfig) -> int:
         return EXIT_OK
     if args.action == "validate":
         inst = serialize.instance_from_json(_load_json(args.instance))
-        text = _read(args.cnf)
-        formula = parse_xor(text) if "p xor" in text else parse_dimacs(text)
+        formula = _parse_formula(_read(args.cnf))
         box = _parse_box(args.box) if args.box else None
         report = oracle.validate_reduction(formula, inst, box)
         return _report_exit(report)
     raise InvalidInputError(f"unknown oracle action {args.action!r}")
 
 
-def _cmd_identities(args, config: RunConfig) -> int:
+def _cmd_identities(args, tol: Tolerance) -> int:
     if args.action == "skp":
         res = identities.s_kp(args.k, args.p)
         _emit(
@@ -328,7 +311,7 @@ def _cmd_identities(args, config: RunConfig) -> int:
     raise InvalidInputError(f"unknown identities action {args.action!r}")
 
 
-def _cmd_cubes(args, config: RunConfig) -> int:
+def _cmd_cubes(args, tol: Tolerance) -> int:
     points, n = _read_points(args.infile)
     cube = cubes_mod.find_affine_cube(points, args.dim, n)
     if cube is None:
@@ -346,7 +329,7 @@ def _cmd_cubes(args, config: RunConfig) -> int:
     return EXIT_OK
 
 
-def _cmd_clauses(args, config: RunConfig) -> int:
+def _cmd_clauses(args, tol: Tolerance) -> int:
     if args.action == "isolate":
         points, n = _read_points(args.infile)
         clause = cubes_mod.clause_isolating_one(points, args.k, n)
@@ -369,13 +352,6 @@ def _cmd_clauses(args, config: RunConfig) -> int:
 
 def build_parser() -> argparse.ArgumentParser:
     top = argparse.ArgumentParser(prog="latgad")
-    top.add_argument("--seed", type=int, default=0, help="seed for any randomized step")
-    top.add_argument(
-        "--threads",
-        type=int,
-        default=int(os.environ.get("LATGAD_THREADS", "1")),
-        help="worker bound for internal parallelism",
-    )
     top.add_argument("--tol-rel", type=float, default=1e-9)
     top.add_argument("--tol-abs", type=float, default=1e-12)
     sub = top.add_subparsers(dest="command", required=True)
@@ -522,18 +498,7 @@ def dispatch(argv=None) -> int:
     except SystemExit as exc:
         return EXIT_USAGE if exc.code not in (0, None) else EXIT_OK
     try:
-        config = RunConfig(
-            seed=args.seed,
-            threads=args.threads,
-            tol=Tolerance(rel=args.tol_rel, abs=args.tol_abs),
-        )
-    except InvalidInputError as exc:
-        _log(f"usage error: {exc}")
-        return EXIT_USAGE
-    random.seed(config.seed)
-    np.random.seed(config.seed % 2**32)
-    try:
-        return _HANDLERS[args.command](args, config)
+        return _HANDLERS[args.command](args, Tolerance(rel=args.tol_rel, abs=args.tol_abs))
     except ResourceLimitError as exc:
         _log(f"resource limit: {exc}")
         return EXIT_RESOURCE

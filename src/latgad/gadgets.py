@@ -28,7 +28,6 @@ from .errors import (
     DegenerateConstructionError,
     InvalidInputError,
     NumericDegeneracyError,
-    ResourceLimitError,
     UnsupportedParametersError,
     VerificationError,
 )
@@ -38,7 +37,6 @@ from .numeric import (
     binary_points,
     cube_points,
     finite_pvalue,
-    integer_grid,
     pnorm,
     pnorm_pow,
     sin_half_pi,
@@ -49,7 +47,6 @@ KIND_TWO_LEVEL = "two-level"
 KIND_LATTICE = "isolating-lattice"
 
 SHIFT_SEARCH_DEPTH = 64
-LATTICE_BOX_CAP = 10**7
 
 
 # ---------------------------------------------------------------------------
@@ -528,43 +525,6 @@ def verify_on_off(gadget: OnOffGadget, tol: Tolerance = DEFAULT_TOL) -> Verifica
         Condition("positive-gap", gadget.eps > tol.rel, max(0.0, tol.rel - gadget.eps)),
     ]
     return _report(conditions, tol)
-
-
-def verify_lattice_condition(
-    gadget: IsolatingGadget, box_radius: int = 3, tol: Tolerance = DEFAULT_TOL
-) -> VerificationReport:
-    """Enumerate x in [-R, R+1]^k outside {0, 1}^k and check every distance is
-    at least 1 + eps - tol.  A finite box is the only desk-scale certificate;
-    the residual risk of points beyond it is inherent to the check."""
-    if box_radius < 1:
-        raise InvalidInputError("box_radius must be at least 1")
-    ranges = [(-box_radius, box_radius + 1)] * gadget.k
-    volume = (2 * box_radius + 2) ** gadget.k
-    if volume > LATTICE_BOX_CAP:
-        raise ResourceLimitError(f"lattice box of {volume} points exceeds cap {LATTICE_BOX_CAP}")
-    floor = 1.0 + gadget.eps
-    worst = math.inf
-    witness = None
-    q = gadget.p
-    for chunk in integer_grid(ranges):
-        inside = np.all((chunk == 0) | (chunk == 1), axis=1)
-        pts = chunk[~inside]
-        if pts.size == 0:
-            continue
-        diffs = pts @ gadget.V.T - gadget.t
-        dists = np.sum(np.abs(diffs) ** q, axis=1) ** (1.0 / q)
-        i = int(np.argmin(dists))
-        if dists[i] < worst:
-            worst = float(dists[i])
-            witness = tuple(int(v) for v in pts[i])
-    shortfall = max(0.0, floor - worst)
-    condition = Condition(
-        "non-boolean-points-far",
-        worst >= floor - tol.allowance(floor),
-        shortfall,
-        witness,
-    )
-    return _report([condition], tol)
 
 
 # ---------------------------------------------------------------------------

@@ -12,7 +12,7 @@ import numpy as np
 
 from .errors import InvalidInputError, ResourceLimitError
 from .formulas import CspFormula
-from .gadgets import Condition, VerificationReport
+from .gadgets import Condition, IsolatingGadget, VerificationReport
 from .numeric import DEFAULT_TOL, Tolerance, box_volume, integer_grid, pvalue
 from .reductions import CvpInstance
 
@@ -38,14 +38,18 @@ def _row_norms(diffs: np.ndarray, q: float) -> np.ndarray:
 @dataclass
 class CvpSolution:
     """Exact minimum distance over the searched box and every coordinate
-    vector attaining it (within the relative tie band)."""
+    vector attaining it (within the relative tie band), plus the minimum
+    distance over the box points outside {0, 1}^n and the first point that
+    attains it (inf and None when the box has no such point)."""
 
     distance: float
     closest: list[tuple[int, ...]]
+    nonboolean_distance: float
+    nonboolean_witness: tuple[int, ...] | None
 
 
 def cvp_enumerate(basis, target, p, box, tol: Tolerance = DEFAULT_TOL) -> CvpSolution:
-    """Exhaustive closest-vector search over an integer box.
+    """Exhaustive closest-vector search over an integer box, one visit per point.
 
     `box` is either one (lo, hi) pair applied to every coordinate or a
     per-coordinate list.  Vectors within relative `tol.rel` of the minimum are
@@ -60,18 +64,45 @@ def cvp_enumerate(basis, target, p, box, tol: Tolerance = DEFAULT_TOL) -> CvpSol
         raise ResourceLimitError(f"box volume exceeds cap {BOX_CAP}")
     Bt = B.T
     best = math.inf
+    near: list[tuple[np.ndarray, np.ndarray]] = []
+    nb_best, nb_witness = math.inf, None
     for chunk in integer_grid(ranges):
         d = _row_norms(chunk @ Bt - t, q)
-        m = float(d.min())
-        if m < best:
-            best = m
+        best = min(best, float(d.min()))
+        # the band only shrinks as best falls, so this keeps a superset of
+        # the final tie set; the final band filters it below
+        keep = d <= best * (1.0 + tol.rel) + tol.abs
+        near.append((chunk[keep], d[keep]))
+        outside = np.any((chunk < 0) | (chunk > 1), axis=1)
+        if outside.any():
+            d_out = d[outside]
+            i = int(np.argmin(d_out))
+            if d_out[i] < nb_best:
+                nb_best = float(d_out[i])
+                nb_witness = tuple(int(v) for v in chunk[outside][i])
     band = best * (1.0 + tol.rel) + tol.abs
-    closest: list[tuple[int, ...]] = []
-    for chunk in integer_grid(ranges):
-        d = _row_norms(chunk @ Bt - t, q)
-        for row in chunk[d <= band]:
-            closest.append(tuple(int(v) for v in row))
-    return CvpSolution(distance=best, closest=closest)
+    closest = [tuple(int(v) for v in row) for rows, d in near for row in rows[d <= band]]
+    return CvpSolution(best, closest, nb_best, nb_witness)
+
+
+def verify_lattice_condition(
+    gadget: IsolatingGadget, box_radius: int = 3, tol: Tolerance = DEFAULT_TOL
+) -> VerificationReport:
+    """Enumerate x in [-R, R+1]^k outside {0, 1}^k and check every distance is
+    at least 1 + eps - tol.  A finite box is the only desk-scale certificate;
+    the residual risk of points beyond it is inherent to the check."""
+    if box_radius < 1:
+        raise InvalidInputError("box_radius must be at least 1")
+    sol = cvp_enumerate(gadget.V, gadget.t, gadget.p, (-box_radius, box_radius + 1), tol)
+    floor = 1.0 + gadget.eps
+    worst = sol.nonboolean_distance
+    condition = Condition(
+        "non-boolean-points-far",
+        worst >= floor - tol.allowance(floor),
+        max(0.0, floor - worst),
+        sol.nonboolean_witness,
+    )
+    return VerificationReport(passed=condition.passed, conditions=[condition], tol=tol)
 
 
 def max_sat_brute(formula: CspFormula) -> tuple[int, list[tuple[int, ...]]]:
@@ -157,26 +188,13 @@ def validate_reduction(formula: CspFormula, inst: CvpInstance, box=None) -> Veri
             )
         )
         if any(lo < 0 or hi > 1 for lo, hi in ranges):
-            worst = math.inf
-            witness = None
-            Bt = inst.basis.T
-            q = pvalue(inst.p)
-            for chunk in integer_grid(ranges):
-                nonbin = ~np.all((chunk == 0) | (chunk == 1), axis=1)
-                pts = chunk[nonbin]
-                if pts.size == 0:
-                    continue
-                d = _row_norms(pts @ Bt - inst.target, q)
-                i = int(np.argmin(d))
-                if d[i] < worst:
-                    worst = float(d[i])
-                    witness = tuple(int(v) for v in pts[i])
+            worst = sol.nonboolean_distance
             conditions.append(
                 Condition(
                     "non-binary-exclusion",
                     worst > r * (1.0 + tol.rel),
                     max(0.0, r - worst),
-                    witness,
+                    sol.nonboolean_witness,
                 )
             )
     elif mode == "gap":

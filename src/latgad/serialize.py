@@ -144,15 +144,21 @@ def onoff_from_json(d: dict) -> OnOffGadget:
 # instances and preprocessing artifacts
 
 
-def instance_to_json(inst: CvpInstance) -> dict:
+def cvp_to_json(p, basis, target, radius: float, meta: dict) -> dict:
+    """The latgad-cvp-v1 payload.  Takes the parts rather than a CvpInstance
+    so that CVPP queries skip the instance's rank check."""
     return {
         "schema": CVP_SCHEMA,
-        "p": fmt_pnorm(inst.p),
-        "basis": fmt_columns(inst.basis),
-        "target": fmt_vector(inst.target),
-        "radius": fmt_real(inst.radius),
-        "meta": _meta_out(inst.meta),
+        "p": fmt_pnorm(p),
+        "basis": fmt_columns(basis),
+        "target": fmt_vector(target),
+        "radius": fmt_real(radius),
+        "meta": _meta_out(meta),
     }
+
+
+def instance_to_json(inst: CvpInstance) -> dict:
+    return cvp_to_json(inst.p, inst.basis, inst.target, inst.radius, inst.meta)
 
 
 def instance_from_json(d: dict) -> CvpInstance:

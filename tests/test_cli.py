@@ -89,6 +89,17 @@ class TestReduceAndOracle:
         assert code == 0
         assert out_json(out)["passed"] is True
 
+    def test_cnf_comment_mentioning_xor(self, tmp_path, capsys):
+        cnf = tmp_path / "c.cnf"
+        cnf.write_text("c not a p xor file\np cnf 3 2\n1 2 3 0\n-1 -2 3 0\n")
+        g = tmp_path / "g.json"
+        inst = tmp_path / "inst.json"
+        assert run(["gadget", "find", "--k", "3", "--p", "2.5", "--out", str(g)], capsys)[0] == 0
+        assert run(["reduce", "sat", "--cnf", str(cnf), "--gadget", str(g), "--out", str(inst)], capsys)[0] == 0
+        code, out, _ = run(["oracle", "validate", "--cnf", str(cnf), "--instance", str(inst)], capsys)
+        assert code == 0
+        assert out_json(out)["passed"] is True
+
     def test_sat_gap_mode(self, tmp_path, capsys, cnf):
         g = tmp_path / "g.json"
         inst = tmp_path / "inst.json"

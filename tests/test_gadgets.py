@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from latgad import distmatrix, gadgets
+from latgad import distmatrix, gadgets, oracle
 from latgad.errors import (
     DegenerateConstructionError,
     InvalidInputError,
@@ -175,22 +175,22 @@ class TestLatticeExtension:
 
     def test_box_condition_holds_after_extension(self):
         lat = gadgets.to_isolating_lattice(gadgets.parity_gadget(3, 1.0, 0))
-        report = gadgets.verify_lattice_condition(lat, box_radius=3)
+        report = oracle.verify_lattice_condition(lat, box_radius=3)
         assert report.passed
 
     def test_raw_gadget_can_fail_box_condition(self):
         # the k=1 gadget puts z=2 at distance 3 < 1 + eps = 5
         g = gadgets.find_isolating_parallelepiped(1, 1.0)
-        report = gadgets.verify_lattice_condition(g, box_radius=3)
+        report = oracle.verify_lattice_condition(g, box_radius=3)
         assert not report.passed
         assert report.conditions[0].witness == (2,)
         assert report.conditions[0].residual == pytest.approx(2.0)
 
     def test_minimal_box_radius(self):
         lat = gadgets.to_isolating_lattice(gadgets.parity_gadget(3, 1.0, 0))
-        assert gadgets.verify_lattice_condition(lat, box_radius=1).passed
+        assert oracle.verify_lattice_condition(lat, box_radius=1).passed
         with pytest.raises(InvalidInputError):
-            gadgets.verify_lattice_condition(lat, box_radius=0)
+            oracle.verify_lattice_condition(lat, box_radius=0)
 
     @pytest.mark.parametrize("k,p", [(3, 1.0), (2, 1.5), (4, 2.5), (3, 3.5)])
     def test_gap_shrink_bound(self, k, p):

@@ -1,12 +1,17 @@
+import itertools
 import math
 import random
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from latgad import gadgets, oracle, reductions
 from latgad.errors import ResourceLimitError
 from latgad.formulas import Clause, CspFormula, XorConstraint
+from latgad.numeric import DEFAULT_TOL, box_volume, integer_grid, pnorm
 
 
 def random_3sat(n, m, seed):
@@ -48,6 +53,76 @@ class TestCvpEnumerate:
     def test_deterministic_order(self):
         sol = oracle.cvp_enumerate(np.eye(2), [0.5, 0.5], 2.0, (0, 1))
         assert sol.closest == [(0, 0), (0, 1), (1, 0), (1, 1)]
+
+
+def naive_enumerate(B, t, p, ranges, tol=DEFAULT_TOL):
+    """Per-point reference for cvp_enumerate: every box point in mixed-radix
+    order with its own distance.  Returns the minimum, the tie set, the
+    minimum over points outside {0, 1}^n, and those points with distances."""
+    points = list(itertools.product(*(range(lo, hi + 1) for lo, hi in ranges)))
+    dists = [pnorm(B @ np.array(x, dtype=float) - t, p) for x in points]
+    best = min(dists)
+    band = best * (1.0 + tol.rel) + tol.abs
+    closest = [x for x, d in zip(points, dists) if d <= band]
+    outside = [(x, d) for x, d in zip(points, dists) if any(v not in (0, 1) for v in x)]
+    nb_best = min((d for _, d in outside), default=math.inf)
+    return best, closest, nb_best, outside
+
+
+@st.composite
+def small_cvp(draw):
+    """Integer bases and half-integer targets, so that equal distances are
+    exactly equal and distinct ones are far apart compared to the tie band."""
+    n = draw(st.integers(1, 3))
+    d = draw(st.integers(n, 4))
+    B = np.array(draw(st.lists(st.integers(-3, 3), min_size=d * n, max_size=d * n)), dtype=float)
+    t = np.array(draw(st.lists(st.integers(-8, 8), min_size=d, max_size=d)), dtype=float) / 2
+    p = draw(st.sampled_from([1.0, 2.0, 3.0, math.inf]))
+    shape = draw(st.sampled_from(["binary", "wide", "mixed"]))
+    if shape == "binary":
+        ranges = [(0, 1)] * n
+    elif shape == "wide":
+        ranges = [(-1, 2)] * n
+    else:
+        lows = draw(st.lists(st.integers(-2, 1), min_size=n, max_size=n))
+        ranges = [(lo, lo + draw(st.integers(0, 3))) for lo in lows]
+    chunk = draw(st.integers(1, 9))
+    return B.reshape(d, n), t, p, ranges, chunk
+
+
+TIE = (np.eye(2), np.array([0.5, 0.5]))
+
+
+class TestSingleWalk:
+    @settings(max_examples=150, deadline=None)
+    @given(case=small_cvp())
+    @example(case=(*TIE, 2.0, [(0, 1)] * 2, 1))
+    @example(case=(*TIE, 2.0, [(-1, 2)] * 2, 3))
+    @example(case=(*TIE, math.inf, [(0, 1)] * 2, 2))
+    @example(case=(*TIE, math.inf, [(-1, 2)] * 2, 5))
+    def test_matches_per_point_reference(self, case):
+        B, t, p, ranges, chunk = case
+        walked = []
+
+        def grid(r):
+            for rows in integer_grid(r, chunk_size=chunk):
+                walked.append(len(rows))
+                yield rows
+
+        with mock.patch.object(oracle, "integer_grid", grid):
+            sol = oracle.cvp_enumerate(B, t, p, ranges)
+        assert sum(walked) == box_volume(ranges)  # every point visited once
+
+        best, closest, nb_best, outside = naive_enumerate(B, t, p, ranges)
+        assert sol.distance == pytest.approx(best, rel=1e-12, abs=1e-12)
+        assert sol.closest == closest
+        if not outside:
+            assert sol.nonboolean_distance == math.inf
+            assert sol.nonboolean_witness is None
+        else:
+            assert sol.nonboolean_distance == pytest.approx(nb_best, rel=1e-12, abs=1e-12)
+            first = next(x for x, d in outside if d <= nb_best * (1 + 1e-12) + 1e-12)
+            assert sol.nonboolean_witness == first
 
 
 class TestMaxSatBrute:
