@@ -55,14 +55,14 @@ class TestCvpEnumerate:
         assert sol.closest == [(0, 0), (0, 1), (1, 0), (1, 1)]
 
 
-def naive_enumerate(B, t, p, ranges, tol=DEFAULT_TOL):
+def naive_enumerate(B, t, p, ranges):
     """Per-point reference for cvp_enumerate: every box point in mixed-radix
     order with its own distance.  Returns the minimum, the tie set, the
     minimum over points outside {0, 1}^n, and those points with distances."""
     points = list(itertools.product(*(range(lo, hi + 1) for lo, hi in ranges)))
     dists = [pnorm(B @ np.array(x, dtype=float) - t, p) for x in points]
     best = min(dists)
-    band = best * (1.0 + tol.rel) + tol.abs
+    band = best * (1.0 + DEFAULT_TOL.rel) + DEFAULT_TOL.abs
     closest = [x for x, d in zip(points, dists) if d <= band]
     outside = [(x, d) for x, d in zip(points, dists) if any(v not in (0, 1) for v in x)]
     nb_best = min((d for _, d in outside), default=math.inf)
