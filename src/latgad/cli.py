@@ -217,12 +217,12 @@ def _cmd_oracle(args, tol: Tolerance) -> int:
     if args.action == "solve":
         inst = serialize.instance_from_json(_load_json(args.instance))
         box = _parse_box(args.box) if args.box else (0, 1)
-        sol = oracle.cvp_enumerate(inst.basis, inst.target, inst.p, box)
+        sol = oracle.cvp_enumerate(inst.basis, inst.target, inst.p, box, tol)
         _emit(
             {
                 "distance": serialize.fmt_real(sol.distance),
                 "radius": serialize.fmt_real(inst.radius),
-                "within_radius": sol.distance <= inst.radius * (1 + 1e-9),
+                "within_radius": sol.distance <= tol.ceiling(inst.radius),
                 "closest": [list(z) for z in sol.closest],
             },
             args.out,
@@ -232,7 +232,7 @@ def _cmd_oracle(args, tol: Tolerance) -> int:
         inst = serialize.instance_from_json(_load_json(args.instance))
         formula = _parse_formula(_read(args.cnf))
         box = _parse_box(args.box) if args.box else None
-        report = oracle.validate_reduction(formula, inst, box)
+        report = oracle.validate_reduction(formula, inst, box, tol)
         return _report_exit(report)
     raise InvalidInputError(f"unknown oracle action {args.action!r}")
 

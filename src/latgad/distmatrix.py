@@ -18,7 +18,7 @@ import numpy as np
 from .errors import InvalidInputError, ResourceLimitError
 from .numeric import cube_points, finite_pvalue
 
-# materializing the 2^k x 2^k matrix beyond this is pointless on a desk machine
+# beyond this the 2^k x 2^k matrix and the 4^k k vertex check are pointless on a desk machine
 MAX_K = 14
 
 # relative nonsingularity threshold: smallest |eigenvalue| measured against the
@@ -26,17 +26,17 @@ MAX_K = 14
 NONSINGULAR_RATIO = 1e-6
 
 
-def _check_k(k: int) -> int:
+def check_k(k: int) -> int:
     if not (isinstance(k, (int, np.integer)) and k >= 1):
         raise InvalidInputError(f"k must be a positive integer, got {k!r}")
     if k > MAX_K:
-        raise ResourceLimitError(f"k={k} exceeds the materialization cap {MAX_K}")
+        raise ResourceLimitError(f"k={k} exceeds the size cap {MAX_K}")
     return int(k)
 
 
 def distance_matrix(k: int, p, shift: float) -> np.ndarray:
     """The 2^k x 2^k matrix with entries |<u, y> - shift|^p (symmetric)."""
-    k = _check_k(k)
+    k = check_k(k)
     q = finite_pvalue(p)
     pts = np.array(cube_points(k), dtype=float)
     return np.abs(pts @ pts.T - float(shift)) ** q
@@ -130,7 +130,7 @@ class EigenReport:
 
 
 def eigen_report(k: int, p, shift: float) -> EigenReport:
-    k = _check_k(k)
+    k = check_k(k)
     q = finite_pvalue(p)
     by_size = tuple(eigenvalue_by_size(k, q, shift, s) for s in range(k + 1))
     return EigenReport(k=k, p=q, shift=float(shift), by_size=by_size)

@@ -34,11 +34,13 @@ from .errors import (
 from .numeric import (
     DEFAULT_TOL,
     Tolerance,
-    binary_points,
+    chunk_rows,
     cube_points,
     finite_pvalue,
+    integer_grid,
     pnorm,
     pnorm_pow,
+    row_pnorms,
     sin_half_pi,
 )
 
@@ -63,16 +65,6 @@ def clause_constraint(negated=()) -> dict:
     """Disjunction of the k gadget inputs, with the listed 1-based positions
     negated (empty: plain OR, falsified only by the all-zeros input)."""
     return {"type": "clause", "negated": sorted(int(s) for s in negated)}
-
-
-def constraint_satisfied(constraint: dict, x) -> bool:
-    kind = constraint.get("type")
-    if kind == "parity":
-        return sum(x) % 2 == constraint["bit"]
-    if kind == "clause":
-        negated = set(constraint.get("negated", ()))
-        return any((x[s] == 0) if (s + 1) in negated else (x[s] == 1) for s in range(len(x)))
-    raise InvalidInputError(f"unknown constraint descriptor {constraint!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -103,15 +95,6 @@ class IsolatingGadget:
     @property
     def d(self) -> int:
         return self.t.size
-
-    def distance(self, x) -> float:
-        return pnorm(self.V @ np.asarray(x, dtype=float) - self.t, self.p)
-
-    def satisfied(self, x) -> bool:
-        """Whether the vertex x belongs to the close (distance-1) level."""
-        if self.kind == KIND_ISOLATING:
-            return any(x)
-        return constraint_satisfied(self.constraint, x)
 
 
 @dataclass(eq=False)
@@ -340,6 +323,7 @@ def parity_gadget(k: int, p, bit: int) -> IsolatingGadget:
         raise InvalidInputError("parity bit must be 0 or 1")
     if not (isinstance(k, (int, np.integer)) and k >= 3):
         raise InvalidInputError(f"parity gadget needs k >= 3, got {k!r}")
+    distmatrix.check_k(k)  # the level check below costs 4^k k
     if not 1 <= q < k:
         raise InvalidInputError(f"parity gadget needs 1 <= p < k, got p={q}, k={k}")
     if float(q).is_integer() and int(q) % 2 == 0:
@@ -464,6 +448,39 @@ def on_off_to_ip(gadget: OnOffGadget) -> IsolatingGadget:
 # verification
 
 
+def _vertex_distances(V: np.ndarray, p, *targets) -> tuple[np.ndarray, list[np.ndarray]]:
+    """Every vertex x of {0, 1}^k in binary_points order, and each target's
+    distances to all V x, walked in chunks of the shared entry budget."""
+    chunks = list(integer_grid([(0, 1)] * V.shape[1], chunk_rows(V.shape[0])))
+    dists = [np.concatenate([row_pnorms(x @ V.T - t, p) for x in chunks]) for t in targets]
+    return np.vstack(chunks), dists
+
+
+def _close_mask(gadget: IsolatingGadget, x: np.ndarray) -> np.ndarray:
+    """Which vertices (rows of x) belong to the close (distance-1) level."""
+    if gadget.kind == KIND_ISOLATING:
+        return x.any(axis=1)
+    c = gadget.constraint
+    if c.get("type") == "parity":
+        return x.sum(axis=1) % 2 == c["bit"]
+    if c.get("type") == "clause":
+        # only the vertex with x_s = 1 exactly at the negated positions falsifies it
+        falsifier = np.isin(np.arange(1, gadget.k + 1), c.get("negated", ()))
+        return np.any(x != falsifier, axis=1)
+    raise InvalidInputError(f"unknown constraint descriptor {c!r}")
+
+
+def _level_condition(name: str, x, dist, mask, level: float, tol: Tolerance) -> Condition:
+    """Largest |distance - level| over the masked vertices, witnessed by the
+    first vertex that reaches it (residual 0 and no witness when none is masked)."""
+    res = np.abs(dist[mask] - level)
+    if res.size == 0:
+        return Condition(name, True, 0.0)
+    i = int(np.argmax(res))
+    worst = float(res[i])
+    return Condition(name, worst <= tol.allowance(level), worst, tuple(int(v) for v in x[mask][i]))
+
+
 def verify_parallelepiped(gadget: IsolatingGadget, tol: Tolerance = DEFAULT_TOL) -> VerificationReport:
     """Check the two-level distance pattern over all 2^k boolean vertices.
 
@@ -471,26 +488,11 @@ def verify_parallelepiped(gadget: IsolatingGadget, tol: Tolerance = DEFAULT_TOL)
     above the noise floor, and (for the lattice kind only) full column rank.
     Failures are report entries, never exceptions.
     """
-    close_res, close_wit = -1.0, None
-    far_res, far_wit = -1.0, None
-    for x in binary_points(gadget.k):
-        d = gadget.distance(x)
-        if gadget.satisfied(x):
-            r = abs(d - 1.0)
-            if r > close_res:
-                close_res, close_wit = r, x
-        else:
-            r = abs(d - (1.0 + gadget.eps))
-            if r > far_res:
-                far_res, far_wit = r, x
+    x, (dist,) = _vertex_distances(gadget.V, gadget.p, gadget.t)
+    close = _close_mask(gadget, x)
     conditions = [
-        Condition("close-vertices-at-1", close_res <= tol.allowance(1.0), max(close_res, 0.0), close_wit),
-        Condition(
-            "far-vertices-at-1+eps",
-            far_res <= tol.allowance(1.0 + gadget.eps),
-            max(far_res, 0.0),
-            far_wit,
-        ),
+        _level_condition("close-vertices-at-1", x, dist, close, 1.0, tol),
+        _level_condition("far-vertices-at-1+eps", x, dist, ~close, 1.0 + gadget.eps, tol),
         Condition("positive-gap", gadget.eps > tol.rel, max(0.0, tol.rel - gadget.eps)),
     ]
     if gadget.kind == KIND_LATTICE:
@@ -500,28 +502,13 @@ def verify_parallelepiped(gadget: IsolatingGadget, tol: Tolerance = DEFAULT_TOL)
 
 
 def verify_on_off(gadget: OnOffGadget, tol: Tolerance = DEFAULT_TOL) -> VerificationReport:
-    on_res, on_wit = -1.0, None
-    off_res, off_wit = -1.0, None
-    origin_dist = pnorm(gadget.t_on, gadget.p)
-    for x in binary_points(gadget.k):
-        xv = np.asarray(x, dtype=float)
-        d_off = pnorm(gadget.V @ xv - gadget.t_off, gadget.p)
-        r = abs(d_off - 1.0)
-        if r > off_res:
-            off_res, off_wit = r, x
-        if any(x):
-            d_on = pnorm(gadget.V @ xv - gadget.t_on, gadget.p)
-            r = abs(d_on - 1.0)
-            if r > on_res:
-                on_res, on_wit = r, x
+    x, (d_on, d_off) = _vertex_distances(gadget.V, gadget.p, gadget.t_on, gadget.t_off)
+    far = 1.0 + gadget.eps
+    origin_res = abs(float(d_on[0]) - far)  # x[0] is the origin
     conditions = [
-        Condition("on-target-nonzero-at-1", on_res <= tol.allowance(1.0), max(on_res, 0.0), on_wit),
-        Condition(
-            "on-target-origin-isolated",
-            abs(origin_dist - (1.0 + gadget.eps)) <= tol.allowance(1.0 + gadget.eps),
-            abs(origin_dist - (1.0 + gadget.eps)),
-        ),
-        Condition("off-target-all-at-1", off_res <= tol.allowance(1.0), max(off_res, 0.0), off_wit),
+        _level_condition("on-target-nonzero-at-1", x, d_on, x.any(axis=1), 1.0, tol),
+        Condition("on-target-origin-isolated", origin_res <= tol.allowance(far), origin_res),
+        _level_condition("off-target-all-at-1", x, d_off, np.ones(len(x), dtype=bool), 1.0, tol),
         Condition("positive-gap", gadget.eps > tol.rel, max(0.0, tol.rel - gadget.eps)),
     ]
     return _report(conditions, tol)

@@ -81,6 +81,10 @@ class Tolerance:
     def close(self, a: float, b: float) -> bool:
         return abs(a - b) <= max(self.rel * max(abs(a), abs(b)), self.abs)
 
+    def ceiling(self, bound):
+        """The largest value still counted as <= bound: bound (1 + rel) + abs."""
+        return bound * (1.0 + self.rel) + self.abs
+
 
 DEFAULT_TOL = Tolerance()
 
@@ -213,20 +217,36 @@ def fourier_vector(subset: Iterable[int], k: int) -> np.ndarray:
     return out
 
 
-def integer_grid(ranges: Sequence[tuple[int, int]], chunk_size: int = 200_000) -> Iterator[np.ndarray]:
-    """Yield the integer box prod [lo_i, hi_i] as (m, n) int arrays in
-    ascending mixed-radix order (last coordinate fastest)."""
+def row_pnorms(diffs: np.ndarray, p) -> np.ndarray:
+    """The p-norm of every row of a 2-D array (no rescaling, unlike pnorm)."""
+    q = pvalue(p)
+    if math.isinf(q):
+        return np.abs(diffs).max(axis=1)
+    return np.sum(np.abs(diffs) ** q, axis=1) ** (1.0 / q)
+
+
+# entries (rows x row width) per chunk of a brute-force distance walk, 512 KiB
+# per float64 temporary: 2^14 paid more per-chunk overhead on the oracle's
+# benchmark jobs, and 2^18 was no faster there and slower on k=12 gadget checks
+CHUNK_ENTRIES = 1 << 16
+
+
+def chunk_rows(width: int) -> int:
+    """Rows per chunk when each row of the walk's distance table has `width` entries."""
+    return max(1, CHUNK_ENTRIES // width)
+
+
+def integer_grid(ranges: Sequence[tuple[int, int]], chunk_size: int) -> Iterator[np.ndarray]:
+    """Yield the integer box prod [lo_i, hi_i] as (m, n) int arrays of at most
+    `chunk_size` rows, in ascending mixed-radix order (last coordinate fastest)."""
+    total = box_volume(ranges)
     lows = np.array([lo for lo, _ in ranges], dtype=np.int64)
     sizes = np.array([hi - lo + 1 for lo, hi in ranges], dtype=np.int64)
-    if np.any(sizes <= 0):
-        raise InvalidInputError("every box range needs lo <= hi")
-    n = len(ranges)
-    total = int(np.prod(sizes, dtype=object))
     for start in range(0, total, chunk_size):
         idx = np.arange(start, min(start + chunk_size, total), dtype=np.int64)
-        out = np.empty((idx.size, n), dtype=np.int64)
+        out = np.empty((idx.size, len(ranges)), dtype=np.int64)
         rem = idx
-        for j in range(n - 1, -1, -1):
+        for j in range(len(ranges) - 1, -1, -1):
             out[:, j] = lows[j] + rem % sizes[j]
             rem = rem // sizes[j]
         yield out

@@ -13,7 +13,7 @@ import numpy as np
 from .errors import InvalidInputError, ResourceLimitError
 from .formulas import CspFormula
 from .gadgets import Condition, IsolatingGadget, VerificationReport
-from .numeric import DEFAULT_TOL, Tolerance, box_volume, integer_grid, pvalue
+from .numeric import DEFAULT_TOL, Tolerance, box_volume, chunk_rows, integer_grid, row_pnorms
 from .reductions import CvpInstance
 
 BOX_CAP = 10**7
@@ -27,12 +27,6 @@ def _ranges(box, n: int) -> list[tuple[int, int]]:
     if len(ranges) != n:
         raise InvalidInputError(f"box must give one range per coordinate ({n})")
     return ranges
-
-
-def _row_norms(diffs: np.ndarray, q: float) -> np.ndarray:
-    if math.isinf(q):
-        return np.abs(diffs).max(axis=1)
-    return np.sum(np.abs(diffs) ** q, axis=1) ** (1.0 / q)
 
 
 @dataclass
@@ -57,21 +51,18 @@ def cvp_enumerate(basis, target, p, box, tol: Tolerance = DEFAULT_TOL) -> CvpSol
     """
     B = np.asarray(basis, dtype=float)
     t = np.asarray(target, dtype=float).ravel()
-    q = pvalue(p)
-    n = B.shape[1]
-    ranges = _ranges(box, n)
+    ranges = _ranges(box, B.shape[1])
     if box_volume(ranges) > BOX_CAP:
         raise ResourceLimitError(f"box volume exceeds cap {BOX_CAP}")
-    Bt = B.T
     best = math.inf
     near: list[tuple[np.ndarray, np.ndarray]] = []
     nb_best, nb_witness = math.inf, None
-    for chunk in integer_grid(ranges):
-        d = _row_norms(chunk @ Bt - t, q)
+    for chunk in integer_grid(ranges, chunk_rows(t.size)):
+        d = row_pnorms(chunk @ B.T - t, p)
         best = min(best, float(d.min()))
         # the band only shrinks as best falls, so this keeps a superset of
         # the final tie set; the final band filters it below
-        keep = d <= best * (1.0 + tol.rel) + tol.abs
+        keep = d <= tol.ceiling(best)
         near.append((chunk[keep], d[keep]))
         outside = np.any((chunk < 0) | (chunk > 1), axis=1)
         if outside.any():
@@ -80,7 +71,7 @@ def cvp_enumerate(basis, target, p, box, tol: Tolerance = DEFAULT_TOL) -> CvpSol
             if d_out[i] < nb_best:
                 nb_best = float(d_out[i])
                 nb_witness = tuple(int(v) for v in chunk[outside][i])
-    band = best * (1.0 + tol.rel) + tol.abs
+    band = tol.ceiling(best)
     closest = [tuple(int(v) for v in row) for rows, d in near for row in rows[d <= band]]
     return CvpSolution(best, closest, nb_best, nb_witness)
 
@@ -145,7 +136,9 @@ def max_sat_brute(formula: CspFormula) -> tuple[int, list[tuple[int, ...]]]:
     return best, assignments
 
 
-def validate_reduction(formula: CspFormula, inst: CvpInstance, box=None) -> VerificationReport:
+def validate_reduction(
+    formula: CspFormula, inst: CvpInstance, box=None, tol: Tolerance = DEFAULT_TOL
+) -> VerificationReport:
     """Cross-check an instance against brute force.
 
     Padded and finite-norm preprocessing modes: decision agreement (distance
@@ -156,7 +149,6 @@ def validate_reduction(formula: CspFormula, inst: CvpInstance, box=None) -> Veri
     preprocessing mode: decision agreement only (every falsifying assignment
     ties at the same distance there, so no witness structure survives).
     """
-    tol = DEFAULT_TOL
     n = inst.n
     if formula.n != n:
         raise InvalidInputError("formula and instance disagree on variable count")
@@ -166,7 +158,7 @@ def validate_reduction(formula: CspFormula, inst: CvpInstance, box=None) -> Veri
     r = inst.radius
     mode = inst.meta.get("mode")
     conditions: list[Condition] = []
-    dist_leq_r = sol.distance <= r * (1.0 + tol.rel) + tol.abs
+    dist_leq_r = sol.distance <= tol.ceiling(r)
 
     if mode == "cvpp-inf":
         W = inst.meta.get("threshold", formula.m)

@@ -1,6 +1,7 @@
 import json
 import subprocess
 import sys
+import time
 
 import pytest
 
@@ -88,6 +89,26 @@ class TestReduceAndOracle:
         )
         assert code == 0
         assert out_json(out)["passed"] is True
+
+    def test_oracle_honours_tolerance(self, tmp_path, capsys):
+        # every sign pattern on three variables: unsatisfiable, so the closest
+        # boolean point lies beyond the radius, but within 1.5 times it
+        cnf = tmp_path / "u.cnf"
+        clauses = [f"{a} {b} {c} 0\n" for a in (1, -1) for b in (2, -2) for c in (3, -3)]
+        cnf.write_text("p cnf 3 8\n" + "".join(clauses))
+        g = tmp_path / "g.json"
+        inst = tmp_path / "inst.json"
+        assert run(["gadget", "find", "--k", "3", "--p", "2.5", "--out", str(g)], capsys)[0] == 0
+        assert run(["reduce", "sat", "--cnf", str(cnf), "--gadget", str(g), "--out", str(inst)], capsys)[0] == 0
+        code, out, _ = run(["oracle", "solve", str(inst)], capsys)
+        assert code == 0 and out_json(out)["within_radius"] is False
+        code, out, _ = run(["--tol-rel", "0.5", "oracle", "solve", str(inst)], capsys)
+        assert code == 0 and out_json(out)["within_radius"] is True
+        validate = ["oracle", "validate", "--cnf", str(cnf), "--instance", str(inst)]
+        code, out, _ = run(["--tol-rel", "0.5", "--tol-abs", "1e-6", *validate], capsys)
+        assert out_json(out)["tol"] == {"rel": 0.5, "abs": 1e-6}
+        assert code == 1  # the loose tolerance puts the unsatisfiable formula within the radius
+        assert run(validate, capsys)[0] == 0
 
     def test_cnf_comment_mentioning_xor(self, tmp_path, capsys):
         cnf = tmp_path / "c.cnf"
@@ -272,6 +293,12 @@ class TestExitCodes:
         code, _, err = run(["oracle", "solve", str(inst), "--box=-20..20"], capsys)
         assert code == 3
         assert "resource" in err
+
+    def test_parity_size_cap_refuses_before_building(self, capsys):
+        start = time.perf_counter()
+        code, _, err = run(["gadget", "parity", "--k", "20", "--p", "2.5"], capsys)
+        assert code == 3 and "resource" in err
+        assert time.perf_counter() - start < 1.0
 
     def test_module_entry_point(self):
         proc = subprocess.run(

@@ -1,4 +1,6 @@
+import functools
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -10,8 +12,14 @@ from latgad.errors import (
     DegenerateConstructionError,
     InvalidInputError,
     UnsupportedParametersError,
+    VerificationError,
 )
-from latgad.numeric import Tolerance, binary_points, pnorm
+from latgad.numeric import DEFAULT_TOL, Tolerance, binary_points, chunk_rows, integer_grid, pnorm
+
+
+def distances(V, t, p, k):
+    """Each vertex x of {0, 1}^k with the distance from t to V x, one pnorm per vertex."""
+    return [(x, pnorm(V @ np.array(x, dtype=float) - t, p)) for x in binary_points(k)]
 
 
 class TestFindShift:
@@ -104,8 +112,7 @@ class TestParallelepipedAssembly:
 class TestFindIsolating:
     def test_k2_p1_distance_pattern(self):
         g = gadgets.find_isolating_parallelepiped(2, 1.0)
-        for z in binary_points(2):
-            d = g.distance(z)
+        for z, d in distances(g.V, g.t, g.p, 2):
             if any(z):
                 assert d == pytest.approx(1.0, abs=1e-12)
             else:
@@ -151,8 +158,7 @@ class TestParityGadget:
     @pytest.mark.parametrize("k,p", [(3, 1.0), (4, 1.5), (5, 2.5), (4, 3.0), (6, 1.0)])
     def test_level_assignment_matches_parity(self, k, p, bit):
         g = gadgets.parity_gadget(k, p, bit)
-        for z in binary_points(k):
-            d = g.distance(z)
+        for z, d in distances(g.V, g.t, g.p, k):
             if sum(z) % 2 == bit:
                 assert d == pytest.approx(1.0, abs=1e-9)
             else:
@@ -269,6 +275,210 @@ class TestVerify:
         )
         report = gadgets.verify_parallelepiped(g)
         assert any(c.name == "full-column-rank" and not c.passed for c in report.conditions)
+
+
+def toward(t, point, step, p):
+    """t moved by `step` in the p-norm straight toward `point`: that point
+    comes exactly `step` closer, and no other point moves by more."""
+    return t + step * (point - t) / pnorm(point - t, p)
+
+
+class TestOnOffFailures:
+    """Moving a target by 1e-4 fails the on-off check, witnessed by the
+    vertex it moved toward."""
+
+    @pytest.fixture(scope="class")
+    def source(self):
+        return gadgets.find_isolating_parallelepiped(4, 3.0)
+
+    @pytest.fixture(scope="class")
+    def onoff(self, source):
+        return gadgets.to_on_off(source)
+
+    def moved(self, oo, target, point):
+        """oo with `target` ("t_on" or "t_off") moved 1e-4 toward `point`."""
+        targets = {"t_on": oo.t_on, "t_off": oo.t_off}
+        targets[target] = toward(targets[target], point, 1e-4, oo.p)
+        return gadgets.OnOffGadget(oo.p, oo.k, oo.V, eps=oo.eps, **targets)
+
+    def failing(self, oo):
+        report = gadgets.verify_on_off(oo)
+        assert not report.passed
+        return {c.name: c for c in report.failures()}
+
+    @pytest.mark.parametrize("x", [(0, 0, 0), (0, 1, 1), (1, 0, 1)])
+    def test_off_target_moved_toward_a_vertex(self, onoff, x):
+        vertex = onoff.V @ np.array(x, dtype=float)
+        bad = self.failing(self.moved(onoff, "t_off", vertex))
+        assert list(bad) == ["off-target-all-at-1"]
+        assert bad["off-target-all-at-1"].witness == x
+        assert bad["off-target-all-at-1"].residual == pytest.approx(1e-4, rel=1e-6)
+
+    @pytest.mark.parametrize("x", [(0, 0, 1), (1, 1, 0)])
+    def test_on_target_moved_toward_a_nonzero_vertex(self, onoff, x):
+        vertex = onoff.V @ np.array(x, dtype=float)
+        bad = self.failing(self.moved(onoff, "t_on", vertex))
+        assert bad["on-target-nonzero-at-1"].witness == x
+        assert bad["on-target-nonzero-at-1"].residual == pytest.approx(1e-4, rel=1e-6)
+        assert "off-target-all-at-1" not in bad
+
+    def test_on_target_moved_toward_the_origin(self, onoff):
+        bad = self.failing(self.moved(onoff, "t_on", np.zeros(onoff.d)))
+        origin = bad["on-target-origin-isolated"]
+        assert origin.witness is None
+        assert origin.residual == pytest.approx(1e-4, rel=1e-6)
+
+    def test_conversion_refuses_a_moved_target(self, source):
+        moved = gadgets.IsolatingGadget(source.p, source.k, source.V, source.t + 1e-4, source.eps)
+        with pytest.raises(VerificationError):
+            gadgets.to_on_off(moved)
+
+
+# -- per-vertex reference for the vectorised vertex checks
+
+
+def satisfied(gadget, x) -> bool:
+    """Whether vertex x belongs to the close level, one vertex at a time."""
+    if gadget.kind == gadgets.KIND_ISOLATING:
+        return any(x)
+    c = gadget.constraint
+    if c["type"] == "parity":
+        return sum(x) % 2 == c["bit"]
+    negated = set(c["negated"])
+    return any((x[s] == 0) if (s + 1) in negated else (x[s] == 1) for s in range(len(x)))
+
+
+def level_reference(name, pairs, level, tol):
+    """A level condition from (vertex, distance) pairs walked in order: the
+    first vertex with the largest |distance - level| is the witness.  Also
+    returns every vertex's residual."""
+    res, wit, by_vertex = -1.0, None, {}
+    for x, d in pairs:
+        by_vertex[x] = r = abs(d - level)
+        if r > res:
+            res, wit = r, x
+    return name, res <= tol.allowance(level), max(res, 0.0), wit, by_vertex
+
+
+def naive_parallelepiped(g, tol=DEFAULT_TOL):
+    pairs = distances(g.V, g.t, g.p, g.k)
+    close = [(x, d) for x, d in pairs if satisfied(g, x)]
+    far = [(x, d) for x, d in pairs if not satisfied(g, x)]
+    return [
+        level_reference("close-vertices-at-1", close, 1.0, tol),
+        level_reference("far-vertices-at-1+eps", far, 1.0 + g.eps, tol),
+    ]
+
+
+def naive_on_off(g, tol=DEFAULT_TOL):
+    origin = abs(pnorm(g.t_on, g.p) - (1.0 + g.eps))
+    nonzero = [(x, d) for x, d in distances(g.V, g.t_on, g.p, g.k) if any(x)]
+    return [
+        level_reference("on-target-nonzero-at-1", nonzero, 1.0, tol),
+        ("on-target-origin-isolated", origin <= tol.allowance(1.0 + g.eps), origin, None, {}),
+        level_reference("off-target-all-at-1", distances(g.V, g.t_off, g.p, g.k), 1.0, tol),
+    ]
+
+
+def assert_matches(report, reference, tail):
+    assert [c.name for c in report.conditions] == [r[0] for r in reference] + tail
+    for cond, (name, passed, residual, witness, by_vertex) in zip(report.conditions, reference):
+        assert cond.passed == passed, name
+        assert cond.residual == pytest.approx(residual, rel=0, abs=1e-12), name
+        if not passed:
+            # the reference's witness, unless rounding reorders residuals that
+            # agree to 1e-12: then any of those tied vertices is one
+            assert cond.witness == witness or by_vertex[cond.witness] >= residual - 1e-12, name
+
+
+@functools.lru_cache(maxsize=None)
+def isolating(k, p):
+    return gadgets.find_isolating_parallelepiped(k, p)
+
+
+@functools.lru_cache(maxsize=None)
+def parity(k, p, bit):
+    return gadgets.parity_gadget(k, p, bit)
+
+
+def reflected(g, negated):
+    """The isolating geometry re-expressed so that x_s -> 1 - x_s at the
+    negated positions: a two-level gadget for the clause with those negations."""
+    cols = [s - 1 for s in negated]
+    V = g.V.copy()
+    V[:, cols] *= -1.0
+    t = g.t - g.V[:, cols].sum(axis=1)
+    clause = gadgets.clause_constraint(negated)
+    return gadgets.IsolatingGadget(g.p, g.k, V, t, g.eps, gadgets.KIND_TWO_LEVEL, clause)
+
+
+@st.composite
+def vertex_case(draw):
+    """A gadget of every kind for k in 1..6 (parity geometry exists only for
+    k >= 3; below that the isolating geometry carries the parity label), a
+    noise scale for its targets, a noise seed and a chunk size of 1-3 rows."""
+    k = draw(st.integers(1, 6))
+    p = draw(st.sampled_from([1.5, 2.5, 3.0]))
+    kind = draw(st.sampled_from(["isolating", "parity", "clause", "lattice", "on-off"]))
+    if kind == "on-off":
+        g = gadgets.to_on_off(isolating(k + 1, p))
+    elif kind == "isolating":
+        g = isolating(k, p)
+    elif kind == "clause" or (kind == "lattice" and draw(st.booleans())):
+        negated = draw(st.sets(st.integers(1, k)))
+        g = reflected(isolating(k, p), sorted(negated))
+    else:
+        bit = draw(st.integers(0, 1))
+        if k >= 3:
+            g = parity(k, draw(st.sampled_from([1.0, 1.5])), bit)
+        else:
+            base, label = isolating(k, p), gadgets.parity_constraint(bit)
+            g = gadgets.IsolatingGadget(p, k, base.V, base.t, base.eps, gadgets.KIND_TWO_LEVEL, label)
+    if kind == "lattice":
+        g = gadgets.to_isolating_lattice(g)
+    scale = draw(st.sampled_from([0.0, 1e-12, 1e-9, 1e-6, 1e-3, 0.1]))
+    return g, scale, draw(st.integers(0, 2**32 - 1)), draw(st.integers(1, 3))
+
+
+class TestVertexWalk:
+    @settings(max_examples=120, deadline=None)
+    @given(case=vertex_case())
+    def test_matches_per_vertex_reference(self, case):
+        g, scale, seed, chunk = case
+        rng = np.random.default_rng(seed)
+        walked = []
+
+        def grid(r, n_rows):
+            assert n_rows == chunk_rows(g.V.shape[0])
+            for rows in integer_grid(r, chunk_size=chunk):
+                walked.append(len(rows))
+                yield rows
+
+        if isinstance(g, gadgets.OnOffGadget):
+            t_on = g.t_on + scale * rng.standard_normal(g.d)
+            t_off = g.t_off + scale * rng.standard_normal(g.d)
+            g = gadgets.OnOffGadget(g.p, g.k, g.V, t_on, t_off, g.eps)
+            with mock.patch.object(gadgets, "integer_grid", grid):
+                report = gadgets.verify_on_off(g)
+            assert_matches(report, naive_on_off(g), ["positive-gap"])
+        else:
+            t = g.t + scale * rng.standard_normal(g.d)
+            g = gadgets.IsolatingGadget(g.p, g.k, g.V, t, g.eps, g.kind, g.constraint)
+            with mock.patch.object(gadgets, "integer_grid", grid):
+                report = gadgets.verify_parallelepiped(g)
+            tail = ["positive-gap"] + (["full-column-rank"] if g.kind == gadgets.KIND_LATTICE else [])
+            assert_matches(report, naive_parallelepiped(g), tail)
+        assert sum(walked) == 2**g.k and max(walked) <= chunk
+
+    def test_exact_ties_go_to_the_first_vertex(self):
+        # distances are the Hamming weights: (0, 0) and (1, 1) tie on the close
+        # level, (0, 1) and (1, 0) on the far one
+        g = gadgets.IsolatingGadget(
+            1.0, 2, np.eye(2), np.zeros(2), 0.5, gadgets.KIND_TWO_LEVEL, gadgets.parity_constraint(0)
+        )
+        close, far = gadgets.verify_parallelepiped(g).conditions[:2]
+        assert (close.passed, close.residual, close.witness) == (False, 1.0, (0, 0))
+        assert (far.passed, far.residual, far.witness) == (False, 0.5, (0, 1))
 
 
 class TestObstruction:

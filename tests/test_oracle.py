@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 from latgad import gadgets, oracle, reductions
 from latgad.errors import ResourceLimitError
 from latgad.formulas import Clause, CspFormula, XorConstraint
-from latgad.numeric import DEFAULT_TOL, box_volume, integer_grid, pnorm
+from latgad.numeric import CHUNK_ENTRIES, DEFAULT_TOL, box_volume, chunk_rows, integer_grid, pnorm
 
 
 def random_3sat(n, m, seed):
@@ -104,7 +104,8 @@ class TestSingleWalk:
         B, t, p, ranges, chunk = case
         walked = []
 
-        def grid(r):
+        def grid(r, n_rows):
+            assert n_rows == chunk_rows(t.size)  # the walk asks for budget-sized chunks
             for rows in integer_grid(r, chunk_size=chunk):
                 walked.append(len(rows))
                 yield rows
@@ -123,6 +124,29 @@ class TestSingleWalk:
             assert sol.nonboolean_distance == pytest.approx(nb_best, rel=1e-12, abs=1e-12)
             first = next(x for x, d in outside if d <= nb_best * (1 + 1e-12) + 1e-12)
             assert sol.nonboolean_witness == first
+
+    @pytest.mark.parametrize("d", [CHUNK_ENTRIES + 5, CHUNK_ENTRIES // 3, 7])
+    def test_chunks_sized_by_entries(self, d):
+        # a chunk's distance table holds at most CHUNK_ENTRIES entries, or one
+        # row when a single row is wider than that
+        B = np.zeros((d, 2))
+        B[0, 0] = B[1, 1] = 1.0
+        t = np.zeros(d)
+        t[:2] = 0.75
+        walked = []
+
+        def grid(r, n_rows):
+            for rows in integer_grid(r, n_rows):
+                walked.append(len(rows))
+                yield rows
+
+        with mock.patch.object(oracle, "integer_grid", grid):
+            sol = oracle.cvp_enumerate(B, t, 2.0, (0, 1))
+        assert sum(walked) == 4
+        assert all(rows * d <= max(CHUNK_ENTRIES, d) for rows in walked)
+        if d > CHUNK_ENTRIES:
+            assert walked == [1, 1, 1, 1]
+        assert sol.closest == [(1, 1)]
 
 
 class TestMaxSatBrute:
