@@ -48,29 +48,49 @@ def cvp_enumerate(basis, target, p, box, tol: Tolerance = DEFAULT_TOL) -> CvpSol
     `box` is either one (lo, hi) pair applied to every coordinate or a
     per-coordinate list.  Vectors within relative `tol.rel` of the minimum are
     all reported, in ascending mixed-radix order.
+
+    The walk splits the box once: the longest run of trailing coordinates
+    whose box fits in one chunk gives a table of B_low x_low - t, built once,
+    and each point of the leading coordinates adds its offset B_high x_high
+    to the whole table.
     """
     B = np.asarray(basis, dtype=float)
     t = np.asarray(target, dtype=float).ravel()
     ranges = _ranges(box, B.shape[1])
     if box_volume(ranges) > BOX_CAP:
         raise ResourceLimitError(f"box volume exceeds cap {BOX_CAP}")
+    budget = chunk_rows(t.size)
+    s = len(ranges)
+    while s and box_volume(ranges[s - 1 :]) <= budget:
+        s -= 1
+    (low,) = integer_grid(ranges[s:], budget)
+    table = low @ B[:, s:].T - t
+    low_out = np.any((low < 0) | (low > 1), axis=1)
+    L = len(low)
+    per_chunk = budget // L
+    # one diff and one power buffer for the whole walk: fresh chunk-sized
+    # temporaries come back as fresh pages from the allocator on every chunk
+    diff = np.empty((per_chunk, L, t.size))
+    work = np.empty((per_chunk * L, t.size))
     best = math.inf
     near: list[tuple[np.ndarray, np.ndarray]] = []
     nb_best, nb_witness = math.inf, None
-    for chunk in integer_grid(ranges, chunk_rows(t.size)):
-        d = row_pnorms(chunk @ B.T - t, p)
+    for high in integer_grid(ranges[:s], per_chunk):
+        m = len(high) * L
+        np.add((high @ B[:, :s].T)[:, None, :], table, out=diff[: len(high)])
+        d = row_pnorms(diff[: len(high)].reshape(m, t.size), p, out=work[:m])
         best = min(best, float(d.min()))
         # the band only shrinks as best falls, so this keeps a superset of
-        # the final tie set; the final band filters it below
-        keep = d <= tol.ceiling(best)
-        near.append((chunk[keep], d[keep]))
-        outside = np.any((chunk < 0) | (chunk > 1), axis=1)
-        if outside.any():
-            d_out = d[outside]
-            i = int(np.argmin(d_out))
-            if d_out[i] < nb_best:
-                nb_best = float(d_out[i])
-                nb_witness = tuple(int(v) for v in chunk[outside][i])
+        # the final tie set; the final band filters it below.  Flat index
+        # i of the chunk is the point (high[i // L], low[i % L]).
+        keep = np.flatnonzero(d <= tol.ceiling(best))
+        near.append((np.hstack([high[keep // L], low[keep % L]]), d[keep]))
+        outside = np.flatnonzero((np.any((high < 0) | (high > 1), axis=1)[:, None] | low_out).ravel())
+        if outside.size:
+            i = outside[np.argmin(d[outside])]
+            if d[i] < nb_best:
+                nb_best = float(d[i])
+                nb_witness = tuple(int(v) for v in (*high[i // L], *low[i % L]))
     band = tol.ceiling(best)
     closest = [tuple(int(v) for v in row) for rows, d in near for row in rows[d <= band]]
     return CvpSolution(best, closest, nb_best, nb_witness)
@@ -184,7 +204,7 @@ def validate_reduction(
             conditions.append(
                 Condition(
                     "non-binary-exclusion",
-                    worst > r * (1.0 + tol.rel),
+                    worst > tol.ceiling(r),
                     max(0.0, r - worst),
                     sol.nonboolean_witness,
                 )

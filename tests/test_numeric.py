@@ -19,6 +19,7 @@ from latgad.numeric import (
     integer_grid,
     pnorm,
     pnorm_pow,
+    row_pnorms,
     sin_half_pi,
 )
 
@@ -162,3 +163,39 @@ class TestGridHelpers:
         assert tol.close(0.0, 1e-13)
         with pytest.raises(InvalidInputError):
             Tolerance(rel=0.0)
+
+
+def float_pow_pnorms(x, q):
+    """The float-pow kernel integer q used to go through."""
+    return np.sum(np.abs(x) ** q, axis=1) ** (1 / q)
+
+
+class TestRowPNorms:
+    @pytest.mark.parametrize("q", range(1, 9))
+    @pytest.mark.parametrize("seed", range(4))
+    def test_integer_q_matches_float_pow(self, q, seed):
+        rng = np.random.default_rng(seed)
+        x = rng.standard_normal((50, int(rng.integers(1, 40)))) * 10.0 ** rng.integers(-3, 4)
+        x[0] = 0.0
+        np.testing.assert_allclose(row_pnorms(x, q), float_pow_pnorms(x, q), rtol=1e-14, atol=0)
+        np.testing.assert_allclose(row_pnorms(x, float(q)), float_pow_pnorms(x, q), rtol=1e-14, atol=0)
+
+    @pytest.mark.parametrize("q", [1.5, 2.5, math.pi, 9, 12.0])
+    def test_other_finite_q_keep_float_pow(self, q):
+        x = np.random.default_rng(7).standard_normal((30, 11))
+        assert np.array_equal(row_pnorms(x, q), float_pow_pnorms(x, q))
+
+    def test_inf_is_row_max(self):
+        x = np.random.default_rng(8).standard_normal((30, 11))
+        assert np.array_equal(row_pnorms(x, math.inf), np.abs(x).max(axis=1))
+        assert np.array_equal(row_pnorms(x, PNorm.infinity()), np.abs(x).max(axis=1))
+
+    @pytest.mark.parametrize("q", [1, 2, 3, 4, 2.5, math.inf])
+    def test_input_unchanged_and_scratch_reused(self, q):
+        x = np.random.default_rng(9).standard_normal((20, 6))
+        before = x.copy()
+        fresh = row_pnorms(x, q)
+        scratch = np.full_like(x, np.nan)
+        assert np.array_equal(row_pnorms(x, q, out=scratch), fresh)
+        assert np.array_equal(row_pnorms(x, q, out=scratch), fresh)  # scratch left dirty
+        assert np.array_equal(x, before)

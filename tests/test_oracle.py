@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 from latgad import gadgets, oracle, reductions
 from latgad.errors import ResourceLimitError
 from latgad.formulas import Clause, CspFormula, XorConstraint
-from latgad.numeric import CHUNK_ENTRIES, DEFAULT_TOL, box_volume, chunk_rows, integer_grid, pnorm
+from latgad.numeric import CHUNK_ENTRIES, DEFAULT_TOL, Tolerance, box_volume, chunk_rows, pnorm, row_pnorms
 
 
 def random_3sat(n, m, seed):
@@ -91,6 +91,40 @@ def small_cvp(draw):
 
 
 TIE = (np.eye(2), np.array([0.5, 0.5]))
+B3 = np.array([[1.0, 2.0, 0.0], [0.0, -1.0, 3.0], [2.0, 0.0, -1.0]])
+
+
+def assert_matches_reference(sol, B, t, p, ranges):
+    best, closest, nb_best, outside = naive_enumerate(B, t, p, ranges)
+    assert sol.distance == pytest.approx(best, rel=1e-12, abs=1e-12)
+    assert sol.closest == closest
+    if not outside:
+        assert sol.nonboolean_distance == math.inf
+        assert sol.nonboolean_witness is None
+    else:
+        assert sol.nonboolean_distance == pytest.approx(nb_best, rel=1e-12, abs=1e-12)
+        first = next(x for x, d in outside if d <= nb_best * (1 + 1e-12) + 1e-12)
+        assert sol.nonboolean_witness == first
+
+
+def walk(B, t, p, ranges, chunk=None):
+    """cvp_enumerate with the rows of every distance chunk recorded and, when
+    `chunk` is given, the chunk budget forced to that many rows."""
+    walked = []
+
+    def norms(diffs, q, out=None):
+        assert diffs.shape[1] == t.size
+        walked.append(len(diffs))
+        return row_pnorms(diffs, q, out)
+
+    def budget(width):
+        assert width == t.size  # the walk sizes chunks by the distance row width
+        return chunk_rows(width) if chunk is None else chunk
+
+    with mock.patch.object(oracle, "row_pnorms", norms), mock.patch.object(oracle, "chunk_rows", budget):
+        sol = oracle.cvp_enumerate(B, t, p, ranges)
+    assert sum(walked) == box_volume(ranges)  # every point visited once
+    return sol, walked
 
 
 class TestSingleWalk:
@@ -102,28 +136,32 @@ class TestSingleWalk:
     @example(case=(*TIE, math.inf, [(-1, 2)] * 2, 5))
     def test_matches_per_point_reference(self, case):
         B, t, p, ranges, chunk = case
-        walked = []
+        sol, walked = walk(B, t, p, ranges, chunk)
+        assert all(rows <= chunk for rows in walked)
+        assert_matches_reference(sol, B, t, p, ranges)
 
-        def grid(r, n_rows):
-            assert n_rows == chunk_rows(t.size)  # the walk asks for budget-sized chunks
-            for rows in integer_grid(r, chunk_size=chunk):
-                walked.append(len(rows))
-                yield rows
-
-        with mock.patch.object(oracle, "integer_grid", grid):
-            sol = oracle.cvp_enumerate(B, t, p, ranges)
-        assert sum(walked) == box_volume(ranges)  # every point visited once
-
-        best, closest, nb_best, outside = naive_enumerate(B, t, p, ranges)
-        assert sol.distance == pytest.approx(best, rel=1e-12, abs=1e-12)
-        assert sol.closest == closest
-        if not outside:
-            assert sol.nonboolean_distance == math.inf
-            assert sol.nonboolean_witness is None
-        else:
-            assert sol.nonboolean_distance == pytest.approx(nb_best, rel=1e-12, abs=1e-12)
-            first = next(x for x, d in outside if d <= nb_best * (1 + 1e-12) + 1e-12)
-            assert sol.nonboolean_witness == first
+    @pytest.mark.parametrize(
+        "B, t, p, ranges, chunk, expected",
+        [
+            # the whole box fits in the table: no leading coordinates
+            (B3, np.array([0.5, 1.5, -0.5]), 3.0, [(0, 1)] * 3, 9, [8]),
+            (B3, np.array([0.5, 1.5, -0.5]), 1.0, [(-1, 1)] * 3, 27, [27]),
+            # single-point ranges, leading and trailing, inside and outside {0, 1}
+            (B3, np.array([1.5, 0.0, 2.5]), 2.0, [(1, 1), (0, 1), (-1, -1)], 1, [1, 1]),
+            (B3, np.array([1.5, 0.0, 2.5]), 2.0, [(1, 1), (0, 1), (-1, -1)], 2, [2]),
+            (B3, np.array([1.5, 0.0, 2.5]), 2.0, [(2, 2)] * 3, 1, [1]),
+            # ties that span two leading points: (0, y) and (1, y) in separate chunks
+            (*TIE, 2.0, [(0, 1)] * 2, 2, [2, 2]),
+            (*TIE, math.inf, [(0, 1)] * 2, 3, [2, 2]),
+            # wide leading coordinate, binary table, and the other way round
+            (B3, np.array([0.5, -1.0, 1.5]), 3.0, [(-1, 2), (0, 1), (0, 1)], 5, [4, 4, 4, 4]),
+            (B3, np.array([0.5, -1.0, 1.5]), 3.0, [(0, 1), (0, 1), (-1, 2)], 9, [8, 8]),
+        ],
+    )
+    def test_split_edge_cases(self, B, t, p, ranges, chunk, expected):
+        sol, walked = walk(B, t, p, ranges, chunk)
+        assert walked == expected
+        assert_matches_reference(sol, B, t, p, ranges)
 
     @pytest.mark.parametrize("d", [CHUNK_ENTRIES + 5, CHUNK_ENTRIES // 3, 7])
     def test_chunks_sized_by_entries(self, d):
@@ -133,20 +171,12 @@ class TestSingleWalk:
         B[0, 0] = B[1, 1] = 1.0
         t = np.zeros(d)
         t[:2] = 0.75
-        walked = []
-
-        def grid(r, n_rows):
-            for rows in integer_grid(r, n_rows):
-                walked.append(len(rows))
-                yield rows
-
-        with mock.patch.object(oracle, "integer_grid", grid):
-            sol = oracle.cvp_enumerate(B, t, 2.0, (0, 1))
-        assert sum(walked) == 4
+        sol, walked = walk(B, t, 2.0, [(0, 1)] * 2)
         assert all(rows * d <= max(CHUNK_ENTRIES, d) for rows in walked)
         if d > CHUNK_ENTRIES:
-            assert walked == [1, 1, 1, 1]
+            assert walked == [1, 1, 1, 1]  # no trailing coordinate fits a chunk
         assert sol.closest == [(1, 1)]
+        assert_matches_reference(sol, B, t, 2.0, [(0, 1)] * 2)
 
 
 class TestMaxSatBrute:
@@ -232,3 +262,19 @@ class TestValidateReduction:
         inst = reductions.sat_to_cvp(f, gadget3)
         sol = oracle.cvp_enumerate(inst.basis, inst.target, inst.p, (-1, 2))
         assert len(sol.closest) <= 2**4
+
+    def test_exclusion_rejects_point_in_absolute_sliver(self, gadget3):
+        # a non-boolean point between r (1 + rel) and tol.ceiling(r) counts as
+        # within the radius, so it must not also count as excluded
+        f = CspFormula(n=3, constraints=[Clause((1, 2, 3))])
+        inst = reductions.sat_to_cvp(f, gadget3)
+        assert oracle.validate_reduction(f, inst, box=(-1, 2)).passed
+        nb = oracle.cvp_enumerate(inst.basis, inst.target, inst.p, (-1, 2)).nonboolean_distance
+        r = inst.radius
+        assert nb > r * (1.0 + DEFAULT_TOL.rel)
+        tol = Tolerance(rel=DEFAULT_TOL.rel, abs=2 * (nb - r))
+        assert nb <= tol.ceiling(r)
+        report = oracle.validate_reduction(f, inst, box=(-1, 2), tol=tol)
+        exclusion = next(c for c in report.conditions if c.name == "non-binary-exclusion")
+        assert not exclusion.passed
+        assert not report.passed
