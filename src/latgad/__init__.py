@@ -18,13 +18,12 @@ from .gadgets import (
     even_p_obstruction,
     find_isolating_parallelepiped,
     find_shift,
-    on_off_to_ip,
     parity_gadget,
     to_isolating_lattice,
     to_on_off,
     verify_parallelepiped,
 )
-from .numeric import CubePoint, PNorm, Tolerance, fourier_vector, pnorm
+from .numeric import PNorm, Tolerance, pnorm
 from .oracle import (
     CvpSolution,
     cvp_enumerate,
@@ -50,7 +49,6 @@ __version__ = "0.1.0"
 __all__ = [
     "Clause",
     "CspFormula",
-    "CubePoint",
     "CvpInstance",
     "CvpSolution",
     "CvppArtifacts",
@@ -76,9 +74,7 @@ __all__ = [
     "even_p_obstruction",
     "find_isolating_parallelepiped",
     "find_shift",
-    "fourier_vector",
     "max_sat_brute",
-    "on_off_to_ip",
     "parity_gadget",
     "parity_gap_params",
     "parse_dimacs",

@@ -236,7 +236,7 @@ def closest_square_structure(basis, target, zs, box, tol: Tolerance = DEFAULT_TO
         raise InvalidInputError("the four vectors must be distinct")
 
     sol = cvp_enumerate(basis, target, 2.0, box, tol)
-    band = sol.distance * (1.0 + tol.rel) + tol.abs
+    band = tol.ceiling(sol.distance)
     B = np.asarray(basis, dtype=float)
     t = np.asarray(target, dtype=float).ravel()
     dist = lambda z: float(np.linalg.norm(B @ z.astype(float) - t))
@@ -264,7 +264,7 @@ def closest_square_structure(basis, target, zs, box, tol: Tolerance = DEFAULT_TO
     conditions.append(
         Condition("size-4-iff-parallelogram", (len(C) == 4) == is_par, abs(len(C) - (4 if is_par else 8)))
     )
-    return VerificationReport(passed=all(c.passed for c in conditions), conditions=conditions, tol=tol)
+    return VerificationReport(conditions, tol)
 
 
 def _is_parallelogram(points: list[tuple[int, ...]]) -> bool:

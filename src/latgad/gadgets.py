@@ -35,7 +35,6 @@ from .numeric import (
     DEFAULT_TOL,
     Tolerance,
     chunk_rows,
-    cube_points,
     finite_pvalue,
     integer_grid,
     pnorm,
@@ -129,9 +128,12 @@ class Condition:
 
 @dataclass
 class VerificationReport:
-    passed: bool
     conditions: list[Condition]
     tol: Tolerance
+
+    @property
+    def passed(self) -> bool:
+        return all(c.passed for c in self.conditions)
 
     def worst(self) -> Condition:
         return max(self.conditions, key=lambda c: c.residual)
@@ -153,10 +155,6 @@ class VerificationReport:
                 for c in self.conditions
             ],
         }
-
-
-def _report(conditions: list[Condition], tol: Tolerance) -> VerificationReport:
-    return VerificationReport(passed=all(c.passed for c in conditions), conditions=conditions, tol=tol)
 
 
 # ---------------------------------------------------------------------------
@@ -188,40 +186,35 @@ def find_shift(k: int, p) -> float:
     for i in range(1, SHIFT_SEARCH_DEPTH + 1):
         for j in offsets:
             cand = j + 2.0**-i
-            if distmatrix.is_nonsingular(k, q, cand):
+            if distmatrix.eigen_report(k, q, cand).nonsingular:
                 return cand
     raise NumericDegeneracyError(
         f"no nonsingular shift found for k={k}, p={q} within depth {SHIFT_SEARCH_DEPTH}"
     )
 
 
-def solve_weights(k: int, p, shift: float, bump) -> tuple[np.ndarray, float]:
-    """Non-negative vertex weights w and eps > 0 with H w = 1 + eps * bump,
-    where H is the distance-power matrix at the given shift.
+def solve_weights(k: int, p, shift: float) -> tuple[np.ndarray, float]:
+    """Non-negative vertex weights w and eps > 0 with H w = 1 + eps e_0, where
+    H is the distance-power matrix at the given shift and e_0 bumps the
+    all-minus-ones vertex (index 0), the one the gadget isolates.
 
-    w = (1/lambda) 1 + eps * H^-1 bump with eps = 1 / (lambda |min H^-1 bump|)
+    w = (1/lambda) 1 + eps * H^-1 e_0 with eps = 1 / (lambda |min H^-1 e_0|)
     when the solve has a negative entry (which makes the minimum entry of w
-    exactly zero), and eps = 1 / (lambda * max |H^-1 bump|) otherwise.
+    exactly zero), and eps = 1 / (lambda * max |H^-1 e_0|) otherwise.
     """
     report = distmatrix.eigen_report(k, p, shift)
-    if not report.nonsingular():
+    if not report.nonsingular:
         raise InvalidInputError(
             f"distance matrix is singular at shift {shift!r} (min ratio {report.min_ratio:.3g})"
         )
-    b = np.asarray(bump, dtype=float).ravel()
-    if b.size != 2**k:
-        raise InvalidInputError(f"bump must have length 2^{k}")
     H = distmatrix.distance_matrix(k, p, shift)
-    aprime = np.linalg.solve(H, b)
+    bump = np.zeros(2**k)
+    bump[0] = 1.0
+    aprime = np.linalg.solve(H, bump)
     lam = report.lambda_all
     lo = float(aprime.min())
-    hi = float(np.abs(aprime).max())
-    if lo < 0.0:
-        eps = 1.0 / (lam * abs(lo))
-    elif hi > 0.0:
-        eps = 1.0 / (lam * hi)
-    else:
-        eps = 1.0  # bump was zero; any positive value works and is unused
+    # H is nonsingular, so H^-1 e_0 is not zero
+    eps = 1.0 / (lam * (abs(lo) if lo < 0.0 else float(np.abs(aprime).max())))
     weights = 1.0 / lam + eps * aprime
     floor = float(weights.min())
     if floor < -1e-12 * max(1.0, float(np.abs(weights).max())):
@@ -245,8 +238,8 @@ def signed_parallelepiped(weights, shift: float, p) -> tuple[np.ndarray, np.ndar
         raise InvalidInputError(f"weights must be non-negative, got min {w.min()!r}")
     k = w.size.bit_length() - 1
     scale = w ** (1.0 / q)
-    pts = np.array(cube_points(k), dtype=float)
-    return scale[:, None] * pts, float(shift) * scale
+    (x,) = integer_grid([(0, 1)] * k, w.size)
+    return scale[:, None] * (2.0 * x - 1.0), float(shift) * scale
 
 
 def to_binary_coords(V, t) -> tuple[np.ndarray, np.ndarray]:
@@ -271,9 +264,7 @@ def find_isolating_parallelepiped(k: int, p) -> IsolatingGadget:
             f"no isolating parallelepiped exists for even integer p={q} < k={k}"
         )
     shift = find_shift(k, q)
-    bump = np.zeros(2**k)
-    bump[0] = 1.0  # all-minus-ones vertex is the isolated one
-    weights, solve_eps = solve_weights(k, q, shift, bump)
+    weights, solve_eps = solve_weights(k, q, shift)
     V, t = signed_parallelepiped(weights, shift, q)
     Vb, tb = to_binary_coords(V, t)
     ref = np.ones(k)  # any vertex off the isolated one; all-ones is z = 1^k
@@ -343,7 +334,8 @@ def parity_gadget(k: int, p, bit: int) -> IsolatingGadget:
     eta = k // 2 + math.floor(q / 2)
     formula_bit = (bit + k) % 2
     sign = (-1) ** (eta + formula_bit)
-    parities = np.array([(-1) ** v.count(-1) for v in cube_points(k)], dtype=float)
+    (x,) = integer_grid([(0, 1)] * k, 2**k)
+    parities = np.prod(2.0 * x - 1.0, axis=1)  # the full-parity character prod u_i
     weights = 1.0 + sign * parities
     V, t = signed_parallelepiped(weights, shift, q)
     Vb, tb = to_binary_coords(V, t)
@@ -376,19 +368,18 @@ def parity_gadget(k: int, p, bit: int) -> IsolatingGadget:
 # gadget transformations
 
 
-def to_isolating_lattice(gadget: IsolatingGadget, constraint: dict | None = None) -> IsolatingGadget:
+def to_isolating_lattice(gadget: IsolatingGadget) -> IsolatingGadget:
     """Extend a two-level gadget so the separation holds over all of Z^k.
 
     Appends scaled identity rows 2 mu^(1/p) I_k to V and mu^(1/p) 1 to t with
     mu = (1 + eps)^p / (3^p - 1), then rescales by (1 + k mu)^(-1/p).  The new
     gap is eps' = (((1+eps)^p + k mu) / (1 + k mu))^(1/p) - 1 >= eps/(1+k mu).
+    The constraint is the gadget's own, or the plain clause when it has none.
     """
     if gadget.eps <= 0.0:
         raise InvalidInputError("lattice extension needs a strictly positive gap")
     q = gadget.p
     k = gadget.k
-    if constraint is None:
-        constraint = gadget.constraint if gadget.constraint is not None else clause_constraint()
     mu = (1.0 + gadget.eps) ** q / (3.0**q - 1.0)
     denom = (1.0 + k * mu) ** (1.0 / q)
     V = np.vstack([gadget.V, 2.0 * mu ** (1.0 / q) * np.eye(k)]) / denom
@@ -401,7 +392,7 @@ def to_isolating_lattice(gadget: IsolatingGadget, constraint: dict | None = None
         t=t,
         eps=eps,
         kind=KIND_LATTICE,
-        constraint=constraint,
+        constraint=gadget.constraint if gadget.constraint is not None else clause_constraint(),
         meta={"mu": mu, "parent_eps": gadget.eps, **gadget.meta},
     )
 
@@ -429,27 +420,12 @@ def to_on_off(gadget: IsolatingGadget) -> OnOffGadget:
     return out
 
 
-def on_off_to_ip(gadget: OnOffGadget) -> IsolatingGadget:
-    """Inverse direction: columns v_1..v_k plus v_{k+1} = t_on - t_off form a
-    (k+1)-ary isolating parallelepiped with target t_on."""
-    V = np.hstack([gadget.V, (gadget.t_on - gadget.t_off)[:, None]])
-    return IsolatingGadget(
-        p=gadget.p,
-        k=gadget.k + 1,
-        V=V,
-        t=gadget.t_on.copy(),
-        eps=pnorm(gadget.t_on, gadget.p) - 1.0,
-        kind=KIND_ISOLATING,
-        meta=dict(gadget.meta),
-    )
-
-
 # ---------------------------------------------------------------------------
 # verification
 
 
 def _vertex_distances(V: np.ndarray, p, *targets) -> tuple[np.ndarray, list[np.ndarray]]:
-    """Every vertex x of {0, 1}^k in binary_points order, and each target's
+    """Every vertex x of {0, 1}^k in integer_grid order, and each target's
     distances to all V x, walked in chunks of the shared entry budget."""
     chunks = list(integer_grid([(0, 1)] * V.shape[1], chunk_rows(V.shape[0])))
     dists = [np.concatenate([row_pnorms(x @ V.T - t, p) for x in chunks]) for t in targets]
@@ -498,7 +474,7 @@ def verify_parallelepiped(gadget: IsolatingGadget, tol: Tolerance = DEFAULT_TOL)
     if gadget.kind == KIND_LATTICE:
         rank = int(np.linalg.matrix_rank(gadget.V))
         conditions.append(Condition("full-column-rank", rank == gadget.k, float(gadget.k - rank)))
-    return _report(conditions, tol)
+    return VerificationReport(conditions, tol)
 
 
 def verify_on_off(gadget: OnOffGadget, tol: Tolerance = DEFAULT_TOL) -> VerificationReport:
@@ -511,7 +487,7 @@ def verify_on_off(gadget: OnOffGadget, tol: Tolerance = DEFAULT_TOL) -> Verifica
         _level_condition("off-target-all-at-1", x, d_off, np.ones(len(x), dtype=bool), 1.0, tol),
         Condition("positive-gap", gadget.eps > tol.rel, max(0.0, tol.rel - gadget.eps)),
     ]
-    return _report(conditions, tol)
+    return VerificationReport(conditions, tol)
 
 
 # ---------------------------------------------------------------------------
@@ -530,31 +506,15 @@ def even_p_obstruction(V, t, p: int, k: int):
         raise InvalidInputError(f"obstruction sum takes an integer p >= 1, got {p!r}")
     if not k > p:
         raise InvalidInputError(f"obstruction needs k > p, got k={k}, p={p}")
-    rows = list(V)
-    if len(rows) == 0:
-        raise InvalidInputError("V must have at least one row")
-    exact = all(
-        isinstance(x, (int, np.integer)) and not isinstance(x, bool) for row in rows for x in row
-    ) and all(isinstance(x, (int, np.integer)) and not isinstance(x, bool) for x in t)
-    if exact:
-        cols = [[int(rows[r][c]) for r in range(len(rows))] for c in range(k)]
-        tt = [int(x) for x in t]
-        total = 0
-        for size in range(k + 1):
-            for S in combinations(range(k), size):
-                term = 0
-                for r in range(len(tt)):
-                    w = tt[r] - sum(cols[c][r] for c in S)
-                    term += abs(w) ** p
-                total += (-1) ** size * term
-        return total
-    Vf = np.asarray(V, dtype=float)
-    tf = np.asarray(t, dtype=float).ravel()
-    if Vf.shape != (tf.size, k):
-        raise InvalidInputError("V must be d x k with t of length d")
-    terms = []
-    for size in range(k + 1):
-        for S in combinations(range(k), size):
-            w = tf - (Vf[:, S].sum(axis=1) if S else 0.0)
-            terms.append((-1) ** size * float(pnorm_pow(w, p)))
-    return math.fsum(terms)
+    # object arrays keep Python ints as they are, so pnorm_pow gives an exact
+    # int for every subset when all entries are integers
+    Vm = np.array(V, dtype=object)
+    tv = np.array(t, dtype=object).ravel()
+    if Vm.ndim != 2 or Vm.shape != (tv.size, k) or tv.size == 0:
+        raise InvalidInputError("V must be d x k with t of length d >= 1")
+    terms = [
+        (-1) ** size * pnorm_pow((tv - Vm[:, list(S)].sum(axis=1)).tolist(), p)
+        for size in range(k + 1)
+        for S in combinations(range(k), size)
+    ]
+    return sum(terms) if all(isinstance(x, int) for x in terms) else math.fsum(terms)

@@ -48,10 +48,6 @@ def binom_sum(spec: SumSpec):
     return math.fsum(sign**i * math.comb(k, i) * abs(i - tau) ** p for i in range(k + 1))
 
 
-def alternating_sum(k: int, tau, p):
-    return binom_sum(SumSpec(k=k, tau=tau, p=p, alternating=True))
-
-
 def direct_alt_sum(n: int, m: int, p) -> float:
     """The (n, m) parameterization of the alternating sum:
     sum_{i=0}^{2n-m} (-1)^(n-i) C(2n-m, i) |n - i|^p."""

@@ -1,18 +1,18 @@
 """Shared numeric and combinatorial substrate.
 
-Vectors and small dense matrices are plain numpy arrays.  Hypercube vertices
-are ordered lexicographically over {-1, +1}^k with -1 before +1, so index 0
-is the all-minus-ones vertex; the matching {0, 1}^k order puts the all-zeros
-point at index 0.  All floating verification uses relative tolerance against
-the larger magnitude with an absolute fallback near zero.
+Vectors and small dense matrices are plain numpy arrays.  The hypercube is
+listed by `integer_grid` alone: over [(0, 1)] * k it yields {0, 1}^k in
+lexicographic order with the all-zeros point at index 0, and the vertices of
+{-1, +1}^k are 2x - 1 in that same order, so index 0 is the all-minus-ones
+vertex.  All floating verification uses relative tolerance against the
+larger magnitude with an absolute fallback near zero.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import product
-from typing import Iterable, Iterator, Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -139,84 +139,6 @@ def sin_half_pi(p) -> float:
     return math.sin(math.pi * q / 2.0)
 
 
-# ---------------------------------------------------------------------------
-# hypercube indexing
-
-
-def cube_points(k: int) -> list[tuple[int, ...]]:
-    """All of {-1, +1}^k in lexicographic order (-1 < +1); index 0 is -1^k."""
-    if k < 0:
-        raise InvalidInputError("k must be non-negative")
-    return list(product((-1, 1), repeat=k))
-
-
-def binary_points(k: int) -> list[tuple[int, ...]]:
-    """All of {0, 1}^k in the matching lexicographic order; index 0 is 0^k."""
-    if k < 0:
-        raise InvalidInputError("k must be non-negative")
-    return list(product((0, 1), repeat=k))
-
-
-def cube_index(coords: Sequence[int]) -> int:
-    """Lexicographic index of a {-1, +1} vertex (all-minus-ones has index 0)."""
-    idx = 0
-    for c in coords:
-        if c not in (-1, 1):
-            raise InvalidInputError(f"cube coordinates must be +-1, got {c!r}")
-        idx = 2 * idx + (c + 1) // 2
-    return idx
-
-
-def cube_coords(index: int, k: int) -> tuple[int, ...]:
-    if not 0 <= index < 2**k:
-        raise InvalidInputError(f"index {index} out of range for k={k}")
-    return tuple(2 * ((index >> (k - 1 - i)) & 1) - 1 for i in range(k))
-
-
-@dataclass(frozen=True)
-class CubePoint:
-    """A vertex of {-1, +1}^k together with its lexicographic index."""
-
-    coords: tuple[int, ...]
-
-    def __post_init__(self):
-        if not self.coords:
-            raise InvalidInputError("cube point needs at least one coordinate")
-        cube_index(self.coords)  # validates entries
-
-    @property
-    def k(self) -> int:
-        return len(self.coords)
-
-    @property
-    def index(self) -> int:
-        return cube_index(self.coords)
-
-    @classmethod
-    def from_index(cls, index: int, k: int) -> "CubePoint":
-        return cls(cube_coords(index, k))
-
-
-def fourier_vector(subset: Iterable[int], k: int) -> np.ndarray:
-    """Output table of the character x -> prod_{i in subset} x_i over
-    {-1, +1}^k in lexicographic order (a +-1 vector of length 2^k).
-
-    `subset` holds 1-based coordinate indices; the empty subset gives the
-    all-ones vector.
-    """
-    if k < 1:
-        raise InvalidInputError("k must be at least 1")
-    s = set(subset)
-    bad = sorted(i for i in s if not (isinstance(i, (int, np.integer)) and 1 <= i <= k))
-    if bad:
-        raise InvalidInputError(f"subset entries outside [1, {k}]: {bad}")
-    out = np.ones(2**k, dtype=np.int64)
-    for i in s:
-        block = 2 ** (k - i)
-        out *= np.tile(np.repeat(np.array((-1, 1), dtype=np.int64), block), 2 ** (i - 1))
-    return out
-
-
 # largest integer exponent raised by repeated multiplication: on 2^16 floats
 # one multiply pass cost 1/40 to 1/190 of a float pow pass, so q - 1 passes
 # stay far cheaper for the small odd p the gadgets and reductions use
@@ -259,19 +181,18 @@ def chunk_rows(width: int) -> int:
 
 
 def integer_grid(ranges: Sequence[tuple[int, int]], chunk_size: int) -> Iterator[np.ndarray]:
-    """Yield the integer box prod [lo_i, hi_i] as (m, n) int arrays of at most
-    `chunk_size` rows, in ascending mixed-radix order (last coordinate fastest)."""
+    """Yield the integer box prod [lo_i, hi_i] as (m, n) int64 arrays of at
+    most `chunk_size` rows, in ascending mixed-radix order (last coordinate
+    fastest).  The box of no coordinates is one point: a single (1, 0) chunk."""
     total = box_volume(ranges)
+    if not ranges:  # np.unravel_index refuses the empty shape
+        yield np.zeros((1, 0), dtype=np.int64)
+        return
     lows = np.array([lo for lo, _ in ranges], dtype=np.int64)
-    sizes = np.array([hi - lo + 1 for lo, hi in ranges], dtype=np.int64)
+    sizes = tuple(hi - lo + 1 for lo, hi in ranges)
     for start in range(0, total, chunk_size):
         idx = np.arange(start, min(start + chunk_size, total), dtype=np.int64)
-        out = np.empty((idx.size, len(ranges)), dtype=np.int64)
-        rem = idx
-        for j in range(len(ranges) - 1, -1, -1):
-            out[:, j] = lows[j] + rem % sizes[j]
-            rem = rem // sizes[j]
-        yield out
+        yield np.column_stack(np.unravel_index(idx, sizes)) + lows
 
 
 def box_volume(ranges: Sequence[tuple[int, int]]) -> int:

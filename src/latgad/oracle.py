@@ -113,7 +113,7 @@ def verify_lattice_condition(
         max(0.0, floor - worst),
         sol.nonboolean_witness,
     )
-    return VerificationReport(passed=condition.passed, conditions=[condition], tol=tol)
+    return VerificationReport([condition], tol)
 
 
 def max_sat_brute(formula: CspFormula) -> tuple[int, list[tuple[int, ...]]]:
@@ -228,4 +228,4 @@ def validate_reduction(
             conditions.append(Condition("gap-promise-violated-no-claim", True, 0.0))
     else:
         raise InvalidInputError(f"instance has unknown mode {mode!r}")
-    return VerificationReport(passed=all(c.passed for c in conditions), conditions=conditions, tol=tol)
+    return VerificationReport(conditions, tol)

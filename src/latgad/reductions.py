@@ -72,7 +72,7 @@ def _clause_block(gadget_V: np.ndarray, gadget_t: np.ndarray, clause: Clause, n:
     return block, t
 
 
-def sat_to_cvp(formula: CspFormula, gadget: IsolatingGadget, mode: str = "padded") -> CvpInstance:
+def sat_to_cvp(formula: CspFormula, gadget: IsolatingGadget) -> CvpInstance:
     """Exact reduction: distance <= r over boolean coordinates iff some
     assignment satisfies weight at least W (W defaults to the total weight,
     i.e. plain satisfiability).
@@ -81,8 +81,6 @@ def sat_to_cvp(formula: CspFormula, gadget: IsolatingGadget, mode: str = "padded
     weight 10^4.  Clause arity up to the gadget arity is allowed; shorter
     clauses leave the remaining gadget columns unused.
     """
-    if mode != "padded":
-        raise InvalidInputError(f"sat_to_cvp handles mode 'padded', got {mode!r}")
     q = finite_pvalue(gadget.p)
     if not all(isinstance(c, Clause) for c in formula.constraints):
         raise InvalidInputError("sat_to_cvp takes clause formulas; use the gap path for parity")

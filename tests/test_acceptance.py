@@ -9,7 +9,7 @@ import hashlib
 import math
 import random
 import time
-from itertools import combinations
+from itertools import combinations, product
 
 import numpy as np
 import pytest
@@ -17,7 +17,7 @@ import pytest
 from latgad import cubes, distmatrix, gadgets, identities, oracle, reductions, serialize
 from latgad.errors import UnsupportedParametersError
 from latgad.formulas import Clause, CspFormula, XorConstraint
-from latgad.numeric import Tolerance, binary_points, pnorm
+from latgad.numeric import Tolerance, pnorm
 
 REL = 1e-9
 TOL = Tolerance(rel=REL, abs=1e-12)
@@ -75,7 +75,7 @@ def test_criterion_02_even_p_impossibility():
         gen = np.random.default_rng(seed)
         Q, _ = np.linalg.qr(gen.normal(size=(7, 3)))
         V = Q * gen.uniform(0.5, 2.0, size=3)
-        verts = [V @ np.array(z, float) for z in binary_points(3) if any(z)]
+        verts = [V @ np.array(z, float) for z in product((0, 1), repeat=3) if any(z)]
         rows = np.array([2.0 * (q - verts[0]) for q in verts[1:]])
         rhs = np.array([float(q @ q - verts[0] @ verts[0]) for q in verts[1:]])
         t, *_ = np.linalg.lstsq(rows, rhs, rcond=None)
@@ -83,7 +83,7 @@ def test_criterion_02_even_p_impossibility():
         V, t = V / radius, t / radius
         assert all(
             abs(np.linalg.norm(V @ np.array(z, float) - t) - 1.0) <= 1e-8
-            for z in binary_points(3)
+            for z in product((0, 1), repeat=3)
             if any(z)
         )
         assert np.linalg.norm(t) == pytest.approx(1.0, rel=1e-8)

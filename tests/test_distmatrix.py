@@ -1,5 +1,5 @@
 import math
-from itertools import chain, combinations
+from itertools import chain, combinations, product
 
 import numpy as np
 import pytest
@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from latgad import distmatrix
 from latgad.errors import InvalidInputError, ResourceLimitError
 from latgad.gadgets import signed_parallelepiped
-from latgad.numeric import cube_points, fourier_vector, pnorm
+from latgad.numeric import pnorm
 
 
 def all_subsets(k):
@@ -49,40 +49,54 @@ class TestBuild:
 
 class TestEigenvalues:
     def test_hand_examples(self):
-        assert distmatrix.eigenvalue(1, 1, 2.0, ()) == pytest.approx(4.0)
-        assert distmatrix.eigenvalue(1, 1, 2.0, (1,)) == pytest.approx(-2.0)
+        assert distmatrix.eigenvalue_by_size(1, 1, 2.0, 0) == pytest.approx(4.0)
+        assert distmatrix.eigenvalue_by_size(1, 1, 2.0, 1) == pytest.approx(-2.0)
         # even p below k: the full-parity eigenvalue vanishes identically
-        assert distmatrix.eigenvalue(4, 2, 4.0, (1, 2, 3, 4)) == pytest.approx(0.0, abs=1e-12)
+        assert distmatrix.eigenvalue_by_size(4, 2, 4.0, 4) == pytest.approx(0.0, abs=1e-12)
 
     def test_subset_validation(self):
         with pytest.raises(InvalidInputError):
-            distmatrix.eigenvalue(2, 1, 1.0, (3,))
+            distmatrix.eigenvalue_by_size(2, 1, 1.0, 3)
+        with pytest.raises(InvalidInputError):
+            distmatrix.eigenvalue_by_size(2, 1, 1.0, -1)
 
     @pytest.mark.parametrize("k,p,shift", [(2, 1.5, 2.5), (3, 2.5, 3.5), (4, 3.0, 1.25), (3, 1.0, 1.0)])
-    def test_eigen_action(self, k, p, shift):
+    def test_eigen_action(self, k, p, shift, fourier_vector):
         H = distmatrix.distance_matrix(k, p, shift)
         for subset in all_subsets(k):
-            lam = distmatrix.eigenvalue(k, p, shift, subset)
+            lam = distmatrix.eigenvalue_by_size(k, p, shift, len(subset))
             v = fourier_vector(subset, k).astype(float)
             residual = np.abs(H @ v - lam * v).max()
             assert residual <= 1e-9 * (1.0 + abs(lam))
 
-    def test_eigen_action_k8(self):
+    def test_eigen_action_k8(self, fourier_vector):
         k, p, shift = 8, 2.5, 8.5
         H = distmatrix.distance_matrix(k, p, shift)
         for subset in [(), (3,), (1, 5), tuple(range(1, 9))]:
-            lam = distmatrix.eigenvalue(k, p, shift, subset)
+            lam = distmatrix.eigenvalue_by_size(k, p, shift, len(subset))
             v = fourier_vector(subset, k).astype(float)
             assert np.abs(H @ v - lam * v).max() <= 1e-9 * (1.0 + abs(lam))
 
     def test_matches_direct_character_sum(self):
         k, p, shift = 3, 2.5, 1.75
-        pts = cube_points(k)
         for subset in all_subsets(k):
             direct = sum(
-                math.prod(x[i - 1] for i in subset) * abs(sum(x) - shift) ** p for x in pts
+                math.prod(x[i - 1] for i in subset) * abs(sum(x) - shift) ** p
+                for x in product((-1, 1), repeat=k)
             )
-            assert distmatrix.eigenvalue(k, p, shift, subset) == pytest.approx(direct)
+            assert distmatrix.eigenvalue_by_size(k, p, shift, len(subset)) == pytest.approx(direct)
+
+    @pytest.mark.parametrize(
+        "k,p,shift",
+        [(2, 2, 2.2), (3, 1.5, 3.5), (4, 2.5, 4.5), (3, 3.0, 0.8), (6, 2.5, 6.5), (8, 2.5, 8.5)],
+    )
+    def test_matches_eigvalsh(self, k, p, shift):
+        # the whole spectrum: by_size[s] repeated C(k, s) times is every
+        # eigenvalue of the symmetric matrix, not only their product
+        report = distmatrix.eigen_report(k, p, shift)
+        spectrum = np.sort(np.repeat(report.by_size, [math.comb(k, s) for s in range(k + 1)]))
+        dense = np.linalg.eigvalsh(distmatrix.distance_matrix(k, p, shift))
+        assert np.abs(spectrum - dense).max() <= 1e-12 * report.lambda_all
 
     @given(
         k=st.integers(min_value=1, max_value=6),
@@ -95,36 +109,31 @@ class TestEigenvalues:
 
 
 class TestDeterminant:
+    """H is singular exactly when some by_size entry vanishes, since its
+    determinant is the product of the spectrum over multiplicities."""
+
     def test_hand_examples(self):
-        assert distmatrix.determinant(1, 1, 1.5) == pytest.approx(-6.0)
-        assert distmatrix.determinant(1, 1, 2.0) == pytest.approx(-8.0)
-
-    @pytest.mark.parametrize("k,p,shift", [(2, 2, 2.2), (3, 1.5, 3.5), (4, 2.5, 4.5), (3, 3.0, 0.8)])
-    def test_matches_lu_oracle(self, k, p, shift):
-        H = distmatrix.distance_matrix(k, p, shift)
-        assert distmatrix.determinant(k, p, shift) == pytest.approx(np.linalg.det(H), rel=1e-8)
-
-    @pytest.mark.parametrize("k", [6, 8])
-    def test_matches_lu_in_log_space(self, k):
-        p, shift = 2.5, k + 0.5
-        sign, logabs = distmatrix.eigen_report(k, p, shift).signed_log_det()
-        lu_sign, lu_log = np.linalg.slogdet(distmatrix.distance_matrix(k, p, shift))
-        assert sign == int(lu_sign)
-        assert logabs == pytest.approx(lu_log, rel=1e-9)
+        # k = 1 has one eigenvalue of each size, so det H = by_size[0] by_size[1]
+        assert distmatrix.eigen_report(1, 1, 1.5).by_size == pytest.approx((3.0, -2.0))
+        assert distmatrix.eigen_report(1, 1, 2.0).by_size == pytest.approx((4.0, -2.0))
+        assert np.linalg.det(distmatrix.distance_matrix(1, 1, 1.5)) == pytest.approx(-6.0)
+        assert np.linalg.det(distmatrix.distance_matrix(1, 1, 2.0)) == pytest.approx(-8.0)
 
     def test_nonsingular_rule(self):
-        assert distmatrix.is_nonsingular(1, 1, 1.5)
+        assert distmatrix.eigen_report(1, 1, 1.5).nonsingular
         # k=2, p=1 above k: the size-2 eigenvalue vanishes identically
-        assert not distmatrix.is_nonsingular(2, 1, 2.5)
         report = distmatrix.eigen_report(2, 1, 2.5)
+        assert not report.nonsingular
         assert report.by_size[2] == pytest.approx(0.0, abs=1e-12)
+        assert np.linalg.matrix_rank(distmatrix.distance_matrix(2, 1, 2.5)) < 4
 
     def test_report_fields(self):
         report = distmatrix.eigen_report(3, 1, 1.0)
-        assert report.lambda_all == pytest.approx(12.0)
-        assert report.lambda_par == pytest.approx(4.0)
-        assert report.eigenvalue_of((1, 2, 3)) == report.lambda_par
-        assert report.det == pytest.approx(np.linalg.det(distmatrix.distance_matrix(3, 1, 1.0)), rel=1e-8)
+        assert len(report.by_size) == 4
+        assert report.lambda_all == report.by_size[0] == pytest.approx(12.0)
+        assert report.by_size[3] == pytest.approx(4.0)
+        assert report.min_ratio == pytest.approx(min(abs(x) for x in report.by_size) / 12.0)
+        assert report.nonsingular == (report.min_ratio >= distmatrix.NONSINGULAR_RATIO)
 
 
 class TestWeightMap:
@@ -147,6 +156,6 @@ class TestWeightMap:
         H = distmatrix.distance_matrix(k, p, shift)
         V, t = signed_parallelepiped(weights, shift, p)
         mapped = H @ np.asarray(weights)
-        for idx, y in enumerate(cube_points(k)):
+        for idx, y in enumerate(product((-1, 1), repeat=k)):
             dist_pow = pnorm(V @ np.array(y, dtype=float) - t, p) ** p
             assert dist_pow == pytest.approx(mapped[idx], rel=1e-7, abs=1e-7)

@@ -1,5 +1,6 @@
 import functools
 import math
+from itertools import product
 from unittest import mock
 
 import numpy as np
@@ -14,12 +15,12 @@ from latgad.errors import (
     UnsupportedParametersError,
     VerificationError,
 )
-from latgad.numeric import DEFAULT_TOL, Tolerance, binary_points, chunk_rows, integer_grid, pnorm
+from latgad.numeric import DEFAULT_TOL, Tolerance, chunk_rows, integer_grid, pnorm
 
 
 def distances(V, t, p, k):
     """Each vertex x of {0, 1}^k with the distance from t to V x, one pnorm per vertex."""
-    return [(x, pnorm(V @ np.array(x, dtype=float) - t, p)) for x in binary_points(k)]
+    return [(x, pnorm(V @ np.array(x, dtype=float) - t, p)) for x in product((0, 1), repeat=k)]
 
 
 class TestFindShift:
@@ -35,36 +36,27 @@ class TestFindShift:
         shift = gadgets.find_shift(2, 2.0)
         assert 2.0 < shift <= 2.5
         report = distmatrix.eigen_report(2, 2.0, shift)
-        assert report.nonsingular()
+        assert report.nonsingular
 
     def test_odd_p_below_k_uses_interior_shift(self):
         # above k every size > p eigenvalue vanishes, so the shift must land below k
         shift = gadgets.find_shift(3, 1.0)
         assert shift < 3.0
-        assert distmatrix.is_nonsingular(3, 1.0, shift)
+        assert distmatrix.eigen_report(3, 1.0, shift).nonsingular
 
 
 class TestSolveWeights:
     def test_k1_hand_solve(self):
-        bump = np.array([1.0, 0.0])  # all-minus vertex has index 0
-        weights, eps = gadgets.solve_weights(1, 1.0, 1.5, bump)
+        # the bump sits on the all-minus vertex, index 0
+        weights, eps = gadgets.solve_weights(1, 1.0, 1.5)
         assert weights == pytest.approx([0.0, 2.0])
         assert eps == pytest.approx(4.0)
         H = distmatrix.distance_matrix(1, 1.0, 1.5)
         assert H @ weights == pytest.approx([5.0, 1.0])
 
-    def test_zero_bump_gives_uniform_weights(self):
-        weights, _ = gadgets.solve_weights(1, 1.0, 1.5, np.zeros(2))
-        lam = distmatrix.eigenvalue_by_size(1, 1.0, 1.5, 0)
-        assert weights == pytest.approx([1.0 / lam] * 2)
-        H = distmatrix.distance_matrix(1, 1.0, 1.5)
-        assert H @ weights == pytest.approx([1.0, 1.0])
-
     def test_k2_residual(self):
         shift = gadgets.find_shift(2, 2.5)
-        bump = np.zeros(4)
-        bump[0] = 1.0
-        weights, eps = gadgets.solve_weights(2, 2.5, shift, bump)
+        weights, eps = gadgets.solve_weights(2, 2.5, shift)
         assert weights.min() >= 0.0
         assert eps > 0.0
         H = distmatrix.distance_matrix(2, 2.5, shift)
@@ -74,7 +66,7 @@ class TestSolveWeights:
 
     def test_singular_matrix_rejected(self):
         with pytest.raises(InvalidInputError):
-            gadgets.solve_weights(2, 1.0, 2.5, np.ones(4))
+            gadgets.solve_weights(2, 1.0, 2.5)
 
 
 class TestParallelepipedAssembly:
@@ -103,7 +95,7 @@ class TestParallelepipedAssembly:
         assert pnorm(Vb @ [1.0] - tb, 1) == pytest.approx(1.0)
         assert pnorm(tb, 1) == pytest.approx(5.0)
         # z = 0 reproduces the all-minus vertex, z = 1 the all-plus one
-        for z in binary_points(1):
+        for z in product((0, 1), repeat=1):
             y = np.array([2 * b - 1 for b in z], dtype=float)
             lhs = pnorm(Vb @ np.array(z, float) - tb, 1)
             assert lhs == pytest.approx(pnorm(V @ y - t, 1))
@@ -232,14 +224,21 @@ class TestOnOff:
 
     def test_off_target_equidistant(self):
         oo = gadgets.to_on_off(gadgets.find_isolating_parallelepiped(3, 2.5))
-        for x in binary_points(2):
+        for x in product((0, 1), repeat=2):
             d = pnorm(oo.V @ np.array(x, float) - oo.t_off, oo.p)
             assert d == pytest.approx(1.0, abs=1e-9)
 
     def test_round_trip(self):
+        # columns v_1..v_k plus v_{k+1} = t_on - t_off rebuild the (k+1)-ary
+        # isolating parallelepiped with target t_on
         g = gadgets.find_isolating_parallelepiped(3, 2.5)
-        back = gadgets.on_off_to_ip(gadgets.to_on_off(g))
-        assert back.k == 3
+        oo = gadgets.to_on_off(g)
+        V = np.hstack([oo.V, (oo.t_on - oo.t_off)[:, None]])
+        back = gadgets.IsolatingGadget(p=oo.p, k=oo.k + 1, V=V, t=oo.t_on, eps=pnorm(oo.t_on, oo.p) - 1.0)
+        # t - (t - v) gives v back up to one rounding
+        np.testing.assert_allclose(back.V, g.V, rtol=0, atol=1e-15)
+        assert np.array_equal(back.t, g.t)
+        assert back.eps == pytest.approx(g.eps, rel=1e-9)
         assert gadgets.verify_parallelepiped(back).passed
 
 
@@ -251,6 +250,15 @@ class TestVerify:
         assert not report.passed
         bad = report.failures()
         assert bad and bad[0].witness is not None
+
+    def test_passed_follows_conditions(self):
+        ok, bad = gadgets.Condition("a", True, 0.0), gadgets.Condition("b", False, 1.0)
+        report = gadgets.VerificationReport([ok], DEFAULT_TOL)
+        assert report.passed and report.to_json()["passed"] is True
+        report.conditions.append(bad)
+        assert not report.passed and report.to_json()["passed"] is False
+        assert report.failures() == [bad]
+        assert gadgets.VerificationReport([], DEFAULT_TOL).passed
 
     def test_degenerate_rank_one_gadget_passes(self):
         # k identical columns (1,1)/k with target (1/2, k+1/2)/k: the diagonal
@@ -504,6 +512,16 @@ class TestObstruction:
         scale = max(abs(float(np.sum(np.abs(t) ** 4))), 1.0)
         assert abs(value) <= 1e-6 * scale
 
+    @pytest.mark.parametrize(
+        "V,t",
+        [([[1, 2, 3, 4]] * 3, [1, 1, 1]), ([[1, 2, 3]] * 3, [1, 1]), ([[1.0, 2.0, 3.0, 4.0]] * 3, [1.0] * 3)],
+        ids=["extra-column", "extra-row", "float-extra-column"],
+    )
+    def test_shape_mismatch_rejected(self, V, t):
+        # V must be d x k with t of length d on the exact-integer path too
+        with pytest.raises(InvalidInputError):
+            gadgets.even_p_obstruction(V, t, 2, 3)
+
     def test_odd_p_generically_nonzero(self):
         # t small enough that subtracting vertex sums flips signs, so the
         # absolute values break the telescoping that kills even exponents
@@ -520,7 +538,7 @@ class TestObstruction:
         # concrete equidistant box: unit axes halved plus an offset coordinate
         V = np.vstack([np.eye(3), np.zeros((1, 3))])
         t = np.array([0.5, 0.5, 0.5, 0.5])
-        for z in binary_points(3):
+        for z in product((0, 1), repeat=3):
             assert pnorm(V @ np.array(z, float) - t, p) == pytest.approx(1.0)
         assert abs(gadgets.even_p_obstruction(V, t, p, k)) <= 1e-12
         assert pnorm(t, p) == pytest.approx(1.0)
@@ -537,7 +555,7 @@ class TestRectangleProperty:
         rng = np.random.default_rng(seed)
         Q, _ = np.linalg.qr(rng.normal(size=(8, 3)))
         V = Q * rng.uniform(0.5, 2.0, size=3)
-        verts = [V @ np.array(z, float) for z in binary_points(3) if any(z)]
+        verts = [V @ np.array(z, float) for z in product((0, 1), repeat=3) if any(z)]
         q0 = verts[0]
         rows = np.array([2.0 * (q - q0) for q in verts[1:]])
         rhs = np.array([float(q @ q - q0 @ q0) for q in verts[1:]])

@@ -1,4 +1,5 @@
 import math
+from itertools import chain, combinations, product
 
 import numpy as np
 import pytest
@@ -7,15 +8,9 @@ from hypothesis import strategies as st
 
 from latgad.errors import InvalidInputError
 from latgad.numeric import (
-    CubePoint,
     PNorm,
     Tolerance,
-    binary_points,
     box_volume,
-    cube_coords,
-    cube_index,
-    cube_points,
-    fourier_vector,
     integer_grid,
     pnorm,
     pnorm_pow,
@@ -72,65 +67,71 @@ class TestPNorm:
         assert sin_half_pi(2.5) == pytest.approx(math.sin(1.25 * math.pi))
 
 
+def sign_cube(k):
+    """{-1, +1}^k as 2x - 1 over the {0, 1} grid, the one cube order in use."""
+    (x,) = integer_grid([(0, 1)] * k, 2**k)
+    return 2 * x - 1
+
+
 class TestCubeIndexing:
     def test_lex_order_starts_at_all_minus(self):
-        pts = cube_points(3)
+        pts = [tuple(y) for y in sign_cube(3).tolist()]
         assert pts[0] == (-1, -1, -1)
         assert pts[-1] == (1, 1, 1)
         assert pts == sorted(pts)
 
     @pytest.mark.parametrize("k", [1, 2, 3, 5])
     def test_index_round_trip(self, k):
-        for idx, coords in enumerate(cube_points(k)):
-            assert cube_index(coords) == idx
-            assert cube_coords(idx, k) == coords
-            assert CubePoint(coords).index == idx
-            assert CubePoint.from_index(idx, k).coords == coords
+        # row i of the grid holds the binary digits of i, most significant first
+        (x,) = integer_grid([(0, 1)] * k, 2**k)
+        assert x.dtype == np.int64
+        for idx, bits in enumerate(x):
+            assert np.ravel_multi_index(tuple(bits), (2,) * k) == idx
+            assert [int(b) for b in np.binary_repr(idx, width=k)] == bits.tolist()
 
     def test_index_formula(self):
         # index = sum_i b_i 2^(k-1-i) with b_i = (c_i + 1) / 2
         coords = (1, -1, 1, 1)
         bits = [(c + 1) // 2 for c in coords]
         expected = sum(b * 2 ** (len(coords) - 1 - i) for i, b in enumerate(bits))
-        assert cube_index(coords) == expected
+        assert tuple(sign_cube(4)[expected]) == coords
 
     def test_binary_points_match_cube_order(self):
-        for z, y in zip(binary_points(3), cube_points(3)):
-            assert tuple(2 * b - 1 for b in z) == y
+        (x,) = integer_grid([(0, 1)] * 3, 8)
+        assert [tuple(z) for z in x.tolist()] == list(product((0, 1), repeat=3))
+        assert [tuple(y) for y in sign_cube(3).tolist()] == list(product((-1, 1), repeat=3))
 
 
 class TestFourierVectors:
-    def test_examples(self):
+    """The character-table oracle the eigenvalue tests check H v = lambda v with."""
+
+    def test_examples(self, fourier_vector):
         assert fourier_vector((), 2).tolist() == [1, 1, 1, 1]
         assert fourier_vector({1, 2}, 2).tolist() == [1, -1, -1, 1]
         assert fourier_vector({2}, 2).tolist() == [-1, 1, -1, 1]
 
-    def test_rejects_out_of_range(self):
-        with pytest.raises(InvalidInputError):
+    def test_rejects_out_of_range(self, fourier_vector):
+        with pytest.raises(ValueError):
             fourier_vector({3}, 2)
 
-    def test_matches_character_products(self):
+    def test_matches_character_products(self, fourier_vector):
         k = 4
-        pts = cube_points(k)
+        pts = sign_cube(k)
         for subset in [(1,), (2, 4), (1, 2, 3), (1, 2, 3, 4)]:
             v = fourier_vector(subset, k)
             for idx, x in enumerate(pts):
                 assert v[idx] == math.prod(x[i - 1] for i in subset)
 
     @pytest.mark.parametrize("k", [2, 4, 6, 10])
-    def test_orthogonality(self, k):
-        from itertools import chain, combinations
-
+    def test_orthogonality(self, k, fourier_vector):
         subsets = list(chain.from_iterable(combinations(range(1, k + 1), r) for r in range(k + 1)))
         F = np.array([fourier_vector(s, k) for s in subsets])
         gram = F @ F.T
         assert np.array_equal(gram, 2**k * np.eye(2**k, dtype=np.int64))
 
     @pytest.mark.parametrize("k", [2, 3, 5, 8])
-    def test_split_recurrence(self, k):
+    def test_split_recurrence(self, k, fourier_vector):
         # characters of dimension k are exactly the half-vectors (+-v, v)
-        from itertools import chain, combinations
-
         def all_tables(dim):
             subs = chain.from_iterable(combinations(range(1, dim + 1), r) for r in range(dim + 1))
             return {tuple(fourier_vector(s, dim)) for s in subs}
@@ -155,6 +156,23 @@ class TestGridHelpers:
         assert box_volume(ranges) == 9
         # ascending mixed radix: last coordinate fastest
         assert rows[1].tolist() == [-1, 1]
+
+    @pytest.mark.parametrize(
+        "ranges,chunk",
+        [([(0, 1)] * 3, 3), ([(-1, 2), (0, 1), (3, 5)], 7), ([(-3, 4)] * 2, 1), ([(2, 2)], 4)],
+    )
+    def test_chunks_match_product_order(self, ranges, chunk):
+        want = list(product(*(range(lo, hi + 1) for lo, hi in ranges)))
+        chunks = list(integer_grid(ranges, chunk))
+        assert [len(c) for c in chunks[:-1]] == [chunk] * (len(chunks) - 1)
+        assert all(c.dtype == np.int64 and c.shape[1] == len(ranges) for c in chunks)
+        assert [tuple(r) for c in chunks for r in c.tolist()] == want
+
+    def test_empty_box_is_one_point(self):
+        # the split oracle walk asks for this when the whole box fits in its table
+        (row,) = integer_grid([], 5)
+        assert row.shape == (1, 0) and row.dtype == np.int64
+        assert box_volume([]) == 1
 
     def test_tolerance_policy(self):
         tol = Tolerance(rel=1e-9, abs=1e-12)

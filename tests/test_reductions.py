@@ -1,6 +1,7 @@
 import hashlib
 import math
 import random
+from itertools import product
 
 import numpy as np
 import pytest
@@ -10,7 +11,7 @@ from hypothesis import strategies as st
 from latgad import gadgets, oracle, reductions, serialize
 from latgad.errors import InvalidInputError, UnsupportedParametersError
 from latgad.formulas import Clause, CspFormula, XorConstraint
-from latgad.numeric import binary_points, pnorm
+from latgad.numeric import pnorm
 
 
 @pytest.fixture(scope="module")
@@ -51,7 +52,7 @@ class TestSatToCvp:
         d_star = gadget3.d
         block = inst.basis[:d_star, :]
         t = inst.target[:d_star]
-        for z in binary_points(3):
+        for z in product((0, 1), repeat=3):
             dist = pnorm(block @ np.array(z, float) - t, gadget3.p)
             if any(z):
                 assert dist == pytest.approx(1.0, abs=1e-9)
@@ -68,7 +69,7 @@ class TestSatToCvp:
     def test_short_clause_leaves_columns_unused(self, gadget3):
         f = CspFormula(n=2, constraints=[Clause((1, -2))])
         inst = reductions.sat_to_cvp(f, gadget3)
-        for z in binary_points(2):
+        for z in product((0, 1), repeat=2):
             dist = pnorm(inst.basis[: gadget3.d] @ np.array(z, float) - inst.target[: gadget3.d], 2.5)
             expected = 1.0 if Clause((1, -2)).satisfied(z) else 1.0 + gadget3.eps
             assert dist == pytest.approx(expected, rel=1e-9)
@@ -87,7 +88,7 @@ class TestSatToCvp:
         inst = reductions.sat_to_cvp(f, gadget3)
         alpha = inst.meta["alpha"]
         assert inst.radius == pytest.approx(4 ** (1 / 2.5) * alpha)
-        for z in binary_points(4):
+        for z in product((0, 1), repeat=4):
             d = pnorm(inst.basis @ np.array(z, float) - inst.target, 2.5)
             assert d == pytest.approx(inst.radius, rel=1e-12)
         assert oracle.validate_reduction(f, inst).passed
@@ -351,7 +352,7 @@ class TestCvppMaxNorm:
         y = np.array([1.0, 0.0, 0.0, 0.0])
         assert abs(art.basis[pos] @ y - target[pos]) <= 1.0
         other, _ = art.clause_position(Clause((1, 2, 4)))
-        for z in binary_points(4):
+        for z in product((0, 1), repeat=4):
             assert abs(art.basis[other] @ np.array(z, float) - target[other]) <= 1.5
 
     def test_decisions_match_brute_force(self):

@@ -1,0 +1,33 @@
+"""Smoke runs of the experiment scripts at small sizes: each must exit 0 and
+print its header line."""
+
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+ROOT = Path(__file__).resolve().parents[1]
+
+
+@pytest.mark.parametrize(
+    "script,args,header",
+    [
+        ("gadget_grid.py", ["--kmax", "3"], "p \\ k"),
+        ("sum_limits.py", ["--p", "1", "1.5", "--kmax", "6"], "p,k,abs_value,limit,weak_bound"),
+        ("exponent_curve.py", ["--count", "3"], "# threshold exponent p0 = "),
+    ],
+    ids=["gadget_grid", "sum_limits", "exponent_curve"],
+)
+def test_script_runs(script, args, header):
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    proc = subprocess.run(
+        [sys.executable, str(ROOT / "scripts" / script), *args],
+        env=env,
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[0].startswith(header)
