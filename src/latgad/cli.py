@@ -7,6 +7,7 @@ verification pass, 1 verification failure, 2 usage error, 3 resource limit.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -46,7 +47,10 @@ def _emit(payload: dict, out: str | None) -> None:
 
 def _load_json(path: str) -> dict:
     with open(path) as fh:
-        return json.load(fh)
+        try:
+            return json.load(fh)
+        except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+            raise InvalidInputError(f"{path} is not a JSON artifact: {exc}") from exc
 
 
 def _read(path: str) -> str:
@@ -346,7 +350,9 @@ def _cmd_clauses(args, tol: Tolerance) -> int:
 # parser
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The CLI parser, built on first use and shared by every later dispatch."""
     top = argparse.ArgumentParser(prog="latgad")
     top.add_argument("--tol-rel", type=float, default=1e-9)
     top.add_argument("--tol-abs", type=float, default=1e-12)

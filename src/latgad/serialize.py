@@ -3,12 +3,19 @@
 All real numbers travel as decimal strings with 17 significant digits, which
 round-trip binary64 exactly and keep output independent of platform float
 formatting.  Matrices are stored as lists of columns.
+
+Artifacts repeat a few values many times (a CVPP basis of 153 700 entries
+holds 19 distinct strings), so vectors and matrices go through a table:
+`fmt_real` runs once per distinct binary64 bit pattern and `parse_real` once
+per distinct entry.  The bytes written and the values read are the same as
+formatting and parsing each entry on its own.
 """
 
 from __future__ import annotations
 
 import json
 import math
+from itertools import chain
 
 import numpy as np
 
@@ -34,23 +41,65 @@ def parse_real(s) -> float:
         raise InvalidInputError(f"bad decimal string {s!r}") from exc
 
 
+def _parse_int(s) -> int:
+    try:
+        return int(s)
+    except (TypeError, ValueError) as exc:
+        raise InvalidInputError(f"bad integer {s!r}") from exc
+
+
+def _fmt_table(a: np.ndarray) -> np.ndarray:
+    """fmt_real of every entry of the float array a, as an object array of its
+    shape.  Distinct bit patterns, not values, key the table, so -0.0 still
+    prints "-0" beside 0.0's "0"."""
+    a = np.ascontiguousarray(a, dtype=float)
+    bits, inverse = np.unique(a.view(np.uint64).ravel(), return_inverse=True)
+    table = np.array([fmt_real(x) for x in bits.view(float)], dtype=object)
+    return table[inverse].reshape(a.shape)
+
+
+def _entries(v) -> list:
+    try:
+        return list(v)
+    except TypeError as exc:
+        raise InvalidInputError(f"expected a list of decimal strings, got {type(v).__name__}") from exc
+
+
+def _parse_table(items: list) -> np.ndarray:
+    """parse_real of every entry, run once per distinct entry."""
+    try:
+        table = {s: parse_real(s) for s in set(items)}
+    except TypeError as exc:
+        raise InvalidInputError("entries must be decimal strings, not lists or objects") from exc
+    if 0 in table:
+        # a bare JSON number 0, 0.0, -0.0 or false: these are one dict key, so
+        # the table would hand one zero's sign to all of them
+        return np.fromiter(map(parse_real, items), float, len(items))
+    return np.fromiter(map(table.__getitem__, items), float, len(items))
+
+
 def fmt_vector(v) -> list[str]:
-    return [fmt_real(x) for x in np.asarray(v, dtype=float).ravel()]
+    return _fmt_table(np.asarray(v, dtype=float).ravel()).tolist()
 
 
 def parse_vector(v) -> np.ndarray:
-    return np.array([parse_real(x) for x in v], dtype=float)
+    return _parse_table(_entries(v))
 
 
 def fmt_columns(M) -> list[list[str]]:
-    M = np.asarray(M, dtype=float)
-    return [fmt_vector(M[:, j]) for j in range(M.shape[1])]
+    return _fmt_table(np.asarray(M, dtype=float).T).tolist()
 
 
 def parse_columns(cols) -> np.ndarray:
+    cols = [_entries(col) for col in _entries(cols)]
     if not cols:
         raise InvalidInputError("matrix needs at least one column")
-    return np.column_stack([parse_vector(col) for col in cols])
+    d = len(cols[0])
+    if any(len(col) != d for col in cols):
+        raise InvalidInputError(f"matrix columns differ in length: {sorted({len(col) for col in cols})}")
+    # C order, as np.column_stack gave, so the matrix products downstream
+    # round as before
+    return _parse_table(list(chain.from_iterable(cols))).reshape(len(cols), d).T.copy()
 
 
 def fmt_pnorm(p) -> str:
@@ -62,6 +111,16 @@ def parse_pnorm(s) -> PNorm:
     if s == "inf":
         return PNorm.infinity()
     return PNorm(parse_real(s))
+
+
+def _check(d, schema: str, *keys: str) -> None:
+    """d must be a `schema` artifact holding every key in keys."""
+    found = d.get("schema") if isinstance(d, dict) else type(d).__name__
+    if found != schema:
+        raise InvalidInputError(f"expected schema {schema}, got {found!r}")
+    missing = [key for key in keys if key not in d]
+    if missing:
+        raise InvalidInputError(f"{schema} artifact has no {', '.join(map(repr, missing))}")
 
 
 def dumps(obj: dict) -> str:
@@ -102,11 +161,10 @@ def gadget_to_json(g: IsolatingGadget) -> dict:
 
 
 def gadget_from_json(d: dict) -> IsolatingGadget:
-    if d.get("schema") != GADGET_SCHEMA:
-        raise InvalidInputError(f"expected schema {GADGET_SCHEMA}, got {d.get('schema')!r}")
+    _check(d, GADGET_SCHEMA, "p", "k", "V", "t", "eps", "kind")
     return IsolatingGadget(
         p=parse_pnorm(d["p"]).p,
-        k=int(d["k"]),
+        k=_parse_int(d["k"]),
         V=parse_columns(d["V"]),
         t=parse_vector(d["t"]),
         eps=parse_real(d["eps"]),
@@ -128,11 +186,10 @@ def onoff_to_json(g: OnOffGadget) -> dict:
 
 
 def onoff_from_json(d: dict) -> OnOffGadget:
-    if d.get("schema") != ONOFF_SCHEMA:
-        raise InvalidInputError(f"expected schema {ONOFF_SCHEMA}, got {d.get('schema')!r}")
+    _check(d, ONOFF_SCHEMA, "p", "k", "V", "t_on", "t_off", "eps")
     return OnOffGadget(
         p=parse_pnorm(d["p"]).p,
-        k=int(d["k"]),
+        k=_parse_int(d["k"]),
         V=parse_columns(d["V"]),
         t_on=parse_vector(d["t_on"]),
         t_off=parse_vector(d["t_off"]),
@@ -162,8 +219,7 @@ def instance_to_json(inst: CvpInstance) -> dict:
 
 
 def instance_from_json(d: dict) -> CvpInstance:
-    if d.get("schema") != CVP_SCHEMA:
-        raise InvalidInputError(f"expected schema {CVP_SCHEMA}, got {d.get('schema')!r}")
+    _check(d, CVP_SCHEMA, "p", "basis", "target", "radius")
     meta = dict(d.get("meta", {}))
     for key in ("eps", "alpha", "gamma", "s", "c"):
         if key in meta and isinstance(meta[key], str):
@@ -192,15 +248,14 @@ def cvpp_to_json(art: CvppArtifacts) -> dict:
 
 
 def cvpp_from_json(d: dict) -> CvppArtifacts:
-    if d.get("schema") != CVPP_SCHEMA:
-        raise InvalidInputError(f"expected schema {CVPP_SCHEMA}, got {d.get('schema')!r}")
+    _check(d, CVPP_SCHEMA, "n", "k", "mode", "basis", "block_rows")
     gadget = onoff_from_json(d["gadget"]) if d.get("gadget") else None
     return CvppArtifacts(
-        n=int(d["n"]),
-        k=int(d["k"]),
+        n=_parse_int(d["n"]),
+        k=_parse_int(d["k"]),
         mode=d["mode"],
         basis=parse_columns(d["basis"]),
-        block_rows=int(d["block_rows"]),
+        block_rows=_parse_int(d["block_rows"]),
         gadget=gadget,
         alpha=parse_real(d["alpha"]) if d.get("alpha") is not None else None,
     )

@@ -5,6 +5,7 @@ import time
 
 import pytest
 
+from latgad import cli
 from latgad.cli import dispatch
 
 
@@ -268,6 +269,28 @@ class TestCombinatoricsCommands:
         assert 1 <= len(out_json(out)["literals"]) <= 3
 
 
+class TestSharedParser:
+    def test_reused_parser_matches_fresh(self, tmp_path, capsys):
+        cnf = tmp_path / "f.cnf"
+        cnf.write_text("p cnf 4 3\n1 2 3 0\n-1 2 -4 0\n-2 3 4 0\n")
+        g, inst = tmp_path / "g.json", tmp_path / "inst.json"
+        run(["gadget", "find", "--k", "3", "--p", "2.5", "--out", str(g)], capsys)
+        run(["reduce", "sat", "--cnf", str(cnf), "--gadget", str(g), "--out", str(inst)], capsys)
+        argvs = [
+            ["gadget", "find", "--k", "3", "--nope"],
+            ["gadget", "find", "--k", "2", "--p", "1.5"],
+            ["oracle", "validate", "--cnf", str(cnf), "--instance", str(inst)],
+        ]
+        shared = [run(argv, capsys) for argv in argvs]
+        assert cli.build_parser() is cli.build_parser()
+        fresh = []
+        for argv in argvs:
+            cli.build_parser.cache_clear()
+            fresh.append(run(argv, capsys))
+        assert [code for code, _, _ in shared] == [2, 0, 0]
+        assert shared == fresh
+
+
 class TestExitCodes:
     def test_unknown_flag_is_usage(self, capsys):
         assert run(["gadget", "find", "--nope", "1"], capsys)[0] == 2
@@ -299,6 +322,33 @@ class TestExitCodes:
         code, _, err = run(["gadget", "parity", "--k", "20", "--p", "2.5"], capsys)
         assert code == 3 and "resource" in err
         assert time.perf_counter() - start < 1.0
+
+    @pytest.fixture()
+    def gadget(self, tmp_path, capsys):
+        path = tmp_path / "g.json"
+        run(["gadget", "find", "--k", "2", "--p", "1.5", "--out", str(path)], capsys)
+        return path
+
+    def test_ragged_matrix_is_usage(self, gadget, capsys):
+        data = json.loads(gadget.read_text())
+        data["V"][0].pop()
+        gadget.write_text(json.dumps(data))
+        code, _, err = run(["gadget", "verify", "--in", str(gadget)], capsys)
+        assert code == 2 and "differ in length" in err
+
+    def test_missing_key_is_usage(self, gadget, capsys):
+        data = json.loads(gadget.read_text())
+        del data["t"]
+        gadget.write_text(json.dumps(data))
+        code, _, err = run(["gadget", "verify", "--in", str(gadget)], capsys)
+        assert code == 2 and "'t'" in err
+
+    @pytest.mark.parametrize("text", [b"not json {", b"\xff\xfe{}"])
+    def test_not_json_is_usage(self, tmp_path, capsys, text):
+        path = tmp_path / "g.json"
+        path.write_bytes(text)
+        code, _, err = run(["gadget", "onoff", "--in", str(path)], capsys)
+        assert code == 2 and "not a JSON artifact" in err
 
     def test_module_entry_point(self):
         proc = subprocess.run(

@@ -5,8 +5,10 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from latgad import gadgets, reductions, serialize
+from latgad.errors import InvalidInputError
 from latgad.formulas import Clause, CspFormula
 from latgad.numeric import PNorm
 
@@ -25,6 +27,79 @@ class TestDecimalStrings:
     def test_pnorm_round_trip(self):
         assert serialize.parse_pnorm(serialize.fmt_pnorm(PNorm.infinity())).p == math.inf
         assert serialize.parse_pnorm(serialize.fmt_pnorm(2.5)).p == 2.5
+
+
+# few values, many repeats, as in real artifacts: both zeros, infinities, NaN,
+# subnormals and +-1 multiples
+POOL = [0.0, -0.0, math.inf, -math.inf, math.nan, 5e-324, -2.2250738585072009e-308, 1.0, -1.0, 2.0, -3.0, 0.1, 1 / 3]
+pooled = st.sampled_from(POOL)
+vectors = arrays(float, st.integers(0, 12), elements=pooled)
+matrices = arrays(float, st.tuples(st.integers(0, 8), st.integers(1, 5)), elements=pooled)
+
+
+def same_bits(a, b):
+    """Equal bit for bit, except that any NaN matches any NaN."""
+    nan = np.isnan(a)
+    return a.shape == b.shape and np.array_equal(nan, np.isnan(b)) and np.array_equal(
+        a.view(np.uint64)[~nan], b.view(np.uint64)[~nan]
+    )
+
+
+class TestTables:
+    """fmt_columns/parse_columns and their vector forms against fmt_real and
+    parse_real applied entry by entry."""
+
+    @given(matrices)
+    @settings(max_examples=200)
+    def test_columns_match_per_entry(self, M):
+        cols = serialize.fmt_columns(M)
+        assert cols == [[serialize.fmt_real(x) for x in M[:, j]] for j in range(M.shape[1])]
+        assert same_bits(serialize.parse_columns(cols), M)
+
+    @given(vectors)
+    @settings(max_examples=200)
+    def test_vectors_match_per_entry(self, v):
+        strings = serialize.fmt_vector(v)
+        assert strings == [serialize.fmt_real(x) for x in v]
+        assert same_bits(serialize.parse_vector(strings), v)
+
+    @given(matrices)
+    @settings(max_examples=50)
+    def test_each_distinct_value_converted_once(self, M):
+        calls = {"fmt": 0, "parse": 0}
+        fmt_real, parse_real = serialize.fmt_real, serialize.parse_real
+
+        def counting_fmt(x):
+            calls["fmt"] += 1
+            return fmt_real(x)
+
+        def counting_parse(s):
+            calls["parse"] += 1
+            return parse_real(s)
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(serialize, "fmt_real", counting_fmt)
+            mp.setattr(serialize, "parse_real", counting_parse)
+            cols = serialize.fmt_columns(M)
+            serialize.parse_columns(cols)
+        assert calls["fmt"] == len(np.unique(M.view(np.uint64)))
+        assert calls["parse"] == len({s for col in cols for s in col})
+
+    @pytest.mark.parametrize("bad", [None, [], {}, "abc", ""])
+    def test_bad_entry_rejected(self, bad):
+        with pytest.raises(InvalidInputError):
+            serialize.parse_vector(["1", bad, "1"])
+        with pytest.raises(InvalidInputError):
+            serialize.parse_columns([["1", "2"], ["-0", bad]])
+
+    @pytest.mark.parametrize("cols", [[["1", "2"], ["1"]], [["1"], None], 3, []])
+    def test_malformed_matrix_rejected(self, cols):
+        with pytest.raises(InvalidInputError):
+            serialize.parse_columns(cols)
+
+    def test_bare_numbers_keep_their_values(self):
+        entries = [0, -0.0, 0.0, False, "-0", 1, 1.0, True, "0"]
+        assert same_bits(serialize.parse_vector(entries), np.array([serialize.parse_real(s) for s in entries]))
 
 
 class TestGadgetJson:
@@ -52,6 +127,13 @@ class TestGadgetJson:
     def test_schema_checked(self):
         with pytest.raises(Exception):
             serialize.gadget_from_json({"schema": "other"})
+
+    @pytest.mark.parametrize("field, value", [("k", "x"), ("k", None), ("t", None)])
+    def test_bad_field_rejected(self, field, value):
+        d = serialize.gadget_to_json(gadgets.find_isolating_parallelepiped(2, 1.5))
+        d[field] = value
+        with pytest.raises(InvalidInputError):
+            serialize.gadget_from_json(d)
 
     def test_reloaded_gadget_still_verifies(self):
         for g in (
