@@ -74,7 +74,19 @@ def _read_points(path: str):
     width = len(lines[0])
     if any(len(ln) != width for ln in lines):
         raise InvalidInputError("all hex bitstrings must have the same width")
-    return [int(ln, 16) for ln in lines], 4 * width
+    try:
+        return [int(ln, 16) for ln in lines], 4 * width
+    except ValueError as exc:
+        raise InvalidInputError(f"{path} holds a line that is not a hex bitstring: {exc}") from exc
+
+
+def _parse_grid(text: str):
+    """The --grid sweep 'lo:hi:count' as count evenly spaced values."""
+    try:
+        lo, hi, count = text.split(":")
+        return np.linspace(float(lo), float(hi), int(count))
+    except ValueError as exc:
+        raise InvalidInputError(f"grid must look like 'lo:hi:count' with count >= 0, got {text!r}") from exc
 
 
 def _parse_formula(text: str):
@@ -282,8 +294,7 @@ def _cmd_identities(args, tol: Tolerance) -> int:
             _emit({"p0": serialize.fmt_real(identities.find_p0())}, args.out)
             return EXIT_OK
         if args.grid:
-            lo, hi, count = args.grid.split(":")
-            ps = np.linspace(float(lo), float(hi), int(count))
+            ps = _parse_grid(args.grid)
             rows = ["p,W,C"]
             for p in ps:
                 const = identities.svp_constants(float(p))

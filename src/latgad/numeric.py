@@ -145,27 +145,37 @@ def sin_half_pi(p) -> float:
 MAX_MUL_POWER = 8
 
 
-def row_pnorms(diffs: np.ndarray, p, out: np.ndarray | None = None) -> np.ndarray:
-    """The p-norm of every row of a 2-D array (no rescaling, unlike pnorm).
+def abs_powers(x: np.ndarray, p, out: np.ndarray | None = None) -> np.ndarray:
+    """|x|^p elementwise for finite p, and |x| for p = inf.
 
-    `out`, when given, is scratch space of diffs' shape for the powers, so a
-    walk can reuse one buffer for every chunk; `diffs` is never written.
+    `out`, when given, is scratch space of x's shape for the result, so a
+    walk can reuse one buffer for every chunk; `x` is never written.
     """
     q = pvalue(p)
-    w = np.empty(diffs.shape) if out is None else out
-    if math.isinf(q):
-        return np.abs(diffs, out=w).max(axis=1)
-    if q == 1.0:
-        return np.abs(diffs, out=w).sum(axis=1)
+    w = np.empty(x.shape) if out is None else out
+    if math.isinf(q) or q == 1.0:
+        return np.abs(x, out=w)
     if q.is_integer() and q <= MAX_MUL_POWER:
         # x^q by multiplication; rounding is sign-symmetric, so |x^q| = |x|^q
-        np.multiply(diffs, diffs, out=w)
+        np.multiply(x, x, out=w)
         for _ in range(int(q) - 2):
-            np.multiply(w, diffs, out=w)
+            np.multiply(w, x, out=w)
         if q % 2:
             np.abs(w, out=w)
     else:
-        np.power(np.abs(diffs, out=w), q, out=w)
+        np.power(np.abs(x, out=w), q, out=w)
+    return w
+
+
+def row_pnorms(diffs: np.ndarray, p, out: np.ndarray | None = None) -> np.ndarray:
+    """The p-norm of every row of a 2-D array (no rescaling, unlike pnorm).
+
+    `out` is scratch space for `abs_powers`; `diffs` is never written.
+    """
+    q = pvalue(p)
+    w = abs_powers(diffs, q, out)
+    if math.isinf(q):
+        return w.max(axis=1)
     return w.sum(axis=1) ** (1.0 / q)
 
 

@@ -1,6 +1,13 @@
-"""Ground-truth brute-force solvers used to validate every reduction:
-bounded-box closest-vector enumeration, exhaustive Max-SAT/parity evaluation,
-and decision/witness comparison between the two.
+"""Ground-truth solvers used to validate every reduction: exact bounded-box
+closest-vector search, exhaustive Max-SAT/parity evaluation, and
+decision/witness comparison between the two.
+
+The closest-vector search gives what a walk over every box point would: the
+minimum, its tie set in mixed-radix order, and the non-boolean minimum with
+its first witness.  Row-sparse bases, which every reduction builds (one
+gadget block per clause over its k variables, then one identity row per
+variable), are searched by branch and bound over per-support tables; a basis
+with a support box wider than one chunk is walked point by point.
 """
 
 from __future__ import annotations
@@ -13,7 +20,17 @@ import numpy as np
 from .errors import InvalidInputError, ResourceLimitError
 from .formulas import CspFormula
 from .gadgets import Condition, IsolatingGadget, VerificationReport
-from .numeric import DEFAULT_TOL, Tolerance, box_volume, chunk_rows, integer_grid, row_pnorms
+from .numeric import (
+    CHUNK_ENTRIES,
+    DEFAULT_TOL,
+    Tolerance,
+    abs_powers,
+    box_volume,
+    chunk_rows,
+    integer_grid,
+    pvalue,
+    row_pnorms,
+)
 from .reductions import CvpInstance
 
 BOX_CAP = 10**7
@@ -43,22 +60,274 @@ class CvpSolution:
 
 
 def cvp_enumerate(basis, target, p, box, tol: Tolerance = DEFAULT_TOL) -> CvpSolution:
-    """Exhaustive closest-vector search over an integer box, one visit per point.
+    """Exact closest-vector search over an integer box.
 
     `box` is either one (lo, hi) pair applied to every coordinate or a
     per-coordinate list.  Vectors within relative `tol.rel` of the minimum are
     all reported, in ascending mixed-radix order.
 
-    The walk splits the box once: the longest run of trailing coordinates
-    whose box fits in one chunk gives a table of B_low x_low - t, built once,
-    and each point of the leading coordinates adds its offset B_high x_high
-    to the whole table.
+    When the support box of every row of B (the sub-box over its nonzero
+    columns) fits one chunk of `integer_grid`, the search is a branch and
+    bound over the coordinates in order (`_support_search`).  Otherwise, as
+    for the dense lattice-gadget check, every point is visited once by
+    `_split_walk`.  Both give the same minimum, tie set and order, and
+    non-boolean minimum.  The non-boolean witness is the first point at that
+    minimum; the search counts distances that differ only by the rounding of
+    its own summation order as equal.
     """
     B = np.asarray(basis, dtype=float)
     t = np.asarray(target, dtype=float).ravel()
     ranges = _ranges(box, B.shape[1])
     if box_volume(ranges) > BOX_CAP:
         raise ResourceLimitError(f"box volume exceeds cap {BOX_CAP}")
+    q = pvalue(p)
+    tables = _support_tables(B, t, q, ranges)
+    if tables is None:
+        return _split_walk(B, t, q, ranges, tol)
+    return _support_search(q, ranges, tol, tables)
+
+
+@dataclass
+class _SupportTables:
+    """The rows of B grouped by support, each group's summed p-th powers (max
+    |.| for p = inf) tabulated over its support box.  For a point with digits
+    x - lo, group g's entry is flat[digits @ index[:, g] + offset[g]]."""
+
+    flat: np.ndarray
+    index: np.ndarray  # (n, groups) mixed-radix strides, 0 off the support
+    offset: np.ndarray
+    closes: np.ndarray  # each group's last support column + 1; 0 for no support
+    mins: np.ndarray  # each group's table minimum
+
+
+def _support_tables(B, t, q, ranges) -> _SupportTables | None:
+    """Tabulate the support groups of B, or None when some row's support box
+    holds more points than one `integer_grid` chunk of its width.  The check
+    reads CHUNK_ENTRIES itself, so a smaller `chunk_rows` keeps the path."""
+    d, n = B.shape
+    sizes = np.array([hi - lo + 1 for lo, hi in ranges], dtype=np.int64)
+    mask = B != 0
+    width = mask.sum(axis=1)
+    if np.any(np.prod(np.where(mask, sizes, 1), axis=1) > np.maximum(1, CHUNK_ENTRIES // np.maximum(width, 1))):
+        return None
+    packed = np.ascontiguousarray(np.packbits(mask, axis=1) if n else np.zeros((d, 1), dtype=np.uint8))
+    _, first, owner = np.unique(packed.view(f"V{packed.shape[1]}").ravel(), return_index=True, return_inverse=True)
+    owner = owner.ravel()
+    support, width = mask[first], width[first]
+    G = len(first)
+    rows = np.argsort(owner, kind="stable")  # grouped by support
+    row_group = owner[rows]
+    group_of, cols = np.nonzero(support)
+    starts = np.cumsum(width) - width
+    # groups whose supports have equal sizes, column by column, share one
+    # grid of digits and are tabulated together; the lows go into the target
+    shape = np.zeros((G, int(width.max(initial=0)) + 1), dtype=np.int64)
+    shape[group_of, np.arange(cols.size) - starts[group_of]] = sizes[cols]
+    _, batch = np.unique(shape.view(f"V{shape.shape[1] * 8}").ravel(), return_inverse=True)
+    batch = batch.ravel()
+    shifted = t - B @ np.array([lo for lo, _ in ranges], dtype=float)
+    index = np.zeros((n, G))
+    offset = np.zeros(G, dtype=np.int64)
+    mins = np.zeros(G)
+    flats = []
+    for b in range(int(batch.max(initial=-1)) + 1):
+        members = np.flatnonzero(batch == b)
+        size = shape[members[0], : width[members[0]]]
+        (digits,) = integer_grid([(0, int(z) - 1) for z in size], int(np.prod(size)))
+        colmat = cols[starts[members][:, None] + np.arange(size.size)]
+        local = np.zeros(G, dtype=np.int64)
+        local[members] = np.arange(members.size)
+        mine = rows[batch[row_group] == b]
+        group = local[owner[mine]]
+        table = _group_tables(B[mine[:, None], colmat[group]], shifted[mine], group, digits, members.size, q)
+        index[colmat, members[:, None]] = np.cumprod(np.concatenate([[1], size[:0:-1]]))[::-1]
+        offset[members] = sum(map(len, flats)) + np.arange(members.size) * len(digits)
+        mins[members] = table.min(axis=1)
+        flats.append(table.ravel())
+    closes = np.zeros(G, dtype=np.int64)
+    np.maximum.at(closes, group_of, cols + 1)
+    return _SupportTables(np.concatenate(flats) if flats else np.zeros(0), index, offset, closes, mins)
+
+
+def _group_tables(coef, target, group, digits, count, q) -> np.ndarray:
+    """(count, len(digits)) table: for each group, the sum over its rows of
+    |coef_row . x - target_row|^p (max |.| for p = inf) at every point x of
+    the shared grid `digits`.  Rows come sorted by group, and each distance
+    block holds at most `CHUNK_ENTRIES` entries."""
+    fold = np.add if math.isfinite(q) else np.maximum
+    grid = digits.T.astype(float)
+    tables = np.zeros((count, len(digits)))
+    step = chunk_rows(len(digits))
+    for a in range(0, len(coef), step):
+        block = slice(a, a + step)
+        w = abs_powers(coef[block] @ grid - target[block, None], q)
+        who = group[block]
+        heads = np.flatnonzero(np.concatenate([[True], who[1:] != who[:-1]]))
+        ids = who[heads]
+        tables[ids] = fold(tables[ids], fold.reduceat(w, heads, axis=0))
+    return tables
+
+
+def _support_search(q, ranges, tol: Tolerance, tab: _SupportTables) -> CvpSolution:
+    """Branch and bound over the coordinates in order, bounded by row supports.
+
+    A prefix that fixes the first k coordinates carries the sum of the
+    support groups whose last column is among them; its lower bound adds
+    the table minima of the groups still open.  Prefixes are expanded depth
+    first, in chunks of at most `chunk_rows` rows, so leaves arrive in
+    mixed-radix order.  A prefix is pruned only when its bound exceeds the
+    cut by more than the rounding of the two summation orders: the tie band
+    tol.ceiling(best), or the larger of that and the non-boolean minimum
+    while the prefix can still reach a point outside {0, 1}^n.  So every
+    point of the tie band and every point within rounding of the non-boolean
+    minimum are reached, as in a full walk.
+    """
+    n = len(ranges)
+    finite = math.isfinite(q)
+    fold = np.add if finite else np.maximum
+    lows = np.array([lo for lo, _ in ranges], dtype=np.int64)
+    sizes = [hi - lo + 1 for lo, hi in ranges]
+    flat = tab.flat
+    # groups complete once `closes` coordinates are fixed; those with no
+    # support give the constant every point starts from, and rest[k] is the
+    # minima of the groups still open once k coordinates are fixed
+    mins = np.zeros(n + 1)
+    fold.at(mins, tab.closes, tab.mins)
+    const = mins[0]
+    rest = np.append(fold.accumulate(mins[:0:-1])[::-1], 0.0)
+    # per depth, the index columns and offsets of the groups closing there
+    by_depth = np.argsort(tab.closes, kind="stable")
+    bounds = np.searchsorted(tab.closes[by_depth], np.arange(n + 2))
+    lookups = []
+    for k in range(n):
+        closing = by_depth[bounds[k + 1] : bounds[k + 2]]
+        lookups.append((tab.index[: k + 1, closing], tab.offset[closing]) if closing.size else None)
+    wide = [lo < 0 or hi > 1 for lo, hi in ranges]
+    reaches_out = np.logical_or.accumulate(wide[::-1])[::-1].tolist() + [False]
+    budget = chunk_rows(max(n, int(np.diff(bounds[1:]).max(initial=1))))
+    # relative rounding of a sum of nonnegative terms, one per group and
+    # depth, in either order, and of raising it to 1/q and back
+    slack = 4 * (tab.closes.size + n + (q if finite else 0) + 8) * np.finfo(float).eps
+    power = q if finite else 1.0
+
+    def children(k, digits, partial, out, start, stop):
+        """Flat children start..stop of the prefixes: each prefix in turn
+        with every value of coordinate k, and the groups closing there."""
+        parent, digit = np.divmod(np.arange(start, stop), sizes[k])
+        child = np.empty((len(parent), k + 1))
+        child[:, :k] = digits[parent]
+        child[:, k] = digit
+        partial = partial[parent]
+        value = digit + lows[k]
+        out = out[parent] | (value < 0) | (value > 1)
+        if lookups[k] is not None:
+            index, offset = lookups[k]
+            at = (child @ index).astype(np.int64) + offset
+            fold(partial, fold.reduce(flat[at], axis=1), out=partial)
+        return child, partial, out
+
+    def dive(outside: bool):
+        """Greedy descent to one leaf by lowest bound, kept able to reach a
+        point outside {0, 1}^n when `outside`: its distance and whether it
+        is outside."""
+        digits, partial, out = np.zeros((1, 0)), np.array([const]), np.zeros(1, dtype=bool)
+        for k in range(n):
+            # a column outside every support may be wide; its first three
+            # values hold one outside {0, 1} whenever it has one
+            digits, partial, out = children(k, digits, partial, out, 0, min(sizes[k], max(budget, 3)))
+            score = fold(partial, rest[k + 1])
+            if outside:
+                score[~(out | reaches_out[k + 1])] = math.inf
+            i = int(np.argmin(score))
+            digits, partial, out = digits[i : i + 1], partial[i : i + 1], out[i : i + 1]
+        return float(partial[0]) ** (1.0 / power), bool(out[0])
+
+    # the dives end at box points, so their distances bound the minima
+    # from above and can cut before the walk reaches its first leaf
+    seeds = [dive(False), *([dive(True)] if reaches_out[0] else [])]
+    seed_best = min(v for v, _ in seeds)
+    seed_nb = min((v for v, o in seeds if o), default=math.inf)
+
+    # two distances equal in exact arithmetic differ by at most twice the
+    # rounding of one
+    walk = _Minima(tol, 2 * slack)
+    # (fixed coordinates k, their digits x - lo, partial sums, outside
+    # {0, 1} so far, first flat child index still to expand)
+    stack = [(0, np.zeros((1, 0)), np.array([const]), np.zeros(1, dtype=bool), 0)]
+    while stack:
+        k, digits, partial, out, start = stack.pop()
+        if k == n:
+            walk.add(partial ** (1.0 / power), out, lambda i, x=digits: x[i].astype(np.int64) + lows)
+            continue
+        stop = min(start + budget, len(digits) * sizes[k])
+        if stop < len(digits) * sizes[k]:
+            stack.append((k, digits, partial, out, stop))
+        child, partial, out = children(k, digits, partial, out, start, stop)
+        cut = tol.ceiling(min(walk.best, seed_best)) ** power
+        nb_cut = max(cut, (min(walk.nb_best, seed_nb) * (1.0 + walk.rounding)) ** power)
+        if reaches_out[k + 1]:
+            cut = nb_cut
+        elif nb_cut > cut:
+            cut = np.where(out, nb_cut, cut)
+        live = np.flatnonzero(fold(partial, rest[k + 1]) <= cut * (1.0 + slack))
+        if live.size < len(partial):
+            child, partial, out = child[live], partial[live], out[live]
+        if live.size:
+            stack.append((k + 1, child, partial, out, 0))
+    return walk.solution()
+
+
+class _Minima:
+    """What a walk over box points in mixed-radix order keeps: the running
+    minimum and the points within its tie band, and the minimum over points
+    outside {0, 1}^n and the points within `rounding` (relative) of it.  The
+    bands only shrink as the minima fall, so each list is a superset of its
+    final set, filtered in `solution`.  The non-boolean witness is the first
+    point within `rounding` of that minimum, so the support search, which
+    sums each point in its own order, ties distances that are equal in exact
+    arithmetic instead of letting rounding pick among them."""
+
+    def __init__(self, tol: Tolerance, rounding: float):
+        self.tol = tol
+        self.rounding = rounding
+        self.best = self.nb_best = math.inf
+        self.near: list[tuple[np.ndarray, np.ndarray]] = []
+        self.nb_near: list[tuple[np.ndarray, np.ndarray]] = []
+
+    def add(self, d: np.ndarray, outside: np.ndarray, points) -> None:
+        """Take the next chunk of points: their distances `d`, a mask of those
+        outside {0, 1}^n, and `points(i)`, the coordinates of the chunk's
+        points at index array i."""
+        self.best = min(self.best, float(d.min()))
+        keep = np.flatnonzero(d <= self.tol.ceiling(self.best))
+        if keep.size:
+            self.near.append((points(keep), d[keep]))
+        outside = np.flatnonzero(outside)
+        if outside.size:
+            d_out = d[outside]
+            low = float(d_out.min())
+            if low <= self.nb_best * (1.0 + self.rounding):
+                self.nb_best = min(self.nb_best, low)
+                tied = d_out <= self.nb_best * (1.0 + self.rounding)
+                self.nb_near.append((points(outside[tied]), d_out[tied]))
+
+    def solution(self) -> CvpSolution:
+        band = self.tol.ceiling(self.best)
+        closest = [tuple(int(v) for v in row) for rows, d in self.near for row in rows[d <= band]]
+        band = self.nb_best * (1.0 + self.rounding)
+        witness = None
+        for rows, d in self.nb_near:
+            if np.any(d <= band):
+                witness = tuple(int(v) for v in rows[d <= band][0])
+                break
+        return CvpSolution(self.best, closest, self.nb_best, witness)
+
+
+def _split_walk(B, t, q, ranges, tol: Tolerance) -> CvpSolution:
+    """Visit every box point once.  The longest run of trailing coordinates
+    whose box fits in one chunk gives a table of B_low x_low - t, built once,
+    and each point of the leading coordinates adds its offset B_high x_high
+    to the whole table."""
     budget = chunk_rows(t.size)
     s = len(ranges)
     while s and box_volume(ranges[s - 1 :]) <= budget:
@@ -72,28 +341,16 @@ def cvp_enumerate(basis, target, p, box, tol: Tolerance = DEFAULT_TOL) -> CvpSol
     # temporaries come back as fresh pages from the allocator on every chunk
     diff = np.empty((per_chunk, L, t.size))
     work = np.empty((per_chunk * L, t.size))
-    best = math.inf
-    near: list[tuple[np.ndarray, np.ndarray]] = []
-    nb_best, nb_witness = math.inf, None
+    # its witness stays the first point at exactly its computed minimum
+    walk = _Minima(tol, 0.0)
     for high in integer_grid(ranges[:s], per_chunk):
         m = len(high) * L
         np.add((high @ B[:, :s].T)[:, None, :], table, out=diff[: len(high)])
-        d = row_pnorms(diff[: len(high)].reshape(m, t.size), p, out=work[:m])
-        best = min(best, float(d.min()))
-        # the band only shrinks as best falls, so this keeps a superset of
-        # the final tie set; the final band filters it below.  Flat index
-        # i of the chunk is the point (high[i // L], low[i % L]).
-        keep = np.flatnonzero(d <= tol.ceiling(best))
-        near.append((np.hstack([high[keep // L], low[keep % L]]), d[keep]))
-        outside = np.flatnonzero((np.any((high < 0) | (high > 1), axis=1)[:, None] | low_out).ravel())
-        if outside.size:
-            i = outside[np.argmin(d[outside])]
-            if d[i] < nb_best:
-                nb_best = float(d[i])
-                nb_witness = tuple(int(v) for v in (*high[i // L], *low[i % L]))
-    band = tol.ceiling(best)
-    closest = [tuple(int(v) for v in row) for rows, d in near for row in rows[d <= band]]
-    return CvpSolution(best, closest, nb_best, nb_witness)
+        d = row_pnorms(diff[: len(high)].reshape(m, t.size), q, out=work[:m])
+        # flat index i of the chunk is the point (high[i // L], low[i % L])
+        outside = (np.any((high < 0) | (high > 1), axis=1)[:, None] | low_out).ravel()
+        walk.add(d, outside, lambda i, h=high: np.hstack([h[i // L], low[i % L]]))
+    return walk.solution()
 
 
 def verify_lattice_condition(

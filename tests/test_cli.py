@@ -350,6 +350,28 @@ class TestExitCodes:
         code, _, err = run(["gadget", "onoff", "--in", str(path)], capsys)
         assert code == 2 and "not a JSON artifact" in err
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["cubes", "find", "--in", "{bad}", "--dim", "1"],
+            ["clauses", "isolate", "--in", "{bad}", "--k", "1"],
+            ["clauses", "separate", "--s-in", "{bad}", "--t-in", "{good}"],
+            ["clauses", "separate", "--s-in", "{good}", "--t-in", "{bad}"],
+        ],
+    )
+    def test_non_hex_point_is_usage(self, tmp_path, capsys, argv):
+        bad, good = tmp_path / "bad.txt", tmp_path / "good.txt"
+        bad.write_text("01\nzz\n")
+        good.write_text("00\n03\n")
+        argv = [a.format(bad=bad, good=good) for a in argv]
+        code, _, err = run(argv, capsys)
+        assert code == 2 and "not a hex bitstring" in err
+
+    @pytest.mark.parametrize("grid", ["a:2:3", "1:2", "1:2:-3", "1:2:x", "1:2:3:4"])
+    def test_bad_grid_is_usage(self, capsys, grid):
+        code, _, err = run(["identities", "cp-svp", f"--grid={grid}"], capsys)
+        assert code == 2 and "lo:hi:count" in err
+
     def test_module_entry_point(self):
         proc = subprocess.run(
             [sys.executable, "-m", "latgad.cli", "identities", "skp", "--k", "3", "--p", "1"],

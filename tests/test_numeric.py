@@ -10,6 +10,7 @@ from latgad.errors import InvalidInputError
 from latgad.numeric import (
     PNorm,
     Tolerance,
+    abs_powers,
     box_volume,
     integer_grid,
     pnorm,
@@ -207,6 +208,13 @@ class TestRowPNorms:
         x = np.random.default_rng(8).standard_normal((30, 11))
         assert np.array_equal(row_pnorms(x, math.inf), np.abs(x).max(axis=1))
         assert np.array_equal(row_pnorms(x, PNorm.infinity()), np.abs(x).max(axis=1))
+
+    @pytest.mark.parametrize("q", [1, 1.0, 2, 3, 8, 2.5, 9, math.inf])
+    def test_abs_powers_elementwise(self, q):
+        # p = 1 is |x|, not the multiplication path's x * x
+        x = np.random.default_rng(10).standard_normal((7, 5)) * 3.0
+        expected = np.abs(x) if math.isinf(q) else np.abs(x) ** q
+        np.testing.assert_allclose(abs_powers(x, q), expected, rtol=1e-14, atol=0)
 
     @pytest.mark.parametrize("q", [1, 2, 3, 4, 2.5, math.inf])
     def test_input_unchanged_and_scratch_reused(self, q):

@@ -1,6 +1,9 @@
+import contextlib
 import itertools
 import math
 import random
+import sys
+import time
 from unittest import mock
 
 import numpy as np
@@ -11,7 +14,7 @@ from hypothesis import strategies as st
 from latgad import gadgets, oracle, reductions
 from latgad.errors import ResourceLimitError
 from latgad.formulas import Clause, CspFormula, XorConstraint
-from latgad.numeric import CHUNK_ENTRIES, DEFAULT_TOL, Tolerance, box_volume, chunk_rows, pnorm, row_pnorms
+from latgad.numeric import CHUNK_ENTRIES, DEFAULT_TOL, Tolerance, abs_powers, box_volume, chunk_rows, pnorm
 
 
 def random_3sat(n, m, seed):
@@ -107,24 +110,61 @@ def assert_matches_reference(sol, B, t, p, ranges):
         assert sol.nonboolean_witness == first
 
 
-def walk(B, t, p, ranges, chunk=None):
-    """cvp_enumerate with the rows of every distance chunk recorded and, when
-    `chunk` is given, the chunk budget forced to that many rows."""
-    walked = []
+def box_points(ranges):
+    return list(itertools.product(*(range(lo, hi + 1) for lo, hi in ranges)))
 
-    def norms(diffs, q, out=None):
-        assert diffs.shape[1] == t.size
-        walked.append(len(diffs))
-        return row_pnorms(diffs, q, out)
+
+def walk(B, t, p, ranges, chunk=None, split=False):
+    """cvp_enumerate with the points of every evaluated chunk recorded and,
+    when `chunk` is given, the chunk budget forced to that many rows.  With
+    `split` the split walk is forced; otherwise the input picks the path.
+
+    Checks the walk's bookkeeping against the per-point reference: each
+    chunk's distances and outside-{0, 1} mask, no point evaluated twice,
+    every point on the split walk, and on the support search every skipped
+    point beyond the tie band and, outside {0, 1}^n, beyond the non-boolean
+    minimum.  Returns the solution, the rows per chunk and the path taken."""
+    chunks, widths, paths = [], [], []
+    add, split_walk = oracle._Minima.add, oracle._split_walk
+    ref = {x: pnorm(B @ np.array(x, dtype=float) - t, p) for x in box_points(ranges)}
+
+    def record(self, d, outside, points):
+        pts = points(np.arange(len(d)))
+        assert np.array_equal(outside, np.any((pts < 0) | (pts > 1), axis=1))
+        chunks.append([tuple(int(v) for v in x) for x in pts])
+        expected = np.array([ref[x] for x in chunks[-1]])
+        assert np.all(np.abs(d - expected) <= 1e-12 * (1 + np.abs(expected)))
+        return add(self, d, outside, points)
 
     def budget(width):
-        assert width == t.size  # the walk sizes chunks by the distance row width
+        widths.append(width)
         return chunk_rows(width) if chunk is None else chunk
 
-    with mock.patch.object(oracle, "row_pnorms", norms), mock.patch.object(oracle, "chunk_rows", budget):
+    def spy(*args):
+        paths.append("split")
+        return split_walk(*args)
+
+    with contextlib.ExitStack() as stack:
+        stack.enter_context(mock.patch.object(oracle._Minima, "add", record))
+        stack.enter_context(mock.patch.object(oracle, "chunk_rows", budget))
+        stack.enter_context(mock.patch.object(oracle, "_split_walk", spy))
+        if split:
+            stack.enter_context(mock.patch.object(oracle, "_support_tables", lambda *args: None))
         sol = oracle.cvp_enumerate(B, t, p, ranges)
-    assert sum(walked) == box_volume(ranges)  # every point visited once
-    return sol, walked
+    path = paths[0] if paths else "search"
+    evaluated = [x for rows in chunks for x in rows]
+    assert len(set(evaluated)) == len(evaluated)  # no point evaluated twice
+    if path == "split":
+        assert all(w == t.size for w in widths)  # chunks sized by the distance row width
+        assert len(evaluated) == box_volume(ranges)  # every point visited once
+    else:
+        band = DEFAULT_TOL.ceiling(min(ref.values()))
+        nb_best = min((dist for x, dist in ref.items() if any(v not in (0, 1) for v in x)), default=math.inf)
+        for x in set(ref) - set(evaluated):
+            assert ref[x] > band
+            if any(v not in (0, 1) for v in x):
+                assert ref[x] > nb_best
+    return sol, [len(rows) for rows in chunks], path
 
 
 class TestSingleWalk:
@@ -136,9 +176,11 @@ class TestSingleWalk:
     @example(case=(*TIE, math.inf, [(-1, 2)] * 2, 5))
     def test_matches_per_point_reference(self, case):
         B, t, p, ranges, chunk = case
-        sol, walked = walk(B, t, p, ranges, chunk)
-        assert all(rows <= chunk for rows in walked)
-        assert_matches_reference(sol, B, t, p, ranges)
+        for split in (False, True):
+            sol, walked, path = walk(B, t, p, ranges, chunk, split)
+            assert path == ("split" if split else "search")  # every support box here fits a chunk
+            assert all(rows <= chunk for rows in walked)
+            assert_matches_reference(sol, B, t, p, ranges)
 
     @pytest.mark.parametrize(
         "B, t, p, ranges, chunk, expected",
@@ -159,8 +201,13 @@ class TestSingleWalk:
         ],
     )
     def test_split_edge_cases(self, B, t, p, ranges, chunk, expected):
-        sol, walked = walk(B, t, p, ranges, chunk)
+        # `expected` is the split walk's chunk list; the support search takes
+        # these inputs unforced and walk() checks what it skips
+        sol, walked, path = walk(B, t, p, ranges, chunk, split=True)
         assert walked == expected
+        assert_matches_reference(sol, B, t, p, ranges)
+        sol, walked, path = walk(B, t, p, ranges, chunk)
+        assert path == "search" and all(rows <= chunk for rows in walked)
         assert_matches_reference(sol, B, t, p, ranges)
 
     @pytest.mark.parametrize("d", [CHUNK_ENTRIES + 5, CHUNK_ENTRIES // 3, 7])
@@ -171,12 +218,152 @@ class TestSingleWalk:
         B[0, 0] = B[1, 1] = 1.0
         t = np.zeros(d)
         t[:2] = 0.75
-        sol, walked = walk(B, t, 2.0, [(0, 1)] * 2)
+        sol, walked, _ = walk(B, t, 2.0, [(0, 1)] * 2, split=True)
         assert all(rows * d <= max(CHUNK_ENTRIES, d) for rows in walked)
         if d > CHUNK_ENTRIES:
             assert walked == [1, 1, 1, 1]  # no trailing coordinate fits a chunk
         assert sol.closest == [(1, 1)]
         assert_matches_reference(sol, B, t, 2.0, [(0, 1)] * 2)
+        # the support search tabulates its two one-column groups instead:
+        # every 2-D power block it raises stays within the budget
+        blocks = []
+
+        def powers(x, q, out=None):
+            blocks.append(x.shape)
+            return abs_powers(x, q, out)
+
+        with mock.patch.object(oracle, "abs_powers", powers):
+            sol, walked, path = walk(B, t, 2.0, [(0, 1)] * 2)
+        assert path == "search"
+        assert all(rows * cols <= max(CHUNK_ENTRIES, cols) for rows, cols in (b for b in blocks if len(b) == 2))
+        assert sol.closest == [(1, 1)]
+        assert_matches_reference(sol, B, t, 2.0, [(0, 1)] * 2)
+
+
+@st.composite
+def sparse_cvp(draw):
+    """Row-sparse integer bases like the reductions' instances: blocks of
+    rows over a few columns each (repeated blocks, one-column rows, rows of
+    any support size), empty-support rows with a nonzero target, and
+    half-integer targets, so that equal distances are exactly equal."""
+    n = draw(st.integers(1, 8))
+    shape = draw(st.sampled_from(["binary", "wide", "mixed"]))
+    if shape == "binary":
+        ranges = [(0, 1)] * n
+    elif shape == "wide":
+        ranges = [(-1, 2)] * min(n, 5) + [(0, 1)] * (n - min(n, 5))
+    else:
+        ranges = [(lo, lo + draw(st.integers(0, 2))) for lo in draw(st.lists(st.integers(-2, 1), min_size=n, max_size=n))]
+        while box_volume(ranges) > 1024:
+            ranges[ranges.index(max(ranges, key=lambda r: r[1] - r[0]))] = (0, 0)
+    entry = st.integers(-3, 3)
+    blocks = []
+    for _ in range(draw(st.integers(1, 5))):
+        cols = draw(st.lists(st.integers(0, n - 1), min_size=0, max_size=min(n, 4), unique=True))
+        rows = draw(st.integers(1, 3))
+        block = np.zeros((rows, n))
+        block[:, cols] = np.array(draw(st.lists(entry, min_size=rows * len(cols), max_size=rows * len(cols)))).reshape(
+            rows, len(cols)
+        )
+        t = np.array(draw(st.lists(st.integers(-8, 8), min_size=rows, max_size=rows))) / 2
+        blocks += [(block, t)] * draw(st.integers(1, 2))
+    if draw(st.booleans()):
+        blocks.append((np.eye(n), np.full(n, 0.5)))
+    B = np.vstack([b for b, _ in blocks])
+    t = np.concatenate([t for _, t in blocks])
+    p = draw(st.sampled_from([1.0, 2.0, 2.5, 3.0, math.inf]))
+    chunk = draw(st.sampled_from([1, 2, 5, 64, None]))
+    return B, t, p, ranges, chunk
+
+
+class TestSupportSearch:
+    @settings(max_examples=80, deadline=None)
+    @given(case=sparse_cvp())
+    @example(case=(np.array([[0.0, 0.0], [1.0, 0.0]]), np.array([1.5, 0.5]), 1.0, [(0, 1), (-1, 1)], 1))
+    def test_sparse_matches_reference(self, case):
+        B, t, p, ranges, chunk = case
+        sol, walked, path = walk(B, t, p, ranges, chunk)
+        assert path == "search"
+        if chunk is not None:
+            assert all(rows <= chunk for rows in walked)
+        assert_matches_reference(sol, B, t, p, ranges)
+        if p != 2.5:
+            # exact arithmetic: the split walk's first exact minimiser is the
+            # same point (at p = 2.5 rounding can reorder its exact ties)
+            split, _, _ = walk(B, t, p, ranges, split=True)
+            assert (split.closest, split.nonboolean_witness) == (sol.closest, sol.nonboolean_witness)
+
+    @pytest.mark.parametrize("p", [1.0, 2.0, 3.0, math.inf])
+    def test_near_ties_inside_band_kept(self, p):
+        # distances 1e-11 apart are distinct but share the tie band, so the
+        # search must not cut at the running minimum itself
+        B, t = np.eye(3), np.array([0.5, 0.5 + 1e-11, 0.5 - 2e-11])
+        sol, _, path = walk(B, t, p, [(0, 1)] * 3, chunk=2)
+        assert path == "search"
+        assert len(sol.closest) == 8
+        assert_matches_reference(sol, B, t, p, [(0, 1)] * 3)
+
+    @pytest.mark.parametrize("n", [3, 4, 5])
+    @pytest.mark.parametrize("p", [1.5, 2.5])
+    def test_rounding_ties_give_first_witness(self, n, p):
+        # every point with one coordinate at -1 or 2 is at the non-boolean
+        # minimum in exact arithmetic; summed in the search's order, some
+        # later ones round below the first
+        B, t = np.eye(n), np.full(n, 0.5)
+        sol, _, path = walk(B, t, p, [(-1, 2)] * n)
+        assert path == "search"
+        assert sol.nonboolean_witness == (-1,) + (0,) * (n - 1)
+        assert_matches_reference(sol, B, t, p, [(-1, 2)] * n)
+
+    def test_many_single_point_coordinates(self):
+        # one level per coordinate, none of them recursive
+        n = 3000
+        assert n > sys.getrecursionlimit()
+        B = np.zeros((n // 10, n))
+        for i in range(n // 10):
+            B[i, 10 * i : 10 * i + 10] = 1.0 + i % 3
+        t = np.arange(n // 10) % 5 - 2.0
+        sol = oracle.cvp_enumerate(B, t, 3.0, (0, 0))
+        assert sol.distance == pytest.approx(pnorm(t, 3.0), rel=1e-12)
+        assert sol.closest == [(0,) * n]
+        assert sol.nonboolean_witness is None
+
+    @pytest.mark.parametrize("width", [1, 2])
+    @pytest.mark.parametrize("over", [0, 1])
+    def test_support_box_over_budget_takes_split_walk(self, width, over):
+        # the support box of the row over columns 0..width-1 holds
+        # chunk_rows(width) + over points
+        hi = chunk_rows(width) + over - 1
+        B = np.array([[1.0] * width, [2.0] + [0.0] * (width - 1)])
+        t = np.array([10.5, 21.0])
+        ranges = [(0, hi)] + [(0, 0)] * (width - 1)
+        paths = []
+        split_walk = oracle._split_walk
+
+        def spy(*args):
+            paths.append("split")
+            return split_walk(*args)
+
+        with mock.patch.object(oracle, "_split_walk", spy):
+            sol = oracle.cvp_enumerate(B, t, 2.0, ranges)
+        assert paths == (["split"] if over else [])
+        x = np.arange(hi + 1, dtype=float)
+        d = np.sqrt((x - 10.5) ** 2 + (2 * x - 21.0) ** 2)
+        assert sol.distance == pytest.approx(d.min(), rel=1e-12)
+        assert sol.closest == [(10,) + (0,) * (width - 1), (11,) + (0,) * (width - 1)]
+        assert sol.nonboolean_witness == sol.closest[0]
+
+    def test_sat_instance_at_n20(self, gadget3):
+        f = random_3sat(20, 84, 7)
+        inst = reductions.sat_to_cvp(f, gadget3)
+        start = time.perf_counter()
+        sol = oracle.cvp_enumerate(inst.basis, inst.target, inst.p, (0, 1))
+        assert time.perf_counter() - start < 2.0
+        best, optimal = oracle.max_sat_brute(f)
+        assert sorted(sol.closest) == optimal
+        eps, alpha = inst.meta["eps"], inst.meta["alpha"]
+        predicted = (best + (84 - best) * (1 + eps) ** 3 + 20 * alpha**3) ** (1 / 3)
+        assert sol.distance == pytest.approx(predicted, rel=1e-9)
 
 
 class TestMaxSatBrute:
