@@ -145,14 +145,12 @@ def sin_half_pi(p) -> float:
 MAX_MUL_POWER = 8
 
 
-def abs_powers(x: np.ndarray, p, out: np.ndarray | None = None) -> np.ndarray:
-    """|x|^p elementwise for finite p, and |x| for p = inf.
-
-    `out`, when given, is scratch space of x's shape for the result, so a
-    walk can reuse one buffer for every chunk; `x` is never written.
-    """
+def abs_powers(x: np.ndarray, p) -> np.ndarray:
+    """|x|^p elementwise for finite p, and |x| for p = inf, in a new array
+    (`x` is never written).  The oracle raises its table and row blocks with
+    it."""
     q = pvalue(p)
-    w = np.empty(x.shape) if out is None else out
+    w = np.empty(x.shape)
     if math.isinf(q) or q == 1.0:
         return np.abs(x, out=w)
     if q.is_integer() and q <= MAX_MUL_POWER:
@@ -167,13 +165,11 @@ def abs_powers(x: np.ndarray, p, out: np.ndarray | None = None) -> np.ndarray:
     return w
 
 
-def row_pnorms(diffs: np.ndarray, p, out: np.ndarray | None = None) -> np.ndarray:
-    """The p-norm of every row of a 2-D array (no rescaling, unlike pnorm).
-
-    `out` is scratch space for `abs_powers`; `diffs` is never written.
-    """
+def row_pnorms(diffs: np.ndarray, p) -> np.ndarray:
+    """The p-norm of every row of a 2-D array (no rescaling, unlike pnorm);
+    `diffs` is never written.  The gadget vertex checks use it."""
     q = pvalue(p)
-    w = abs_powers(diffs, q, out)
+    w = abs_powers(diffs, q)
     if math.isinf(q):
         return w.max(axis=1)
     return w.sum(axis=1) ** (1.0 / q)

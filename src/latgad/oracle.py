@@ -4,10 +4,12 @@ decision/witness comparison between the two.
 
 The closest-vector search gives what a walk over every box point would: the
 minimum, its tie set in mixed-radix order, and the non-boolean minimum with
-its first witness.  Row-sparse bases, which every reduction builds (one
-gadget block per clause over its k variables, then one identity row per
-variable), are searched by branch and bound over per-support tables; a basis
-with a support box wider than one chunk is walked point by point.
+its first witness.  It is one branch and bound over the coordinates in order.
+Rows of B are grouped by support and tabulated over their support boxes, which
+suits the row-sparse bases every reduction builds (one gadget block per
+clause over its k variables, then one identity row per variable); a row whose
+support box is wider than one chunk, as in the dense lattice-gadget check, is
+summed directly once its last column is fixed.
 """
 
 from __future__ import annotations
@@ -29,7 +31,6 @@ from .numeric import (
     chunk_rows,
     integer_grid,
     pvalue,
-    row_pnorms,
 )
 from .reductions import CvpInstance
 
@@ -66,14 +67,12 @@ def cvp_enumerate(basis, target, p, box, tol: Tolerance = DEFAULT_TOL) -> CvpSol
     per-coordinate list.  Vectors within relative `tol.rel` of the minimum are
     all reported, in ascending mixed-radix order.
 
-    When the support box of every row of B (the sub-box over its nonzero
-    columns) fits one chunk of `integer_grid`, the search is a branch and
-    bound over the coordinates in order (`_support_search`).  Otherwise, as
-    for the dense lattice-gadget check, every point is visited once by
-    `_split_walk`.  Both give the same minimum, tie set and order, and
-    non-boolean minimum.  The non-boolean witness is the first point at that
-    minimum; the search counts distances that differ only by the rounding of
-    its own summation order as equal.
+    The search is a branch and bound over the coordinates in order
+    (`_support_search`) on the tables of `_support_tables`.  It gives a full
+    walk's minimum, tie set and order, and non-boolean minimum.  The
+    non-boolean witness is the first point at that minimum in mixed-radix
+    order, counting distances that differ only by the rounding of the
+    search's summation order as equal.
     """
     B = np.asarray(basis, dtype=float)
     t = np.asarray(target, dtype=float).ravel()
@@ -81,35 +80,43 @@ def cvp_enumerate(basis, target, p, box, tol: Tolerance = DEFAULT_TOL) -> CvpSol
     if box_volume(ranges) > BOX_CAP:
         raise ResourceLimitError(f"box volume exceeds cap {BOX_CAP}")
     q = pvalue(p)
-    tables = _support_tables(B, t, q, ranges)
-    if tables is None:
-        return _split_walk(B, t, q, ranges, tol)
-    return _support_search(q, ranges, tol, tables)
+    return _support_search(q, ranges, tol, _support_tables(B, t, q, ranges))
 
 
 @dataclass
 class _SupportTables:
     """The rows of B grouped by support, each group's summed p-th powers (max
     |.| for p = inf) tabulated over its support box.  For a point with digits
-    x - lo, group g's entry is flat[digits @ index[:, g] + offset[g]]."""
+    x - lo, group g's entry is flat[digits @ index[:, g] + offset[g]].  Rows
+    whose support box holds more points than one chunk are kept as they are:
+    at digits x - lo, such a row is |coef_row . digits - shifted_row|."""
 
     flat: np.ndarray
     index: np.ndarray  # (n, groups) mixed-radix strides, 0 off the support
     offset: np.ndarray
     closes: np.ndarray  # each group's last support column + 1; 0 for no support
     mins: np.ndarray  # each group's table minimum
+    coef: np.ndarray  # (rows, n) the untabulated rows of B, by row_closes
+    shifted: np.ndarray  # their targets less B lo
+    row_closes: np.ndarray  # their last nonzero column + 1, ascending
 
 
-def _support_tables(B, t, q, ranges) -> _SupportTables | None:
-    """Tabulate the support groups of B, or None when some row's support box
+def _support_tables(B, t, q, ranges) -> _SupportTables:
+    """Tabulate the support groups of B, except the rows whose support box
     holds more points than one `integer_grid` chunk of its width.  The check
-    reads CHUNK_ENTRIES itself, so a smaller `chunk_rows` keeps the path."""
-    d, n = B.shape
+    reads CHUNK_ENTRIES itself, so a smaller `chunk_rows` keeps the tables."""
+    n = B.shape[1]
     sizes = np.array([hi - lo + 1 for lo, hi in ranges], dtype=np.int64)
+    shifted = t - B @ np.array([lo for lo, _ in ranges], dtype=float)
     mask = B != 0
     width = mask.sum(axis=1)
-    if np.any(np.prod(np.where(mask, sizes, 1), axis=1) > np.maximum(1, CHUNK_ENTRIES // np.maximum(width, 1))):
-        return None
+    direct = np.prod(np.where(mask, sizes, 1), axis=1) > np.maximum(1, CHUNK_ENTRIES // np.maximum(width, 1))
+    row_closes = (mask[direct] * np.arange(1, n + 1)).max(axis=1, initial=0)
+    order = np.argsort(row_closes, kind="stable")
+    coef, row_shifted, row_closes = B[direct][order], shifted[direct][order], row_closes[order]
+    if direct.any():  # the copies cost the reductions' bases 1% of a search
+        B, shifted, mask, width = B[~direct], shifted[~direct], mask[~direct], width[~direct]
+    d = len(B)
     packed = np.ascontiguousarray(np.packbits(mask, axis=1) if n else np.zeros((d, 1), dtype=np.uint8))
     _, first, owner = np.unique(packed.view(f"V{packed.shape[1]}").ravel(), return_index=True, return_inverse=True)
     owner = owner.ravel()
@@ -125,7 +132,6 @@ def _support_tables(B, t, q, ranges) -> _SupportTables | None:
     shape[group_of, np.arange(cols.size) - starts[group_of]] = sizes[cols]
     _, batch = np.unique(shape.view(f"V{shape.shape[1] * 8}").ravel(), return_inverse=True)
     batch = batch.ravel()
-    shifted = t - B @ np.array([lo for lo, _ in ranges], dtype=float)
     index = np.zeros((n, G))
     offset = np.zeros(G, dtype=np.int64)
     mins = np.zeros(G)
@@ -146,7 +152,8 @@ def _support_tables(B, t, q, ranges) -> _SupportTables | None:
         flats.append(table.ravel())
     closes = np.zeros(G, dtype=np.int64)
     np.maximum.at(closes, group_of, cols + 1)
-    return _SupportTables(np.concatenate(flats) if flats else np.zeros(0), index, offset, closes, mins)
+    flat = np.concatenate(flats) if flats else np.zeros(0)
+    return _SupportTables(flat, index, offset, closes, mins, coef, row_shifted, row_closes)
 
 
 def _group_tables(coef, target, group, digits, count, q) -> np.ndarray:
@@ -172,11 +179,12 @@ def _support_search(q, ranges, tol: Tolerance, tab: _SupportTables) -> CvpSoluti
     """Branch and bound over the coordinates in order, bounded by row supports.
 
     A prefix that fixes the first k coordinates carries the sum of the
-    support groups whose last column is among them; its lower bound adds
-    the table minima of the groups still open.  Prefixes are expanded depth
-    first, in chunks of at most `chunk_rows` rows, so leaves arrive in
-    mixed-radix order.  A prefix is pruned only when its bound exceeds the
-    cut by more than the rounding of the two summation orders: the tie band
+    support groups and untabulated rows whose last column is among them;
+    its lower bound adds the table minima of the groups still open, and 0
+    for the untabulated rows still open.  Prefixes are expanded depth first,
+    in chunks of at most `chunk_rows` rows, so leaves arrive in mixed-radix
+    order.  A prefix is pruned only when its bound exceeds the cut by more
+    than the rounding of the two summation orders: the tie band
     tol.ceiling(best), or the larger of that and the non-boolean minimum
     while the prefix can still reach a point outside {0, 1}^n.  So every
     point of the tie band and every point within rounding of the non-boolean
@@ -195,24 +203,29 @@ def _support_search(q, ranges, tol: Tolerance, tab: _SupportTables) -> CvpSoluti
     fold.at(mins, tab.closes, tab.mins)
     const = mins[0]
     rest = np.append(fold.accumulate(mins[:0:-1])[::-1], 0.0)
-    # per depth, the index columns and offsets of the groups closing there
+    # per depth, the index columns and offsets of the groups closing there,
+    # and the coefficients and targets of the untabulated rows closing there
     by_depth = np.argsort(tab.closes, kind="stable")
     bounds = np.searchsorted(tab.closes[by_depth], np.arange(n + 2))
-    lookups = []
+    row_bounds = np.searchsorted(tab.row_closes, np.arange(n + 2)).tolist()
+    lookups, direct = [], []
     for k in range(n):
         closing = by_depth[bounds[k + 1] : bounds[k + 2]]
         lookups.append((tab.index[: k + 1, closing], tab.offset[closing]) if closing.size else None)
+        a, b = row_bounds[k + 1 : k + 3]
+        direct.append((tab.coef[a:b, : k + 1].T, tab.shifted[a:b]) if b > a else None)
     wide = [lo < 0 or hi > 1 for lo, hi in ranges]
     reaches_out = np.logical_or.accumulate(wide[::-1])[::-1].tolist() + [False]
-    budget = chunk_rows(max(n, int(np.diff(bounds[1:]).max(initial=1))))
-    # relative rounding of a sum of nonnegative terms, one per group and
-    # depth, in either order, and of raising it to 1/q and back
-    slack = 4 * (tab.closes.size + n + (q if finite else 0) + 8) * np.finfo(float).eps
+    budget = chunk_rows(max(n, int((np.diff(bounds[1:]) + np.diff(row_bounds[1:])).max(initial=1))))
+    # relative rounding of a sum of nonnegative terms, one per group, row
+    # and depth, in either order, and of raising it to 1/q and back
+    slack = 4 * (tab.closes.size + tab.row_closes.size + n + (q if finite else 0) + 8) * np.finfo(float).eps
     power = q if finite else 1.0
 
     def children(k, digits, partial, out, start, stop):
         """Flat children start..stop of the prefixes: each prefix in turn
-        with every value of coordinate k, and the groups closing there."""
+        with every value of coordinate k, and the groups and rows closing
+        there."""
         parent, digit = np.divmod(np.arange(start, stop), sizes[k])
         child = np.empty((len(parent), k + 1))
         child[:, :k] = digits[parent]
@@ -224,6 +237,9 @@ def _support_search(q, ranges, tol: Tolerance, tab: _SupportTables) -> CvpSoluti
             index, offset = lookups[k]
             at = (child @ index).astype(np.int64) + offset
             fold(partial, fold.reduce(flat[at], axis=1), out=partial)
+        if direct[k] is not None:
+            coef, shifted = direct[k]
+            fold(partial, fold.reduce(abs_powers(child @ coef - shifted, q), axis=1), out=partial)
         return child, partial, out
 
     def dive(outside: bool):
@@ -233,8 +249,10 @@ def _support_search(q, ranges, tol: Tolerance, tab: _SupportTables) -> CvpSoluti
         digits, partial, out = np.zeros((1, 0)), np.array([const]), np.zeros(1, dtype=bool)
         for k in range(n):
             # a column outside every support may be wide; its first three
-            # values hold one outside {0, 1} whenever it has one
-            digits, partial, out = children(k, digits, partial, out, 0, min(sizes[k], max(budget, 3)))
+            # values hold one outside {0, 1} whenever it has one.  Where
+            # rows are summed, a chunk bounds their power block
+            count = budget if direct[k] is not None else max(budget, 3)
+            digits, partial, out = children(k, digits, partial, out, 0, min(sizes[k], count))
             score = fold(partial, rest[k + 1])
             if outside:
                 score[~(out | reaches_out[k + 1])] = math.inf
@@ -283,9 +301,8 @@ class _Minima:
     outside {0, 1}^n and the points within `rounding` (relative) of it.  The
     bands only shrink as the minima fall, so each list is a superset of its
     final set, filtered in `solution`.  The non-boolean witness is the first
-    point within `rounding` of that minimum, so the support search, which
-    sums each point in its own order, ties distances that are equal in exact
-    arithmetic instead of letting rounding pick among them."""
+    point within `rounding` of that minimum, so distances that are equal in
+    exact arithmetic tie, whatever order the search summed them in."""
 
     def __init__(self, tol: Tolerance, rounding: float):
         self.tol = tol
@@ -321,36 +338,6 @@ class _Minima:
                 witness = tuple(int(v) for v in rows[d <= band][0])
                 break
         return CvpSolution(self.best, closest, self.nb_best, witness)
-
-
-def _split_walk(B, t, q, ranges, tol: Tolerance) -> CvpSolution:
-    """Visit every box point once.  The longest run of trailing coordinates
-    whose box fits in one chunk gives a table of B_low x_low - t, built once,
-    and each point of the leading coordinates adds its offset B_high x_high
-    to the whole table."""
-    budget = chunk_rows(t.size)
-    s = len(ranges)
-    while s and box_volume(ranges[s - 1 :]) <= budget:
-        s -= 1
-    (low,) = integer_grid(ranges[s:], budget)
-    table = low @ B[:, s:].T - t
-    low_out = np.any((low < 0) | (low > 1), axis=1)
-    L = len(low)
-    per_chunk = budget // L
-    # one diff and one power buffer for the whole walk: fresh chunk-sized
-    # temporaries come back as fresh pages from the allocator on every chunk
-    diff = np.empty((per_chunk, L, t.size))
-    work = np.empty((per_chunk * L, t.size))
-    # its witness stays the first point at exactly its computed minimum
-    walk = _Minima(tol, 0.0)
-    for high in integer_grid(ranges[:s], per_chunk):
-        m = len(high) * L
-        np.add((high @ B[:, :s].T)[:, None, :], table, out=diff[: len(high)])
-        d = row_pnorms(diff[: len(high)].reshape(m, t.size), q, out=work[:m])
-        # flat index i of the chunk is the point (high[i // L], low[i % L])
-        outside = (np.any((high < 0) | (high > 1), axis=1)[:, None] | low_out).ravel()
-        walk.add(d, outside, lambda i, h=high: np.hstack([h[i // L], low[i % L]]))
-    return walk.solution()
 
 
 def verify_lattice_condition(

@@ -1,5 +1,6 @@
 import functools
 import math
+import time
 from itertools import product
 from unittest import mock
 
@@ -183,6 +184,25 @@ class TestLatticeExtension:
         assert not report.passed
         assert report.conditions[0].witness == (2,)
         assert report.conditions[0].residual == pytest.approx(2.0)
+
+    def test_witness_is_first_tie_in_order(self):
+        # the gadget is symmetric under permuting coordinates, so the points
+        # with one coordinate at 2 tie; the first in mixed-radix order is
+        # named, not whichever rounding puts lowest
+        lat = gadgets.to_isolating_lattice(gadgets.find_isolating_parallelepiped(6, 3.0))
+        report = oracle.verify_lattice_condition(lat)
+        assert report.passed
+        assert report.conditions[0].witness == (0, 0, 0, 0, 0, 2)
+
+    def test_k7_check_within_budget(self):
+        # the dense gadget rows are summed inside the branch and bound,
+        # which the scaled identity rows bound; 8^7 box points
+        lat = gadgets.to_isolating_lattice(gadgets.find_isolating_parallelepiped(7, 3.0))
+        start = time.perf_counter()
+        report = oracle.verify_lattice_condition(lat)
+        assert time.perf_counter() - start < 0.3
+        assert report.passed
+        assert report.conditions[0].witness == (0, 0, 0, 0, 0, 0, 2)
 
     def test_minimal_box_radius(self):
         lat = gadgets.to_isolating_lattice(gadgets.parity_gadget(3, 1.0, 0))

@@ -11,7 +11,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from latgad import gadgets, oracle, reductions
+from latgad import gadgets, numeric, oracle, reductions
 from latgad.errors import ResourceLimitError
 from latgad.formulas import Clause, CspFormula, XorConstraint
 from latgad.numeric import CHUNK_ENTRIES, DEFAULT_TOL, Tolerance, abs_powers, box_volume, chunk_rows, pnorm
@@ -114,18 +114,19 @@ def box_points(ranges):
     return list(itertools.product(*(range(lo, hi + 1) for lo, hi in ranges)))
 
 
-def walk(B, t, p, ranges, chunk=None, split=False):
+def walk(B, t, p, ranges, chunk=None):
     """cvp_enumerate with the points of every evaluated chunk recorded and,
-    when `chunk` is given, the chunk budget forced to that many rows.  With
-    `split` the split walk is forced; otherwise the input picks the path.
+    when `chunk` is given, the chunk budget forced to that many rows.
 
-    Checks the walk's bookkeeping against the per-point reference: each
+    Checks the search's bookkeeping against the per-point reference: each
     chunk's distances and outside-{0, 1} mask, no point evaluated twice,
-    every point on the split walk, and on the support search every skipped
-    point beyond the tie band and, outside {0, 1}^n, beyond the non-boolean
-    minimum.  Returns the solution, the rows per chunk and the path taken."""
-    chunks, widths, paths = [], [], []
-    add, split_walk = oracle._Minima.add, oracle._split_walk
+    every skipped point beyond the tie band and, outside {0, 1}^n, beyond
+    the non-boolean minimum.  With the budget unforced, every 2-D block
+    raised by `abs_powers` (tables and directly summed rows) holds at most
+    max(CHUNK_ENTRIES, width) entries.  Returns the solution and the rows
+    per chunk."""
+    chunks, blocks = [], []
+    add = oracle._Minima.add
     ref = {x: pnorm(B @ np.array(x, dtype=float) - t, p) for x in box_points(ranges)}
 
     def record(self, d, outside, points):
@@ -137,34 +138,29 @@ def walk(B, t, p, ranges, chunk=None, split=False):
         return add(self, d, outside, points)
 
     def budget(width):
-        widths.append(width)
         return chunk_rows(width) if chunk is None else chunk
 
-    def spy(*args):
-        paths.append("split")
-        return split_walk(*args)
+    def powers(x, q):
+        blocks.append(x.shape)
+        return abs_powers(x, q)
 
     with contextlib.ExitStack() as stack:
         stack.enter_context(mock.patch.object(oracle._Minima, "add", record))
         stack.enter_context(mock.patch.object(oracle, "chunk_rows", budget))
-        stack.enter_context(mock.patch.object(oracle, "_split_walk", spy))
-        if split:
-            stack.enter_context(mock.patch.object(oracle, "_support_tables", lambda *args: None))
+        stack.enter_context(mock.patch.object(oracle, "abs_powers", powers))
         sol = oracle.cvp_enumerate(B, t, p, ranges)
-    path = paths[0] if paths else "search"
     evaluated = [x for rows in chunks for x in rows]
     assert len(set(evaluated)) == len(evaluated)  # no point evaluated twice
-    if path == "split":
-        assert all(w == t.size for w in widths)  # chunks sized by the distance row width
-        assert len(evaluated) == box_volume(ranges)  # every point visited once
-    else:
-        band = DEFAULT_TOL.ceiling(min(ref.values()))
-        nb_best = min((dist for x, dist in ref.items() if any(v not in (0, 1) for v in x)), default=math.inf)
-        for x in set(ref) - set(evaluated):
-            assert ref[x] > band
-            if any(v not in (0, 1) for v in x):
-                assert ref[x] > nb_best
-    return sol, [len(rows) for rows in chunks], path
+    band = DEFAULT_TOL.ceiling(min(ref.values()))
+    nb_best = min((dist for x, dist in ref.items() if any(v not in (0, 1) for v in x)), default=math.inf)
+    for x in set(ref) - set(evaluated):
+        assert ref[x] > band
+        if any(v not in (0, 1) for v in x):
+            assert ref[x] > nb_best
+    if chunk is None:
+        entries = numeric.CHUNK_ENTRIES
+        assert all(rows * cols <= max(entries, cols) for rows, cols in (b for b in blocks if len(b) == 2))
+    return sol, [len(rows) for rows in chunks]
 
 
 class TestSingleWalk:
@@ -176,66 +172,45 @@ class TestSingleWalk:
     @example(case=(*TIE, math.inf, [(-1, 2)] * 2, 5))
     def test_matches_per_point_reference(self, case):
         B, t, p, ranges, chunk = case
-        for split in (False, True):
-            sol, walked, path = walk(B, t, p, ranges, chunk, split)
-            assert path == ("split" if split else "search")  # every support box here fits a chunk
-            assert all(rows <= chunk for rows in walked)
-            assert_matches_reference(sol, B, t, p, ranges)
+        sol, walked = walk(B, t, p, ranges, chunk)
+        assert all(rows <= chunk for rows in walked)
+        assert_matches_reference(sol, B, t, p, ranges)
 
     @pytest.mark.parametrize(
         "B, t, p, ranges, chunk, expected",
         [
-            # the whole box fits in the table: no leading coordinates
-            (B3, np.array([0.5, 1.5, -0.5]), 3.0, [(0, 1)] * 3, 9, [8]),
-            (B3, np.array([0.5, 1.5, -0.5]), 1.0, [(-1, 1)] * 3, 27, [27]),
+            # chunks as wide as the whole box, on the binary and a wide box
+            (B3, np.array([0.5, 1.5, -0.5]), 3.0, [(0, 1)] * 3, 9, [(0, 0, 0), (0, 0, 1), (0, 1, 1)]),
+            (B3, np.array([0.5, 1.5, -0.5]), 1.0, [(-1, 1)] * 3, 27, [(0, 0, 0), (0, 0, 1), (0, 1, 1)]),
             # single-point ranges, leading and trailing, inside and outside {0, 1}
-            (B3, np.array([1.5, 0.0, 2.5]), 2.0, [(1, 1), (0, 1), (-1, -1)], 1, [1, 1]),
-            (B3, np.array([1.5, 0.0, 2.5]), 2.0, [(1, 1), (0, 1), (-1, -1)], 2, [2]),
-            (B3, np.array([1.5, 0.0, 2.5]), 2.0, [(2, 2)] * 3, 1, [1]),
-            # ties that span two leading points: (0, y) and (1, y) in separate chunks
-            (*TIE, 2.0, [(0, 1)] * 2, 2, [2, 2]),
-            (*TIE, math.inf, [(0, 1)] * 2, 3, [2, 2]),
-            # wide leading coordinate, binary table, and the other way round
-            (B3, np.array([0.5, -1.0, 1.5]), 3.0, [(-1, 2), (0, 1), (0, 1)], 5, [4, 4, 4, 4]),
-            (B3, np.array([0.5, -1.0, 1.5]), 3.0, [(0, 1), (0, 1), (-1, 2)], 9, [8, 8]),
+            (B3, np.array([1.5, 0.0, 2.5]), 2.0, [(1, 1), (0, 1), (-1, -1)], 1, [(1, 0, -1)]),
+            (B3, np.array([1.5, 0.0, 2.5]), 2.0, [(1, 1), (0, 1), (-1, -1)], 2, [(1, 0, -1)]),
+            (B3, np.array([1.5, 0.0, 2.5]), 2.0, [(2, 2)] * 3, 1, [(2, 2, 2)]),
+            # ties that span chunks: (0, y) and (1, y) in separate chunks
+            (*TIE, 2.0, [(0, 1)] * 2, 2, [(0, 0), (0, 1), (1, 0), (1, 1)]),
+            (*TIE, math.inf, [(0, 1)] * 2, 3, [(0, 0), (0, 1), (1, 0), (1, 1)]),
+            # wide first coordinate, binary rest, and the other way round
+            (B3, np.array([0.5, -1.0, 1.5]), 3.0, [(-1, 2), (0, 1), (0, 1)], 5, [(1, 0, 0)]),
+            (B3, np.array([0.5, -1.0, 1.5]), 3.0, [(0, 1), (0, 1), (-1, 2)], 9, [(1, 0, 0)]),
         ],
     )
     def test_split_edge_cases(self, B, t, p, ranges, chunk, expected):
-        # `expected` is the split walk's chunk list; the support search takes
-        # these inputs unforced and walk() checks what it skips
-        sol, walked, path = walk(B, t, p, ranges, chunk, split=True)
-        assert walked == expected
-        assert_matches_reference(sol, B, t, p, ranges)
-        sol, walked, path = walk(B, t, p, ranges, chunk)
-        assert path == "search" and all(rows <= chunk for rows in walked)
+        # `expected` is the tie set, pinned; walk() checks what is skipped
+        sol, walked = walk(B, t, p, ranges, chunk)
+        assert all(rows <= chunk for rows in walked)
+        assert sol.closest == expected
         assert_matches_reference(sol, B, t, p, ranges)
 
     @pytest.mark.parametrize("d", [CHUNK_ENTRIES + 5, CHUNK_ENTRIES // 3, 7])
     def test_chunks_sized_by_entries(self, d):
-        # a chunk's distance table holds at most CHUNK_ENTRIES entries, or one
-        # row when a single row is wider than that
+        # the search tabulates the two one-column groups and the empty-support
+        # rows; walk() checks that every 2-D power block it raises holds at
+        # most CHUNK_ENTRIES entries, or one row when a row is wider than that
         B = np.zeros((d, 2))
         B[0, 0] = B[1, 1] = 1.0
         t = np.zeros(d)
         t[:2] = 0.75
-        sol, walked, _ = walk(B, t, 2.0, [(0, 1)] * 2, split=True)
-        assert all(rows * d <= max(CHUNK_ENTRIES, d) for rows in walked)
-        if d > CHUNK_ENTRIES:
-            assert walked == [1, 1, 1, 1]  # no trailing coordinate fits a chunk
-        assert sol.closest == [(1, 1)]
-        assert_matches_reference(sol, B, t, 2.0, [(0, 1)] * 2)
-        # the support search tabulates its two one-column groups instead:
-        # every 2-D power block it raises stays within the budget
-        blocks = []
-
-        def powers(x, q, out=None):
-            blocks.append(x.shape)
-            return abs_powers(x, q, out)
-
-        with mock.patch.object(oracle, "abs_powers", powers):
-            sol, walked, path = walk(B, t, 2.0, [(0, 1)] * 2)
-        assert path == "search"
-        assert all(rows * cols <= max(CHUNK_ENTRIES, cols) for rows, cols in (b for b in blocks if len(b) == 2))
+        sol, _ = walk(B, t, 2.0, [(0, 1)] * 2)
         assert sol.closest == [(1, 1)]
         assert_matches_reference(sol, B, t, 2.0, [(0, 1)] * 2)
 
@@ -282,24 +257,27 @@ class TestSupportSearch:
     @example(case=(np.array([[0.0, 0.0], [1.0, 0.0]]), np.array([1.5, 0.5]), 1.0, [(0, 1), (-1, 1)], 1))
     def test_sparse_matches_reference(self, case):
         B, t, p, ranges, chunk = case
-        sol, walked, path = walk(B, t, p, ranges, chunk)
-        assert path == "search"
+        sol, walked = walk(B, t, p, ranges, chunk)
         if chunk is not None:
             assert all(rows <= chunk for rows in walked)
         assert_matches_reference(sol, B, t, p, ranges)
-        if p != 2.5:
-            # exact arithmetic: the split walk's first exact minimiser is the
-            # same point (at p = 2.5 rounding can reorder its exact ties)
-            split, _, _ = walk(B, t, p, ranges, split=True)
-            assert (split.closest, split.nonboolean_witness) == (sol.closest, sol.nonboolean_witness)
+
+    @settings(max_examples=150, deadline=None)
+    @given(case=st.one_of(small_cvp(), sparse_cvp()), entries=st.integers(1, 16))
+    def test_small_chunk_entries_mix_tables_and_sums(self, case, entries):
+        # a budget of a few entries leaves only small support boxes
+        # tabulated: the other rows are summed as their last column is fixed
+        B, t, p, ranges, _ = case
+        with mock.patch.object(oracle, "CHUNK_ENTRIES", entries), mock.patch.object(numeric, "CHUNK_ENTRIES", entries):
+            sol, _ = walk(B, t, p, ranges)
+        assert_matches_reference(sol, B, t, p, ranges)
 
     @pytest.mark.parametrize("p", [1.0, 2.0, 3.0, math.inf])
     def test_near_ties_inside_band_kept(self, p):
         # distances 1e-11 apart are distinct but share the tie band, so the
         # search must not cut at the running minimum itself
         B, t = np.eye(3), np.array([0.5, 0.5 + 1e-11, 0.5 - 2e-11])
-        sol, _, path = walk(B, t, p, [(0, 1)] * 3, chunk=2)
-        assert path == "search"
+        sol, _ = walk(B, t, p, [(0, 1)] * 3, chunk=2)
         assert len(sol.closest) == 8
         assert_matches_reference(sol, B, t, p, [(0, 1)] * 3)
 
@@ -310,8 +288,7 @@ class TestSupportSearch:
         # minimum in exact arithmetic; summed in the search's order, some
         # later ones round below the first
         B, t = np.eye(n), np.full(n, 0.5)
-        sol, _, path = walk(B, t, p, [(-1, 2)] * n)
-        assert path == "search"
+        sol, _ = walk(B, t, p, [(-1, 2)] * n)
         assert sol.nonboolean_witness == (-1,) + (0,) * (n - 1)
         assert_matches_reference(sol, B, t, p, [(-1, 2)] * n)
 
@@ -330,23 +307,16 @@ class TestSupportSearch:
 
     @pytest.mark.parametrize("width", [1, 2])
     @pytest.mark.parametrize("over", [0, 1])
-    def test_support_box_over_budget_takes_split_walk(self, width, over):
+    def test_support_box_over_budget_summed_directly(self, width, over):
         # the support box of the row over columns 0..width-1 holds
-        # chunk_rows(width) + over points
+        # chunk_rows(width) + over points: one over, it is not tabulated
         hi = chunk_rows(width) + over - 1
         B = np.array([[1.0] * width, [2.0] + [0.0] * (width - 1)])
         t = np.array([10.5, 21.0])
         ranges = [(0, hi)] + [(0, 0)] * (width - 1)
-        paths = []
-        split_walk = oracle._split_walk
-
-        def spy(*args):
-            paths.append("split")
-            return split_walk(*args)
-
-        with mock.patch.object(oracle, "_split_walk", spy):
-            sol = oracle.cvp_enumerate(B, t, 2.0, ranges)
-        assert paths == (["split"] if over else [])
+        summed = oracle._support_tables(B, t, 2.0, ranges).coef
+        assert any(np.array_equal(row, B[0]) for row in summed) == bool(over)
+        sol = oracle.cvp_enumerate(B, t, 2.0, ranges)
         x = np.arange(hi + 1, dtype=float)
         d = np.sqrt((x - 10.5) ** 2 + (2 * x - 21.0) ** 2)
         assert sol.distance == pytest.approx(d.min(), rel=1e-12)
