@@ -200,7 +200,7 @@ def _cmd_cvpp(args, tol: Tolerance) -> int:
         _emit(serialize.cvpp_to_json(art), args.out)
         return EXIT_OK
     if args.action in ("query", "inf-query"):
-        art = serialize.cvpp_from_json(_load_json(args.prep))
+        art, basis = serialize.cvpp_from_json(_load_json(args.prep))
         formula = parse_dimacs(_read(args.cnf))
         if args.w is not None:
             formula.threshold = args.w
@@ -220,7 +220,7 @@ def _cmd_cvpp(args, tol: Tolerance) -> int:
             "threshold": formula.threshold if formula.threshold is not None else formula.m,
             "eps": art.gadget.eps if art.gadget is not None else None,
         }
-        _emit(serialize.cvp_to_json(p, art.basis, target, radius, meta), args.out)
+        _emit(serialize.cvp_to_json(p, basis, target, radius, meta), args.out)
         return EXIT_OK
     raise InvalidInputError(f"unknown cvpp action {args.action!r}")
 

@@ -280,12 +280,13 @@ def _comb_rank(varset: tuple[int, ...], n: int, k: int) -> int:
 class CvppArtifacts:
     """Fixed preprocessing basis covering all M = 2^k C(n, k) possible
     k-clauses on n variables, in lexicographic (variable set, polarity mask)
-    order, plus the data needed to shape query targets."""
+    order, plus the data needed to shape query targets.  Queries read only
+    the header; a loaded prep has no float basis (`basis` is None)."""
 
     n: int
     k: int
     mode: str  # "lp" | "inf"
-    basis: np.ndarray
+    basis: np.ndarray | None
     block_rows: int
     gadget: OnOffGadget | None = None
     alpha: float | None = None
@@ -297,7 +298,7 @@ class CvppArtifacts:
 
     @property
     def d(self) -> int:
-        return self.basis.shape[0]
+        return self.M * self.block_rows + self.n
 
     def clause_position(self, clause: Clause) -> tuple[int, int]:
         """(table index, polarity mask) of a clause with k distinct variables;

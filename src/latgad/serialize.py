@@ -9,6 +9,13 @@ holds 19 distinct strings), so vectors and matrices go through a table:
 `fmt_real` runs once per distinct binary64 bit pattern and `parse_real` once
 per distinct entry.  The bytes written and the values read are the same as
 formatting and parsing each entry on its own.
+
+A CVPP query writes the prep's basis unchanged, so it never builds the float
+matrix: `canon_columns` validates the columns as `parse_columns` does and maps
+each distinct entry to its canonical string `fmt_real(parse_real(s))` once,
+giving the columns' JSON text as a `JsonText`.  `dumps` writes a top-level
+`JsonText` value as is, so the bytes are those of parsing the basis and
+formatting it again.
 """
 
 from __future__ import annotations
@@ -58,24 +65,37 @@ def _fmt_table(a: np.ndarray) -> np.ndarray:
     return table[inverse].reshape(a.shape)
 
 
+class JsonText(str):
+    """A JSON value already encoded, which `dumps` writes as is."""
+
+
 def _entries(v) -> list:
+    """v as a list, not copied when it is one."""
+    if isinstance(v, list):
+        return v
     try:
         return list(v)
     except TypeError as exc:
         raise InvalidInputError(f"expected a list of decimal strings, got {type(v).__name__}") from exc
 
 
-def _parse_table(items: list) -> np.ndarray:
-    """parse_real of every entry, run once per distinct entry."""
+def _tabled(convert, items):
+    """A function equal to convert on every entry of items that runs convert
+    once per distinct entry."""
     try:
-        table = {s: parse_real(s) for s in set(items)}
+        table = {s: convert(s) for s in set(items)}
     except TypeError as exc:
         raise InvalidInputError("entries must be decimal strings, not lists or objects") from exc
     if 0 in table:
         # a bare JSON number 0, 0.0, -0.0 or false: these are one dict key, so
         # the table would hand one zero's sign to all of them
-        return np.fromiter(map(parse_real, items), float, len(items))
-    return np.fromiter(map(table.__getitem__, items), float, len(items))
+        return convert
+    return table.__getitem__
+
+
+def _parse_table(items: list) -> np.ndarray:
+    """parse_real of every entry, run once per distinct entry."""
+    return np.fromiter(map(_tabled(parse_real, items), items), float, len(items))
 
 
 def fmt_vector(v) -> list[str]:
@@ -90,16 +110,37 @@ def fmt_columns(M) -> list[list[str]]:
     return _fmt_table(np.asarray(M, dtype=float).T).tolist()
 
 
-def parse_columns(cols) -> np.ndarray:
+def _columns(cols) -> list[list]:
+    """cols as a list of equally long lists of entries."""
     cols = [_entries(col) for col in _entries(cols)]
     if not cols:
         raise InvalidInputError("matrix needs at least one column")
-    d = len(cols[0])
-    if any(len(col) != d for col in cols):
+    if any(len(col) != len(cols[0]) for col in cols):
         raise InvalidInputError(f"matrix columns differ in length: {sorted({len(col) for col in cols})}")
+    return cols
+
+
+def parse_columns(cols) -> np.ndarray:
+    cols = _columns(cols)
     # C order, as np.column_stack gave, so the matrix products downstream
     # round as before
-    return _parse_table(list(chain.from_iterable(cols))).reshape(len(cols), d).T.copy()
+    return _parse_table(list(chain.from_iterable(cols))).reshape(len(cols), len(cols[0])).T.copy()
+
+
+def _canon_entry(s) -> str:
+    return json.dumps(fmt_real(parse_real(s)))
+
+
+def _canon_text(cols: list[list]) -> JsonText:
+    """canon_columns of columns that _columns has already checked."""
+    canon = _tabled(_canon_entry, chain.from_iterable(cols))
+    return JsonText("[" + ",".join("[" + ",".join(map(canon, col)) + "]" for col in cols) + "]")
+
+
+def canon_columns(cols) -> JsonText:
+    """The JSON text of fmt_columns(parse_columns(cols)), with fmt_real and
+    parse_real run once per distinct entry and no float matrix built."""
+    return _canon_text(_columns(cols))
 
 
 def fmt_pnorm(p) -> str:
@@ -123,8 +164,19 @@ def _check(d, schema: str, *keys: str) -> None:
         raise InvalidInputError(f"{schema} artifact has no {', '.join(map(repr, missing))}")
 
 
+# json.dumps(obj, sort_keys=True, separators=(",", ":")), without building an
+# encoder per call
+_compact = json.JSONEncoder(sort_keys=True, separators=(",", ":")).encode
+
+
 def dumps(obj: dict) -> str:
-    return json.dumps(obj, sort_keys=True, separators=(",", ":")) + "\n"
+    """Compact JSON with sorted keys and a final newline.  A top-level
+    JsonText value is written as is."""
+    fields = (
+        _compact(key) + ":" + (value if isinstance(value, JsonText) else _compact(value))
+        for key, value in sorted(obj.items())
+    )
+    return "{" + ",".join(fields) + "}\n"
 
 
 def _meta_out(meta: dict) -> dict:
@@ -202,12 +254,13 @@ def onoff_from_json(d: dict) -> OnOffGadget:
 
 
 def cvp_to_json(p, basis, target, radius: float, meta: dict) -> dict:
-    """The latgad-cvp-v1 payload.  Takes the parts rather than a CvpInstance
-    so that CVPP queries skip the instance's rank check."""
+    """The latgad-cvp-v1 payload, with the basis already formatted: a CVPP
+    query passes its prep's canonical basis text.  Takes the parts rather
+    than a CvpInstance so that CVPP queries skip the instance's rank check."""
     return {
         "schema": CVP_SCHEMA,
         "p": fmt_pnorm(p),
-        "basis": fmt_columns(basis),
+        "basis": basis,
         "target": fmt_vector(target),
         "radius": fmt_real(radius),
         "meta": _meta_out(meta),
@@ -215,7 +268,7 @@ def cvp_to_json(p, basis, target, radius: float, meta: dict) -> dict:
 
 
 def instance_to_json(inst: CvpInstance) -> dict:
-    return cvp_to_json(inst.p, inst.basis, inst.target, inst.radius, inst.meta)
+    return cvp_to_json(inst.p, fmt_columns(inst.basis), inst.target, inst.radius, inst.meta)
 
 
 def instance_from_json(d: dict) -> CvpInstance:
@@ -234,7 +287,7 @@ def instance_from_json(d: dict) -> CvpInstance:
 
 
 def cvpp_to_json(art: CvppArtifacts) -> dict:
-    out = {
+    return {
         "schema": CVPP_SCHEMA,
         "mode": art.mode,
         "n": art.n,
@@ -244,18 +297,34 @@ def cvpp_to_json(art: CvppArtifacts) -> dict:
         "gadget": onoff_to_json(art.gadget) if art.gadget is not None else None,
         "alpha": fmt_real(art.alpha) if art.alpha is not None else None,
     }
-    return out
 
 
-def cvpp_from_json(d: dict) -> CvppArtifacts:
+def cvpp_from_json(d: dict) -> tuple[CvppArtifacts, JsonText]:
+    """The prep's header as CvppArtifacts without a basis, and the basis as
+    canonical JSON text: queries copy the basis and read only its shape.
+    The header must agree with itself and with the basis's shape."""
     _check(d, CVPP_SCHEMA, "n", "k", "mode", "basis", "block_rows")
+    n, k, mode, rows = _parse_int(d["n"]), _parse_int(d["k"]), d["mode"], _parse_int(d["block_rows"])
     gadget = onoff_from_json(d["gadget"]) if d.get("gadget") else None
-    return CvppArtifacts(
-        n=_parse_int(d["n"]),
-        k=_parse_int(d["k"]),
-        mode=d["mode"],
-        basis=parse_columns(d["basis"]),
-        block_rows=_parse_int(d["block_rows"]),
-        gadget=gadget,
-        alpha=parse_real(d["alpha"]) if d.get("alpha") is not None else None,
-    )
+    alpha = parse_real(d["alpha"]) if d.get("alpha") is not None else None
+    if not 1 <= k <= n:
+        raise InvalidInputError(f"need 1 <= k <= n, got n={n}, k={k}")
+    if mode == "lp":
+        if gadget is None or alpha is None:
+            raise InvalidInputError("lp preprocessing needs its on-off gadget and alpha")
+        if gadget.k != k:
+            raise InvalidInputError(f"gadget arity {gadget.k} does not match k={k}")
+        block_rows = gadget.d
+    elif mode == "inf":
+        block_rows = 1
+    else:
+        raise InvalidInputError(f"unknown preprocessing mode {mode!r}")
+    if rows != block_rows:
+        raise InvalidInputError(f"block_rows is {rows}, {mode} blocks have {block_rows} rows")
+    art = CvppArtifacts(n=n, k=k, mode=mode, basis=None, block_rows=block_rows, gadget=gadget, alpha=alpha)
+    cols = _columns(d["basis"])
+    if (len(cols[0]), len(cols)) != (art.d, n):
+        raise InvalidInputError(
+            f"prep basis is {len(cols[0])}x{len(cols)}, header gives M*block_rows + n = {art.d} rows and n = {n} columns"
+        )
+    return art, _canon_text(cols)

@@ -5,7 +5,7 @@ import time
 
 import pytest
 
-from latgad import cli
+from latgad import cli, serialize
 from latgad.cli import dispatch
 
 
@@ -202,6 +202,67 @@ class TestCvppCommands:
         assert out_json(out)["passed"] is True
 
 
+def old_query_bytes(query_text: str, prep_doc: dict) -> str:
+    """The query artifact as the parse-and-format path wrote it: the prep's
+    basis parsed to floats and formatted again, then json.dumps."""
+    doc = json.loads(query_text)
+    doc["basis"] = serialize.fmt_columns(serialize.parse_columns(prep_doc["basis"]))
+    return json.dumps(doc, sort_keys=True, separators=(",", ":")) + "\n"
+
+
+# non-canonical spellings of the values a prep basis holds
+RESPELL = {"0": "0.0", "-0": "-0e0", "1": "1.0", "-1": "-1e0"}
+
+
+class TestCvppQueryBytes:
+    @pytest.fixture()
+    def preps(self, tmp_path, capsys):
+        g, prep, iprep = tmp_path / "g.json", tmp_path / "prep.json", tmp_path / "iprep.json"
+        assert run(["gadget", "find", "--k", "3", "--p", "3", "--out", str(g)], capsys)[0] == 0
+        assert run(["cvpp", "prep", "--n", "4", "--k", "2", "--gadget", str(g), "--out", str(prep)], capsys)[0] == 0
+        assert run(["cvpp", "inf-prep", "--n", "4", "--k", "3", "--out", str(iprep)], capsys)[0] == 0
+        return prep, iprep
+
+    @pytest.mark.parametrize("respell", [False, True])
+    @pytest.mark.parametrize(
+        "action, cnf",
+        [
+            ("query", "p cnf 4 2\n1 2 0\n-3 4 0\n"),
+            ("query", "p cnf 4 3\n1 -2 0\n-1 2 0\n3 4 0\n"),
+            ("inf-query", "p cnf 4 2\n1 2 3 0\n-1 -2 -3 0\n"),
+            ("inf-query", "p cnf 4 1\n-2 3 -4 0\n"),
+        ],
+    )
+    def test_matches_parse_and_format(self, tmp_path, capsys, preps, action, cnf, respell):
+        prep = preps[0] if action == "query" else preps[1]
+        prep_doc = json.loads(prep.read_text())
+        if respell:
+            prep_doc["basis"] = [[RESPELL.get(s, s) for s in col] for col in prep_doc["basis"]]
+            assert prep_doc["basis"] != json.loads(prep.read_text())["basis"]
+            prep.write_text(json.dumps(prep_doc))
+        f, q = tmp_path / "f.cnf", tmp_path / "q.json"
+        f.write_text(cnf)
+        assert run(["cvpp", action, "--prep", str(prep), "--cnf", str(f), "--out", str(q)], capsys)[0] == 0
+        assert q.read_text() == old_query_bytes(q.read_text(), prep_doc)
+
+    def test_no_float_basis(self, tmp_path, capsys, preps, monkeypatch):
+        # the prep's on-off gadget is parsed; its basis is only copied
+        shapes = []
+        parse_columns = serialize.parse_columns
+
+        def spy(cols):
+            M = parse_columns(cols)
+            shapes.append(M.shape)
+            return M
+
+        monkeypatch.setattr(serialize, "parse_columns", spy)
+        monkeypatch.setattr(serialize, "fmt_columns", lambda M: pytest.fail("formatted a matrix"))
+        f, q = tmp_path / "f.cnf", tmp_path / "q.json"
+        f.write_text("p cnf 4 1\n1 2 0\n")
+        assert run(["cvpp", "query", "--prep", str(preps[0]), "--cnf", str(f), "--out", str(q)], capsys)[0] == 0
+        assert shapes == [(8, 2)]
+
+
 class TestIdentitiesCommands:
     def test_skp(self, capsys):
         code, out, _ = run(["identities", "skp", "--k", "3", "--p", "1"], capsys)
@@ -342,6 +403,28 @@ class TestExitCodes:
         gadget.write_text(json.dumps(data))
         code, _, err = run(["gadget", "verify", "--in", str(gadget)], capsys)
         assert code == 2 and "'t'" in err
+
+    @pytest.mark.parametrize(
+        "edit, message",
+        [
+            (lambda d: d.update(basis=[col + ["0"] * 8 for col in d["basis"]]), "prep basis is 107x3"),
+            (lambda d: d.update(basis=[col[:-5] for col in d["basis"]]), "prep basis is 94x3"),
+            (lambda d: d["basis"].pop(), "prep basis is 99x2"),
+            (lambda d: d.update(block_rows=7), "block_rows is 7, lp blocks have 8 rows"),
+        ],
+        ids=["rows-too-long", "rows-too-short", "column-missing", "block-rows"],
+    )
+    def test_prep_header_disagrees_with_basis(self, tmp_path, capsys, edit, message):
+        # n=3, k=2: M = 12 blocks of the k=3 gadget's 8 on-off rows, plus 3
+        g, prep, cnf = tmp_path / "g.json", tmp_path / "prep.json", tmp_path / "f.cnf"
+        run(["gadget", "find", "--k", "3", "--p", "3", "--out", str(g)], capsys)
+        run(["cvpp", "prep", "--n", "3", "--k", "2", "--gadget", str(g), "--out", str(prep)], capsys)
+        data = json.loads(prep.read_text())
+        edit(data)
+        prep.write_text(json.dumps(data))
+        cnf.write_text("p cnf 3 2\n1 2 0\n-2 3 0\n")
+        code, _, err = run(["cvpp", "query", "--prep", str(prep), "--cnf", str(cnf), "--out", str(tmp_path / "q.json")], capsys)
+        assert code == 2 and message in err
 
     @pytest.mark.parametrize("text", [b"not json {", b"\xff\xfe{}"])
     def test_not_json_is_usage(self, tmp_path, capsys, text):

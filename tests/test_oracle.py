@@ -58,16 +58,19 @@ class TestCvpEnumerate:
         assert sol.closest == [(0, 0), (0, 1), (1, 0), (1, 1)]
 
 
-def naive_enumerate(B, t, p, ranges):
+def point_distances(B, t, p, ranges) -> dict:
     """Per-point reference for cvp_enumerate: every box point in mixed-radix
-    order with its own distance.  Returns the minimum, the tie set, the
-    minimum over points outside {0, 1}^n, and those points with distances."""
-    points = list(itertools.product(*(range(lo, hi + 1) for lo, hi in ranges)))
-    dists = [pnorm(B @ np.array(x, dtype=float) - t, p) for x in points]
-    best = min(dists)
+    order, mapped to its own distance."""
+    return {x: pnorm(B @ np.array(x, dtype=float) - t, p) for x in box_points(ranges)}
+
+
+def naive_enumerate(ref):
+    """The minimum of the per-point reference, the tie set, the minimum over
+    points outside {0, 1}^n, and those points with distances."""
+    best = min(ref.values())
     band = best * (1.0 + DEFAULT_TOL.rel) + DEFAULT_TOL.abs
-    closest = [x for x, d in zip(points, dists) if d <= band]
-    outside = [(x, d) for x, d in zip(points, dists) if any(v not in (0, 1) for v in x)]
+    closest = [x for x, d in ref.items() if d <= band]
+    outside = [(x, d) for x, d in ref.items() if any(v not in (0, 1) for v in x)]
     nb_best = min((d for _, d in outside), default=math.inf)
     return best, closest, nb_best, outside
 
@@ -97,8 +100,8 @@ TIE = (np.eye(2), np.array([0.5, 0.5]))
 B3 = np.array([[1.0, 2.0, 0.0], [0.0, -1.0, 3.0], [2.0, 0.0, -1.0]])
 
 
-def assert_matches_reference(sol, B, t, p, ranges):
-    best, closest, nb_best, outside = naive_enumerate(B, t, p, ranges)
+def assert_matches_reference(sol, ref):
+    best, closest, nb_best, outside = naive_enumerate(ref)
     assert sol.distance == pytest.approx(best, rel=1e-12, abs=1e-12)
     assert sol.closest == closest
     if not outside:
@@ -123,18 +126,15 @@ def walk(B, t, p, ranges, chunk=None):
     every skipped point beyond the tie band and, outside {0, 1}^n, beyond
     the non-boolean minimum.  With the budget unforced, every 2-D block
     raised by `abs_powers` (tables and directly summed rows) holds at most
-    max(CHUNK_ENTRIES, width) entries.  Returns the solution and the rows
-    per chunk."""
+    max(CHUNK_ENTRIES, width) entries.  Returns the solution, the rows per
+    chunk and the reference, for `assert_matches_reference`."""
     chunks, blocks = [], []
     add = oracle._Minima.add
-    ref = {x: pnorm(B @ np.array(x, dtype=float) - t, p) for x in box_points(ranges)}
+    ref = point_distances(B, t, p, ranges)
 
     def record(self, d, outside, points):
-        pts = points(np.arange(len(d)))
-        assert np.array_equal(outside, np.any((pts < 0) | (pts > 1), axis=1))
-        chunks.append([tuple(int(v) for v in x) for x in pts])
-        expected = np.array([ref[x] for x in chunks[-1]])
-        assert np.all(np.abs(d - expected) <= 1e-12 * (1 + np.abs(expected)))
+        # copied now, checked together once the search is done
+        chunks.append((points(np.arange(len(d))), np.array(d, dtype=float), np.array(outside, dtype=bool)))
         return add(self, d, outside, points)
 
     def budget(width):
@@ -149,7 +149,13 @@ def walk(B, t, p, ranges, chunk=None):
         stack.enter_context(mock.patch.object(oracle, "chunk_rows", budget))
         stack.enter_context(mock.patch.object(oracle, "abs_powers", powers))
         sol = oracle.cvp_enumerate(B, t, p, ranges)
-    evaluated = [x for rows in chunks for x in rows]
+    for pts, d, outside in chunks:
+        assert np.array_equal(outside, np.any((pts < 0) | (pts > 1), axis=1))
+    evaluated = [tuple(x) for pts, _, _ in chunks for x in pts.tolist()]
+    if evaluated:
+        d = np.concatenate([d for _, d, _ in chunks])
+        expected = np.array([ref[x] for x in evaluated])
+        assert np.all(np.abs(d - expected) <= 1e-12 * (1 + np.abs(expected)))
     assert len(set(evaluated)) == len(evaluated)  # no point evaluated twice
     band = DEFAULT_TOL.ceiling(min(ref.values()))
     nb_best = min((dist for x, dist in ref.items() if any(v not in (0, 1) for v in x)), default=math.inf)
@@ -160,7 +166,7 @@ def walk(B, t, p, ranges, chunk=None):
     if chunk is None:
         entries = numeric.CHUNK_ENTRIES
         assert all(rows * cols <= max(entries, cols) for rows, cols in (b for b in blocks if len(b) == 2))
-    return sol, [len(rows) for rows in chunks]
+    return sol, [len(pts) for pts, _, _ in chunks], ref
 
 
 class TestSingleWalk:
@@ -172,9 +178,9 @@ class TestSingleWalk:
     @example(case=(*TIE, math.inf, [(-1, 2)] * 2, 5))
     def test_matches_per_point_reference(self, case):
         B, t, p, ranges, chunk = case
-        sol, walked = walk(B, t, p, ranges, chunk)
+        sol, walked, ref = walk(B, t, p, ranges, chunk)
         assert all(rows <= chunk for rows in walked)
-        assert_matches_reference(sol, B, t, p, ranges)
+        assert_matches_reference(sol, ref)
 
     @pytest.mark.parametrize(
         "B, t, p, ranges, chunk, expected",
@@ -196,10 +202,10 @@ class TestSingleWalk:
     )
     def test_split_edge_cases(self, B, t, p, ranges, chunk, expected):
         # `expected` is the tie set, pinned; walk() checks what is skipped
-        sol, walked = walk(B, t, p, ranges, chunk)
+        sol, walked, ref = walk(B, t, p, ranges, chunk)
         assert all(rows <= chunk for rows in walked)
         assert sol.closest == expected
-        assert_matches_reference(sol, B, t, p, ranges)
+        assert_matches_reference(sol, ref)
 
     @pytest.mark.parametrize("d", [CHUNK_ENTRIES + 5, CHUNK_ENTRIES // 3, 7])
     def test_chunks_sized_by_entries(self, d):
@@ -210,9 +216,9 @@ class TestSingleWalk:
         B[0, 0] = B[1, 1] = 1.0
         t = np.zeros(d)
         t[:2] = 0.75
-        sol, _ = walk(B, t, 2.0, [(0, 1)] * 2)
+        sol, _, ref = walk(B, t, 2.0, [(0, 1)] * 2)
         assert sol.closest == [(1, 1)]
-        assert_matches_reference(sol, B, t, 2.0, [(0, 1)] * 2)
+        assert_matches_reference(sol, ref)
 
 
 @st.composite
@@ -257,10 +263,10 @@ class TestSupportSearch:
     @example(case=(np.array([[0.0, 0.0], [1.0, 0.0]]), np.array([1.5, 0.5]), 1.0, [(0, 1), (-1, 1)], 1))
     def test_sparse_matches_reference(self, case):
         B, t, p, ranges, chunk = case
-        sol, walked = walk(B, t, p, ranges, chunk)
+        sol, walked, ref = walk(B, t, p, ranges, chunk)
         if chunk is not None:
             assert all(rows <= chunk for rows in walked)
-        assert_matches_reference(sol, B, t, p, ranges)
+        assert_matches_reference(sol, ref)
 
     @settings(max_examples=150, deadline=None)
     @given(case=st.one_of(small_cvp(), sparse_cvp()), entries=st.integers(1, 16))
@@ -269,17 +275,17 @@ class TestSupportSearch:
         # tabulated: the other rows are summed as their last column is fixed
         B, t, p, ranges, _ = case
         with mock.patch.object(oracle, "CHUNK_ENTRIES", entries), mock.patch.object(numeric, "CHUNK_ENTRIES", entries):
-            sol, _ = walk(B, t, p, ranges)
-        assert_matches_reference(sol, B, t, p, ranges)
+            sol, _, ref = walk(B, t, p, ranges)
+        assert_matches_reference(sol, ref)
 
     @pytest.mark.parametrize("p", [1.0, 2.0, 3.0, math.inf])
     def test_near_ties_inside_band_kept(self, p):
         # distances 1e-11 apart are distinct but share the tie band, so the
         # search must not cut at the running minimum itself
         B, t = np.eye(3), np.array([0.5, 0.5 + 1e-11, 0.5 - 2e-11])
-        sol, _ = walk(B, t, p, [(0, 1)] * 3, chunk=2)
+        sol, _, ref = walk(B, t, p, [(0, 1)] * 3, chunk=2)
         assert len(sol.closest) == 8
-        assert_matches_reference(sol, B, t, p, [(0, 1)] * 3)
+        assert_matches_reference(sol, ref)
 
     @pytest.mark.parametrize("n", [3, 4, 5])
     @pytest.mark.parametrize("p", [1.5, 2.5])
@@ -288,9 +294,9 @@ class TestSupportSearch:
         # minimum in exact arithmetic; summed in the search's order, some
         # later ones round below the first
         B, t = np.eye(n), np.full(n, 0.5)
-        sol, _ = walk(B, t, p, [(-1, 2)] * n)
+        sol, _, ref = walk(B, t, p, [(-1, 2)] * n)
         assert sol.nonboolean_witness == (-1,) + (0,) * (n - 1)
-        assert_matches_reference(sol, B, t, p, [(-1, 2)] * n)
+        assert_matches_reference(sol, ref)
 
     def test_many_single_point_coordinates(self):
         # one level per coordinate, none of them recursive

@@ -3,7 +3,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
@@ -164,12 +164,118 @@ class TestInstanceJson:
         assert json.loads(text)["k"] == 2
 
 
+def compact(obj) -> str:
+    return json.dumps(obj, sort_keys=True, separators=(",", ":"))
+
+
+# spellings of a few values, canonical and not, and bare JSON numbers
+SPELLINGS = [
+    "1", "1.0", "1e0", "+1", "-0", "0", "-0.0", "0e5", "0.1", "0.10000000000000001", "inf", "-inf",
+    "Infinity", "nan", "1e-320", "2.5", "-3",
+    0, -0.0, 0.0, False, True, 1, 2.5,
+    *map(serialize.fmt_real, POOL),
+]
+
+
+@st.composite
+def raw_columns(draw):
+    d = draw(st.integers(0, 8))
+    spelling = st.sampled_from(SPELLINGS)
+    return draw(st.lists(st.lists(spelling, min_size=d, max_size=d), min_size=1, max_size=5))
+
+
+def outcome(convert, cols):
+    """convert(cols), or the message of the InvalidInputError it raises."""
+    try:
+        return convert(cols)
+    except InvalidInputError as exc:
+        return f"InvalidInputError: {exc}"
+
+
+class TestCanonColumns:
+    """canon_columns against parsing the columns and formatting them again."""
+
+    @given(raw_columns())
+    @settings(max_examples=300)
+    @example([["1.0", "1e0", "-0", "0.10000000000000001", "inf"], [0, -0.0, False, 1, "0"]])
+    def test_matches_parse_then_format(self, cols):
+        text = serialize.canon_columns(cols)
+        assert isinstance(text, serialize.JsonText)
+        assert text == compact(serialize.fmt_columns(serialize.parse_columns(cols)))
+
+    @pytest.mark.parametrize(
+        "cols",
+        [
+            [["1", "2"], ["1"]],  # ragged
+            [["1", ["2"]], ["3", "4"]],  # nested list
+            [["1", {}], ["3", "4"]],  # object
+            [["1", "abc"], ["3", "4"]],
+            [["1", ""], ["3", "4"]],
+            [["1", None]],
+            [["1"], None],
+            3,
+            [],
+        ],
+    )
+    def test_same_errors_as_parse(self, cols):
+        expected = outcome(serialize.parse_columns, cols)
+        assert expected.startswith("InvalidInputError")
+        assert outcome(serialize.canon_columns, cols) == expected
+
+    @given(raw_columns())
+    @settings(max_examples=50)
+    def test_each_distinct_entry_formatted_once(self, cols):
+        calls = []
+        fmt_real = serialize.fmt_real
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(serialize, "fmt_real", lambda x: calls.append(x) or fmt_real(x))
+            serialize.canon_columns(cols)
+        entries = [s for col in cols for s in col]
+        # bare zeros are one dict key, so with one of them every entry is
+        # formatted again on its own
+        again = len(entries) if 0 in entries else 0
+        assert len(calls) == len(set(entries)) + again
+
+
+def payloads():
+    """One payload of every artifact kind the command line writes."""
+    g = gadgets.find_isolating_parallelepiped(3, 2.5)
+    parity = gadgets.parity_gadget(3, 1.0, 1)
+    f = CspFormula(n=3, constraints=[Clause((1, -2, 3))])
+    return {
+        "gadget": serialize.gadget_to_json(g),
+        "parity": serialize.gadget_to_json(parity),
+        "lattice": serialize.gadget_to_json(gadgets.to_isolating_lattice(parity)),
+        "onoff": serialize.onoff_to_json(gadgets.to_on_off(g)),
+        "instance": serialize.instance_to_json(reductions.sat_to_cvp(f, g)),
+        "prep": serialize.cvpp_to_json(reductions.cvpp_preprocess(4, 2, gadgets.to_on_off(g))),
+        "inf-prep": serialize.cvpp_to_json(reductions.cvpp_inf_preprocess(4, 3)),
+        "report": gadgets.verify_parallelepiped(g).to_json(),
+        "solve": {"distance": "1.5", "within_radius": True, "closest": [[0, 1], [1, 0]]},
+        "empty": {},
+    }
+
+
+class TestDumps:
+    @pytest.mark.parametrize("kind", sorted(payloads()))
+    def test_matches_json_dumps(self, kind):
+        payload = payloads()[kind]
+        assert serialize.dumps(payload) == compact(payload) + "\n"
+
+    @pytest.mark.parametrize("kind", ["instance", "prep", "inf-prep"])
+    def test_json_text_written_as_is(self, kind):
+        payload = payloads()[kind]
+        text = serialize.canon_columns(payload["basis"])
+        assert serialize.dumps({**payload, "basis": text}) == compact(payload) + "\n"
+
+
 class TestCvppJson:
     def test_round_trip(self):
         g = gadgets.find_isolating_parallelepiped(3, 2.5)
         art = reductions.cvpp_preprocess(4, 2, gadgets.to_on_off(g))
-        back = serialize.cvpp_from_json(serialize.cvpp_to_json(art))
-        assert np.array_equal(back.basis, art.basis)
+        back, basis = serialize.cvpp_from_json(serialize.cvpp_to_json(art))
+        assert back.basis is None and back.d == art.d
+        assert np.array_equal(serialize.parse_columns(json.loads(basis)), art.basis)
         assert back.gadget.eps == art.gadget.eps
         f = CspFormula(n=4, constraints=[Clause((1, 2))])
         t1, r1 = reductions.cvpp_query(art, f)
@@ -178,6 +284,26 @@ class TestCvppJson:
 
     def test_inf_round_trip(self):
         art = reductions.cvpp_inf_preprocess(5, 3)
-        back = serialize.cvpp_from_json(serialize.cvpp_to_json(art))
-        assert np.array_equal(back.basis, art.basis)
+        back, basis = serialize.cvpp_from_json(serialize.cvpp_to_json(art))
+        assert back.basis is None and back.d == art.d
+        assert np.array_equal(serialize.parse_columns(json.loads(basis)), art.basis)
         assert back.gadget is None and back.alpha is None
+
+    @pytest.mark.parametrize(
+        "field, edit, message",
+        [
+            ("basis", lambda cols: [col + ["0"] for col in cols], "prep basis is 28x3"),
+            ("basis", lambda cols: [col[:-1] for col in cols], "prep basis is 26x3"),
+            ("basis", lambda cols: cols[:-1], "prep basis is 27x2"),
+            ("block_rows", lambda rows: rows - 1, "block_rows is 3, lp blocks have 4 rows"),
+            ("k", lambda k: 4, "need 1 <= k <= n"),
+            ("mode", lambda mode: "inf", "block_rows is 4, inf blocks have 1 rows"),
+            ("gadget", lambda g: None, "needs its on-off gadget"),
+        ],
+    )
+    def test_header_must_match_basis(self, field, edit, message):
+        g = gadgets.find_isolating_parallelepiped(2, 2.5)
+        d = serialize.cvpp_to_json(reductions.cvpp_preprocess(3, 1, gadgets.to_on_off(g)))
+        d[field] = edit(d[field])
+        with pytest.raises(InvalidInputError, match=message):
+            serialize.cvpp_from_json(d)
