@@ -4,6 +4,10 @@ For a dimension k, a finite exponent p >= 1 and a real shift, the matrix has
 entry |<u, y> - shift|^p at vertex pair (u, y) of {-1, +1}^k.  Its eigenbasis
 is the character table: the eigenvalue attached to the character of a subset
 S depends only on |S|, which keeps the full spectrum O(k^2) to compute.
+
+The gadget pipeline reads only the spectrum; its weight solve works on the
+k + 1 Hamming classes (`gadgets.solve_weights`).  `distance_matrix` builds the
+dense 2^k x 2^k matrix, which the tests use as the reference.
 """
 
 from __future__ import annotations
@@ -16,7 +20,7 @@ import numpy as np
 from .errors import InvalidInputError, ResourceLimitError
 from .numeric import finite_pvalue, integer_grid
 
-# beyond this the 2^k x 2^k matrix and the 4^k k vertex check are pointless on a desk machine
+# beyond this the 4^k k vertex check of a gadget is pointless on a desk machine
 MAX_K = 14
 
 # relative nonsingularity threshold: smallest |eigenvalue| measured against the

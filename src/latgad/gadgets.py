@@ -198,29 +198,57 @@ def solve_weights(k: int, p, shift: float) -> tuple[np.ndarray, float]:
     H is the distance-power matrix at the given shift and e_0 bumps the
     all-minus-ones vertex (index 0), the one the gadget isolates.
 
-    w = (1/lambda) 1 + eps * H^-1 e_0 with eps = 1 / (lambda |min H^-1 e_0|)
-    when the solve has a negative entry (which makes the minimum entry of w
-    exactly zero), and eps = 1 / (lambda * max |H^-1 e_0|) otherwise.
+    w = (1/lambda) 1 + eps * a with a = H^-1 e_0, eps = 1 / (lambda |min a|)
+    when a has a negative entry (the minimum entry of w is then zero), and
+    eps = 1 / (lambda * max |a|) otherwise.
+
+    No 2^k x 2^k matrix is built.  H commutes with the coordinate
+    permutations, which fix e_0, so a is constant on the Hamming classes
+    (class j: the vertices with j coordinates +1) and solves the
+    (k+1) x (k+1) class system
+        sum_j Q[J, j] a_j = [J = 0],
+        Q[J, j] = sum_m C(J, m) C(k-J, j-m) |k - 2(J + j - 2m) - shift|^p,
+    which counts, for one vertex of class J, the vertices of class j sharing
+    m of its +1 coordinates.  Its spectral solution is the Krawtchouk sum
+    a_j = 2^-k sum_s K_s(j) / lambda_s, but that sum cancels when p >> k (at
+    k = 2, p = 50 not one digit of a_0 survives), so the class system is
+    solved by elimination.  The weights are exactly equal within a class, and
+    the class at the negative minimum is exactly zero.
     """
     report = distmatrix.eigen_report(k, p, shift)
     if not report.nonsingular:
         raise InvalidInputError(
             f"distance matrix is singular at shift {shift!r} (min ratio {report.min_ratio:.3g})"
         )
-    H = distmatrix.distance_matrix(k, p, shift)
-    bump = np.zeros(2**k)
-    bump[0] = 1.0
-    aprime = np.linalg.solve(H, bump)
+    q = finite_pvalue(p)
+    powers = [abs(k - 2 * m - float(shift)) ** q for m in range(k + 1)]
+    Q = np.array(
+        [
+            [
+                math.fsum(
+                    math.comb(J, m) * math.comb(k - J, j - m) * powers[J + j - 2 * m]
+                    for m in range(max(0, J + j - k), min(J, j) + 1)
+                )
+                for j in range(k + 1)
+            ]
+            for J in range(k + 1)
+        ]
+    )
+    a = np.linalg.solve(Q, np.eye(k + 1)[0])
     lam = report.lambda_all
-    lo = float(aprime.min())
+    lo = float(a.min())
     # H is nonsingular, so H^-1 e_0 is not zero
-    eps = 1.0 / (lam * (abs(lo) if lo < 0.0 else float(np.abs(aprime).max())))
-    weights = 1.0 / lam + eps * aprime
-    floor = float(weights.min())
-    if floor < -1e-12 * max(1.0, float(np.abs(weights).max())):
+    eps = 1.0 / (lam * (abs(lo) if lo < 0.0 else float(np.abs(a).max())))
+    by_class = 1.0 / lam + eps * a
+    floor = float(by_class.min())
+    if floor < -1e-12 * max(1.0, float(np.abs(by_class).max())):
         raise NumericDegeneracyError(f"weight solve produced negative entry {floor:.3g}")
-    np.clip(weights, 0.0, None, out=weights)
-    return weights, eps
+    if lo < 0.0:
+        by_class[int(a.argmin())] = 0.0
+    # a class that ties the minimum up to rounding can sit a hair below zero
+    np.clip(by_class, 0.0, None, out=by_class)
+    (x,) = integer_grid([(0, 1)] * k, 2**k)
+    return by_class[x.sum(axis=1)], eps
 
 
 def signed_parallelepiped(weights, shift: float, p) -> tuple[np.ndarray, np.ndarray]:

@@ -290,7 +290,6 @@ class CvppArtifacts:
     block_rows: int
     gadget: OnOffGadget | None = None
     alpha: float | None = None
-    meta: dict = field(default_factory=dict)
 
     @property
     def M(self) -> int:
@@ -353,7 +352,6 @@ def cvpp_preprocess(n: int, k: int, gadget: OnOffGadget) -> CvppArtifacts:
         block_rows=gadget.d,
         gadget=gadget,
         alpha=alpha,
-        meta={"p": q, "eps": gadget.eps},
     )
 
 
@@ -410,7 +408,7 @@ def cvpp_inf_preprocess(n: int, k: int) -> CvppArtifacts:
         for s, var in enumerate(varset):
             basis[row, var - 1] = -1.0 if (mask >> (k - 1 - s)) & 1 else 1.0
     basis[M:, :] = float(k) * np.eye(n)
-    return CvppArtifacts(n=n, k=k, mode="inf", basis=basis, block_rows=1, meta={"p": "inf"})
+    return CvppArtifacts(n=n, k=k, mode="inf", basis=basis, block_rows=1)
 
 
 def cvpp_inf_query(artifacts: CvppArtifacts, formula: CspFormula) -> tuple[np.ndarray, float]:

@@ -70,13 +70,11 @@ class JsonText(str):
 
 
 def _entries(v) -> list:
-    """v as a list, not copied when it is one."""
-    if isinstance(v, list):
-        return v
-    try:
-        return list(v)
-    except TypeError as exc:
-        raise InvalidInputError(f"expected a list of decimal strings, got {type(v).__name__}") from exc
+    """v itself, which must be a JSON array: a string or an object is not a
+    list of entries."""
+    if not isinstance(v, list):
+        raise InvalidInputError(f"expected a JSON array, got {type(v).__name__}")
+    return v
 
 
 def _tabled(convert, items):

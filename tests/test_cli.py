@@ -397,6 +397,13 @@ class TestExitCodes:
         code, _, err = run(["gadget", "verify", "--in", str(gadget)], capsys)
         assert code == 2 and "differ in length" in err
 
+    def test_string_column_is_usage(self, gadget, capsys):
+        data = json.loads(gadget.read_text())
+        data["V"][0] = "1" * len(data["V"][0])  # a string of digits, not a column
+        gadget.write_text(json.dumps(data))
+        code, _, err = run(["gadget", "verify", "--in", str(gadget)], capsys)
+        assert code == 2 and "JSON array" in err
+
     def test_missing_key_is_usage(self, gadget, capsys):
         data = json.loads(gadget.read_text())
         del data["t"]

@@ -13,10 +13,21 @@ from latgad import distmatrix, gadgets, oracle
 from latgad.errors import (
     DegenerateConstructionError,
     InvalidInputError,
+    NumericDegeneracyError,
     UnsupportedParametersError,
     VerificationError,
 )
 from latgad.numeric import DEFAULT_TOL, Tolerance, chunk_rows, integer_grid, pnorm
+
+
+def dense_weights(k, p, shift):
+    """solve_weights by a dense solve of the 2^k x 2^k system H a = e_0."""
+    H = distmatrix.distance_matrix(k, p, shift)
+    a = np.linalg.solve(H, np.eye(2**k)[0])
+    lam = distmatrix.eigen_report(k, p, shift).lambda_all
+    lo = a.min()
+    eps = 1.0 / (lam * (abs(lo) if lo < 0.0 else np.abs(a).max()))
+    return np.clip(1.0 / lam + eps * a, 0.0, None), eps
 
 
 def distances(V, t, p, k):
@@ -68,6 +79,65 @@ class TestSolveWeights:
     def test_singular_matrix_rejected(self):
         with pytest.raises(InvalidInputError):
             gadgets.solve_weights(2, 1.0, 2.5)
+
+    @pytest.mark.parametrize("k", range(1, 11))
+    def test_matches_dense_solve(self, k):
+        # odd integers p < k take the interior shifts, the rest shift past k;
+        # p >> k is where the Krawtchouk sum for H^-1 e_0 cancels
+        solved = 0
+        for p in (1.0, 1.5, 2.5, 3.0, 3.25, 5.0, 7.5, 9.0, 12.0, 30.0, 100.0):
+            try:
+                shift = gadgets.find_shift(k, p)
+            except (UnsupportedParametersError, NumericDegeneracyError):
+                continue
+            weights, eps = gadgets.solve_weights(k, p, shift)
+            want, want_eps = dense_weights(k, p, shift)
+            assert np.abs(weights - want).max() <= 1e-9 * np.abs(want).max(), (k, p)
+            assert eps == pytest.approx(want_eps, rel=1e-9), (k, p)
+            solved += 1
+        assert solved >= 6
+
+    @pytest.mark.parametrize("k,p", [(1, 1.5), (2, 3.0), (3, 3.0), (4, 2.5), (5, 3.0), (6, 1.0), (8, 7.5), (2, 50.0)])
+    def test_constant_on_hamming_classes(self, k, p):
+        shift = gadgets.find_shift(k, p)
+        weights, _ = gadgets.solve_weights(k, p, shift)
+        (x,) = integer_grid([(0, 1)] * k, 2**k)
+        classes = x.sum(axis=1)
+        for j in range(k + 1):
+            assert len(set(weights[classes == j].tolist())) == 1, j
+        want, _ = dense_weights(k, p, shift)
+        if want.min() <= 1e-12 * want.max():
+            # the clipped class is exactly zero, not rounding noise
+            assert set(weights[classes == classes[want.argmin()]].tolist()) == {0.0}
+
+    def test_zeroed_class_gives_zero_rows(self):
+        # both vertices with one +1 coordinate carry weight 0, so both rows
+        # are exactly 0 in V and t
+        g = gadgets.find_isolating_parallelepiped(2, 3.0)
+        zero = ~g.V.any(axis=1)
+        assert zero.tolist() == [False, True, True, False]
+        assert g.t[zero].tolist() == [0.0, 0.0]
+        assert np.abs(g.V[~zero]).min() > 0.1
+
+    def test_no_dense_matrix(self, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("the 2^k x 2^k matrix was built")
+
+        monkeypatch.setattr(distmatrix, "distance_matrix", refuse)
+        assert gadgets.verify_parallelepiped(gadgets.find_isolating_parallelepiped(10, 3.0)).passed
+
+    @pytest.mark.parametrize("k,p,eps", [(1, 30.0, 4.0), (2, 50.0, 0.8), (3, 100.0, 4 / 9)])
+    def test_p_far_above_k_builds(self, k, p, eps):
+        # the gaps the dense solve gives; with the Krawtchouk sum for
+        # H^-1 e_0 the (1, 30) gap shrinks to 0.023 and the other two
+        # gadgets fail verification
+        assert gadgets.find_isolating_parallelepiped(k, p).eps == pytest.approx(eps, rel=1e-6)
+
+    def test_k14_within_budget(self):
+        start = time.perf_counter()
+        g = gadgets.find_isolating_parallelepiped(14, 3.0)
+        assert time.perf_counter() - start < 10.0
+        assert g.d == 2**14 and g.eps > 0.0
 
 
 class TestParallelepipedAssembly:

@@ -97,6 +97,11 @@ class TestTables:
         with pytest.raises(InvalidInputError):
             serialize.parse_columns(cols)
 
+    @pytest.mark.parametrize("v", ["125", {"1": "0", "2": "1"}, ("1", "2"), None, 3])
+    def test_vector_must_be_an_array(self, v):
+        with pytest.raises(InvalidInputError, match="JSON array"):
+            serialize.parse_vector(v)
+
     def test_bare_numbers_keep_their_values(self):
         entries = [0, -0.0, 0.0, False, "-0", 1, 1.0, True, "0"]
         assert same_bits(serialize.parse_vector(entries), np.array([serialize.parse_real(s) for s in entries]))
@@ -213,6 +218,9 @@ class TestCanonColumns:
             [["1", ""], ["3", "4"]],
             [["1", None]],
             [["1"], None],
+            [["1", "2"], "34"],  # string column
+            [{"1": "0", "2": "0"}, ["3", "4"]],  # object column
+            "12",
             3,
             [],
         ],
