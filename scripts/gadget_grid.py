@@ -2,14 +2,30 @@
 """Sweep the gadget existence grid and print the achieved separation gaps.
 
 Rows are norm exponents, columns arities; entries show eps of the verified
-isolating parallelepiped, or the refusal reason.
+isolating parallelepiped, or a short refusal cell.
 """
 
 import argparse
 import math
 
 from latgad import gadgets
-from latgad.errors import UnsupportedParametersError
+from latgad.errors import (
+    LatgadError,
+    NumericDegeneracyError,
+    ResourceLimitError,
+    UnsupportedParametersError,
+)
+
+# refusal cells, first match wins; any other LatgadError prints "error"
+REFUSALS = (
+    (UnsupportedParametersError, "-"),
+    (NumericDegeneracyError, "no-shift"),
+    (ResourceLimitError, "cap"),
+)
+
+
+def refusal(exc: LatgadError) -> str:
+    return next((cell for cls, cell in REFUSALS if isinstance(exc, cls)), "error")
 
 
 def main():
@@ -26,13 +42,13 @@ def main():
         cells = []
         for k in ks:
             try:
-                g = gadgets.find_isolating_parallelepiped(k, p)
-                report = gadgets.verify_parallelepiped(g)
-                cells.append(f"{g.eps:12.3e}" if report.passed else "      BADVER")
-            except UnsupportedParametersError:
-                cells.append("           -")
+                # construction verifies the gadget, or raises
+                cells.append(f"{gadgets.find_isolating_parallelepiped(k, p).eps:12.3e}")
+            except LatgadError as exc:
+                cells.append(f"{refusal(exc):>12}")
         print(f"{p:<7.4g}" + "".join(cells))
-    print("\n'-' marks the even-integer region p < k where no gadget exists.")
+    print("\n'-' marks the even-integer region p < k where no gadget exists;")
+    print("'no-shift' a search that found no nonsingular shift, 'cap' a size cap.")
 
 
 if __name__ == "__main__":

@@ -133,7 +133,7 @@ def _cmd_gadget(args, tol: Tolerance) -> int:
         report = gadgets.verify_parallelepiped(g, tol)
         if g.kind == gadgets.KIND_LATTICE:
             lattice = oracle.verify_lattice_condition(g, args.box_radius, tol)
-            report = gadgets.VerificationReport(report.conditions + lattice.conditions, tol)
+            report = gadgets.VerificationReport(report.conditions + lattice.conditions, tol, report.check)
         return _report_exit(report)
     raise InvalidInputError(f"unknown gadget action {args.action!r}")
 

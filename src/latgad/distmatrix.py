@@ -20,8 +20,12 @@ import numpy as np
 from .errors import InvalidInputError, ResourceLimitError
 from .numeric import finite_pvalue, integer_grid
 
-# beyond this the 4^k k vertex check of a gadget is pointless on a desk machine
-MAX_K = 14
+# a gadget has 2^k rows of k entries: 27 MB of JSON at k = 16 (the vertex
+# checks of a symmetric gadget cost only k + 1 vertices)
+MAX_K = 16
+
+# the dense reference matrix holds 4^k floats: 2 GiB at k = 14
+MAX_DENSE_K = 14
 
 # relative nonsingularity threshold: smallest |eigenvalue| measured against the
 # always-positive all-ones eigenvalue
@@ -39,6 +43,8 @@ def check_k(k: int) -> int:
 def distance_matrix(k: int, p, shift: float) -> np.ndarray:
     """The 2^k x 2^k matrix with entries |<u, y> - shift|^p (symmetric)."""
     k = check_k(k)
+    if k > MAX_DENSE_K:
+        raise ResourceLimitError(f"k={k} exceeds the dense matrix cap {MAX_DENSE_K}")
     q = finite_pvalue(p)
     (x,) = integer_grid([(0, 1)] * k, 2**k)
     pts = 2.0 * x - 1.0

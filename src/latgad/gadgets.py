@@ -28,6 +28,7 @@ from .errors import (
     DegenerateConstructionError,
     InvalidInputError,
     NumericDegeneracyError,
+    ResourceLimitError,
     UnsupportedParametersError,
     VerificationError,
 )
@@ -49,6 +50,14 @@ KIND_LATTICE = "isolating-lattice"
 
 SHIFT_SEARCH_DEPTH = 64
 
+# the full vertex walk costs 2^k d k multiply-adds, 4^14 * 14 (about 2 s) for a
+# 2^14-row gadget; above this arity only a certified gadget is checked
+MAX_WALK_K = 14
+
+# which vertex check a report comes from: one vertex per Hamming class, or all
+CHECK_CLASSES = "hamming-classes"
+CHECK_VERTICES = "all-vertices"
+
 
 # ---------------------------------------------------------------------------
 # constraint descriptors (JSON-serializable dicts)
@@ -64,6 +73,27 @@ def clause_constraint(negated=()) -> dict:
     """Disjunction of the k gadget inputs, with the listed 1-based positions
     negated (empty: plain OR, falsified only by the all-zeros input)."""
     return {"type": "clause", "negated": sorted(int(s) for s in negated)}
+
+
+def _check_constraint(c, k: int) -> None:
+    """Refuse a descriptor that is not a parity bit or a clause over 1..k."""
+    if not isinstance(c, dict):
+        raise InvalidInputError(f"constraint descriptor must be an object, got {c!r}")
+    if c.get("type") == "parity":
+        if type(c.get("bit")) is not int or c["bit"] not in (0, 1):
+            raise InvalidInputError(f"parity bit must be 0 or 1, got {c.get('bit')!r}")
+    elif c.get("type") == "clause":
+        negated = c.get("negated", [])
+        if not (
+            isinstance(negated, list)
+            and all(type(s) is int and 1 <= s <= k for s in negated)
+            and len(set(negated)) == len(negated)
+        ):
+            raise InvalidInputError(
+                f"clause negated positions must be distinct integers in 1..{k}, got {negated!r}"
+            )
+    else:
+        raise InvalidInputError(f"unknown constraint descriptor {c!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -90,6 +120,8 @@ class IsolatingGadget:
             raise InvalidInputError(f"unknown gadget kind {self.kind!r}")
         if self.kind != KIND_ISOLATING and self.constraint is None:
             raise InvalidInputError(f"kind {self.kind!r} requires a constraint descriptor")
+        if self.constraint is not None:
+            _check_constraint(self.constraint, self.k)
 
     @property
     def d(self) -> int:
@@ -130,6 +162,7 @@ class Condition:
 class VerificationReport:
     conditions: list[Condition]
     tol: Tolerance
+    check: str | None = None  # CHECK_CLASSES or CHECK_VERTICES for a vertex check
 
     @property
     def passed(self) -> bool:
@@ -142,7 +175,7 @@ class VerificationReport:
         return [c for c in self.conditions if not c.passed]
 
     def to_json(self) -> dict:
-        return {
+        out = {
             "passed": self.passed,
             "tol": {"rel": self.tol.rel, "abs": self.tol.abs},
             "conditions": [
@@ -155,6 +188,9 @@ class VerificationReport:
                 for c in self.conditions
             ],
         }
+        if self.check is not None:
+            out["check"] = self.check
+        return out
 
 
 # ---------------------------------------------------------------------------
@@ -162,8 +198,11 @@ class VerificationReport:
 
 
 def find_shift(k: int, p) -> float:
-    """Smallest shift of the form j + 2^-i making the distance-power matrix
-    nonsingular (relative eigenvalue threshold).
+    """The first candidate shift j + 2^-i that makes the distance-power matrix
+    nonsingular (relative eigenvalue threshold), trying i = 1, 2, ... in turn
+    and, for each i, the offsets j from the largest down.  That is not the
+    smallest nonsingular shift: at k = 10, p = 3 it tries 9.5, then returns
+    8.5.
 
     For p not an integer, or p >= k, only j = k is tried, matching the halting
     guarantee for shifts above k.  For odd integers p < k every eigenvalue of
@@ -272,10 +311,15 @@ def signed_parallelepiped(weights, shift: float, p) -> tuple[np.ndarray, np.ndar
 
 def to_binary_coords(V, t) -> tuple[np.ndarray, np.ndarray]:
     """Re-express a +-1-cube gadget over {0, 1}^k: V' = 2V, t' = V 1 + t, so
-    ||V' z - t'|| = ||V (2z - 1) - t|| and z = 0 maps to the all-minus vertex."""
+    ||V' z - t'|| = ||V (2z - 1) - t|| and z = 0 maps to the all-minus vertex.
+
+    Each row of V is summed in sorted order, so rows holding the same entries
+    in another order get bit-identical t' entries: a gadget symmetric under
+    coordinate permutations stays symmetric to the last bit, which the
+    vertex checks' certificate (`_symmetric`) compares."""
     V = np.asarray(V, dtype=float)
     t = np.asarray(t, dtype=float).ravel()
-    return 2.0 * V, V.sum(axis=1) + t
+    return 2.0 * V, np.sort(V, axis=1).sum(axis=1) + t
 
 
 def find_isolating_parallelepiped(k: int, p) -> IsolatingGadget:
@@ -335,14 +379,14 @@ def parity_gadget(k: int, p, bit: int) -> IsolatingGadget:
     eta = floor(k/2) + floor(p/2) and shift 1 for odd k, 0 for even k; b' is
     the requested bit adjusted by k mod 2 so that the {0, 1} re-expression
     lands the requested parity class on the close level.  The level
-    assignment is then checked against all 2^k vertices.
+    assignment is then checked on every vertex (`verify_parallelepiped`).
     """
     q = finite_pvalue(p)
     if bit not in (0, 1):
         raise InvalidInputError("parity bit must be 0 or 1")
     if not (isinstance(k, (int, np.integer)) and k >= 3):
         raise InvalidInputError(f"parity gadget needs k >= 3, got {k!r}")
-    distmatrix.check_k(k)  # the level check below costs 4^k k
+    distmatrix.check_k(k)  # the gadget has 2^k rows of k entries
     if not 1 <= q < k:
         raise InvalidInputError(f"parity gadget needs 1 <= p < k, got p={q}, k={k}")
     if float(q).is_integer() and int(q) % 2 == 0:
@@ -452,12 +496,53 @@ def to_on_off(gadget: IsolatingGadget) -> OnOffGadget:
 # verification
 
 
-def _vertex_distances(V: np.ndarray, p, *targets) -> tuple[np.ndarray, list[np.ndarray]]:
-    """Every vertex x of {0, 1}^k in integer_grid order, and each target's
-    distances to all V x, walked in chunks of the shared entry budget."""
-    chunks = list(integer_grid([(0, 1)] * V.shape[1], chunk_rows(V.shape[0])))
+def _row_multiset(M: np.ndarray) -> np.ndarray:
+    """The rows of M as byte strings in sorted order (-0 counted as 0): two
+    matrices hold the same rows, with multiplicity, iff these are equal."""
+    M = np.ascontiguousarray(M + 0.0)
+    return np.sort(M.view(np.dtype((np.void, M.shape[1] * M.itemsize))).ravel())
+
+
+def _symmetric(V: np.ndarray, targets: list[np.ndarray]) -> bool:
+    """Certificate that every permutation of V's columns only permutes the
+    rows of [V | targets].  Each target's distance to V x then depends on
+    the popcount of x alone.  A transposition and a k-cycle generate all
+    permutations, so two comparisons of sorted rows decide it."""
+    k = V.shape[1]
+    M = np.column_stack([V, *targets])
+    rows = _row_multiset(M)
+    tail = list(range(k, M.shape[1]))
+    perms = ([1, 0, *range(2, k)], [*range(1, k), 0]) if k > 1 else ()
+    return all(np.array_equal(_row_multiset(M[:, perm + tail]), rows) for perm in perms)
+
+
+def _vertex_distances(V: np.ndarray, p, targets: list[np.ndarray], by_popcount: bool):
+    """The vertices to check, in integer_grid order, each target's distances
+    to them, and the name of the check.
+
+    When the level masks depend on popcount alone (`by_popcount`) and
+    `_symmetric` certifies the gadget, the first vertex of each Hamming class,
+    0..0 1..1, stands for its class: k + 1 vertices.  Otherwise every vertex
+    of {0, 1}^k is walked in chunks of the shared entry budget, up to arity
+    MAX_WALK_K."""
+    k = V.shape[1]
+    if by_popcount and _symmetric(V, targets):
+        x = (np.arange(k) >= np.arange(k, -1, -1)[:, None]).astype(np.int64)
+        return x, [row_pnorms(x @ V.T - t, p) for t in targets], CHECK_CLASSES
+    if k > MAX_WALK_K:
+        raise ResourceLimitError(
+            f"walking all 2^{k} vertices exceeds the cap k={MAX_WALK_K}; the class check needs "
+            "a gadget symmetric under coordinate permutations and a level split by popcount"
+        )
+    chunks = list(integer_grid([(0, 1)] * k, chunk_rows(V.shape[0])))
     dists = [np.concatenate([row_pnorms(x @ V.T - t, p) for x in chunks]) for t in targets]
-    return np.vstack(chunks), dists
+    return np.vstack(chunks), dists, CHECK_VERTICES
+
+
+def _by_popcount(gadget: IsolatingGadget) -> bool:
+    """Whether the close level is a union of Hamming classes."""
+    c = gadget.constraint
+    return gadget.kind == KIND_ISOLATING or c["type"] == "parity" or not c.get("negated")
 
 
 def _close_mask(gadget: IsolatingGadget, x: np.ndarray) -> np.ndarray:
@@ -465,13 +550,11 @@ def _close_mask(gadget: IsolatingGadget, x: np.ndarray) -> np.ndarray:
     if gadget.kind == KIND_ISOLATING:
         return x.any(axis=1)
     c = gadget.constraint
-    if c.get("type") == "parity":
+    if c["type"] == "parity":
         return x.sum(axis=1) % 2 == c["bit"]
-    if c.get("type") == "clause":
-        # only the vertex with x_s = 1 exactly at the negated positions falsifies it
-        falsifier = np.isin(np.arange(1, gadget.k + 1), c.get("negated", ()))
-        return np.any(x != falsifier, axis=1)
-    raise InvalidInputError(f"unknown constraint descriptor {c!r}")
+    # only the vertex with x_s = 1 exactly at the negated positions falsifies the clause
+    falsifier = np.isin(np.arange(1, gadget.k + 1), c.get("negated", []))
+    return np.any(x != falsifier, axis=1)
 
 
 def _level_condition(name: str, x, dist, mask, level: float, tol: Tolerance) -> Condition:
@@ -486,13 +569,16 @@ def _level_condition(name: str, x, dist, mask, level: float, tol: Tolerance) -> 
 
 
 def verify_parallelepiped(gadget: IsolatingGadget, tol: Tolerance = DEFAULT_TOL) -> VerificationReport:
-    """Check the two-level distance pattern over all 2^k boolean vertices.
+    """Check the two-level distance pattern over all 2^k boolean vertices,
+    one per Hamming class when the gadget is certified symmetric.
 
     Conditions: close vertices at distance 1, far vertices at 1 + eps, gap
     above the noise floor, and (for the lattice kind only) full column rank.
-    Failures are report entries, never exceptions.
+    Failures are report entries, never exceptions; the report names the
+    check that ran.  An uncertified gadget above arity MAX_WALK_K raises
+    ResourceLimitError.
     """
-    x, (dist,) = _vertex_distances(gadget.V, gadget.p, gadget.t)
+    x, (dist,), check = _vertex_distances(gadget.V, gadget.p, [gadget.t], _by_popcount(gadget))
     close = _close_mask(gadget, x)
     conditions = [
         _level_condition("close-vertices-at-1", x, dist, close, 1.0, tol),
@@ -502,11 +588,15 @@ def verify_parallelepiped(gadget: IsolatingGadget, tol: Tolerance = DEFAULT_TOL)
     if gadget.kind == KIND_LATTICE:
         rank = int(np.linalg.matrix_rank(gadget.V))
         conditions.append(Condition("full-column-rank", rank == gadget.k, float(gadget.k - rank)))
-    return VerificationReport(conditions, tol)
+    return VerificationReport(conditions, tol, check)
 
 
 def verify_on_off(gadget: OnOffGadget, tol: Tolerance = DEFAULT_TOL) -> VerificationReport:
-    x, (d_on, d_off) = _vertex_distances(gadget.V, gadget.p, gadget.t_on, gadget.t_off)
+    """The on-off pattern, checked like `verify_parallelepiped`: t_on puts
+    every nonzero vertex at 1 and the origin at 1 + eps, t_off every vertex
+    at 1."""
+    targets = [gadget.t_on, gadget.t_off]
+    x, (d_on, d_off), check = _vertex_distances(gadget.V, gadget.p, targets, by_popcount=True)
     far = 1.0 + gadget.eps
     origin_res = abs(float(d_on[0]) - far)  # x[0] is the origin
     conditions = [
@@ -515,7 +605,7 @@ def verify_on_off(gadget: OnOffGadget, tol: Tolerance = DEFAULT_TOL) -> Verifica
         _level_condition("off-target-all-at-1", x, d_off, np.ones(len(x), dtype=bool), 1.0, tol),
         Condition("positive-gap", gadget.eps > tol.rel, max(0.0, tol.rel - gadget.eps)),
     ]
-    return VerificationReport(conditions, tol)
+    return VerificationReport(conditions, tol, check)
 
 
 # ---------------------------------------------------------------------------

@@ -412,6 +412,25 @@ class TestExitCodes:
         assert code == 2 and "'t'" in err
 
     @pytest.mark.parametrize(
+        "constraint",
+        [
+            "x",
+            {"type": "clause", "negated": [7]},
+            {"type": "clause", "negated": "12"},
+            {"type": "parity", "bit": 5},
+        ],
+        ids=["not-an-object", "negated-out-of-range", "negated-string", "parity-bit-5"],
+    )
+    def test_bad_constraint_is_usage(self, tmp_path, capsys, constraint):
+        path = tmp_path / "g.json"
+        run(["gadget", "find", "--k", "3", "--p", "3", "--out", str(path)], capsys)
+        data = json.loads(path.read_text())
+        data.update(kind="two-level", constraint=constraint)
+        path.write_text(json.dumps(data))
+        code, _, err = run(["gadget", "verify", "--in", str(path)], capsys)
+        assert code == 2 and "usage error" in err
+
+    @pytest.mark.parametrize(
         "edit, message",
         [
             (lambda d: d.update(basis=[col + ["0"] * 8 for col in d["basis"]]), "prep basis is 107x3"),

@@ -1,7 +1,7 @@
 import functools
 import math
 import time
-from itertools import product
+from itertools import permutations, product
 from unittest import mock
 
 import numpy as np
@@ -14,6 +14,7 @@ from latgad.errors import (
     DegenerateConstructionError,
     InvalidInputError,
     NumericDegeneracyError,
+    ResourceLimitError,
     UnsupportedParametersError,
     VerificationError,
 )
@@ -478,6 +479,29 @@ def naive_on_off(g, tol=DEFAULT_TOL):
     ]
 
 
+def targets_of(g):
+    return [g.t_on, g.t_off] if isinstance(g, gadgets.OnOffGadget) else [g.t]
+
+
+def by_popcount(g) -> bool:
+    """Whether g's close level is a union of Hamming classes."""
+    if isinstance(g, gadgets.OnOffGadget) or g.kind == gadgets.KIND_ISOLATING:
+        return True
+    return not g.constraint.get("negated")
+
+
+def symmetric_rows(g) -> bool:
+    """Whether every permutation of V's columns maps the rows of [V | targets]
+    onto themselves, tried one permutation at a time."""
+    M = np.column_stack([g.V, *targets_of(g)]) + 0.0  # -0 counts as 0
+    rows = sorted(map(tuple, M.tolist()))
+    tail = list(range(g.k, M.shape[1]))
+    return all(
+        sorted(map(tuple, M[:, list(perm) + tail].tolist())) == rows
+        for perm in permutations(range(g.k))
+    )
+
+
 def assert_matches(report, reference, tail):
     assert [c.name for c in report.conditions] == [r[0] for r in reference] + tail
     for cond, (name, passed, residual, witness, by_vertex) in zip(report.conditions, reference):
@@ -566,7 +590,12 @@ class TestVertexWalk:
                 report = gadgets.verify_parallelepiped(g)
             tail = ["positive-gap"] + (["full-column-rank"] if g.kind == gadgets.KIND_LATTICE else [])
             assert_matches(report, naive_parallelepiped(g), tail)
-        assert sum(walked) == 2**g.k and max(walked) <= chunk
+        # noise breaks the symmetry, unless it lands only where permutations
+        # cannot see it (at k = 1, or on a zero-weight row); a negated clause
+        # splits the Hamming classes: both take the full walk
+        certified = by_popcount(g) and (scale == 0.0 or symmetric_rows(g))
+        assert report.check == (gadgets.CHECK_CLASSES if certified else gadgets.CHECK_VERTICES)
+        assert sum(walked) == (0 if certified else 2**g.k) and max(walked, default=0) <= chunk
 
     def test_exact_ties_go_to_the_first_vertex(self):
         # distances are the Hamming weights: (0, 0) and (1, 1) tie on the close
@@ -577,6 +606,132 @@ class TestVertexWalk:
         close, far = gadgets.verify_parallelepiped(g).conditions[:2]
         assert (close.passed, close.residual, close.witness) == (False, 1.0, (0, 0))
         assert (far.passed, far.residual, far.witness) == (False, 0.5, (0, 1))
+
+
+def with_arrays(g, V, targets):
+    if isinstance(g, gadgets.OnOffGadget):
+        return gadgets.OnOffGadget(g.p, g.k, V, *targets, g.eps)
+    return gadgets.IsolatingGadget(g.p, g.k, V, targets[0], g.eps, g.kind, g.constraint)
+
+
+def verifier(g):
+    return gadgets.verify_on_off if isinstance(g, gadgets.OnOffGadget) else gadgets.verify_parallelepiped
+
+
+@st.composite
+def symmetric_case(draw):
+    """A noise-free gadget of every kind whose close level is a union of
+    Hamming classes, for k in 1..8, with its columns permuted and its eps
+    scaled (by 0.5 the far level fails)."""
+    k = draw(st.integers(1, 8))
+    p = draw(st.sampled_from([1.5, 2.5, 3.0]))
+    kind = draw(st.sampled_from(["isolating", "parity", "clause", "lattice", "on-off"]))
+    if kind == "on-off":
+        g = gadgets.to_on_off(isolating(k + 1, p))
+    elif kind == "isolating":
+        g = isolating(k, p)
+    elif kind == "parity" and k >= 3:
+        g = parity(k, draw(st.sampled_from([q for q in (1.0, 1.5, 2.5) if q < k])), draw(st.integers(0, 1)))
+    else:
+        # the isolating geometry under a plain-clause label (which it meets) or
+        # a parity label (which it does not)
+        if kind == "parity":
+            label = gadgets.parity_constraint(draw(st.integers(0, 1)))
+        else:
+            label = gadgets.clause_constraint()
+        base = isolating(k, p)
+        g = gadgets.IsolatingGadget(p, k, base.V, base.t, base.eps, gadgets.KIND_TWO_LEVEL, label)
+    if kind == "lattice":
+        g = gadgets.to_isolating_lattice(g)
+    perm = draw(st.permutations(range(k)))
+    g = with_arrays(g, g.V[:, perm], targets_of(g))
+    g.eps *= draw(st.sampled_from([1.0, 1.0 + 1e-6, 0.5]))
+    return g
+
+
+class TestCertificate:
+    @settings(max_examples=80, deadline=None)
+    @given(g=symmetric_case())
+    def test_agrees_with_full_walk(self, g):
+        verify = verifier(g)
+        classes = verify(g)
+        with mock.patch.object(gadgets, "_symmetric", return_value=False):
+            walk = verify(g)
+        assert (classes.check, walk.check) == (gadgets.CHECK_CLASSES, gadgets.CHECK_VERTICES)
+        assert classes.passed == walk.passed
+        assert [c.name for c in classes.conditions] == [c.name for c in walk.conditions]
+        reference = naive_on_off(g) if isinstance(g, gadgets.OnOffGadget) else naive_parallelepiped(g)
+        for c, w, r in zip(classes.conditions, walk.conditions, reference + [None] * 2):
+            assert c.passed == w.passed, c.name
+            assert abs(c.residual - w.residual) <= 1e-12, c.name
+            if w.witness is not None:
+                # a class representative tied with the walk's witness to 1e-12
+                assert r[4][c.witness] >= w.residual - 1e-12, c.name
+
+    @pytest.mark.parametrize(
+        "build",
+        [
+            lambda: isolating(4, 3.0),
+            lambda: parity(5, 1.5, 1),
+            lambda: gadgets.to_isolating_lattice(parity(4, 1.0, 0)),
+            lambda: gadgets.to_on_off(isolating(4, 2.5)),
+        ],
+        ids=["isolating", "parity", "lattice", "on-off"],
+    )
+    def test_one_ulp_falls_back(self, build):
+        # every permutation fixes a row whose V entries are all equal, so a
+        # change to that row's target entries keeps the gadget symmetric (and
+        # the certificate right); any other single-entry change breaks it
+        g = build()
+        verify = verifier(g)
+        assert verify(g).check == gadgets.CHECK_CLASSES
+        cols = [g.V] + [t[:, None] for t in targets_of(g)]
+        for c, A in enumerate(cols):
+            for i, j in product(range(A.shape[0]), range(A.shape[1])):
+                arrays = [X.copy() for X in cols]
+                arrays[c][i, j] = np.nextafter(A[i, j], np.inf)
+                report = verify(with_arrays(g, arrays[0], [t.ravel() for t in arrays[1:]]))
+                unseen = c > 0 and np.all(g.V[i] == g.V[i, 0])
+                assert report.check == (gadgets.CHECK_CLASSES if unseen else gadgets.CHECK_VERTICES), (c, i, j)
+
+    def test_rotations_alone_do_not_certify(self):
+        # the rows are the 4 rotations of (1, 2, 0, 0): the k-cycle maps them
+        # onto themselves, the transposition (0 1) does not, and distances
+        # differ within a Hamming class
+        V = np.array([np.roll([1.0, 2.0, 0.0, 0.0], r) for r in range(4)])
+        g = gadgets.IsolatingGadget(3.0, 4, V, np.zeros(4), 0.5)
+        dist = dict(distances(g.V, g.t, 3.0, 4))
+        assert dist[(1, 1, 0, 0)] != dist[(1, 0, 1, 0)]
+        assert gadgets.verify_parallelepiped(g).check == gadgets.CHECK_VERTICES
+
+    def test_column_permutation_keeps_certificate(self):
+        for g in (isolating(6, 3.0), parity(6, 1.5, 0), gadgets.to_on_off(isolating(7, 3.0))):
+            perm = np.random.default_rng(5).permutation(g.k)
+            report = verifier(g)(with_arrays(g, g.V[:, perm], targets_of(g)))
+            assert report.check == gadgets.CHECK_CLASSES and report.passed
+
+    @pytest.mark.parametrize("p", [1.0, 3.0])
+    def test_k16_builds(self, p):
+        start = time.perf_counter()
+        g = gadgets.find_isolating_parallelepiped(16, p)
+        report = gadgets.verify_parallelepiped(g)
+        onoff = gadgets.to_on_off(g)
+        assert time.perf_counter() - start < 10.0
+        assert (report.check, report.passed) == (gadgets.CHECK_CLASSES, True)
+        assert gadgets.verify_on_off(onoff).check == gadgets.CHECK_CLASSES
+
+    def test_uncertified_above_walk_cap_refuses(self, monkeypatch):
+        g = gadgets.find_isolating_parallelepiped(gadgets.MAX_WALK_K + 1, 3.0)
+        t = g.t.copy()
+        t[1] = np.nextafter(t[1], np.inf)  # row 1 is the vertex 0..01
+        moved = gadgets.IsolatingGadget(g.p, g.k, g.V, t, g.eps)
+
+        def walk(*args):
+            raise AssertionError("the vertex walk started")
+
+        monkeypatch.setattr(gadgets, "integer_grid", walk)
+        with pytest.raises(ResourceLimitError):
+            gadgets.verify_parallelepiped(moved)
 
 
 class TestObstruction:
