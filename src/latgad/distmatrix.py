@@ -5,6 +5,14 @@ entry |<u, y> - shift|^p at vertex pair (u, y) of {-1, +1}^k.  Its eigenbasis
 is the character table: the eigenvalue attached to the character of a subset
 S depends only on |S|, which keeps the full spectrum O(k^2) to compute.
 
+Two routes give that spectrum.  `eigen_report` sums each eigenvalue's terms
+with `math.fsum`, one shift at a time; its verdict is the definition of a
+nonsingular shift.  `screen_nonsingular` evaluates the spectra of a whole
+batch of shifts with one matmul against a cached integer Krawtchouk table,
+bounds the matmul's forward error, and gives the fsum verdict wherever the
+bound decides it and "undecided" where it cannot (the caller then asks
+`eigen_report`).
+
 The gadget pipeline reads only the spectrum; its weight solve works on the
 k + 1 Hamming classes (`gadgets.solve_weights`).  `distance_matrix` builds the
 dense 2^k x 2^k matrix, which the tests use as the reference.
@@ -12,12 +20,14 @@ dense 2^k x 2^k matrix, which the tests use as the reference.
 
 from __future__ import annotations
 
+import functools
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvalidInputError, ResourceLimitError
+from .errors import InvalidInputError, NumericDegeneracyError, ResourceLimitError
 from .numeric import finite_pvalue, integer_grid
 
 # a gadget has 2^k rows of k entries: 27 MB of JSON at k = 16 (the vertex
@@ -63,11 +73,17 @@ def eigenvalue_by_size(k: int, p, shift: float, size: int) -> float:
     q = finite_pvalue(p)
     t = float(shift)
     terms = []
-    for a in range(size + 1):
-        ca = (-1) ** a * math.comb(size, a)
-        for b in range(k - size + 1):
-            terms.append(ca * math.comb(k - size, b) * abs(k - 2 * (a + b) - t) ** q)
-    return math.fsum(terms)
+    try:
+        for a in range(size + 1):
+            ca = (-1) ** a * math.comb(size, a)
+            for b in range(k - size + 1):
+                terms.append(ca * math.comb(k - size, b) * abs(k - 2 * (a + b) - t) ** q)
+        return math.fsum(terms)
+    except OverflowError as exc:
+        raise NumericDegeneracyError(
+            f"spectrum at k={k}, p={q}, shift={t} leaves the float range: a power "
+            f"|k - 2r - shift|^p or a sum of them exceeds {sys.float_info.max:.6g}"
+        ) from exc
 
 
 @dataclass(frozen=True)
@@ -100,3 +116,71 @@ def eigen_report(k: int, p, shift: float) -> EigenReport:
     k = check_k(k)
     q = finite_pvalue(p)
     return EigenReport(tuple(eigenvalue_by_size(k, q, shift, s) for s in range(k + 1)))
+
+
+@functools.lru_cache(maxsize=MAX_K)
+def krawtchouk_table(k: int) -> np.ndarray:
+    """The (k+1) x (k+1) integer table E[s, r] = sum over a + b = r of
+    (-1)^a C(s, a) C(k-s, b), so that by_size[s] = sum_r E[s, r] P_r with
+    P_r = |k - 2r - shift|^p.  Entries are at most C(16, 8) in magnitude, so
+    exact as floats.  Read-only: one array per k is shared by every caller."""
+    E = np.array(
+        [
+            [
+                sum(
+                    (-1) ** a * math.comb(s, a) * math.comb(k - s, r - a)
+                    for a in range(max(0, r - k + s), min(s, r) + 1)
+                )
+                for r in range(k + 1)
+            ]
+            for s in range(k + 1)
+        ],
+        dtype=float,
+    )
+    E.flags.writeable = False
+    return E
+
+
+def screen_nonsingular(k: int, p, shifts) -> tuple[np.ndarray, np.ndarray]:
+    """Two boolean arrays over the shifts: `surely`, where a forward-error
+    bound on one batched evaluation proves `eigen_report(k, p, shift)
+    .nonsingular`, and `undecided`, where the bound cannot tell (elsewhere it
+    proves the shift singular).
+
+    lam[c, s] is the matmul sum_r E[s, r] P[c, r] (`krawtchouk_table`), and
+    every lam[c, s] lies within err[c] = 8 (k + 2) u lam[c, 0] of the fsum
+    eigenvalue, u = 2^-53.  The derivation, with lam_0 = sum_r C(k, r) P_r the
+    positive all-ones eigenvalue (|lam_s| <= lam_0 for every s):
+      * the fsum route rounds each term c P_r once (c is an exact integer, and
+        by Vandermonde's identity the terms' magnitudes sum to lam_0) and its
+        correctly rounded sum once: 2u lam_0;
+      * Python's |x|^p is within one ulp (2u relative) of the exact power and
+        numpy's within one ulp of Python's, so the powers add 2u lam_0 on the
+        fsum route and 4u lam_0 on the matmul route;
+      * the matmul of k + 1 products, summed in any order, is within
+        (k + 1) u / (1 - (k + 1) u) of sum_r |E[s, r]| P_r <= lam_0;
+    in all (k + 9) u lam_0 up to O(u^2) terms.  8 (k + 2) is at least twice
+    k + 9, which leaves room for the O(u^2) terms, for lam[c, 0] standing in
+    for lam_0 and for the few roundings of the comparisons below.
+
+    A shift is surely nonsingular when min_s (|lam_s| - err) >=
+    NONSINGULAR_RATIO (lam_0 + err): then min_s |by_size[s]| / lambda_all is
+    at least NONSINGULAR_RATIO however eigen_report rounds.  It is surely
+    singular when min_s (|lam_s| + err) < NONSINGULAR_RATIO (lam_0 - err),
+    with room to spare for the rounding of the ratio.  Anything in between,
+    or any value that is not finite (a power beyond the float range), is
+    undecided.
+    """
+    k = check_k(k)
+    q = finite_pvalue(p)
+    E = krawtchouk_table(k)
+    t = np.asarray(shifts, dtype=float).reshape(-1, 1)
+    with np.errstate(over="ignore", invalid="ignore"):
+        P = np.abs((k - 2.0 * np.arange(k + 1)) - t) ** q
+        lam = P @ E.T
+        err = (8 * (k + 2) * 2.0**-53) * lam[:, 0]
+        low = np.abs(lam).min(axis=1)
+        surely = low - err >= NONSINGULAR_RATIO * (lam[:, 0] + err)
+        surely_not = low + err < NONSINGULAR_RATIO * (lam[:, 0] - err)
+    finite = np.isfinite(lam).all(axis=1) & np.isfinite(err)
+    return surely & finite, ~((surely | surely_not) & finite)

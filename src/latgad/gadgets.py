@@ -209,6 +209,13 @@ def find_shift(k: int, p) -> float:
     a full-parity-heavy character vanishes identically above k, so offsets
     j = k-1 down to 0 are tried as well.  Even integers p < k are refused:
     no isolating gadget exists there at all.
+
+    Every candidate is screened at once: one matmul gives every candidate's
+    spectrum, and a forward-error bound decides where the float spectrum
+    settles the fsum verdict of `distmatrix.eigen_report`
+    (`distmatrix.screen_nonsingular`).  A candidate the bound leaves open is
+    referred to `eigen_report` itself, so the chosen shift, or the exception,
+    is the one the candidate-by-candidate fsum walk gives.
     """
     q = finite_pvalue(p)
     if not (isinstance(k, (int, np.integer)) and k >= 1):
@@ -218,15 +225,19 @@ def find_shift(k: int, p) -> float:
         raise UnsupportedParametersError(
             f"no isolating gadget exists for even integer p={q} with p < k={k}"
         )
+    k = distmatrix.check_k(k)
     if integral and q < k:
         offsets = tuple(range(k - 1, -1, -1))
     else:
         offsets = (k,)
-    for i in range(1, SHIFT_SEARCH_DEPTH + 1):
-        for j in offsets:
-            cand = j + 2.0**-i
-            if distmatrix.eigen_report(k, q, cand).nonsingular:
-                return cand
+    # row i - 1 holds j + 2^-i for each offset j in turn: the walk's order
+    steps = np.ldexp(1.0, -np.arange(1, SHIFT_SEARCH_DEPTH + 1))
+    candidates = (np.array(offsets, dtype=float) + steps[:, None]).ravel()
+    surely, undecided = distmatrix.screen_nonsingular(k, q, candidates)
+    for c in np.flatnonzero(surely | undecided):
+        cand = float(candidates[c])
+        if surely[c] or distmatrix.eigen_report(k, q, cand).nonsingular:
+            return cand
     raise NumericDegeneracyError(
         f"no nonsingular shift found for k={k}, p={q} within depth {SHIFT_SEARCH_DEPTH}"
     )

@@ -13,7 +13,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
-from scipy import integrate, special
 
 from .errors import InvalidInputError, VerificationError
 from .numeric import finite_pvalue, sin_half_pi
@@ -86,6 +85,9 @@ def alt_sum_integral(n: int, m: int, p) -> float:
     sine = sin_half_pi(q)
     if sine == 0.0:
         return 0.0
+    # scipy is imported where it is used: it triples the CLI's import time
+    from scipy import integrate, special
+
     const = math.lgamma(n - m + 1) + math.lgamma(n + 1)
 
     def integrand(x: float) -> float:
@@ -151,6 +153,8 @@ def c_p_limit(p) -> CpLimit:
     """Infinite-k limit of |S|:
     2 |sin(pi p/2)| zeta(p+1) (2 - 2^-p) Gamma(p+1) / pi^(p+1),
     together with the weaker closed bound 4 |sin(pi p/2)| (p / (e pi))^p."""
+    from scipy import special
+
     q = finite_pvalue(p)
     sine = abs(sin_half_pi(q))
     value = 2.0 * sine * float(special.zeta(q + 1.0)) * (2.0 - 2.0**-q) * math.gamma(q + 1.0) / math.pi ** (q + 1.0)
@@ -199,6 +203,8 @@ def non_alt_bound_check(k: int, p, c: int = 0) -> BoundReport:
 
 def factorial_ratio(k: int, x: float) -> float:
     """Gamma(k+1)^2 / (Gamma(k+1+ix) Gamma(k+1-ix)) through complex log-gamma."""
+    from scipy import special
+
     g = 2.0 * math.lgamma(k + 1) - special.loggamma(complex(k + 1, x)) - special.loggamma(complex(k + 1, -x))
     # the two conjugate terms cancel imaginary parts exactly
     return float(np.real(np.exp(g)))

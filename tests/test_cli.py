@@ -384,6 +384,15 @@ class TestExitCodes:
         assert code == 3 and "resource" in err
         assert time.perf_counter() - start < 1.0
 
+    @pytest.mark.parametrize("k,p", [("10", "235"), ("3", "380")])
+    def test_overflowing_p_is_numeric_failure(self, capsys, k, p):
+        code, _, err = run(["gadget", "find", "--k", k, "--p", p], capsys)
+        assert code == 1 and "leaves the float range" in err
+
+    @pytest.mark.parametrize("k,p", [("10", "233.5"), ("3", "379")])
+    def test_largest_finite_p_builds(self, capsys, k, p):
+        assert run(["gadget", "find", "--k", k, "--p", p], capsys)[0] == 0
+
     @pytest.fixture()
     def gadget(self, tmp_path, capsys):
         path = tmp_path / "g.json"
@@ -489,3 +498,12 @@ class TestExitCodes:
         )
         assert proc.returncode == 0
         assert json.loads(proc.stdout)["sign"] == 1
+
+
+def test_cli_import_leaves_scipy_unloaded():
+    proc = subprocess.run(
+        [sys.executable, "-c", "import sys, latgad.cli; print('scipy' in sys.modules)"],
+        capture_output=True,
+        text=True,
+    )
+    assert proc.stdout.strip() == "False", proc.stderr

@@ -36,10 +36,65 @@ def distances(V, t, p, k):
     return [(x, pnorm(V @ np.array(x, dtype=float) - t, p)) for x in product((0, 1), repeat=k)]
 
 
+def reference_shift(k, p):
+    """find_shift as a walk over the candidates, one fsum spectrum each."""
+    q = float(p)
+    integral = q.is_integer()
+    if integral and int(q) % 2 == 0 and q < k:
+        raise UnsupportedParametersError(f"even p={q} < k={k}")
+    offsets = range(k - 1, -1, -1) if integral and q < k else (k,)
+    for i in range(1, gadgets.SHIFT_SEARCH_DEPTH + 1):
+        for j in offsets:
+            cand = j + 2.0**-i
+            if distmatrix.eigen_report(k, q, cand).nonsingular:
+                return cand
+    raise NumericDegeneracyError(f"no shift for k={k}, p={q}")
+
+
+def shift_or_error(fn, k, p):
+    try:
+        return fn(k, p)
+    except (UnsupportedParametersError, NumericDegeneracyError) as exc:
+        return type(exc)
+
+
 class TestFindShift:
     def test_k1_p1_first_candidate(self):
         # both eigenvalues at 1.5 are comfortably nonzero (3 and -2)
         assert gadgets.find_shift(1, 1.0) == 1.5
+
+    @pytest.mark.parametrize("k", [1, 2, 3, 4, 6, 10, 16])
+    def test_matches_reference_walk(self, k):
+        rng = np.random.default_rng(1200 + k)
+        grid = [1.0 + 0.25 * i for i in range(45)] + [float(p) for p in rng.uniform(1.0, 12.0, 20)]
+        for p in grid:
+            assert shift_or_error(gadgets.find_shift, k, p) == shift_or_error(reference_shift, k, p), (k, p)
+
+    @pytest.mark.parametrize("nudge", [0, 1], ids=["ratio-met", "ratio-missed"])
+    def test_undecided_candidate_goes_to_referee(self, monkeypatch, nudge):
+        # a threshold equal to the first candidate's fsum ratio (or one ulp
+        # above it) is inside every error bound: only eigen_report can decide
+        k, p = 3, 2.5
+        ratio = distmatrix.eigen_report(k, p, k + 0.5).min_ratio
+        monkeypatch.setattr(distmatrix, "NONSINGULAR_RATIO", ratio if nudge == 0 else math.nextafter(ratio, 1.0))
+        real, calls = distmatrix.eigen_report, []
+        monkeypatch.setattr(distmatrix, "eigen_report", lambda *args: calls.append(args[2]) or real(*args))
+        shift = gadgets.find_shift(k, p)
+        assert calls[0] == k + 0.5
+        assert shift == (k + 0.5 if nudge == 0 else k + 0.25)
+        assert shift == reference_shift(k, p)
+
+    def test_failing_search_needs_no_referee(self, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("the fsum spectrum was computed")
+
+        monkeypatch.setattr(distmatrix, "eigen_report", refuse)
+        with pytest.raises(NumericDegeneracyError, match="within depth 64"):
+            gadgets.find_shift(10, 2.5)
+
+    def test_k_cap(self):
+        with pytest.raises(ResourceLimitError):
+            gadgets.find_shift(17, 3)
 
     def test_even_p_below_k_refused(self):
         with pytest.raises(UnsupportedParametersError):
