@@ -18,6 +18,7 @@ to disable absent clauses in preprocessing-based reductions.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, field
 from itertools import combinations
 
@@ -250,7 +251,7 @@ def solve_weights(k: int, p, shift: float) -> tuple[np.ndarray, float]:
 
     w = (1/lambda) 1 + eps * a with a = H^-1 e_0, eps = 1 / (lambda |min a|)
     when a has a negative entry (the minimum entry of w is then zero), and
-    eps = 1 / (lambda * max |a|) otherwise.
+    eps = 1 / (lambda * max |a|) otherwise or when the former overflows.
 
     No 2^k x 2^k matrix is built.  H commutes with the coordinate
     permutations, which fix e_0, so a is constant on the Hamming classes
@@ -284,12 +285,21 @@ def solve_weights(k: int, p, shift: float) -> tuple[np.ndarray, float]:
             for J in range(k + 1)
         ]
     )
-    a = np.linalg.solve(Q, np.eye(k + 1)[0])
-    lam = report.lambda_all
+    # solve at the scale of Q's largest entry: near the float range a's
+    # entries, about 1/lambda, are subnormal and lose digits.  Scaling by a
+    # power of two is exact, so this moves nothing else.
+    e = math.frexp(float(np.abs(Q).max()))[1]
+    a = np.linalg.solve(np.ldexp(Q, -e), np.eye(k + 1)[0])
+    lam = math.ldexp(report.lambda_all, -e)
     lo = float(a.min())
+    if lo < 0.0 and lam * -lo * sys.float_info.max < 1.0:
+        # the largest gap 1 / (lambda |lo|) overflows (k = 1, p = 448), and
+        # so would the far level the verification computes: take the smaller
+        # gap 1 / (lambda max |a|), which keeps every weight non-negative
+        lo = 0.0
     # H is nonsingular, so H^-1 e_0 is not zero
     eps = 1.0 / (lam * (abs(lo) if lo < 0.0 else float(np.abs(a).max())))
-    by_class = 1.0 / lam + eps * a
+    by_class = np.ldexp(1.0 / lam + eps * a, -e)
     floor = float(by_class.min())
     if floor < -1e-12 * max(1.0, float(np.abs(by_class).max())):
         raise NumericDegeneracyError(f"weight solve produced negative entry {floor:.3g}")

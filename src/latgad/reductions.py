@@ -280,8 +280,13 @@ def _comb_rank(varset: tuple[int, ...], n: int, k: int) -> int:
 class CvppArtifacts:
     """Fixed preprocessing basis covering all M = 2^k C(n, k) possible
     k-clauses on n variables, in lexicographic (variable set, polarity mask)
-    order, plus the data needed to shape query targets.  Queries read only
-    the header; a loaded prep has no float basis (`basis` is None)."""
+    order, plus the data needed to shape query targets.
+
+    The basis is a pure function of the header: clause block (varset, mask)
+    writes column s of `block_columns`, negated when mask bit k-1-s is set,
+    into the column of the set's s-th variable, and `diagonal` times I_n
+    follows.  A loaded prep holds n, k, mode and, for lp, the on-off gadget
+    and the alpha derived from it; its `basis` is None."""
 
     n: int
     k: int
@@ -299,6 +304,16 @@ class CvppArtifacts:
     def d(self) -> int:
         return self.M * self.block_rows + self.n
 
+    @property
+    def block_columns(self) -> np.ndarray:
+        """The unsigned block_rows x k columns of every clause block: the
+        on-off gadget's V, or one row of ones for the max norm."""
+        return self.gadget.V if self.mode == "lp" else np.ones((1, self.k))
+
+    @property
+    def diagonal(self) -> float:
+        return 2.0 * self.alpha if self.mode == "lp" else float(self.k)
+
     def clause_position(self, clause: Clause) -> tuple[int, int]:
         """(table index, polarity mask) of a clause with k distinct variables;
         the gadget column order is the sorted variable order."""
@@ -315,6 +330,20 @@ class CvppArtifacts:
             mask = (mask << 1) | int(neg)
         return _comb_rank(varset, self.n, self.k) * 2**self.k + mask, mask
 
+    def present(self, formula: CspFormula) -> np.ndarray:
+        """Which of the M table entries the formula's clauses occupy."""
+        if formula.n != self.n:
+            raise InvalidInputError(f"formula has n={formula.n}, table was built for n={self.n}")
+        present = np.zeros(self.M, dtype=bool)
+        for clause in formula.constraints:
+            if not isinstance(clause, Clause):
+                raise InvalidInputError("preprocessing reduction takes clause formulas")
+            pos, _ = self.clause_position(clause)
+            if present[pos]:
+                raise InvalidInputError(f"duplicate clause in query formula: {clause.literals}")
+            present[pos] = True
+        return present
+
 
 def _iter_table(n: int, k: int):
     """All (varset, mask) table entries in deterministic order."""
@@ -323,36 +352,46 @@ def _iter_table(n: int, k: int):
             yield varset, mask
 
 
-def cvpp_preprocess(n: int, k: int, gadget: OnOffGadget) -> CvppArtifacts:
-    """Basis with one on-off gadget block per possible k-clause plus the
-    scaled identity block, alpha = M^(1/p) (1 + eps)."""
-    if n < k:
-        raise InvalidInputError(f"need n >= k, got n={n}, k={k}")
-    if gadget.k != k:
+def cvpp_header(n: int, k: int, gadget: OnOffGadget | None) -> CvppArtifacts:
+    """The lp prep of an on-off gadget of arity k, or the max-norm prep when
+    gadget is None, without its basis; alpha = M^(1/p) (1 + eps).  Refuses
+    k outside 1..n, and a basis of more than MAX_BASIS_ENTRIES entries
+    before anything is built."""
+    if not 1 <= k <= n:
+        raise InvalidInputError(f"need 1 <= k <= n, got n={n}, k={k}")
+    if gadget is not None and gadget.k != k:
         raise InvalidInputError(f"gadget arity {gadget.k} does not match k={k}")
-    q = finite_pvalue(gadget.p)
+    if n * n > MAX_BASIS_ENTRIES:
+        # the basis has more than n rows; spares C(n, k) for a huge n
+        raise ResourceLimitError(f"basis of more than {n}x{n} entries exceeds cap {MAX_BASIS_ENTRIES}")
+    rows = gadget.d if gadget is not None else 1
     M = 2**k * math.comb(n, k)
-    d = M * gadget.d + n
+    d = M * rows + n
     if d * n > MAX_BASIS_ENTRIES:
         raise ResourceLimitError(f"basis of {d}x{n} entries exceeds cap {MAX_BASIS_ENTRIES}")
-    alpha = M ** (1.0 / q) * (1.0 + gadget.eps)
-    basis = np.zeros((d, n))
-    row = 0
-    for varset, mask in _iter_table(n, k):
+    if gadget is None:
+        return CvppArtifacts(n=n, k=k, mode="inf", basis=None, block_rows=1)
+    alpha = M ** (1.0 / finite_pvalue(gadget.p)) * (1.0 + gadget.eps)
+    return CvppArtifacts(n=n, k=k, mode="lp", basis=None, block_rows=rows, gadget=gadget, alpha=alpha)
+
+
+def _with_basis(art: CvppArtifacts) -> CvppArtifacts:
+    """art with its float basis filled in."""
+    V, rows = art.block_columns, art.block_rows
+    basis = np.zeros((art.d, art.n))
+    for pos, (varset, mask) in enumerate(_iter_table(art.n, art.k)):
         for s, var in enumerate(varset):
-            sign = -1.0 if (mask >> (k - 1 - s)) & 1 else 1.0
-            basis[row : row + gadget.d, var - 1] = sign * gadget.V[:, s]
-        row += gadget.d
-    basis[row:, :] = 2.0 * alpha * np.eye(n)
-    return CvppArtifacts(
-        n=n,
-        k=k,
-        mode="lp",
-        basis=basis,
-        block_rows=gadget.d,
-        gadget=gadget,
-        alpha=alpha,
-    )
+            sign = -1.0 if (mask >> (art.k - 1 - s)) & 1 else 1.0
+            basis[pos * rows : (pos + 1) * rows, var - 1] = sign * V[:, s]
+    basis[art.M * rows :, :] = art.diagonal * np.eye(art.n)
+    art.basis = basis
+    return art
+
+
+def cvpp_preprocess(n: int, k: int, gadget: OnOffGadget) -> CvppArtifacts:
+    """Basis with one on-off gadget block per possible k-clause plus the
+    scaled identity block 2 alpha I_n, alpha = M^(1/p) (1 + eps)."""
+    return _with_basis(cvpp_header(n, k, gadget))
 
 
 def cvpp_query(artifacts: CvppArtifacts, formula: CspFormula) -> tuple[np.ndarray, float]:
@@ -365,31 +404,24 @@ def cvpp_query(artifacts: CvppArtifacts, formula: CspFormula) -> tuple[np.ndarra
         raise UnsupportedParametersError(
             "weighted formulas are not expressible against a fixed clause table"
         )
-    if formula.n != artifacts.n:
-        raise InvalidInputError(f"formula has n={formula.n}, table was built for n={artifacts.n}")
-    if not all(isinstance(c, Clause) for c in formula.constraints):
-        raise InvalidInputError("preprocessing reduction takes clause formulas")
+    present = artifacts.present(formula)
     gadget = artifacts.gadget
     q = finite_pvalue(gadget.p)
-    k = artifacts.k
-    present: dict[int, int] = {}
-    for clause in formula.constraints:
-        pos, mask = artifacts.clause_position(clause)
-        if pos in present:
-            raise InvalidInputError(f"duplicate clause in query formula: {clause.literals}")
-        present[pos] = mask
+    k, M = artifacts.k, artifacts.M
     m = formula.m
     W = formula.threshold if formula.threshold is not None else m
 
-    mask_shift = [gadget.V[:, [s for s in range(k) if (mask >> (k - 1 - s)) & 1]].sum(axis=1) for mask in range(2**k)]
+    mask_shift = np.array(
+        [gadget.V[:, [s for s in range(k) if (mask >> (k - 1 - s)) & 1]].sum(axis=1) for mask in range(2**k)]
+    )
     target = np.empty(artifacts.d)
-    row = 0
-    for pos, (_, mask) in enumerate(_iter_table(artifacts.n, k)):
-        base = gadget.t_on if pos in present else gadget.t_off
-        target[row : row + gadget.d] = base - mask_shift[mask]
-        row += gadget.d
-    target[row:] = artifacts.alpha
-    M = artifacts.M
+    # entry pos of the table has mask pos % 2^k
+    np.subtract(
+        np.where(present[:, None], gadget.t_on, gadget.t_off),
+        mask_shift[np.arange(M) % 2**k],
+        out=target[: M * gadget.d].reshape(M, gadget.d),
+    )
+    target[M * gadget.d :] = artifacts.alpha
     radius = (
         (M - (m - W)) + (m - W) * (1.0 + gadget.eps) ** q + artifacts.n * artifacts.alpha**q
     ) ** (1.0 / q)
@@ -398,17 +430,7 @@ def cvpp_query(artifacts: CvppArtifacts, formula: CspFormula) -> tuple[np.ndarra
 
 def cvpp_inf_preprocess(n: int, k: int) -> CvppArtifacts:
     """Max-norm variant: one +-1 row per possible clause plus k I_n."""
-    if n < k:
-        raise InvalidInputError(f"need n >= k, got n={n}, k={k}")
-    M = 2**k * math.comb(n, k)
-    if (M + n) * n > MAX_BASIS_ENTRIES:
-        raise ResourceLimitError("basis exceeds entry cap")
-    basis = np.zeros((M + n, n))
-    for row, (varset, mask) in enumerate(_iter_table(n, k)):
-        for s, var in enumerate(varset):
-            basis[row, var - 1] = -1.0 if (mask >> (k - 1 - s)) & 1 else 1.0
-    basis[M:, :] = float(k) * np.eye(n)
-    return CvppArtifacts(n=n, k=k, mode="inf", basis=basis, block_rows=1)
+    return _with_basis(cvpp_header(n, k, None))
 
 
 def cvpp_inf_query(artifacts: CvppArtifacts, formula: CspFormula) -> tuple[np.ndarray, float]:
@@ -418,21 +440,10 @@ def cvpp_inf_query(artifacts: CvppArtifacts, formula: CspFormula) -> tuple[np.nd
         raise InvalidInputError("artifacts were preprocessed for a finite norm")
     if formula.weights is not None or formula.threshold is not None:
         raise UnsupportedParametersError("max-norm preprocessing handles plain satisfiability only")
-    if formula.n != artifacts.n:
-        raise InvalidInputError(f"formula has n={formula.n}, table was built for n={artifacts.n}")
-    k = artifacts.k
-    present: dict[int, int] = {}
-    for clause in formula.constraints:
-        if not isinstance(clause, Clause):
-            raise InvalidInputError("preprocessing reduction takes clause formulas")
-        pos, mask = artifacts.clause_position(clause)
-        if pos in present:
-            raise InvalidInputError(f"duplicate clause in query formula: {clause.literals}")
-        present[pos] = mask
-    M = artifacts.M
+    present = artifacts.present(formula)
+    k, M = artifacts.k, artifacts.M
+    negs = np.array([bin(mask).count("1") for mask in range(2**k)], dtype=float)
     target = np.empty(M + artifacts.n)
-    for pos, (_, mask) in enumerate(_iter_table(artifacts.n, k)):
-        negs = bin(mask).count("1")
-        target[pos] = ((k + 1) / 2 if pos in present else k / 2) - negs
+    np.subtract(np.where(present, (k + 1) / 2, k / 2), negs[np.arange(M) % 2**k], out=target[:M])
     target[M:] = k / 2
     return target, k / 2

@@ -10,31 +10,30 @@ holds 19 distinct strings), so vectors and matrices go through a table:
 per distinct entry.  The bytes written and the values read are the same as
 formatting and parsing each entry on its own.
 
-A CVPP query writes the prep's basis unchanged, so it never builds the float
-matrix: `canon_columns` validates the columns as `parse_columns` does and maps
-each distinct entry to its canonical string `fmt_real(parse_real(s))` once,
-giving the columns' JSON text as a `JsonText`.  `dumps` writes a top-level
-`JsonText` value as is, so the bytes are those of parsing the basis and
-formatting it again.
+A CVPP prep stores only its generator: n, k, the mode and, for the finite
+norms, the on-off gadget.  A query writes the basis those determine without
+building the float matrix: `_basis_text` formats the k signed gadget columns
+once and joins them, and runs of zeros, into the JSON text of
+`fmt_columns(basis)`.  `dumps` writes that `JsonText` value as is.
 """
 
 from __future__ import annotations
 
 import json
 import math
-from itertools import chain
+from itertools import chain, combinations
 
 import numpy as np
 
 from .errors import InvalidInputError
 from .gadgets import IsolatingGadget, OnOffGadget
 from .numeric import PNorm
-from .reductions import CvpInstance, CvppArtifacts
+from .reductions import CvpInstance, CvppArtifacts, cvpp_header
 
 GADGET_SCHEMA = "latgad-gadget-v1"
 ONOFF_SCHEMA = "latgad-onoff-v1"
 CVP_SCHEMA = "latgad-cvp-v1"
-CVPP_SCHEMA = "latgad-cvpp-prep-v1"
+CVPP_SCHEMA = "latgad-cvpp-prep-v2"
 
 
 def fmt_real(x: float) -> str:
@@ -77,23 +76,16 @@ def _entries(v) -> list:
     return v
 
 
-def _tabled(convert, items):
-    """A function equal to convert on every entry of items that runs convert
-    once per distinct entry."""
-    try:
-        table = {s: convert(s) for s in set(items)}
-    except TypeError as exc:
-        raise InvalidInputError("entries must be decimal strings, not lists or objects") from exc
-    if 0 in table:
-        # a bare JSON number 0, 0.0, -0.0 or false: these are one dict key, so
-        # the table would hand one zero's sign to all of them
-        return convert
-    return table.__getitem__
-
-
 def _parse_table(items: list) -> np.ndarray:
     """parse_real of every entry, run once per distinct entry."""
-    return np.fromiter(map(_tabled(parse_real, items), items), float, len(items))
+    try:
+        table = {s: parse_real(s) for s in set(items)}
+    except TypeError as exc:
+        raise InvalidInputError("entries must be decimal strings, not lists or objects") from exc
+    # a bare JSON number 0, 0.0, -0.0 or false: these are one dict key, so
+    # the table would hand one zero's sign to all of them
+    convert = parse_real if 0 in table else table.__getitem__
+    return np.fromiter(map(convert, items), float, len(items))
 
 
 def fmt_vector(v) -> list[str]:
@@ -108,37 +100,15 @@ def fmt_columns(M) -> list[list[str]]:
     return _fmt_table(np.asarray(M, dtype=float).T).tolist()
 
 
-def _columns(cols) -> list[list]:
-    """cols as a list of equally long lists of entries."""
+def parse_columns(cols) -> np.ndarray:
     cols = [_entries(col) for col in _entries(cols)]
     if not cols:
         raise InvalidInputError("matrix needs at least one column")
     if any(len(col) != len(cols[0]) for col in cols):
         raise InvalidInputError(f"matrix columns differ in length: {sorted({len(col) for col in cols})}")
-    return cols
-
-
-def parse_columns(cols) -> np.ndarray:
-    cols = _columns(cols)
     # C order, as np.column_stack gave, so the matrix products downstream
     # round as before
     return _parse_table(list(chain.from_iterable(cols))).reshape(len(cols), len(cols[0])).T.copy()
-
-
-def _canon_entry(s) -> str:
-    return json.dumps(fmt_real(parse_real(s)))
-
-
-def _canon_text(cols: list[list]) -> JsonText:
-    """canon_columns of columns that _columns has already checked."""
-    canon = _tabled(_canon_entry, chain.from_iterable(cols))
-    return JsonText("[" + ",".join("[" + ",".join(map(canon, col)) + "]" for col in cols) + "]")
-
-
-def canon_columns(cols) -> JsonText:
-    """The JSON text of fmt_columns(parse_columns(cols)), with fmt_real and
-    parse_real run once per distinct entry and no float matrix built."""
-    return _canon_text(_columns(cols))
 
 
 def fmt_pnorm(p) -> str:
@@ -253,7 +223,7 @@ def onoff_from_json(d: dict) -> OnOffGadget:
 
 def cvp_to_json(p, basis, target, radius: float, meta: dict) -> dict:
     """The latgad-cvp-v1 payload, with the basis already formatted: a CVPP
-    query passes its prep's canonical basis text.  Takes the parts rather
+    query passes the basis text built from its prep.  Takes the parts rather
     than a CvpInstance so that CVPP queries skip the instance's rank check."""
     return {
         "schema": CVP_SCHEMA,
@@ -285,44 +255,50 @@ def instance_from_json(d: dict) -> CvpInstance:
 
 
 def cvpp_to_json(art: CvppArtifacts) -> dict:
-    return {
-        "schema": CVPP_SCHEMA,
-        "mode": art.mode,
-        "n": art.n,
-        "k": art.k,
-        "block_rows": art.block_rows,
-        "basis": fmt_columns(art.basis),
-        "gadget": onoff_to_json(art.gadget) if art.gadget is not None else None,
-        "alpha": fmt_real(art.alpha) if art.alpha is not None else None,
-    }
+    out = {"schema": CVPP_SCHEMA, "mode": art.mode, "n": art.n, "k": art.k}
+    if art.gadget is not None:
+        out["gadget"] = onoff_to_json(art.gadget)
+    return out
+
+
+def _basis_text(art: CvppArtifacts) -> JsonText:
+    """The JSON text of fmt_columns(art.basis), built from the header.
+
+    Over the variable sets in table order, column v holds block B_s where v
+    is the set's s-th variable, else a run of zeros; B_s is the 2^k mask
+    blocks of column s of `block_columns`, negated where mask bit k-1-s is
+    set.  The column of the diagonal block follows."""
+    k = art.k
+    # each signed column's entries as JSON text, without the brackets
+    signed = [(_compact(fmt_vector(c))[1:-1], _compact(fmt_vector(-c))[1:-1]) for c in art.block_columns.T]
+    blocks = [",".join(signed[s][(mask >> (k - 1 - s)) & 1] for mask in range(2**k)) for s in range(k)]
+    zero = _compact(fmt_real(0.0))
+    zeros = ",".join([zero] * (2**k * art.block_rows))
+    varsets = list(combinations(range(1, art.n + 1), k))
+    cols = []
+    for v in range(1, art.n + 1):
+        tail = [zero] * art.n
+        tail[v - 1] = _compact(fmt_real(art.diagonal))
+        pieces = [blocks[vs.index(v)] if v in vs else zeros for vs in varsets]
+        cols.append("[" + ",".join(pieces + tail) + "]")
+    return JsonText("[" + ",".join(cols) + "]")
 
 
 def cvpp_from_json(d: dict) -> tuple[CvppArtifacts, JsonText]:
-    """The prep's header as CvppArtifacts without a basis, and the basis as
-    canonical JSON text: queries copy the basis and read only its shape.
-    The header must agree with itself and with the basis's shape."""
-    _check(d, CVPP_SCHEMA, "n", "k", "mode", "basis", "block_rows")
-    n, k, mode, rows = _parse_int(d["n"]), _parse_int(d["k"]), d["mode"], _parse_int(d["block_rows"])
-    gadget = onoff_from_json(d["gadget"]) if d.get("gadget") else None
-    alpha = parse_real(d["alpha"]) if d.get("alpha") is not None else None
-    if not 1 <= k <= n:
-        raise InvalidInputError(f"need 1 <= k <= n, got n={n}, k={k}")
+    """The prep's header as CvppArtifacts without a float basis, and the
+    basis as the JSON text of fmt_columns(basis): queries write the basis
+    and compute only with the header."""
+    _check(d, CVPP_SCHEMA, "n", "k", "mode")
+    n, k, mode = _parse_int(d["n"]), _parse_int(d["k"]), d["mode"]
     if mode == "lp":
-        if gadget is None or alpha is None:
-            raise InvalidInputError("lp preprocessing needs its on-off gadget and alpha")
-        if gadget.k != k:
-            raise InvalidInputError(f"gadget arity {gadget.k} does not match k={k}")
-        block_rows = gadget.d
+        if d.get("gadget") is None:
+            raise InvalidInputError("lp preprocessing needs its on-off gadget")
+        gadget = onoff_from_json(d["gadget"])
     elif mode == "inf":
-        block_rows = 1
+        if "gadget" in d:
+            raise InvalidInputError("inf preprocessing takes no gadget")
+        gadget = None
     else:
         raise InvalidInputError(f"unknown preprocessing mode {mode!r}")
-    if rows != block_rows:
-        raise InvalidInputError(f"block_rows is {rows}, {mode} blocks have {block_rows} rows")
-    art = CvppArtifacts(n=n, k=k, mode=mode, basis=None, block_rows=block_rows, gadget=gadget, alpha=alpha)
-    cols = _columns(d["basis"])
-    if (len(cols[0]), len(cols)) != (art.d, n):
-        raise InvalidInputError(
-            f"prep basis is {len(cols[0])}x{len(cols)}, header gives M*block_rows + n = {art.d} rows and n = {n} columns"
-        )
-    return art, _canon_text(cols)
+    art = cvpp_header(n, k, gadget)
+    return art, _basis_text(art)

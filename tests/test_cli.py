@@ -5,7 +5,7 @@ import time
 
 import pytest
 
-from latgad import cli, serialize
+from latgad import cli, reductions, serialize
 from latgad.cli import dispatch
 
 
@@ -202,16 +202,29 @@ class TestCvppCommands:
         assert out_json(out)["passed"] is True
 
 
-def old_query_bytes(query_text: str, prep_doc: dict) -> str:
-    """The query artifact as the parse-and-format path wrote it: the prep's
-    basis parsed to floats and formatted again, then json.dumps."""
+def float_path_bytes(query_text: str, prep_doc: dict) -> str:
+    """The query artifact with the basis formatted from the float basis that
+    cvpp_preprocess (or cvpp_inf_preprocess) builds for the prep, then
+    json.dumps."""
+    n, k = int(prep_doc["n"]), int(prep_doc["k"])
+    if prep_doc["mode"] == "lp":
+        art = reductions.cvpp_preprocess(n, k, serialize.onoff_from_json(prep_doc["gadget"]))
+    else:
+        art = reductions.cvpp_inf_preprocess(n, k)
     doc = json.loads(query_text)
-    doc["basis"] = serialize.fmt_columns(serialize.parse_columns(prep_doc["basis"]))
+    doc["basis"] = serialize.fmt_columns(art.basis)
     return json.dumps(doc, sort_keys=True, separators=(",", ":")) + "\n"
 
 
-# non-canonical spellings of the values a prep basis holds
+# non-canonical spellings of the values an on-off gadget holds
 RESPELL = {"0": "0.0", "-0": "-0e0", "1": "1.0", "-1": "-1e0"}
+
+
+def respelled(value):
+    """value with every canonical spelling in RESPELL replaced."""
+    if isinstance(value, list):
+        return [respelled(v) for v in value]
+    return RESPELL.get(value, value)
 
 
 class TestCvppQueryBytes:
@@ -237,16 +250,21 @@ class TestCvppQueryBytes:
         prep = preps[0] if action == "query" else preps[1]
         prep_doc = json.loads(prep.read_text())
         if respell:
-            prep_doc["basis"] = [[RESPELL.get(s, s) for s in col] for col in prep_doc["basis"]]
-            assert prep_doc["basis"] != json.loads(prep.read_text())["basis"]
-            prep.write_text(json.dumps(prep_doc))
+            # the gadget's entries respelled, the document indented: the
+            # query reads values, so its bytes do not move
+            if action == "query":
+                gadget = prep_doc["gadget"]
+                for key in ("V", "t_on", "t_off"):
+                    gadget[key] = respelled(gadget[key])
+                assert gadget != json.loads(prep.read_text())["gadget"]
+            prep.write_text(json.dumps(prep_doc, indent=1))
         f, q = tmp_path / "f.cnf", tmp_path / "q.json"
         f.write_text(cnf)
         assert run(["cvpp", action, "--prep", str(prep), "--cnf", str(f), "--out", str(q)], capsys)[0] == 0
-        assert q.read_text() == old_query_bytes(q.read_text(), prep_doc)
+        assert q.read_text() == float_path_bytes(q.read_text(), prep_doc)
 
     def test_no_float_basis(self, tmp_path, capsys, preps, monkeypatch):
-        # the prep's on-off gadget is parsed; its basis is only copied
+        # the prep's on-off gadget is parsed; the basis is written as text
         shapes = []
         parse_columns = serialize.parse_columns
 
@@ -389,7 +407,8 @@ class TestExitCodes:
         code, _, err = run(["gadget", "find", "--k", k, "--p", p], capsys)
         assert code == 1 and "leaves the float range" in err
 
-    @pytest.mark.parametrize("k,p", [("10", "233.5"), ("3", "379")])
+    # 234 and 234.5 left a's entries subnormal until the solve was rescaled
+    @pytest.mark.parametrize("k,p", [("10", "233.5"), ("10", "234"), ("10", "234.5"), ("3", "379")])
     def test_largest_finite_p_builds(self, capsys, k, p):
         assert run(["gadget", "find", "--k", k, "--p", p], capsys)[0] == 0
 
@@ -440,16 +459,20 @@ class TestExitCodes:
         assert code == 2 and "usage error" in err
 
     @pytest.mark.parametrize(
-        "edit, message",
+        "edit, code, message",
         [
-            (lambda d: d.update(basis=[col + ["0"] * 8 for col in d["basis"]]), "prep basis is 107x3"),
-            (lambda d: d.update(basis=[col[:-5] for col in d["basis"]]), "prep basis is 94x3"),
-            (lambda d: d["basis"].pop(), "prep basis is 99x2"),
-            (lambda d: d.update(block_rows=7), "block_rows is 7, lp blocks have 8 rows"),
+            (lambda d: d.update(schema="latgad-cvpp-prep-v1", block_rows=8, basis=[["0"] * 99] * 3), 2,
+             "expected schema latgad-cvpp-prep-v2, got 'latgad-cvpp-prep-v1'"),
+            (lambda d: d.update(k=4), 2, "need 1 <= k <= n, got n=3, k=4"),
+            (lambda d: d.update(k=1), 2, "gadget arity 2 does not match k=1"),
+            (lambda d: d.update(mode="l2"), 2, "unknown preprocessing mode 'l2'"),
+            (lambda d: d.pop("gadget"), 2, "lp preprocessing needs its on-off gadget"),
+            (lambda d: d.update(mode="inf"), 2, "inf preprocessing takes no gadget"),
+            (lambda d: d.update(n=200), 3, "basis of 637000x200 entries exceeds cap"),
         ],
-        ids=["rows-too-long", "rows-too-short", "column-missing", "block-rows"],
+        ids=["v1-prep", "k-above-n", "gadget-arity", "unknown-mode", "lp-without-gadget", "inf-with-gadget", "over-cap"],
     )
-    def test_prep_header_disagrees_with_basis(self, tmp_path, capsys, edit, message):
+    def test_bad_prep_is_refused(self, tmp_path, capsys, monkeypatch, edit, code, message):
         # n=3, k=2: M = 12 blocks of the k=3 gadget's 8 on-off rows, plus 3
         g, prep, cnf = tmp_path / "g.json", tmp_path / "prep.json", tmp_path / "f.cnf"
         run(["gadget", "find", "--k", "3", "--p", "3", "--out", str(g)], capsys)
@@ -458,8 +481,9 @@ class TestExitCodes:
         edit(data)
         prep.write_text(json.dumps(data))
         cnf.write_text("p cnf 3 2\n1 2 0\n-2 3 0\n")
-        code, _, err = run(["cvpp", "query", "--prep", str(prep), "--cnf", str(cnf), "--out", str(tmp_path / "q.json")], capsys)
-        assert code == 2 and message in err
+        monkeypatch.setattr(serialize, "_basis_text", lambda art: pytest.fail("built the basis text"))
+        got, _, err = run(["cvpp", "query", "--prep", str(prep), "--cnf", str(cnf), "--out", str(tmp_path / "q.json")], capsys)
+        assert got == code and message in err
 
     @pytest.mark.parametrize("text", [b"not json {", b"\xff\xfe{}"])
     def test_not_json_is_usage(self, tmp_path, capsys, text):

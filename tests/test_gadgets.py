@@ -136,6 +136,19 @@ class TestSolveWeights:
         with pytest.raises(InvalidInputError):
             gadgets.solve_weights(2, 1.0, 2.5)
 
+    @pytest.mark.parametrize("k,p", [(2, 358.0), (3, 379.0), (4, 320.5), (6, 275.5), (8, 253.0), (10, 234.0)])
+    def test_gap_near_the_float_range(self, k, p):
+        # for large p the gap tends to 4 / (4k - 3), to 1e-9 by p = 201 at
+        # k <= 10; at these p, a = H^-1 e_0 is near the subnormal range
+        assert gadgets.find_isolating_parallelepiped(k, p).eps == pytest.approx(4 / (4 * k - 3), rel=1e-9)
+
+    def test_overflowing_gap_falls_back_to_smaller_one(self):
+        # at k = 1, p = 448 the largest gap 1 / (lambda |min a|) overflows
+        shift = gadgets.find_shift(1, 448.0)
+        weights, eps = gadgets.solve_weights(1, 448.0, shift)
+        assert math.isfinite(eps) and weights.min() > 0.0
+        assert gadgets.find_isolating_parallelepiped(1, 448.0).eps > 0.0
+
     @pytest.mark.parametrize("k", range(1, 11))
     def test_matches_dense_solve(self, k):
         # odd integers p < k take the interior shifts, the rest shift past k;

@@ -312,11 +312,11 @@ class TestCvppFinite:
 
     def test_basis_stable_across_queries(self, onoff2):
         art = reductions.cvpp_preprocess(4, 2, onoff2)
-        digest = hashlib.sha256(serialize.dumps(serialize.cvpp_to_json(art)).encode()).hexdigest()
+        digest = hashlib.sha256(serialize.dumps(serialize.cvpp_to_json(art)).encode() + art.basis.tobytes()).hexdigest()
         f = CspFormula(n=4, constraints=[Clause((1, 2)), Clause((-3, 4))])
         reductions.cvpp_query(art, f)
         reductions.cvpp_query(art, CspFormula(n=4, constraints=[Clause((-1, -2))]))
-        again = hashlib.sha256(serialize.dumps(serialize.cvpp_to_json(art)).encode()).hexdigest()
+        again = hashlib.sha256(serialize.dumps(serialize.cvpp_to_json(art)).encode() + art.basis.tobytes()).hexdigest()
         assert digest == again
 
     def test_duplicate_clause_rejected(self, onoff2):

@@ -1,3 +1,4 @@
+import functools
 import json
 import math
 
@@ -8,7 +9,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from latgad import gadgets, reductions, serialize
-from latgad.errors import InvalidInputError
+from latgad.errors import InvalidInputError, ResourceLimitError
 from latgad.formulas import Clause, CspFormula
 from latgad.numeric import PNorm
 
@@ -92,7 +93,10 @@ class TestTables:
         with pytest.raises(InvalidInputError):
             serialize.parse_columns([["1", "2"], ["-0", bad]])
 
-    @pytest.mark.parametrize("cols", [[["1", "2"], ["1"]], [["1"], None], 3, []])
+    # the last three: a string column, an object column, a string matrix
+    @pytest.mark.parametrize(
+        "cols", [[["1", "2"], ["1"]], [["1"], None], 3, [], [["1", "2"], "34"], [{"1": "0", "2": "0"}, ["3", "4"]], "12"]
+    )
     def test_malformed_matrix_rejected(self, cols):
         with pytest.raises(InvalidInputError):
             serialize.parse_columns(cols)
@@ -173,78 +177,6 @@ def compact(obj) -> str:
     return json.dumps(obj, sort_keys=True, separators=(",", ":"))
 
 
-# spellings of a few values, canonical and not, and bare JSON numbers
-SPELLINGS = [
-    "1", "1.0", "1e0", "+1", "-0", "0", "-0.0", "0e5", "0.1", "0.10000000000000001", "inf", "-inf",
-    "Infinity", "nan", "1e-320", "2.5", "-3",
-    0, -0.0, 0.0, False, True, 1, 2.5,
-    *map(serialize.fmt_real, POOL),
-]
-
-
-@st.composite
-def raw_columns(draw):
-    d = draw(st.integers(0, 8))
-    spelling = st.sampled_from(SPELLINGS)
-    return draw(st.lists(st.lists(spelling, min_size=d, max_size=d), min_size=1, max_size=5))
-
-
-def outcome(convert, cols):
-    """convert(cols), or the message of the InvalidInputError it raises."""
-    try:
-        return convert(cols)
-    except InvalidInputError as exc:
-        return f"InvalidInputError: {exc}"
-
-
-class TestCanonColumns:
-    """canon_columns against parsing the columns and formatting them again."""
-
-    @given(raw_columns())
-    @settings(max_examples=300)
-    @example([["1.0", "1e0", "-0", "0.10000000000000001", "inf"], [0, -0.0, False, 1, "0"]])
-    def test_matches_parse_then_format(self, cols):
-        text = serialize.canon_columns(cols)
-        assert isinstance(text, serialize.JsonText)
-        assert text == compact(serialize.fmt_columns(serialize.parse_columns(cols)))
-
-    @pytest.mark.parametrize(
-        "cols",
-        [
-            [["1", "2"], ["1"]],  # ragged
-            [["1", ["2"]], ["3", "4"]],  # nested list
-            [["1", {}], ["3", "4"]],  # object
-            [["1", "abc"], ["3", "4"]],
-            [["1", ""], ["3", "4"]],
-            [["1", None]],
-            [["1"], None],
-            [["1", "2"], "34"],  # string column
-            [{"1": "0", "2": "0"}, ["3", "4"]],  # object column
-            "12",
-            3,
-            [],
-        ],
-    )
-    def test_same_errors_as_parse(self, cols):
-        expected = outcome(serialize.parse_columns, cols)
-        assert expected.startswith("InvalidInputError")
-        assert outcome(serialize.canon_columns, cols) == expected
-
-    @given(raw_columns())
-    @settings(max_examples=50)
-    def test_each_distinct_entry_formatted_once(self, cols):
-        calls = []
-        fmt_real = serialize.fmt_real
-        with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(serialize, "fmt_real", lambda x: calls.append(x) or fmt_real(x))
-            serialize.canon_columns(cols)
-        entries = [s for col in cols for s in col]
-        # bare zeros are one dict key, so with one of them every entry is
-        # formatted again on its own
-        again = len(entries) if 0 in entries else 0
-        assert len(calls) == len(set(entries)) + again
-
-
 def payloads():
     """One payload of every artifact kind the command line writes."""
     g = gadgets.find_isolating_parallelepiped(3, 2.5)
@@ -270,11 +202,102 @@ class TestDumps:
         payload = payloads()[kind]
         assert serialize.dumps(payload) == compact(payload) + "\n"
 
-    @pytest.mark.parametrize("kind", ["instance", "prep", "inf-prep"])
+    @pytest.mark.parametrize("kind", ["instance"])
     def test_json_text_written_as_is(self, kind):
         payload = payloads()[kind]
-        text = serialize.canon_columns(payload["basis"])
+        text = serialize.JsonText(compact(payload["basis"]))
         assert serialize.dumps({**payload, "basis": text}) == compact(payload) + "\n"
+
+
+def loop_query(art, formula):
+    """cvpp_query as a loop over the table entries, the reference for the
+    vectorized target."""
+    g, k = art.gadget, art.k
+    present = {art.clause_position(c)[0] for c in formula.constraints}
+    W = formula.threshold if formula.threshold is not None else formula.m
+    mask_shift = [g.V[:, [s for s in range(k) if (mask >> (k - 1 - s)) & 1]].sum(axis=1) for mask in range(2**k)]
+    target = np.empty(art.d)
+    row = 0
+    for pos, (_, mask) in enumerate(reductions._iter_table(art.n, k)):
+        target[row : row + g.d] = (g.t_on if pos in present else g.t_off) - mask_shift[mask]
+        row += g.d
+    target[row:] = art.alpha
+    q, m = g.p, formula.m
+    radius = ((art.M - (m - W)) + (m - W) * (1.0 + g.eps) ** q + art.n * art.alpha**q) ** (1.0 / q)
+    return target, radius
+
+
+def loop_inf_query(art, formula):
+    """cvpp_inf_query as a loop over the table entries."""
+    k = art.k
+    present = {art.clause_position(c)[0] for c in formula.constraints}
+    target = np.empty(art.M + art.n)
+    for pos, (_, mask) in enumerate(reductions._iter_table(art.n, k)):
+        target[pos] = ((k + 1) / 2 if pos in present else k / 2) - bin(mask).count("1")
+    target[art.M :] = k / 2
+    return target, k / 2
+
+
+def random_queries(n, k, seed, count=4):
+    """Seeded formulas of distinct k-clauses on n variables, from none to
+    every table entry."""
+    rng = np.random.default_rng(seed)
+    table = [
+        Clause(tuple(-v if (mask >> (k - 1 - s)) & 1 else v for s, v in enumerate(vs)))
+        for vs, mask in reductions._iter_table(n, k)
+    ]
+    sizes = [0, len(table), *rng.integers(1, len(table) + 1, size=count - 2)]
+    return [
+        CspFormula(n=n, constraints=[table[i] for i in sorted(rng.choice(len(table), size=m, replace=False))])
+        for m in sizes
+    ]
+
+
+@functools.cache
+def onoff(k: int, p: float):
+    """The on-off gadget of arity k from the isolating gadget of arity k + 1."""
+    return gadgets.to_on_off(gadgets.find_isolating_parallelepiped(k + 1, p))
+
+
+class TestCvppBasisText:
+    """The loaded prep's basis text against formatting the float basis, and
+    the vectorized targets against the loop over table entries."""
+
+    @pytest.mark.parametrize("p", [1.0, 1.5, 3.0, 5.0])
+    @pytest.mark.parametrize("k", [1, 2, 3])
+    def test_lp_matches_float_path(self, k, p):
+        g = onoff(k, p)
+        for n in range(k, 8):
+            art = reductions.cvpp_preprocess(n, k, g)
+            back, text = serialize.cvpp_from_json(json.loads(serialize.dumps(serialize.cvpp_to_json(art))))
+            assert json.loads(text) == serialize.fmt_columns(art.basis)
+            assert text == compact(json.loads(text))
+            assert back.alpha == art.alpha and back.d == art.d
+            for f in random_queries(n, k, seed=[n, k, int(4 * p)]):
+                for W in (None, max(f.m - 1, 0)):
+                    f.threshold = W
+                    target, radius = reductions.cvpp_query(back, f)
+                    ref_target, ref_radius = loop_query(art, f)
+                    assert target.tobytes() == ref_target.tobytes() and radius == ref_radius
+
+    def test_negated_zero_rows_print_minus_zero(self):
+        # the on-off gadget's zeroed class gives 0 entries, which a negated
+        # column writes as -0
+        art = reductions.cvpp_preprocess(3, 2, onoff(2, 3.0))
+        _, text = serialize.cvpp_from_json(serialize.cvpp_to_json(art))
+        assert '"-0"' in text and np.signbit(art.basis[art.basis == 0]).any()
+
+    @pytest.mark.parametrize("k", [1, 2, 3])
+    def test_inf_matches_float_path(self, k):
+        for n in range(k, 8):
+            art = reductions.cvpp_inf_preprocess(n, k)
+            back, text = serialize.cvpp_from_json(json.loads(serialize.dumps(serialize.cvpp_to_json(art))))
+            assert json.loads(text) == serialize.fmt_columns(art.basis)
+            assert text == compact(json.loads(text))
+            for f in random_queries(n, k, seed=[n, k]):
+                target, radius = reductions.cvpp_inf_query(back, f)
+                ref_target, ref_radius = loop_inf_query(art, f)
+                assert target.tobytes() == ref_target.tobytes() and radius == ref_radius
 
 
 class TestCvppJson:
@@ -300,18 +323,28 @@ class TestCvppJson:
     @pytest.mark.parametrize(
         "field, edit, message",
         [
-            ("basis", lambda cols: [col + ["0"] for col in cols], "prep basis is 28x3"),
-            ("basis", lambda cols: [col[:-1] for col in cols], "prep basis is 26x3"),
-            ("basis", lambda cols: cols[:-1], "prep basis is 27x2"),
-            ("block_rows", lambda rows: rows - 1, "block_rows is 3, lp blocks have 4 rows"),
             ("k", lambda k: 4, "need 1 <= k <= n"),
-            ("mode", lambda mode: "inf", "block_rows is 4, inf blocks have 1 rows"),
+            ("k", lambda k: 0, "need 1 <= k <= n, got n=3, k=0"),
+            ("k", lambda k: 2, "gadget arity 1 does not match k=2"),
+            ("n", lambda n: "three", "bad integer 'three'"),
+            ("mode", lambda mode: "inf", "inf preprocessing takes no gadget"),
+            ("mode", lambda mode: "l2", "unknown preprocessing mode 'l2'"),
             ("gadget", lambda g: None, "needs its on-off gadget"),
+            ("schema", lambda schema: "latgad-cvpp-prep-v1", "expected schema latgad-cvpp-prep-v2"),
         ],
     )
     def test_header_must_match_basis(self, field, edit, message):
+        # the header generates the basis, so it must describe one that exists
         g = gadgets.find_isolating_parallelepiped(2, 2.5)
         d = serialize.cvpp_to_json(reductions.cvpp_preprocess(3, 1, gadgets.to_on_off(g)))
         d[field] = edit(d[field])
         with pytest.raises(InvalidInputError, match=message):
+            serialize.cvpp_from_json(d)
+
+    @pytest.mark.parametrize("n, message", [(400, "basis of 319600x400 entries"), (10**6, "more than 1000000x1000000")])
+    def test_size_cap_before_any_text(self, n, message, monkeypatch):
+        monkeypatch.setattr(serialize, "_basis_text", lambda art: pytest.fail("built the basis text"))
+        d = serialize.cvpp_to_json(reductions.cvpp_inf_preprocess(4, 2))
+        d["n"] = n
+        with pytest.raises(ResourceLimitError, match=message):
             serialize.cvpp_from_json(d)
