@@ -144,7 +144,10 @@ class OnOffGadget:
         self.t_on = np.asarray(self.t_on, dtype=float).ravel()
         self.t_off = np.asarray(self.t_off, dtype=float).ravel()
         if self.V.shape != (self.t_on.size, self.k) or self.t_off.size != self.t_on.size:
-            raise InvalidInputError("on-off gadget shape mismatch")
+            raise InvalidInputError(
+                f"on-off gadget shape mismatch: V is {self.V.shape[0]}x{self.V.shape[1]} for k={self.k}, "
+                f"t_on has {self.t_on.size} rows, t_off {self.t_off.size}"
+            )
 
     @property
     def d(self) -> int:

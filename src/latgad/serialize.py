@@ -12,9 +12,9 @@ formatting and parsing each entry on its own.
 
 A CVPP prep stores only its generator: n, k, the mode and, for the finite
 norms, the on-off gadget.  A query writes the basis those determine without
-building the float matrix: `_basis_text` formats the k signed gadget columns
-once and joins them, and runs of zeros, into the JSON text of
-`fmt_columns(basis)`.  `dumps` writes that `JsonText` value as is.
+building the float matrix: `_basis_text` formats each distinct entry of the
+gadget columns and their negations once, and joins the columns, and runs of
+zeros, into the JSON text of `fmt_columns(basis)`.  `dumps` writes that `JsonText` value as is.
 """
 
 from __future__ import annotations
@@ -268,17 +268,21 @@ def _basis_text(art: CvppArtifacts) -> JsonText:
     is the set's s-th variable, else a run of zeros; B_s is the 2^k mask
     blocks of column s of `block_columns`, negated where mask bit k-1-s is
     set.  The column of the diagonal block follows."""
-    k = art.k
-    # each signed column's entries as JSON text, without the brackets
-    signed = [(_compact(fmt_vector(c))[1:-1], _compact(fmt_vector(-c))[1:-1]) for c in art.block_columns.T]
+    k, rows = art.k, art.block_rows
+    # every entry as JSON text, each distinct value formatted once: the
+    # columns of V, the columns of -V, then 0 and the diagonal
+    V = art.block_columns.T.ravel()
+    text = [_compact(s) for s in fmt_vector(np.concatenate([V, -V, [0.0, art.diagonal]]))]
+    # column s of V and of -V, without brackets
+    signed = [[",".join(text[(h * k + s) * rows : (h * k + s + 1) * rows]) for h in (0, 1)] for s in range(k)]
     blocks = [",".join(signed[s][(mask >> (k - 1 - s)) & 1] for mask in range(2**k)) for s in range(k)]
-    zero = _compact(fmt_real(0.0))
-    zeros = ",".join([zero] * (2**k * art.block_rows))
+    zero, diagonal = text[-2:]
+    zeros = ",".join([zero] * (2**k * rows))
     varsets = list(combinations(range(1, art.n + 1), k))
     cols = []
     for v in range(1, art.n + 1):
         tail = [zero] * art.n
-        tail[v - 1] = _compact(fmt_real(art.diagonal))
+        tail[v - 1] = diagonal
         pieces = [blocks[vs.index(v)] if v in vs else zeros for vs in varsets]
         cols.append("[" + ",".join(pieces + tail) + "]")
     return JsonText("[" + ",".join(cols) + "]")

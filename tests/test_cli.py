@@ -370,6 +370,22 @@ class TestSharedParser:
         assert shared == fresh
 
 
+def query_edited_prep(tmp_path, capsys, monkeypatch, edit) -> tuple[int, str]:
+    """(exit code, stderr) of a query on an n=3, k=2 prep after edit(prep
+    document), with building the basis text made a failure."""
+    # n=3, k=2: M = 12 blocks of the k=3 gadget's 8 on-off rows, plus 3
+    g, prep, cnf = tmp_path / "g.json", tmp_path / "prep.json", tmp_path / "f.cnf"
+    run(["gadget", "find", "--k", "3", "--p", "3", "--out", str(g)], capsys)
+    run(["cvpp", "prep", "--n", "3", "--k", "2", "--gadget", str(g), "--out", str(prep)], capsys)
+    data = json.loads(prep.read_text())
+    edit(data)
+    prep.write_text(json.dumps(data))
+    cnf.write_text("p cnf 3 2\n1 2 0\n-2 3 0\n")
+    monkeypatch.setattr(serialize, "_basis_text", lambda art: pytest.fail("built the basis text"))
+    code, _, err = run(["cvpp", "query", "--prep", str(prep), "--cnf", str(cnf), "--out", str(tmp_path / "q.json")], capsys)
+    return code, err
+
+
 class TestExitCodes:
     def test_unknown_flag_is_usage(self, capsys):
         assert run(["gadget", "find", "--nope", "1"], capsys)[0] == 2
@@ -473,17 +489,24 @@ class TestExitCodes:
         ids=["v1-prep", "k-above-n", "gadget-arity", "unknown-mode", "lp-without-gadget", "inf-with-gadget", "over-cap"],
     )
     def test_bad_prep_is_refused(self, tmp_path, capsys, monkeypatch, edit, code, message):
-        # n=3, k=2: M = 12 blocks of the k=3 gadget's 8 on-off rows, plus 3
-        g, prep, cnf = tmp_path / "g.json", tmp_path / "prep.json", tmp_path / "f.cnf"
-        run(["gadget", "find", "--k", "3", "--p", "3", "--out", str(g)], capsys)
-        run(["cvpp", "prep", "--n", "3", "--k", "2", "--gadget", str(g), "--out", str(prep)], capsys)
-        data = json.loads(prep.read_text())
-        edit(data)
-        prep.write_text(json.dumps(data))
-        cnf.write_text("p cnf 3 2\n1 2 0\n-2 3 0\n")
-        monkeypatch.setattr(serialize, "_basis_text", lambda art: pytest.fail("built the basis text"))
-        got, _, err = run(["cvpp", "query", "--prep", str(prep), "--cnf", str(cnf), "--out", str(tmp_path / "q.json")], capsys)
+        got, err = query_edited_prep(tmp_path, capsys, monkeypatch, edit)
         assert got == code and message in err
+
+    # the gadget's V gives the basis's block columns and its targets the block
+    # rows, so a gadget whose V disagrees with its targets or with k is refused
+    @pytest.mark.parametrize(
+        "edit, message",
+        [
+            (lambda g: g.update(V=[col + ["0"] for col in g["V"]]), "V is 9x2 for k=2, t_on has 8 rows, t_off 8"),
+            (lambda g: g.update(V=[col[:-1] for col in g["V"]]), "V is 7x2 for k=2, t_on has 8 rows, t_off 8"),
+            (lambda g: g["V"].pop(), "V is 8x1 for k=2, t_on has 8 rows, t_off 8"),
+            (lambda g: g.update(t_on=g["t_on"][:-1], t_off=g["t_off"][:-1]), "V is 8x2 for k=2, t_on has 7 rows, t_off 7"),
+        ],
+        ids=["rows-too-long", "rows-too-short", "column-missing", "block-rows"],
+    )
+    def test_prep_header_disagrees_with_basis(self, tmp_path, capsys, monkeypatch, edit, message):
+        got, err = query_edited_prep(tmp_path, capsys, monkeypatch, lambda d: edit(d["gadget"]))
+        assert got == 2 and "on-off gadget shape mismatch: " + message in err
 
     @pytest.mark.parametrize("text", [b"not json {", b"\xff\xfe{}"])
     def test_not_json_is_usage(self, tmp_path, capsys, text):

@@ -202,11 +202,25 @@ class TestDumps:
         payload = payloads()[kind]
         assert serialize.dumps(payload) == compact(payload) + "\n"
 
-    @pytest.mark.parametrize("kind", ["instance"])
+    @pytest.mark.parametrize("kind", ["instance", "prep", "inf-prep"])
     def test_json_text_written_as_is(self, kind):
         payload = payloads()[kind]
-        text = serialize.JsonText(compact(payload["basis"]))
+        if kind == "instance":
+            text = serialize.JsonText(compact(payload["basis"]))
+        else:
+            # the basis text a query builds from the prep, beside the
+            # formatted float basis
+            art, text = serialize.cvpp_from_json(payload)
+            ref = float_prep(art)
+            payload = {**payload, "basis": serialize.fmt_columns(ref.basis)}
         assert serialize.dumps({**payload, "basis": text}) == compact(payload) + "\n"
+
+
+def float_prep(art):
+    """The prep with float basis for the header art."""
+    if art.mode == "lp":
+        return reductions.cvpp_preprocess(art.n, art.k, art.gadget)
+    return reductions.cvpp_inf_preprocess(art.n, art.k)
 
 
 def loop_query(art, formula):
@@ -298,6 +312,44 @@ class TestCvppBasisText:
                 target, radius = reductions.cvpp_inf_query(back, f)
                 ref_target, ref_radius = loop_inf_query(art, f)
                 assert target.tobytes() == ref_target.tobytes() and radius == ref_radius
+
+
+def bit_patterns(values) -> set:
+    return set(np.asarray(values, dtype=float).ravel().view(np.uint64).tolist())
+
+
+def every_prep():
+    """lp preps for k in 1..3, n in k..6 and p in {1, 1.5, 3, 5}, and the inf
+    preps for the same n and k."""
+    for k in (1, 2, 3):
+        for n in range(k, 7):
+            yield reductions.cvpp_inf_preprocess(n, k)
+            for p in (1.0, 1.5, 3.0, 5.0):
+                yield reductions.cvpp_preprocess(n, k, onoff(k, p))
+
+
+class TestCanonColumns:
+    """The basis text a loaded prep builds is canonical column text."""
+
+    def test_matches_parse_then_format(self):
+        for art in every_prep():
+            _, text = serialize.cvpp_from_json(serialize.cvpp_to_json(art))
+            assert isinstance(text, serialize.JsonText)
+            assert text == compact(serialize.fmt_columns(serialize.parse_columns(json.loads(text))))
+
+    def test_each_distinct_entry_formatted_once(self, monkeypatch):
+        fmt_real = serialize.fmt_real
+        for art in every_prep():
+            header = serialize.cvpp_to_json(art)
+            calls = []
+            with monkeypatch.context() as mp:
+                mp.setattr(serialize, "fmt_real", lambda x: calls.append(x) or fmt_real(x))
+                serialize.cvpp_from_json(header)
+            # no value twice, every value of the basis, and nothing but the
+            # basis's values and the zero of its zero runs
+            assert len(calls) == len(bit_patterns(calls))
+            assert bit_patterns(calls) - bit_patterns(art.basis) <= bit_patterns([0.0])
+            assert bit_patterns(art.basis) <= bit_patterns(calls)
 
 
 class TestCvppJson:
