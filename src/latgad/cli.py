@@ -7,6 +7,7 @@ verification pass, 1 verification failure, 2 usage error, 3 resource limit.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import functools
 import json
 import math
@@ -37,12 +38,14 @@ def _log(msg: str) -> None:
 
 
 def _emit(payload: dict, out: str | None) -> None:
-    text = serialize.dumps(payload)
+    # every chunk is built before the file is opened, so a payload that
+    # fails to encode leaves no file
+    chunks = serialize.dump_chunks(payload)
     if out:
         with open(out, "w") as fh:
-            fh.write(text)
+            fh.writelines(chunks)
     else:
-        sys.stdout.write(text)
+        sys.stdout.writelines(chunks)
 
 
 def _load_json(path: str) -> dict:
@@ -203,24 +206,20 @@ def _cmd_cvpp(args, tol: Tolerance) -> int:
         art, basis = serialize.cvpp_from_json(_load_json(args.prep))
         formula = parse_dimacs(_read(args.cnf))
         if args.w is not None:
-            formula.threshold = args.w
-        if args.action == "query":
-            target, radius = reductions.cvpp_query(art, formula)
-            p = art.gadget.p
-            mode = "cvpp-lp"
-        else:
-            target, radius = reductions.cvpp_inf_query(art, formula)
-            p = math.inf
-            mode = "cvpp-inf"
+            # through the constructor, which checks the threshold
+            formula = dataclasses.replace(formula, threshold=args.w)
+        mode = "lp" if args.action == "query" else "inf"
+        present, radius = reductions.cvpp_table_query(art, formula, mode)
+        p = art.gadget.p if mode == "lp" else math.inf
         meta = {
-            "mode": mode,
+            "mode": "cvpp-" + mode,
             "n": art.n,
             "k": art.k,
             "m": formula.m,
             "threshold": formula.threshold if formula.threshold is not None else formula.m,
             "eps": art.gadget.eps if art.gadget is not None else None,
         }
-        _emit(serialize.cvp_to_json(p, basis, target, radius, meta), args.out)
+        _emit(serialize.cvp_to_json(p, basis, serialize.target_text(art, present), radius, meta), args.out)
         return EXIT_OK
     raise InvalidInputError(f"unknown cvpp action {args.action!r}")
 

@@ -314,6 +314,39 @@ class CvppArtifacts:
     def diagonal(self) -> float:
         return 2.0 * self.alpha if self.mode == "lp" else float(self.k)
 
+    @property
+    def target_blocks(self) -> np.ndarray:
+        """The 2 x 2^k x block_rows target blocks of a query: entry
+        [present, mask] is the block of a clause that is absent (0) or present
+        (1), with that polarity mask.  It is the off or on target (k/2 or
+        (k+1)/2 for the max norm) minus the sum of the mask's negated columns
+        of `block_columns`."""
+        k = self.k
+        if self.mode == "lp":
+            on_off = np.stack([self.gadget.t_off, self.gadget.t_on])
+        else:
+            on_off = np.array([[k / 2], [(k + 1) / 2]])
+        V = self.block_columns
+        mask_shift = np.array(
+            [V[:, [s for s in range(k) if (mask >> (k - 1 - s)) & 1]].sum(axis=1) for mask in range(2**k)]
+        )
+        return on_off[:, None, :] - mask_shift[None, :, :]
+
+    @property
+    def target_tail(self) -> float:
+        """The target's last n entries, against the diagonal block."""
+        return self.alpha if self.mode == "lp" else self.k / 2
+
+    def target(self, present: np.ndarray) -> np.ndarray:
+        """The query target of the table entries marked present: entry i
+        takes block target_blocks[present[i], i % 2^k], and target_tail
+        follows n times."""
+        M, rows = self.M, self.block_rows
+        target = np.empty(self.d)
+        target[: M * rows].reshape(M, rows)[:] = self.target_blocks[present.astype(np.intp), np.arange(M) % 2**self.k]
+        target[M * rows :] = self.target_tail
+        return target
+
     def clause_position(self, clause: Clause) -> tuple[int, int]:
         """(table index, polarity mask) of a clause with k distinct variables;
         the gadget column order is the sorted variable order."""
@@ -394,38 +427,38 @@ def cvpp_preprocess(n: int, k: int, gadget: OnOffGadget) -> CvppArtifacts:
     return _with_basis(cvpp_header(n, k, gadget))
 
 
-def cvpp_query(artifacts: CvppArtifacts, formula: CspFormula) -> tuple[np.ndarray, float]:
-    """Target and radius for one formula against the fixed basis: present
-    clauses point at the on target, absent ones at the off target, both
-    shifted by the clause's negated columns."""
-    if artifacts.mode != "lp":
-        raise InvalidInputError("artifacts were preprocessed for the max norm")
+def cvpp_table_query(artifacts: CvppArtifacts, formula: CspFormula, mode: str) -> tuple[np.ndarray, float]:
+    """(present, radius) for one formula against the fixed basis: which table
+    entries its clauses occupy, and the decision radius.  mode is the norm
+    the caller expects the prep to be built for, "lp" or "inf"."""
+    if artifacts.mode != mode:
+        norm = "the max norm" if artifacts.mode == "inf" else "a finite norm"
+        raise InvalidInputError(f"artifacts were preprocessed for {norm}")
+    if mode == "inf" and (formula.weights is not None or formula.threshold is not None):
+        raise UnsupportedParametersError("max-norm preprocessing handles plain satisfiability only")
     if formula.weights is not None:
         raise UnsupportedParametersError(
             "weighted formulas are not expressible against a fixed clause table"
         )
     present = artifacts.present(formula)
+    if mode == "inf":
+        return present, artifacts.k / 2
     gadget = artifacts.gadget
     q = finite_pvalue(gadget.p)
-    k, M = artifacts.k, artifacts.M
-    m = formula.m
+    M, m = artifacts.M, formula.m
     W = formula.threshold if formula.threshold is not None else m
-
-    mask_shift = np.array(
-        [gadget.V[:, [s for s in range(k) if (mask >> (k - 1 - s)) & 1]].sum(axis=1) for mask in range(2**k)]
-    )
-    target = np.empty(artifacts.d)
-    # entry pos of the table has mask pos % 2^k
-    np.subtract(
-        np.where(present[:, None], gadget.t_on, gadget.t_off),
-        mask_shift[np.arange(M) % 2**k],
-        out=target[: M * gadget.d].reshape(M, gadget.d),
-    )
-    target[M * gadget.d :] = artifacts.alpha
     radius = (
         (M - (m - W)) + (m - W) * (1.0 + gadget.eps) ** q + artifacts.n * artifacts.alpha**q
     ) ** (1.0 / q)
-    return target, radius
+    return present, radius
+
+
+def cvpp_query(artifacts: CvppArtifacts, formula: CspFormula) -> tuple[np.ndarray, float]:
+    """Target and radius for one formula against the fixed basis: present
+    clauses point at the on target, absent ones at the off target, both
+    shifted by the clause's negated columns."""
+    present, radius = cvpp_table_query(artifacts, formula, "lp")
+    return artifacts.target(present), radius
 
 
 def cvpp_inf_preprocess(n: int, k: int) -> CvppArtifacts:
@@ -436,14 +469,5 @@ def cvpp_inf_preprocess(n: int, k: int) -> CvppArtifacts:
 def cvpp_inf_query(artifacts: CvppArtifacts, formula: CspFormula) -> tuple[np.ndarray, float]:
     """Max-norm query: t_i = (k+1)/2 - |N_i| for present clauses, k/2 - |N_i|
     for absent ones; the distance is at most k/2 iff the formula is satisfiable."""
-    if artifacts.mode != "inf":
-        raise InvalidInputError("artifacts were preprocessed for a finite norm")
-    if formula.weights is not None or formula.threshold is not None:
-        raise UnsupportedParametersError("max-norm preprocessing handles plain satisfiability only")
-    present = artifacts.present(formula)
-    k, M = artifacts.k, artifacts.M
-    negs = np.array([bin(mask).count("1") for mask in range(2**k)], dtype=float)
-    target = np.empty(M + artifacts.n)
-    np.subtract(np.where(present, (k + 1) / 2, k / 2), negs[np.arange(M) % 2**k], out=target[:M])
-    target[M:] = k / 2
-    return target, k / 2
+    present, radius = cvpp_table_query(artifacts, formula, "inf")
+    return artifacts.target(present), radius

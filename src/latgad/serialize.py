@@ -14,7 +14,10 @@ A CVPP prep stores only its generator: n, k, the mode and, for the finite
 norms, the on-off gadget.  A query writes the basis those determine without
 building the float matrix: `_basis_text` formats each distinct entry of the
 gadget columns and their negations once, and joins the columns, and runs of
-zeros, into the JSON text of `fmt_columns(basis)`.  `dumps` writes that `JsonText` value as is.
+zeros, into the JSON text of `fmt_columns(basis)`.  `target_text` formats
+the query's 2 x 2^k target blocks once and joins them in table order.  Both
+return their text as a tuple of chunks, and `dump_chunks` passes a tuple
+value through as is, so no step copies the whole document.
 """
 
 from __future__ import annotations
@@ -48,6 +51,10 @@ def parse_real(s) -> float:
 
 
 def _parse_int(s) -> int:
+    """An int, an integral float or a decimal integer string, as an int; a
+    boolean or a fractional number is refused rather than truncated."""
+    if isinstance(s, bool) or (isinstance(s, float) and not s.is_integer()):
+        raise InvalidInputError(f"bad integer {s!r}")
     try:
         return int(s)
     except (TypeError, ValueError) as exc:
@@ -62,10 +69,6 @@ def _fmt_table(a: np.ndarray) -> np.ndarray:
     bits, inverse = np.unique(a.view(np.uint64).ravel(), return_inverse=True)
     table = np.array([fmt_real(x) for x in bits.view(float)], dtype=object)
     return table[inverse].reshape(a.shape)
-
-
-class JsonText(str):
-    """A JSON value already encoded, which `dumps` writes as is."""
 
 
 def _entries(v) -> list:
@@ -137,14 +140,23 @@ def _check(d, schema: str, *keys: str) -> None:
 _compact = json.JSONEncoder(sort_keys=True, separators=(",", ":")).encode
 
 
+def dump_chunks(obj: dict) -> list[str]:
+    """Compact JSON with sorted keys and a final newline, as a list of
+    strings to write in order.  A top-level tuple value is JSON text already
+    encoded, in chunks, and is written as is."""
+    out = ["{"]
+    for i, (key, value) in enumerate(sorted(obj.items())):
+        out.append(("," if i else "") + _compact(key) + ":")
+        if isinstance(value, tuple):
+            out.extend(value)
+        else:
+            out.append(_compact(value))
+    out.append("}\n")
+    return out
+
+
 def dumps(obj: dict) -> str:
-    """Compact JSON with sorted keys and a final newline.  A top-level
-    JsonText value is written as is."""
-    fields = (
-        _compact(key) + ":" + (value if isinstance(value, JsonText) else _compact(value))
-        for key, value in sorted(obj.items())
-    )
-    return "{" + ",".join(fields) + "}\n"
+    return "".join(dump_chunks(obj))
 
 
 def _meta_out(meta: dict) -> dict:
@@ -222,21 +234,22 @@ def onoff_from_json(d: dict) -> OnOffGadget:
 
 
 def cvp_to_json(p, basis, target, radius: float, meta: dict) -> dict:
-    """The latgad-cvp-v1 payload, with the basis already formatted: a CVPP
-    query passes the basis text built from its prep.  Takes the parts rather
-    than a CvpInstance so that CVPP queries skip the instance's rank check."""
+    """The latgad-cvp-v1 payload, with the basis and target already
+    formatted: a CVPP query passes the chunks of text built from its prep.
+    Takes the parts rather than a CvpInstance so that CVPP queries skip the
+    instance's rank check."""
     return {
         "schema": CVP_SCHEMA,
         "p": fmt_pnorm(p),
         "basis": basis,
-        "target": fmt_vector(target),
+        "target": target,
         "radius": fmt_real(radius),
         "meta": _meta_out(meta),
     }
 
 
 def instance_to_json(inst: CvpInstance) -> dict:
-    return cvp_to_json(inst.p, fmt_columns(inst.basis), inst.target, inst.radius, inst.meta)
+    return cvp_to_json(inst.p, fmt_columns(inst.basis), fmt_vector(inst.target), inst.radius, inst.meta)
 
 
 def instance_from_json(d: dict) -> CvpInstance:
@@ -261,8 +274,15 @@ def cvpp_to_json(art: CvppArtifacts) -> dict:
     return out
 
 
-def _basis_text(art: CvppArtifacts) -> JsonText:
-    """The JSON text of fmt_columns(art.basis), built from the header.
+def _json_strings(values) -> list[str]:
+    """fmt_vector(values) as JSON string literals.  fmt_real writes only
+    digits, signs, '.', 'e', "inf" and "nan", which need no escaping."""
+    return [f'"{s}"' for s in fmt_vector(values)]
+
+
+def _basis_text(art: CvppArtifacts) -> tuple[str, ...]:
+    """The JSON text of fmt_columns(art.basis), built from the header, as
+    chunks: one per column, and the brackets and commas between them.
 
     Over the variable sets in table order, column v holds block B_s where v
     is the set's s-th variable, else a run of zeros; B_s is the 2^k mask
@@ -272,26 +292,40 @@ def _basis_text(art: CvppArtifacts) -> JsonText:
     # every entry as JSON text, each distinct value formatted once: the
     # columns of V, the columns of -V, then 0 and the diagonal
     V = art.block_columns.T.ravel()
-    text = [_compact(s) for s in fmt_vector(np.concatenate([V, -V, [0.0, art.diagonal]]))]
+    text = _json_strings(np.concatenate([V, -V, [0.0, art.diagonal]]))
     # column s of V and of -V, without brackets
     signed = [[",".join(text[(h * k + s) * rows : (h * k + s + 1) * rows]) for h in (0, 1)] for s in range(k)]
     blocks = [",".join(signed[s][(mask >> (k - 1 - s)) & 1] for mask in range(2**k)) for s in range(k)]
     zero, diagonal = text[-2:]
     zeros = ",".join([zero] * (2**k * rows))
-    varsets = list(combinations(range(1, art.n + 1), k))
-    cols = []
-    for v in range(1, art.n + 1):
+    columns = [[zeros] * math.comb(art.n, k) for _ in range(art.n)]
+    for i, varset in enumerate(combinations(range(art.n), k)):
+        for s, v in enumerate(varset):
+            columns[v][i] = blocks[s]
+    chunks = []
+    for v, pieces in enumerate(columns):
         tail = [zero] * art.n
-        tail[v - 1] = diagonal
-        pieces = [blocks[vs.index(v)] if v in vs else zeros for vs in varsets]
-        cols.append("[" + ",".join(pieces + tail) + "]")
-    return JsonText("[" + ",".join(cols) + "]")
+        tail[v] = diagonal
+        chunks += ("],[" if chunks else "[[", ",".join(pieces + tail))
+    return (*chunks, "]]")
 
 
-def cvpp_from_json(d: dict) -> tuple[CvppArtifacts, JsonText]:
+def target_text(art: CvppArtifacts, present: np.ndarray) -> tuple[str, ...]:
+    """The JSON text of fmt_vector(art.target(present)), as chunks: each of
+    the 2 x 2^k target blocks and the tail entry formatted once, and the
+    block texts joined in table order."""
+    rows, masks = art.block_rows, 2**art.k
+    text = _json_strings(np.append(art.target_blocks, art.target_tail))
+    tail = text.pop()
+    blocks = np.array([",".join(text[i : i + rows]) for i in range(0, len(text), rows)], dtype=object)
+    entries = blocks[present * masks + np.arange(art.M) % masks].tolist()
+    return ("[", ",".join(entries + [tail] * art.n), "]")
+
+
+def cvpp_from_json(d: dict) -> tuple[CvppArtifacts, tuple[str, ...]]:
     """The prep's header as CvppArtifacts without a float basis, and the
-    basis as the JSON text of fmt_columns(basis): queries write the basis
-    and compute only with the header."""
+    basis as the chunks of the JSON text of fmt_columns(basis): queries write
+    the basis and compute only with the header."""
     _check(d, CVPP_SCHEMA, "n", "k", "mode")
     n, k, mode = _parse_int(d["n"]), _parse_int(d["k"]), d["mode"]
     if mode == "lp":

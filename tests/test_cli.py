@@ -230,11 +230,16 @@ def respelled(value):
 class TestCvppQueryBytes:
     @pytest.fixture()
     def preps(self, tmp_path, capsys):
-        g, prep, iprep = tmp_path / "g.json", tmp_path / "prep.json", tmp_path / "iprep.json"
+        """Preps by (action, n): lp at n=4, k=2 and, as the cvpp-serve
+        benchmark uses, n=10, k=3; inf at n=4, k=3."""
+        g, g4 = tmp_path / "g.json", tmp_path / "g4.json"
+        prep, prep10, iprep = tmp_path / "prep.json", tmp_path / "prep10.json", tmp_path / "iprep.json"
         assert run(["gadget", "find", "--k", "3", "--p", "3", "--out", str(g)], capsys)[0] == 0
+        assert run(["gadget", "find", "--k", "4", "--p", "3", "--out", str(g4)], capsys)[0] == 0
         assert run(["cvpp", "prep", "--n", "4", "--k", "2", "--gadget", str(g), "--out", str(prep)], capsys)[0] == 0
+        assert run(["cvpp", "prep", "--n", "10", "--k", "3", "--gadget", str(g4), "--out", str(prep10)], capsys)[0] == 0
         assert run(["cvpp", "inf-prep", "--n", "4", "--k", "3", "--out", str(iprep)], capsys)[0] == 0
-        return prep, iprep
+        return {("query", 4): prep, ("query", 10): prep10, ("inf-query", 4): iprep}
 
     @pytest.mark.parametrize("respell", [False, True])
     @pytest.mark.parametrize(
@@ -244,10 +249,11 @@ class TestCvppQueryBytes:
             ("query", "p cnf 4 3\n1 -2 0\n-1 2 0\n3 4 0\n"),
             ("inf-query", "p cnf 4 2\n1 2 3 0\n-1 -2 -3 0\n"),
             ("inf-query", "p cnf 4 1\n-2 3 -4 0\n"),
+            ("query", "p cnf 10 4\n1 2 3 0\n-4 5 -6 0\n-7 -8 -9 0\n2 -5 10 0\n"),
         ],
     )
     def test_matches_parse_and_format(self, tmp_path, capsys, preps, action, cnf, respell):
-        prep = preps[0] if action == "query" else preps[1]
+        prep = preps[action, int(cnf.split()[2])]
         prep_doc = json.loads(prep.read_text())
         if respell:
             # the gadget's entries respelled, the document indented: the
@@ -277,7 +283,7 @@ class TestCvppQueryBytes:
         monkeypatch.setattr(serialize, "fmt_columns", lambda M: pytest.fail("formatted a matrix"))
         f, q = tmp_path / "f.cnf", tmp_path / "q.json"
         f.write_text("p cnf 4 1\n1 2 0\n")
-        assert run(["cvpp", "query", "--prep", str(preps[0]), "--cnf", str(f), "--out", str(q)], capsys)[0] == 0
+        assert run(["cvpp", "query", "--prep", str(preps["query", 4]), "--cnf", str(f), "--out", str(q)], capsys)[0] == 0
         assert shapes == [(8, 2)]
 
 
@@ -485,8 +491,16 @@ class TestExitCodes:
             (lambda d: d.pop("gadget"), 2, "lp preprocessing needs its on-off gadget"),
             (lambda d: d.update(mode="inf"), 2, "inf preprocessing takes no gadget"),
             (lambda d: d.update(n=200), 3, "basis of 637000x200 entries exceeds cap"),
+            (lambda d: d.update(n=4.9), 2, "bad integer 4.9"),
+            (lambda d: d.update(n=True), 2, "bad integer True"),
+            (lambda d: d.update(k=2.5), 2, "bad integer 2.5"),
+            (lambda d: d.update(k=True), 2, "bad integer True"),
+            (lambda d: d["gadget"].update(k=2.5), 2, "bad integer 2.5"),
         ],
-        ids=["v1-prep", "k-above-n", "gadget-arity", "unknown-mode", "lp-without-gadget", "inf-with-gadget", "over-cap"],
+        ids=[
+            "v1-prep", "k-above-n", "gadget-arity", "unknown-mode", "lp-without-gadget", "inf-with-gadget", "over-cap",
+            "n-fractional", "n-boolean", "k-fractional", "k-boolean", "gadget-k-fractional",
+        ],
     )
     def test_bad_prep_is_refused(self, tmp_path, capsys, monkeypatch, edit, code, message):
         got, err = query_edited_prep(tmp_path, capsys, monkeypatch, edit)
@@ -507,6 +521,38 @@ class TestExitCodes:
     def test_prep_header_disagrees_with_basis(self, tmp_path, capsys, monkeypatch, edit, message):
         got, err = query_edited_prep(tmp_path, capsys, monkeypatch, lambda d: edit(d["gadget"]))
         assert got == 2 and "on-off gadget shape mismatch: " + message in err
+
+    @pytest.mark.parametrize("k", [2.5, True, "2.5"], ids=["fraction", "boolean", "fraction-string"])
+    def test_non_integer_gadget_arity_is_usage(self, gadget, capsys, k):
+        data = json.loads(gadget.read_text())
+        data["k"] = k
+        gadget.write_text(json.dumps(data))
+        code, _, err = run(["gadget", "verify", "--in", str(gadget)], capsys)
+        assert code == 2 and f"bad integer {k!r}" in err
+
+    # each is refused after the prep loads, and before --out is opened
+    @pytest.mark.parametrize(
+        "action, prep, cnf, extra, message",
+        [
+            ("query", "prep", "p cnf 4 2\n1 -2 0\n-2 1 0\n", [], "duplicate clause"),
+            ("query", "prep", "p cnf 4 1\n1 2 3 0\n", [], "table holds 2-clauses, got arity 3"),
+            ("query", "iprep", "p cnf 4 1\n1 2 3 0\n", [], "preprocessed for the max norm"),
+            ("query", "prep", "p cnf 4 2\n1 2 0\n-3 4 0\n", ["--w", "-3"], "threshold must lie in [0, total weight]"),
+            ("query", "prep", "p cnf 4 2\n1 2 0\n-3 4 0\n", ["--w", "1000"], "threshold must lie in [0, total weight]"),
+            ("inf-query", "iprep", "p cnf 4 1\n1 2 3 0\n", ["--w", "1000"], "threshold must lie in [0, total weight]"),
+        ],
+        ids=["duplicate-clause", "wrong-arity", "lp-on-inf-prep", "w-negative", "w-above-m", "inf-w-above-m"],
+    )
+    def test_refused_query_writes_no_file(self, tmp_path, capsys, action, prep, cnf, extra, message):
+        g, f, out = tmp_path / "g.json", tmp_path / "f.cnf", tmp_path / "q.json"
+        run(["gadget", "find", "--k", "3", "--p", "3", "--out", str(g)], capsys)
+        run(["cvpp", "prep", "--n", "4", "--k", "2", "--gadget", str(g), "--out", str(tmp_path / "prep.json")], capsys)
+        run(["cvpp", "inf-prep", "--n", "4", "--k", "3", "--out", str(tmp_path / "iprep.json")], capsys)
+        f.write_text(cnf)
+        argv = ["cvpp", action, "--prep", str(tmp_path / f"{prep}.json"), "--cnf", str(f), *extra, "--out", str(out)]
+        code, _, err = run(argv, capsys)
+        assert code == 2 and message in err
+        assert not out.exists()
 
     @pytest.mark.parametrize("text", [b"not json {", b"\xff\xfe{}"])
     def test_not_json_is_usage(self, tmp_path, capsys, text):

@@ -1,3 +1,4 @@
+import dataclasses
 import functools
 import json
 import math
@@ -206,14 +207,16 @@ class TestDumps:
     def test_json_text_written_as_is(self, kind):
         payload = payloads()[kind]
         if kind == "instance":
-            text = serialize.JsonText(compact(payload["basis"]))
+            text = compact(payload["basis"])
+            chunks = tuple(text[i : i + 7] for i in range(0, len(text), 7))
         else:
             # the basis text a query builds from the prep, beside the
             # formatted float basis
-            art, text = serialize.cvpp_from_json(payload)
+            art, chunks = serialize.cvpp_from_json(payload)
             ref = float_prep(art)
             payload = {**payload, "basis": serialize.fmt_columns(ref.basis)}
-        assert serialize.dumps({**payload, "basis": text}) == compact(payload) + "\n"
+        written = serialize.dump_chunks({**payload, "basis": chunks})
+        assert "".join(written) == serialize.dumps({**payload, "basis": chunks}) == compact(payload) + "\n"
 
 
 def float_prep(art):
@@ -273,6 +276,15 @@ def onoff(k: int, p: float):
     return gadgets.to_on_off(gadgets.find_isolating_parallelepiped(k + 1, p))
 
 
+def assert_target_text(art, formula, mode, ref_target):
+    """The target text a query writes is the compact JSON of formatting the
+    reference target entry by entry."""
+    present, _ = reductions.cvpp_table_query(art, formula, mode)
+    chunks = serialize.target_text(art, present)
+    assert isinstance(chunks, tuple)
+    assert "".join(chunks) == compact([serialize.fmt_real(x) for x in ref_target])
+
+
 class TestCvppBasisText:
     """The loaded prep's basis text against formatting the float basis, and
     the vectorized targets against the loop over table entries."""
@@ -283,35 +295,39 @@ class TestCvppBasisText:
         g = onoff(k, p)
         for n in range(k, 8):
             art = reductions.cvpp_preprocess(n, k, g)
-            back, text = serialize.cvpp_from_json(json.loads(serialize.dumps(serialize.cvpp_to_json(art))))
+            back, chunks = serialize.cvpp_from_json(json.loads(serialize.dumps(serialize.cvpp_to_json(art))))
+            text = "".join(chunks)
             assert json.loads(text) == serialize.fmt_columns(art.basis)
             assert text == compact(json.loads(text))
             assert back.alpha == art.alpha and back.d == art.d
             for f in random_queries(n, k, seed=[n, k, int(4 * p)]):
                 for W in (None, max(f.m - 1, 0)):
-                    f.threshold = W
+                    f = dataclasses.replace(f, threshold=W)
                     target, radius = reductions.cvpp_query(back, f)
                     ref_target, ref_radius = loop_query(art, f)
                     assert target.tobytes() == ref_target.tobytes() and radius == ref_radius
+                    assert_target_text(back, f, "lp", ref_target)
 
     def test_negated_zero_rows_print_minus_zero(self):
         # the on-off gadget's zeroed class gives 0 entries, which a negated
         # column writes as -0
         art = reductions.cvpp_preprocess(3, 2, onoff(2, 3.0))
-        _, text = serialize.cvpp_from_json(serialize.cvpp_to_json(art))
-        assert '"-0"' in text and np.signbit(art.basis[art.basis == 0]).any()
+        _, chunks = serialize.cvpp_from_json(serialize.cvpp_to_json(art))
+        assert '"-0"' in "".join(chunks) and np.signbit(art.basis[art.basis == 0]).any()
 
     @pytest.mark.parametrize("k", [1, 2, 3])
     def test_inf_matches_float_path(self, k):
         for n in range(k, 8):
             art = reductions.cvpp_inf_preprocess(n, k)
-            back, text = serialize.cvpp_from_json(json.loads(serialize.dumps(serialize.cvpp_to_json(art))))
+            back, chunks = serialize.cvpp_from_json(json.loads(serialize.dumps(serialize.cvpp_to_json(art))))
+            text = "".join(chunks)
             assert json.loads(text) == serialize.fmt_columns(art.basis)
             assert text == compact(json.loads(text))
             for f in random_queries(n, k, seed=[n, k]):
                 target, radius = reductions.cvpp_inf_query(back, f)
                 ref_target, ref_radius = loop_inf_query(art, f)
                 assert target.tobytes() == ref_target.tobytes() and radius == ref_radius
+                assert_target_text(back, f, "inf", ref_target)
 
 
 def bit_patterns(values) -> set:
@@ -333,8 +349,8 @@ class TestCanonColumns:
 
     def test_matches_parse_then_format(self):
         for art in every_prep():
-            _, text = serialize.cvpp_from_json(serialize.cvpp_to_json(art))
-            assert isinstance(text, serialize.JsonText)
+            _, chunks = serialize.cvpp_from_json(serialize.cvpp_to_json(art))
+            text = "".join(chunks)
             assert text == compact(serialize.fmt_columns(serialize.parse_columns(json.loads(text))))
 
     def test_each_distinct_entry_formatted_once(self, monkeypatch):
@@ -351,6 +367,21 @@ class TestCanonColumns:
             assert bit_patterns(calls) - bit_patterns(art.basis) <= bit_patterns([0.0])
             assert bit_patterns(art.basis) <= bit_patterns(calls)
 
+    def test_each_distinct_target_entry_formatted_once(self, monkeypatch):
+        fmt_real = serialize.fmt_real
+        for art in every_prep():
+            for f in random_queries(art.n, art.k, seed=[art.n, art.k]):
+                present, _ = reductions.cvpp_table_query(art, f, art.mode)
+                calls = []
+                with monkeypatch.context() as mp:
+                    mp.setattr(serialize, "fmt_real", lambda x: calls.append(x) or fmt_real(x))
+                    serialize.target_text(art, present)
+                # no value twice, every value of the target, and nothing but
+                # the values of its blocks and its tail
+                assert len(calls) == len(bit_patterns(calls))
+                assert bit_patterns(art.target(present)) <= bit_patterns(calls)
+                assert bit_patterns(calls) <= bit_patterns([*art.target_blocks.ravel(), art.target_tail])
+
 
 class TestCvppJson:
     def test_round_trip(self):
@@ -358,7 +389,7 @@ class TestCvppJson:
         art = reductions.cvpp_preprocess(4, 2, gadgets.to_on_off(g))
         back, basis = serialize.cvpp_from_json(serialize.cvpp_to_json(art))
         assert back.basis is None and back.d == art.d
-        assert np.array_equal(serialize.parse_columns(json.loads(basis)), art.basis)
+        assert np.array_equal(serialize.parse_columns(json.loads("".join(basis))), art.basis)
         assert back.gadget.eps == art.gadget.eps
         f = CspFormula(n=4, constraints=[Clause((1, 2))])
         t1, r1 = reductions.cvpp_query(art, f)
@@ -369,7 +400,7 @@ class TestCvppJson:
         art = reductions.cvpp_inf_preprocess(5, 3)
         back, basis = serialize.cvpp_from_json(serialize.cvpp_to_json(art))
         assert back.basis is None and back.d == art.d
-        assert np.array_equal(serialize.parse_columns(json.loads(basis)), art.basis)
+        assert np.array_equal(serialize.parse_columns(json.loads("".join(basis))), art.basis)
         assert back.gadget is None and back.alpha is None
 
     @pytest.mark.parametrize(
