@@ -17,6 +17,7 @@ to disable absent clauses in preprocessing-based reductions.
 
 from __future__ import annotations
 
+import functools
 import math
 import sys
 from dataclasses import dataclass, field
@@ -340,7 +341,10 @@ def to_binary_coords(V, t) -> tuple[np.ndarray, np.ndarray]:
     Each row of V is summed in sorted order, so rows holding the same entries
     in another order get bit-identical t' entries: a gadget symmetric under
     coordinate permutations stays symmetric to the last bit, which the
-    vertex checks' certificate (`_symmetric`) compares."""
+    vertex checks' certificate (`_symmetric`) compares.  Rows keep their
+    integer_grid order, so the certificate's row maps match them without a
+    sort; its sorted-row fallback is for gadgets read back with their rows
+    in another order or extended by more rows."""
     V = np.asarray(V, dtype=float)
     t = np.asarray(t, dtype=float).ravel()
     return 2.0 * V, np.sort(V, axis=1).sum(axis=1) + t
@@ -527,17 +531,45 @@ def _row_multiset(M: np.ndarray) -> np.ndarray:
     return np.sort(M.view(np.dtype((np.void, M.shape[1] * M.itemsize))).ravel())
 
 
+# two generators per arity, each for a few row counts 2^k r
+@functools.lru_cache(maxsize=4 * distmatrix.MAX_K)
+def _row_map(perm: tuple[int, ...], d: int) -> np.ndarray:
+    """Row i of a d = 2^k r row gadget in integer_grid order stands for the
+    vertex x whose bits are the top k bits of i; the row of x[perm], with
+    the same low bits.  Read-only: one array is shared by every caller."""
+    k = len(perm)
+    shifts = np.arange(k - 1, -1, -1)
+    bits = (np.arange(2**k)[:, None] >> shifts) & 1
+    top = (bits[:, list(perm)] << shifts).sum(axis=1)
+    r = d >> k
+    rows = (top[:, None] * r + np.arange(r)).ravel()
+    rows.flags.writeable = False
+    return rows
+
+
 def _symmetric(V: np.ndarray, targets: list[np.ndarray]) -> bool:
     """Certificate that every permutation of V's columns only permutes the
     rows of [V | targets].  Each target's distance to V x then depends on
     the popcount of x alone.  A transposition and a k-cycle generate all
-    permutations, so two comparisons of sorted rows decide it."""
+    permutations, so two comparisons decide it.
+
+    Each comparison first tries the row bijection the permutation induces
+    on integer_grid order (`_row_map`), which is how the builders lay out
+    their 2^k r rows: equal rows under a bijection prove equal row
+    multisets in one array pass.  When that guess fails it sorts the rows
+    (`_row_multiset`), so a gadget whose rows come in another order, or
+    that has extra rows (the lattice kind), is still certified exactly
+    when its row multisets agree."""
     k = V.shape[1]
-    M = np.column_stack([V, *targets])
-    rows = _row_multiset(M)
+    M = np.column_stack([V, *targets]) + 0.0
     tail = list(range(k, M.shape[1]))
-    perms = ([1, 0, *range(2, k)], [*range(1, k), 0]) if k > 1 else ()
-    return all(np.array_equal(_row_multiset(M[:, perm + tail]), rows) for perm in perms)
+    perms = ((1, 0, *range(2, k)), (*range(1, k), 0)) if k > 1 else ()
+    if M.shape[0] % 2**k == 0:
+        bits = M.view(np.uint64)
+        if all(np.array_equal(bits[:, [*perm, *tail]], bits[_row_map(perm, M.shape[0])]) for perm in perms):
+            return True
+    rows = _row_multiset(M)
+    return all(np.array_equal(_row_multiset(M[:, [*perm, *tail]]), rows) for perm in perms)
 
 
 def _vertex_distances(V: np.ndarray, p, targets: list[np.ndarray], by_popcount: bool):

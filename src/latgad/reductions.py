@@ -266,13 +266,14 @@ def sat_gap_params(p, k: int, s: float, c: float, eps: float | None = None) -> S
 
 
 def _comb_rank(varset: tuple[int, ...], n: int, k: int) -> int:
-    """Lexicographic rank of a sorted k-subset of {1..n}."""
-    rank = 0
-    prev = 0
+    """Lexicographic rank of a sorted k-subset of {1..n}: C(n, k) - 1 less
+    the subsets after it.  Those agree with it before some position pos and
+    from pos on hold any k - pos of the n - varset[pos] variables above
+    varset[pos]: C(n - varset[pos], k - pos) subsets for each pos.  (The
+    hockey-stick identity telescopes the count of skipped subsets to this.)"""
+    rank = math.comb(n, k) - 1
     for pos, v in enumerate(varset):
-        for skipped in range(prev + 1, v):
-            rank += math.comb(n - skipped, k - pos - 1)
-        prev = v
+        rank -= math.comb(n - v, k - pos)
     return rank
 
 

@@ -10,6 +10,13 @@ holds 19 distinct strings), so vectors and matrices go through a table:
 per distinct entry.  The bytes written and the values read are the same as
 formatting and parsing each entry on its own.
 
+Formatted reals need no JSON escaping, so every array of them in an
+artifact is written as one string join (`_joined`).  `fmt_vector` and
+`fmt_columns` return lists of private subclasses that `dump_chunks`
+recognises at the top level of a payload and joins, instead of passing them
+through the encoder, which escape-checks each string on its own: gadgets,
+on-off gadgets and CVP instances are written so.
+
 A CVPP prep stores only its generator: n, k, the mode and, for the finite
 norms, the on-off gadget.  A query writes the basis those determine without
 building the float matrix: `_basis_text` formats each distinct entry of the
@@ -91,8 +98,23 @@ def _parse_table(items: list) -> np.ndarray:
     return np.fromiter(map(convert, items), float, len(items))
 
 
+class _Reals(list):
+    """A list of fmt_real strings, which `dump_chunks` writes by joining."""
+
+
+class _RealColumns(list):
+    """A list of `_Reals` columns, which `dump_chunks` writes by joining."""
+
+
+def _joined(strings) -> str:
+    """fmt_real strings as the JSON text of the array's entries, without the
+    brackets.  fmt_real writes only digits, signs, '.', 'e', "inf" and "nan",
+    which need no escaping."""
+    return '"' + '","'.join(strings) + '"' if strings else ""
+
+
 def fmt_vector(v) -> list[str]:
-    return _fmt_table(np.asarray(v, dtype=float).ravel()).tolist()
+    return _Reals(_fmt_table(np.asarray(v, dtype=float).ravel()).tolist())
 
 
 def parse_vector(v) -> np.ndarray:
@@ -100,7 +122,7 @@ def parse_vector(v) -> np.ndarray:
 
 
 def fmt_columns(M) -> list[list[str]]:
-    return _fmt_table(np.asarray(M, dtype=float).T).tolist()
+    return _RealColumns(map(_Reals, _fmt_table(np.asarray(M, dtype=float).T).tolist()))
 
 
 def parse_columns(cols) -> np.ndarray:
@@ -143,12 +165,17 @@ _compact = json.JSONEncoder(sort_keys=True, separators=(",", ":")).encode
 def dump_chunks(obj: dict) -> list[str]:
     """Compact JSON with sorted keys and a final newline, as a list of
     strings to write in order.  A top-level tuple value is JSON text already
-    encoded, in chunks, and is written as is."""
+    encoded, in chunks, and is written as is; a top-level vector or matrix
+    from fmt_vector or fmt_columns is joined without the encoder."""
     out = ["{"]
     for i, (key, value) in enumerate(sorted(obj.items())):
         out.append(("," if i else "") + _compact(key) + ":")
         if isinstance(value, tuple):
             out.extend(value)
+        elif isinstance(value, _Reals):
+            out.append("[" + _joined(value) + "]")
+        elif isinstance(value, _RealColumns):
+            out.append("[" + ",".join("[" + _joined(col) + "]" for col in value) + "]")
         else:
             out.append(_compact(value))
     out.append("}\n")
@@ -274,12 +301,6 @@ def cvpp_to_json(art: CvppArtifacts) -> dict:
     return out
 
 
-def _json_strings(values) -> list[str]:
-    """fmt_vector(values) as JSON string literals.  fmt_real writes only
-    digits, signs, '.', 'e', "inf" and "nan", which need no escaping."""
-    return [f'"{s}"' for s in fmt_vector(values)]
-
-
 def _basis_text(art: CvppArtifacts) -> tuple[str, ...]:
     """The JSON text of fmt_columns(art.basis), built from the header, as
     chunks: one per column, and the brackets and commas between them.
@@ -289,15 +310,15 @@ def _basis_text(art: CvppArtifacts) -> tuple[str, ...]:
     blocks of column s of `block_columns`, negated where mask bit k-1-s is
     set.  The column of the diagonal block follows."""
     k, rows = art.k, art.block_rows
-    # every entry as JSON text, each distinct value formatted once: the
-    # columns of V, the columns of -V, then 0 and the diagonal
+    # every entry formatted, each distinct value once: the columns of V, the
+    # columns of -V, then 0 and the diagonal
     V = art.block_columns.T.ravel()
-    text = _json_strings(np.concatenate([V, -V, [0.0, art.diagonal]]))
-    # column s of V and of -V, without brackets
-    signed = [[",".join(text[(h * k + s) * rows : (h * k + s + 1) * rows]) for h in (0, 1)] for s in range(k)]
+    text = fmt_vector(np.concatenate([V, -V, [0.0, art.diagonal]]))
+    # column s of V and of -V as JSON text, without brackets
+    signed = [[_joined(text[(h * k + s) * rows : (h * k + s + 1) * rows]) for h in (0, 1)] for s in range(k)]
     blocks = [",".join(signed[s][(mask >> (k - 1 - s)) & 1] for mask in range(2**k)) for s in range(k)]
     zero, diagonal = text[-2:]
-    zeros = ",".join([zero] * (2**k * rows))
+    zeros = _joined([zero] * (2**k * rows))
     columns = [[zeros] * math.comb(art.n, k) for _ in range(art.n)]
     for i, varset in enumerate(combinations(range(art.n), k)):
         for s, v in enumerate(varset):
@@ -306,7 +327,7 @@ def _basis_text(art: CvppArtifacts) -> tuple[str, ...]:
     for v, pieces in enumerate(columns):
         tail = [zero] * art.n
         tail[v] = diagonal
-        chunks += ("],[" if chunks else "[[", ",".join(pieces + tail))
+        chunks += ("],[" if chunks else "[[", ",".join([*pieces, _joined(tail)]))
     return (*chunks, "]]")
 
 
@@ -315,11 +336,11 @@ def target_text(art: CvppArtifacts, present: np.ndarray) -> tuple[str, ...]:
     the 2 x 2^k target blocks and the tail entry formatted once, and the
     block texts joined in table order."""
     rows, masks = art.block_rows, 2**art.k
-    text = _json_strings(np.append(art.target_blocks, art.target_tail))
+    text = fmt_vector(np.append(art.target_blocks, art.target_tail))
     tail = text.pop()
-    blocks = np.array([",".join(text[i : i + rows]) for i in range(0, len(text), rows)], dtype=object)
+    blocks = np.array([_joined(text[i : i + rows]) for i in range(0, len(text), rows)], dtype=object)
     entries = blocks[present * masks + np.arange(art.M) % masks].tolist()
-    return ("[", ",".join(entries + [tail] * art.n), "]")
+    return ("[", ",".join([*entries, _joined([tail] * art.n)]), "]")
 
 
 def cvpp_from_json(d: dict) -> tuple[CvppArtifacts, tuple[str, ...]]:

@@ -762,6 +762,45 @@ class TestCertificate:
                 unseen = c > 0 and np.all(g.V[i] == g.V[i, 0])
                 assert report.check == (gadgets.CHECK_CLASSES if unseen else gadgets.CHECK_VERTICES), (c, i, j)
 
+    def test_built_gadgets_certify_without_sorting(self, monkeypatch):
+        # the builders lay rows out in integer_grid order, so the row maps of
+        # the two generators certify them and the sort never runs
+        def sort(M):
+            raise AssertionError("the sorted-row fallback ran")
+
+        monkeypatch.setattr(gadgets, "_row_multiset", sort)
+        g = gadgets.find_isolating_parallelepiped(10, 3.0)
+        onoff = gadgets.to_on_off(gadgets.find_isolating_parallelepiped(5, 3.0))
+        par = gadgets.parity_gadget(5, 1.5, 1)
+        assert gadgets.verify_parallelepiped(g).check == gadgets.CHECK_CLASSES
+        assert gadgets.verify_on_off(onoff).check == gadgets.CHECK_CLASSES
+        assert gadgets.verify_parallelepiped(par).check == gadgets.CHECK_CLASSES
+
+    def test_shuffled_rows_certify_by_sorting(self):
+        # no row map matches rows in another order: the sort decides, and
+        # the report is the one of the gadget as built, up to the rounding of
+        # distances summed over the rows in another order
+        calls = []
+
+        def spy(M):
+            calls.append(M.shape)
+            return multiset(M)
+
+        multiset = gadgets._row_multiset
+        rng = np.random.default_rng(11)
+        for g in (isolating(6, 3.0), gadgets.to_on_off(isolating(5, 2.5))):
+            order = rng.permutation(g.d)
+            shuffled = with_arrays(g, g.V[order], [t[order] for t in targets_of(g)])
+            with mock.patch.object(gadgets, "_row_multiset", spy):
+                report = verifier(g)(shuffled)
+            assert calls, "the sorted-row fallback did not run"
+            built = verifier(g)(g)
+            assert (report.check, report.passed) == (built.check, built.passed) == (gadgets.CHECK_CLASSES, True)
+            assert [(c.name, c.passed) for c in report.conditions] == [(c.name, c.passed) for c in built.conditions]
+            for c, b in zip(report.conditions, built.conditions):
+                assert abs(c.residual - b.residual) <= 1e-12, c.name
+            calls.clear()
+
     def test_rotations_alone_do_not_certify(self):
         # the rows are the 4 rotations of (1, 2, 0, 0): the k-cycle maps them
         # onto themselves, the transposition (0 1) does not, and distances

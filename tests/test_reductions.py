@@ -247,15 +247,21 @@ class TestCvppFinite:
     def test_clause_table_rank_is_enumeration_order(self, onoff2):
         from itertools import combinations
 
-        art = reductions.cvpp_preprocess(6, 2, onoff2)
-        expected = 0
-        for varset in combinations(range(1, 7), 2):
-            for mask in range(4):
-                lits = tuple(-v if (mask >> (1 - s)) & 1 else v for s, v in enumerate(varset))
-                pos, got_mask = art.clause_position(Clause(lits))
-                assert (pos, got_mask) == (expected, mask)
-                expected += 1
-        assert expected == art.M
+        # an lp prep at n=6, k=2, the cvpp-serve shape, and k = 1 and k = n; the
+        # rank does not read the gadget, so the max-norm headers stand in
+        arts = [reductions.cvpp_preprocess(6, 2, onoff2)]
+        arts += [reductions.cvpp_header(n, k, None) for n, k in [(10, 3), (7, 1), (5, 5), (1, 1)]]
+        for art in arts:
+            n, k = art.n, art.k
+            expected = 0
+            for varset in combinations(range(1, n + 1), k):
+                assert reductions._comb_rank(varset, n, k) == expected // 2**k
+                for mask in range(2**k):
+                    lits = tuple(-v if (mask >> (k - 1 - s)) & 1 else v for s, v in enumerate(varset))
+                    pos, got_mask = art.clause_position(Clause(lits))
+                    assert (pos, got_mask) == (expected, mask), (n, k, lits)
+                    expected += 1
+            assert expected == art.M
 
     def test_table_size(self, onoff2):
         art = reductions.cvpp_preprocess(6, 2, onoff2)

@@ -203,6 +203,34 @@ class TestDumps:
         payload = payloads()[kind]
         assert serialize.dumps(payload) == compact(payload) + "\n"
 
+    def test_joined_arrays_match_encoder(self, monkeypatch):
+        # every fmt_real shape: signed zeros, infinities, nan, subnormals,
+        # exponents of both signs and plain decimals; and empty arrays
+        reals = [-0.0, 0.0, math.inf, -math.inf, math.nan, 5e-324, -2.5e-310, 2.2250738585072014e-308]
+        reals += [1e300, -1e-300, 0.1, 1 / 3, -7.0, 1e16, 123456789.5]
+        g = gadgets.find_isolating_parallelepiped(10, 3.0)
+        shapes = {
+            "v": serialize.fmt_vector(reals),
+            "empty": serialize.fmt_vector([]),
+            "cols": serialize.fmt_columns(np.array([reals, reals[::-1]]).T),
+            "no-rows": serialize.fmt_columns(np.zeros((0, 2))),
+            "no-cols": serialize.fmt_columns(np.zeros((3, 0))),
+        }
+        # test_matches_json_dumps covers the payloads of payloads(); the
+        # arrays of a gadget, an on-off gadget, an instance and the shapes
+        # above are written without the encoder
+        joined = [serialize.gadget_to_json(g), serialize.onoff_to_json(gadgets.to_on_off(g)), shapes]
+        joined.append(payloads()["instance"])
+        want = [compact(payload) + "\n" for payload in joined]
+        encode = serialize._compact
+
+        def no_arrays(value):
+            assert not isinstance(value, list), value
+            return encode(value)
+
+        monkeypatch.setattr(serialize, "_compact", no_arrays)
+        assert [serialize.dumps(payload) for payload in joined] == want
+
     @pytest.mark.parametrize("kind", ["instance", "prep", "inf-prep"])
     def test_json_text_written_as_is(self, kind):
         payload = payloads()[kind]
