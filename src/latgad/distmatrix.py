@@ -5,17 +5,17 @@ entry |<u, y> - shift|^p at vertex pair (u, y) of {-1, +1}^k.  Its eigenbasis
 is the character table: the eigenvalue attached to the character of a subset
 S depends only on |S|, which keeps the full spectrum O(k^2) to compute.
 
-Two routes give that spectrum.  `eigen_report` sums each eigenvalue's terms
-with `math.fsum`, one shift at a time; its verdict is the definition of a
-nonsingular shift.  `screen_nonsingular` evaluates the spectra of a whole
-batch of shifts with one matmul against a cached integer Krawtchouk table,
-bounds the matmul's forward error, and gives the fsum verdict wherever the
-bound decides it and "undecided" where it cannot (the caller then asks
-`eigen_report`).
-
-The gadget pipeline reads only the spectrum; its weight solve works on the
-k + 1 Hamming classes (`gadgets.solve_weights`).  `distance_matrix` builds the
-dense 2^k x 2^k matrix, which the tests use as the reference.
+The spectrum and the weight solve's class system Q (`gadgets.solve_weights`)
+are integer combinations of the same k + 1 powers P_r = |k - 2r - shift|^p
+(`class_powers`): by_size = E P and Q = T P, with both exact tables from one
+cached builder (`class_tables`).  `class_sums` is the one summation rule: the
+`math.fsum` of one rounded product per r.  `eigen_report` applies it, one
+shift at a time; its verdict is the definition of a nonsingular shift.
+`screen_nonsingular` evaluates the spectra of a whole batch of shifts with one
+matmul against E, bounds the matmul's forward error, and gives the fsum
+verdict wherever the bound decides it and "undecided" where it cannot (the
+caller then asks `eigen_report`).  `distance_matrix` builds the dense
+2^k x 2^k matrix, which only the tests use, as the reference.
 """
 
 from __future__ import annotations
@@ -61,29 +61,48 @@ def distance_matrix(k: int, p, shift: float) -> np.ndarray:
     return np.abs(pts @ pts.T - float(shift)) ** q
 
 
-def eigenvalue_by_size(k: int, p, shift: float, size: int) -> float:
-    """Eigenvalue for any character subset of the given size.
+@functools.lru_cache(maxsize=MAX_K)
+def class_tables(k: int) -> tuple[tuple, tuple]:
+    """The exact integer tables T, with Q[J][j] = sum_r T[J][j][r] P_r, and E,
+    with by_size[s] = sum_r E[s][r] P_r: T[J][j][J+j-2m] = C(J, m) C(k-J, j-m)
+    counts the class-j vertices sharing m of a class-J vertex's +1
+    coordinates, and the Krawtchouk table E[J][j] sums the same counts signed
+    by (-1)^m.  Nested tuples of ints (at most C(16, 8)): read-only, one pair
+    per k shared by every caller."""
+    T = [[[0] * (k + 1) for _ in range(k + 1)] for _ in range(k + 1)]
+    E = [[0] * (k + 1) for _ in range(k + 1)]
+    for J in range(k + 1):
+        for j in range(k + 1):
+            for m in range(max(0, J + j - k), min(J, j) + 1):
+                c = math.comb(J, m) * math.comb(k - J, j - m)
+                T[J][j][J + j - 2 * m] = c
+                E[J][j] += (-1) ** m * c
+    return tuple(tuple(map(tuple, rows)) for rows in T), tuple(map(tuple, E))
 
-    Equals sum over (a, b) of (-1)^a C(size, a) C(k-size, b)
-    |k - 2(a+b) - shift|^p, grouping vertices by how many -1 coordinates fall
-    inside and outside the subset.
-    """
-    if not 0 <= size <= k:
-        raise InvalidInputError(f"subset size {size} out of range for k={k}")
-    q = finite_pvalue(p)
+
+def _out_of_range(what: str) -> NumericDegeneracyError:
+    return NumericDegeneracyError(
+        f"{what} leaves the float range: a power |k - 2r - shift|^p or a sum of "
+        f"them exceeds {sys.float_info.max:.6g}"
+    )
+
+
+def class_powers(k: int, q: float, shift: float) -> list[float]:
+    """P_r = |k - 2r - shift|^p for r = 0..k, by Python's `**`."""
     t = float(shift)
-    terms = []
     try:
-        for a in range(size + 1):
-            ca = (-1) ** a * math.comb(size, a)
-            for b in range(k - size + 1):
-                terms.append(ca * math.comb(k - size, b) * abs(k - 2 * (a + b) - t) ** q)
-        return math.fsum(terms)
+        return [abs(k - 2 * r - t) ** q for r in range(k + 1)]
     except OverflowError as exc:
-        raise NumericDegeneracyError(
-            f"spectrum at k={k}, p={q}, shift={t} leaves the float range: a power "
-            f"|k - 2r - shift|^p or a sum of them exceeds {sys.float_info.max:.6g}"
-        ) from exc
+        raise _out_of_range(f"spectrum at k={k}, p={q}, shift={t}") from exc
+
+
+def class_sums(rows, powers: list[float]) -> list[float]:
+    """sum_r row[r] P_r for each row of a `class_tables` table: the math.fsum
+    of one rounded product per r (an exact integer times a float)."""
+    try:
+        return [math.fsum([c * P for c, P in zip(row, powers)]) for row in rows]
+    except OverflowError as exc:
+        raise _out_of_range("a class sum") from exc
 
 
 @dataclass(frozen=True)
@@ -115,30 +134,7 @@ class EigenReport:
 def eigen_report(k: int, p, shift: float) -> EigenReport:
     k = check_k(k)
     q = finite_pvalue(p)
-    return EigenReport(tuple(eigenvalue_by_size(k, q, shift, s) for s in range(k + 1)))
-
-
-@functools.lru_cache(maxsize=MAX_K)
-def krawtchouk_table(k: int) -> np.ndarray:
-    """The (k+1) x (k+1) integer table E[s, r] = sum over a + b = r of
-    (-1)^a C(s, a) C(k-s, b), so that by_size[s] = sum_r E[s, r] P_r with
-    P_r = |k - 2r - shift|^p.  Entries are at most C(16, 8) in magnitude, so
-    exact as floats.  Read-only: one array per k is shared by every caller."""
-    E = np.array(
-        [
-            [
-                sum(
-                    (-1) ** a * math.comb(s, a) * math.comb(k - s, r - a)
-                    for a in range(max(0, r - k + s), min(s, r) + 1)
-                )
-                for r in range(k + 1)
-            ]
-            for s in range(k + 1)
-        ],
-        dtype=float,
-    )
-    E.flags.writeable = False
-    return E
+    return EigenReport(tuple(class_sums(class_tables(k)[1], class_powers(k, q, shift))))
 
 
 def screen_nonsingular(k: int, p, shifts) -> tuple[np.ndarray, np.ndarray]:
@@ -147,18 +143,19 @@ def screen_nonsingular(k: int, p, shifts) -> tuple[np.ndarray, np.ndarray]:
     .nonsingular`, and `undecided`, where the bound cannot tell (elsewhere it
     proves the shift singular).
 
-    lam[c, s] is the matmul sum_r E[s, r] P[c, r] (`krawtchouk_table`), and
+    lam[c, s] is the matmul sum_r E[s][r] P[c, r] (E from `class_tables`), and
     every lam[c, s] lies within err[c] = 8 (k + 2) u lam[c, 0] of the fsum
     eigenvalue, u = 2^-53.  The derivation, with lam_0 = sum_r C(k, r) P_r the
     positive all-ones eigenvalue (|lam_s| <= lam_0 for every s):
-      * the fsum route rounds each term c P_r once (c is an exact integer, and
-        by Vandermonde's identity the terms' magnitudes sum to lam_0) and its
-        correctly rounded sum once: 2u lam_0;
+      * the fsum route rounds one term E[s][r] P_r per r once (E[s][r] is an
+        exact integer, and |E[s][r]| <= C(k, r) by Vandermonde's identity, so
+        the terms' magnitudes sum to at most lam_0) and its correctly rounded
+        sum once: 2u lam_0;
       * Python's |x|^p is within one ulp (2u relative) of the exact power and
         numpy's within one ulp of Python's, so the powers add 2u lam_0 on the
         fsum route and 4u lam_0 on the matmul route;
       * the matmul of k + 1 products, summed in any order, is within
-        (k + 1) u / (1 - (k + 1) u) of sum_r |E[s, r]| P_r <= lam_0;
+        (k + 1) u / (1 - (k + 1) u) of sum_r |E[s][r]| P_r <= lam_0;
     in all (k + 9) u lam_0 up to O(u^2) terms.  8 (k + 2) is at least twice
     k + 9, which leaves room for the O(u^2) terms, for lam[c, 0] standing in
     for lam_0 and for the few roundings of the comparisons below.
@@ -173,7 +170,7 @@ def screen_nonsingular(k: int, p, shifts) -> tuple[np.ndarray, np.ndarray]:
     """
     k = check_k(k)
     q = finite_pvalue(p)
-    E = krawtchouk_table(k)
+    E = np.array(class_tables(k)[1], dtype=float)
     t = np.asarray(shifts, dtype=float).reshape(-1, 1)
     with np.errstate(over="ignore", invalid="ignore"):
         P = np.abs((k - 2.0 * np.arange(k + 1)) - t) ** q

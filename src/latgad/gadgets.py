@@ -264,31 +264,23 @@ def solve_weights(k: int, p, shift: float) -> tuple[np.ndarray, float]:
         sum_j Q[J, j] a_j = [J = 0],
         Q[J, j] = sum_m C(J, m) C(k-J, j-m) |k - 2(J + j - 2m) - shift|^p,
     which counts, for one vertex of class J, the vertices of class j sharing
-    m of its +1 coordinates.  Its spectral solution is the Krawtchouk sum
+    m of its +1 coordinates.  Each power P_r = |k - 2r - shift|^p is computed
+    once, and the spectrum E P and Q = T P come from the same P
+    (`distmatrix.class_tables`).  Q's spectral solution is the Krawtchouk sum
     a_j = 2^-k sum_s K_s(j) / lambda_s, but that sum cancels when p >> k (at
     k = 2, p = 50 not one digit of a_0 survives), so the class system is
     solved by elimination.  The weights are exactly equal within a class, and
     the class at the negative minimum is exactly zero.
     """
-    report = distmatrix.eigen_report(k, p, shift)
+    k = distmatrix.check_k(k)
+    powers = distmatrix.class_powers(k, finite_pvalue(p), shift)
+    T, E = distmatrix.class_tables(k)
+    report = distmatrix.EigenReport(tuple(distmatrix.class_sums(E, powers)))
     if not report.nonsingular:
         raise InvalidInputError(
             f"distance matrix is singular at shift {shift!r} (min ratio {report.min_ratio:.3g})"
         )
-    q = finite_pvalue(p)
-    powers = [abs(k - 2 * m - float(shift)) ** q for m in range(k + 1)]
-    Q = np.array(
-        [
-            [
-                math.fsum(
-                    math.comb(J, m) * math.comb(k - J, j - m) * powers[J + j - 2 * m]
-                    for m in range(max(0, J + j - k), min(J, j) + 1)
-                )
-                for j in range(k + 1)
-            ]
-            for J in range(k + 1)
-        ]
-    )
+    Q = np.array([distmatrix.class_sums(rows, powers) for rows in T])
     # solve at the scale of Q's largest entry: near the float range a's
     # entries, about 1/lambda, are subnormal and lose digits.  Scaling by a
     # power of two is exact, so this moves nothing else.
@@ -359,11 +351,7 @@ def find_isolating_parallelepiped(k: int, p) -> IsolatingGadget:
     vertices sit at distance exactly 1.
     """
     q = finite_pvalue(p)
-    if float(q).is_integer() and int(q) % 2 == 0 and q < k:
-        raise UnsupportedParametersError(
-            f"no isolating parallelepiped exists for even integer p={q} < k={k}"
-        )
-    shift = find_shift(k, q)
+    shift = find_shift(k, q)  # refuses even integers p < k
     weights, solve_eps = solve_weights(k, q, shift)
     V, t = signed_parallelepiped(weights, shift, q)
     Vb, tb = to_binary_coords(V, t)
@@ -423,8 +411,8 @@ def parity_gadget(k: int, p, bit: int) -> IsolatingGadget:
         )
 
     shift = (1 + (-1) ** (k + 1)) / 2  # 1 for odd k, 0 for even k
-    lam = distmatrix.eigenvalue_by_size(k, q, shift, 0)
-    lam_par = distmatrix.eigenvalue_by_size(k, q, shift, k)
+    by_size = distmatrix.eigen_report(k, q, shift).by_size
+    lam, lam_par = by_size[0], by_size[k]
     if lam_par == 0.0:
         raise DegenerateConstructionError(f"parity eigenvalue vanished for k={k}, p={q}")
     low, high = lam - abs(lam_par), lam + abs(lam_par)
@@ -475,12 +463,19 @@ def to_isolating_lattice(gadget: IsolatingGadget) -> IsolatingGadget:
     mu = (1 + eps)^p / (3^p - 1), then rescales by (1 + k mu)^(-1/p).  The new
     gap is eps' = (((1+eps)^p + k mu) / (1 + k mu))^(1/p) - 1 >= eps/(1+k mu).
     The constraint is the gadget's own, or the plain clause when it has none.
+    3^p leaves the float range above p = 646 (NumericDegeneracyError).
     """
     if gadget.eps <= 0.0:
         raise InvalidInputError("lattice extension needs a strictly positive gap")
     q = gadget.p
     k = gadget.k
-    mu = (1.0 + gadget.eps) ** q / (3.0**q - 1.0)
+    try:
+        mu = (1.0 + gadget.eps) ** q / (3.0**q - 1.0)
+    except OverflowError as exc:
+        raise NumericDegeneracyError(
+            f"lattice extension at p={q} leaves the float range: 3^p or (1 + eps)^p "
+            f"exceeds {sys.float_info.max:.6g}"
+        ) from exc
     denom = (1.0 + k * mu) ** (1.0 / q)
     V = np.vstack([gadget.V, 2.0 * mu ** (1.0 / q) * np.eye(k)]) / denom
     t = np.concatenate([gadget.t, mu ** (1.0 / q) * np.ones(k)]) / denom

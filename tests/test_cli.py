@@ -429,6 +429,20 @@ class TestExitCodes:
         code, _, err = run(["gadget", "find", "--k", k, "--p", p], capsys)
         assert code == 1 and "leaves the float range" in err
 
+    @pytest.mark.parametrize("command", ["lattice", "gap"])
+    def test_overflowing_lattice_is_numeric_failure(self, tmp_path, capsys, command):
+        # the k=1, p=700 gadget builds, but its lattice extension needs 3^p
+        g, cnf, out = tmp_path / "g.json", tmp_path / "f.cnf", tmp_path / "out.json"
+        assert run(["gadget", "find", "--k", "1", "--p", "700", "--out", str(g)], capsys)[0] == 0
+        cnf.write_text("p cnf 2 2\n1 0\n-2 0\n")
+        argv = {
+            "lattice": ["gadget", "lattice", "--in", str(g)],
+            "gap": ["reduce", "sat", "--cnf", str(cnf), "--gadget", str(g), "--mode", "gap", "--s", "0.9", "--c", "1.0"],
+        }[command]
+        code, _, err = run(argv + ["--out", str(out)], capsys)
+        assert code == 1 and err.startswith("failure:") and "leaves the float range" in err
+        assert not out.exists()
+
     # 234 and 234.5 left a's entries subnormal until the solve was rescaled
     @pytest.mark.parametrize("k,p", [("10", "233.5"), ("10", "234"), ("10", "234.5"), ("3", "379")])
     def test_largest_finite_p_builds(self, capsys, k, p):

@@ -6,8 +6,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from latgad import distmatrix
-from latgad.errors import InvalidInputError, ResourceLimitError
+from latgad import distmatrix, gadgets
+from latgad.errors import NumericDegeneracyError, ResourceLimitError
 from latgad.gadgets import signed_parallelepiped
 from latgad.numeric import pnorm
 
@@ -49,22 +49,16 @@ class TestBuild:
 
 class TestEigenvalues:
     def test_hand_examples(self):
-        assert distmatrix.eigenvalue_by_size(1, 1, 2.0, 0) == pytest.approx(4.0)
-        assert distmatrix.eigenvalue_by_size(1, 1, 2.0, 1) == pytest.approx(-2.0)
+        assert distmatrix.eigen_report(1, 1, 2.0).by_size[0] == pytest.approx(4.0)
+        assert distmatrix.eigen_report(1, 1, 2.0).by_size[1] == pytest.approx(-2.0)
         # even p below k: the full-parity eigenvalue vanishes identically
-        assert distmatrix.eigenvalue_by_size(4, 2, 4.0, 4) == pytest.approx(0.0, abs=1e-12)
-
-    def test_subset_validation(self):
-        with pytest.raises(InvalidInputError):
-            distmatrix.eigenvalue_by_size(2, 1, 1.0, 3)
-        with pytest.raises(InvalidInputError):
-            distmatrix.eigenvalue_by_size(2, 1, 1.0, -1)
+        assert distmatrix.eigen_report(4, 2, 4.0).by_size[4] == pytest.approx(0.0, abs=1e-12)
 
     @pytest.mark.parametrize("k,p,shift", [(2, 1.5, 2.5), (3, 2.5, 3.5), (4, 3.0, 1.25), (3, 1.0, 1.0)])
     def test_eigen_action(self, k, p, shift, fourier_vector):
         H = distmatrix.distance_matrix(k, p, shift)
         for subset in all_subsets(k):
-            lam = distmatrix.eigenvalue_by_size(k, p, shift, len(subset))
+            lam = distmatrix.eigen_report(k, p, shift).by_size[len(subset)]
             v = fourier_vector(subset, k).astype(float)
             residual = np.abs(H @ v - lam * v).max()
             assert residual <= 1e-9 * (1.0 + abs(lam))
@@ -73,7 +67,7 @@ class TestEigenvalues:
         k, p, shift = 8, 2.5, 8.5
         H = distmatrix.distance_matrix(k, p, shift)
         for subset in [(), (3,), (1, 5), tuple(range(1, 9))]:
-            lam = distmatrix.eigenvalue_by_size(k, p, shift, len(subset))
+            lam = distmatrix.eigen_report(k, p, shift).by_size[len(subset)]
             v = fourier_vector(subset, k).astype(float)
             assert np.abs(H @ v - lam * v).max() <= 1e-9 * (1.0 + abs(lam))
 
@@ -84,7 +78,7 @@ class TestEigenvalues:
                 math.prod(x[i - 1] for i in subset) * abs(sum(x) - shift) ** p
                 for x in product((-1, 1), repeat=k)
             )
-            assert distmatrix.eigenvalue_by_size(k, p, shift, len(subset)) == pytest.approx(direct)
+            assert distmatrix.eigen_report(k, p, shift).by_size[len(subset)] == pytest.approx(direct)
 
     @pytest.mark.parametrize(
         "k,p,shift",
@@ -105,7 +99,82 @@ class TestEigenvalues:
     )
     @settings(max_examples=60, deadline=None)
     def test_all_ones_eigenvalue_positive(self, k, p, shift):
-        assert distmatrix.eigenvalue_by_size(k, p, shift, 0) > 0.0
+        assert distmatrix.eigen_report(k, p, shift).by_size[0] > 0.0
+
+
+def term_by_term(k, p, shift):
+    """The spectrum and the class system Q summed term by term: one fsum
+    term per (a, b) for by_size[s], with a of the s subset coordinates at -1
+    and b of the others, and one per shared count m for Q[J][j]."""
+    power = [abs(k - 2 * r - shift) ** p for r in range(k + 1)]
+    by_size = [
+        math.fsum(
+            (-1) ** a * math.comb(s, a) * math.comb(k - s, b) * power[a + b]
+            for a in range(s + 1)
+            for b in range(k - s + 1)
+        )
+        for s in range(k + 1)
+    ]
+    Q = [
+        [
+            math.fsum(
+                math.comb(J, m) * math.comb(k - J, j - m) * power[J + j - 2 * m]
+                for m in range(max(0, J + j - k), min(J, j) + 1)
+            )
+            for j in range(k + 1)
+        ]
+        for J in range(k + 1)
+    ]
+    return by_size, Q
+
+
+def candidate_walk(k, p):
+    """find_shift's candidate shifts in the order its walk visits them."""
+    offsets = range(k - 1, -1, -1) if float(p).is_integer() and p < k else (k,)
+    return (j + 2.0**-i for i in range(1, gadgets.SHIFT_SEARCH_DEPTH + 1) for j in offsets)
+
+
+class TestClassTables:
+    @pytest.mark.parametrize("k", range(1, 17))
+    def test_vandermonde(self, k):
+        T, E = distmatrix.class_tables(k)
+        for J in range(k + 1):
+            for j in range(k + 1):
+                assert sum(T[J][j]) == math.comb(k, j)
+                assert abs(E[J][j]) <= math.comb(k, j)
+
+    @pytest.mark.parametrize("k", range(1, 17))
+    def test_matches_term_by_term(self, k):
+        # Q, lambda_0 and lambda_k have the same terms either way, so the
+        # same fsum; the other eigenvalues round one product per r instead of
+        # one per (a, b), within the screen's error bound of each other
+        # (each search up to the shift it picks, or all 64 steps when it fails)
+        T, _ = distmatrix.class_tables(k)
+        for p in (1.0, 1.5, 2.5, 3.0, 5.0, 7.75, 11.5):
+            for shift in candidate_walk(k, p):
+                want, want_Q = term_by_term(k, p, shift)
+                powers = distmatrix.class_powers(k, p, shift)
+                report = distmatrix.eigen_report(k, p, shift)
+                assert [distmatrix.class_sums(rows, powers) for rows in T] == want_Q, (k, p, shift)
+                assert (report.by_size[0], report.by_size[k]) == (want[0], want[k]), (k, p, shift)
+                err = 8 * (k + 2) * 2.0**-53 * want[0]
+                assert all(abs(x - y) <= err for x, y in zip(report.by_size, want)), (k, p, shift)
+                reference = distmatrix.EigenReport(tuple(want))
+                assert report.nonsingular == reference.nonsingular, (k, p, shift)
+                if reference.nonsingular:
+                    break
+
+    def test_tables_are_shared_and_read_only(self):
+        T, E = distmatrix.class_tables(4)
+        assert distmatrix.class_tables(4)[0] is T
+        with pytest.raises(TypeError):
+            E[0][0] = 2
+
+    def test_overflow_is_numeric_failure(self):
+        with pytest.raises(NumericDegeneracyError, match="leaves the float range"):
+            distmatrix.class_powers(10, 235.0, 10.5)
+        with pytest.raises(NumericDegeneracyError, match="leaves the float range"):
+            distmatrix.class_sums([(1, 1)], [1e308, 1e308])
 
 
 class TestDeterminant:

@@ -218,7 +218,7 @@ class TestParallelepipedAssembly:
         assert pnorm(V @ [-1.0] - t, 1) == pytest.approx(5.0)
 
     def test_uniform_weights_give_constant_distance(self):
-        lam = distmatrix.eigenvalue_by_size(2, 2.0, 2.5, 0)
+        lam = distmatrix.eigen_report(2, 2.0, 2.5).by_size[0]
         V, t = gadgets.signed_parallelepiped(np.ones(4), 2.5, 2.0)
         for y in [(-1, -1), (-1, 1), (1, -1), (1, 1)]:
             assert pnorm(V @ np.array(y, float) - t, 2) ** 2 == pytest.approx(lam)

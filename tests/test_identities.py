@@ -182,7 +182,7 @@ class TestCrossModule:
     @pytest.mark.parametrize("k,p", [(3, 1.0), (4, 1.5), (5, 2.5), (6, 3.0)])
     def test_parity_eigenvalue_matches_binom_sum(self, k, p):
         shift = (1 + (-1) ** (k + 1)) / 2
-        lam_par = distmatrix.eigenvalue_by_size(k, p, shift, k)
+        lam_par = distmatrix.eigen_report(k, p, shift).by_size[k]
         via_sum = 2.0**p * float(
             identities.binom_sum(SumSpec(k=k, tau=k // 2, p=p, alternating=True))
         )
