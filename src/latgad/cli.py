@@ -194,12 +194,13 @@ def _cmd_cvpp(args, tol: Tolerance) -> int:
     if args.action == "prep":
         gadget = serialize.gadget_from_json(_load_json(args.gadget))
         onoff = gadgets.to_on_off(gadget)
-        art = reductions.cvpp_preprocess(args.n, args.k, onoff)
+        # the prep file holds the header alone: a query rebuilds the basis text from it
+        art = reductions.cvpp_header(args.n, args.k, onoff)
         _emit(serialize.cvpp_to_json(art), args.out)
         _log(f"prep basis {art.d}x{art.n}, {art.M} clause blocks")
         return EXIT_OK
     if args.action == "inf-prep":
-        art = reductions.cvpp_inf_preprocess(args.n, args.k)
+        art = reductions.cvpp_header(args.n, args.k, None)
         _emit(serialize.cvpp_to_json(art), args.out)
         return EXIT_OK
     if args.action in ("query", "inf-query"):

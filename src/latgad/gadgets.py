@@ -13,6 +13,9 @@ pattern:
 
 On-off gadgets carry a second target equidistant from all 2^k vertices, used
 to disable absent clauses in preprocessing-based reductions.
+
+The isolating and parity builders weight a +-1 cube by Hamming class, and
+one assembly turns the k + 1 class weights into V and t.
 """
 
 from __future__ import annotations
@@ -249,9 +252,11 @@ def find_shift(k: int, p) -> float:
 
 
 def solve_weights(k: int, p, shift: float) -> tuple[np.ndarray, float]:
-    """Non-negative vertex weights w and eps > 0 with H w = 1 + eps e_0, where
-    H is the distance-power matrix at the given shift and e_0 bumps the
-    all-minus-ones vertex (index 0), the one the gadget isolates.
+    """The k + 1 class weights w_j (class j: the vertices with j coordinates
+    +1) and eps > 0 with H w = 1 + eps e_0, where H is the distance-power
+    matrix at the given shift, w is read at each vertex from its class, and
+    e_0 bumps the all-minus-ones vertex (index 0), the one the gadget
+    isolates.
 
     w = (1/lambda) 1 + eps * a with a = H^-1 e_0, eps = 1 / (lambda |min a|)
     when a has a negative entry (the minimum entry of w is then zero), and
@@ -270,7 +275,8 @@ def solve_weights(k: int, p, shift: float) -> tuple[np.ndarray, float]:
     a_j = 2^-k sum_s K_s(j) / lambda_s, but that sum cancels when p >> k (at
     k = 2, p = 50 not one digit of a_0 survives), so the class system is
     solved by elimination.  The weights are exactly equal within a class, and
-    the class at the negative minimum is exactly zero.
+    the class at the negative minimum is exactly zero, so every weight is
+    non-negative.
     """
     k = distmatrix.check_k(k)
     powers = distmatrix.class_powers(k, finite_pvalue(p), shift)
@@ -288,13 +294,15 @@ def solve_weights(k: int, p, shift: float) -> tuple[np.ndarray, float]:
     a = np.linalg.solve(np.ldexp(Q, -e), np.eye(k + 1)[0])
     lam = math.ldexp(report.lambda_all, -e)
     lo = float(a.min())
-    if lo < 0.0 and lam * -lo * sys.float_info.max < 1.0:
-        # the largest gap 1 / (lambda |lo|) overflows (k = 1, p = 448), and
-        # so would the far level the verification computes: take the smaller
-        # gap 1 / (lambda max |a|), which keeps every weight non-negative
-        lo = 0.0
-    # H is nonsingular, so H^-1 e_0 is not zero
-    eps = 1.0 / (lam * (abs(lo) if lo < 0.0 else float(np.abs(a).max())))
+    top = float(np.abs(a).max())  # H is nonsingular, so H^-1 e_0 is not zero
+    # the largest gap 1 / (lambda |lo|) overflows at k = 1, p = 448, and
+    # eps * a does at k = 1, p = 441 (so would the far level the verification
+    # computes): there the smaller gap keeps every weight non-negative
+    wide = 1.0 / (lam * -lo) if lo < 0.0 and lam * -lo * sys.float_info.max >= 1.0 else math.inf
+    if math.isfinite(wide * top):
+        eps = wide
+    else:
+        lo, eps = 0.0, 1.0 / (lam * top)
     by_class = np.ldexp(1.0 / lam + eps * a, -e)
     floor = float(by_class.min())
     if floor < -1e-12 * max(1.0, float(np.abs(by_class).max())):
@@ -303,58 +311,44 @@ def solve_weights(k: int, p, shift: float) -> tuple[np.ndarray, float]:
         by_class[int(a.argmin())] = 0.0
     # a class that ties the minimum up to rounding can sit a hair below zero
     np.clip(by_class, 0.0, None, out=by_class)
+    return by_class, eps
+
+
+def _class_vertices(k: int) -> np.ndarray:
+    """Row j: 0..0 1..1 with j ones, the first class-j vertex of integer_grid."""
+    return (np.arange(k) >= np.arange(k, -1, -1)[:, None]).astype(np.int64)
+
+
+def _class_parallelepiped(by_class: np.ndarray, shift: float, q: float) -> tuple[np.ndarray, np.ndarray]:
+    """V, t over {0, 1}^k of the +-1 parallelepiped with row u = w^(1/p) u^T
+    and target w^(1/p) shift, w read from the class weights by_class (class
+    j: j coordinates +1): for y = 2z - 1, ||V z - t||_p^p is the y-entry of
+    H w.  Row u becomes 2 w^(1/p) u^T and its target w^(1/p) (sum_i u_i +
+    shift), summed on the class row -1..-1 +1..+1, so every row of a class
+    has a bit-identical target, as the certificate (`_symmetric`) needs.
+    Rows are listed once, in integer_grid order, and gather the k + 1 class
+    rows by popcount.  Zero-weight rows are kept so d = 2^k is stable."""
+    k = by_class.size - 1
+    s = by_class ** (1.0 / q)
+    signs = 2.0 * _class_vertices(k) - 1.0
+    t = (s[:, None] * signs).sum(axis=1) + float(shift) * s
     (x,) = integer_grid([(0, 1)] * k, 2**k)
-    return by_class[x.sum(axis=1)], eps
-
-
-def signed_parallelepiped(weights, shift: float, p) -> tuple[np.ndarray, np.ndarray]:
-    """V, t of the weighted +-1 parallelepiped: row u is w_u^(1/p) u^T and the
-    matching target coordinate is w_u^(1/p) * shift.
-
-    For every y in {-1, +1}^k the p-th distance power ||V y - t||_p^p equals
-    the y-entry of H w.  Zero-weight rows are kept so d = 2^k is stable.
-    """
-    q = finite_pvalue(p)
-    w = np.asarray(weights, dtype=float).ravel()
-    if w.size == 0 or w.size & (w.size - 1):
-        raise InvalidInputError("weights length must be a power of two")
-    if float(w.min()) < 0.0:
-        raise InvalidInputError(f"weights must be non-negative, got min {w.min()!r}")
-    k = w.size.bit_length() - 1
-    scale = w ** (1.0 / q)
-    (x,) = integer_grid([(0, 1)] * k, w.size)
-    return scale[:, None] * (2.0 * x - 1.0), float(shift) * scale
-
-
-def to_binary_coords(V, t) -> tuple[np.ndarray, np.ndarray]:
-    """Re-express a +-1-cube gadget over {0, 1}^k: V' = 2V, t' = V 1 + t, so
-    ||V' z - t'|| = ||V (2z - 1) - t|| and z = 0 maps to the all-minus vertex.
-
-    Each row of V is summed in sorted order, so rows holding the same entries
-    in another order get bit-identical t' entries: a gadget symmetric under
-    coordinate permutations stays symmetric to the last bit, which the
-    vertex checks' certificate (`_symmetric`) compares.  Rows keep their
-    integer_grid order, so the certificate's row maps match them without a
-    sort; its sorted-row fallback is for gadgets read back with their rows
-    in another order or extended by more rows."""
-    V = np.asarray(V, dtype=float)
-    t = np.asarray(t, dtype=float).ravel()
-    return 2.0 * V, np.sort(V, axis=1).sum(axis=1) + t
+    c = x.sum(axis=1)
+    return (2.0 * s)[c][:, None] * (2.0 * x - 1.0), t[c]
 
 
 def find_isolating_parallelepiped(k: int, p) -> IsolatingGadget:
     """An isolating parallelepiped for arity k in the p norm.
 
     Exists iff p is not an even integer below k (or p >= k).  Pipeline: find a
-    nonsingular shift, solve for vertex weights with the all-minus vertex
-    bumped, re-express over {0, 1}^k, and normalize so the 2^k - 1 close
-    vertices sit at distance exactly 1.
+    nonsingular shift, solve for the class weights with the all-minus vertex
+    bumped, assemble the parallelepiped over {0, 1}^k, and normalize so the
+    2^k - 1 close vertices sit at distance exactly 1.
     """
     q = finite_pvalue(p)
     shift = find_shift(k, q)  # refuses even integers p < k
-    weights, solve_eps = solve_weights(k, q, shift)
-    V, t = signed_parallelepiped(weights, shift, q)
-    Vb, tb = to_binary_coords(V, t)
+    by_class, solve_eps = solve_weights(k, q, shift)
+    Vb, tb = _class_parallelepiped(by_class, shift, q)
     ref = np.ones(k)  # any vertex off the isolated one; all-ones is z = 1^k
     scale = pnorm(Vb @ ref - tb, q)
     if scale <= 0.0:
@@ -422,11 +416,9 @@ def parity_gadget(k: int, p, bit: int) -> IsolatingGadget:
     eta = k // 2 + math.floor(q / 2)
     formula_bit = (bit + k) % 2
     sign = (-1) ** (eta + formula_bit)
-    (x,) = integer_grid([(0, 1)] * k, 2**k)
-    parities = np.prod(2.0 * x - 1.0, axis=1)  # the full-parity character prod u_i
-    weights = 1.0 + sign * parities
-    V, t = signed_parallelepiped(weights, shift, q)
-    Vb, tb = to_binary_coords(V, t)
+    # the full-parity character prod u_i is (-1)^(k - j) on class j
+    by_class = 1.0 + sign * (-1.0) ** (k - np.arange(k + 1))
+    Vb, tb = _class_parallelepiped(by_class, shift, q)
     scale = low ** (1.0 / q)
     Vb /= scale
     tb /= scale
@@ -578,7 +570,7 @@ def _vertex_distances(V: np.ndarray, p, targets: list[np.ndarray], by_popcount: 
     MAX_WALK_K."""
     k = V.shape[1]
     if by_popcount and _symmetric(V, targets):
-        x = (np.arange(k) >= np.arange(k, -1, -1)[:, None]).astype(np.int64)
+        x = _class_vertices(k)
         return x, [row_pnorms(x @ V.T - t, p) for t in targets], CHECK_CLASSES
     if k > MAX_WALK_K:
         raise ResourceLimitError(

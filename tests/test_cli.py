@@ -5,7 +5,7 @@ import time
 
 import pytest
 
-from latgad import cli, reductions, serialize
+from latgad import cli, gadgets, reductions, serialize
 from latgad.cli import dispatch
 
 
@@ -285,6 +285,24 @@ class TestCvppQueryBytes:
         f.write_text("p cnf 4 1\n1 2 0\n")
         assert run(["cvpp", "query", "--prep", str(preps["query", 4]), "--cnf", str(f), "--out", str(q)], capsys)[0] == 0
         assert shapes == [(8, 2)]
+
+    def test_prep_builds_no_basis(self, tmp_path, capsys, monkeypatch):
+        # a prep file holds the header alone: both preps write the bytes of
+        # the full preprocessing without building its float basis
+        g = tmp_path / "g.json"
+        assert run(["gadget", "find", "--k", "4", "--p", "3", "--out", str(g)], capsys)[0] == 0
+        onoff = gadgets.to_on_off(serialize.gadget_from_json(json.loads(g.read_text())))
+        cases = [
+            (["cvpp", "prep", "--n", "10", "--k", "3", "--gadget", str(g)], reductions.cvpp_preprocess(10, 3, onoff)),
+            (["cvpp", "inf-prep", "--n", "4", "--k", "3"], reductions.cvpp_inf_preprocess(4, 3)),
+        ]
+        monkeypatch.setattr(reductions, "_with_basis", lambda art: pytest.fail("built the float basis"))
+        for i, (argv, art) in enumerate(cases):
+            path = tmp_path / f"prep{i}.json"
+            code, _, err = run([*argv, "--out", str(path)], capsys)
+            assert code == 0
+            assert path.read_text() == "".join(serialize.dump_chunks(serialize.cvpp_to_json(art)))
+            assert err == ("prep basis 15370x10, 960 clause blocks\n" if art.mode == "lp" else "")
 
 
 class TestIdentitiesCommands:

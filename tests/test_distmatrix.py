@@ -8,8 +8,7 @@ from hypothesis import strategies as st
 
 from latgad import distmatrix, gadgets
 from latgad.errors import NumericDegeneracyError, ResourceLimitError
-from latgad.gadgets import signed_parallelepiped
-from latgad.numeric import pnorm
+from latgad.numeric import integer_grid, pnorm
 
 
 def all_subsets(k):
@@ -214,17 +213,21 @@ class TestWeightMap:
     )
     @settings(max_examples=40, deadline=None)
     def test_weights_to_distances(self, data, k, p, shift):
-        # H w gives the p-th distance powers of the weighted parallelepiped
-        weights = data.draw(
-            st.lists(
-                st.floats(min_value=0.0, max_value=5.0),
-                min_size=2**k,
-                max_size=2**k,
+        # H w gives the p-th distance powers of the weighted parallelepiped,
+        # w read at each vertex from its class (its popcount)
+        by_class = np.array(
+            data.draw(
+                st.lists(
+                    st.floats(min_value=0.0, max_value=5.0),
+                    min_size=k + 1,
+                    max_size=k + 1,
+                )
             )
         )
         H = distmatrix.distance_matrix(k, p, shift)
-        V, t = signed_parallelepiped(weights, shift, p)
-        mapped = H @ np.asarray(weights)
-        for idx, y in enumerate(product((-1, 1), repeat=k)):
-            dist_pow = pnorm(V @ np.array(y, dtype=float) - t, p) ** p
+        V, t = gadgets._class_parallelepiped(by_class, shift, p)
+        (x,) = integer_grid([(0, 1)] * k, 2**k)
+        mapped = H @ by_class[x.sum(axis=1)]
+        for idx, z in enumerate(x):
+            dist_pow = pnorm(V @ z - t, p) ** p
             assert dist_pow == pytest.approx(mapped[idx], rel=1e-7, abs=1e-7)

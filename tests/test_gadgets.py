@@ -1,6 +1,7 @@
 import functools
 import math
 import time
+import warnings
 from itertools import permutations, product
 from unittest import mock
 
@@ -29,6 +30,30 @@ def dense_weights(k, p, shift):
     lo = a.min()
     eps = 1.0 / (lam * (abs(lo) if lo < 0.0 else np.abs(a).max()))
     return np.clip(1.0 / lam + eps * a, 0.0, None), eps
+
+
+def spread(by_class):
+    """Class weights read at every vertex of {0, 1}^k (class: popcount), in
+    integer_grid order."""
+    k = by_class.size - 1
+    (x,) = integer_grid([(0, 1)] * k, 2**k)
+    return by_class[x.sum(axis=1)]
+
+
+def reference_assembly(by_class, shift, q):
+    """The parallelepiped assembled vertex by vertex: the 2^k weights, the
+    +-1 rows w^(1/p) u^T with targets w^(1/p) shift, then over {0, 1}^k the
+    rows doubled and each target raised by its row's sum in sorted order."""
+    k = by_class.size - 1
+    (x,) = integer_grid([(0, 1)] * k, 2**k)
+    scale = spread(by_class) ** (1.0 / q)
+    V = scale[:, None] * (2.0 * x - 1.0)
+    return 2.0 * V, np.sort(V, axis=1).sum(axis=1) + float(shift) * scale
+
+
+def same_bits(a, b):
+    """Equal shapes and equal float64 bit patterns (-0 differs from 0)."""
+    return a.shape == b.shape and np.array_equal(a.view(np.uint64), b.view(np.uint64))
 
 
 def distances(V, t, p, k):
@@ -116,21 +141,21 @@ class TestFindShift:
 class TestSolveWeights:
     def test_k1_hand_solve(self):
         # the bump sits on the all-minus vertex, index 0
-        weights, eps = gadgets.solve_weights(1, 1.0, 1.5)
-        assert weights == pytest.approx([0.0, 2.0])
+        by_class, eps = gadgets.solve_weights(1, 1.0, 1.5)
+        assert by_class == pytest.approx([0.0, 2.0])
         assert eps == pytest.approx(4.0)
         H = distmatrix.distance_matrix(1, 1.0, 1.5)
-        assert H @ weights == pytest.approx([5.0, 1.0])
+        assert H @ spread(by_class) == pytest.approx([5.0, 1.0])
 
     def test_k2_residual(self):
         shift = gadgets.find_shift(2, 2.5)
-        weights, eps = gadgets.solve_weights(2, 2.5, shift)
-        assert weights.min() >= 0.0
+        by_class, eps = gadgets.solve_weights(2, 2.5, shift)
+        assert by_class.shape == (3,) and by_class.min() >= 0.0
         assert eps > 0.0
         H = distmatrix.distance_matrix(2, 2.5, shift)
         want = np.ones(4)
         want[0] += eps
-        assert np.abs(H @ weights - want).max() <= 1e-9
+        assert np.abs(H @ spread(by_class) - want).max() <= 1e-9
 
     def test_singular_matrix_rejected(self):
         with pytest.raises(InvalidInputError):
@@ -145,9 +170,22 @@ class TestSolveWeights:
     def test_overflowing_gap_falls_back_to_smaller_one(self):
         # at k = 1, p = 448 the largest gap 1 / (lambda |min a|) overflows
         shift = gadgets.find_shift(1, 448.0)
-        weights, eps = gadgets.solve_weights(1, 448.0, shift)
-        assert math.isfinite(eps) and weights.min() > 0.0
+        by_class, eps = gadgets.solve_weights(1, 448.0, shift)
+        assert math.isfinite(eps) and by_class.min() > 0.0
         assert gadgets.find_isolating_parallelepiped(1, 448.0).eps > 0.0
+
+    def test_overflowing_weights_fall_back_to_smaller_gap(self):
+        # at k = 1, p = 441 the largest gap 1 / (lambda |min a|) is finite,
+        # about 1.8e308, but eps * a overflows: the smaller gap is taken
+        # without a floating-point warning, as at p = 441.5
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            shift = gadgets.find_shift(1, 441.0)
+            by_class, eps = gadgets.solve_weights(1, 441.0, shift)
+            g = gadgets.find_isolating_parallelepiped(1, 441.0)
+        assert np.isfinite(by_class).all() and by_class.min() > 0.0
+        assert math.isfinite(eps) and g.eps > 0.0
+        assert gadgets.verify_parallelepiped(g).passed
 
     @pytest.mark.parametrize("k", range(1, 11))
     def test_matches_dense_solve(self, k):
@@ -159,9 +197,9 @@ class TestSolveWeights:
                 shift = gadgets.find_shift(k, p)
             except (UnsupportedParametersError, NumericDegeneracyError):
                 continue
-            weights, eps = gadgets.solve_weights(k, p, shift)
+            by_class, eps = gadgets.solve_weights(k, p, shift)
             want, want_eps = dense_weights(k, p, shift)
-            assert np.abs(weights - want).max() <= 1e-9 * np.abs(want).max(), (k, p)
+            assert np.abs(spread(by_class) - want).max() <= 1e-9 * np.abs(want).max(), (k, p)
             assert eps == pytest.approx(want_eps, rel=1e-9), (k, p)
             solved += 1
         assert solved >= 6
@@ -169,15 +207,18 @@ class TestSolveWeights:
     @pytest.mark.parametrize("k,p", [(1, 1.5), (2, 3.0), (3, 3.0), (4, 2.5), (5, 3.0), (6, 1.0), (8, 7.5), (2, 50.0)])
     def test_constant_on_hamming_classes(self, k, p):
         shift = gadgets.find_shift(k, p)
-        weights, _ = gadgets.solve_weights(k, p, shift)
+        by_class, _ = gadgets.solve_weights(k, p, shift)
+        # one weight per class, and the dense solve is constant on each
+        # class up to its rounding
+        assert by_class.shape == (k + 1,)
         (x,) = integer_grid([(0, 1)] * k, 2**k)
         classes = x.sum(axis=1)
-        for j in range(k + 1):
-            assert len(set(weights[classes == j].tolist())) == 1, j
         want, _ = dense_weights(k, p, shift)
+        for j in range(k + 1):
+            assert np.abs(want[classes == j] - by_class[j]).max() <= 1e-9 * np.abs(want).max(), j
         if want.min() <= 1e-12 * want.max():
             # the clipped class is exactly zero, not rounding noise
-            assert set(weights[classes == classes[want.argmin()]].tolist()) == {0.0}
+            assert by_class[classes[want.argmin()]] == 0.0
 
     def test_zeroed_class_gives_zero_rows(self):
         # both vertices with one +1 coordinate carry weight 0, so both rows
@@ -211,34 +252,73 @@ class TestSolveWeights:
 
 class TestParallelepipedAssembly:
     def test_k1_rows_and_distances(self):
-        V, t = gadgets.signed_parallelepiped([0.0, 2.0], 1.5, 1.0)
-        assert V.tolist() == [[-0.0], [2.0]]
-        assert t == pytest.approx([0.0, 3.0])
+        V, t = gadgets._class_parallelepiped(np.array([0.0, 2.0]), 1.5, 1.0)
+        assert V.tolist() == [[-0.0], [4.0]]
+        assert t == pytest.approx([0.0, 5.0])
         assert pnorm(V @ [1.0] - t, 1) == pytest.approx(1.0)
-        assert pnorm(V @ [-1.0] - t, 1) == pytest.approx(5.0)
+        assert pnorm(t, 1) == pytest.approx(5.0)
 
     def test_uniform_weights_give_constant_distance(self):
         lam = distmatrix.eigen_report(2, 2.0, 2.5).by_size[0]
-        V, t = gadgets.signed_parallelepiped(np.ones(4), 2.5, 2.0)
-        for y in [(-1, -1), (-1, 1), (1, -1), (1, 1)]:
-            assert pnorm(V @ np.array(y, float) - t, 2) ** 2 == pytest.approx(lam)
-
-    def test_negative_weight_rejected(self):
-        with pytest.raises(InvalidInputError):
-            gadgets.signed_parallelepiped([-0.1, 1.0], 1.5, 1.0)
+        V, t = gadgets._class_parallelepiped(np.ones(3), 2.5, 2.0)
+        for z in product((0, 1), repeat=2):
+            assert pnorm(V @ np.array(z, float) - t, 2) ** 2 == pytest.approx(lam)
 
     def test_binary_coords_affine_identity(self):
-        V, t = gadgets.signed_parallelepiped([0.0, 2.0], 1.5, 1.0)
-        Vb, tb = gadgets.to_binary_coords(V, t)
-        assert Vb.tolist() == [[-0.0], [4.0]]
-        assert tb == pytest.approx([0.0, 5.0])
-        assert pnorm(Vb @ [1.0] - tb, 1) == pytest.approx(1.0)
-        assert pnorm(tb, 1) == pytest.approx(5.0)
-        # z = 0 reproduces the all-minus vertex, z = 1 the all-plus one
-        for z in product((0, 1), repeat=1):
-            y = np.array([2 * b - 1 for b in z], dtype=float)
-            lhs = pnorm(Vb @ np.array(z, float) - tb, 1)
-            assert lhs == pytest.approx(pnorm(V @ y - t, 1))
+        # z = 0 is the all-minus vertex y = -1 of the +-1 cube, z = 1 the
+        # all-plus one: ||V z - t|| = ||V_pm (2z - 1) - t_pm|| with row u of
+        # V_pm w^(1/p) u^T and its target w^(1/p) shift
+        by_class, shift, q = np.array([0.5, 0.0, 2.0, 1.5]), 3.25, 2.5
+        V, t = gadgets._class_parallelepiped(by_class, shift, q)
+        (x,) = integer_grid([(0, 1)] * 3, 8)
+        scale = spread(by_class) ** (1.0 / q)
+        V_pm, t_pm = scale[:, None] * (2.0 * x - 1.0), shift * scale
+        for z in x:
+            y = 2.0 * z - 1.0
+            assert pnorm(V @ z - t, q) == pytest.approx(pnorm(V_pm @ y - t_pm, q), rel=1e-12)
+
+    @pytest.mark.parametrize("k", range(1, 17))
+    def test_isolating_matches_reference(self, k):
+        # every gadget the solve gives, assembled to the bit as the
+        # vertex-by-vertex reference does it
+        built = 0
+        for p in (1.0, 1.5, 2.5, 3.0, 3.25, 5.0, 7.5, 9.0, 11.5, 20.0, 50.0, 100.0, 300.0, 448.0):
+            try:
+                shift = gadgets.find_shift(k, p)
+                by_class, _ = gadgets.solve_weights(k, p, shift)
+            except (UnsupportedParametersError, NumericDegeneracyError):
+                continue
+            V, t = gadgets._class_parallelepiped(by_class, shift, p)
+            want_V, want_t = reference_assembly(by_class, shift, p)
+            assert same_bits(V, want_V) and same_bits(t, want_t), (k, p)
+            built += 1
+        assert built >= 5
+
+    @pytest.mark.parametrize("k", range(3, 13))
+    def test_parity_matches_reference(self, k):
+        # the parity gadget's class weights 1 +- (-1)^(k - j), for both bits
+        shift = k % 2
+        for p in (1.0, 1.5, 2.5, 3.0, 5.0, 7.5, 11.5):
+            if p >= k:
+                continue
+            for sign in (1, -1):
+                by_class = 1.0 + sign * (-1.0) ** (k - np.arange(k + 1))
+                V, t = gadgets._class_parallelepiped(by_class, shift, p)
+                want_V, want_t = reference_assembly(by_class, shift, p)
+                assert same_bits(V, want_V) and same_bits(t, want_t), (k, p, sign)
+
+    def test_builders_list_the_cube_once(self, monkeypatch):
+        calls = []
+        grid = gadgets.integer_grid
+
+        def counted(ranges, chunk_size):
+            calls.append(len(ranges))
+            return grid(ranges, chunk_size)
+
+        monkeypatch.setattr(gadgets, "integer_grid", counted)
+        gadgets.find_isolating_parallelepiped(10, 3.0)
+        gadgets.parity_gadget(9, 2.5, 1)
+        assert calls == [10, 9]
 
 
 class TestFindIsolating:
