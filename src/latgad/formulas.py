@@ -147,8 +147,11 @@ def parse_dimacs(text: str) -> CspFormula:
     except ValueError as exc:
         raise InvalidInputError(f"bad problem line counts: {lines[0]!r}") from exc
     tokens: list[int] = []
-    for line in lines[1:]:
-        tokens.extend(int(tok) for tok in line.split())
+    try:
+        for line in lines[1:]:
+            tokens.extend(int(tok) for tok in line.split())
+    except ValueError as exc:
+        raise InvalidInputError(f"non-integer token in clause line {line!r}") from exc
     clauses: list[Clause] = []
     weights: list[int] = []
     cursor = 0
@@ -178,12 +181,16 @@ def parse_xor(text: str) -> CspFormula:
     header = lines[0].split()
     if len(header) != 4 or header[1] != "xor":
         raise InvalidInputError(f"unsupported problem line: {lines[0]!r}")
-    n, m = int(header[2]), int(header[3])
+    try:
+        n, m = int(header[2]), int(header[3])
+    except ValueError as exc:
+        raise InvalidInputError(f"bad problem line counts: {lines[0]!r}") from exc
     constraints = []
     for line in lines[1:]:
-        parts = [int(tok) for tok in line.split()]
-        if not parts:
-            continue
+        try:
+            parts = [int(tok) for tok in line.split()]
+        except ValueError as exc:
+            raise InvalidInputError(f"non-integer token in parity line {line!r}") from exc
         k = parts[0]
         if len(parts) != k + 2:
             raise InvalidInputError(f"parity line needs k indices and a bit: {line!r}")

@@ -363,40 +363,61 @@ def verify_lattice_condition(
 def max_sat_brute(formula: CspFormula) -> tuple[int, list[tuple[int, ...]]]:
     """Exhaustive optimum over all 2^n assignments: best satisfied weight and
     every assignment attaining it, in ascending lexicographic order
-    (assignment index has y_1 as the most significant bit)."""
+    (assignment index has y_1 as the most significant bit).
+
+    Bit-sliced over Python ints of 2^n bits: bit a of tables[j] is y_{j+1} of
+    assignment a, and a constraint's table of satisfying assignments is the
+    OR (clause) or XOR (parity) of those.  The weighted count lives in
+    bit-planes, plane b holding bit b of every assignment's count; a table of
+    weight w is added at each set bit of w with ripple carry.  The optimum is
+    read off the planes from the top."""
     n = formula.n
     if n > MAX_BRUTE_VARS:
         raise ResourceLimitError(f"brute force capped at {MAX_BRUTE_VARS} variables")
-    total = 1 << n
-    best = -1
-    winners: list[int] = []
-    chunk = min(total, 1 << 20)
-    for start in range(0, total, chunk):
-        idx = np.arange(start, min(start + chunk, total), dtype=np.int64)
-        bits = [(idx >> (n - j)) & 1 for j in range(1, n + 1)]  # bits[j-1] = y_j
-        score = np.zeros(idx.size, dtype=np.int64)
-        for i, constraint in enumerate(formula.constraints):
-            w = formula.weight_of(i)
-            if w == 0:
+    size = 1 << n
+    full = (1 << size) - 1
+    tables = []
+    for j in range(1, n + 1):
+        half = 1 << (n - j)
+        table, width = ((1 << half) - 1) << half, 2 * half  # one period: 0...0 1...1
+        while width < size:
+            table |= table << width
+            width *= 2
+        tables.append(table)
+    planes: list[int] = []
+    for i, constraint in enumerate(formula.constraints):
+        w = formula.weight_of(i)
+        if w == 0:
+            continue
+        if hasattr(constraint, "literals"):
+            sat = 0
+            for lit in constraint.literals:
+                sat |= tables[lit - 1] if lit > 0 else full ^ tables[-lit - 1]
+        else:
+            sat = 0 if constraint.bit else full
+            for v in constraint.variables:
+                sat ^= tables[v - 1]
+        planes.extend([0] * (w.bit_length() - len(planes)))
+        for low in range(w.bit_length()):
+            if not (w >> low) & 1:
                 continue
-            if hasattr(constraint, "literals"):
-                sat = np.zeros(idx.size, dtype=bool)
-                for lit in constraint.literals:
-                    b = bits[abs(lit) - 1]
-                    sat |= (b == 1) if lit > 0 else (b == 0)
-            else:
-                acc = np.zeros(idx.size, dtype=np.int64)
-                for v in constraint.variables:
-                    acc += bits[v - 1]
-                sat = (acc % 2) == constraint.bit
-            score += w * sat
-        top = int(score.max()) if idx.size else -1
-        if top > best:
-            best = top
-            winners = [int(a) for a in idx[score == top]]
-        elif top == best:
-            winners.extend(int(a) for a in idx[score == top])
-    assignments = [tuple((a >> (n - j)) & 1 for j in range(1, n + 1)) for a in winners]
+            carry, bit = sat, low
+            while carry:
+                if bit == len(planes):
+                    planes.append(carry)
+                    break
+                planes[bit], carry = planes[bit] ^ carry, planes[bit] & carry
+                bit += 1
+    best, winners = 0, full
+    for bit in range(len(planes) - 1, -1, -1):
+        top = winners & planes[bit]
+        if top:
+            best, winners = best | (1 << bit), top
+    flags = np.unpackbits(np.frombuffer(winners.to_bytes((size + 7) // 8, "little"), dtype=np.uint8), bitorder="little")
+    index, shifts = np.flatnonzero(flags), np.arange(n - 1, -1, -1)
+    assignments: list[tuple[int, ...]] = []
+    for start in range(0, index.size, 1 << 16):  # bounds the int64 bit matrix
+        assignments.extend(map(tuple, ((index[start : start + (1 << 16), None] >> shifts) & 1).tolist()))
     return best, assignments
 
 

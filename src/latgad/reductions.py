@@ -1,10 +1,13 @@
 """Compile boolean formulas into closest-vector instances.
 
-Padded mode stacks one gadget block per clause plus a scaled identity block
-that forces closest vectors to be boolean; gap mode stacks isolating-lattice
-blocks with no padding and yields a promise instance with an explicit
-approximation factor.  Preprocessing mode builds one basis per (n, k) that
-covers every possible k-clause and serves any number of query formulas.
+Padded mode stacks one gadget block per clause, scaled by w^(1/p) for a
+clause of weight w, plus a scaled identity block that forces closest vectors
+to be boolean; gap mode stacks isolating-lattice blocks with no padding and
+yields a promise instance with an explicit approximation factor.  Both keep
+only each gadget's live rows: a row that is zero in V and in t adds
+|0 - 0|^p = 0 at every point, so dropping it leaves every distance as it is.
+Preprocessing mode builds one basis per (n, k) that covers every possible
+k-clause and serves any number of query formulas.
 """
 
 from __future__ import annotations
@@ -20,7 +23,6 @@ from .formulas import Clause, CspFormula
 from .gadgets import KIND_LATTICE, IsolatingGadget, OnOffGadget
 from .numeric import PNorm, finite_pvalue, pvalue, sin_half_pi
 
-MAX_TOTAL_WEIGHT = 10**4
 MAX_BASIS_ENTRIES = 5 * 10**7
 
 
@@ -55,6 +57,12 @@ class CvpInstance:
         return self.basis.shape[0]
 
 
+def _live_rows(gadget: IsolatingGadget) -> tuple[np.ndarray, np.ndarray]:
+    """The gadget's V and t without the rows that are zero in both."""
+    live = np.any(gadget.V != 0, axis=1) | (gadget.t != 0)
+    return gadget.V[live], gadget.t[live]
+
+
 def _clause_block(gadget_V: np.ndarray, gadget_t: np.ndarray, clause: Clause, n: int):
     """Block matrix and shifted target for one clause: column s of the gadget
     lands on the clause's s-th variable, negated literals flip the sign and
@@ -77,9 +85,9 @@ def sat_to_cvp(formula: CspFormula, gadget: IsolatingGadget) -> CvpInstance:
     assignment satisfies weight at least W (W defaults to the total weight,
     i.e. plain satisfiability).
 
-    Weighted formulas are encoded by repeating clause blocks, capped at total
-    weight 10^4.  Clause arity up to the gadget arity is allowed; shorter
-    clauses leave the remaining gadget columns unused.
+    A clause of weight w is one block and target scaled by w^(1/p), which
+    adds w ||Bx - t||_p^p.  Clause arity up to the gadget arity is allowed;
+    shorter clauses leave the remaining gadget columns unused.
     """
     q = finite_pvalue(gadget.p)
     if not all(isinstance(c, Clause) for c in formula.constraints):
@@ -88,8 +96,6 @@ def sat_to_cvp(formula: CspFormula, gadget: IsolatingGadget) -> CvpInstance:
     if worst > gadget.k:
         raise InvalidInputError(f"clause arity {worst} exceeds gadget arity {gadget.k}")
     total = formula.total_weight()
-    if total > MAX_TOTAL_WEIGHT:
-        raise ResourceLimitError(f"total weight {total} exceeds cap {MAX_TOTAL_WEIGHT}")
     W = formula.threshold if formula.threshold is not None else total
 
     n = formula.n
@@ -97,14 +103,18 @@ def sat_to_cvp(formula: CspFormula, gadget: IsolatingGadget) -> CvpInstance:
     # the empty formula keeps a positive identity scale: every boolean point
     # then sits at distance exactly r = n^(1/p) alpha (trivially satisfiable)
     alpha = max(total, 1) ** (1.0 / q) * (1.0 + eps)
+    V, gadget_t = _live_rows(gadget)
     blocks, targets = [], []
     for i, clause in enumerate(formula.constraints):
         w = formula.weight_of(i)
         if w == 0:
             continue
-        block, t = _clause_block(gadget.V, gadget.t, clause, n)
-        blocks.extend([block] * w)
-        targets.extend([t] * w)
+        block, t = _clause_block(V, gadget_t, clause, n)
+        if w != 1:
+            scale = w ** (1.0 / q)
+            block, t = scale * block, scale * t
+        blocks.append(block)
+        targets.append(t)
     blocks.append(2.0 * alpha * np.eye(n))
     targets.append(alpha * np.ones(n))
     radius = (W + (total - W) * (1.0 + eps) ** q + n * alpha**q) ** (1.0 / q)
@@ -163,17 +173,18 @@ def csp_to_cvp_gap(
     n = formula.n
     blocks, targets = [], []
     for constraint, gadget in zip(formula.constraints, lattices):
+        V, gadget_t = _live_rows(gadget)
         if isinstance(constraint, Clause):
             if constraint.arity > gadget.k:
                 raise InvalidInputError("clause arity exceeds its gadget arity")
-            block, t = _clause_block(gadget.V, gadget.t, constraint, n)
+            block, t = _clause_block(V, gadget_t, constraint, n)
         else:
             if constraint.arity != gadget.k:
                 raise InvalidInputError("parity constraint arity must match its gadget arity")
-            block = np.zeros((gadget.d, n))
+            block = np.zeros((gadget_t.size, n))
             for pos, var in enumerate(constraint.variables):
-                block[:, var - 1] += gadget.V[:, pos]
-            t = gadget.t.copy()
+                block[:, var - 1] += V[:, pos]
+            t = gadget_t
         blocks.append(block)
         targets.append(t)
 

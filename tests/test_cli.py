@@ -472,6 +472,24 @@ class TestExitCodes:
         run(["gadget", "find", "--k", "2", "--p", "1.5", "--out", str(path)], capsys)
         return path
 
+    @pytest.mark.parametrize(
+        "text",
+        ["p cnf 3 1\n1 x 3 0\n", "p xor 3 x\n3 1 2 3 0\n", "p xor 3 1\n3 1 2 y 0\n"],
+        ids=["dimacs-body", "xor-header", "xor-line"],
+    )
+    def test_non_integer_formula_token_is_usage(self, tmp_path, capsys, gadget, text):
+        formula, good, inst = tmp_path / "f.txt", tmp_path / "good.cnf", tmp_path / "i.json"
+        formula.write_text(text)
+        good.write_text("p cnf 3 2\n1 2 0\n-2 3 0\n")
+        assert run(["reduce", "sat", "--cnf", str(good), "--gadget", str(gadget), "--out", str(inst)], capsys)[0] == 0
+        if text.startswith("p cnf"):
+            reduce = ["reduce", "sat", "--cnf", str(formula), "--gadget", str(gadget)]
+        else:
+            reduce = ["reduce", "parity", "--xor", str(formula), "--p", "1.0", "--s", "0.6", "--c", "0.9"]
+        for argv in (reduce, ["oracle", "validate", "--cnf", str(formula), "--instance", str(inst)]):
+            code, _, err = run(argv, capsys)
+            assert code == 2 and err.startswith("usage error:"), (argv, err)
+
     def test_ragged_matrix_is_usage(self, gadget, capsys):
         data = json.loads(gadget.read_text())
         data["V"][0].pop()

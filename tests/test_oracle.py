@@ -26,6 +26,24 @@ def random_3sat(n, m, seed):
     return CspFormula(n=n, constraints=clauses)
 
 
+@st.composite
+def mixed_formulas(draw):
+    """Clause and parity formulas on n = 1..10 variables, duplicate and
+    complementary literals allowed, weights 0..9 or none, m = 0 included."""
+    n = draw(st.integers(min_value=1, max_value=10))
+    literal = st.integers(min_value=1, max_value=n).flatmap(lambda v: st.sampled_from((v, -v)))
+    clause = st.lists(literal, min_size=1, max_size=4).map(lambda lits: Clause(tuple(lits)))
+    parity = st.builds(
+        XorConstraint,
+        st.lists(st.integers(min_value=1, max_value=n), min_size=1, max_size=n, unique=True).map(tuple),
+        st.integers(min_value=0, max_value=1),
+    )
+    constraints = draw(st.lists(st.one_of(clause, parity), max_size=8))
+    m = len(constraints)
+    weights = draw(st.none() | st.lists(st.integers(min_value=0, max_value=9), min_size=m, max_size=m))
+    return CspFormula(n=n, constraints=constraints, weights=weights)
+
+
 @pytest.fixture(scope="module")
 def gadget3():
     return gadgets.find_isolating_parallelepiped(3, 3.0)
@@ -373,6 +391,14 @@ class TestMaxSatBrute:
         f = CspFormula(n=2, constraints=[])
         _, assignments = oracle.max_sat_brute(f)
         assert assignments == [(0, 0), (0, 1), (1, 0), (1, 1)]
+
+    @given(formula=mixed_formulas())
+    @example(formula=CspFormula(n=3, constraints=[Clause((2, -2)), Clause((1, 1, -3))], weights=[4, 9]))
+    @settings(max_examples=80, deadline=None)
+    def test_matches_exhaustive_reference(self, formula):
+        scores = {a: formula.satisfied_weight(a) for a in itertools.product((0, 1), repeat=formula.n)}
+        best = max(scores.values())
+        assert oracle.max_sat_brute(formula) == (best, [a for a, w in scores.items() if w == best])
 
 
 class TestValidateReduction:

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 from latgad import gadgets, oracle, reductions, serialize
 from latgad.errors import InvalidInputError, UnsupportedParametersError
-from latgad.formulas import Clause, CspFormula, XorConstraint
+from latgad.formulas import Clause, CspFormula, XorConstraint, parse_dimacs
 from latgad.numeric import pnorm
 
 
@@ -45,13 +45,25 @@ def random_3sat(n, m, seed, distinct=False):
     return CspFormula(n=n, constraints=clauses)
 
 
+def live(gadget):
+    """The gadget's V and t without its all-zero (row, target) pairs: the rows
+    each clause block of an instance carries."""
+    keep = ~(np.all(gadget.V == 0, axis=1) & (gadget.t == 0))
+    return gadget.V[keep], gadget.t[keep]
+
+
+def without_zero_pairs(inst):
+    keep = ~(np.all(inst.basis == 0, axis=1) & (inst.target == 0))
+    return inst.basis[keep], inst.target[keep]
+
+
 class TestSatToCvp:
     def test_single_clause_block_distances(self, gadget3):
         f = CspFormula(n=3, constraints=[Clause((1, 2, 3))])
         inst = reductions.sat_to_cvp(f, gadget3)
-        d_star = gadget3.d
-        block = inst.basis[:d_star, :]
-        t = inst.target[:d_star]
+        d_live = live(gadget3)[1].size
+        block = inst.basis[:d_live, :]
+        t = inst.target[:d_live]
         for z in product((0, 1), repeat=3):
             dist = pnorm(block @ np.array(z, float) - t, gadget3.p)
             if any(z):
@@ -62,17 +74,62 @@ class TestSatToCvp:
     def test_negated_literal_flips_sign_and_shifts(self, gadget3):
         f = CspFormula(n=3, constraints=[Clause((-1, 2, 3))])
         inst = reductions.sat_to_cvp(f, gadget3)
-        d_star = gadget3.d
-        assert np.allclose(inst.basis[:d_star, 0], -gadget3.V[:, 0])
-        assert np.allclose(inst.target[:d_star], gadget3.t - gadget3.V[:, 0])
+        V, t = live(gadget3)
+        assert np.allclose(inst.basis[: t.size, 0], -V[:, 0])
+        assert np.allclose(inst.target[: t.size], t - V[:, 0])
 
     def test_short_clause_leaves_columns_unused(self, gadget3):
         f = CspFormula(n=2, constraints=[Clause((1, -2))])
         inst = reductions.sat_to_cvp(f, gadget3)
+        d_live = live(gadget3)[1].size
         for z in product((0, 1), repeat=2):
-            dist = pnorm(inst.basis[: gadget3.d] @ np.array(z, float) - inst.target[: gadget3.d], 2.5)
+            dist = pnorm(inst.basis[:d_live] @ np.array(z, float) - inst.target[:d_live], 2.5)
             expected = 1.0 if Clause((1, -2)).satisfied(z) else 1.0 + gadget3.eps
             assert dist == pytest.approx(expected, rel=1e-9)
+
+    @pytest.mark.parametrize("k,q", [(3, 3.0), (4, 3.0)])
+    def test_padded_drops_only_zero_pairs(self, monkeypatch, k, q):
+        gadget = gadgets.find_isolating_parallelepiped(k, q)
+        V, t = live(gadget)
+        assert 0 < t.size < gadget.d
+        rng = random.Random(k)
+        clauses = [
+            Clause(tuple(v if rng.random() < 0.5 else -v for v in sorted(rng.sample(range(1, 7), k))))
+            for _ in range(9)
+        ]
+        f = CspFormula(n=6, constraints=clauses)
+        inst = reductions.sat_to_cvp(f, gadget)
+        with monkeypatch.context() as patch:
+            patch.setattr(reductions, "_live_rows", lambda g: (g.V, g.t))
+            full = reductions.sat_to_cvp(f, gadget)
+        assert full.d == 9 * gadget.d + 6 and inst.d == 9 * t.size + 6
+        basis, target = without_zero_pairs(full)
+        assert np.array_equal(inst.basis, basis) and np.array_equal(inst.target, target)
+        assert not np.any(np.all(inst.basis == 0, axis=1) & (inst.target == 0))
+        assert inst.radius == full.radius and inst.meta == full.meta
+
+    @pytest.mark.parametrize("kind", ["parity", "clause"])
+    def test_gap_drops_only_zero_pairs(self, monkeypatch, parity_lattices, kind):
+        rng = random.Random(3)
+        if kind == "parity":
+            constraints = [XorConstraint(tuple(sorted(rng.sample(range(1, 6), 3))), rng.randint(0, 1)) for _ in range(8)]
+            lattices = [parity_lattices[c.bit] for c in constraints]
+            for lattice in parity_lattices.values():
+                assert (lattice.d, live(lattice)[1].size) == (11, 7)
+        else:
+            constraints = random_3sat(5, 8, 3).constraints
+            lattices = [gadgets.to_isolating_lattice(gadgets.find_isolating_parallelepiped(3, 3.0))] * 8
+            assert live(lattices[0])[1].size < lattices[0].d
+        f = CspFormula(n=5, constraints=constraints)
+        inst, gamma = reductions.csp_to_cvp_gap(f, lattices, s=0.6, c=0.9)
+        with monkeypatch.context() as patch:
+            patch.setattr(reductions, "_live_rows", lambda g: (g.V, g.t))
+            full, full_gamma = reductions.csp_to_cvp_gap(f, lattices, s=0.6, c=0.9)
+        assert full.d == 8 * lattices[0].d and inst.d < full.d
+        basis, target = without_zero_pairs(full)
+        assert np.array_equal(inst.basis, basis) and np.array_equal(inst.target, target)
+        assert not np.any(np.all(inst.basis == 0, axis=1) & (inst.target == 0))
+        assert (inst.radius, gamma) == (full.radius, full_gamma)
 
     def test_alpha_and_radius_formulas(self, gadget3):
         f = random_3sat(5, 7, 3)
@@ -93,15 +150,27 @@ class TestSatToCvp:
             assert d == pytest.approx(inst.radius, rel=1e-12)
         assert oracle.validate_reduction(f, inst).passed
 
-    def test_weighted_duplicates_blocks(self, gadget3):
-        f = CspFormula(n=3, constraints=[Clause((1, 2, 3))], weights=[3], threshold=3)
-        inst = reductions.sat_to_cvp(f, gadget3)
-        assert inst.d == 3 * gadget3.d + 3
+    def test_weighted_block_is_scaled(self, gadget3):
+        clause = Clause((1, -2, 3))
+        plain = reductions.sat_to_cvp(CspFormula(n=3, constraints=[clause]), gadget3)
+        inst = reductions.sat_to_cvp(CspFormula(n=3, constraints=[clause], weights=[3], threshold=3), gadget3)
+        d_live = live(gadget3)[1].size
+        assert inst.d == d_live + 3
+        scale = 3 ** (1 / 2.5)
+        np.testing.assert_allclose(inst.basis[:d_live], scale * plain.basis[:d_live], rtol=1e-15, atol=0)
+        np.testing.assert_allclose(inst.target[:d_live], scale * plain.target[:d_live], rtol=1e-15, atol=0)
 
-    def test_weight_cap(self, gadget3):
-        f = CspFormula(n=3, constraints=[Clause((1, 2, 3))], weights=[10**4 + 1])
-        with pytest.raises(Exception):
-            reductions.sat_to_cvp(f, gadget3)
+    def test_total_weight_above_ten_thousand_validates(self, gadget3):
+        # the optimum 11001 (x1 = 1) falls short of the total 16001
+        text = "p wcnf 4 4\n7000 1 0\n5000 -1 0\n4000 2 3 0\n1 -2 4 0\n"
+        f = parse_dimacs(text)
+        assert f.total_weight() == 16001 and oracle.max_sat_brute(f)[0] == 11001
+        reachable = CspFormula(n=4, constraints=f.constraints, weights=f.weights, threshold=11001)
+        for formula in (f, reachable):
+            inst = reductions.sat_to_cvp(formula, gadget3)
+            assert inst.d == 4 * live(gadget3)[1].size + 4
+            report = oracle.validate_reduction(formula, inst, box=(-1, 2))
+            assert report.passed, report.failures()
 
     def test_arity_above_gadget_rejected(self, gadget3):
         f = CspFormula(n=4, constraints=[Clause((1, 2, 3, 4))])
@@ -117,7 +186,7 @@ class TestSatToCvp:
         z = rng.integers(-2, 3, size=4).astype(float)
         q = 2.5
         total = pnorm(inst.basis @ z - inst.target, q) ** q
-        d_star = gadget3.d
+        d_star = live(gadget3)[1].size
         parts = sum(
             pnorm(inst.basis[i * d_star : (i + 1) * d_star] @ z - inst.target[i * d_star : (i + 1) * d_star], q) ** q
             for i in range(5)
