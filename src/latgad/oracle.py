@@ -475,6 +475,8 @@ def validate_reduction(
                 )
             )
     elif mode == "gap":
+        if formula.weights is not None:
+            raise InvalidInputError("gap instances come from unweighted formulas")
         s, c, gamma = inst.meta["s"], inst.meta["c"], inst.meta["gamma"]
         val = best / formula.m
         if val >= c:

@@ -21,9 +21,13 @@ import numpy as np
 from .errors import InvalidInputError, ResourceLimitError, UnsupportedParametersError
 from .formulas import Clause, CspFormula
 from .gadgets import KIND_LATTICE, IsolatingGadget, OnOffGadget
-from .numeric import PNorm, finite_pvalue, pvalue, sin_half_pi
+from .numeric import DEFAULT_TOL, PNorm, finite_pvalue, pvalue, sin_half_pi
 
 MAX_BASIS_ENTRIES = 5 * 10**7
+# Smallest relative distance gap that sat_to_cvp leaves between assignments
+# one satisfied weight unit apart: a few times the default verification tie
+# band, and far above the float rounding of the stacked sums.
+MIN_WEIGHT_SEPARATION = 4 * DEFAULT_TOL.rel
 
 
 @dataclass(eq=False)
@@ -80,14 +84,29 @@ def _clause_block(gadget_V: np.ndarray, gadget_t: np.ndarray, clause: Clause, n:
     return block, t
 
 
+def max_padded_weight(n: int, p, eps: float) -> float:
+    """Largest total weight that sat_to_cvp compiles over n variables.
+
+    One unit of satisfied weight moves distance^p by (1+eps)^p - 1, out of a
+    radius^p of at most (n+1) W_total (1+eps)^p, so it moves the distance by
+    about that share over p.  The total stays below the point where that
+    share falls under MIN_WEIGHT_SEPARATION.
+    """
+    q = finite_pvalue(p)
+    grow = (1.0 + eps) ** q
+    return (grow - 1.0) / (MIN_WEIGHT_SEPARATION * q * (n + 1) * grow)
+
+
 def sat_to_cvp(formula: CspFormula, gadget: IsolatingGadget) -> CvpInstance:
     """Exact reduction: distance <= r over boolean coordinates iff some
     assignment satisfies weight at least W (W defaults to the total weight,
     i.e. plain satisfiability).
 
     A clause of weight w is one block and target scaled by w^(1/p), which
-    adds w ||Bx - t||_p^p.  Clause arity up to the gadget arity is allowed;
-    shorter clauses leave the remaining gadget columns unused.
+    adds w ||Bx - t||_p^p.  A total weight above max_padded_weight is
+    refused: assignments one weight unit apart would lie closer together
+    than verification can tell apart.  Clause arity up to the gadget arity is
+    allowed; shorter clauses leave the remaining gadget columns unused.
     """
     q = finite_pvalue(gadget.p)
     if not all(isinstance(c, Clause) for c in formula.constraints):
@@ -95,11 +114,16 @@ def sat_to_cvp(formula: CspFormula, gadget: IsolatingGadget) -> CvpInstance:
     worst = max((c.arity for c in formula.constraints), default=0)
     if worst > gadget.k:
         raise InvalidInputError(f"clause arity {worst} exceeds gadget arity {gadget.k}")
-    total = formula.total_weight()
-    W = formula.threshold if formula.threshold is not None else total
-
     n = formula.n
     eps = gadget.eps
+    total = formula.total_weight()
+    limit = max_padded_weight(n, q, eps)
+    if total > limit:
+        raise ResourceLimitError(
+            f"total weight exceeds {math.floor(limit)} at n={n}, p={q:g}, eps={eps:.3g}: "
+            "assignments one weight unit apart would be too close to tell apart"
+        )
+    W = formula.threshold if formula.threshold is not None else total
     # the empty formula keeps a positive identity scale: every boolean point
     # then sits at distance exactly r = n^(1/p) alpha (trivially satisfiable)
     alpha = max(total, 1) ** (1.0 / q) * (1.0 + eps)
@@ -110,11 +134,9 @@ def sat_to_cvp(formula: CspFormula, gadget: IsolatingGadget) -> CvpInstance:
         if w == 0:
             continue
         block, t = _clause_block(V, gadget_t, clause, n)
-        if w != 1:
-            scale = w ** (1.0 / q)
-            block, t = scale * block, scale * t
-        blocks.append(block)
-        targets.append(t)
+        scale = w ** (1.0 / q)
+        blocks.append(scale * block)
+        targets.append(scale * t)
     blocks.append(2.0 * alpha * np.eye(n))
     targets.append(alpha * np.ones(n))
     radius = (W + (total - W) * (1.0 + eps) ** q + n * alpha**q) ** (1.0 / q)

@@ -490,6 +490,25 @@ class TestExitCodes:
             code, _, err = run(argv, capsys)
             assert code == 2 and err.startswith("usage error:"), (argv, err)
 
+    # 10^400 overflows a float; at 10^9 one weight unit moves the distance by
+    # less than the verification tie band
+    @pytest.mark.parametrize("weight", ["1" + "0" * 400, "1000000000"], ids=["overflow", "precision"])
+    def test_huge_clause_weight_is_resource_limit(self, tmp_path, capsys, gadget, weight):
+        cnf, out = tmp_path / "f.wcnf", tmp_path / "i.json"
+        cnf.write_text(f"p wcnf 2 2\n{weight} 1 2 0\n1 -1 0\n")
+        code, _, err = run(["reduce", "sat", "--cnf", str(cnf), "--gadget", str(gadget), "--out", str(out)], capsys)
+        assert code == 3 and err.startswith("resource limit: total weight exceeds"), err
+        assert not out.exists()
+
+    def test_weighted_formula_against_gap_instance_is_usage(self, tmp_path, capsys, gadget):
+        cnf, wcnf, inst = tmp_path / "f.cnf", tmp_path / "f.wcnf", tmp_path / "i.json"
+        cnf.write_text("p cnf 2 2\n1 2 0\n-1 0\n")
+        wcnf.write_text("p wcnf 2 2\n1" + "0" * 400 + " 1 2 0\n1 -1 0\n")
+        reduce = ["reduce", "sat", "--cnf", str(cnf), "--gadget", str(gadget), "--mode", "gap", "--s", "0.4", "--c", "0.9"]
+        assert run(reduce + ["--out", str(inst)], capsys)[0] == 0
+        code, _, err = run(["oracle", "validate", "--cnf", str(wcnf), "--instance", str(inst)], capsys)
+        assert code == 2 and "unweighted" in err, err
+
     def test_ragged_matrix_is_usage(self, gadget, capsys):
         data = json.loads(gadget.read_text())
         data["V"][0].pop()

@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from latgad import gadgets, oracle, reductions, serialize
-from latgad.errors import InvalidInputError, UnsupportedParametersError
+from latgad.errors import InvalidInputError, ResourceLimitError, UnsupportedParametersError
 from latgad.formulas import Clause, CspFormula, XorConstraint, parse_dimacs
 from latgad.numeric import pnorm
 
@@ -171,6 +171,19 @@ class TestSatToCvp:
             assert inst.d == 4 * live(gadget3)[1].size + 4
             report = oracle.validate_reduction(formula, inst, box=(-1, 2))
             assert report.passed, report.failures()
+
+    def test_total_weight_limit_is_tight_and_validates(self, gadget3):
+        limit = math.floor(reductions.max_padded_weight(4, 2.5, gadget3.eps))
+        a, b = limit * 7 // 16, limit * 5 // 16
+        clauses = [Clause((1,)), Clause((-1,)), Clause((2, 3)), Clause((-2, 4))]
+        weights = [a, b, limit - a - b - 1, 1]
+        best = oracle.max_sat_brute(CspFormula(n=4, constraints=clauses, weights=weights))[0]
+        for threshold in (best, best + 1):
+            f = CspFormula(n=4, constraints=clauses, weights=weights, threshold=threshold)
+            report = oracle.validate_reduction(f, reductions.sat_to_cvp(f, gadget3), box=(-1, 2))
+            assert report.passed, report.failures()
+        with pytest.raises(ResourceLimitError, match="total weight exceeds"):
+            reductions.sat_to_cvp(CspFormula(n=4, constraints=clauses, weights=weights[:3] + [2]), gadget3)
 
     def test_arity_above_gadget_rejected(self, gadget3):
         f = CspFormula(n=4, constraints=[Clause((1, 2, 3, 4))])
