@@ -23,7 +23,7 @@ from .gadgets import (
     to_on_off,
     verify_parallelepiped,
 )
-from .numeric import PNorm, Tolerance, pnorm
+from .numeric import Tolerance, pnorm
 from .oracle import (
     CvpSolution,
     cvp_enumerate,
@@ -35,8 +35,6 @@ from .reductions import (
     CvpInstance,
     CvppArtifacts,
     csp_to_cvp_gap,
-    cvpp_inf_preprocess,
-    cvpp_inf_query,
     cvpp_preprocess,
     cvpp_query,
     parity_gap_params,
@@ -58,7 +56,6 @@ __all__ = [
     "LatgadError",
     "NumericDegeneracyError",
     "OnOffGadget",
-    "PNorm",
     "ResourceLimitError",
     "Tolerance",
     "UnsupportedParametersError",
@@ -67,8 +64,6 @@ __all__ = [
     "XorConstraint",
     "csp_to_cvp_gap",
     "cvp_enumerate",
-    "cvpp_inf_preprocess",
-    "cvpp_inf_query",
     "cvpp_preprocess",
     "cvpp_query",
     "even_p_obstruction",

@@ -10,7 +10,6 @@ import argparse
 import dataclasses
 import functools
 import json
-import math
 import sys
 
 import numpy as np
@@ -191,17 +190,14 @@ def _cmd_params(args, tol: Tolerance) -> int:
 
 
 def _cmd_cvpp(args, tol: Tolerance) -> int:
-    if args.action == "prep":
-        gadget = serialize.gadget_from_json(_load_json(args.gadget))
-        onoff = gadgets.to_on_off(gadget)
+    if args.action in ("prep", "inf-prep"):
+        onoff = None  # the max-norm prep needs no gadget
+        if args.action == "prep":
+            onoff = gadgets.to_on_off(serialize.gadget_from_json(_load_json(args.gadget)))
         # the prep file holds the header alone: a query rebuilds the basis text from it
         art = reductions.cvpp_header(args.n, args.k, onoff)
         _emit(serialize.cvpp_to_json(art), args.out)
         _log(f"prep basis {art.d}x{art.n}, {art.M} clause blocks")
-        return EXIT_OK
-    if args.action == "inf-prep":
-        art = reductions.cvpp_header(args.n, args.k, None)
-        _emit(serialize.cvpp_to_json(art), args.out)
         return EXIT_OK
     if args.action in ("query", "inf-query"):
         art, basis = serialize.cvpp_from_json(_load_json(args.prep))
@@ -211,7 +207,6 @@ def _cmd_cvpp(args, tol: Tolerance) -> int:
             formula = dataclasses.replace(formula, threshold=args.w)
         mode = "lp" if args.action == "query" else "inf"
         present, radius = reductions.cvpp_table_query(art, formula, mode)
-        p = art.gadget.p if mode == "lp" else math.inf
         meta = {
             "mode": "cvpp-" + mode,
             "n": art.n,
@@ -220,7 +215,7 @@ def _cmd_cvpp(args, tol: Tolerance) -> int:
             "threshold": formula.threshold if formula.threshold is not None else formula.m,
             "eps": art.gadget.eps if art.gadget is not None else None,
         }
-        _emit(serialize.cvp_to_json(p, basis, serialize.target_text(art, present), radius, meta), args.out)
+        _emit(serialize.cvp_to_json(art.p, basis, serialize.target_text(art, present), radius, meta), args.out)
         return EXIT_OK
     raise InvalidInputError(f"unknown cvpp action {args.action!r}")
 

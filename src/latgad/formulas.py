@@ -29,10 +29,6 @@ class Clause:
     def variables(self) -> tuple[int, ...]:
         return tuple(abs(lit) for lit in self.literals)
 
-    def negated_positions(self) -> tuple[int, ...]:
-        """1-based positions of negated literals."""
-        return tuple(s + 1 for s, lit in enumerate(self.literals) if lit < 0)
-
     def satisfied(self, assignment: Sequence[int]) -> bool:
         return any(
             (assignment[abs(lit) - 1] == 1) if lit > 0 else (assignment[abs(lit) - 1] == 0)
@@ -103,9 +99,6 @@ class CspFormula:
 
     def total_weight(self) -> int:
         return self.m if self.weights is None else sum(self.weights)
-
-    def is_plain_sat(self) -> bool:
-        return self.weights is None and all(isinstance(c, Clause) for c in self.constraints)
 
     def satisfied_weight(self, assignment: Sequence[int]) -> int:
         return sum(self.weight_of(i) for i, c in enumerate(self.constraints) if c.satisfied(assignment))

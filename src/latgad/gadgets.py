@@ -176,9 +176,6 @@ class VerificationReport:
     def passed(self) -> bool:
         return all(c.passed for c in self.conditions)
 
-    def worst(self) -> Condition:
-        return max(self.conditions, key=lambda c: c.residual)
-
     def failures(self) -> list[Condition]:
         return [c for c in self.conditions if not c.passed]
 

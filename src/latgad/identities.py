@@ -18,29 +18,15 @@ from .errors import InvalidInputError, VerificationError
 from .numeric import finite_pvalue, sin_half_pi
 
 
-@dataclass(frozen=True)
-class SumSpec:
-    """Parameters of a weighted binomial sum sum_i C(k, i) |i - tau|^p, with
-    an optional alternating sign (-1)^i."""
-
-    k: int
-    tau: float
-    p: float
-    alternating: bool = False
-
-    def __post_init__(self):
-        if self.k < 1:
-            raise InvalidInputError("k must be at least 1")
-        finite_pvalue(self.p)
-
-
-def binom_sum(spec: SumSpec):
-    """Direct O(k) evaluation with compensated summation.
+def binom_sum(k: int, tau: float, p: float, alternating: bool = False):
+    """The weighted binomial sum sum_i C(k, i) |i - tau|^p, with the sign
+    (-1)^i when alternating, by direct O(k) evaluation with compensated
+    summation.  The callers validate k and p.
 
     Returns an exact integer when p and tau are both integers.
     """
-    k, tau, p = spec.k, float(spec.tau), float(spec.p)
-    sign = -1 if spec.alternating else 1
+    tau, p = float(tau), float(p)
+    sign = -1 if alternating else 1
     if p.is_integer() and tau.is_integer():
         e, t0 = int(p), int(tau)
         return sum(sign**i * math.comb(k, i) * abs(i - t0) ** e for i in range(k + 1))
@@ -125,7 +111,7 @@ def s_kp(k: int, p) -> SkpResult:
     if not q < k:
         raise InvalidInputError(f"need p < k, got p={q}, k={k}")
     tau = k // 2
-    raw = binom_sum(SumSpec(k=k, tau=tau, p=q, alternating=True))
+    raw = binom_sum(k, tau, q, alternating=True)
     denom = math.comb(k, tau)
     exact = Fraction(raw, denom) if isinstance(raw, int) else None
     value = float(raw) / denom
@@ -188,7 +174,7 @@ def non_alt_bound_check(k: int, p, c: int = 0) -> BoundReport:
         raise InvalidInputError(f"need p < k, got p={q}, k={k}")
     if not (isinstance(c, (int, np.integer)) and c >= 0):
         raise InvalidInputError("c must be a non-negative integer")
-    lhs = float(binom_sum(SumSpec(k=k, tau=(k - c) / 2, p=q, alternating=False)))
+    lhs = float(binom_sum(k, (k - c) / 2, q))
     rhs = 11.0 * math.comb(k + c, (k + c) // 2) * (q * (k + c) / 2.0) ** ((q + 1.0) / 2.0)
     report = BoundReport(lhs=lhs, rhs=rhs, passed=lhs <= rhs)
     if c == 1:

@@ -19,38 +19,10 @@ import numpy as np
 from .errors import InvalidInputError
 
 
-@dataclass(frozen=True)
-class PNorm:
-    """Norm selector: a finite exponent p >= 1, or infinity."""
-
-    p: float
-
-    def __post_init__(self):
-        if not self.p >= 1.0:
-            raise InvalidInputError(f"norm exponent must satisfy p >= 1, got {self.p!r}")
-
-    @classmethod
-    def finite(cls, p) -> "PNorm":
-        p = float(p)
-        if math.isinf(p):
-            raise InvalidInputError("finite norm requested with p = inf")
-        return cls(p)
-
-    @classmethod
-    def infinity(cls) -> "PNorm":
-        return cls(math.inf)
-
-    @property
-    def is_finite(self) -> bool:
-        return math.isfinite(self.p)
-
-    def __str__(self) -> str:
-        return "inf" if math.isinf(self.p) else repr(self.p)
-
-
 def pvalue(p) -> float:
-    """Coerce a PNorm or a bare number to a validated exponent."""
-    v = p.p if isinstance(p, PNorm) else float(p)
+    """A validated norm exponent: a float p >= 1, with math.inf for the max
+    norm."""
+    v = float(p)
     if not v >= 1.0:
         raise InvalidInputError(f"norm exponent must satisfy p >= 1, got {p!r}")
     return v
@@ -77,9 +49,6 @@ class Tolerance:
 
     def allowance(self, scale: float) -> float:
         return max(self.rel * abs(scale), self.abs)
-
-    def close(self, a: float, b: float) -> bool:
-        return abs(a - b) <= max(self.rel * max(abs(a), abs(b)), self.abs)
 
     def ceiling(self, bound):
         """The largest value still counted as <= bound: bound (1 + rel) + abs."""

@@ -21,7 +21,7 @@ import numpy as np
 from .errors import InvalidInputError, ResourceLimitError, UnsupportedParametersError
 from .formulas import Clause, CspFormula
 from .gadgets import KIND_LATTICE, IsolatingGadget, OnOffGadget
-from .numeric import DEFAULT_TOL, PNorm, finite_pvalue, pvalue, sin_half_pi
+from .numeric import DEFAULT_TOL, finite_pvalue, pvalue, sin_half_pi
 
 MAX_BASIS_ENTRIES = 5 * 10**7
 # Smallest relative distance gap that sat_to_cvp leaves between assignments
@@ -32,9 +32,10 @@ MIN_WEIGHT_SEPARATION = 4 * DEFAULT_TOL.rel
 
 @dataclass(eq=False)
 class CvpInstance:
-    """Basis B (d x n), target t, decision radius r, and provenance metadata."""
+    """Norm exponent p (math.inf for the max norm), basis B (d x n), target
+    t, decision radius r, and provenance metadata."""
 
-    p: PNorm
+    p: float
     basis: np.ndarray
     target: np.ndarray
     radius: float
@@ -43,8 +44,7 @@ class CvpInstance:
     def __post_init__(self):
         self.basis = np.asarray(self.basis, dtype=float)
         self.target = np.asarray(self.target, dtype=float).ravel()
-        if not isinstance(self.p, PNorm):
-            self.p = PNorm(pvalue(self.p))
+        self.p = pvalue(self.p)
         if self.basis.ndim != 2 or self.basis.shape[0] != self.target.size:
             raise InvalidInputError("basis and target dimensions disagree")
         if not self.radius > 0:
@@ -141,7 +141,7 @@ def sat_to_cvp(formula: CspFormula, gadget: IsolatingGadget) -> CvpInstance:
     targets.append(alpha * np.ones(n))
     radius = (W + (total - W) * (1.0 + eps) ** q + n * alpha**q) ** (1.0 / q)
     return CvpInstance(
-        p=PNorm(q),
+        p=q,
         basis=np.vstack(blocks),
         target=np.concatenate(targets),
         radius=radius,
@@ -216,7 +216,7 @@ def csp_to_cvp_gap(
     shrink = 1.0 - 1.0 / grow
     gamma = ((1.0 - s * shrink) / (1.0 - c * shrink)) ** (1.0 / q)
     inst = CvpInstance(
-        p=PNorm(q),
+        p=q,
         basis=np.vstack(blocks),
         target=np.concatenate(targets),
         radius=radius,
@@ -319,57 +319,54 @@ class CvppArtifacts:
     The basis is a pure function of the header: clause block (varset, mask)
     writes column s of `block_columns`, negated when mask bit k-1-s is set,
     into the column of the set's s-th variable, and `diagonal` times I_n
-    follows.  A loaded prep holds n, k, mode and, for lp, the on-off gadget
-    and the alpha derived from it; its `basis` is None."""
+    follows.  A query's target takes, per clause, the off or on row of
+    `off_on` shifted by the mask's negated columns, and `target_tail` n
+    times.  `cvpp_header` fills these for either norm; a loaded prep holds
+    no float `basis`."""
 
     n: int
     k: int
-    mode: str  # "lp" | "inf"
-    basis: np.ndarray | None
-    block_rows: int
+    p: float  # math.inf for the max norm
+    block_columns: np.ndarray  # block_rows x k
+    off_on: np.ndarray  # 2 x block_rows: the off target, then the on target
+    target_tail: float
     gadget: OnOffGadget | None = None
-    alpha: float | None = None
+    basis: np.ndarray | None = None
+
+    @property
+    def mode(self) -> str:
+        return "inf" if math.isinf(self.p) else "lp"
 
     @property
     def M(self) -> int:
         return 2**self.k * math.comb(self.n, self.k)
 
     @property
+    def diagonal(self) -> float:
+        """The diagonal block's entry, twice the target's tail: a boolean
+        coordinate x then adds |2 tail x - tail| = tail."""
+        return 2.0 * self.target_tail
+
+    @property
+    def block_rows(self) -> int:
+        return self.block_columns.shape[0]
+
+    @property
     def d(self) -> int:
         return self.M * self.block_rows + self.n
-
-    @property
-    def block_columns(self) -> np.ndarray:
-        """The unsigned block_rows x k columns of every clause block: the
-        on-off gadget's V, or one row of ones for the max norm."""
-        return self.gadget.V if self.mode == "lp" else np.ones((1, self.k))
-
-    @property
-    def diagonal(self) -> float:
-        return 2.0 * self.alpha if self.mode == "lp" else float(self.k)
 
     @property
     def target_blocks(self) -> np.ndarray:
         """The 2 x 2^k x block_rows target blocks of a query: entry
         [present, mask] is the block of a clause that is absent (0) or present
-        (1), with that polarity mask.  It is the off or on target (k/2 or
-        (k+1)/2 for the max norm) minus the sum of the mask's negated columns
-        of `block_columns`."""
+        (1), with that polarity mask.  It is row `present` of `off_on` minus
+        the sum of the mask's negated columns of `block_columns`."""
         k = self.k
-        if self.mode == "lp":
-            on_off = np.stack([self.gadget.t_off, self.gadget.t_on])
-        else:
-            on_off = np.array([[k / 2], [(k + 1) / 2]])
         V = self.block_columns
         mask_shift = np.array(
             [V[:, [s for s in range(k) if (mask >> (k - 1 - s)) & 1]].sum(axis=1) for mask in range(2**k)]
         )
-        return on_off[:, None, :] - mask_shift[None, :, :]
-
-    @property
-    def target_tail(self) -> float:
-        """The target's last n entries, against the diagonal block."""
-        return self.alpha if self.mode == "lp" else self.k / 2
+        return self.off_on[:, None, :] - mask_shift[None, :, :]
 
     def target(self, present: np.ndarray) -> np.ndarray:
         """The query target of the table entries marked present: entry i
@@ -420,10 +417,14 @@ def _iter_table(n: int, k: int):
 
 
 def cvpp_header(n: int, k: int, gadget: OnOffGadget | None) -> CvppArtifacts:
-    """The lp prep of an on-off gadget of arity k, or the max-norm prep when
-    gadget is None, without its basis; alpha = M^(1/p) (1 + eps).  Refuses
-    k outside 1..n, and a basis of more than MAX_BASIS_ENTRIES entries
-    before anything is built."""
+    """The prep of an on-off gadget of arity k, or the max-norm prep when
+    gadget is None, without its basis.  Refuses k outside 1..n, and a basis
+    of more than MAX_BASIS_ENTRIES entries before anything is built.
+
+    For lp a clause block is the gadget's V with its t_off and t_on, and the
+    diagonal block is 2 alpha I_n against target alpha, alpha = M^(1/p)
+    (1 + eps).  For the max norm it is one row of ones with targets k/2 and
+    (k+1)/2, and k I_n against k/2."""
     if not 1 <= k <= n:
         raise InvalidInputError(f"need 1 <= k <= n, got n={n}, k={k}")
     if gadget is not None and gadget.k != k:
@@ -437,9 +438,11 @@ def cvpp_header(n: int, k: int, gadget: OnOffGadget | None) -> CvppArtifacts:
     if d * n > MAX_BASIS_ENTRIES:
         raise ResourceLimitError(f"basis of {d}x{n} entries exceeds cap {MAX_BASIS_ENTRIES}")
     if gadget is None:
-        return CvppArtifacts(n=n, k=k, mode="inf", basis=None, block_rows=1)
-    alpha = M ** (1.0 / finite_pvalue(gadget.p)) * (1.0 + gadget.eps)
-    return CvppArtifacts(n=n, k=k, mode="lp", basis=None, block_rows=rows, gadget=gadget, alpha=alpha)
+        p, columns, off_on, tail = math.inf, np.ones((1, k)), np.array([[k / 2], [(k + 1) / 2]]), k / 2
+    else:
+        p, columns, off_on = finite_pvalue(gadget.p), gadget.V, np.stack([gadget.t_off, gadget.t_on])
+        tail = M ** (1.0 / p) * (1.0 + gadget.eps)
+    return CvppArtifacts(n=n, k=k, p=p, block_columns=columns, off_on=off_on, target_tail=tail, gadget=gadget)
 
 
 def _with_basis(art: CvppArtifacts) -> CvppArtifacts:
@@ -455,16 +458,19 @@ def _with_basis(art: CvppArtifacts) -> CvppArtifacts:
     return art
 
 
-def cvpp_preprocess(n: int, k: int, gadget: OnOffGadget) -> CvppArtifacts:
-    """Basis with one on-off gadget block per possible k-clause plus the
-    scaled identity block 2 alpha I_n, alpha = M^(1/p) (1 + eps)."""
+def cvpp_preprocess(n: int, k: int, gadget: OnOffGadget | None) -> CvppArtifacts:
+    """The prep of cvpp_header with its float basis: one block per possible
+    k-clause plus the diagonal block."""
     return _with_basis(cvpp_header(n, k, gadget))
 
 
 def cvpp_table_query(artifacts: CvppArtifacts, formula: CspFormula, mode: str) -> tuple[np.ndarray, float]:
     """(present, radius) for one formula against the fixed basis: which table
     entries its clauses occupy, and the decision radius.  mode is the norm
-    the caller expects the prep to be built for, "lp" or "inf"."""
+    the caller expects the prep to be built for, "lp" or "inf".
+
+    For the max norm the radius is k/2, which some point reaches iff the
+    formula is satisfiable; that norm takes plain satisfiability only."""
     if artifacts.mode != mode:
         norm = "the max norm" if artifacts.mode == "inf" else "a finite norm"
         raise InvalidInputError(f"artifacts were preprocessed for {norm}")
@@ -477,31 +483,18 @@ def cvpp_table_query(artifacts: CvppArtifacts, formula: CspFormula, mode: str) -
     present = artifacts.present(formula)
     if mode == "inf":
         return present, artifacts.k / 2
-    gadget = artifacts.gadget
-    q = finite_pvalue(gadget.p)
+    q = artifacts.p
     M, m = artifacts.M, formula.m
     W = formula.threshold if formula.threshold is not None else m
     radius = (
-        (M - (m - W)) + (m - W) * (1.0 + gadget.eps) ** q + artifacts.n * artifacts.alpha**q
+        (M - (m - W)) + (m - W) * (1.0 + artifacts.gadget.eps) ** q + artifacts.n * artifacts.target_tail**q
     ) ** (1.0 / q)
     return present, radius
 
 
 def cvpp_query(artifacts: CvppArtifacts, formula: CspFormula) -> tuple[np.ndarray, float]:
-    """Target and radius for one formula against the fixed basis: present
-    clauses point at the on target, absent ones at the off target, both
-    shifted by the clause's negated columns."""
-    present, radius = cvpp_table_query(artifacts, formula, "lp")
-    return artifacts.target(present), radius
-
-
-def cvpp_inf_preprocess(n: int, k: int) -> CvppArtifacts:
-    """Max-norm variant: one +-1 row per possible clause plus k I_n."""
-    return _with_basis(cvpp_header(n, k, None))
-
-
-def cvpp_inf_query(artifacts: CvppArtifacts, formula: CspFormula) -> tuple[np.ndarray, float]:
-    """Max-norm query: t_i = (k+1)/2 - |N_i| for present clauses, k/2 - |N_i|
-    for absent ones; the distance is at most k/2 iff the formula is satisfiable."""
-    present, radius = cvpp_table_query(artifacts, formula, "inf")
+    """Target and radius for one formula against the fixed basis, in the
+    prep's own norm: present clauses point at the on target, absent ones at
+    the off target, both shifted by the clause's negated columns."""
+    present, radius = cvpp_table_query(artifacts, formula, artifacts.mode)
     return artifacts.target(present), radius

@@ -37,7 +37,7 @@ import numpy as np
 
 from .errors import InvalidInputError
 from .gadgets import IsolatingGadget, OnOffGadget
-from .numeric import PNorm
+from .numeric import pvalue
 from .reductions import CvpInstance, CvppArtifacts, cvpp_header
 
 GADGET_SCHEMA = "latgad-gadget-v1"
@@ -136,15 +136,10 @@ def parse_columns(cols) -> np.ndarray:
     return _parse_table(list(chain.from_iterable(cols))).reshape(len(cols), len(cols[0])).T.copy()
 
 
-def fmt_pnorm(p) -> str:
-    q = p.p if isinstance(p, PNorm) else float(p)
-    return "inf" if math.isinf(q) else fmt_real(q)
-
-
-def parse_pnorm(s) -> PNorm:
-    if s == "inf":
-        return PNorm.infinity()
-    return PNorm(parse_real(s))
+def parse_pnorm(s) -> float:
+    """A validated norm exponent from its artifact text: fmt_real's, which
+    writes the max norm's math.inf as "inf"."""
+    return pvalue(parse_real(s))
 
 
 def _check(d, schema: str, *keys: str) -> None:
@@ -207,7 +202,7 @@ def _meta_out(meta: dict) -> dict:
 def gadget_to_json(g: IsolatingGadget) -> dict:
     out = {
         "schema": GADGET_SCHEMA,
-        "p": fmt_pnorm(g.p),
+        "p": fmt_real(g.p),
         "k": g.k,
         "kind": g.kind,
         "V": fmt_columns(g.V),
@@ -222,7 +217,7 @@ def gadget_to_json(g: IsolatingGadget) -> dict:
 def gadget_from_json(d: dict) -> IsolatingGadget:
     _check(d, GADGET_SCHEMA, "p", "k", "V", "t", "eps", "kind")
     return IsolatingGadget(
-        p=parse_pnorm(d["p"]).p,
+        p=parse_pnorm(d["p"]),
         k=_parse_int(d["k"]),
         V=parse_columns(d["V"]),
         t=parse_vector(d["t"]),
@@ -235,7 +230,7 @@ def gadget_from_json(d: dict) -> IsolatingGadget:
 def onoff_to_json(g: OnOffGadget) -> dict:
     return {
         "schema": ONOFF_SCHEMA,
-        "p": fmt_pnorm(g.p),
+        "p": fmt_real(g.p),
         "k": g.k,
         "V": fmt_columns(g.V),
         "t_on": fmt_vector(g.t_on),
@@ -247,7 +242,7 @@ def onoff_to_json(g: OnOffGadget) -> dict:
 def onoff_from_json(d: dict) -> OnOffGadget:
     _check(d, ONOFF_SCHEMA, "p", "k", "V", "t_on", "t_off", "eps")
     return OnOffGadget(
-        p=parse_pnorm(d["p"]).p,
+        p=parse_pnorm(d["p"]),
         k=_parse_int(d["k"]),
         V=parse_columns(d["V"]),
         t_on=parse_vector(d["t_on"]),
@@ -267,7 +262,7 @@ def cvp_to_json(p, basis, target, radius: float, meta: dict) -> dict:
     instance's rank check."""
     return {
         "schema": CVP_SCHEMA,
-        "p": fmt_pnorm(p),
+        "p": fmt_real(p),
         "basis": basis,
         "target": target,
         "radius": fmt_real(radius),

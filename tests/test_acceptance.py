@@ -258,10 +258,10 @@ def test_criterion_09_preprocessing_reductions():
     digest_after = hashlib.sha256(serialize.dumps(serialize.cvpp_to_json(art)).encode() + art.basis.tobytes()).hexdigest()
     assert digest_before == digest_after, "basis bytes changed across queries"
 
-    art_inf = reductions.cvpp_inf_preprocess(10, 3)
+    art_inf = reductions.cvpp_preprocess(10, 3, None)
     for seed in range(6):
         f = random_3sat(10, 14, 2000 + seed, distinct=True)
-        target, radius = reductions.cvpp_inf_query(art_inf, f)
+        target, radius = reductions.cvpp_query(art_inf, f)
         assert radius == 1.5
         sol = oracle.cvp_enumerate(art_inf.basis, target, math.inf, (0, 1), TOL)
         best, _ = oracle.max_sat_brute(f)

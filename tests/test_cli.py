@@ -204,13 +204,10 @@ class TestCvppCommands:
 
 def float_path_bytes(query_text: str, prep_doc: dict) -> str:
     """The query artifact with the basis formatted from the float basis that
-    cvpp_preprocess (or cvpp_inf_preprocess) builds for the prep, then
-    json.dumps."""
+    cvpp_preprocess builds for the prep, then json.dumps."""
     n, k = int(prep_doc["n"]), int(prep_doc["k"])
-    if prep_doc["mode"] == "lp":
-        art = reductions.cvpp_preprocess(n, k, serialize.onoff_from_json(prep_doc["gadget"]))
-    else:
-        art = reductions.cvpp_inf_preprocess(n, k)
+    onoff = serialize.onoff_from_json(prep_doc["gadget"]) if prep_doc["mode"] == "lp" else None
+    art = reductions.cvpp_preprocess(n, k, onoff)
     doc = json.loads(query_text)
     doc["basis"] = serialize.fmt_columns(art.basis)
     return json.dumps(doc, sort_keys=True, separators=(",", ":")) + "\n"
@@ -293,16 +290,24 @@ class TestCvppQueryBytes:
         assert run(["gadget", "find", "--k", "4", "--p", "3", "--out", str(g)], capsys)[0] == 0
         onoff = gadgets.to_on_off(serialize.gadget_from_json(json.loads(g.read_text())))
         cases = [
-            (["cvpp", "prep", "--n", "10", "--k", "3", "--gadget", str(g)], reductions.cvpp_preprocess(10, 3, onoff)),
-            (["cvpp", "inf-prep", "--n", "4", "--k", "3"], reductions.cvpp_inf_preprocess(4, 3)),
+            (
+                ["cvpp", "prep", "--n", "10", "--k", "3", "--gadget", str(g)],
+                reductions.cvpp_preprocess(10, 3, onoff),
+                "prep basis 15370x10, 960 clause blocks\n",
+            ),
+            (
+                ["cvpp", "inf-prep", "--n", "4", "--k", "3"],
+                reductions.cvpp_preprocess(4, 3, None),
+                "prep basis 36x4, 32 clause blocks\n",
+            ),
         ]
         monkeypatch.setattr(reductions, "_with_basis", lambda art: pytest.fail("built the float basis"))
-        for i, (argv, art) in enumerate(cases):
+        for i, (argv, art, log) in enumerate(cases):
             path = tmp_path / f"prep{i}.json"
             code, _, err = run([*argv, "--out", str(path)], capsys)
             assert code == 0
             assert path.read_text() == "".join(serialize.dump_chunks(serialize.cvpp_to_json(art)))
-            assert err == ("prep basis 15370x10, 960 clause blocks\n" if art.mode == "lp" else "")
+            assert err == log
 
 
 class TestIdentitiesCommands:

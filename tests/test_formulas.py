@@ -31,13 +31,11 @@ class TestParsing:
         assert f.m == 3
         assert f.constraints[0].literals == (1, -2, 3)
         assert f.weights is None
-        assert f.is_plain_sat()
 
     def test_wcnf(self):
         f = parse_dimacs(WCNF)
         assert f.weights == [5, 2]
         assert f.total_weight() == 7
-        assert not f.is_plain_sat()
 
     def test_xor(self):
         f = parse_xor(XOR)
@@ -68,7 +66,6 @@ class TestSemantics:
         assert c.satisfied((1, 1))
         assert c.satisfied((0, 0))
         assert not c.satisfied((0, 1))
-        assert c.negated_positions() == (2,)
 
     def test_xor_satisfaction(self):
         x = XorConstraint((1, 3), 1)

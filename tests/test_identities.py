@@ -5,21 +5,20 @@ import pytest
 
 from latgad import distmatrix, identities
 from latgad.errors import InvalidInputError
-from latgad.identities import SumSpec
 
 
 class TestBinomSum:
     def test_alternating_hand_sums(self):
-        assert identities.binom_sum(SumSpec(k=3, tau=1, p=1, alternating=True)) == 2
-        assert identities.binom_sum(SumSpec(k=4, tau=2, p=1, alternating=True)) == -4
-        assert identities.binom_sum(SumSpec(k=4, tau=2, p=2, alternating=True)) == 0
+        assert identities.binom_sum(3, 1, 1, alternating=True) == 2
+        assert identities.binom_sum(4, 2, 1, alternating=True) == -4
+        assert identities.binom_sum(4, 2, 2, alternating=True) == 0
 
     def test_exact_integer_path(self):
-        value = identities.binom_sum(SumSpec(k=40, tau=20, p=3, alternating=True))
+        value = identities.binom_sum(40, 20, 3, alternating=True)
         assert isinstance(value, int)
 
     def test_float_path_for_half_integer_tau(self):
-        value = identities.binom_sum(SumSpec(k=5, tau=2.5, p=1, alternating=False))
+        value = identities.binom_sum(5, 2.5, 1)
         assert isinstance(value, float)
         direct = sum(math.comb(5, i) * abs(i - 2.5) for i in range(6))
         assert value == pytest.approx(direct)
@@ -183,7 +182,5 @@ class TestCrossModule:
     def test_parity_eigenvalue_matches_binom_sum(self, k, p):
         shift = (1 + (-1) ** (k + 1)) / 2
         lam_par = distmatrix.eigen_report(k, p, shift).by_size[k]
-        via_sum = 2.0**p * float(
-            identities.binom_sum(SumSpec(k=k, tau=k // 2, p=p, alternating=True))
-        )
+        via_sum = 2.0**p * float(identities.binom_sum(k, k // 2, p, alternating=True))
         assert lam_par == pytest.approx(via_sum, rel=1e-9, abs=1e-9)

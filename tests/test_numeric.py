@@ -8,13 +8,13 @@ from hypothesis import strategies as st
 
 from latgad.errors import InvalidInputError
 from latgad.numeric import (
-    PNorm,
     Tolerance,
     abs_powers,
     box_volume,
     integer_grid,
     pnorm,
     pnorm_pow,
+    pvalue,
     row_pnorms,
     sin_half_pi,
 )
@@ -29,7 +29,7 @@ class TestPNorm:
     def test_examples(self):
         assert pnorm((3, 4), 2) == pytest.approx(5.0)
         assert pnorm((1, -1, 1), 1) == pytest.approx(3.0)
-        assert pnorm((1, -2, 0.5), PNorm.infinity()) == pytest.approx(2.0)
+        assert pnorm((1, -2, 0.5), math.inf) == pytest.approx(2.0)
 
     def test_empty_vector_is_zero(self):
         assert pnorm([], 2) == 0.0
@@ -38,7 +38,7 @@ class TestPNorm:
         with pytest.raises(InvalidInputError):
             pnorm((1, 2), 0.5)
         with pytest.raises(InvalidInputError):
-            PNorm(0.99)
+            pvalue(0.99)
 
     @given(v=finite_vec, p=pvals, scale=st.floats(min_value=-100, max_value=100, allow_nan=False))
     def test_absolute_homogeneity(self, v, p, scale):
@@ -177,9 +177,11 @@ class TestGridHelpers:
 
     def test_tolerance_policy(self):
         tol = Tolerance(rel=1e-9, abs=1e-12)
-        assert tol.close(1.0, 1.0 + 5e-10)
-        assert not tol.close(1.0, 1.0 + 5e-9)
-        assert tol.close(0.0, 1e-13)
+        # relative against the scale, the absolute floor near zero
+        assert tol.allowance(2.0) == 2e-9 and tol.allowance(-2.0) == 2e-9
+        assert tol.allowance(1e-4) == 1e-12 and tol.allowance(0.0) == 1e-12
+        assert tol.ceiling(1.0) == 1.0 + 1e-9 + 1e-12
+        assert tol.ceiling(0.0) == 1e-12
         with pytest.raises(InvalidInputError):
             Tolerance(rel=0.0)
 
@@ -207,7 +209,6 @@ class TestRowPNorms:
     def test_inf_is_row_max(self):
         x = np.random.default_rng(8).standard_normal((30, 11))
         assert np.array_equal(row_pnorms(x, math.inf), np.abs(x).max(axis=1))
-        assert np.array_equal(row_pnorms(x, PNorm.infinity()), np.abs(x).max(axis=1))
 
     @pytest.mark.parametrize("q", [1, 1.0, 2, 3, 8, 2.5, 9, math.inf])
     def test_abs_powers_elementwise(self, q):

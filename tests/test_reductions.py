@@ -377,7 +377,8 @@ class TestCvppFinite:
         f = CspFormula(n=3, constraints=all_clauses)
         _, radius = reductions.cvpp_query(art, f)
         q = onoff2.p
-        expected = (art.M + 3 * art.alpha**q) ** (1 / q)  # m = M, W = m
+        alpha = art.M ** (1 / q) * (1 + onoff2.eps)
+        expected = (art.M + 3 * alpha**q) ** (1 / q)  # m = M, W = m
         assert radius == pytest.approx(expected)
 
     def test_decisions_match_brute_force(self, onoff2):
@@ -430,9 +431,9 @@ class TestCvppMaxNorm:
     def test_residual_levels_k3(self):
         # satisfied clause rows land within 1, falsified at exactly 2,
         # absent-clause rows within 1.5
-        art = reductions.cvpp_inf_preprocess(4, 3)
+        art = reductions.cvpp_preprocess(4, 3, None)
         f = CspFormula(n=4, constraints=[Clause((1, 2, 3))])
-        target, radius = reductions.cvpp_inf_query(art, f)
+        target, radius = reductions.cvpp_query(art, f)
         assert radius == 1.5
         pos, _ = art.clause_position(Clause((1, 2, 3)))
         y = np.array([0.0, 0.0, 0.0, 0.0])
@@ -444,7 +445,7 @@ class TestCvppMaxNorm:
             assert abs(art.basis[other] @ np.array(z, float) - target[other]) <= 1.5
 
     def test_decisions_match_brute_force(self):
-        art = reductions.cvpp_inf_preprocess(6, 3)
+        art = reductions.cvpp_preprocess(6, 3, None)
         rng = random.Random(11)
         for _ in range(6):
             clauses, seen = [], set()
@@ -456,13 +457,13 @@ class TestCvppMaxNorm:
                 seen.add(lits)
                 clauses.append(Clause(lits))
             f = CspFormula(n=6, constraints=clauses)
-            target, radius = reductions.cvpp_inf_query(art, f)
+            target, radius = reductions.cvpp_query(art, f)
             sol = oracle.cvp_enumerate(art.basis, target, math.inf, (0, 1))
             best, _ = oracle.max_sat_brute(f)
             assert (sol.distance <= radius + 1e-12) == (best == f.m)
 
     def test_weights_rejected(self):
-        art = reductions.cvpp_inf_preprocess(4, 3)
+        art = reductions.cvpp_preprocess(4, 3, None)
         f = CspFormula(n=4, constraints=[Clause((1, 2, 3))], weights=[1])
         with pytest.raises(UnsupportedParametersError):
-            reductions.cvpp_inf_query(art, f)
+            reductions.cvpp_query(art, f)

@@ -12,7 +12,6 @@ from hypothesis.extra.numpy import arrays
 from latgad import gadgets, reductions, serialize
 from latgad.errors import InvalidInputError, ResourceLimitError
 from latgad.formulas import Clause, CspFormula
-from latgad.numeric import PNorm
 
 
 class TestDecimalStrings:
@@ -27,8 +26,9 @@ class TestDecimalStrings:
         assert len(digits) >= 17
 
     def test_pnorm_round_trip(self):
-        assert serialize.parse_pnorm(serialize.fmt_pnorm(PNorm.infinity())).p == math.inf
-        assert serialize.parse_pnorm(serialize.fmt_pnorm(2.5)).p == 2.5
+        assert serialize.fmt_real(math.inf) == "inf"
+        assert serialize.parse_pnorm(serialize.fmt_real(math.inf)) == math.inf
+        assert serialize.parse_pnorm(serialize.fmt_real(2.5)) == 2.5
 
 
 # few values, many repeats, as in real artifacts: both zeros, infinities, NaN,
@@ -163,6 +163,7 @@ class TestInstanceJson:
         d = serialize.instance_to_json(inst)
         assert d["schema"] == "latgad-cvp-v1"
         back = serialize.instance_from_json(d)
+        assert type(inst.p) is type(back.p) is float and back.p == inst.p == 2.5
         assert np.array_equal(back.basis, inst.basis)
         assert np.array_equal(back.target, inst.target)
         assert back.radius == inst.radius
@@ -190,7 +191,7 @@ def payloads():
         "onoff": serialize.onoff_to_json(gadgets.to_on_off(g)),
         "instance": serialize.instance_to_json(reductions.sat_to_cvp(f, g)),
         "prep": serialize.cvpp_to_json(reductions.cvpp_preprocess(4, 2, gadgets.to_on_off(g))),
-        "inf-prep": serialize.cvpp_to_json(reductions.cvpp_inf_preprocess(4, 3)),
+        "inf-prep": serialize.cvpp_to_json(reductions.cvpp_preprocess(4, 3, None)),
         "report": gadgets.verify_parallelepiped(g).to_json(),
         "solve": {"distance": "1.5", "within_radius": True, "closest": [[0, 1], [1, 0]]},
         "empty": {},
@@ -249,9 +250,7 @@ class TestDumps:
 
 def float_prep(art):
     """The prep with float basis for the header art."""
-    if art.mode == "lp":
-        return reductions.cvpp_preprocess(art.n, art.k, art.gadget)
-    return reductions.cvpp_inf_preprocess(art.n, art.k)
+    return reductions.cvpp_preprocess(art.n, art.k, art.gadget)
 
 
 def loop_query(art, formula):
@@ -266,14 +265,15 @@ def loop_query(art, formula):
     for pos, (_, mask) in enumerate(reductions._iter_table(art.n, k)):
         target[row : row + g.d] = (g.t_on if pos in present else g.t_off) - mask_shift[mask]
         row += g.d
-    target[row:] = art.alpha
     q, m = g.p, formula.m
-    radius = ((art.M - (m - W)) + (m - W) * (1.0 + g.eps) ** q + art.n * art.alpha**q) ** (1.0 / q)
+    alpha = art.M ** (1.0 / q) * (1.0 + g.eps)
+    target[row:] = alpha
+    radius = ((art.M - (m - W)) + (m - W) * (1.0 + g.eps) ** q + art.n * alpha**q) ** (1.0 / q)
     return target, radius
 
 
 def loop_inf_query(art, formula):
-    """cvpp_inf_query as a loop over the table entries."""
+    """cvpp_query on a max-norm prep as a loop over the table entries."""
     k = art.k
     present = {art.clause_position(c)[0] for c in formula.constraints}
     target = np.empty(art.M + art.n)
@@ -327,7 +327,7 @@ class TestCvppBasisText:
             text = "".join(chunks)
             assert json.loads(text) == serialize.fmt_columns(art.basis)
             assert text == compact(json.loads(text))
-            assert back.alpha == art.alpha and back.d == art.d
+            assert back.target_tail == art.target_tail and back.d == art.d
             for f in random_queries(n, k, seed=[n, k, int(4 * p)]):
                 for W in (None, max(f.m - 1, 0)):
                     f = dataclasses.replace(f, threshold=W)
@@ -346,13 +346,13 @@ class TestCvppBasisText:
     @pytest.mark.parametrize("k", [1, 2, 3])
     def test_inf_matches_float_path(self, k):
         for n in range(k, 8):
-            art = reductions.cvpp_inf_preprocess(n, k)
+            art = reductions.cvpp_preprocess(n, k, None)
             back, chunks = serialize.cvpp_from_json(json.loads(serialize.dumps(serialize.cvpp_to_json(art))))
             text = "".join(chunks)
             assert json.loads(text) == serialize.fmt_columns(art.basis)
             assert text == compact(json.loads(text))
             for f in random_queries(n, k, seed=[n, k]):
-                target, radius = reductions.cvpp_inf_query(back, f)
+                target, radius = reductions.cvpp_query(back, f)
                 ref_target, ref_radius = loop_inf_query(art, f)
                 assert target.tobytes() == ref_target.tobytes() and radius == ref_radius
                 assert_target_text(back, f, "inf", ref_target)
@@ -367,7 +367,7 @@ def every_prep():
     preps for the same n and k."""
     for k in (1, 2, 3):
         for n in range(k, 7):
-            yield reductions.cvpp_inf_preprocess(n, k)
+            yield reductions.cvpp_preprocess(n, k, None)
             for p in (1.0, 1.5, 3.0, 5.0):
                 yield reductions.cvpp_preprocess(n, k, onoff(k, p))
 
@@ -425,11 +425,11 @@ class TestCvppJson:
         assert np.array_equal(t1, t2) and r1 == r2
 
     def test_inf_round_trip(self):
-        art = reductions.cvpp_inf_preprocess(5, 3)
+        art = reductions.cvpp_preprocess(5, 3, None)
         back, basis = serialize.cvpp_from_json(serialize.cvpp_to_json(art))
         assert back.basis is None and back.d == art.d
         assert np.array_equal(serialize.parse_columns(json.loads("".join(basis))), art.basis)
-        assert back.gadget is None and back.alpha is None
+        assert back.gadget is None and back.p == math.inf
 
     @pytest.mark.parametrize(
         "field, edit, message",
@@ -455,7 +455,7 @@ class TestCvppJson:
     @pytest.mark.parametrize("n, message", [(400, "basis of 319600x400 entries"), (10**6, "more than 1000000x1000000")])
     def test_size_cap_before_any_text(self, n, message, monkeypatch):
         monkeypatch.setattr(serialize, "_basis_text", lambda art: pytest.fail("built the basis text"))
-        d = serialize.cvpp_to_json(reductions.cvpp_inf_preprocess(4, 2))
+        d = serialize.cvpp_to_json(reductions.cvpp_preprocess(4, 2, None))
         d["n"] = n
         with pytest.raises(ResourceLimitError, match=message):
             serialize.cvpp_from_json(d)
