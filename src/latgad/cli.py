@@ -47,12 +47,35 @@ def _emit(payload: dict, out: str | None) -> None:
         sys.stdout.writelines(chunks)
 
 
-def _load_json(path: str) -> dict:
+def _decoded(path: str, decode):
+    """decode(the text of path); text that is not UTF-8 or not JSON is not a
+    JSON artifact."""
     with open(path) as fh:
         try:
-            return json.load(fh)
+            return decode(fh.read())
         except (json.JSONDecodeError, UnicodeDecodeError) as exc:
             raise InvalidInputError(f"{path} is not a JSON artifact: {exc}") from exc
+
+
+def _load_json(path: str) -> dict:
+    return _decoded(path, json.loads)
+
+
+@functools.lru_cache(maxsize=1)
+def _prep_texts(text: str):
+    """The header, the basis text and the target block texts of the prep
+    file whose text is `text`.  They are a function of that text alone, so a
+    process that serves many queries on one prep builds them once; the key is
+    the whole text, never the path, and a refused prep raises and is not
+    cached.  The arrays are read-only, since every later query shares them."""
+    art, basis = serialize.cvpp_from_json(json.loads(text))
+    blocks = serialize.target_block_texts(art)
+    arrays = [art.block_columns, art.off_on, blocks[0]]
+    if art.gadget is not None:
+        arrays += [art.gadget.V, art.gadget.t_on, art.gadget.t_off]
+    for a in arrays:
+        a.flags.writeable = False
+    return art, basis, blocks
 
 
 def _read(path: str) -> str:
@@ -200,7 +223,7 @@ def _cmd_cvpp(args, tol: Tolerance) -> int:
         _log(f"prep basis {art.d}x{art.n}, {art.M} clause blocks")
         return EXIT_OK
     if args.action in ("query", "inf-query"):
-        art, basis = serialize.cvpp_from_json(_load_json(args.prep))
+        art, basis, blocks = _decoded(args.prep, _prep_texts)
         formula = parse_dimacs(_read(args.cnf))
         if args.w is not None:
             # through the constructor, which checks the threshold
@@ -215,7 +238,7 @@ def _cmd_cvpp(args, tol: Tolerance) -> int:
             "threshold": formula.threshold if formula.threshold is not None else formula.m,
             "eps": art.gadget.eps if art.gadget is not None else None,
         }
-        _emit(serialize.cvp_to_json(art.p, basis, serialize.target_text(art, present), radius, meta), args.out)
+        _emit(serialize.cvp_to_json(art.p, basis, serialize.target_text(blocks, present), radius, meta), args.out)
         return EXIT_OK
     raise InvalidInputError(f"unknown cvpp action {args.action!r}")
 

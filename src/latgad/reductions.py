@@ -3,11 +3,11 @@
 Padded mode stacks one gadget block per clause, scaled by w^(1/p) for a
 clause of weight w, plus a scaled identity block that forces closest vectors
 to be boolean; gap mode stacks isolating-lattice blocks with no padding and
-yields a promise instance with an explicit approximation factor.  Both keep
-only each gadget's live rows: a row that is zero in V and in t adds
-|0 - 0|^p = 0 at every point, so dropping it leaves every distance as it is.
+yields a promise instance with an explicit approximation factor.
 Preprocessing mode builds one basis per (n, k) that covers every possible
-k-clause and serves any number of query formulas.
+k-clause and serves any number of query formulas.  All three keep only each
+gadget's live rows: a row that is zero in V and in every target adds
+|0 - 0|^p = 0 at every point, so dropping it leaves every distance as it is.
 """
 
 from __future__ import annotations
@@ -30,6 +30,23 @@ MAX_BASIS_ENTRIES = 5 * 10**7
 MIN_WEIGHT_SEPARATION = 4 * DEFAULT_TOL.rel
 
 
+def _diagonal_tail(basis: np.ndarray) -> bool:
+    """Whether the last n rows of the d x n basis are a diagonal matrix whose
+    smallest entry clears np.linalg.matrix_rank's threshold, which certifies
+    full column rank without an SVD.  The basis's smallest singular value is
+    at least the tail's, the smallest diagonal entry, and its Frobenius norm
+    bounds the largest one, which sets that threshold.  Padded instances and
+    CVPP queries end in such a block."""
+    d, n = basis.shape
+    if d < n:
+        return False
+    tail = basis[d - n :]
+    diagonal = np.abs(np.diagonal(tail))
+    if np.count_nonzero(tail) != np.count_nonzero(diagonal):
+        return False
+    return bool(diagonal.min(initial=math.inf) > np.linalg.norm(basis) * d * np.finfo(float).eps)
+
+
 @dataclass(eq=False)
 class CvpInstance:
     """Norm exponent p (math.inf for the max norm), basis B (d x n), target
@@ -49,7 +66,7 @@ class CvpInstance:
             raise InvalidInputError("basis and target dimensions disagree")
         if not self.radius > 0:
             raise InvalidInputError("radius must be positive")
-        if np.linalg.matrix_rank(self.basis) != self.basis.shape[1]:
+        if not _diagonal_tail(self.basis) and np.linalg.matrix_rank(self.basis) != self.basis.shape[1]:
             raise InvalidInputError("basis must have full column rank")
 
     @property
@@ -61,10 +78,12 @@ class CvpInstance:
         return self.basis.shape[0]
 
 
-def _live_rows(gadget: IsolatingGadget) -> tuple[np.ndarray, np.ndarray]:
-    """The gadget's V and t without the rows that are zero in both."""
-    live = np.any(gadget.V != 0, axis=1) | (gadget.t != 0)
-    return gadget.V[live], gadget.t[live]
+def _live_rows(V: np.ndarray, *targets: np.ndarray) -> tuple[np.ndarray, ...]:
+    """V and the targets without the rows that are zero in all of them."""
+    live = np.any(V != 0, axis=1)
+    for t in targets:
+        live |= t != 0
+    return (V[live], *(t[live] for t in targets))
 
 
 def _clause_block(gadget_V: np.ndarray, gadget_t: np.ndarray, clause: Clause, n: int):
@@ -127,7 +146,7 @@ def sat_to_cvp(formula: CspFormula, gadget: IsolatingGadget) -> CvpInstance:
     # the empty formula keeps a positive identity scale: every boolean point
     # then sits at distance exactly r = n^(1/p) alpha (trivially satisfiable)
     alpha = max(total, 1) ** (1.0 / q) * (1.0 + eps)
-    V, gadget_t = _live_rows(gadget)
+    V, gadget_t = _live_rows(gadget.V, gadget.t)
     blocks, targets = [], []
     for i, clause in enumerate(formula.constraints):
         w = formula.weight_of(i)
@@ -195,7 +214,7 @@ def csp_to_cvp_gap(
     n = formula.n
     blocks, targets = [], []
     for constraint, gadget in zip(formula.constraints, lattices):
-        V, gadget_t = _live_rows(gadget)
+        V, gadget_t = _live_rows(gadget.V, gadget.t)
         if isinstance(constraint, Clause):
             if constraint.arity > gadget.k:
                 raise InvalidInputError("clause arity exceeds its gadget arity")
@@ -327,7 +346,7 @@ class CvppArtifacts:
     n: int
     k: int
     p: float  # math.inf for the max norm
-    block_columns: np.ndarray  # block_rows x k
+    block_columns: np.ndarray  # block_rows x k: the on-off gadget's live rows
     off_on: np.ndarray  # 2 x block_rows: the off target, then the on target
     target_tail: float
     gadget: OnOffGadget | None = None
@@ -421,10 +440,11 @@ def cvpp_header(n: int, k: int, gadget: OnOffGadget | None) -> CvppArtifacts:
     gadget is None, without its basis.  Refuses k outside 1..n, and a basis
     of more than MAX_BASIS_ENTRIES entries before anything is built.
 
-    For lp a clause block is the gadget's V with its t_off and t_on, and the
-    diagonal block is 2 alpha I_n against target alpha, alpha = M^(1/p)
-    (1 + eps).  For the max norm it is one row of ones with targets k/2 and
-    (k+1)/2, and k I_n against k/2."""
+    For lp a clause block is the gadget's V with its t_off and t_on, on the
+    rows that are nonzero in one of them (a gadget with none is refused),
+    and the diagonal block is 2 alpha I_n against target alpha,
+    alpha = M^(1/p) (1 + eps).  For the max norm it is one row of ones with
+    targets k/2 and (k+1)/2, and k I_n against k/2."""
     if not 1 <= k <= n:
         raise InvalidInputError(f"need 1 <= k <= n, got n={n}, k={k}")
     if gadget is not None and gadget.k != k:
@@ -432,15 +452,19 @@ def cvpp_header(n: int, k: int, gadget: OnOffGadget | None) -> CvppArtifacts:
     if n * n > MAX_BASIS_ENTRIES:
         # the basis has more than n rows; spares C(n, k) for a huge n
         raise ResourceLimitError(f"basis of more than {n}x{n} entries exceeds cap {MAX_BASIS_ENTRIES}")
-    rows = gadget.d if gadget is not None else 1
-    M = 2**k * math.comb(n, k)
-    d = M * rows + n
-    if d * n > MAX_BASIS_ENTRIES:
-        raise ResourceLimitError(f"basis of {d}x{n} entries exceeds cap {MAX_BASIS_ENTRIES}")
     if gadget is None:
         p, columns, off_on, tail = math.inf, np.ones((1, k)), np.array([[k / 2], [(k + 1) / 2]]), k / 2
     else:
-        p, columns, off_on = finite_pvalue(gadget.p), gadget.V, np.stack([gadget.t_off, gadget.t_on])
+        p = finite_pvalue(gadget.p)
+        columns, t_off, t_on = _live_rows(gadget.V, gadget.t_off, gadget.t_on)
+        if not t_on.size:
+            raise InvalidInputError("on-off gadget has no nonzero row")
+        off_on = np.stack([t_off, t_on])
+    M = 2**k * math.comb(n, k)
+    d = M * columns.shape[0] + n
+    if d * n > MAX_BASIS_ENTRIES:
+        raise ResourceLimitError(f"basis of {d}x{n} entries exceeds cap {MAX_BASIS_ENTRIES}")
+    if gadget is not None:
         tail = M ** (1.0 / p) * (1.0 + gadget.eps)
     return CvppArtifacts(n=n, k=k, p=p, block_columns=columns, off_on=off_on, target_tail=tail, gadget=gadget)
 

@@ -20,11 +20,14 @@ on-off gadgets and CVP instances are written so.
 A CVPP prep stores only its generator: n, k, the mode and, for the finite
 norms, the on-off gadget.  A query writes the basis those determine without
 building the float matrix: `_basis_text` formats each distinct entry of the
-gadget columns and their negations once, and joins the columns, and runs of
-zeros, into the JSON text of `fmt_columns(basis)`.  `target_text` formats
-the query's 2 x 2^k target blocks once and joins them in table order.  Both
-return their text as a tuple of chunks, and `dump_chunks` passes a tuple
-value through as is, so no step copies the whole document.
+block columns (the gadget's live rows) and their negations once, and joins
+the columns, and runs of zeros, into the JSON text of `fmt_columns(basis)`.
+`target_block_texts` formats the 2 x 2^k target blocks and the tail once,
+and `target_text` is a query's only step: it gathers the block texts in
+table order and joins them.  The basis and block texts are a function of the
+prep alone, so a caller that serves many queries builds them once.  Both
+texts are tuples of chunks, and `dump_chunks` passes a tuple value through
+as is, so no step copies the whole document.
 """
 
 from __future__ import annotations
@@ -326,16 +329,26 @@ def _basis_text(art: CvppArtifacts) -> tuple[str, ...]:
     return (*chunks, "]]")
 
 
-def target_text(art: CvppArtifacts, present: np.ndarray) -> tuple[str, ...]:
-    """The JSON text of fmt_vector(art.target(present)), as chunks: each of
-    the 2 x 2^k target blocks and the tail entry formatted once, and the
-    block texts joined in table order."""
-    rows, masks = art.block_rows, 2**art.k
+def target_block_texts(art: CvppArtifacts) -> tuple[np.ndarray, str]:
+    """The text a query's target is joined from: each of the 2 x 2^k target
+    blocks as JSON text without brackets, in an object array indexed by
+    present * 2^k + mask, and the text of the n tail entries.  Every entry
+    is formatted once."""
+    rows = art.block_rows
     text = fmt_vector(np.append(art.target_blocks, art.target_tail))
     tail = text.pop()
     blocks = np.array([_joined(text[i : i + rows]) for i in range(0, len(text), rows)], dtype=object)
-    entries = blocks[present * masks + np.arange(art.M) % masks].tolist()
-    return ("[", ",".join([*entries, _joined([tail] * art.n)]), "]")
+    return blocks, _joined([tail] * art.n)
+
+
+def target_text(block_texts: tuple[np.ndarray, str], present: np.ndarray) -> tuple[str, ...]:
+    """The JSON text of fmt_vector(art.target(present)), as chunks, from
+    art's target_block_texts: the block of each table entry in table order,
+    then the tail.  Nothing is formatted."""
+    blocks, tail = block_texts
+    masks = blocks.size // 2
+    entries = blocks[present * masks + np.arange(present.size) % masks].tolist()
+    return ("[", ",".join([*entries, tail]), "]")
 
 
 def cvpp_from_json(d: dict) -> tuple[CvppArtifacts, tuple[str, ...]]:

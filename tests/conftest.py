@@ -3,6 +3,15 @@
 import numpy as np
 import pytest
 
+from latgad import cli
+
+
+@pytest.fixture(autouse=True)
+def empty_prep_cache():
+    """Each test starts with the CLI's prep cache empty, so a test that
+    watches a prep being parsed sees it parsed whatever ran before."""
+    cli._prep_texts.cache_clear()
+
 
 def character_table(subset, k: int) -> np.ndarray:
     """Output table of the character x -> prod_{i in subset} x_i over

@@ -1,4 +1,5 @@
 import json
+import os
 import subprocess
 import sys
 import time
@@ -293,7 +294,7 @@ class TestCvppQueryBytes:
             (
                 ["cvpp", "prep", "--n", "10", "--k", "3", "--gadget", str(g)],
                 reductions.cvpp_preprocess(10, 3, onoff),
-                "prep basis 15370x10, 960 clause blocks\n",
+                "prep basis 11530x10, 960 clause blocks\n",
             ),
             (
                 ["cvpp", "inf-prep", "--n", "4", "--k", "3"],
@@ -308,6 +309,144 @@ class TestCvppQueryBytes:
             assert code == 0
             assert path.read_text() == "".join(serialize.dump_chunks(serialize.cvpp_to_json(art)))
             assert err == log
+
+
+# prep edits that a query refuses: (edit of the prep document, exit code,
+# message on stderr)
+BAD_PREPS = [
+    (lambda d: d.update(schema="latgad-cvpp-prep-v1", block_rows=8, basis=[["0"] * 99] * 3), 2,
+     "expected schema latgad-cvpp-prep-v2, got 'latgad-cvpp-prep-v1'"),
+    (lambda d: d.update(k=4), 2, "need 1 <= k <= n, got n=3, k=4"),
+    (lambda d: d.update(k=1), 2, "gadget arity 2 does not match k=1"),
+    (lambda d: d.update(mode="l2"), 2, "unknown preprocessing mode 'l2'"),
+    (lambda d: d.pop("gadget"), 2, "lp preprocessing needs its on-off gadget"),
+    (lambda d: d.update(mode="inf"), 2, "inf preprocessing takes no gadget"),
+    (lambda d: d.update(n=200), 3, "basis of 398200x200 entries exceeds cap"),
+    (lambda d: d.update(n=4.9), 2, "bad integer 4.9"),
+    (lambda d: d.update(n=True), 2, "bad integer True"),
+    (lambda d: d.update(k=2.5), 2, "bad integer 2.5"),
+    (lambda d: d.update(k=True), 2, "bad integer True"),
+    (lambda d: d["gadget"].update(k=2.5), 2, "bad integer 2.5"),
+    (lambda d: d["gadget"].update(V=[["0"] * 8] * 2, t_on=["0"] * 8, t_off=["-0"] * 8), 2,
+     "on-off gadget has no nonzero row"),
+    (lambda d: d["gadget"].update(V=[[], []], t_on=[], t_off=[]), 2, "on-off gadget has no nonzero row"),
+]
+BAD_PREP_IDS = [
+    "v1-prep", "k-above-n", "gadget-arity", "unknown-mode", "lp-without-gadget", "inf-with-gadget", "over-cap",
+    "n-fractional", "n-boolean", "k-fractional", "k-boolean", "gadget-k-fractional", "zero-gadget",
+    "empty-gadget",
+]
+
+
+class TestPrepCache:
+    """A process keeps the last prep it loaded, keyed on the file's text."""
+
+    @pytest.fixture()
+    def files(self, tmp_path, capsys):
+        """Prep texts by name, all at n=4 (lp at k=2 from the p=3 and p=5
+        gadgets, inf at k=3), and a query formula for each."""
+        preps = {}
+        for p in ("3", "5"):
+            g = tmp_path / f"g{p}.json"
+            assert run(["gadget", "find", "--k", "3", "--p", p, "--out", str(g)], capsys)[0] == 0
+            out = tmp_path / f"lp{p}.json"
+            assert run(["cvpp", "prep", "--n", "4", "--k", "2", "--gadget", str(g), "--out", str(out)], capsys)[0] == 0
+            preps[f"lp{p}"] = out.read_text()
+        out = tmp_path / "inf.json"
+        assert run(["cvpp", "inf-prep", "--n", "4", "--k", "3", "--out", str(out)], capsys)[0] == 0
+        preps["inf"] = out.read_text()
+        lp, inf = tmp_path / "lp.cnf", tmp_path / "inf.cnf"
+        lp.write_text("p cnf 4 3\n1 -2 0\n-1 2 0\n3 4 0\n")
+        inf.write_text("p cnf 4 2\n1 2 3 0\n-1 -2 -4 0\n")
+        return preps, {"lp3": lp, "lp5": lp, "inf": inf}
+
+    @staticmethod
+    def query(tmp_path, capsys, name, prep, cnf) -> tuple[int, str, str]:
+        """(exit code, stderr, --out text) of a query on the prep file prep."""
+        out = tmp_path / "q.json"
+        out.unlink(missing_ok=True)
+        action = "inf-query" if name == "inf" else "query"
+        code, _, err = run(["cvpp", action, "--prep", str(prep), "--cnf", str(cnf), "--out", str(out)], capsys)
+        return code, err, out.read_text() if out.exists() else None
+
+    def cold(self, tmp_path, capsys, preps, cnfs, name) -> str:
+        """The --out text of a query on prep `name` with an empty cache."""
+        path = tmp_path / f"cold-{name}.json"
+        path.write_text(preps[name])
+        cli._prep_texts.cache_clear()
+        code, _, text = self.query(tmp_path, capsys, name, path, cnfs[name])
+        assert code == 0
+        return text
+
+    def test_preps_in_turn_match_cold_runs(self, tmp_path, capsys, files):
+        preps, cnfs = files
+        cold = {name: self.cold(tmp_path, capsys, preps, cnfs, name) for name in preps}
+        assert len(set(cold.values())) == 3
+        cli._prep_texts.cache_clear()
+        for name in ["lp3", "lp3", "inf", "lp5", "lp3", "inf", "inf", "lp5"]:
+            path = tmp_path / f"{name}.json"
+            assert self.query(tmp_path, capsys, name, path, cnfs[name]) == (0, "", cold[name])
+
+    def test_prep_rewritten_in_place(self, tmp_path, capsys, files):
+        # same path and modification time, new text: the new prep's bytes
+        preps, cnfs = files
+        cold = {name: self.cold(tmp_path, capsys, preps, cnfs, name) for name in ("lp3", "lp5")}
+        assert cold["lp3"] != cold["lp5"]
+        path = tmp_path / "prep.json"
+        path.write_text(preps["lp3"])
+        assert self.query(tmp_path, capsys, "lp3", path, cnfs["lp3"]) == (0, "", cold["lp3"])
+        stat = os.stat(path)
+        path.write_text(preps["lp5"])
+        os.utime(path, ns=(stat.st_atime_ns, stat.st_mtime_ns))
+        assert self.query(tmp_path, capsys, "lp5", path, cnfs["lp5"]) == (0, "", cold["lp5"])
+        path.write_text(preps["lp3"])
+        assert self.query(tmp_path, capsys, "lp3", path, cnfs["lp3"]) == (0, "", cold["lp3"])
+
+    @pytest.mark.parametrize("edit, code, message", BAD_PREPS, ids=BAD_PREP_IDS)
+    def test_refusals_are_not_cached(self, tmp_path, capsys, monkeypatch, edit, code, message):
+        # an n=3, k=2 prep, as query_edited_prep builds
+        g, good, bad, cnf = (tmp_path / name for name in ("g.json", "good.json", "bad.json", "f.cnf"))
+        run(["gadget", "find", "--k", "3", "--p", "3", "--out", str(g)], capsys)
+        run(["cvpp", "prep", "--n", "3", "--k", "2", "--gadget", str(g), "--out", str(good)], capsys)
+        data = json.loads(good.read_text())
+        edit(data)
+        bad.write_text(json.dumps(data))
+        cnf.write_text("p cnf 3 2\n1 2 0\n-2 3 0\n")
+        want = self.query(tmp_path, capsys, "lp", good, cnf)
+        assert want[0] == 0
+        parse, parsed = serialize.cvpp_from_json, []
+        monkeypatch.setattr(serialize, "cvpp_from_json", lambda d: parsed.append(d) or parse(d))
+        for prep in (bad, bad, good, bad):
+            got, err, text = self.query(tmp_path, capsys, "lp", prep, cnf)
+            if prep == good:
+                assert (got, err, text) == want
+            else:
+                assert got == code and message in err and text is None
+        # each refused prep is parsed again, and none evicts the good one
+        assert len(parsed) == 3
+
+    def test_warm_query_parses_no_prep(self, tmp_path, capsys, files, monkeypatch):
+        preps, cnfs = files
+        path = tmp_path / "lp3.json"
+        want = self.query(tmp_path, capsys, "lp3", path, cnfs["lp3"])
+        assert want[0] == 0
+        monkeypatch.setattr(serialize, "cvpp_from_json", lambda d: pytest.fail("parsed the prep again"))
+        assert self.query(tmp_path, capsys, "lp3", path, cnfs["lp3"]) == want
+
+    def test_cached_arrays_are_read_only(self, tmp_path, capsys, files):
+        preps, cnfs = files
+        for name in preps:
+            path = tmp_path / f"{name}.json"
+            assert self.query(tmp_path, capsys, name, path, cnfs[name])[0] == 0
+            art, _, (blocks, _) = cli._prep_texts(preps[name])
+            assert cli._prep_texts.cache_info().hits >= 1
+            arrays = [art.block_columns, art.off_on, blocks]
+            if art.gadget is not None:
+                arrays += [art.gadget.V, art.gadget.t_on, art.gadget.t_off]
+            for a in arrays:
+                assert not a.flags.writeable
+                with pytest.raises(ValueError, match="read-only"):
+                    a[(0,) * a.ndim] = a[(0,) * a.ndim]
 
 
 class TestIdentitiesCommands:
@@ -402,7 +541,8 @@ class TestSharedParser:
 def query_edited_prep(tmp_path, capsys, monkeypatch, edit) -> tuple[int, str]:
     """(exit code, stderr) of a query on an n=3, k=2 prep after edit(prep
     document), with building the basis text made a failure."""
-    # n=3, k=2: M = 12 blocks of the k=3 gadget's 8 on-off rows, plus 3
+    # n=3, k=2: M = 12 blocks of the 5 live rows of the k=3 gadget's 8
+    # on-off rows, plus 3
     g, prep, cnf = tmp_path / "g.json", tmp_path / "prep.json", tmp_path / "f.cnf"
     run(["gadget", "find", "--k", "3", "--p", "3", "--out", str(g)], capsys)
     run(["cvpp", "prep", "--n", "3", "--k", "2", "--gadget", str(g), "--out", str(prep)], capsys)
@@ -554,28 +694,7 @@ class TestExitCodes:
         code, _, err = run(["gadget", "verify", "--in", str(path)], capsys)
         assert code == 2 and "usage error" in err
 
-    @pytest.mark.parametrize(
-        "edit, code, message",
-        [
-            (lambda d: d.update(schema="latgad-cvpp-prep-v1", block_rows=8, basis=[["0"] * 99] * 3), 2,
-             "expected schema latgad-cvpp-prep-v2, got 'latgad-cvpp-prep-v1'"),
-            (lambda d: d.update(k=4), 2, "need 1 <= k <= n, got n=3, k=4"),
-            (lambda d: d.update(k=1), 2, "gadget arity 2 does not match k=1"),
-            (lambda d: d.update(mode="l2"), 2, "unknown preprocessing mode 'l2'"),
-            (lambda d: d.pop("gadget"), 2, "lp preprocessing needs its on-off gadget"),
-            (lambda d: d.update(mode="inf"), 2, "inf preprocessing takes no gadget"),
-            (lambda d: d.update(n=200), 3, "basis of 637000x200 entries exceeds cap"),
-            (lambda d: d.update(n=4.9), 2, "bad integer 4.9"),
-            (lambda d: d.update(n=True), 2, "bad integer True"),
-            (lambda d: d.update(k=2.5), 2, "bad integer 2.5"),
-            (lambda d: d.update(k=True), 2, "bad integer True"),
-            (lambda d: d["gadget"].update(k=2.5), 2, "bad integer 2.5"),
-        ],
-        ids=[
-            "v1-prep", "k-above-n", "gadget-arity", "unknown-mode", "lp-without-gadget", "inf-with-gadget", "over-cap",
-            "n-fractional", "n-boolean", "k-fractional", "k-boolean", "gadget-k-fractional",
-        ],
-    )
+    @pytest.mark.parametrize("edit, code, message", BAD_PREPS, ids=BAD_PREP_IDS)
     def test_bad_prep_is_refused(self, tmp_path, capsys, monkeypatch, edit, code, message):
         got, err = query_edited_prep(tmp_path, capsys, monkeypatch, edit)
         assert got == code and message in err
@@ -630,10 +749,15 @@ class TestExitCodes:
 
     @pytest.mark.parametrize("text", [b"not json {", b"\xff\xfe{}"])
     def test_not_json_is_usage(self, tmp_path, capsys, text):
-        path = tmp_path / "g.json"
+        path, cnf, out = tmp_path / "g.json", tmp_path / "f.cnf", tmp_path / "q.json"
         path.write_bytes(text)
-        code, _, err = run(["gadget", "onoff", "--in", str(path)], capsys)
-        assert code == 2 and "not a JSON artifact" in err
+        cnf.write_text("p cnf 4 1\n1 2 3 0\n")
+        argvs = [["gadget", "onoff", "--in", str(path)]]
+        argvs += [["cvpp", action, "--prep", str(path), "--cnf", str(cnf), "--out", str(out)] for action in ("query", "inf-query")]
+        for argv in argvs:
+            code, _, err = run(argv, capsys)
+            assert code == 2 and f"{path} is not a JSON artifact" in err
+            assert not out.exists()
 
     @pytest.mark.parametrize(
         "argv",

@@ -1,4 +1,5 @@
 import hashlib
+import json
 import math
 import random
 from itertools import product
@@ -100,7 +101,7 @@ class TestSatToCvp:
         f = CspFormula(n=6, constraints=clauses)
         inst = reductions.sat_to_cvp(f, gadget)
         with monkeypatch.context() as patch:
-            patch.setattr(reductions, "_live_rows", lambda g: (g.V, g.t))
+            patch.setattr(reductions, "_live_rows", lambda V, *targets: (V, *targets))
             full = reductions.sat_to_cvp(f, gadget)
         assert full.d == 9 * gadget.d + 6 and inst.d == 9 * t.size + 6
         basis, target = without_zero_pairs(full)
@@ -123,7 +124,7 @@ class TestSatToCvp:
         f = CspFormula(n=5, constraints=constraints)
         inst, gamma = reductions.csp_to_cvp_gap(f, lattices, s=0.6, c=0.9)
         with monkeypatch.context() as patch:
-            patch.setattr(reductions, "_live_rows", lambda g: (g.V, g.t))
+            patch.setattr(reductions, "_live_rows", lambda V, *targets: (V, *targets))
             full, full_gamma = reductions.csp_to_cvp_gap(f, lattices, s=0.6, c=0.9)
         assert full.d == 8 * lattices[0].d and inst.d < full.d
         basis, target = without_zero_pairs(full)
@@ -325,6 +326,12 @@ class TestSatGapParams:
             reductions.sat_gap_params(1.0, 3, s=0.8, c=0.9)  # s must exceed 1 - 2^-k
 
 
+def onoff_live_rows(g) -> np.ndarray:
+    """The rows of the on-off gadget g that are nonzero in V, t_off or t_on:
+    the rows a CVPP clause block keeps."""
+    return np.any(g.V != 0, axis=1) | (g.t_off != 0) | (g.t_on != 0)
+
+
 class TestCvppFinite:
     def test_clause_table_rank_is_enumeration_order(self, onoff2):
         from itertools import combinations
@@ -348,7 +355,9 @@ class TestCvppFinite:
     def test_table_size(self, onoff2):
         art = reductions.cvpp_preprocess(6, 2, onoff2)
         assert art.M == 4 * math.comb(6, 2)
-        assert art.d == art.M * onoff2.d + 6
+        live = onoff_live_rows(onoff2)
+        assert 0 < live.sum() < onoff2.d
+        assert art.d == art.M * live.sum() + 6
 
     def test_n_equals_k(self, onoff2):
         art = reductions.cvpp_preprocess(2, 2, onoff2)
@@ -358,9 +367,11 @@ class TestCvppFinite:
         art = reductions.cvpp_preprocess(3, 2, onoff2)
         pos, mask = art.clause_position(Clause((-1, 2)))
         assert mask == 2  # first (sorted) literal negated
-        block = art.basis[pos * onoff2.d : (pos + 1) * onoff2.d]
-        assert np.allclose(block[:, 0], -onoff2.V[:, 0])
-        assert np.allclose(block[:, 1], onoff2.V[:, 1])
+        live = onoff_live_rows(onoff2)
+        rows = live.sum()
+        block = art.basis[pos * rows : (pos + 1) * rows]
+        assert np.allclose(block[:, 0], -onoff2.V[live, 0])
+        assert np.allclose(block[:, 1], onoff2.V[live, 1])
 
     def test_query_radius_full_table(self, onoff2):
         art = reductions.cvpp_preprocess(3, 2, onoff2)
@@ -467,3 +478,68 @@ class TestCvppMaxNorm:
         f = CspFormula(n=4, constraints=[Clause((1, 2, 3))], weights=[1])
         with pytest.raises(UnsupportedParametersError):
             reductions.cvpp_query(art, f)
+
+
+class TestInstanceRank:
+    """CvpInstance refuses a basis without full column rank; a finite basis
+    that ends in a nonsingular diagonal block needs no SVD to tell."""
+
+    @staticmethod
+    def instance(basis):
+        basis = np.asarray(basis, dtype=float)
+        return reductions.CvpInstance(p=2.0, basis=basis, target=np.ones(basis.shape[0]), radius=1.0)
+
+    @pytest.mark.parametrize(
+        "basis",
+        [
+            # a diagonal tail with a zero on its diagonal
+            [[1.0, 0.0], [2.0, 0.0], [3.0, 0.0], [0.0, 0.0]],
+            # a tail that is diagonal but for one entry, which repeats a column
+            [[1.0, 1.0], [2.0, 2.0], [1.0, 1.0], [0.0, 0.0]],
+            [[1.0, 1.0], [1.0, 1.0], [1.0, 1.0]],
+            # no tail at all: fewer rows than columns
+            [[1.0, 2.0, 3.0], [2.0, 4.0, 6.0]],
+            [[0.0, 0.0]],
+        ],
+    )
+    def test_rank_deficient_is_refused(self, basis):
+        assert np.linalg.matrix_rank(np.asarray(basis)) < len(basis[0])
+        with pytest.raises(InvalidInputError, match="full column rank"):
+            self.instance(basis)
+
+    def test_diagonal_tail_needs_no_svd(self, monkeypatch):
+        rank = np.linalg.matrix_rank
+        calls = []
+        monkeypatch.setattr(np.linalg, "matrix_rank", lambda M: calls.append(M.shape) or rank(M))
+        # a zero column above a nonzero diagonal still has full rank
+        self.instance([[5.0, 0.0], [7.0, 0.0], [-2.0, 0.0], [0.0, 1e-9]])
+        assert calls == []
+        # a tail that is not diagonal goes to the SVD
+        self.instance([[1.0, 2.0], [3.0, 4.0], [1.0, 0.0], [1.0, 1.0]])
+        self.instance([[1.0, 0.0], [0.0, 1.0], [1.0, 1.0]])
+        assert calls == [(4, 2), (3, 2)]
+        # so does a diagonal too small for the SVD to tell from zero, which
+        # it refuses as before
+        with pytest.raises(InvalidInputError, match="full column rank"):
+            self.instance([[5.0, 0.0], [7.0, 0.0], [-2.0, 0.0], [0.0, 1e-300]])
+        assert calls == [(4, 2), (3, 2), (4, 2)]
+
+    def test_padded_and_cvpp_paths_make_no_svd(self, monkeypatch, gadget3, onoff2):
+        monkeypatch.setattr(np.linalg, "matrix_rank", lambda M: pytest.fail("ran an SVD"))
+        f = random_3sat(6, 11, 5)
+        inst = reductions.sat_to_cvp(f, gadget3)
+        back = serialize.instance_from_json(json.loads(serialize.dumps(serialize.instance_to_json(inst))))
+        assert back.d == inst.d
+        art = reductions.cvpp_preprocess(4, 2, onoff2)
+        target, radius = reductions.cvpp_query(art, CspFormula(n=4, constraints=[Clause((1, -2))]))
+        reductions.CvpInstance(p=art.p, basis=art.basis, target=target, radius=radius)
+
+    def test_gap_path_checks_rank(self, monkeypatch, parity_lattices):
+        rank = np.linalg.matrix_rank
+        calls = []
+        monkeypatch.setattr(np.linalg, "matrix_rank", lambda M: calls.append(M.shape) or rank(M))
+        # the last block's identity rows cover variables 2..4 of 4, so the
+        # instance ends in no diagonal block
+        f = CspFormula(n=4, constraints=[XorConstraint((1, 2, 3), 0), XorConstraint((2, 3, 4), 1)])
+        inst, _ = reductions.csp_to_cvp_gap(f, [parity_lattices[0], parity_lattices[1]], s=0.6, c=0.9)
+        assert calls == [inst.basis.shape]

@@ -257,14 +257,17 @@ def loop_query(art, formula):
     """cvpp_query as a loop over the table entries, the reference for the
     vectorized target."""
     g, k = art.gadget, art.k
+    # the gadget's rows that are nonzero in V, t_on or t_off
+    live = np.any(g.V != 0, axis=1) | (g.t_on != 0) | (g.t_off != 0)
+    V, t_on, t_off, rows = g.V[live], g.t_on[live], g.t_off[live], np.count_nonzero(live)
     present = {art.clause_position(c)[0] for c in formula.constraints}
     W = formula.threshold if formula.threshold is not None else formula.m
-    mask_shift = [g.V[:, [s for s in range(k) if (mask >> (k - 1 - s)) & 1]].sum(axis=1) for mask in range(2**k)]
+    mask_shift = [V[:, [s for s in range(k) if (mask >> (k - 1 - s)) & 1]].sum(axis=1) for mask in range(2**k)]
     target = np.empty(art.d)
     row = 0
     for pos, (_, mask) in enumerate(reductions._iter_table(art.n, k)):
-        target[row : row + g.d] = (g.t_on if pos in present else g.t_off) - mask_shift[mask]
-        row += g.d
+        target[row : row + rows] = (t_on if pos in present else t_off) - mask_shift[mask]
+        row += rows
     q, m = g.p, formula.m
     alpha = art.M ** (1.0 / q) * (1.0 + g.eps)
     target[row:] = alpha
@@ -308,7 +311,7 @@ def assert_target_text(art, formula, mode, ref_target):
     """The target text a query writes is the compact JSON of formatting the
     reference target entry by entry."""
     present, _ = reductions.cvpp_table_query(art, formula, mode)
-    chunks = serialize.target_text(art, present)
+    chunks = serialize.target_text(serialize.target_block_texts(art), present)
     assert isinstance(chunks, tuple)
     assert "".join(chunks) == compact([serialize.fmt_real(x) for x in ref_target])
 
@@ -336,12 +339,19 @@ class TestCvppBasisText:
                     assert target.tobytes() == ref_target.tobytes() and radius == ref_radius
                     assert_target_text(back, f, "lp", ref_target)
 
-    def test_negated_zero_rows_print_minus_zero(self):
-        # the on-off gadget's zeroed class gives 0 entries, which a negated
-        # column writes as -0
-        art = reductions.cvpp_preprocess(3, 2, onoff(2, 3.0))
-        _, chunks = serialize.cvpp_from_json(serialize.cvpp_to_json(art))
-        assert '"-0"' in "".join(chunks) and np.signbit(art.basis[art.basis == 0]).any()
+    def test_no_zero_row_pair_is_left(self):
+        # the on-off gadget's zeroed class gives rows that are zero in V,
+        # t_off and t_on; the loaded prep's basis and targets have none
+        g = onoff(2, 3.0)
+        zero = np.all(g.V == 0, axis=1) & (g.t_off == 0) & (g.t_on == 0)
+        assert zero.sum() == 3
+        art = reductions.cvpp_preprocess(3, 2, g)
+        back, chunks = serialize.cvpp_from_json(serialize.cvpp_to_json(art))
+        basis = serialize.parse_columns(json.loads("".join(chunks)))
+        assert back.block_rows == g.d - 3 and basis.shape == (back.M * (g.d - 3) + 3, 3)
+        for present in (np.zeros(back.M, dtype=bool), np.ones(back.M, dtype=bool)):
+            target = back.target(present)
+            assert not np.any(np.all(basis == 0, axis=1) & (target == 0))
 
     @pytest.mark.parametrize("k", [1, 2, 3])
     def test_inf_matches_float_path(self, k):
@@ -398,17 +408,21 @@ class TestCanonColumns:
     def test_each_distinct_target_entry_formatted_once(self, monkeypatch):
         fmt_real = serialize.fmt_real
         for art in every_prep():
-            for f in random_queries(art.n, art.k, seed=[art.n, art.k]):
-                present, _ = reductions.cvpp_table_query(art, f, art.mode)
-                calls = []
-                with monkeypatch.context() as mp:
-                    mp.setattr(serialize, "fmt_real", lambda x: calls.append(x) or fmt_real(x))
-                    serialize.target_text(art, present)
-                # no value twice, every value of the target, and nothing but
-                # the values of its blocks and its tail
-                assert len(calls) == len(bit_patterns(calls))
-                assert bit_patterns(art.target(present)) <= bit_patterns(calls)
-                assert bit_patterns(calls) <= bit_patterns([*art.target_blocks.ravel(), art.target_tail])
+            calls = []
+            with monkeypatch.context() as mp:
+                mp.setattr(serialize, "fmt_real", lambda x: calls.append(x) or fmt_real(x))
+                blocks = serialize.target_block_texts(art)
+                for f in random_queries(art.n, art.k, seed=[art.n, art.k]):
+                    present, _ = reductions.cvpp_table_query(art, f, art.mode)
+                    before = len(calls)
+                    serialize.target_text(blocks, present)
+                    # a query gathers the block texts and formats nothing
+                    assert len(calls) == before
+                    assert bit_patterns(art.target(present)) <= bit_patterns(calls)
+            # no value twice, and nothing but the values of the blocks and
+            # the tail
+            assert len(calls) == len(bit_patterns(calls))
+            assert bit_patterns(calls) <= bit_patterns([*art.target_blocks.ravel(), art.target_tail])
 
 
 class TestCvppJson:
