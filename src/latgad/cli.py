@@ -2,6 +2,10 @@
 
 Data goes to stdout or --out; logs go to stderr.  Exit codes: 0 success or
 verification pass, 1 verification failure, 2 usage error, 3 resource limit.
+
+A process that runs many commands keeps the last gadget text and the last
+prep text that it read, each decoded once (`_gadget_text`, `_prep_texts`).
+No command puts its own output there, and a one-shot process gains nothing.
 """
 
 from __future__ import annotations
@@ -78,6 +82,19 @@ def _prep_texts(text: str):
     return art, basis, blocks
 
 
+@functools.lru_cache(maxsize=1)
+def _gadget_text(text: str):
+    """The gadget whose JSON text is `text`.  gadget-build's verify and onoff
+    read the same file, and every `reduce sat` of a run reads the same
+    gadget, so the last text read is decoded once per process; the key is
+    the whole text, never the path, and a refused gadget raises and is not
+    cached.  V and t are read-only, since every later read shares them."""
+    g = serialize.gadget_from_json(json.loads(text))
+    g.V.flags.writeable = False
+    g.t.flags.writeable = False
+    return g
+
+
 def _read(path: str) -> str:
     with open(path) as fh:
         return fh.read()
@@ -146,15 +163,15 @@ def _cmd_gadget(args, tol: Tolerance) -> int:
         _log(f"parity gadget k={g.k} p={g.p} bit={args.bit} eps={g.eps:.6g}")
         return EXIT_OK
     if args.action == "lattice":
-        g = serialize.gadget_from_json(_load_json(args.infile))
+        g = _decoded(args.infile, _gadget_text)
         _emit(serialize.gadget_to_json(gadgets.to_isolating_lattice(g)), args.out)
         return EXIT_OK
     if args.action == "onoff":
-        g = serialize.gadget_from_json(_load_json(args.infile))
+        g = _decoded(args.infile, _gadget_text)
         _emit(serialize.onoff_to_json(gadgets.to_on_off(g)), args.out)
         return EXIT_OK
     if args.action == "verify":
-        g = serialize.gadget_from_json(_load_json(args.infile))
+        g = _decoded(args.infile, _gadget_text)
         report = gadgets.verify_parallelepiped(g, tol)
         if g.kind == gadgets.KIND_LATTICE:
             lattice = oracle.verify_lattice_condition(g, args.box_radius, tol)
@@ -166,7 +183,7 @@ def _cmd_gadget(args, tol: Tolerance) -> int:
 def _cmd_reduce(args, tol: Tolerance) -> int:
     if args.action == "sat":
         formula = parse_dimacs(_read(args.cnf))
-        gadget = serialize.gadget_from_json(_load_json(args.gadget))
+        gadget = _decoded(args.gadget, _gadget_text)
         if args.mode == "padded":
             inst = reductions.sat_to_cvp(formula, gadget)
             gamma = None
@@ -216,7 +233,7 @@ def _cmd_cvpp(args, tol: Tolerance) -> int:
     if args.action in ("prep", "inf-prep"):
         onoff = None  # the max-norm prep needs no gadget
         if args.action == "prep":
-            onoff = gadgets.to_on_off(serialize.gadget_from_json(_load_json(args.gadget)))
+            onoff = gadgets.to_on_off(_decoded(args.gadget, _gadget_text))
         # the prep file holds the header alone: a query rebuilds the basis text from it
         art = reductions.cvpp_header(args.n, args.k, onoff)
         _emit(serialize.cvpp_to_json(art), args.out)

@@ -192,15 +192,3 @@ def parse_xor(text: str) -> CspFormula:
         raise InvalidInputError(f"problem line declares {m} constraints, found {len(constraints)}")
     return CspFormula(n=n, constraints=constraints)
 
-
-def to_dimacs(formula: CspFormula) -> str:
-    """Serialize a clause-only formula back to cnf/wcnf text."""
-    if not all(isinstance(c, Clause) for c in formula.constraints):
-        raise InvalidInputError("only clause formulas serialize to DIMACS cnf")
-    weighted = formula.weights is not None
-    kind = "wcnf" if weighted else "cnf"
-    out = [f"p {kind} {formula.n} {formula.m}"]
-    for i, c in enumerate(formula.constraints):
-        prefix = f"{formula.weights[i]} " if weighted else ""
-        out.append(prefix + " ".join(map(str, c.literals)) + " 0")
-    return "\n".join(out) + "\n"

@@ -30,21 +30,21 @@ MAX_BASIS_ENTRIES = 5 * 10**7
 MIN_WEIGHT_SEPARATION = 4 * DEFAULT_TOL.rel
 
 
-def _diagonal_tail(basis: np.ndarray) -> bool:
-    """Whether the last n rows of the d x n basis are a diagonal matrix whose
-    smallest entry clears np.linalg.matrix_rank's threshold, which certifies
-    full column rank without an SVD.  The basis's smallest singular value is
-    at least the tail's, the smallest diagonal entry, and its Frobenius norm
-    bounds the largest one, which sets that threshold.  Padded instances and
-    CVPP queries end in such a block."""
+def _singleton_rows_certify_rank(basis: np.ndarray) -> bool:
+    """Whether rows with a single nonzero entry certify the full column rank
+    of the d x n basis without an SVD: every column needs such a row, and the
+    smallest of the columns' largest such |entry| must clear
+    np.linalg.matrix_rank's threshold.  One such row per column forms a
+    diagonal submatrix, so the basis's smallest singular value is at least
+    that entry; sqrt(d n) times the largest |entry| bounds the largest one,
+    which sets the threshold, and unlike the Frobenius norm it cannot
+    underflow.  Padded instances end in 2 alpha I_n, CVPP queries in a
+    diagonal tail, and gap instances hold every variable's identity rows."""
     d, n = basis.shape
-    if d < n:
-        return False
-    tail = basis[d - n :]
-    diagonal = np.abs(np.diagonal(tail))
-    if np.count_nonzero(tail) != np.count_nonzero(diagonal):
-        return False
-    return bool(diagonal.min(initial=math.inf) > np.linalg.norm(basis) * d * np.finfo(float).eps)
+    singles = basis[np.count_nonzero(basis, axis=1) == 1]
+    smallest = np.abs(singles).max(axis=0, initial=0.0).min(initial=math.inf)
+    largest = np.abs(basis).max(initial=0.0)
+    return bool(smallest > largest * math.sqrt(d * n) * max(d, n) * np.finfo(float).eps)
 
 
 @dataclass(eq=False)
@@ -66,7 +66,7 @@ class CvpInstance:
             raise InvalidInputError("basis and target dimensions disagree")
         if not self.radius > 0:
             raise InvalidInputError("radius must be positive")
-        if not _diagonal_tail(self.basis) and np.linalg.matrix_rank(self.basis) != self.basis.shape[1]:
+        if not _singleton_rows_certify_rank(self.basis) and np.linalg.matrix_rank(self.basis) != self.basis.shape[1]:
             raise InvalidInputError("basis must have full column rank")
 
     @property
@@ -147,22 +147,36 @@ def sat_to_cvp(formula: CspFormula, gadget: IsolatingGadget) -> CvpInstance:
     # then sits at distance exactly r = n^(1/p) alpha (trivially satisfiable)
     alpha = max(total, 1) ** (1.0 / q) * (1.0 + eps)
     V, gadget_t = _live_rows(gadget.V, gadget.t)
-    blocks, targets = [], []
-    for i, clause in enumerate(formula.constraints):
-        w = formula.weight_of(i)
-        if w == 0:
-            continue
-        block, t = _clause_block(V, gadget_t, clause, n)
-        scale = w ** (1.0 / q)
-        blocks.append(scale * block)
-        targets.append(scale * t)
-    blocks.append(2.0 * alpha * np.eye(n))
-    targets.append(alpha * np.ones(n))
+    kept = [i for i in range(formula.m) if formula.weight_of(i) != 0]
+    # one d x n block and target per kept clause, then the padding; column s
+    # of every block is filled in one step, in literal order, so each entry
+    # is the same sum as _clause_block's and is scaled after it is summed
+    d, rows = gadget_t.size, len(kept) * gadget_t.size
+    basis = np.zeros((rows + n, n))
+    target = np.empty(rows + n)
+    blocks = basis[:rows].reshape(len(kept), d, n)
+    targets = target[:rows].reshape(len(kept), d)
+    targets[:] = gadget_t
+    literals = np.zeros((len(kept), worst), dtype=np.int64)
+    for j, i in enumerate(kept):
+        lits = formula.constraints[i].literals
+        literals[j, : len(lits)] = lits
+    for s in range(worst):
+        (used,) = np.nonzero(literals[:, s])
+        lit = literals[used, s]
+        col = V[:, s]
+        blocks[used, :, np.abs(lit) - 1] += np.where(lit > 0, 1.0, -1.0)[:, None] * col
+        targets[used[lit < 0]] -= col
+    scales = np.array([formula.weight_of(i) ** (1.0 / q) for i in kept])
+    blocks *= scales[:, None, None]
+    targets *= scales[:, None]
+    basis[rows + np.arange(n), np.arange(n)] = 2.0 * alpha
+    target[rows:] = alpha
     radius = (W + (total - W) * (1.0 + eps) ** q + n * alpha**q) ** (1.0 / q)
     return CvpInstance(
         p=q,
-        basis=np.vstack(blocks),
-        target=np.concatenate(targets),
+        basis=basis,
+        target=target,
         radius=radius,
         meta={
             "mode": "padded",

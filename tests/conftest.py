@@ -7,9 +7,11 @@ from latgad import cli
 
 
 @pytest.fixture(autouse=True)
-def empty_prep_cache():
-    """Each test starts with the CLI's prep cache empty, so a test that
-    watches a prep being parsed sees it parsed whatever ran before."""
+def empty_cli_caches():
+    """Each test starts with the CLI's gadget and prep caches empty, so a
+    test that watches a gadget or a prep being parsed sees it parsed
+    whatever ran before."""
+    cli._gadget_text.cache_clear()
     cli._prep_texts.cache_clear()
 
 

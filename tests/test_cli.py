@@ -449,6 +449,166 @@ class TestPrepCache:
                     a[(0,) * a.ndim] = a[(0,) * a.ndim]
 
 
+def gadget_edit(change):
+    """The text edit that applies change(document) to a gadget's JSON."""
+
+    def edit(text):
+        data = json.loads(text)
+        change(data)
+        return json.dumps(data)
+
+    return edit
+
+
+# gadget edits that every reading command refuses with exit 2: (edit of the
+# gadget's text, message on stderr)
+BAD_GADGETS = [
+    (lambda text: text[: len(text) // 2], "is not a JSON artifact"),
+    (gadget_edit(lambda d: d.update(schema="latgad-gadget-v0")), "expected schema latgad-gadget-v1"),
+    (gadget_edit(lambda d: d.pop("t")), "'t'"),
+    (gadget_edit(lambda d: d["V"][0].pop()), "differ in length"),
+    (gadget_edit(lambda d: d["t"].pop()), "gadget shape mismatch"),
+    (gadget_edit(lambda d: d.update(kind="cube")), "unknown gadget kind 'cube'"),
+    (gadget_edit(lambda d: d.update(kind="two-level", constraint={"type": "parity", "bit": 5})), "usage error"),
+]
+BAD_GADGET_IDS = ["not-json", "old-schema", "no-target", "ragged", "short-target", "unknown-kind", "bad-constraint"]
+
+
+class TestGadgetCache:
+    """A process keeps the last gadget it read, keyed on the file's text."""
+
+    CNF = "p cnf 4 4\n1 2 3 0\n-1 2 -4 0\n-2 3 4 0\n1 -3 4 0\n"
+
+    @pytest.fixture()
+    def files(self, tmp_path, capsys):
+        """Gadget texts by name (the k=3 isolating gadgets at p=3 and p=5, and
+        the k=3 parity lattice at p=1) and a formula that uses every
+        variable."""
+        texts = {}
+        for p in ("3", "5"):
+            g = tmp_path / f"g{p}.json"
+            assert run(["gadget", "find", "--k", "3", "--p", p, "--out", str(g)], capsys)[0] == 0
+            texts[f"g{p}"] = g.read_text()
+        par, lat = tmp_path / "par.json", tmp_path / "lat.json"
+        assert run(["gadget", "parity", "--k", "3", "--p", "1", "--bit", "1", "--out", str(par)], capsys)[0] == 0
+        assert run(["gadget", "lattice", "--in", str(par), "--out", str(lat)], capsys)[0] == 0
+        texts["lat"] = lat.read_text()
+        cnf = tmp_path / "f.cnf"
+        cnf.write_text(self.CNF)
+        return texts, cnf
+
+    @staticmethod
+    def commands(gadget, cnf) -> list[list[str]]:
+        """Every command that reads a gadget, each without its --out."""
+        sat = ["reduce", "sat", "--cnf", str(cnf), "--gadget", str(gadget)]
+        return [
+            ["gadget", "verify", "--in", str(gadget)],
+            ["gadget", "onoff", "--in", str(gadget)],
+            ["gadget", "lattice", "--in", str(gadget)],
+            sat,
+            [*sat, "--mode", "gap", "--s", "0.6", "--c", "0.9"],
+            ["cvpp", "prep", "--n", "4", "--k", "2", "--gadget", str(gadget)],
+        ]
+
+    @staticmethod
+    def outcome(tmp_path, capsys, argv) -> tuple:
+        """(exit code, stdout, stderr) of argv, and its --out text (None when
+        it writes none); verify takes no --out."""
+        out = tmp_path / "out.json"
+        out.unlink(missing_ok=True)
+        if argv[:2] != ["gadget", "verify"]:
+            argv = [*argv, "--out", str(out)]
+        return (*run(argv, capsys), out.read_text() if out.exists() else None)
+
+    def test_warm_runs_match_cold_runs(self, tmp_path, capsys, files):
+        texts, cnf = files
+        cold = {}
+        for name, text in texts.items():
+            path = tmp_path / f"cold-{name}.json"
+            path.write_text(text)
+            for i, argv in enumerate(self.commands(path, cnf)):
+                cli._gadget_text.cache_clear()
+                cold[name, i] = self.outcome(tmp_path, capsys, argv)
+        # the lattice is no isolating parallelepiped, so it has no on-off
+        # gadget and no prep; every other command writes its own bytes
+        passed = [c[1] + (c[3] or "") for c in cold.values() if c[0] == 0]
+        assert len(set(passed)) == len(passed) == len(cold) - 2
+        cli._gadget_text.cache_clear()
+        for name in ["g3", "g3", "lat", "g5", "g3", "lat", "lat", "g5"]:
+            for i, argv in enumerate(self.commands(tmp_path / f"{name}.json", cnf)):
+                assert self.outcome(tmp_path, capsys, argv) == cold[name, i], (name, argv)
+
+    def test_gadget_rewritten_in_place(self, tmp_path, capsys, files):
+        # same path and modification time, new text: the new gadget's bytes
+        texts, _ = files
+        want = {name: self.outcome(tmp_path, capsys, ["gadget", "onoff", "--in", str(tmp_path / f"{name}.json")])
+                for name in ("g3", "g5")}
+        assert want["g3"] != want["g5"]
+        path = tmp_path / "g.json"
+        path.write_text(texts["g3"])
+        onoff = ["gadget", "onoff", "--in", str(path)]
+        assert self.outcome(tmp_path, capsys, onoff) == want["g3"]
+        stat = os.stat(path)
+        path.write_text(texts["g5"])
+        os.utime(path, ns=(stat.st_atime_ns, stat.st_mtime_ns))
+        assert self.outcome(tmp_path, capsys, onoff) == want["g5"]
+        path.write_text(texts["g3"])
+        assert self.outcome(tmp_path, capsys, onoff) == want["g3"]
+
+    @pytest.mark.parametrize("edit, message", BAD_GADGETS, ids=BAD_GADGET_IDS)
+    def test_refusals_are_not_cached(self, tmp_path, capsys, monkeypatch, files, edit, message):
+        texts, cnf = files
+        good, bad = tmp_path / "g3.json", tmp_path / "bad.json"
+        bad.write_text(edit(texts["g3"]))
+        for argv in self.commands(bad, cnf):
+            got = self.outcome(tmp_path, capsys, argv)
+            assert got[0] == 2 and got[1] == "" and message in got[2] and got[3] is None, argv
+        want = [self.outcome(tmp_path, capsys, argv) for argv in self.commands(good, cnf)]
+        parse, parsed = serialize.gadget_from_json, []
+        monkeypatch.setattr(serialize, "gadget_from_json", lambda d: parsed.append(d) or parse(d))
+        for gadget in (bad, bad, good, bad):
+            for i, argv in enumerate(self.commands(gadget, cnf)):
+                got = self.outcome(tmp_path, capsys, argv)
+                if gadget == good:
+                    assert got == want[i]
+                else:
+                    assert got[0] == 2 and got[1] == "" and message in got[2] and got[3] is None, argv
+        # each refused gadget that is JSON is parsed again, and none evicts
+        # the good one
+        assert len(parsed) == (0 if "JSON artifact" in message else 3 * len(want))
+
+    def test_find_then_read_parses_once(self, tmp_path, capsys, files, monkeypatch):
+        texts, cnf = files
+        path = tmp_path / "g.json"
+        want = [self.outcome(tmp_path, capsys, argv) for argv in self.commands(tmp_path / "g5.json", cnf)]
+        cli._gadget_text.cache_clear()
+        parse, parsed = serialize.gadget_from_json, []
+        monkeypatch.setattr(serialize, "gadget_from_json", lambda d: parsed.append(d) or parse(d))
+        assert run(["gadget", "find", "--k", "3", "--p", "5", "--out", str(path)], capsys)[0] == 0
+        assert parsed == []
+        assert [self.outcome(tmp_path, capsys, argv) for argv in self.commands(path, cnf)] == want
+        assert len(parsed) == 1
+
+    def test_warm_onoff_parses_no_gadget(self, tmp_path, capsys, files, monkeypatch):
+        path = tmp_path / "g3.json"
+        want = self.outcome(tmp_path, capsys, ["gadget", "onoff", "--in", str(path)])
+        assert want[0] == 0
+        assert self.outcome(tmp_path, capsys, ["gadget", "verify", "--in", str(path)])[0] == 0
+        monkeypatch.setattr(serialize, "gadget_from_json", lambda d: pytest.fail("parsed the gadget again"))
+        assert self.outcome(tmp_path, capsys, ["gadget", "onoff", "--in", str(path)]) == want
+
+    def test_cached_arrays_are_read_only(self, tmp_path, capsys, files):
+        texts, _ = files
+        for name, text in texts.items():
+            assert run(["gadget", "verify", "--in", str(tmp_path / f"{name}.json")], capsys)[0] == 0
+            g = cli._gadget_text(text)
+            assert cli._gadget_text.cache_info().hits >= 1
+            for a in (g.V, g.t):
+                assert not a.flags.writeable
+                with pytest.raises(ValueError, match="read-only"):
+                    a[(0,) * a.ndim] = a[(0,) * a.ndim]
+
+
 class TestIdentitiesCommands:
     def test_skp(self, capsys):
         code, out, _ = run(["identities", "skp", "--k", "3", "--p", "1"], capsys)

@@ -3,7 +3,19 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from latgad.errors import InvalidInputError
-from latgad.formulas import Clause, CspFormula, XorConstraint, parse_dimacs, parse_xor, to_dimacs
+from latgad.formulas import Clause, CspFormula, XorConstraint, parse_dimacs, parse_xor
+
+
+def to_dimacs(formula: CspFormula) -> str:
+    """A clause formula as cnf text, or as wcnf text when it is weighted."""
+    weighted = formula.weights is not None
+    kind = "wcnf" if weighted else "cnf"
+    out = [f"p {kind} {formula.n} {formula.m}"]
+    for i, c in enumerate(formula.constraints):
+        prefix = f"{formula.weights[i]} " if weighted else ""
+        out.append(prefix + " ".join(map(str, c.literals)) + " 0")
+    return "\n".join(out) + "\n"
+
 
 CNF = """c a comment
 p cnf 4 3
@@ -46,6 +58,8 @@ class TestParsing:
     def test_round_trip(self):
         f = parse_dimacs(CNF)
         assert parse_dimacs(to_dimacs(f)).content_hash() == f.content_hash()
+        w = parse_dimacs(WCNF)
+        assert parse_dimacs(to_dimacs(w)).content_hash() == w.content_hash()
 
     def test_clause_count_mismatch(self):
         with pytest.raises(InvalidInputError):

@@ -132,6 +132,28 @@ class TestSatToCvp:
         assert not np.any(np.all(inst.basis == 0, axis=1) & (inst.target == 0))
         assert (inst.radius, gamma) == (full.radius, full_gamma)
 
+    @pytest.mark.parametrize("kind", ["isolating", "lattice"])
+    def test_padded_matches_block_by_block_assembly(self, gadget3, kind):
+        # each clause's block summed column by column in literal order and
+        # then scaled, as one block per clause stacks them: bit for bit,
+        # also for weights 0 and 4, repeated variables, x or not x, and
+        # clauses shorter than the gadget
+        gadget = gadget3 if kind == "isolating" else gadgets.to_isolating_lattice(gadget3)
+        V, t = live(gadget)
+        clauses = [(1, -2, 3), (2, 2), (-3, 3, 1), (-4,), (4, -1, -1), (-2, -3, -4), (1, 4)]
+        f = CspFormula(n=4, constraints=[Clause(c) for c in clauses], weights=[1, 4, 0, 2, 3, 1, 5])
+        inst = reductions.sat_to_cvp(f, gadget)
+        blocks, targets = [], []
+        for clause, w in zip(f.constraints, f.weights):
+            if w:
+                block, target = reductions._clause_block(V, t, clause, f.n)
+                blocks.append(w ** (1.0 / gadget.p) * block)
+                targets.append(w ** (1.0 / gadget.p) * target)
+        alpha = inst.meta["alpha"]
+        basis = np.vstack([*blocks, 2.0 * alpha * np.eye(f.n)])
+        target = np.concatenate([*targets, alpha * np.ones(f.n)])
+        assert inst.basis.tobytes() == basis.tobytes() and inst.target.tobytes() == target.tobytes()
+
     def test_alpha_and_radius_formulas(self, gadget3):
         f = random_3sat(5, 7, 3)
         inst = reductions.sat_to_cvp(f, gadget3)
@@ -482,7 +504,8 @@ class TestCvppMaxNorm:
 
 class TestInstanceRank:
     """CvpInstance refuses a basis without full column rank; a finite basis
-    that ends in a nonsingular diagonal block needs no SVD to tell."""
+    in which every column has a row of its own (a row whose only nonzero
+    entry is in that column) large enough for the SVD to tell needs no SVD."""
 
     @staticmethod
     def instance(basis):
@@ -513,16 +536,34 @@ class TestInstanceRank:
         monkeypatch.setattr(np.linalg, "matrix_rank", lambda M: calls.append(M.shape) or rank(M))
         # a zero column above a nonzero diagonal still has full rank
         self.instance([[5.0, 0.0], [7.0, 0.0], [-2.0, 0.0], [0.0, 1e-9]])
-        assert calls == []
-        # a tail that is not diagonal goes to the SVD
-        self.instance([[1.0, 2.0], [3.0, 4.0], [1.0, 0.0], [1.0, 1.0]])
+        # rows of their own certify their columns wherever they are
         self.instance([[1.0, 0.0], [0.0, 1.0], [1.0, 1.0]])
+        self.instance([[2.0, 3.0], [0.0, 4.0], [1.0, 1.0], [5.0, 0.0]])
+        # a column's largest such entry is the one that counts
+        self.instance([[5.0, 0.0], [0.0, 1e-300], [0.0, 3.0], [1.0, 1.0]])
+        assert calls == []
+        # a column with no row of its own goes to the SVD
+        self.instance([[1.0, 2.0], [3.0, 4.0], [1.0, 0.0], [1.0, 1.0]])
+        self.instance([[1.0, 0.0], [2.0, 0.0], [1.0, 1.0]])
         assert calls == [(4, 2), (3, 2)]
-        # so does a diagonal too small for the SVD to tell from zero, which
-        # it refuses as before
+        # so does a column whose only such entry is too small for the SVD to
+        # tell from zero, which it refuses as before
         with pytest.raises(InvalidInputError, match="full column rank"):
             self.instance([[5.0, 0.0], [7.0, 0.0], [-2.0, 0.0], [0.0, 1e-300]])
         assert calls == [(4, 2), (3, 2), (4, 2)]
+
+    def test_certificate_agrees_with_svd(self):
+        # sparse bases whose entries span the whole float range, subnormals too
+        rng = np.random.default_rng(5)
+        certified = 0
+        for _ in range(500):
+            d, n = int(rng.integers(1, 9)), int(rng.integers(1, 5))
+            mask = rng.random((d, n)) < 0.4
+            basis = rng.integers(-2, 3, size=(d, n)) * mask * 10.0 ** rng.integers(-320, 150, size=(d, n))
+            if reductions._singleton_rows_certify_rank(basis):
+                certified += 1
+                assert np.linalg.matrix_rank(basis) == n, basis
+        assert certified >= 50
 
     def test_padded_and_cvpp_paths_make_no_svd(self, monkeypatch, gadget3, onoff2):
         monkeypatch.setattr(np.linalg, "matrix_rank", lambda M: pytest.fail("ran an SVD"))
@@ -534,12 +575,15 @@ class TestInstanceRank:
         target, radius = reductions.cvpp_query(art, CspFormula(n=4, constraints=[Clause((1, -2))]))
         reductions.CvpInstance(p=art.p, basis=art.basis, target=target, radius=radius)
 
-    def test_gap_path_checks_rank(self, monkeypatch, parity_lattices):
+    def test_gap_path_checks_rank(self, monkeypatch, parity_lattices, gadget3):
+        # csp_to_cvp_gap refuses unused variables, and every used variable
+        # has a lattice's identity rows in some block, which certify the rank
         rank = np.linalg.matrix_rank
-        calls = []
-        monkeypatch.setattr(np.linalg, "matrix_rank", lambda M: calls.append(M.shape) or rank(M))
-        # the last block's identity rows cover variables 2..4 of 4, so the
-        # instance ends in no diagonal block
+        monkeypatch.setattr(np.linalg, "matrix_rank", lambda M: pytest.fail("ran an SVD"))
         f = CspFormula(n=4, constraints=[XorConstraint((1, 2, 3), 0), XorConstraint((2, 3, 4), 1)])
-        inst, _ = reductions.csp_to_cvp_gap(f, [parity_lattices[0], parity_lattices[1]], s=0.6, c=0.9)
-        assert calls == [inst.basis.shape]
+        parity, _ = reductions.csp_to_cvp_gap(f, [parity_lattices[0], parity_lattices[1]], s=0.6, c=0.9)
+        f = random_3sat(8, 30, 4)
+        lattice = gadgets.to_isolating_lattice(gadget3)
+        clauses, _ = reductions.csp_to_cvp_gap(f, [lattice] * f.m, s=0.6, c=0.9)
+        for inst in (parity, clauses):
+            assert rank(inst.basis) == inst.n
