@@ -26,6 +26,7 @@ class Clause:
     def arity(self) -> int:
         return len(self.literals)
 
+    @property
     def variables(self) -> tuple[int, ...]:
         return tuple(abs(lit) for lit in self.literals)
 
@@ -77,8 +78,7 @@ class CspFormula:
         for c in self.constraints:
             if not isinstance(c, (Clause, XorConstraint)):
                 raise InvalidInputError(f"unknown constraint object {c!r}")
-            vs = c.variables() if isinstance(c, Clause) else c.variables
-            bad = [v for v in vs if not 1 <= v <= self.n]
+            bad = [v for v in c.variables if not 1 <= v <= self.n]
             if bad:
                 raise InvalidInputError(f"variable index out of [1, {self.n}]: {bad}")
         if self.weights is not None:

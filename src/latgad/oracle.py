@@ -421,6 +421,13 @@ def max_sat_brute(formula: CspFormula) -> tuple[int, list[tuple[int, ...]]]:
     return best, assignments
 
 
+def _meta(inst: CvpInstance, *keys: str) -> list:
+    """The instance's meta values under keys, which its mode needs."""
+    if missing := [key for key in keys if key not in inst.meta]:
+        raise InvalidInputError(f"{inst.meta.get('mode')} instance meta lacks {', '.join(missing)}")
+    return [inst.meta[key] for key in keys]
+
+
 def validate_reduction(
     formula: CspFormula, inst: CvpInstance, box=None, tol: Tolerance = DEFAULT_TOL
 ) -> VerificationReport:
@@ -451,7 +458,7 @@ def validate_reduction(
             Condition("decision-agreement", dist_leq_r == (best >= W), abs(sol.distance - r))
         )
     elif mode in ("padded", "cvpp-lp"):
-        W = inst.meta["threshold"]
+        (W,) = _meta(inst, "threshold")
         expect_yes = best >= W
         conditions.append(
             Condition("decision-agreement", dist_leq_r == expect_yes, abs(sol.distance - r))
@@ -475,9 +482,9 @@ def validate_reduction(
                 )
             )
     elif mode == "gap":
-        if formula.weights is not None:
-            raise InvalidInputError("gap instances come from unweighted formulas")
-        s, c, gamma = inst.meta["s"], inst.meta["c"], inst.meta["gamma"]
+        if formula.weights is not None or formula.m == 0:
+            raise InvalidInputError("gap instances come from unweighted formulas with constraints")
+        s, c, gamma = _meta(inst, "s", "c", "gamma")
         val = best / formula.m
         if val >= c:
             conditions.append(

@@ -8,6 +8,11 @@ Preprocessing mode builds one basis per (n, k) that covers every possible
 k-clause and serves any number of query formulas.  All three keep only each
 gadget's live rows: a row that is zero in V and in every target adds
 |0 - 0|^p = 0 at every point, so dropping it leaves every distance as it is.
+
+All three place blocks by one rule, `_place_literals`: column s of the
+gadget goes on the variable of the constraint's s-th literal, and a negative
+literal negates it and subtracts it from the target.  A parity constraint's
+variables are positive literals; gadget columns past the arity stay unused.
 """
 
 from __future__ import annotations
@@ -86,21 +91,26 @@ def _live_rows(V: np.ndarray, *targets: np.ndarray) -> tuple[np.ndarray, ...]:
     return (V[live], *(t[live] for t in targets))
 
 
-def _clause_block(gadget_V: np.ndarray, gadget_t: np.ndarray, clause: Clause, n: int):
-    """Block matrix and shifted target for one clause: column s of the gadget
-    lands on the clause's s-th variable, negated literals flip the sign and
-    shift the target.  Unused gadget columns act as always-false literals."""
-    d = gadget_t.size
-    block = np.zeros((d, n))
-    t = gadget_t.copy()
-    for s, lit in enumerate(clause.literals):
-        col = gadget_V[:, s]
-        if lit > 0:
-            block[:, lit - 1] += col
-        else:
-            block[:, -lit - 1] -= col
-            t -= col
-    return block, t
+def _place_literals(V: np.ndarray, t: np.ndarray, literals: np.ndarray, blocks: np.ndarray, targets: np.ndarray):
+    """Fill the blocks (m x d x n, zero on entry) and targets (m x d) of the
+    m constraints whose literals, padded with 0, are the rows of literals:
+    one step per gadget column, so a repeated variable sums in literal order."""
+    targets[:] = t
+    for s in range(literals.shape[1]):
+        (used,) = np.nonzero(literals[:, s])
+        lit = literals[used, s]
+        col = V[:, s]
+        blocks[used, :, np.abs(lit) - 1] += np.where(lit > 0, 1.0, -1.0)[:, None] * col
+        targets[used[lit < 0]] -= col
+
+
+def _literal_matrix(constraints: list, width: int) -> np.ndarray:
+    """The constraints' literals, one row each, padded with 0 to width."""
+    literals = np.zeros((len(constraints), width), dtype=np.int64)
+    for j, constraint in enumerate(constraints):
+        lits = constraint.literals if isinstance(constraint, Clause) else constraint.variables
+        literals[j, : len(lits)] = lits
+    return literals
 
 
 def max_padded_weight(n: int, p, eps: float) -> float:
@@ -148,25 +158,12 @@ def sat_to_cvp(formula: CspFormula, gadget: IsolatingGadget) -> CvpInstance:
     alpha = max(total, 1) ** (1.0 / q) * (1.0 + eps)
     V, gadget_t = _live_rows(gadget.V, gadget.t)
     kept = [i for i in range(formula.m) if formula.weight_of(i) != 0]
-    # one d x n block and target per kept clause, then the padding; column s
-    # of every block is filled in one step, in literal order, so each entry
-    # is the same sum as _clause_block's and is scaled after it is summed
+    # one d x n block and target per kept clause, then the padding; each
+    # block is scaled after it is summed
     d, rows = gadget_t.size, len(kept) * gadget_t.size
-    basis = np.zeros((rows + n, n))
-    target = np.empty(rows + n)
-    blocks = basis[:rows].reshape(len(kept), d, n)
-    targets = target[:rows].reshape(len(kept), d)
-    targets[:] = gadget_t
-    literals = np.zeros((len(kept), worst), dtype=np.int64)
-    for j, i in enumerate(kept):
-        lits = formula.constraints[i].literals
-        literals[j, : len(lits)] = lits
-    for s in range(worst):
-        (used,) = np.nonzero(literals[:, s])
-        lit = literals[used, s]
-        col = V[:, s]
-        blocks[used, :, np.abs(lit) - 1] += np.where(lit > 0, 1.0, -1.0)[:, None] * col
-        targets[used[lit < 0]] -= col
+    basis, target = np.zeros((rows + n, n)), np.empty(rows + n)
+    blocks, targets = basis[:rows].reshape(len(kept), d, n), target[:rows].reshape(len(kept), d)
+    _place_literals(V, gadget_t, _literal_matrix([formula.constraints[i] for i in kept], worst), blocks, targets)
     scales = np.array([formula.weight_of(i) ** (1.0 / q) for i in kept])
     blocks *= scales[:, None, None]
     targets *= scales[:, None]
@@ -218,40 +215,38 @@ def csp_to_cvp_gap(
     eps = min(g.eps for g in lattices)
     if eps <= 0:
         raise InvalidInputError("gap reduction is vacuous with eps = 0")
-    used = set()
-    for constraint in formula.constraints:
-        used.update(constraint.variables() if isinstance(constraint, Clause) else constraint.variables)
+    used = set().union(*(constraint.variables for constraint in formula.constraints))
     if used != set(range(1, formula.n + 1)):
         missing = sorted(set(range(1, formula.n + 1)) - used)
         raise InvalidInputError(f"variables never used (basis would be rank deficient): {missing}")
-
-    n = formula.n
-    blocks, targets = [], []
     for constraint, gadget in zip(formula.constraints, lattices):
-        V, gadget_t = _live_rows(gadget.V, gadget.t)
-        if isinstance(constraint, Clause):
-            if constraint.arity > gadget.k:
-                raise InvalidInputError("clause arity exceeds its gadget arity")
-            block, t = _clause_block(V, gadget_t, constraint, n)
-        else:
-            if constraint.arity != gadget.k:
-                raise InvalidInputError("parity constraint arity must match its gadget arity")
-            block = np.zeros((gadget_t.size, n))
-            for pos, var in enumerate(constraint.variables):
-                block[:, var - 1] += V[:, pos]
-            t = gadget_t
-        blocks.append(block)
-        targets.append(t)
+        if isinstance(constraint, Clause) and constraint.arity > gadget.k:
+            raise InvalidInputError("clause arity exceeds its gadget arity")
+        if not isinstance(constraint, Clause) and constraint.arity != gadget.k:
+            raise InvalidInputError("parity constraint arity must match its gadget arity")
 
-    m = formula.m
+    # the constraints that share a lattice object (gadgets hash by identity)
+    # are placed together, then their rows are scattered in constraint order
+    n, m = formula.n, formula.m
+    literals = _literal_matrix(formula.constraints, max(g.k for g in lattices))
+    live = {gadget: _live_rows(gadget.V, gadget.t) for gadget in dict.fromkeys(lattices)}
+    sizes = np.array([live[gadget][1].size for gadget in lattices])
+    starts = np.cumsum(sizes) - sizes
+    basis, target = np.empty((sizes.sum(), n)), np.empty(sizes.sum())
+    for gadget, (V, t) in live.items():
+        members = [i for i, other in enumerate(lattices) if other is gadget]
+        blocks, targets = np.zeros((len(members), t.size, n)), np.empty((len(members), t.size))
+        _place_literals(V, t, literals[members, : V.shape[1]], blocks, targets)
+        rows = (starts[members][:, None] + np.arange(t.size)).ravel()
+        basis[rows], target[rows] = blocks.reshape(-1, n), targets.ravel()
+
     grow = (1.0 + eps) ** q
     radius = ((grow - c * (grow - 1.0)) * m) ** (1.0 / q)
-    shrink = 1.0 - 1.0 / grow
-    gamma = ((1.0 - s * shrink) / (1.0 - c * shrink)) ** (1.0 / q)
+    gamma = gamma_from_eps(q, eps, s, c)
     inst = CvpInstance(
         p=q,
-        basis=np.vstack(blocks),
-        target=np.concatenate(targets),
+        basis=basis,
+        target=target,
         radius=radius,
         meta={
             "mode": "gap",
@@ -442,13 +437,6 @@ class CvppArtifacts:
         return present
 
 
-def _iter_table(n: int, k: int):
-    """All (varset, mask) table entries in deterministic order."""
-    for varset in combinations(range(1, n + 1), k):
-        for mask in range(2**k):
-            yield varset, mask
-
-
 def cvpp_header(n: int, k: int, gadget: OnOffGadget | None) -> CvppArtifacts:
     """The prep of an on-off gadget of arity k, or the max-norm prep when
     gadget is None, without its basis.  Refuses k outside 1..n, and a basis
@@ -484,15 +472,17 @@ def cvpp_header(n: int, k: int, gadget: OnOffGadget | None) -> CvppArtifacts:
 
 
 def _with_basis(art: CvppArtifacts) -> CvppArtifacts:
-    """art with its float basis filled in."""
-    V, rows = art.block_columns, art.block_rows
-    basis = np.zeros((art.d, art.n))
-    for pos, (varset, mask) in enumerate(_iter_table(art.n, art.k)):
-        for s, var in enumerate(varset):
-            sign = -1.0 if (mask >> (art.k - 1 - s)) & 1 else 1.0
-            basis[pos * rows : (pos + 1) * rows, var - 1] = sign * V[:, s]
-    basis[art.M * rows :, :] = art.diagonal * np.eye(art.n)
-    art.basis = basis
+    """art with its float basis filled in: entry (varset, mask) of the table
+    is the clause on varset whose s-th literal is negated where mask bit
+    k-1-s is set."""
+    n, k, M, rows = art.n, art.k, art.M, art.block_rows
+    varsets = np.array(list(combinations(range(1, n + 1), k)), dtype=np.int64)
+    signs = 1 - 2 * ((np.arange(2**k)[:, None] >> np.arange(k - 1, -1, -1)) & 1)
+    literals = (varsets[:, None, :] * signs).reshape(M, k)
+    art.basis = np.zeros((art.d, n))
+    art.basis[M * rows :] = art.diagonal * np.eye(n)
+    blocks = art.basis[: M * rows].reshape(M, rows, n)
+    _place_literals(art.block_columns, art.off_on[0], literals, blocks, np.empty((M, rows)))
     return art
 
 

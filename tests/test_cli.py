@@ -814,6 +814,32 @@ class TestExitCodes:
         code, _, err = run(["oracle", "validate", "--cnf", str(wcnf), "--instance", str(inst)], capsys)
         assert code == 2 and "unweighted" in err, err
 
+    def test_gap_instance_against_formula_without_constraints_is_usage(self, tmp_path, capsys):
+        xor, cnf, inst = tmp_path / "f.xor", tmp_path / "f.cnf", tmp_path / "i.json"
+        xor.write_text("p xor 3 2\n3 1 2 3 0\n3 1 2 3 1\n")
+        cnf.write_text("p cnf 3 0\n")
+        reduce = ["reduce", "parity", "--xor", str(xor), "--p", "1.0", "--s", "0.6", "--c", "0.9"]
+        assert run(reduce + ["--out", str(inst)], capsys)[0] == 0
+        code, _, err = run(["oracle", "validate", "--cnf", str(cnf), "--instance", str(inst)], capsys)
+        assert code == 2 and "unweighted formulas with constraints" in err, err
+
+    @pytest.mark.parametrize(
+        "mode, key",
+        [("padded", "threshold"), ("gap", "s"), ("gap", "c"), ("gap", "gamma")],
+    )
+    def test_instance_meta_without_its_mode_key_is_usage(self, tmp_path, capsys, gadget, mode, key):
+        cnf, inst = tmp_path / "f.cnf", tmp_path / "i.json"
+        cnf.write_text("p cnf 2 2\n1 2 0\n-1 0\n")
+        reduce = ["reduce", "sat", "--cnf", str(cnf), "--gadget", str(gadget), "--mode", mode]
+        if mode == "gap":
+            reduce += ["--s", "0.4", "--c", "0.9"]
+        assert run(reduce + ["--out", str(inst)], capsys)[0] == 0
+        data = json.loads(inst.read_text())
+        del data["meta"][key]
+        inst.write_text(json.dumps(data))
+        code, _, err = run(["oracle", "validate", "--cnf", str(cnf), "--instance", str(inst)], capsys)
+        assert code == 2 and f"{mode} instance meta lacks {key}" in err, err
+
     def test_ragged_matrix_is_usage(self, gadget, capsys):
         data = json.loads(gadget.read_text())
         data["V"][0].pop()

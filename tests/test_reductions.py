@@ -53,6 +53,32 @@ def live(gadget):
     return gadget.V[keep], gadget.t[keep]
 
 
+def clause_block(gadget_V, gadget_t, clause, n):
+    """Block matrix and shifted target for one clause: column s of the gadget
+    lands on the clause's s-th variable, negated literals flip the sign and
+    shift the target.  Unused gadget columns act as always-false literals."""
+    d = gadget_t.size
+    block = np.zeros((d, n))
+    t = gadget_t.copy()
+    for s, lit in enumerate(clause.literals):
+        col = gadget_V[:, s]
+        if lit > 0:
+            block[:, lit - 1] += col
+        else:
+            block[:, -lit - 1] -= col
+            t -= col
+    return block, t
+
+
+def parity_block(gadget_V, gadget_t, constraint, n):
+    """Block matrix and target for one parity constraint: column s of the
+    gadget lands on its s-th variable, and the target is the gadget's."""
+    block = np.zeros((gadget_t.size, n))
+    for pos, var in enumerate(constraint.variables):
+        block[:, var - 1] += gadget_V[:, pos]
+    return block, gadget_t
+
+
 def without_zero_pairs(inst):
     keep = ~(np.all(inst.basis == 0, axis=1) & (inst.target == 0))
     return inst.basis[keep], inst.target[keep]
@@ -146,7 +172,7 @@ class TestSatToCvp:
         blocks, targets = [], []
         for clause, w in zip(f.constraints, f.weights):
             if w:
-                block, target = reductions._clause_block(V, t, clause, f.n)
+                block, target = clause_block(V, t, clause, f.n)
                 blocks.append(w ** (1.0 / gadget.p) * block)
                 targets.append(w ** (1.0 / gadget.p) * target)
         alpha = inst.meta["alpha"]
@@ -275,6 +301,49 @@ class TestGapReduction:
         grow = (1 + eps) ** 1.0
         shrink = 1 - 1 / grow
         assert gamma == pytest.approx((1 - 0.6 * shrink) / (1 - 0.9 * shrink))
+
+    def test_matches_block_by_block_assembly(self, parity_lattices):
+        # constraints on three interleaved lattice objects (parity bits 0 and
+        # 1, and a clause lattice of another size) are placed per object and
+        # scattered back: bit for bit the per-constraint blocks stacked in
+        # constraint order, also for short clauses, repeated variables and
+        # x or not x
+        clause_lattice = gadgets.to_isolating_lattice(gadgets.find_isolating_parallelepiped(4, 1.0))
+        constraints = [
+            XorConstraint((1, 2, 3), 0),
+            Clause((1, -2, 3)),
+            XorConstraint((2, 4, 5), 1),
+            Clause((2, 2)),
+            Clause((-3, 3, 1, -4)),
+            XorConstraint((1, 3, 5), 1),
+            Clause((-4,)),
+            XorConstraint((3, 4, 5), 0),
+            Clause((4, -1, -1)),
+            Clause((-2, -3, -4, 5)),
+            XorConstraint((1, 2, 4), 1),
+            Clause((1, 5)),
+        ]
+        lattices = [clause_lattice if isinstance(c, Clause) else parity_lattices[c.bit] for c in constraints]
+        assert live(clause_lattice)[1].size != live(parity_lattices[0])[1].size
+        f = CspFormula(n=5, constraints=constraints)
+        inst, _ = reductions.csp_to_cvp_gap(f, lattices, s=0.6, c=0.9)
+        blocks = [
+            (clause_block if isinstance(constraint, Clause) else parity_block)(*live(lattice), constraint, f.n)
+            for constraint, lattice in zip(constraints, lattices)
+        ]
+        basis, target = np.vstack([b for b, _ in blocks]), np.concatenate([t for _, t in blocks])
+        assert inst.basis.tobytes() == basis.tobytes() and inst.target.tobytes() == target.tobytes()
+
+    def test_clause_longer_than_its_lattice_rejected(self, parity_lattices):
+        f = CspFormula(n=4, constraints=[XorConstraint((1, 2, 3), 0), Clause((1, -2, 3, 4))])
+        with pytest.raises(InvalidInputError, match="clause arity exceeds its gadget arity"):
+            reductions.csp_to_cvp_gap(f, [parity_lattices[0]] * 2, s=0.6, c=0.9)
+
+    @pytest.mark.parametrize("variables", [(1, 2), (1, 2, 3, 4)], ids=["shorter", "longer"])
+    def test_parity_arity_other_than_its_lattice_rejected(self, parity_lattices, variables):
+        f = CspFormula(n=4, constraints=[XorConstraint(variables, 1), XorConstraint((2, 3, 4), 0)])
+        with pytest.raises(InvalidInputError, match="parity constraint arity must match its gadget arity"):
+            reductions.csp_to_cvp_gap(f, [parity_lattices[1], parity_lattices[0]], s=0.6, c=0.9)
 
     def test_unused_variable_rejected(self, parity_lattices):
         f = CspFormula(n=4, constraints=[XorConstraint((1, 2, 3), 0)])

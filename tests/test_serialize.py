@@ -2,6 +2,7 @@ import dataclasses
 import functools
 import json
 import math
+from itertools import combinations
 
 import numpy as np
 import pytest
@@ -253,6 +254,13 @@ def float_prep(art):
     return reductions.cvpp_preprocess(art.n, art.k, art.gadget)
 
 
+def iter_table(n: int, k: int):
+    """All (varset, mask) table entries in table order."""
+    for varset in combinations(range(1, n + 1), k):
+        for mask in range(2**k):
+            yield varset, mask
+
+
 def loop_query(art, formula):
     """cvpp_query as a loop over the table entries, the reference for the
     vectorized target."""
@@ -265,7 +273,7 @@ def loop_query(art, formula):
     mask_shift = [V[:, [s for s in range(k) if (mask >> (k - 1 - s)) & 1]].sum(axis=1) for mask in range(2**k)]
     target = np.empty(art.d)
     row = 0
-    for pos, (_, mask) in enumerate(reductions._iter_table(art.n, k)):
+    for pos, (_, mask) in enumerate(iter_table(art.n, k)):
         target[row : row + rows] = (t_on if pos in present else t_off) - mask_shift[mask]
         row += rows
     q, m = g.p, formula.m
@@ -280,7 +288,7 @@ def loop_inf_query(art, formula):
     k = art.k
     present = {art.clause_position(c)[0] for c in formula.constraints}
     target = np.empty(art.M + art.n)
-    for pos, (_, mask) in enumerate(reductions._iter_table(art.n, k)):
+    for pos, (_, mask) in enumerate(iter_table(art.n, k)):
         target[pos] = ((k + 1) / 2 if pos in present else k / 2) - bin(mask).count("1")
     target[art.M :] = k / 2
     return target, k / 2
@@ -292,7 +300,7 @@ def random_queries(n, k, seed, count=4):
     rng = np.random.default_rng(seed)
     table = [
         Clause(tuple(-v if (mask >> (k - 1 - s)) & 1 else v for s, v in enumerate(vs)))
-        for vs, mask in reductions._iter_table(n, k)
+        for vs, mask in iter_table(n, k)
     ]
     sizes = [0, len(table), *rng.integers(1, len(table) + 1, size=count - 2)]
     return [
