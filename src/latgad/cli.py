@@ -96,8 +96,12 @@ def _gadget_text(text: str):
 
 
 def _read(path: str) -> str:
+    """The text of path; bytes that are not UTF-8 are not a text input."""
     with open(path) as fh:
-        return fh.read()
+        try:
+            return fh.read()
+        except UnicodeDecodeError as exc:
+            raise InvalidInputError(f"{path} is not UTF-8 text: {exc}") from exc
 
 
 def _parse_box(text: str) -> tuple[int, int]:
@@ -239,16 +243,15 @@ def _cmd_cvpp(args, tol: Tolerance) -> int:
         _emit(serialize.cvpp_to_json(art), args.out)
         _log(f"prep basis {art.d}x{art.n}, {art.M} clause blocks")
         return EXIT_OK
-    if args.action in ("query", "inf-query"):
+    if args.action == "query":
         art, basis, blocks = _decoded(args.prep, _prep_texts)
         formula = parse_dimacs(_read(args.cnf))
         if args.w is not None:
             # through the constructor, which checks the threshold
             formula = dataclasses.replace(formula, threshold=args.w)
-        mode = "lp" if args.action == "query" else "inf"
-        present, radius = reductions.cvpp_table_query(art, formula, mode)
+        present, radius = reductions.cvpp_table_query(art, formula)
         meta = {
-            "mode": "cvpp-" + mode,
+            "mode": "cvpp-" + art.mode,
             "n": art.n,
             "k": art.k,
             "m": formula.m,
@@ -462,12 +465,11 @@ def build_parser() -> argparse.ArgumentParser:
     iprep.add_argument("--n", type=int, required=True)
     iprep.add_argument("--k", type=int, required=True)
     iprep.add_argument("--out")
-    for name in ("query", "inf-query"):
-        q = cva.add_parser(name)
-        q.add_argument("--prep", required=True)
-        q.add_argument("--cnf", required=True)
-        q.add_argument("--w", type=int)
-        q.add_argument("--out")
+    q = cva.add_parser("query")
+    q.add_argument("--prep", required=True)
+    q.add_argument("--cnf", required=True)
+    q.add_argument("--w", type=int)
+    q.add_argument("--out")
 
     o = sub.add_parser("oracle")
     oa = o.add_subparsers(dest="action", required=True)

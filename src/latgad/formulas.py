@@ -126,19 +126,25 @@ def _data_lines(text: str):
         yield line
 
 
+def _problem_line(lines: list[str], kinds: tuple[str, ...]) -> tuple[str, int, int]:
+    """(kind, n, m) of the problem line "p kind n m", which must be the
+    first data line and name one of kinds."""
+    if not lines or not lines[0].startswith("p"):
+        raise InvalidInputError("missing problem line")
+    header = lines[0].split()
+    if len(header) != 4 or header[1] not in kinds:
+        raise InvalidInputError(f"unsupported problem line: {lines[0]!r}")
+    try:
+        return header[1], int(header[2]), int(header[3])
+    except ValueError as exc:
+        raise InvalidInputError(f"bad problem line counts: {lines[0]!r}") from exc
+
+
 def parse_dimacs(text: str) -> CspFormula:
     """Parse DIMACS cnf or wcnf ("p cnf n m" / "p wcnf n m")."""
     lines = list(_data_lines(text))
-    if not lines or not lines[0].startswith("p"):
-        raise InvalidInputError("missing DIMACS problem line")
-    header = lines[0].split()
-    if len(header) != 4 or header[1] not in ("cnf", "wcnf"):
-        raise InvalidInputError(f"unsupported problem line: {lines[0]!r}")
-    weighted = header[1] == "wcnf"
-    try:
-        n, m = int(header[2]), int(header[3])
-    except ValueError as exc:
-        raise InvalidInputError(f"bad problem line counts: {lines[0]!r}") from exc
+    kind, n, m = _problem_line(lines, ("cnf", "wcnf"))
+    weighted = kind == "wcnf"
     tokens: list[int] = []
     try:
         for line in lines[1:]:
@@ -169,15 +175,7 @@ def parse_dimacs(text: str) -> CspFormula:
 def parse_xor(text: str) -> CspFormula:
     """Parse the parity format: "p xor n m" then lines "k i_1 ... i_k b"."""
     lines = list(_data_lines(text))
-    if not lines or not lines[0].startswith("p"):
-        raise InvalidInputError("missing problem line")
-    header = lines[0].split()
-    if len(header) != 4 or header[1] != "xor":
-        raise InvalidInputError(f"unsupported problem line: {lines[0]!r}")
-    try:
-        n, m = int(header[2]), int(header[3])
-    except ValueError as exc:
-        raise InvalidInputError(f"bad problem line counts: {lines[0]!r}") from exc
+    _, n, m = _problem_line(lines, ("xor",))
     constraints = []
     for line in lines[1:]:
         try:

@@ -452,17 +452,14 @@ def validate_reduction(
     conditions: list[Condition] = []
     dist_leq_r = sol.distance <= tol.ceiling(r)
 
-    if mode == "cvpp-inf":
-        W = inst.meta.get("threshold", formula.m)
+    if mode in ("padded", "cvpp-lp", "cvpp-inf"):
+        (W,) = _meta(inst, "threshold")
         conditions.append(
             Condition("decision-agreement", dist_leq_r == (best >= W), abs(sol.distance - r))
         )
-    elif mode in ("padded", "cvpp-lp"):
-        (W,) = _meta(inst, "threshold")
-        expect_yes = best >= W
-        conditions.append(
-            Condition("decision-agreement", dist_leq_r == expect_yes, abs(sol.distance - r))
-        )
+        if mode == "cvpp-inf":
+            # every falsifying assignment ties at one max-norm distance
+            return VerificationReport(conditions, tol)
         boolean_closest = sorted(z for z in sol.closest if all(v in (0, 1) for v in z))
         conditions.append(
             Condition(

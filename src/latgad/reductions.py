@@ -492,24 +492,22 @@ def cvpp_preprocess(n: int, k: int, gadget: OnOffGadget | None) -> CvppArtifacts
     return _with_basis(cvpp_header(n, k, gadget))
 
 
-def cvpp_table_query(artifacts: CvppArtifacts, formula: CspFormula, mode: str) -> tuple[np.ndarray, float]:
-    """(present, radius) for one formula against the fixed basis: which table
-    entries its clauses occupy, and the decision radius.  mode is the norm
-    the caller expects the prep to be built for, "lp" or "inf".
+def cvpp_table_query(artifacts: CvppArtifacts, formula: CspFormula) -> tuple[np.ndarray, float]:
+    """(present, radius) for one formula against the fixed basis, in the
+    prep's own norm: which table entries its clauses occupy, and the
+    decision radius.
 
     For the max norm the radius is k/2, which some point reaches iff the
     formula is satisfiable; that norm takes plain satisfiability only."""
-    if artifacts.mode != mode:
-        norm = "the max norm" if artifacts.mode == "inf" else "a finite norm"
-        raise InvalidInputError(f"artifacts were preprocessed for {norm}")
-    if mode == "inf" and (formula.weights is not None or formula.threshold is not None):
+    inf = artifacts.mode == "inf"
+    if inf and (formula.weights is not None or formula.threshold is not None):
         raise UnsupportedParametersError("max-norm preprocessing handles plain satisfiability only")
     if formula.weights is not None:
         raise UnsupportedParametersError(
             "weighted formulas are not expressible against a fixed clause table"
         )
     present = artifacts.present(formula)
-    if mode == "inf":
+    if inf:
         return present, artifacts.k / 2
     q = artifacts.p
     M, m = artifacts.M, formula.m
@@ -524,5 +522,5 @@ def cvpp_query(artifacts: CvppArtifacts, formula: CspFormula) -> tuple[np.ndarra
     """Target and radius for one formula against the fixed basis, in the
     prep's own norm: present clauses point at the on target, absent ones at
     the off target, both shifted by the clause's negated columns."""
-    present, radius = cvpp_table_query(artifacts, formula, artifacts.mode)
+    present, radius = cvpp_table_query(artifacts, formula)
     return artifacts.target(present), radius

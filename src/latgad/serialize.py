@@ -279,10 +279,18 @@ def instance_to_json(inst: CvpInstance) -> dict:
 
 def instance_from_json(d: dict) -> CvpInstance:
     _check(d, CVP_SCHEMA, "p", "basis", "target", "radius")
-    meta = dict(d.get("meta", {}))
-    for key in ("eps", "alpha", "gamma", "s", "c"):
-        if key in meta and isinstance(meta[key], str):
+    meta = d.get("meta", {})
+    if not isinstance(meta, dict):
+        raise InvalidInputError(f"instance meta must be an object, got {meta!r}")
+    meta = dict(meta)
+    # the oracle computes with gamma, s, c and threshold, so they must parse;
+    # it reads neither eps nor alpha, and a max-norm query writes "eps": null
+    for key in ("eps", "alpha"):
+        if isinstance(meta.get(key), str):
             meta[key] = parse_real(meta[key])
+    for key, parse in (("gamma", parse_real), ("s", parse_real), ("c", parse_real), ("threshold", _parse_int)):
+        if key in meta:
+            meta[key] = parse(meta[key])
     return CvpInstance(
         p=parse_pnorm(d["p"]),
         basis=parse_columns(d["basis"]),

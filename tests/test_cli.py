@@ -1,8 +1,11 @@
 import json
 import os
+import re
+import shlex
 import subprocess
 import sys
 import time
+from pathlib import Path
 
 import pytest
 
@@ -193,10 +196,11 @@ class TestCvppCommands:
         cnf.write_text("p cnf 4 2\n1 2 3 0\n-1 -2 -3 0\n")
         assert run(["cvpp", "inf-prep", "--n", "4", "--k", "3", "--out", str(prep)], capsys)[0] == 0
         assert run(
-            ["cvpp", "inf-query", "--prep", str(prep), "--cnf", str(cnf), "--out", str(inst)], capsys
+            ["cvpp", "query", "--prep", str(prep), "--cnf", str(cnf), "--out", str(inst)], capsys
         )[0] == 0
         data = json.loads(inst.read_text())
         assert data["p"] == "inf"
+        assert data["meta"]["mode"] == "cvpp-inf"
         assert float(data["radius"]) == 1.5
         code, out, _ = run(["oracle", "validate", "--cnf", str(cnf), "--instance", str(inst)], capsys)
         assert code == 0
@@ -228,7 +232,7 @@ def respelled(value):
 class TestCvppQueryBytes:
     @pytest.fixture()
     def preps(self, tmp_path, capsys):
-        """Preps by (action, n): lp at n=4, k=2 and, as the cvpp-serve
+        """Preps by (n, k): lp at n=4, k=2 and, as the cvpp-serve
         benchmark uses, n=10, k=3; inf at n=4, k=3."""
         g, g4 = tmp_path / "g.json", tmp_path / "g4.json"
         prep, prep10, iprep = tmp_path / "prep.json", tmp_path / "prep10.json", tmp_path / "iprep.json"
@@ -237,7 +241,7 @@ class TestCvppQueryBytes:
         assert run(["cvpp", "prep", "--n", "4", "--k", "2", "--gadget", str(g), "--out", str(prep)], capsys)[0] == 0
         assert run(["cvpp", "prep", "--n", "10", "--k", "3", "--gadget", str(g4), "--out", str(prep10)], capsys)[0] == 0
         assert run(["cvpp", "inf-prep", "--n", "4", "--k", "3", "--out", str(iprep)], capsys)[0] == 0
-        return {("query", 4): prep, ("query", 10): prep10, ("inf-query", 4): iprep}
+        return {(4, 2): prep, (10, 3): prep10, (4, 3): iprep}
 
     @pytest.mark.parametrize("respell", [False, True])
     @pytest.mark.parametrize(
@@ -245,18 +249,19 @@ class TestCvppQueryBytes:
         [
             ("query", "p cnf 4 2\n1 2 0\n-3 4 0\n"),
             ("query", "p cnf 4 3\n1 -2 0\n-1 2 0\n3 4 0\n"),
-            ("inf-query", "p cnf 4 2\n1 2 3 0\n-1 -2 -3 0\n"),
-            ("inf-query", "p cnf 4 1\n-2 3 -4 0\n"),
+            ("query", "p cnf 4 2\n1 2 3 0\n-1 -2 -3 0\n"),
+            ("query", "p cnf 4 1\n-2 3 -4 0\n"),
             ("query", "p cnf 10 4\n1 2 3 0\n-4 5 -6 0\n-7 -8 -9 0\n2 -5 10 0\n"),
         ],
     )
     def test_matches_parse_and_format(self, tmp_path, capsys, preps, action, cnf, respell):
-        prep = preps[action, int(cnf.split()[2])]
+        # the prep whose n is the formula's and whose k is its clause width
+        prep = preps[int(cnf.split()[2]), len(cnf.splitlines()[1].split()) - 1]
         prep_doc = json.loads(prep.read_text())
         if respell:
             # the gadget's entries respelled, the document indented: the
             # query reads values, so its bytes do not move
-            if action == "query":
+            if prep_doc["mode"] == "lp":
                 gadget = prep_doc["gadget"]
                 for key in ("V", "t_on", "t_off"):
                     gadget[key] = respelled(gadget[key])
@@ -281,7 +286,7 @@ class TestCvppQueryBytes:
         monkeypatch.setattr(serialize, "fmt_columns", lambda M: pytest.fail("formatted a matrix"))
         f, q = tmp_path / "f.cnf", tmp_path / "q.json"
         f.write_text("p cnf 4 1\n1 2 0\n")
-        assert run(["cvpp", "query", "--prep", str(preps["query", 4]), "--cnf", str(f), "--out", str(q)], capsys)[0] == 0
+        assert run(["cvpp", "query", "--prep", str(preps[4, 2]), "--cnf", str(f), "--out", str(q)], capsys)[0] == 0
         assert shapes == [(8, 2)]
 
     def test_prep_builds_no_basis(self, tmp_path, capsys, monkeypatch):
@@ -361,12 +366,11 @@ class TestPrepCache:
         return preps, {"lp3": lp, "lp5": lp, "inf": inf}
 
     @staticmethod
-    def query(tmp_path, capsys, name, prep, cnf) -> tuple[int, str, str]:
+    def query(tmp_path, capsys, prep, cnf) -> tuple[int, str, str]:
         """(exit code, stderr, --out text) of a query on the prep file prep."""
         out = tmp_path / "q.json"
         out.unlink(missing_ok=True)
-        action = "inf-query" if name == "inf" else "query"
-        code, _, err = run(["cvpp", action, "--prep", str(prep), "--cnf", str(cnf), "--out", str(out)], capsys)
+        code, _, err = run(["cvpp", "query", "--prep", str(prep), "--cnf", str(cnf), "--out", str(out)], capsys)
         return code, err, out.read_text() if out.exists() else None
 
     def cold(self, tmp_path, capsys, preps, cnfs, name) -> str:
@@ -374,7 +378,7 @@ class TestPrepCache:
         path = tmp_path / f"cold-{name}.json"
         path.write_text(preps[name])
         cli._prep_texts.cache_clear()
-        code, _, text = self.query(tmp_path, capsys, name, path, cnfs[name])
+        code, _, text = self.query(tmp_path, capsys, path, cnfs[name])
         assert code == 0
         return text
 
@@ -385,7 +389,7 @@ class TestPrepCache:
         cli._prep_texts.cache_clear()
         for name in ["lp3", "lp3", "inf", "lp5", "lp3", "inf", "inf", "lp5"]:
             path = tmp_path / f"{name}.json"
-            assert self.query(tmp_path, capsys, name, path, cnfs[name]) == (0, "", cold[name])
+            assert self.query(tmp_path, capsys, path, cnfs[name]) == (0, "", cold[name])
 
     def test_prep_rewritten_in_place(self, tmp_path, capsys, files):
         # same path and modification time, new text: the new prep's bytes
@@ -394,13 +398,13 @@ class TestPrepCache:
         assert cold["lp3"] != cold["lp5"]
         path = tmp_path / "prep.json"
         path.write_text(preps["lp3"])
-        assert self.query(tmp_path, capsys, "lp3", path, cnfs["lp3"]) == (0, "", cold["lp3"])
+        assert self.query(tmp_path, capsys, path, cnfs["lp3"]) == (0, "", cold["lp3"])
         stat = os.stat(path)
         path.write_text(preps["lp5"])
         os.utime(path, ns=(stat.st_atime_ns, stat.st_mtime_ns))
-        assert self.query(tmp_path, capsys, "lp5", path, cnfs["lp5"]) == (0, "", cold["lp5"])
+        assert self.query(tmp_path, capsys, path, cnfs["lp5"]) == (0, "", cold["lp5"])
         path.write_text(preps["lp3"])
-        assert self.query(tmp_path, capsys, "lp3", path, cnfs["lp3"]) == (0, "", cold["lp3"])
+        assert self.query(tmp_path, capsys, path, cnfs["lp3"]) == (0, "", cold["lp3"])
 
     @pytest.mark.parametrize("edit, code, message", BAD_PREPS, ids=BAD_PREP_IDS)
     def test_refusals_are_not_cached(self, tmp_path, capsys, monkeypatch, edit, code, message):
@@ -412,12 +416,12 @@ class TestPrepCache:
         edit(data)
         bad.write_text(json.dumps(data))
         cnf.write_text("p cnf 3 2\n1 2 0\n-2 3 0\n")
-        want = self.query(tmp_path, capsys, "lp", good, cnf)
+        want = self.query(tmp_path, capsys, good, cnf)
         assert want[0] == 0
         parse, parsed = serialize.cvpp_from_json, []
         monkeypatch.setattr(serialize, "cvpp_from_json", lambda d: parsed.append(d) or parse(d))
         for prep in (bad, bad, good, bad):
-            got, err, text = self.query(tmp_path, capsys, "lp", prep, cnf)
+            got, err, text = self.query(tmp_path, capsys, prep, cnf)
             if prep == good:
                 assert (got, err, text) == want
             else:
@@ -428,16 +432,16 @@ class TestPrepCache:
     def test_warm_query_parses_no_prep(self, tmp_path, capsys, files, monkeypatch):
         preps, cnfs = files
         path = tmp_path / "lp3.json"
-        want = self.query(tmp_path, capsys, "lp3", path, cnfs["lp3"])
+        want = self.query(tmp_path, capsys, path, cnfs["lp3"])
         assert want[0] == 0
         monkeypatch.setattr(serialize, "cvpp_from_json", lambda d: pytest.fail("parsed the prep again"))
-        assert self.query(tmp_path, capsys, "lp3", path, cnfs["lp3"]) == want
+        assert self.query(tmp_path, capsys, path, cnfs["lp3"]) == want
 
     def test_cached_arrays_are_read_only(self, tmp_path, capsys, files):
         preps, cnfs = files
         for name in preps:
             path = tmp_path / f"{name}.json"
-            assert self.query(tmp_path, capsys, name, path, cnfs[name])[0] == 0
+            assert self.query(tmp_path, capsys, path, cnfs[name])[0] == 0
             art, _, (blocks, _) = cli._prep_texts(preps[name])
             assert cli._prep_texts.cache_info().hits >= 1
             arrays = [art.block_columns, art.off_on, blocks]
@@ -840,6 +844,55 @@ class TestExitCodes:
         code, _, err = run(["oracle", "validate", "--cnf", str(cnf), "--instance", str(inst)], capsys)
         assert code == 2 and f"{mode} instance meta lacks {key}" in err, err
 
+    def test_max_norm_query_without_threshold_is_usage(self, tmp_path, capsys):
+        cnf, prep, inst = tmp_path / "f.cnf", tmp_path / "iprep.json", tmp_path / "q.json"
+        cnf.write_text("p cnf 3 1\n1 2 0\n")
+        assert run(["cvpp", "inf-prep", "--n", "3", "--k", "2", "--out", str(prep)], capsys)[0] == 0
+        assert run(["cvpp", "query", "--prep", str(prep), "--cnf", str(cnf), "--out", str(inst)], capsys)[0] == 0
+        data = json.loads(inst.read_text())
+        del data["meta"]["threshold"]
+        inst.write_text(json.dumps(data))
+        code, _, err = run(["oracle", "validate", "--cnf", str(cnf), "--instance", str(inst)], capsys)
+        assert code == 2 and "cvpp-inf instance meta lacks threshold" in err, err
+
+    @pytest.mark.parametrize(
+        "mode, edit, message",
+        [
+            ("padded", lambda d: d.update(meta=["padded"]), "instance meta must be an object"),
+            ("padded", lambda d: d.update(meta="padded"), "instance meta must be an object"),
+            ("padded", lambda d: d["meta"].update(threshold=None), "bad integer None"),
+            ("padded", lambda d: d["meta"].update(threshold=True), "bad integer True"),
+            ("padded", lambda d: d["meta"].update(threshold="2.5"), "bad integer '2.5'"),
+            ("gap", lambda d: d["meta"].update(s=None), "bad decimal string None"),
+            ("gap", lambda d: d["meta"].update(gamma=[2]), "bad decimal string [2]"),
+        ],
+        ids=["meta-list", "meta-string", "threshold-null", "threshold-boolean", "threshold-fraction", "s-null", "gamma-list"],
+    )
+    def test_malformed_instance_meta_is_usage(self, tmp_path, capsys, gadget, mode, edit, message):
+        cnf, inst = tmp_path / "f.cnf", tmp_path / "i.json"
+        cnf.write_text("p cnf 2 2\n1 2 0\n-1 0\n")
+        reduce = ["reduce", "sat", "--cnf", str(cnf), "--gadget", str(gadget), "--mode", mode]
+        if mode == "gap":
+            reduce += ["--s", "0.4", "--c", "0.9"]
+        assert run(reduce + ["--out", str(inst)], capsys)[0] == 0
+        data = json.loads(inst.read_text())
+        edit(data)
+        inst.write_text(json.dumps(data))
+        code, _, err = run(["oracle", "validate", "--cnf", str(cnf), "--instance", str(inst)], capsys)
+        assert code == 2 and message in err, err
+
+    def test_threshold_string_is_read_as_integer(self, tmp_path, capsys, gadget):
+        cnf, inst = tmp_path / "f.cnf", tmp_path / "i.json"
+        cnf.write_text("p cnf 2 2\n1 2 0\n-1 0\n")
+        assert run(["reduce", "sat", "--cnf", str(cnf), "--gadget", str(gadget), "--out", str(inst)], capsys)[0] == 0
+        validate = ["oracle", "validate", "--cnf", str(cnf), "--instance", str(inst)]
+        want = run(validate, capsys)
+        data = json.loads(inst.read_text())
+        data["meta"]["threshold"] = str(data["meta"]["threshold"])
+        inst.write_text(json.dumps(data))
+        assert run(validate, capsys) == want
+        assert want[0] == 0
+
     def test_ragged_matrix_is_usage(self, gadget, capsys):
         data = json.loads(gadget.read_text())
         data["V"][0].pop()
@@ -911,24 +964,23 @@ class TestExitCodes:
 
     # each is refused after the prep loads, and before --out is opened
     @pytest.mark.parametrize(
-        "action, prep, cnf, extra, message",
+        "prep, cnf, extra, message",
         [
-            ("query", "prep", "p cnf 4 2\n1 -2 0\n-2 1 0\n", [], "duplicate clause"),
-            ("query", "prep", "p cnf 4 1\n1 2 3 0\n", [], "table holds 2-clauses, got arity 3"),
-            ("query", "iprep", "p cnf 4 1\n1 2 3 0\n", [], "preprocessed for the max norm"),
-            ("query", "prep", "p cnf 4 2\n1 2 0\n-3 4 0\n", ["--w", "-3"], "threshold must lie in [0, total weight]"),
-            ("query", "prep", "p cnf 4 2\n1 2 0\n-3 4 0\n", ["--w", "1000"], "threshold must lie in [0, total weight]"),
-            ("inf-query", "iprep", "p cnf 4 1\n1 2 3 0\n", ["--w", "1000"], "threshold must lie in [0, total weight]"),
+            ("prep", "p cnf 4 2\n1 -2 0\n-2 1 0\n", [], "duplicate clause"),
+            ("prep", "p cnf 4 1\n1 2 3 0\n", [], "table holds 2-clauses, got arity 3"),
+            ("prep", "p cnf 4 2\n1 2 0\n-3 4 0\n", ["--w", "-3"], "threshold must lie in [0, total weight]"),
+            ("prep", "p cnf 4 2\n1 2 0\n-3 4 0\n", ["--w", "1000"], "threshold must lie in [0, total weight]"),
+            ("iprep", "p cnf 4 1\n1 2 3 0\n", ["--w", "1000"], "threshold must lie in [0, total weight]"),
         ],
-        ids=["duplicate-clause", "wrong-arity", "lp-on-inf-prep", "w-negative", "w-above-m", "inf-w-above-m"],
+        ids=["duplicate-clause", "wrong-arity", "w-negative", "w-above-m", "inf-w-above-m"],
     )
-    def test_refused_query_writes_no_file(self, tmp_path, capsys, action, prep, cnf, extra, message):
+    def test_refused_query_writes_no_file(self, tmp_path, capsys, prep, cnf, extra, message):
         g, f, out = tmp_path / "g.json", tmp_path / "f.cnf", tmp_path / "q.json"
         run(["gadget", "find", "--k", "3", "--p", "3", "--out", str(g)], capsys)
         run(["cvpp", "prep", "--n", "4", "--k", "2", "--gadget", str(g), "--out", str(tmp_path / "prep.json")], capsys)
         run(["cvpp", "inf-prep", "--n", "4", "--k", "3", "--out", str(tmp_path / "iprep.json")], capsys)
         f.write_text(cnf)
-        argv = ["cvpp", action, "--prep", str(tmp_path / f"{prep}.json"), "--cnf", str(f), *extra, "--out", str(out)]
+        argv = ["cvpp", "query", "--prep", str(tmp_path / f"{prep}.json"), "--cnf", str(f), *extra, "--out", str(out)]
         code, _, err = run(argv, capsys)
         assert code == 2 and message in err
         assert not out.exists()
@@ -938,9 +990,10 @@ class TestExitCodes:
         path, cnf, out = tmp_path / "g.json", tmp_path / "f.cnf", tmp_path / "q.json"
         path.write_bytes(text)
         cnf.write_text("p cnf 4 1\n1 2 3 0\n")
-        argvs = [["gadget", "onoff", "--in", str(path)]]
-        argvs += [["cvpp", action, "--prep", str(path), "--cnf", str(cnf), "--out", str(out)] for action in ("query", "inf-query")]
-        for argv in argvs:
+        for argv in (
+            ["gadget", "onoff", "--in", str(path)],
+            ["cvpp", "query", "--prep", str(path), "--cnf", str(cnf), "--out", str(out)],
+        ):
             code, _, err = run(argv, capsys)
             assert code == 2 and f"{path} is not a JSON artifact" in err
             assert not out.exists()
@@ -961,6 +1014,33 @@ class TestExitCodes:
         argv = [a.format(bad=bad, good=good) for a in argv]
         code, _, err = run(argv, capsys)
         assert code == 2 and "not a hex bitstring" in err
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["reduce", "sat", "--cnf", "{bad}", "--gadget", "{gadget}", "--out", "{out}"],
+            ["reduce", "parity", "--xor", "{bad}", "--p", "1", "--s", "0.6", "--c", "0.9", "--out", "{out}"],
+            ["oracle", "validate", "--cnf", "{bad}", "--instance", "{inst}"],
+            ["cvpp", "query", "--prep", "{prep}", "--cnf", "{bad}", "--out", "{out}"],
+            ["cubes", "find", "--in", "{bad}", "--dim", "1", "--out", "{out}"],
+            ["clauses", "isolate", "--in", "{bad}", "--k", "1", "--out", "{out}"],
+            ["clauses", "separate", "--s-in", "{bad}", "--t-in", "{points}", "--out", "{out}"],
+            ["clauses", "separate", "--s-in", "{points}", "--t-in", "{bad}", "--out", "{out}"],
+        ],
+        ids=["reduce-sat", "reduce-parity", "oracle-validate", "cvpp-query", "cubes-find", "clauses-isolate", "separate-s", "separate-t"],
+    )
+    def test_non_utf8_text_is_usage(self, tmp_path, capsys, gadget, argv):
+        files = {name: tmp_path / name for name in ("bad", "good.cnf", "points", "inst", "prep", "out")}
+        files["bad"].write_bytes(b"\xff\xfe p cnf 3 1\n1 2 3 0\n")
+        files["good.cnf"].write_text("p cnf 3 2\n1 2 0\n-2 3 0\n")
+        files["points"].write_text("00\n03\n")
+        reduce = ["reduce", "sat", "--cnf", str(files["good.cnf"]), "--gadget", str(gadget), "--out", str(files["inst"])]
+        assert run(reduce, capsys)[0] == 0
+        assert run(["cvpp", "inf-prep", "--n", "3", "--k", "2", "--out", str(files["prep"])], capsys)[0] == 0
+        argv = [a.format(gadget=gadget, **files) for a in argv]
+        code, _, err = run(argv, capsys)
+        assert code == 2 and f"usage error: {files['bad']} is not UTF-8 text" in err, err
+        assert not files["out"].exists()
 
     @pytest.mark.parametrize("grid", ["a:2:3", "1:2", "1:2:-3", "1:2:x", "1:2:3:4"])
     def test_bad_grid_is_usage(self, capsys, grid):
@@ -984,3 +1064,21 @@ def test_cli_import_leaves_scipy_unloaded():
         text=True,
     )
     assert proc.stdout.strip() == "False", proc.stderr
+
+
+def readme_command_lines() -> list[str]:
+    """The `latgad ...` lines of README's code blocks."""
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    blocks = re.findall(r"^```\n(.*?)^```", readme, flags=re.S | re.M)
+    return [ln for block in blocks for ln in block.splitlines() if ln.startswith("latgad ")]
+
+
+def test_readme_command_lines_parse(capsys):
+    # parsed, never run: a deleted command or option must leave the docs too
+    lines = readme_command_lines()
+    assert len(lines) >= 10
+    for line in lines:
+        try:
+            cli.build_parser().parse_args(shlex.split(line)[1:])
+        except SystemExit:
+            pytest.fail(f"README line does not parse: {line}\n{capsys.readouterr().err}")

@@ -315,10 +315,10 @@ def onoff(k: int, p: float):
     return gadgets.to_on_off(gadgets.find_isolating_parallelepiped(k + 1, p))
 
 
-def assert_target_text(art, formula, mode, ref_target):
+def assert_target_text(art, formula, ref_target):
     """The target text a query writes is the compact JSON of formatting the
     reference target entry by entry."""
-    present, _ = reductions.cvpp_table_query(art, formula, mode)
+    present, _ = reductions.cvpp_table_query(art, formula)
     chunks = serialize.target_text(serialize.target_block_texts(art), present)
     assert isinstance(chunks, tuple)
     assert "".join(chunks) == compact([serialize.fmt_real(x) for x in ref_target])
@@ -345,7 +345,7 @@ class TestCvppBasisText:
                     target, radius = reductions.cvpp_query(back, f)
                     ref_target, ref_radius = loop_query(art, f)
                     assert target.tobytes() == ref_target.tobytes() and radius == ref_radius
-                    assert_target_text(back, f, "lp", ref_target)
+                    assert_target_text(back, f, ref_target)
 
     def test_no_zero_row_pair_is_left(self):
         # the on-off gadget's zeroed class gives rows that are zero in V,
@@ -373,7 +373,7 @@ class TestCvppBasisText:
                 target, radius = reductions.cvpp_query(back, f)
                 ref_target, ref_radius = loop_inf_query(art, f)
                 assert target.tobytes() == ref_target.tobytes() and radius == ref_radius
-                assert_target_text(back, f, "inf", ref_target)
+                assert_target_text(back, f, ref_target)
 
 
 def bit_patterns(values) -> set:
@@ -421,7 +421,7 @@ class TestCanonColumns:
                 mp.setattr(serialize, "fmt_real", lambda x: calls.append(x) or fmt_real(x))
                 blocks = serialize.target_block_texts(art)
                 for f in random_queries(art.n, art.k, seed=[art.n, art.k]):
-                    present, _ = reductions.cvpp_table_query(art, f, art.mode)
+                    present, _ = reductions.cvpp_table_query(art, f)
                     before = len(calls)
                     serialize.target_text(blocks, present)
                     # a query gathers the block texts and formats nothing
