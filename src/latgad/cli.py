@@ -3,9 +3,8 @@
 Data goes to stdout or --out; logs go to stderr.  Exit codes: 0 success or
 verification pass, 1 verification failure, 2 usage error, 3 resource limit.
 
-A process that runs many commands keeps the last gadget text and the last
-prep text that it read, each decoded once (`_gadget_text`, `_prep_texts`).
-No command puts its own output there, and a one-shot process gains nothing.
+A process keeps the last gadget text it read or wrote to --out and the last
+prep text it read, each decoded at most once (`_gadget_text`, `_prep_texts`).
 """
 
 from __future__ import annotations
@@ -65,13 +64,27 @@ def _load_json(path: str) -> dict:
     return _decoded(path, json.loads)
 
 
-@functools.lru_cache(maxsize=1)
+class _LastText:
+    """build(text) for the last text looked up or stored, compared by `==` (a
+    memcmp, not a hash); a refused text raises and leaves the entry as it was."""
+
+    def __init__(self, build):
+        self.build, self.text, self.value = build, None, None
+
+    def cache_clear(self) -> None:
+        self.text = self.value = None
+
+    def __call__(self, text: str):
+        if text != self.text:
+            self.value, self.text = self.build(text), text
+        return self.value
+
+
+@_LastText
 def _prep_texts(text: str):
     """The header, the basis text and the target block texts of the prep
-    file whose text is `text`.  They are a function of that text alone, so a
-    process that serves many queries on one prep builds them once; the key is
-    the whole text, never the path, and a refused prep raises and is not
-    cached.  The arrays are read-only, since every later query shares them."""
+    whose text is `text`, built once for the many queries a process may serve
+    on one prep.  The arrays are read-only, since every later query shares them."""
     art, basis = serialize.cvpp_from_json(json.loads(text))
     blocks = serialize.target_block_texts(art)
     arrays = [art.block_columns, art.off_on, blocks[0]]
@@ -82,17 +95,32 @@ def _prep_texts(text: str):
     return art, basis, blocks
 
 
-@functools.lru_cache(maxsize=1)
+def _frozen(g: gadgets.IsolatingGadget) -> gadgets.IsolatingGadget:
+    """g as reading its gadget-v1 text gives it, so both ways into the gadget
+    cache agree: float p and eps, read-only C-ordered copies of V and t, the
+    constraint as JSON gives it back, and no meta."""
+    V, t = np.array(g.V, dtype=float, order="C"), np.array(g.t, dtype=float)
+    V.flags.writeable = t.flags.writeable = False
+    constraint = json.loads(json.dumps(g.constraint, sort_keys=True))
+    return gadgets.IsolatingGadget(float(g.p), int(g.k), V, t, float(g.eps), g.kind, constraint)
+
+
+@_LastText
 def _gadget_text(text: str):
-    """The gadget whose JSON text is `text`.  gadget-build's verify and onoff
-    read the same file, and every `reduce sat` of a run reads the same
-    gadget, so the last text read is decoded once per process; the key is
-    the whole text, never the path, and a refused gadget raises and is not
-    cached.  V and t are read-only, since every later read shares them."""
-    g = serialize.gadget_from_json(json.loads(text))
-    g.V.flags.writeable = False
-    g.t.flags.writeable = False
-    return g
+    """The gadget whose JSON text is `text`: gadget-build's verify and onoff
+    read what its find wrote, and a run's `reduce sat`s read one gadget.  V
+    and t are read-only, since every later read shares them."""
+    return _frozen(serialize.gadget_from_json(json.loads(text)))
+
+
+def _emit_gadget(g: gadgets.IsolatingGadget, out: str | None) -> None:
+    """_emit of g's payload; a write to out also puts g into the gadget cache."""
+    if not out:
+        return _emit(serialize.gadget_to_json(g), None)
+    text = serialize.dumps(serialize.gadget_to_json(g))
+    with open(out, "w") as fh:
+        fh.write(text)
+    _gadget_text.value, _gadget_text.text = _frozen(g), text
 
 
 def _read(path: str) -> str:
@@ -158,17 +186,17 @@ def _report_exit(report) -> int:
 def _cmd_gadget(args, tol: Tolerance) -> int:
     if args.action == "find":
         g = gadgets.find_isolating_parallelepiped(args.k, args.p)
-        _emit(serialize.gadget_to_json(g), args.out)
+        _emit_gadget(g, args.out)
         _log(f"gadget k={g.k} p={g.p} eps={g.eps:.6g}")
         return EXIT_OK
     if args.action == "parity":
         g = gadgets.parity_gadget(args.k, args.p, args.bit)
-        _emit(serialize.gadget_to_json(g), args.out)
+        _emit_gadget(g, args.out)
         _log(f"parity gadget k={g.k} p={g.p} bit={args.bit} eps={g.eps:.6g}")
         return EXIT_OK
     if args.action == "lattice":
         g = _decoded(args.infile, _gadget_text)
-        _emit(serialize.gadget_to_json(gadgets.to_isolating_lattice(g)), args.out)
+        _emit_gadget(gadgets.to_isolating_lattice(g), args.out)
         return EXIT_OK
     if args.action == "onoff":
         g = _decoded(args.infile, _gadget_text)

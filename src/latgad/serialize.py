@@ -54,6 +54,8 @@ def fmt_real(x: float) -> str:
 
 
 def parse_real(s) -> float:
+    if isinstance(s, bool):  # JSON true and false are no reals
+        raise InvalidInputError(f"bad decimal string {s!r}")
     try:
         return float(s)
     except (TypeError, ValueError) as exc:
@@ -95,9 +97,9 @@ def _parse_table(items: list) -> np.ndarray:
         table = {s: parse_real(s) for s in set(items)}
     except TypeError as exc:
         raise InvalidInputError("entries must be decimal strings, not lists or objects") from exc
-    # a bare JSON number 0, 0.0, -0.0 or false: these are one dict key, so
-    # the table would hand one zero's sign to all of them
-    convert = parse_real if 0 in table else table.__getitem__
+    # bare JSON 0, 0.0, -0.0 and false are one dict key, as are 1, 1.0 and
+    # true: the table would give them one zero's sign, or pass a boolean
+    convert = parse_real if 0 in table or 1 in table else table.__getitem__
     return np.fromiter(map(convert, items), float, len(items))
 
 

@@ -437,13 +437,16 @@ class TestPrepCache:
         monkeypatch.setattr(serialize, "cvpp_from_json", lambda d: pytest.fail("parsed the prep again"))
         assert self.query(tmp_path, capsys, path, cnfs["lp3"]) == want
 
-    def test_cached_arrays_are_read_only(self, tmp_path, capsys, files):
+    def test_cached_arrays_are_read_only(self, tmp_path, capsys, monkeypatch, files):
         preps, cnfs = files
+        parse, parsed = serialize.cvpp_from_json, []
+        monkeypatch.setattr(serialize, "cvpp_from_json", lambda d: parsed.append(d) or parse(d))
         for name in preps:
             path = tmp_path / f"{name}.json"
             assert self.query(tmp_path, capsys, path, cnfs[name])[0] == 0
+            decoded = len(parsed)
             art, _, (blocks, _) = cli._prep_texts(preps[name])
-            assert cli._prep_texts.cache_info().hits >= 1
+            assert len(parsed) == decoded
             arrays = [art.block_columns, art.off_on, blocks]
             if art.gadget is not None:
                 arrays += [art.gadget.V, art.gadget.t_on, art.gadget.t_off]
@@ -524,6 +527,13 @@ class TestGadgetCache:
             argv = [*argv, "--out", str(out)]
         return (*run(argv, capsys), out.read_text() if out.exists() else None)
 
+    @staticmethod
+    def decodes(monkeypatch) -> list:
+        """The documents that serialize.gadget_from_json decodes from now on."""
+        parse, parsed = serialize.gadget_from_json, []
+        monkeypatch.setattr(serialize, "gadget_from_json", lambda d: parsed.append(d) or parse(d))
+        return parsed
+
     def test_warm_runs_match_cold_runs(self, tmp_path, capsys, files):
         texts, cnf = files
         cold = {}
@@ -578,20 +588,136 @@ class TestGadgetCache:
                 else:
                     assert got[0] == 2 and got[1] == "" and message in got[2] and got[3] is None, argv
         # each refused gadget that is JSON is parsed again, and none evicts
-        # the good one
-        assert len(parsed) == (0 if "JSON artifact" in message else 3 * len(want))
+        # the good one; the good pass parses once, because its `gadget
+        # lattice --out` puts the lattice in the cache and the `reduce sat`
+        # after it reads the good gadget again
+        assert len(parsed) == (0 if "JSON artifact" in message else 3 * len(want)) + 1
 
-    def test_find_then_read_parses_once(self, tmp_path, capsys, files, monkeypatch):
+    def test_find_then_read_parses_nothing(self, tmp_path, capsys, files, monkeypatch):
         texts, cnf = files
         path = tmp_path / "g.json"
         want = [self.outcome(tmp_path, capsys, argv) for argv in self.commands(tmp_path / "g5.json", cnf)]
         cli._gadget_text.cache_clear()
-        parse, parsed = serialize.gadget_from_json, []
-        monkeypatch.setattr(serialize, "gadget_from_json", lambda d: parsed.append(d) or parse(d))
-        assert run(["gadget", "find", "--k", "3", "--p", "5", "--out", str(path)], capsys)[0] == 0
+        parsed = self.decodes(monkeypatch)
+        for argv, expected in zip(self.commands(path, cnf), want):
+            assert run(["gadget", "find", "--k", "3", "--p", "5", "--out", str(path)], capsys)[0] == 0
+            assert path.read_text() == texts["g5"]
+            assert self.outcome(tmp_path, capsys, argv) == expected, argv
         assert parsed == []
-        assert [self.outcome(tmp_path, capsys, argv) for argv in self.commands(path, cnf)] == want
+
+    @staticmethod
+    def one_digit_changed(text: str) -> str:
+        """A gadget text with one digit of V's first entry changed: same
+        length, another gadget."""
+        i = next(j for j in range(text.index('"V"'), len(text)) if text[j] in "12345678")
+        return text[:i] + str(int(text[i]) + 1) + text[i + 1 :]
+
+    def test_equal_text_in_a_new_object_hits(self, files, monkeypatch):
+        texts, _ = files
+        g = cli._gadget_text(texts["g3"])
+        fresh = texts["g3"].encode().decode()
+        assert fresh == texts["g3"] and fresh is not texts["g3"]
+        parsed = self.decodes(monkeypatch)
+        assert cli._gadget_text(fresh) is g
+        assert parsed == []
+
+    def test_text_of_equal_length_misses(self, files, monkeypatch):
+        texts, _ = files
+        g = cli._gadget_text(texts["g3"])
+        edited = self.one_digit_changed(texts["g3"])
+        assert len(edited) == len(texts["g3"]) and edited != texts["g3"]
+        parsed = self.decodes(monkeypatch)
+        assert cli._gadget_text(edited).V[0, 0] != g.V[0, 0]
         assert len(parsed) == 1
+
+    def test_gadget_edited_after_find_is_read_again(self, tmp_path, capsys, files, monkeypatch):
+        # same path, length and modification time: the edited gadget's report
+        path, cold = tmp_path / "g.json", tmp_path / "cold.json"
+        assert run(["gadget", "find", "--k", "3", "--p", "3", "--out", str(path)], capsys)[0] == 0
+        stat = os.stat(path)
+        edited = self.one_digit_changed(path.read_text())
+        path.write_text(edited)
+        os.utime(path, ns=(stat.st_atime_ns, stat.st_mtime_ns))
+        cold.write_text(edited)
+        parsed = self.decodes(monkeypatch)
+        got = run(["gadget", "verify", "--in", str(path)], capsys)
+        assert len(parsed) == 1
+        cli._gadget_text.cache_clear()
+        assert got == run(["gadget", "verify", "--in", str(cold)], capsys)
+        assert got != run(["gadget", "verify", "--in", str(tmp_path / "g3.json")], capsys)
+
+    def test_find_to_stdout_caches_nothing(self, tmp_path, capsys, monkeypatch):
+        path = tmp_path / "g.json"
+        code, out, _ = run(["gadget", "find", "--k", "3", "--p", "3"], capsys)
+        assert code == 0
+        path.write_text(out)
+        parsed = self.decodes(monkeypatch)
+        assert run(["gadget", "verify", "--in", str(path)], capsys)[0] == 0
+        assert len(parsed) == 1
+
+    def test_parity_then_lattice_then_verify_parses_nothing(self, tmp_path, capsys, files, monkeypatch):
+        texts, _ = files
+        par, lat = tmp_path / "p.json", tmp_path / "l.json"
+        cli._gadget_text.cache_clear()
+        want = run(["gadget", "verify", "--in", str(tmp_path / "lat.json")], capsys)
+        assert want[0] == 0
+        parsed = self.decodes(monkeypatch)
+        assert run(["gadget", "parity", "--k", "3", "--p", "1", "--bit", "1", "--out", str(par)], capsys)[0] == 0
+        assert run(["gadget", "lattice", "--in", str(par), "--out", str(lat)], capsys)[0] == 0
+        assert lat.read_text() == texts["lat"]
+        assert run(["gadget", "verify", "--in", str(lat)], capsys) == want
+        assert parsed == []
+
+    def test_refused_read_keeps_the_written_gadget(self, tmp_path, capsys, files, monkeypatch):
+        texts, _ = files
+        path, bad = tmp_path / "g.json", tmp_path / "bad.json"
+        bad.write_text(texts["g3"].replace("latgad-gadget-v1", "latgad-gadget-v0"))
+        want = run(["gadget", "verify", "--in", str(tmp_path / "g5.json")], capsys)
+        assert run(["gadget", "find", "--k", "3", "--p", "5", "--out", str(path)], capsys)[0] == 0
+        parsed = self.decodes(monkeypatch)
+        assert run(["gadget", "verify", "--in", str(bad)], capsys)[0] == 2
+        assert run(["gadget", "verify", "--in", str(path)], capsys) == want
+        assert len(parsed) == 1
+
+    @staticmethod
+    def assert_written_equals_read(path, parsed):
+        """The gadget the cache holds after path was written is, in every
+        field, the gadget that decoding path's text gives."""
+        text = path.read_text()
+        seeded = cli._gadget_text(text)
+        assert parsed == [], f"{path} was decoded"
+        cli._gadget_text.cache_clear()
+        read = cli._gadget_text(text)
+        parsed.clear()
+        assert read.meta == seeded.meta == {}
+        fields = ("p", "k", "eps", "kind", "constraint")
+        assert [getattr(read, f) for f in fields] == [getattr(seeded, f) for f in fields]
+        assert [type(getattr(read, f)) for f in fields] == [type(getattr(seeded, f)) for f in fields]
+        for a, b in ((read.V, seeded.V), (read.t, seeded.t)):
+            assert not a.flags.writeable and not b.flags.writeable
+            assert (a.dtype, a.shape, a.strides, a.tobytes()) == (b.dtype, b.shape, b.strides, b.tobytes())
+
+    # find on the 0.25 grid of p in [1, 12] and the lattice extension of each
+    # gadget found, and the parity gadgets at p = 1, 1.5, 3 and 5, both bits
+    @pytest.mark.parametrize("k", range(1, 11))
+    def test_written_gadget_equals_its_read(self, tmp_path, capsys, monkeypatch, k):
+        g, lat = tmp_path / "g.json", tmp_path / "lat.json"
+        finds = [["gadget", "find", "--k", str(k), "--p", str(p)] for p in (1 + i / 4 for i in range(45))]
+        parities = [
+            ["gadget", "parity", "--k", str(k), "--p", str(p), "--bit", bit]
+            for p in (1, 1.5, 3, 5) for bit in "01" if 3 <= k and p < k
+        ]
+        parsed, checked = self.decodes(monkeypatch), 0
+        for argv in finds + parities:
+            if run([*argv, "--out", str(g)], capsys)[0] != 0:
+                continue  # an even p below k, or a failed shift search
+            self.assert_written_equals_read(g, parsed)
+            checked += 1
+            if argv[1] == "find":
+                assert run(["gadget", "lattice", "--in", str(g), "--out", str(lat)], capsys)[0] == 0
+                self.assert_written_equals_read(lat, parsed)
+                checked += 1
+        assert checked >= 12
 
     def test_warm_onoff_parses_no_gadget(self, tmp_path, capsys, files, monkeypatch):
         path = tmp_path / "g3.json"
@@ -601,12 +727,14 @@ class TestGadgetCache:
         monkeypatch.setattr(serialize, "gadget_from_json", lambda d: pytest.fail("parsed the gadget again"))
         assert self.outcome(tmp_path, capsys, ["gadget", "onoff", "--in", str(path)]) == want
 
-    def test_cached_arrays_are_read_only(self, tmp_path, capsys, files):
+    def test_cached_arrays_are_read_only(self, tmp_path, capsys, monkeypatch, files):
         texts, _ = files
+        parsed = self.decodes(monkeypatch)
         for name, text in texts.items():
             assert run(["gadget", "verify", "--in", str(tmp_path / f"{name}.json")], capsys)[0] == 0
+            decoded = len(parsed)
             g = cli._gadget_text(text)
-            assert cli._gadget_text.cache_info().hits >= 1
+            assert len(parsed) == decoded
             for a in (g.V, g.t):
                 assert not a.flags.writeable
                 with pytest.raises(ValueError, match="read-only"):
@@ -865,8 +993,12 @@ class TestExitCodes:
             ("padded", lambda d: d["meta"].update(threshold="2.5"), "bad integer '2.5'"),
             ("gap", lambda d: d["meta"].update(s=None), "bad decimal string None"),
             ("gap", lambda d: d["meta"].update(gamma=[2]), "bad decimal string [2]"),
+            ("gap", lambda d: d["meta"].update(c=True, s=False), "bad decimal string False"),
         ],
-        ids=["meta-list", "meta-string", "threshold-null", "threshold-boolean", "threshold-fraction", "s-null", "gamma-list"],
+        ids=[
+            "meta-list", "meta-string", "threshold-null", "threshold-boolean", "threshold-fraction", "s-null",
+            "gamma-list", "c-s-boolean",
+        ],
     )
     def test_malformed_instance_meta_is_usage(self, tmp_path, capsys, gadget, mode, edit, message):
         cnf, inst = tmp_path / "f.cnf", tmp_path / "i.json"
@@ -892,6 +1024,22 @@ class TestExitCodes:
         inst.write_text(json.dumps(data))
         assert run(validate, capsys) == want
         assert want[0] == 0
+
+    # true is no real, though Python reads it as 1
+    @pytest.mark.parametrize("artifact", ["gadget", "instance"])
+    def test_boolean_entry_is_usage(self, tmp_path, capsys, gadget, artifact):
+        cnf, inst = tmp_path / "f.cnf", tmp_path / "i.json"
+        cnf.write_text("p cnf 2 2\n1 2 0\n-1 0\n")
+        assert run(["reduce", "sat", "--cnf", str(cnf), "--gadget", str(gadget), "--out", str(inst)], capsys)[0] == 0
+        path, key, argv = {
+            "gadget": (gadget, "V", ["gadget", "verify", "--in", str(gadget)]),
+            "instance": (inst, "basis", ["oracle", "validate", "--cnf", str(cnf), "--instance", str(inst)]),
+        }[artifact]
+        data = json.loads(path.read_text())
+        data[key][0][0] = True
+        path.write_text(json.dumps(data))
+        code, _, err = run(argv, capsys)
+        assert code == 2 and "bad decimal string True" in err, err
 
     def test_ragged_matrix_is_usage(self, gadget, capsys):
         data = json.loads(gadget.read_text())

@@ -88,7 +88,7 @@ class TestTables:
         assert calls["fmt"] == len(np.unique(M.view(np.uint64)))
         assert calls["parse"] == len({s for col in cols for s in col})
 
-    @pytest.mark.parametrize("bad", [None, [], {}, "abc", ""])
+    @pytest.mark.parametrize("bad", [None, [], {}, "abc", "", True, False])
     def test_bad_entry_rejected(self, bad):
         with pytest.raises(InvalidInputError):
             serialize.parse_vector(["1", bad, "1"])
@@ -109,8 +109,12 @@ class TestTables:
             serialize.parse_vector(v)
 
     def test_bare_numbers_keep_their_values(self):
-        entries = [0, -0.0, 0.0, False, "-0", 1, 1.0, True, "0"]
+        entries = [0, -0.0, 0.0, "-0", 1, 1.0, "0"]
         assert same_bits(serialize.parse_vector(entries), np.array([serialize.parse_real(s) for s in entries]))
+        # false and true share dict keys with 0 and 1, and are no reals
+        for flag in (False, True):
+            with pytest.raises(InvalidInputError, match=f"bad decimal string {flag}"):
+                serialize.parse_vector([*entries, flag])
 
 
 class TestGadgetJson:
