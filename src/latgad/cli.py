@@ -3,17 +3,25 @@
 Data goes to stdout or --out; logs go to stderr.  Exit codes: 0 success or
 verification pass, 1 verification failure, 2 usage error, 3 resource limit.
 
-A process keeps the last gadget text it read or wrote to --out and the last
-prep text it read, each decoded at most once (`_gadget_text`, `_prep_texts`).
+A process keeps one value per kind of input text, each decoded at most
+once: the last gadget and the last instance it read or wrote to --out
+(`_gadget_text`, `_instance_text`), the last formula it read
+(`_formula_text`) and the last prep it read (`_prep_texts`).  A value
+written to --out goes in as reading the file back would give it.  `batch`
+runs many commands in one process, so that a pipeline's steps share these.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import dataclasses
 import functools
+import io
 import json
+import shlex
 import sys
+import time
 
 import numpy as np
 
@@ -60,16 +68,16 @@ def _decoded(path: str, decode):
             raise InvalidInputError(f"{path} is not a JSON artifact: {exc}") from exc
 
 
-def _load_json(path: str) -> dict:
-    return _decoded(path, json.loads)
-
-
 class _LastText:
     """build(text) for the last text looked up or stored, compared by `==` (a
-    memcmp, not a hash); a refused text raises and leaves the entry as it was."""
+    memcmp, not a hash); a refused text raises and leaves the entry as it was.
+    Every slot is listed in `slots`."""
+
+    slots: list[_LastText] = []
 
     def __init__(self, build):
         self.build, self.text, self.value = build, None, None
+        _LastText.slots.append(self)
 
     def cache_clear(self) -> None:
         self.text = self.value = None
@@ -78,6 +86,25 @@ class _LastText:
         if text != self.text:
             self.value, self.text = self.build(text), text
         return self.value
+
+    def seed(self, text: str, read_back) -> None:
+        """Make read_back(), the value that reading text gives, the entry for
+        text; a value that the read would refuse leaves the entry as it was."""
+        try:
+            self.value, self.text = read_back(), text
+        except InvalidInputError:
+            pass
+
+
+def _emit_through(slot: _LastText, payload: dict, out: str | None, read_back) -> None:
+    """_emit of payload; a write to out also seeds slot with read_back(), the
+    value that reading out back gives."""
+    if not out:
+        return _emit(payload, None)
+    text = serialize.dumps(payload)
+    with open(out, "w") as fh:
+        fh.write(text)
+    slot.seed(text, read_back)
 
 
 @_LastText
@@ -102,7 +129,7 @@ def _frozen(g: gadgets.IsolatingGadget) -> gadgets.IsolatingGadget:
     V, t = np.array(g.V, dtype=float, order="C"), np.array(g.t, dtype=float)
     V.flags.writeable = t.flags.writeable = False
     constraint = json.loads(json.dumps(g.constraint, sort_keys=True))
-    return gadgets.IsolatingGadget(float(g.p), int(g.k), V, t, float(g.eps), g.kind, constraint)
+    return serialize.gadget_of(float(g.p), int(g.k), V, t, float(g.eps), g.kind, constraint)
 
 
 @_LastText
@@ -114,13 +141,26 @@ def _gadget_text(text: str):
 
 
 def _emit_gadget(g: gadgets.IsolatingGadget, out: str | None) -> None:
-    """_emit of g's payload; a write to out also puts g into the gadget cache."""
-    if not out:
-        return _emit(serialize.gadget_to_json(g), None)
-    text = serialize.dumps(serialize.gadget_to_json(g))
-    with open(out, "w") as fh:
-        fh.write(text)
-    _gadget_text.value, _gadget_text.text = _frozen(g), text
+    _emit_through(_gadget_text, serialize.gadget_to_json(g), out, lambda: _frozen(g))
+
+
+def _read_only(inst: reductions.CvpInstance) -> reductions.CvpInstance:
+    inst.basis.flags.writeable = inst.target.flags.writeable = False
+    return inst
+
+
+@_LastText
+def _instance_text(text: str):
+    """The instance whose JSON text is `text`: sat-validate's validate reads
+    what its reduce wrote.  The basis and target are read-only, since every
+    later read shares them."""
+    return _read_only(serialize.instance_from_json(json.loads(text)))
+
+
+def _emit_instance(inst: reductions.CvpInstance, out: str | None) -> None:
+    _emit_through(
+        _instance_text, serialize.instance_to_json(inst), out, lambda: _read_only(serialize.instance_read_back(inst))
+    )
 
 
 def _read(path: str) -> str:
@@ -163,12 +203,29 @@ def _parse_grid(text: str):
         raise InvalidInputError(f"grid must look like 'lo:hi:count' with count >= 0, got {text!r}") from exc
 
 
-def _parse_formula(text: str):
-    """A parity formula when the problem line reads `p xor`, else DIMACS.
-    Comment lines start with `c`, so the first line starting with `p` is the
-    problem line."""
+def _is_xor(text: str) -> bool:
+    """Whether the problem line reads `p xor`.  Comment lines start with `c`,
+    so the first line starting with `p` is the problem line."""
     header = next((ln.split() for ln in text.splitlines() if ln.lstrip().startswith("p")), [])
-    return parse_xor(text) if header[:2] == ["p", "xor"] else parse_dimacs(text)
+    return header[:2] == ["p", "xor"]
+
+
+@_LastText
+def _formula_text(text: str):
+    """The formula whose text is `text`: a parity formula when the problem
+    line reads `p xor`, else DIMACS.  sat-validate's reduce and validate read
+    one CNF."""
+    return parse_xor(text) if _is_xor(text) else parse_dimacs(text)
+
+
+def _read_formula(path: str, kind: str | None = None):
+    """The formula in path, through the formula cache.  kind "cnf" or "xor"
+    is the only format the command reads: text in the other format goes to
+    that format's parser, which refuses it as it always has."""
+    text = _read(path)
+    if kind is not None and _is_xor(text) != (kind == "xor"):
+        return (parse_xor if kind == "xor" else parse_dimacs)(text)
+    return _formula_text(text)
 
 
 def _report_exit(report) -> int:
@@ -214,7 +271,7 @@ def _cmd_gadget(args, tol: Tolerance) -> int:
 
 def _cmd_reduce(args, tol: Tolerance) -> int:
     if args.action == "sat":
-        formula = parse_dimacs(_read(args.cnf))
+        formula = _read_formula(args.cnf, "cnf")
         gadget = _decoded(args.gadget, _gadget_text)
         if args.mode == "padded":
             inst = reductions.sat_to_cvp(formula, gadget)
@@ -224,11 +281,11 @@ def _cmd_reduce(args, tol: Tolerance) -> int:
                 raise InvalidInputError("gap mode needs --s and --c")
             lattice = gadgets.to_isolating_lattice(gadget)
             inst, gamma = reductions.csp_to_cvp_gap(formula, [lattice] * formula.m, args.s, args.c)
-        _emit(serialize.instance_to_json(inst), args.out)
+        _emit_instance(inst, args.out)
         _log(f"instance d={inst.d} n={inst.n} r={inst.radius:.6g}" + (f" gamma={gamma:.6g}" if gamma else ""))
         return EXIT_OK
     if args.action == "parity":
-        formula = parse_xor(_read(args.xor))
+        formula = _read_formula(args.xor, "xor")
         if args.s is None or args.c is None:
             raise InvalidInputError("parity reduction is a gap reduction: needs --s and --c")
         lattice_for = {}
@@ -241,7 +298,7 @@ def _cmd_reduce(args, tol: Tolerance) -> int:
                 )
             lattices.append(lattice_for[key])
         inst, gamma = reductions.csp_to_cvp_gap(formula, lattices, args.s, args.c)
-        _emit(serialize.instance_to_json(inst), args.out)
+        _emit_instance(inst, args.out)
         _log(f"instance d={inst.d} n={inst.n} r={inst.radius:.6g} gamma={gamma:.6g}")
         return EXIT_OK
     raise InvalidInputError(f"unknown reduce action {args.action!r}")
@@ -273,7 +330,7 @@ def _cmd_cvpp(args, tol: Tolerance) -> int:
         return EXIT_OK
     if args.action == "query":
         art, basis, blocks = _decoded(args.prep, _prep_texts)
-        formula = parse_dimacs(_read(args.cnf))
+        formula = _read_formula(args.cnf, "cnf")
         if args.w is not None:
             # through the constructor, which checks the threshold
             formula = dataclasses.replace(formula, threshold=args.w)
@@ -293,7 +350,7 @@ def _cmd_cvpp(args, tol: Tolerance) -> int:
 
 def _cmd_oracle(args, tol: Tolerance) -> int:
     if args.action == "solve":
-        inst = serialize.instance_from_json(_load_json(args.instance))
+        inst = _decoded(args.instance, _instance_text)
         box = _parse_box(args.box) if args.box else (0, 1)
         sol = oracle.cvp_enumerate(inst.basis, inst.target, inst.p, box, tol)
         _emit(
@@ -307,8 +364,8 @@ def _cmd_oracle(args, tol: Tolerance) -> int:
         )
         return EXIT_OK
     if args.action == "validate":
-        inst = serialize.instance_from_json(_load_json(args.instance))
-        formula = _parse_formula(_read(args.cnf))
+        inst = _decoded(args.instance, _instance_text)
+        formula = _read_formula(args.cnf)
         box = _parse_box(args.box) if args.box else None
         report = oracle.validate_reduction(formula, inst, box, tol)
         return _report_exit(report)
@@ -421,6 +478,43 @@ def _cmd_clauses(args, tol: Tolerance) -> int:
         _emit({"literals": list(clause.literals)}, args.out)
         return EXIT_OK
     raise InvalidInputError(f"unknown clauses action {args.action!r}")
+
+
+def _batch_lines(text: str) -> list[list[str]]:
+    """The shlex-split command lines of a batch; blank lines and lines that
+    start with `#` are skipped.  Every line is split before any runs."""
+    commands = []
+    for number, line in enumerate(text.splitlines(), 1):
+        if not line.strip() or line.lstrip().startswith("#"):
+            continue
+        try:
+            argv = shlex.split(line)
+        except ValueError as exc:
+            raise InvalidInputError(f"batch line {number}: {exc}") from exc
+        if argv[:1] == ["batch"]:
+            raise InvalidInputError(f"batch line {number}: a batch does not run batch")
+        commands.append(argv)
+    return commands
+
+
+def _cmd_batch(args, tol: Tolerance) -> int:
+    """Run each command of the batch through dispatch, in order, in this
+    process, and write one JSON line per command: its argv, exit code, wall
+    seconds and stdout text.  Stderr passes through; the exit code is the
+    largest one seen."""
+    commands = _batch_lines(_read(args.infile) if args.infile else sys.stdin.read())
+    worst = EXIT_OK
+    for argv in commands:
+        out = io.StringIO()
+        t0 = time.perf_counter()
+        with contextlib.redirect_stdout(out):
+            code = dispatch(argv)
+        seconds = time.perf_counter() - t0
+        record = {"argv": argv, "exit_code": code, "seconds": seconds, "stdout": out.getvalue()}
+        sys.stdout.write(json.dumps(record, sort_keys=True) + "\n")
+        sys.stdout.flush()
+        worst = max(worst, code)
+    return worst
 
 
 # ---------------------------------------------------------------------------
@@ -554,6 +648,9 @@ def build_parser() -> argparse.ArgumentParser:
     sep.add_argument("--t-in", dest="away", required=True)
     sep.add_argument("--out")
 
+    bt = sub.add_parser("batch")
+    bt.add_argument("--in", dest="infile", help="command lines, one per line (default: stdin)")
+
     return top
 
 
@@ -566,6 +663,7 @@ _HANDLERS = {
     "identities": _cmd_identities,
     "cubes": _cmd_cubes,
     "clauses": _cmd_clauses,
+    "batch": _cmd_batch,
 }
 
 

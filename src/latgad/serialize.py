@@ -2,7 +2,9 @@
 
 All real numbers travel as decimal strings with 17 significant digits, which
 round-trip binary64 exactly and keep output independent of platform float
-formatting.  Matrices are stored as lists of columns.
+formatting.  Matrices are stored as lists of columns.  The gadget, on-off
+and instance readers refuse a matrix or vector entry that is not finite, and
+an eps or radius that is not finite and > 0.
 
 Artifacts repeat a few values many times (a CVPP basis of 153 700 entries
 holds 19 distinct strings), so vectors and matrices go through a table:
@@ -147,6 +149,20 @@ def parse_pnorm(s) -> float:
     return pvalue(parse_real(s))
 
 
+def _finite(a: np.ndarray, name: str) -> np.ndarray:
+    """a, which must hold finite entries only."""
+    if not np.isfinite(a).all():
+        raise InvalidInputError(f"{name} has an entry that is not finite")
+    return a
+
+
+def _positive(x: float, name: str) -> float:
+    """x, which must be finite and > 0."""
+    if not (math.isfinite(x) and x > 0):
+        raise InvalidInputError(f"{name} must be finite and > 0, got {fmt_real(x)}")
+    return x
+
+
 def _check(d, schema: str, *keys: str) -> None:
     """d must be a `schema` artifact holding every key in keys."""
     found = d.get("schema") if isinstance(d, dict) else type(d).__name__
@@ -221,15 +237,22 @@ def gadget_to_json(g: IsolatingGadget) -> dict:
 
 def gadget_from_json(d: dict) -> IsolatingGadget:
     _check(d, GADGET_SCHEMA, "p", "k", "V", "t", "eps", "kind")
-    return IsolatingGadget(
-        p=parse_pnorm(d["p"]),
-        k=_parse_int(d["k"]),
-        V=parse_columns(d["V"]),
-        t=parse_vector(d["t"]),
-        eps=parse_real(d["eps"]),
-        kind=d["kind"],
-        constraint=d.get("constraint"),
+    return gadget_of(
+        parse_pnorm(d["p"]),
+        _parse_int(d["k"]),
+        parse_columns(d["V"]),
+        parse_vector(d["t"]),
+        parse_real(d["eps"]),
+        d["kind"],
+        d.get("constraint"),
     )
+
+
+def gadget_of(p: float, k: int, V: np.ndarray, t: np.ndarray, eps: float, kind: str, constraint) -> IsolatingGadget:
+    """The gadget that a gadget-v1 artifact with these parsed fields reads
+    as; refused unless every entry of V and t is finite and eps is finite
+    and > 0."""
+    return IsolatingGadget(p, k, _finite(V, "V"), _finite(t, "t"), _positive(eps, "eps"), kind, constraint)
 
 
 def onoff_to_json(g: OnOffGadget) -> dict:
@@ -249,10 +272,10 @@ def onoff_from_json(d: dict) -> OnOffGadget:
     return OnOffGadget(
         p=parse_pnorm(d["p"]),
         k=_parse_int(d["k"]),
-        V=parse_columns(d["V"]),
-        t_on=parse_vector(d["t_on"]),
-        t_off=parse_vector(d["t_off"]),
-        eps=parse_real(d["eps"]),
+        V=_finite(parse_columns(d["V"]), "V"),
+        t_on=_finite(parse_vector(d["t_on"]), "t_on"),
+        t_off=_finite(parse_vector(d["t_off"]), "t_off"),
+        eps=_positive(parse_real(d["eps"]), "eps"),
     )
 
 
@@ -281,7 +304,19 @@ def instance_to_json(inst: CvpInstance) -> dict:
 
 def instance_from_json(d: dict) -> CvpInstance:
     _check(d, CVP_SCHEMA, "p", "basis", "target", "radius")
-    meta = d.get("meta", {})
+    return instance_of(
+        parse_pnorm(d["p"]),
+        parse_columns(d["basis"]),
+        parse_vector(d["target"]),
+        parse_real(d["radius"]),
+        d.get("meta", {}),
+    )
+
+
+def instance_of(p: float, basis: np.ndarray, target: np.ndarray, radius: float, meta) -> CvpInstance:
+    """The instance that a latgad-cvp-v1 artifact with these parsed fields
+    and this meta, as JSON gives it, reads as.  Refused unless every entry
+    of the basis and target is finite and the radius is finite and > 0."""
     if not isinstance(meta, dict):
         raise InvalidInputError(f"instance meta must be an object, got {meta!r}")
     meta = dict(meta)
@@ -293,13 +328,18 @@ def instance_from_json(d: dict) -> CvpInstance:
     for key, parse in (("gamma", parse_real), ("s", parse_real), ("c", parse_real), ("threshold", _parse_int)):
         if key in meta:
             meta[key] = parse(meta[key])
-    return CvpInstance(
-        p=parse_pnorm(d["p"]),
-        basis=parse_columns(d["basis"]),
-        target=parse_vector(d["target"]),
-        radius=parse_real(d["radius"]),
-        meta=meta,
-    )
+    return CvpInstance(p, _finite(basis, "basis"), _finite(target, "target"), _positive(radius, "radius"), meta)
+
+
+def instance_read_back(inst: CvpInstance) -> CvpInstance:
+    """The instance that reading the text of instance_to_json(inst) gives,
+    without formatting or parsing the arrays: every binary64 real
+    round-trips fmt_real, and meta takes the JSON round trip that the
+    artifact's own meta takes.  The basis and target are inst's own arrays
+    when they are C-ordered float64."""
+    meta = json.loads(_compact(_meta_out(inst.meta)))
+    basis, target = np.ascontiguousarray(inst.basis, dtype=float), np.ascontiguousarray(inst.target, dtype=float)
+    return instance_of(float(inst.p), basis, target, float(inst.radius), meta)
 
 
 def cvpp_to_json(art: CvppArtifacts) -> dict:

@@ -8,11 +8,10 @@ from latgad import cli
 
 @pytest.fixture(autouse=True)
 def empty_cli_caches():
-    """Each test starts with the CLI's gadget and prep caches empty, so a
-    test that watches a gadget or a prep being parsed sees it parsed
-    whatever ran before."""
-    cli._gadget_text.cache_clear()
-    cli._prep_texts.cache_clear()
+    """Each test starts with every CLI cache empty, so a test that watches a
+    text being decoded sees it decoded whatever ran before."""
+    for slot in cli._LastText.slots:
+        slot.cache_clear()
 
 
 def character_table(subset, k: int) -> np.ndarray:

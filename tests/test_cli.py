@@ -1,3 +1,4 @@
+import io
 import json
 import os
 import re
@@ -11,6 +12,7 @@ import pytest
 
 from latgad import cli, gadgets, reductions, serialize
 from latgad.cli import dispatch
+from latgad.errors import InvalidInputError
 
 
 def run(argv, capsys):
@@ -739,6 +741,414 @@ class TestGadgetCache:
                 assert not a.flags.writeable
                 with pytest.raises(ValueError, match="read-only"):
                     a[(0,) * a.ndim] = a[(0,) * a.ndim]
+
+
+class TestInstanceCache:
+    """A process keeps the last instance and the last formula it read; the
+    instance `reduce sat` or `reduce parity` writes goes straight in."""
+
+    CNFS = {
+        "mixed": "p cnf 4 4\n1 2 3 0\n-1 2 -4 0\n-2 3 4 0\n1 -3 4 0\n",
+        "unsat": "p cnf 3 8\n" + "".join(f"{a} {b} {c} 0\n" for a in (1, -1) for b in (2, -2) for c in (3, -3)),
+        "short": "c clauses of arity 1 to 3\np cnf 5 5\n1 0\n-2 3 0\n2 -4 5 0\n-1 -5 0\n3 4 -5 0\n",
+        "weighted": "p wcnf 4 3\n2 1 -2 0\n1 2 3 4 0\n3 -1 -3 0\n",
+    }
+    XOR = "p xor 4 3\n3 1 2 3 1\n3 2 3 4 0\n3 1 3 4 1\n"
+    GAP = ["--mode", "gap", "--s", "0.6", "--c", "0.9"]
+
+    @pytest.fixture()
+    def files(self, tmp_path, capsys):
+        """The k=3 gadget at p=3, each formula of CNFS and XOR, by name."""
+        paths = {"g": tmp_path / "g.json", "xor": tmp_path / "f.xor"}
+        assert run(["gadget", "find", "--k", "3", "--p", "3", "--out", str(paths["g"])], capsys)[0] == 0
+        for name, text in self.CNFS.items():
+            paths[name] = tmp_path / f"{name}.cnf"
+            paths[name].write_text(text)
+        paths["xor"].write_text(self.XOR)
+        return paths
+
+    def reductions(self, files, out) -> list[list[str]]:
+        """reduce sat, padded over every CNF and gap over the unweighted
+        ones, and reduce parity, each writing out."""
+        sat = [["reduce", "sat", "--cnf", str(files[n]), "--gadget", str(files["g"])] for n in self.CNFS]
+        gap = [[*argv, *self.GAP] for argv, n in zip(sat, self.CNFS) if n != "weighted"]
+        parity = [["reduce", "parity", "--xor", str(files["xor"]), "--p", p, "--s", "0.6", "--c", "1.0"]
+                  for p in ("1", "1.5")]
+        return [[*argv, "--out", str(out)] for argv in sat + gap + parity]
+
+    @staticmethod
+    def readers(inst, formula) -> list[list[str]]:
+        return [
+            ["oracle", "validate", "--cnf", str(formula), "--instance", str(inst)],
+            ["oracle", "solve", str(inst)],
+            ["oracle", "solve", str(inst), "--box=-1..1"],
+        ]
+
+    @staticmethod
+    def decodes(monkeypatch) -> list:
+        """The documents that serialize.instance_from_json decodes from now on."""
+        parse, parsed = serialize.instance_from_json, []
+        monkeypatch.setattr(serialize, "instance_from_json", lambda d: parsed.append(d) or parse(d))
+        return parsed
+
+    @staticmethod
+    def formula_of(argv) -> str:
+        return argv[argv.index("--cnf" if "--cnf" in argv else "--xor") + 1]
+
+    def test_written_instance_equals_its_read(self, tmp_path, capsys, monkeypatch, files):
+        inst = tmp_path / "inst.json"
+        parsed = self.decodes(monkeypatch)
+        for argv in self.reductions(files, inst):
+            assert run(argv, capsys)[0] == 0, argv
+            text = inst.read_text()
+            seeded = cli._instance_text(text)
+            assert parsed == [], argv
+            cli._instance_text.cache_clear()
+            read = cli._instance_text(text)
+            parsed.clear()
+            assert (type(read.p), type(read.radius)) == (type(seeded.p), type(seeded.radius)) == (float, float)
+            assert (read.p, read.radius) == (seeded.p, seeded.radius)
+            assert list(read.meta) == list(seeded.meta) and read.meta == seeded.meta
+            assert [type(v) for v in read.meta.values()] == [type(v) for v in seeded.meta.values()]
+            for a, b in ((read.basis, seeded.basis), (read.target, seeded.target)):
+                assert not a.flags.writeable and not b.flags.writeable
+                assert a.flags.c_contiguous and b.flags.c_contiguous
+                assert (a.dtype, a.shape, a.strides, a.tobytes()) == (b.dtype, b.shape, b.strides, b.tobytes())
+
+    def test_reduce_then_read_decodes_nothing(self, tmp_path, capsys, monkeypatch, files):
+        inst, cold = tmp_path / "inst.json", tmp_path / "cold.json"
+        for argv in self.reductions(files, inst):
+            assert run(argv, capsys)[0] == 0
+            cold.write_text(inst.read_text())
+            want = []
+            for reader in self.readers(cold, self.formula_of(argv)):
+                cli._instance_text.cache_clear()
+                want.append(run(reader, capsys))
+            assert run(argv, capsys)[0] == 0
+            parsed = self.decodes(monkeypatch)
+            assert [run(r, capsys) for r in self.readers(inst, self.formula_of(argv))] == want, argv
+            assert parsed == []
+            monkeypatch.undo()
+
+    def test_instance_edited_between_steps_is_read_again(self, tmp_path, capsys, monkeypatch, files):
+        # same path, length and modification time: the edited radius decides
+        inst, cold = tmp_path / "inst.json", tmp_path / "cold.json"
+        assert run(self.reductions(files, inst)[0], capsys)[0] == 0
+        want = run(["oracle", "solve", str(inst)], capsys)
+        text, stat = inst.read_text(), os.stat(inst)
+        radius = json.loads(text)["radius"]
+        edited = text.replace(f'"{radius}"', f'"{int(radius[0]) + 1}{radius[1:]}"')
+        assert len(edited) == len(text) and edited != text
+        inst.write_text(edited)
+        os.utime(inst, ns=(stat.st_atime_ns, stat.st_mtime_ns))
+        cold.write_text(edited)
+        parsed = self.decodes(monkeypatch)
+        got = run(["oracle", "solve", str(inst)], capsys)
+        assert len(parsed) == 1
+        assert json.loads(got[1])["radius"] == json.loads(edited)["radius"] != radius
+        cli._instance_text.cache_clear()
+        assert got == run(["oracle", "solve", str(cold)], capsys) != want
+
+    @pytest.mark.parametrize(
+        "edit",
+        [lambda d: d.update(radius="inf"), lambda d: d["basis"][0].__setitem__(0, "nan"), lambda d: d.pop("target")],
+        ids=["radius-inf", "basis-nan", "no-target"],
+    )
+    def test_refused_instance_neither_enters_nor_evicts(self, tmp_path, capsys, monkeypatch, files, edit):
+        inst, bad = tmp_path / "inst.json", tmp_path / "bad.json"
+        sat = self.reductions(files, inst)[0]
+        assert run(sat, capsys)[0] == 0
+        doc = json.loads(inst.read_text())
+        edit(doc)
+        bad.write_text(json.dumps(doc))
+        want = run(["oracle", "solve", str(inst)], capsys)
+        parsed = self.decodes(monkeypatch)
+        for _ in range(2):
+            code, out, err = run(["oracle", "solve", str(bad)], capsys)
+            assert code == 2 and out == "" and "usage error" in err
+        assert len(parsed) == 2
+        assert run(["oracle", "solve", str(inst)], capsys) == want
+        assert len(parsed) == 2
+
+    def test_refused_read_back_seeds_nothing(self, tmp_path, capsys, monkeypatch, files):
+        inst = tmp_path / "inst.json"
+        sat = self.reductions(files, inst)[0]
+        assert run(sat, capsys)[0] == 0
+        text = inst.read_text()
+        cli._instance_text.cache_clear()
+
+        def refuse(inst):
+            raise InvalidInputError("refused")
+
+        monkeypatch.setattr(serialize, "instance_read_back", refuse)
+        assert run(sat, capsys)[0] == 0
+        assert inst.read_text() == text and cli._instance_text.text is None
+
+    def test_shared_cnf_is_parsed_once(self, tmp_path, capsys, monkeypatch, files):
+        inst = tmp_path / "inst.json"
+        parse, parsed = cli.parse_dimacs, []
+        monkeypatch.setattr(cli, "parse_dimacs", lambda text: parsed.append(text) or parse(text))
+        for name in self.CNFS:
+            sat = ["reduce", "sat", "--cnf", str(files[name]), "--gadget", str(files["g"]), "--out", str(inst)]
+            assert run(sat, capsys)[0] == 0
+            assert run(self.readers(inst, files[name])[0], capsys)[0] == 0
+        assert parsed == list(self.CNFS.values())
+
+    def test_cached_formula_keeps_each_command_format(self, tmp_path, capsys, files):
+        # a formula cached by oracle validate is refused by a command that
+        # reads the other format, with the message of a cold read
+        inst, query = tmp_path / "inst.json", tmp_path / "q.json"
+        xor, cnf = str(files["xor"]), str(files["mixed"])
+        parity = ["reduce", "parity", "--xor", xor, "--p", "1", "--s", "0.6", "--c", "1.0", "--out", str(inst)]
+        sat = ["reduce", "sat", "--cnf", xor, "--gadget", str(files["g"])]
+        cold = run(sat, capsys)
+        assert cold[0] == 2 and "unsupported problem line: 'p xor 4 3'" in cold[2]
+        assert run(parity, capsys)[0] == 0
+        assert run(self.readers(inst, xor)[0], capsys)[0] == 0
+        assert cli._formula_text.text == self.XOR
+        assert run(sat, capsys) == cold
+        prep = tmp_path / "prep.json"
+        assert run(["cvpp", "inf-prep", "--n", "4", "--k", "3", "--out", str(prep)], capsys)[0] == 0
+        assert run(["cvpp", "query", "--prep", str(prep), "--cnf", xor, "--out", str(query)], capsys) == cold
+        assert not query.exists()
+        cli._formula_text.cache_clear()
+        cold = run([*parity[:3], cnf, *parity[4:]], capsys)
+        assert cold[0] == 2 and "unsupported problem line: 'p cnf 4 4'" in cold[2]
+        assert run(["reduce", "sat", "--cnf", cnf, "--gadget", str(files["g"])], capsys)[0] == 0
+        assert cli._formula_text.text == self.CNFS["mixed"]
+        assert run([*parity[:3], cnf, *parity[4:]], capsys) == cold
+
+    def test_refused_formula_neither_enters_nor_evicts(self, tmp_path, capsys, monkeypatch, files):
+        inst, bad = tmp_path / "inst.json", tmp_path / "bad.cnf"
+        bad.write_text("p cnf 4 2\n1 2 3 0\n")
+        sat = ["reduce", "sat", "--cnf", str(files["mixed"]), "--gadget", str(files["g"]), "--out", str(inst)]
+        assert run(sat, capsys)[0] == 0
+        parse, parsed = cli.parse_dimacs, []
+        monkeypatch.setattr(cli, "parse_dimacs", lambda text: parsed.append(text) or parse(text))
+        for _ in range(2):
+            code, _, err = run(["oracle", "validate", "--cnf", str(bad), "--instance", str(inst)], capsys)
+            assert code == 2 and "declares 2 clauses, found 1" in err
+        assert len(parsed) == 2
+        assert run(self.readers(inst, files["mixed"])[0], capsys)[0] == 0
+        assert len(parsed) == 2
+
+
+def _set_entry(field):
+    """An edit that sets field's first entry (of its first column, for a
+    matrix) to a value."""
+
+    def edit(doc, value):
+        entries = doc[field][0] if isinstance(doc[field][0], list) else doc[field]
+        entries[0] = value
+
+    return edit
+
+
+def _set_scalar(field):
+    return lambda doc, value: doc.__setitem__(field, value)
+
+
+NOT_FINITE = ("nan", "inf", "-inf")
+NOT_POSITIVE = (*NOT_FINITE, "-1", "0")
+
+
+class TestReaderDomain:
+    """Each value outside a reader's domain, in each field that holds it,
+    through every command that reads the field, exits 2 without a
+    traceback."""
+
+    GADGET_FIELDS = {"V": (_set_entry("V"), NOT_FINITE), "t": (_set_entry("t"), NOT_FINITE),
+                     "eps": (_set_scalar("eps"), NOT_POSITIVE)}
+    ONOFF_FIELDS = {"V": (_set_entry("V"), NOT_FINITE), "t_on": (_set_entry("t_on"), NOT_FINITE),
+                    "t_off": (_set_entry("t_off"), NOT_FINITE), "eps": (_set_scalar("eps"), NOT_POSITIVE)}
+    INSTANCE_FIELDS = {"basis": (_set_entry("basis"), NOT_FINITE), "target": (_set_entry("target"), NOT_FINITE),
+                       "radius": (_set_scalar("radius"), NOT_POSITIVE)}
+
+    @staticmethod
+    def cases(fields: dict, artifacts) -> list:
+        return [pytest.param(a, f, v, id=f"{a}-{f}-{v}") for a in artifacts for f, (_, vs) in fields.items() for v in vs]
+
+    @pytest.fixture(scope="class")
+    def artifacts(self, tmp_path_factory):
+        """A k=3 gadget, a k=4 parity gadget and a lattice, an lp prep, a
+        padded and a gap instance, and the formula they reduce, as texts."""
+        d = tmp_path_factory.mktemp("domain")
+        cnf = d / "f.cnf"
+        cnf.write_text("p cnf 4 4\n1 2 3 0\n-1 2 -4 0\n-2 3 4 0\n1 -3 4 0\n")
+        steps = [
+            ["gadget", "find", "--k", "3", "--p", "3", "--out", str(d / "g3.json")],
+            ["gadget", "parity", "--k", "4", "--p", "3", "--out", str(d / "parity.json")],
+            ["gadget", "lattice", "--in", str(d / "g3.json"), "--out", str(d / "lattice.json")],
+            ["cvpp", "prep", "--n", "4", "--k", "2", "--gadget", str(d / "g3.json"), "--out", str(d / "prep.json")],
+            ["reduce", "sat", "--cnf", str(cnf), "--gadget", str(d / "g3.json"), "--out", str(d / "padded.json")],
+            ["reduce", "sat", "--cnf", str(cnf), "--gadget", str(d / "g3.json"), "--mode", "gap",
+             "--s", "0.6", "--c", "0.9", "--out", str(d / "gap.json")],
+        ]
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(sys, "stderr", io.StringIO())
+            assert [dispatch(argv) for argv in steps] == [0] * len(steps)
+        names = ("g3", "parity", "lattice", "prep", "padded", "gap")
+        return {name: (d / f"{name}.json").read_text() for name in names}, cnf.read_text()
+
+    @staticmethod
+    def refused(tmp_path, capsys, text, edit, value, commands):
+        doc = json.loads(text)
+        edit(doc, value)
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(doc))
+        for argv in commands(str(path)):
+            code, out, err = run(argv, capsys)
+            assert code == 2 and out == "" and "usage error" in err and "Traceback" not in err, (argv, err)
+            assert not (tmp_path / "out.json").exists(), argv
+
+    @pytest.mark.parametrize("artifact, field, value", cases(GADGET_FIELDS, ("g3", "parity", "lattice")))
+    def test_gadget(self, tmp_path, capsys, artifacts, artifact, field, value):
+        texts, formula = artifacts
+        cnf, out = tmp_path / "f.cnf", str(tmp_path / "out.json")
+        cnf.write_text(formula)
+
+        def commands(path):
+            sat = ["reduce", "sat", "--cnf", str(cnf), "--gadget", path, "--out", out]
+            return [
+                ["gadget", "verify", "--in", path],
+                ["gadget", "onoff", "--in", path, "--out", out],
+                ["gadget", "lattice", "--in", path, "--out", out],
+                sat,
+                [*sat, "--mode", "gap", "--s", "0.6", "--c", "0.9"],
+                ["cvpp", "prep", "--n", "4", "--k", "2", "--gadget", path, "--out", out],
+            ]
+
+        self.refused(tmp_path, capsys, texts[artifact], self.GADGET_FIELDS[field][0], value, commands)
+
+    @pytest.mark.parametrize("artifact, field, value", cases(ONOFF_FIELDS, ("prep",)))
+    def test_onoff(self, tmp_path, capsys, artifacts, artifact, field, value):
+        texts, formula = artifacts
+        cnf, out = tmp_path / "f.cnf", str(tmp_path / "out.json")
+        cnf.write_text(formula)
+        edit = self.ONOFF_FIELDS[field][0]
+        self.refused(tmp_path, capsys, texts[artifact], lambda doc, v: edit(doc["gadget"], v), value,
+                     lambda path: [["cvpp", "query", "--prep", path, "--cnf", str(cnf), "--out", out]])
+
+    @pytest.mark.parametrize("artifact, field, value", cases(INSTANCE_FIELDS, ("padded", "gap")))
+    def test_instance(self, tmp_path, capsys, artifacts, artifact, field, value):
+        texts, formula = artifacts
+        cnf, out = tmp_path / "f.cnf", str(tmp_path / "out.json")
+        cnf.write_text(formula)
+
+        def commands(path):
+            return [
+                ["oracle", "solve", path, "--out", out],
+                ["oracle", "solve", path, "--box=-1..1", "--out", out],
+                ["oracle", "validate", "--cnf", str(cnf), "--instance", path],
+            ]
+
+        self.refused(tmp_path, capsys, texts[artifact], self.INSTANCE_FIELDS[field][0], value, commands)
+
+
+class TestBatch:
+    """`latgad batch` runs command lines through dispatch in one process."""
+
+    LINES = [
+        "# a gadget, its checks, a reduction and its validation",
+        "gadget find --k 3 --p 3 --out g.json",
+        "gadget verify --in g.json",
+        "",
+        "gadget onoff --in g.json --out o.json",
+        "reduce sat --cnf 'my formula.cnf' --gadget g.json --out inst.json",
+        "oracle validate --cnf 'my formula.cnf' --instance inst.json --box=-1..2",
+        "oracle solve inst.json",
+        "   # an indented comment",
+        "reduce sat --cnf 'my formula.cnf' --gadget g.json --mode gap --s 0.6 --c 0.9 --out gap.json",
+        "oracle validate --cnf 'my formula.cnf' --instance gap.json",
+        "gadget find --k 3 --p 4 --out even.json",
+        "oracle solve missing.json",
+        "gadget find --k 3 --p 3 --nope 1",
+        "identities cp-svp --grid 3:4:3",
+        "cubes find --in points.txt --dim 2",
+        "cvpp inf-prep --n 4 --k 3 --out prep.json",
+        "cvpp query --prep prep.json --cnf 'my formula.cnf' --out q.json",
+    ]
+    CNF = "p cnf 4 4\n1 2 3 0\n-1 2 -4 0\n-2 3 4 0\n1 -3 4 0\n"
+
+    @classmethod
+    def inputs(cls, d: Path) -> None:
+        d.mkdir()
+        (d / "my formula.cnf").write_text(cls.CNF)
+        (d / "points.txt").write_text("0\n1\n")  # no 2-dimensional cube
+
+    @staticmethod
+    def out_file(argv):
+        return argv[argv.index("--out") + 1] if "--out" in argv else None
+
+    def separate(self, tmp_path, capsys, monkeypatch, commands) -> list:
+        """(exit code, stdout, --out bytes, stderr) of each command as its
+        own dispatch call, in a directory of its own."""
+        d = tmp_path / "separate"
+        self.inputs(d)
+        monkeypatch.chdir(d)
+        got = []
+        for argv in commands:
+            code, out, err = run(argv, capsys)
+            path = self.out_file(argv)
+            got.append((code, out, Path(path).read_bytes() if path and os.path.exists(path) else None, err))
+        return got
+
+    def test_matches_separate_dispatch_calls(self, tmp_path, capsys, monkeypatch):
+        commands = [shlex.split(ln) for ln in self.LINES if ln.strip() and not ln.lstrip().startswith("#")]
+        want = self.separate(tmp_path, capsys, monkeypatch, commands)
+        assert {w[0] for w in want} == {0, 1, 2}
+        for slot in cli._LastText.slots:
+            slot.cache_clear()
+        d = tmp_path / "batch"
+        self.inputs(d)
+        (d / "lines.txt").write_text("\n".join(self.LINES) + "\n")
+        monkeypatch.chdir(d)
+        code, out, err = run(["batch", "--in", "lines.txt"], capsys)
+        records = [json.loads(line) for line in out.splitlines()]
+        assert code == max(w[0] for w in want) == 2
+        assert [r["argv"] for r in records] == commands
+        assert all(isinstance(r["seconds"], float) and r["seconds"] >= 0 for r in records)
+        for r, (code, stdout, written, _) in zip(records, want):
+            path = self.out_file(r["argv"])
+            assert (r["exit_code"], r["stdout"]) == (code, stdout), r["argv"]
+            assert (Path(path).read_bytes() if path and os.path.exists(path) else None) == written, r["argv"]
+        assert err == "".join(w[3] for w in want)
+        assert "io error: " in err and "unrecognized arguments: --nope" in err
+
+    def test_reads_stdin(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        monkeypatch.setattr(sys, "stdin", io.StringIO("identities skp --k 3 --p 1\n\n# done\n"))
+        code, out, _ = run(["batch"], capsys)
+        (record,) = [json.loads(line) for line in out.splitlines()]
+        assert code == 0 and record["exit_code"] == 0
+        assert record["argv"] == ["identities", "skp", "--k", "3", "--p", "1"]
+        assert json.loads(record["stdout"])["sign"] == 1
+
+    def test_empty_batch_exits_zero(self, tmp_path, capsys):
+        path = tmp_path / "lines.txt"
+        path.write_text("# nothing to run\n\n")
+        assert run(["batch", "--in", str(path)], capsys) == (0, "", "")
+
+    @pytest.mark.parametrize(
+        "line, message",
+        [("oracle solve 'inst.json", "No closing quotation"), ("batch --in lines.txt", "a batch does not run batch")],
+        ids=["unbalanced-quote", "nested-batch"],
+    )
+    def test_bad_line_runs_nothing(self, tmp_path, capsys, monkeypatch, line, message):
+        monkeypatch.chdir(tmp_path)
+        Path("lines.txt").write_text(f"gadget find --k 3 --p 3 --out g.json\n{line}\n")
+        code, out, err = run(["batch", "--in", "lines.txt"], capsys)
+        assert code == 2 and out == "" and f"batch line 2: {message}" in err
+        assert not Path("g.json").exists()
+
+    def test_process_streams_records_and_passes_stderr(self, tmp_path):
+        lines = tmp_path / "lines.txt"
+        lines.write_text(f"gadget find --k 3 --p 3 --out {tmp_path / 'g.json'}\ngadget verify --in {tmp_path / 'nope.json'}\n")
+        proc = subprocess.run([sys.executable, "-m", "latgad.cli", "batch", "--in", str(lines)],
+                              capture_output=True, text=True)
+        records = [json.loads(line) for line in proc.stdout.splitlines()]
+        assert proc.returncode == 2 and [r["exit_code"] for r in records] == [0, 2]
+        assert "gadget k=3 p=3.0" in proc.stderr and "io error" in proc.stderr
 
 
 class TestIdentitiesCommands:
