@@ -22,13 +22,12 @@ from __future__ import annotations
 
 import functools
 import math
-import sys
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvalidInputError, NumericDegeneracyError, ResourceLimitError
-from .numeric import finite_pvalue, integer_grid
+from .errors import InvalidInputError, ResourceLimitError
+from .numeric import finite_pvalue, float_range_error, integer_grid
 
 # a gadget has 2^k rows of k entries: 27 MB of JSON at k = 16 (the vertex
 # checks of a symmetric gadget cost only k + 1 vertices)
@@ -80,20 +79,13 @@ def class_tables(k: int) -> tuple[tuple, tuple]:
     return tuple(tuple(map(tuple, rows)) for rows in T), tuple(map(tuple, E))
 
 
-def _out_of_range(what: str) -> NumericDegeneracyError:
-    return NumericDegeneracyError(
-        f"{what} leaves the float range: a power |k - 2r - shift|^p or a sum of "
-        f"them exceeds {sys.float_info.max:.6g}"
-    )
-
-
 def class_powers(k: int, q: float, shift: float) -> list[float]:
     """P_r = |k - 2r - shift|^p for r = 0..k, by Python's `**`."""
     t = float(shift)
     try:
         return [abs(k - 2 * r - t) ** q for r in range(k + 1)]
     except OverflowError as exc:
-        raise _out_of_range(f"spectrum at k={k}, p={q}, shift={t}") from exc
+        raise float_range_error(f"spectrum at k={k}, p={q}, shift={t}") from exc
 
 
 def class_sums(rows, powers: list[float]) -> list[float]:
@@ -102,7 +94,7 @@ def class_sums(rows, powers: list[float]) -> list[float]:
     try:
         return [math.fsum([c * P for c, P in zip(row, powers)]) for row in rows]
     except OverflowError as exc:
-        raise _out_of_range("a class sum") from exc
+        raise float_range_error("a class sum") from exc
 
 
 @dataclass(frozen=True)

@@ -41,6 +41,7 @@ from .numeric import (
     DEFAULT_TOL,
     Tolerance,
     chunk_rows,
+    finite_float,
     finite_pvalue,
     integer_grid,
     pnorm,
@@ -458,13 +459,9 @@ def to_isolating_lattice(gadget: IsolatingGadget) -> IsolatingGadget:
         raise InvalidInputError("lattice extension needs a strictly positive gap")
     q = gadget.p
     k = gadget.k
-    try:
-        mu = (1.0 + gadget.eps) ** q / (3.0**q - 1.0)
-    except OverflowError as exc:
-        raise NumericDegeneracyError(
-            f"lattice extension at p={q} leaves the float range: 3^p or (1 + eps)^p "
-            f"exceeds {sys.float_info.max:.6g}"
-        ) from exc
+    mu = finite_float(
+        lambda: (1.0 + gadget.eps) ** q / (3.0**q - 1.0), f"3^p or (1 + eps)^p of the lattice extension at p={q}"
+    )
     denom = (1.0 + k * mu) ** (1.0 / q)
     V = np.vstack([gadget.V, 2.0 * mu ** (1.0 / q) * np.eye(k)]) / denom
     t = np.concatenate([gadget.t, mu ** (1.0 / q) * np.ones(k)]) / denom

@@ -11,12 +11,13 @@ larger magnitude with an absolute fallback near zero.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
-from typing import Iterator, Sequence
+from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
-from .errors import InvalidInputError
+from .errors import InvalidInputError, NumericDegeneracyError
 
 
 def pvalue(p) -> float:
@@ -26,6 +27,24 @@ def pvalue(p) -> float:
     if not v >= 1.0:
         raise InvalidInputError(f"norm exponent must satisfy p >= 1, got {p!r}")
     return v
+
+
+def float_range_error(what: str) -> NumericDegeneracyError:
+    return NumericDegeneracyError(
+        f"{what} leaves the float range: a power or a sum of them exceeds {sys.float_info.max:.6g}"
+    )
+
+
+def finite_float(compute: Callable[[], float], what: str) -> float:
+    """compute(), a float built from powers: an OverflowError or a result
+    that is not finite raises float_range_error(what)."""
+    try:
+        x = compute()
+    except OverflowError:
+        x = math.inf
+    if not math.isfinite(x):
+        raise float_range_error(what)
+    return x
 
 
 def finite_pvalue(p) -> float:
@@ -44,8 +63,8 @@ class Tolerance:
     abs: float = 1e-12
 
     def __post_init__(self):
-        if not (self.rel > 0 and self.abs > 0):
-            raise InvalidInputError("tolerances must be positive")
+        if not (0 < self.rel < math.inf and 0 < self.abs < math.inf):
+            raise InvalidInputError("tolerances must be finite and positive")
 
     def allowance(self, scale: float) -> float:
         return max(self.rel * abs(scale), self.abs)
@@ -135,13 +154,17 @@ def abs_powers(x: np.ndarray, p) -> np.ndarray:
 
 
 def row_pnorms(diffs: np.ndarray, p) -> np.ndarray:
-    """The p-norm of every row of a 2-D array (no rescaling, unlike pnorm);
-    `diffs` is never written.  The gadget vertex checks use it."""
+    """The p-norm of every row of a 2-D array of finite entries (no
+    rescaling, unlike pnorm); `diffs` is never written.  The gadget vertex
+    checks use it.  A row whose power sum leaves the float range raises
+    float_range_error."""
     q = pvalue(p)
-    w = abs_powers(diffs, q)
-    if math.isinf(q):
-        return w.max(axis=1)
-    return w.sum(axis=1) ** (1.0 / q)
+    with np.errstate(over="ignore"):
+        w = abs_powers(diffs, q)
+        norms = w.max(axis=1) if math.isinf(q) else w.sum(axis=1) ** (1.0 / q)
+    if not np.isfinite(norms).all():
+        raise float_range_error(f"a vertex distance at p={q:g}")
+    return norms
 
 
 # entries (rows x row width) per chunk of a brute-force distance walk, 512 KiB

@@ -29,6 +29,7 @@ from .numeric import (
     abs_powers,
     box_volume,
     chunk_rows,
+    float_range_error,
     integer_grid,
     pvalue,
 )
@@ -72,7 +73,8 @@ def cvp_enumerate(basis, target, p, box, tol: Tolerance = DEFAULT_TOL) -> CvpSol
     walk's minimum, tie set and order, and non-boolean minimum.  The
     non-boolean witness is the first point at that minimum in mixed-radix
     order, counting distances that differ only by the rounding of the
-    search's summation order as equal.
+    search's summation order as equal.  A minimum whose p-th power leaves the
+    float range raises float_range_error.
     """
     B = np.asarray(basis, dtype=float)
     t = np.asarray(target, dtype=float).ravel()
@@ -80,7 +82,17 @@ def cvp_enumerate(basis, target, p, box, tol: Tolerance = DEFAULT_TOL) -> CvpSol
     if box_volume(ranges) > BOX_CAP:
         raise ResourceLimitError(f"box volume exceeds cap {BOX_CAP}")
     q = pvalue(p)
-    return _support_search(q, ranges, tol, _support_tables(B, t, q, ranges))
+    try:
+        # an overflowing power reads inf, which prunes or outranks its point
+        # correctly; only a minimum that reads inf is wrong, refused below
+        with np.errstate(over="ignore"):
+            sol = _support_search(q, ranges, tol, _support_tables(B, t, q, ranges))
+    except OverflowError:  # a cut raised to the p-th power
+        sol = None
+    overflowed = sol is None or math.isinf(sol.distance)
+    if overflowed or (sol.nonboolean_witness is not None and math.isinf(sol.nonboolean_distance)):
+        raise float_range_error(f"a distance at p={q:g}")
+    return sol
 
 
 @dataclass
@@ -330,12 +342,12 @@ class _Minima:
 
     def solution(self) -> CvpSolution:
         band = self.tol.ceiling(self.best)
-        closest = [tuple(int(v) for v in row) for rows, d in self.near for row in rows[d <= band]]
+        closest = [tuple(row) for rows, d in self.near for row in rows[d <= band].tolist()]
         band = self.nb_best * (1.0 + self.rounding)
         witness = None
         for rows, d in self.nb_near:
             if np.any(d <= band):
-                witness = tuple(int(v) for v in rows[d <= band][0])
+                witness = tuple(rows[d <= band][0].tolist())
                 break
         return CvpSolution(self.best, closest, self.nb_best, witness)
 

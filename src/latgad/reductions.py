@@ -26,7 +26,7 @@ import numpy as np
 from .errors import InvalidInputError, ResourceLimitError, UnsupportedParametersError
 from .formulas import Clause, CspFormula
 from .gadgets import KIND_LATTICE, IsolatingGadget, OnOffGadget
-from .numeric import DEFAULT_TOL, finite_pvalue, pvalue, sin_half_pi
+from .numeric import DEFAULT_TOL, finite_float, finite_pvalue, pvalue, sin_half_pi
 
 MAX_BASIS_ENTRIES = 5 * 10**7
 # Smallest relative distance gap that sat_to_cvp leaves between assignments
@@ -146,7 +146,7 @@ def sat_to_cvp(formula: CspFormula, gadget: IsolatingGadget) -> CvpInstance:
     n = formula.n
     eps = gadget.eps
     total = formula.total_weight()
-    limit = max_padded_weight(n, q, eps)
+    limit = finite_float(lambda: max_padded_weight(n, q, eps), f"(1 + eps)^p at p={q:g}")
     if total > limit:
         raise ResourceLimitError(
             f"total weight exceeds {math.floor(limit)} at n={n}, p={q:g}, eps={eps:.3g}: "
@@ -169,7 +169,9 @@ def sat_to_cvp(formula: CspFormula, gadget: IsolatingGadget) -> CvpInstance:
     targets *= scales[:, None]
     basis[rows + np.arange(n), np.arange(n)] = 2.0 * alpha
     target[rows:] = alpha
-    radius = (W + (total - W) * (1.0 + eps) ** q + n * alpha**q) ** (1.0 / q)
+    radius = finite_float(
+        lambda: (W + (total - W) * (1.0 + eps) ** q + n * alpha**q) ** (1.0 / q), f"the radius at p={q:g}"
+    )
     return CvpInstance(
         p=q,
         basis=basis,
@@ -278,7 +280,7 @@ class GapParams:
 
 def gamma_from_eps(p, eps: float, s: float, c: float) -> float:
     q = finite_pvalue(p)
-    grow = (1.0 + eps) ** q
+    grow = finite_float(lambda: (1.0 + eps) ** q, f"(1 + eps)^p at p={q:g}")
     shrink = 1.0 - 1.0 / grow
     return ((1.0 - s * shrink) / (1.0 - c * shrink)) ** (1.0 / q)
 
@@ -512,9 +514,11 @@ def cvpp_table_query(artifacts: CvppArtifacts, formula: CspFormula) -> tuple[np.
     q = artifacts.p
     M, m = artifacts.M, formula.m
     W = formula.threshold if formula.threshold is not None else m
-    radius = (
-        (M - (m - W)) + (m - W) * (1.0 + artifacts.gadget.eps) ** q + artifacts.n * artifacts.target_tail**q
-    ) ** (1.0 / q)
+    radius = finite_float(
+        lambda: ((M - (m - W)) + (m - W) * (1.0 + artifacts.gadget.eps) ** q + artifacts.n * artifacts.target_tail**q)
+        ** (1.0 / q),
+        f"the radius at p={q:g}",
+    )
     return present, radius
 
 

@@ -9,15 +9,27 @@ an eps or radius that is not finite and > 0.
 Artifacts repeat a few values many times (a CVPP basis of 153 700 entries
 holds 19 distinct strings), so vectors and matrices go through a table:
 `fmt_real` runs once per distinct binary64 bit pattern and `parse_real` once
-per distinct entry.  The bytes written and the values read are the same as
-formatting and parsing each entry on its own.
+per distinct entry.  The formatting table finds the patterns by a sort and
+looks each entry up by binary search.  The bytes written and the values read
+are the same as formatting and parsing each entry on its own.
 
 Formatted reals need no JSON escaping, so every array of them in an
 artifact is written as one string join (`_joined`).  `fmt_vector` and
 `fmt_columns` return lists of private subclasses that `dump_chunks`
-recognises at the top level of a payload and joins, instead of passing them
-through the encoder, which escape-checks each string on its own: gadgets,
-on-off gadgets and CVP instances are written so.
+recognises at the top level of a payload and writes from their joined text,
+instead of passing them through the encoder, which escape-checks each
+string on its own: gadgets, on-off gadgets and CVP instances are written
+so.  The encoder refuses inf and nan, which are no JSON numbers.
+
+The text of a column is a function of its float64 bit patterns, so a
+process formats each column once: `_last_texts` keeps the strings and the
+joined text of every vector and matrix column of the last payload written
+with any, keyed by the column's bytes (so -0.0 and 0.0 stay apart), and
+`fmt_vector` and `fmt_columns` look each column up before formatting it.
+An on-off gadget's V columns and t_on are the first k columns and the t of
+the gadget it comes from, so `gadget onoff` after `gadget find`, or `cvpp
+prep` after the gadget it reads was written, formats only t_off.  The memo
+holds one artifact, and every list handed out is the caller's own copy.
 
 A CVPP prep stores only its generator: n, k, the mode and, for the finite
 norms, the on-off gadget.  A query writes the basis those determine without
@@ -40,7 +52,7 @@ from itertools import chain, combinations
 
 import numpy as np
 
-from .errors import InvalidInputError
+from .errors import InvalidInputError, NumericDegeneracyError
 from .gadgets import IsolatingGadget, OnOffGadget
 from .numeric import pvalue
 from .reductions import CvpInstance, CvppArtifacts, cvpp_header
@@ -78,11 +90,16 @@ def _parse_int(s) -> int:
 def _fmt_table(a: np.ndarray) -> np.ndarray:
     """fmt_real of every entry of the float array a, as an object array of its
     shape.  Distinct bit patterns, not values, key the table, so -0.0 still
-    prints "-0" beside 0.0's "0"."""
-    a = np.ascontiguousarray(a, dtype=float)
-    bits, inverse = np.unique(a.view(np.uint64).ravel(), return_inverse=True)
-    table = np.array([fmt_real(x) for x in bits.view(float)], dtype=object)
-    return table[inverse].reshape(a.shape)
+    prints "-0" beside 0.0's "0".  The patterns are found by a sort and
+    looked up by binary search: artifacts hold long runs of a few values,
+    where that beats np.unique's inverse."""
+    bits = np.ascontiguousarray(a, dtype=float).view(np.uint64)
+    distinct = np.sort(bits, axis=None)
+    first = np.ones(distinct.size, dtype=bool)
+    np.not_equal(distinct[1:], distinct[:-1], out=first[1:])
+    distinct = distinct[first]
+    table = np.array([fmt_real(x) for x in distinct.view(float)], dtype=object)
+    return table[np.searchsorted(distinct, bits)]
 
 
 def _entries(v) -> list:
@@ -106,7 +123,22 @@ def _parse_table(items: list) -> np.ndarray:
 
 
 class _Reals(list):
-    """A list of fmt_real strings, which `dump_chunks` writes by joining."""
+    """The fmt_real strings of one vector or matrix column, as a list of
+    the caller's own.  `key` is the bytes of the column's float64 entries and
+    `strings` the strings as formatted, a list no caller gets.  `dump_chunks`
+    writes `joined()`, the JSON text of `strings`, joined once and then kept,
+    so an edit to the list itself is not written."""
+
+    __slots__ = ("key", "strings", "text")
+
+    def __init__(self, key: bytes, strings: list[str], text: str | None = None):
+        super().__init__(strings)
+        self.key, self.strings, self.text = key, strings, text
+
+    def joined(self) -> str:
+        if self.text is None:
+            self.text = _joined(self.strings)
+        return self.text
 
 
 class _RealColumns(list):
@@ -120,8 +152,26 @@ def _joined(strings) -> str:
     return '"' + '","'.join(strings) + '"' if strings else ""
 
 
+# the strings and JSON text of each vector and matrix column of the last
+# payload that dump_chunks wrote with any, by key: an on-off gadget repeats
+# the columns and t of the gadget it comes from
+_last_texts: dict[bytes, tuple[list[str], str]] = {}
+
+
+def _fmt_rows(rows: np.ndarray) -> list[_Reals]:
+    """_Reals of each row of the 2-D float array rows: the strings of
+    _last_texts where it holds the row's key, and the other rows formatted
+    through one table."""
+    keys = [row.tobytes() for row in rows]
+    hits = [_last_texts.get(key) for key in keys]
+    missing = [i for i, hit in enumerate(hits) if hit is None]
+    fresh = iter(_fmt_table(rows[missing]).tolist() if missing else ())
+    return [_Reals(key, *hit) if hit else _Reals(key, next(fresh)) for key, hit in zip(keys, hits)]
+
+
 def fmt_vector(v) -> list[str]:
-    return _Reals(_fmt_table(np.asarray(v, dtype=float).ravel()).tolist())
+    (reals,) = _fmt_rows(np.asarray(v, dtype=float).reshape(1, -1))
+    return reals
 
 
 def parse_vector(v) -> np.ndarray:
@@ -129,7 +179,7 @@ def parse_vector(v) -> np.ndarray:
 
 
 def fmt_columns(M) -> list[list[str]]:
-    return _RealColumns(map(_Reals, _fmt_table(np.asarray(M, dtype=float).T).tolist()))
+    return _RealColumns(_fmt_rows(np.asarray(M, dtype=float).T))
 
 
 def parse_columns(cols) -> np.ndarray:
@@ -173,28 +223,39 @@ def _check(d, schema: str, *keys: str) -> None:
         raise InvalidInputError(f"{schema} artifact has no {', '.join(map(repr, missing))}")
 
 
-# json.dumps(obj, sort_keys=True, separators=(",", ":")), without building an
-# encoder per call
-_compact = json.JSONEncoder(sort_keys=True, separators=(",", ":")).encode
+# json.dumps(obj, sort_keys=True, separators=(",", ":"), allow_nan=False),
+# without building an encoder per call: inf and nan are no JSON numbers
+_compact = json.JSONEncoder(sort_keys=True, separators=(",", ":"), allow_nan=False).encode
 
 
 def dump_chunks(obj: dict) -> list[str]:
     """Compact JSON with sorted keys and a final newline, as a list of
     strings to write in order.  A top-level tuple value is JSON text already
     encoded, in chunks, and is written as is; a top-level vector or matrix
-    from fmt_vector or fmt_columns is joined without the encoder."""
+    from fmt_vector or fmt_columns is written from its joined text, without
+    the encoder.  A payload with any such value replaces _last_texts with
+    their texts."""
     out = ["{"]
+    written: list[_Reals] = []
     for i, (key, value) in enumerate(sorted(obj.items())):
         out.append(("," if i else "") + _compact(key) + ":")
         if isinstance(value, tuple):
             out.extend(value)
         elif isinstance(value, _Reals):
-            out.append("[" + _joined(value) + "]")
+            out.append("[" + value.joined() + "]")
+            written.append(value)
         elif isinstance(value, _RealColumns):
-            out.append("[" + ",".join("[" + _joined(col) + "]" for col in value) + "]")
+            out.append("[[" + "],[".join([col.joined() for col in value]) + "]]" if value else "[]")
+            written += value
         else:
-            out.append(_compact(value))
+            try:
+                out.append(_compact(value))
+            except ValueError as exc:
+                raise NumericDegeneracyError(f"{key} holds a number that is not finite: {exc}") from exc
     out.append("}\n")
+    if written:
+        _last_texts.clear()
+        _last_texts.update((reals.key, (reals.strings, reals.text)) for reals in written)
     return out
 
 

@@ -3,15 +3,17 @@
 import numpy as np
 import pytest
 
-from latgad import cli
+from latgad import cli, serialize
 
 
 @pytest.fixture(autouse=True)
-def empty_cli_caches():
-    """Each test starts with every CLI cache empty, so a test that watches a
-    text being decoded sees it decoded whatever ran before."""
+def empty_process_caches():
+    """Each test starts with every CLI cache and serialize's column texts
+    empty, so a test that watches a text being decoded or a value being
+    formatted sees it done whatever ran before."""
     for slot in cli._LastText.slots:
         slot.cache_clear()
+    serialize._last_texts.clear()
 
 
 def character_table(subset, k: int) -> np.ndarray:

@@ -743,6 +743,96 @@ class TestGadgetCache:
                     a[(0,) * a.ndim] = a[(0,) * a.ndim]
 
 
+def clear_process_caches() -> None:
+    for slot in cli._LastText.slots:
+        slot.cache_clear()
+    serialize._last_texts.clear()
+
+
+class TestColumnTexts:
+    """A process formats a column once: `gadget onoff` and `cvpp prep` reuse
+    the texts of the gadget written before them, and write the bytes of a
+    process that formats every column anew."""
+
+    P_GRID = [str(1 + 0.25 * i) for i in range(45)]  # 1.0, 1.25, ..., 12.0
+
+    @staticmethod
+    def warm_and_cold(tmp_path, capsys, monkeypatch, steps, inputs=None) -> None:
+        """Run each step in turn in one process, then each again after every
+        process cache is cleared, in a directory of its own; a step is a
+        list of argv run until one exits nonzero.  Exit codes, stdout and
+        --out bytes must agree."""
+        got = {}
+        for side in ("warm", "cold"):
+            d = tmp_path / side
+            d.mkdir()
+            for name, text in (inputs or {}).items():
+                (d / name).write_text(text)
+            monkeypatch.chdir(d)
+            got[side] = []
+            for step in steps:
+                for argv in step:
+                    if side == "cold":
+                        clear_process_caches()
+                    code, out, _ = run(argv, capsys)
+                    got[side].append((argv, code, out))
+                    if code:
+                        break
+            got[side].append({f.name: f.read_bytes() for f in d.iterdir()})
+        assert got["warm"] == got["cold"]
+
+    def test_onoff_after_find(self, tmp_path, capsys, monkeypatch):
+        steps = [
+            [
+                ["gadget", "find", "--k", str(k), "--p", p, "--out", f"g{k}-{p}.json"],
+                ["gadget", "onoff", "--in", f"g{k}-{p}.json", "--out", f"o{k}-{p}.json"],
+            ]
+            for k in range(2, 11)
+            for p in self.P_GRID
+        ]
+        self.warm_and_cold(tmp_path, capsys, monkeypatch, steps)
+        # the grid holds on-off gadgets of every arity
+        arities = {f.name.split("-")[0] for f in (tmp_path / "warm").glob("o*.json")}
+        assert arities == {f"o{k}" for k in range(2, 11)}
+
+    def test_prep_and_queries_after_find(self, tmp_path, capsys, monkeypatch):
+        # for each prep arity k, two k-clauses over n = k + 1 variables
+        clauses = {k: [range(1, k + 1), range(-2, -k - 2, -1)] for k in (1, 2, 3)}
+        inputs = {
+            f"f{k}.cnf": f"p cnf {k + 1} 2\n" + "".join(" ".join(map(str, c)) + " 0\n" for c in cs)
+            for k, cs in clauses.items()
+        }
+        steps = []
+        for k in (1, 2, 3):
+            for p in self.P_GRID:
+                g, prep, cnf = f"g{k}-{p}.json", f"prep{k}-{p}.json", f"f{k}.cnf"
+                query = ["cvpp", "query", "--prep", prep, "--cnf", cnf]
+                steps.append(
+                    [
+                        ["gadget", "find", "--k", str(k + 1), "--p", p, "--out", g],
+                        ["cvpp", "prep", "--n", str(k + 1), "--k", str(k), "--gadget", g, "--out", prep],
+                        [*query, "--out", f"q{k}-{p}.json"],
+                        [*query, "--w", "1", "--out", f"qw{k}-{p}.json"],
+                    ]
+                )
+        self.warm_and_cold(tmp_path, capsys, monkeypatch, steps, inputs)
+        assert len(list((tmp_path / "warm").glob("qw*.json"))) > 3 * len(self.P_GRID) // 2
+
+    def test_parity_gadgets_and_lattices(self, tmp_path, capsys, monkeypatch):
+        # each parity gadget is written while the texts of the one before it
+        # are kept: columns of equal length, told apart by their bits
+        names = [(p, bit) for p in ("1", "1.5", "3", "5") for bit in ("0", "1")]
+        steps = [
+            [["gadget", "parity", "--k", "6", "--p", p, "--bit", bit, "--out", f"par{p}-{bit}.json"]]
+            for p, bit in names
+        ]
+        steps += [
+            [["gadget", "lattice", "--in", f"par{p}-{bit}.json", "--out", f"lat{p}-{bit}.json"]] for p, bit in names
+        ]
+        self.warm_and_cold(tmp_path, capsys, monkeypatch, steps)
+        assert len(list((tmp_path / "warm").glob("lat*.json"))) == 8
+
+
 class TestInstanceCache:
     """A process keeps the last instance and the last formula it read; the
     instance `reduce sat` or `reduce parity` writes goes straight in."""
@@ -1307,6 +1397,44 @@ class TestExitCodes:
         code, _, err = run(argv + ["--out", str(out)], capsys)
         assert code == 1 and err.startswith("failure:") and "leaves the float range" in err
         assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["reduce", "solve", "validate", "verify", "query"])
+    def test_overflowing_p_in_an_artifact_is_numeric_failure(self, tmp_path, capsys, command):
+        # at p = 10^30 every power of a distance above 1 leaves the float range
+        g, cnf, inst, prep, out = (tmp_path / f for f in ("g.json", "f.cnf", "i.json", "prep.json", "out.json"))
+        cnf.write_text("p cnf 3 2\n1 -3 0\n-1 2 0\n")
+        assert run(["gadget", "find", "--k", "3", "--p", "3", "--out", str(g)], capsys)[0] == 0
+        assert run(["reduce", "sat", "--cnf", str(cnf), "--gadget", str(g), "--out", str(inst)], capsys)[0] == 0
+        assert run(["cvpp", "prep", "--n", "3", "--k", "2", "--gadget", str(g), "--out", str(prep)], capsys)[0] == 0
+        for path, doc in ((g, json.loads(g.read_text())), (inst, json.loads(inst.read_text()))):
+            doc["p"] = "1e30"
+            path.write_text(json.dumps(doc))
+        doc = json.loads(prep.read_text())
+        doc["gadget"]["p"] = "1e30"
+        prep.write_text(json.dumps(doc))
+        argv = {
+            "reduce": ["reduce", "sat", "--cnf", str(cnf), "--gadget", str(g), "--out", str(out)],
+            "solve": ["oracle", "solve", str(inst), "--out", str(out)],
+            "validate": ["oracle", "validate", "--cnf", str(cnf), "--instance", str(inst)],
+            "verify": ["gadget", "verify", "--in", str(g)],
+            "query": ["cvpp", "query", "--prep", str(prep), "--cnf", str(cnf), "--out", str(out)],
+        }[command]
+        code, stdout, err = run(argv, capsys)
+        assert code == 1 and err.startswith("failure:") and "leaves the float range" in err, err
+        assert stdout == "" and not out.exists()
+
+    def test_overflowing_gap_factor_is_numeric_failure(self, capsys):
+        # (1 + eps)^p with eps = 10^300
+        argv = ["params", "gap", "--p", "20", "--k", "21", "--s", "0.9999999", "--c", "1", "--eps", "1e300"]
+        code, stdout, err = run(argv, capsys)
+        assert code == 1 and stdout == "" and err.startswith("failure:") and "leaves the float range" in err, err
+
+    @pytest.mark.parametrize("flag", ["--tol-rel", "--tol-abs"])
+    def test_infinite_tolerance_is_usage(self, tmp_path, capsys, flag):
+        g = tmp_path / "g.json"
+        assert run(["gadget", "find", "--k", "3", "--p", "3", "--out", str(g)], capsys)[0] == 0
+        code, stdout, err = run([flag, "1e400", "gadget", "verify", "--in", str(g)], capsys)
+        assert code == 2 and stdout == "" and "tolerances must be finite" in err
 
     # 234 and 234.5 left a's entries subnormal until the solve was rescaled
     @pytest.mark.parametrize("k,p", [("10", "233.5"), ("10", "234"), ("10", "234.5"), ("3", "379")])

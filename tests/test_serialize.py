@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from latgad import gadgets, reductions, serialize
-from latgad.errors import InvalidInputError, ResourceLimitError
+from latgad.errors import InvalidInputError, NumericDegeneracyError, ResourceLimitError
 from latgad.formulas import Clause, CspFormula
 
 
@@ -251,6 +251,46 @@ class TestDumps:
             payload = {**payload, "basis": serialize.fmt_columns(ref.basis)}
         written = serialize.dump_chunks({**payload, "basis": chunks})
         assert "".join(written) == serialize.dumps({**payload, "basis": chunks}) == compact(payload) + "\n"
+
+    @pytest.mark.parametrize("x", [math.inf, -math.inf, math.nan])
+    def test_no_number_that_is_not_finite(self, x):
+        with pytest.raises(NumericDegeneracyError, match="conditions holds a number that is not finite"):
+            serialize.dump_chunks({"conditions": [{"residual": x}], "passed": False})
+
+
+class TestLastTexts:
+    """serialize keeps the column texts of the last payload it wrote."""
+
+    @staticmethod
+    def payload(M) -> dict:
+        return {"V": serialize.fmt_columns(M), "t": serialize.fmt_vector(M[:, 0])}
+
+    @pytest.mark.parametrize("written,now", [(0.0, -0.0), (-0.0, 0.0)])
+    def test_signed_zeros_are_told_apart(self, written, now):
+        M = np.array([[written, 1.5], [2.5, 0.5]])
+        serialize.dumps(self.payload(M))
+        # column 0 and t now differ from the written ones by a zero's sign
+        M[0, 0] = now
+        want = [[serialize.fmt_real(x) for x in col] for col in M.T]
+        assert json.loads(serialize.dumps(self.payload(M))) == {"V": want, "t": want[0]}
+
+    def test_lists_are_the_callers(self):
+        v = np.array([1.0, 2.0, 3.0])
+        written = serialize.fmt_vector(v)
+        serialize.dumps({"t": written})
+        for mine in (written, serialize.fmt_vector(v)):
+            mine.pop()
+            mine[0] = "x"
+        assert serialize.fmt_vector(v) == ["1", "2", "3"]
+        assert serialize.dumps({"t": serialize.fmt_vector(v)}) == '{"t":["1","2","3"]}\n'
+
+    def test_only_the_last_payload_is_kept(self):
+        a, b = np.array([[1.0], [2.0]]), np.array([[3.0, 4.0], [5.0, 6.0]])
+        serialize.dumps(self.payload(a))
+        serialize.dumps({"passed": True})  # a payload without arrays keeps them
+        assert set(serialize._last_texts) == {a.tobytes()}
+        serialize.dumps(self.payload(b))
+        assert set(serialize._last_texts) == {b[:, 0].tobytes(), b[:, 1].tobytes()}
 
 
 def float_prep(art):
