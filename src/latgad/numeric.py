@@ -29,10 +29,11 @@ def pvalue(p) -> float:
     return v
 
 
-def float_range_error(what: str) -> NumericDegeneracyError:
-    return NumericDegeneracyError(
-        f"{what} leaves the float range: a power or a sum of them exceeds {sys.float_info.max:.6g}"
-    )
+def float_range_error(what: str, underflow: bool = False) -> NumericDegeneracyError:
+    cause = f"a power or a sum of them exceeds {sys.float_info.max:.6g}"
+    if underflow:
+        cause = "a nonzero power underflows to 0"
+    return NumericDegeneracyError(f"{what} leaves the float range: {cause}")
 
 
 def finite_float(compute: Callable[[], float], what: str) -> float:

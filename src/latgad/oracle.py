@@ -4,18 +4,25 @@ decision/witness comparison between the two.
 
 The closest-vector search gives what a walk over every box point would: the
 minimum, its tie set in mixed-radix order, and the non-boolean minimum with
-its first witness.  It is one branch and bound over the coordinates in order.
-Rows of B are grouped by support and tabulated over their support boxes, which
-suits the row-sparse bases every reduction builds (one gadget block per
-clause over its k variables, then one identity row per variable); a row whose
-support box is wider than one chunk, as in the dense lattice-gadget check, is
-summed directly once its last column is fixed.
+its first witness.  It is one branch and bound over the coordinates in order,
+fixing several coordinates per step while a step's children fit STEP_BLOCK
+rows.  Rows of B are grouped by support and tabulated over their support
+boxes, which suits the row-sparse bases every reduction builds (one gadget
+block per clause over its k variables, then one identity row per variable); a
+row whose support box is wider than one chunk, as in the dense lattice-gadget
+check, is summed directly once its last column is fixed.  The search's cut
+starts from a hint when it has one: `validate_reduction` passes the first
+optimal assignment of brute-force Max-SAT, and the hint and its neighbours
+are evaluated in one pass before the walk.  A hint only bounds the minima
+from above, so a wrong one, from a broken reduction, changes nothing but the
+time taken.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -37,6 +44,9 @@ from .reductions import CvpInstance
 
 BOX_CAP = 10**7
 MAX_BRUTE_VARS = 24
+# the most children of one search step: a step fixes as many coordinates as
+# keep its prefixes' children within this many rows
+STEP_BLOCK = 64
 
 
 def _ranges(box, n: int) -> list[tuple[int, int]]:
@@ -61,7 +71,7 @@ class CvpSolution:
     nonboolean_witness: tuple[int, ...] | None
 
 
-def cvp_enumerate(basis, target, p, box, tol: Tolerance = DEFAULT_TOL) -> CvpSolution:
+def cvp_enumerate(basis, target, p, box, tol: Tolerance = DEFAULT_TOL, hint=None) -> CvpSolution:
     """Exact closest-vector search over an integer box.
 
     `box` is either one (lo, hi) pair applied to every coordinate or a
@@ -69,12 +79,16 @@ def cvp_enumerate(basis, target, p, box, tol: Tolerance = DEFAULT_TOL) -> CvpSol
     all reported, in ascending mixed-radix order.
 
     The search is a branch and bound over the coordinates in order
-    (`_support_search`) on the tables of `_support_tables`.  It gives a full
-    walk's minimum, tie set and order, and non-boolean minimum.  The
-    non-boolean witness is the first point at that minimum in mixed-radix
-    order, counting distances that differ only by the rounding of the
-    search's summation order as equal.  A minimum whose p-th power leaves the
-    float range raises float_range_error.
+    (`_support_search`) on the tables of `_support_tables`, fixing several
+    coordinates per step.  It gives a full walk's minimum, tie set and order,
+    and non-boolean minimum.  The non-boolean witness is the first point at
+    that minimum in mixed-radix order, counting distances that differ only by
+    the rounding of the search's summation order as equal.  `hint`, a box
+    point believed close, seeds the search's cut with its distance and its
+    neighbours'; any hint, or none, gives the same solution, and one outside
+    the box or of the wrong length is ignored.  A minimum whose p-th power
+    leaves the float range, or reads 0 although no point attaining it has a
+    zero residual B z - t (the powers underflowed), raises float_range_error.
     """
     B = np.asarray(basis, dtype=float)
     t = np.asarray(target, dtype=float).ravel()
@@ -86,13 +100,28 @@ def cvp_enumerate(basis, target, p, box, tol: Tolerance = DEFAULT_TOL) -> CvpSol
         # an overflowing power reads inf, which prunes or outranks its point
         # correctly; only a minimum that reads inf is wrong, refused below
         with np.errstate(over="ignore"):
-            sol = _support_search(q, ranges, tol, _support_tables(B, t, q, ranges))
+            sol = _support_search(q, ranges, tol, _support_tables(B, t, q, ranges), hint)
     except OverflowError:  # a cut raised to the p-th power
         sol = None
     overflowed = sol is None or math.isinf(sol.distance)
     if overflowed or (sol.nonboolean_witness is not None and math.isinf(sol.nonboolean_distance)):
         raise float_range_error(f"a distance at p={q:g}")
+    witness = [] if sol.nonboolean_witness is None else [sol.nonboolean_witness]
+    if (sol.distance == 0 and not _any_exact(B, t, sol.closest)) or (
+        sol.nonboolean_distance == 0 and not _any_exact(B, t, witness)
+    ):
+        raise float_range_error(f"a distance at p={q:g}", underflow=True)
     return sol
+
+
+def _any_exact(B, t, points) -> bool:
+    """Whether B z - t is all zero at some z of `points`."""
+    rows = chunk_rows(max(1, len(t)))
+    for a in range(0, len(points), rows):
+        Z = np.array(points[a : a + rows], dtype=float)
+        if np.any(np.all(Z @ B.T == t, axis=1)):
+            return True
+    return False
 
 
 @dataclass
@@ -187,20 +216,50 @@ def _group_tables(coef, target, group, digits, count, q) -> np.ndarray:
     return tables
 
 
-def _support_search(q, ranges, tol: Tolerance, tab: _SupportTables) -> CvpSolution:
+class _Step(NamedTuple):
+    """One step of the search from k fixed coordinates to `depth`: the grid
+    of the digits of coordinates k..depth-1 in mixed-radix order and which
+    of its points leave {0, 1}, the index columns and offsets of the groups
+    closing in the step, the coefficients and targets of the untabulated rows
+    closing in it (None for none), and the rows per chunk."""
+
+    depth: int
+    grid: np.ndarray
+    grid_out: np.ndarray
+    lookup: tuple[np.ndarray, np.ndarray] | None
+    rows: tuple[np.ndarray, np.ndarray] | None
+    chunk: int
+
+
+def _support_search(q, ranges, tol: Tolerance, tab: _SupportTables, hint=None) -> CvpSolution:
     """Branch and bound over the coordinates in order, bounded by row supports.
 
     A prefix that fixes the first k coordinates carries the sum of the
     support groups and untabulated rows whose last column is among them;
     its lower bound adds the table minima of the groups still open, and 0
-    for the untabulated rows still open.  Prefixes are expanded depth first,
-    in chunks of at most `chunk_rows` rows, so leaves arrive in mixed-radix
-    order.  A prefix is pruned only when its bound exceeds the cut by more
-    than the rounding of the two summation orders: the tie band
+    for the untabulated rows still open.  One step gives each of a list of
+    prefixes every value of the next coordinates, parent-major and then in
+    mixed-radix order: as many coordinates as keep the step's children
+    within STEP_BLOCK, and at least one.  The groups and rows closing at any
+    of those depths are summed in that step.  Prefixes are expanded depth
+    first, in chunks of at most `chunk_rows` rows, so leaves arrive in
+    mixed-radix order.  A prefix is pruned only when its bound exceeds the
+    cut by more than the rounding of the two summation orders: the tie band
     tol.ceiling(best), or the larger of that and the non-boolean minimum
     while the prefix can still reach a point outside {0, 1}^n.  So every
     point of the tie band and every point within rounding of the non-boolean
     minimum are reached, as in a full walk.
+
+    The cut starts from seeds, distances of box points.  A `hint` in the box
+    gives its own distance and those of the box points one unit away from it
+    in one coordinate, summed in one pass over the tables and the
+    untabulated rows.  Without one, a greedy dive to one leaf gives the
+    seed, and a second dive the non-boolean seed when the box reaches
+    outside {0, 1}^n and no seed does.  Any hint is sound, a wrong one
+    included: each seed is the distance of a box point, computed from B and
+    t, so it only bounds the minima from above, and its sum, one term per
+    group and row, is within the `slack` every cut allows.  The search
+    returns what it returns unseeded.
     """
     n = len(ranges)
     finite = math.isfinite(q)
@@ -215,42 +274,58 @@ def _support_search(q, ranges, tol: Tolerance, tab: _SupportTables) -> CvpSoluti
     fold.at(mins, tab.closes, tab.mins)
     const = mins[0]
     rest = np.append(fold.accumulate(mins[:0:-1])[::-1], 0.0)
-    # per depth, the index columns and offsets of the groups closing there,
-    # and the coefficients and targets of the untabulated rows closing there
     by_depth = np.argsort(tab.closes, kind="stable")
-    bounds = np.searchsorted(tab.closes[by_depth], np.arange(n + 2))
+    bounds = np.searchsorted(tab.closes[by_depth], np.arange(n + 2)).tolist()
     row_bounds = np.searchsorted(tab.row_closes, np.arange(n + 2)).tolist()
-    lookups, direct = [], []
-    for k in range(n):
-        closing = by_depth[bounds[k + 1] : bounds[k + 2]]
-        lookups.append((tab.index[: k + 1, closing], tab.offset[closing]) if closing.size else None)
-        a, b = row_bounds[k + 1 : k + 3]
-        direct.append((tab.coef[a:b, : k + 1].T, tab.shifted[a:b]) if b > a else None)
     wide = [lo < 0 or hi > 1 for lo, hi in ranges]
     reaches_out = np.logical_or.accumulate(wide[::-1])[::-1].tolist() + [False]
-    budget = chunk_rows(max(n, int((np.diff(bounds[1:]) + np.diff(row_bounds[1:])).max(initial=1))))
     # relative rounding of a sum of nonnegative terms, one per group, row
     # and depth, in either order, and of raising it to 1/q and back
     slack = 4 * (tab.closes.size + tab.row_closes.size + n + (q if finite else 0) + 8) * np.finfo(float).eps
     power = q if finite else 1.0
+    steps: dict[tuple[int, int], _Step] = {}
 
-    def children(k, digits, partial, out, start, stop):
+    def step(k, count) -> _Step:
+        """The step from `count` prefixes of k fixed coordinates."""
+        b, span = k + 1, sizes[k]
+        while b < n and count * span * sizes[b] <= STEP_BLOCK:
+            span *= sizes[b]
+            b += 1
+        if (k, b) not in steps:
+            grid = np.zeros((span, b - k), dtype=np.int64)
+            stride = 1
+            for i in range(b - 1, k - 1, -1):  # mixed radix, the last coordinate fastest
+                grid[:, i - k] = np.arange(span) // stride % sizes[i]
+                stride *= sizes[i]
+            values = grid + lows[k:b]
+            closing = by_depth[bounds[k + 1] : bounds[b + 1]]
+            r0, r1 = row_bounds[k + 1], row_bounds[b + 1]
+            steps[k, b] = _Step(
+                b,
+                grid.astype(float),
+                np.any((values < 0) | (values > 1), axis=1),
+                (tab.index[:b, closing], tab.offset[closing]) if closing.size else None,
+                (tab.coef[r0:r1, :b].T, tab.shifted[r0:r1]) if r1 > r0 else None,
+                chunk_rows(max(n, closing.size + r1 - r0)),
+            )
+        return steps[k, b]
+
+    def children(k, st, digits, partial, out, start, stop):
         """Flat children start..stop of the prefixes: each prefix in turn
-        with every value of coordinate k, and the groups and rows closing
-        there."""
-        parent, digit = np.divmod(np.arange(start, stop), sizes[k])
-        child = np.empty((len(parent), k + 1))
+        with every value of step st's coordinates, and the groups and rows
+        closing there."""
+        parent, local = np.divmod(np.arange(start, stop), len(st.grid))
+        child = np.empty((len(parent), st.depth))
         child[:, :k] = digits[parent]
-        child[:, k] = digit
+        child[:, k:] = st.grid[local]
         partial = partial[parent]
-        value = digit + lows[k]
-        out = out[parent] | (value < 0) | (value > 1)
-        if lookups[k] is not None:
-            index, offset = lookups[k]
+        out = out[parent] | st.grid_out[local]
+        if st.lookup is not None:
+            index, offset = st.lookup
             at = (child @ index).astype(np.int64) + offset
             fold(partial, fold.reduce(flat[at], axis=1), out=partial)
-        if direct[k] is not None:
-            coef, shifted = direct[k]
+        if st.rows is not None:
+            coef, shifted = st.rows
             fold(partial, fold.reduce(abs_powers(child @ coef - shifted, q), axis=1), out=partial)
         return child, partial, out
 
@@ -258,53 +333,93 @@ def _support_search(q, ranges, tol: Tolerance, tab: _SupportTables) -> CvpSoluti
         """Greedy descent to one leaf by lowest bound, kept able to reach a
         point outside {0, 1}^n when `outside`: its distance and whether it
         is outside."""
-        digits, partial, out = np.zeros((1, 0)), np.array([const]), np.zeros(1, dtype=bool)
-        for k in range(n):
+        k, digits, partial, out = 0, np.zeros((1, 0)), np.array([const]), np.zeros(1, dtype=bool)
+        while k < n:
+            st = step(k, 1)
             # a column outside every support may be wide; its first three
             # values hold one outside {0, 1} whenever it has one.  Where
             # rows are summed, a chunk bounds their power block
-            count = budget if direct[k] is not None else max(budget, 3)
-            digits, partial, out = children(k, digits, partial, out, 0, min(sizes[k], count))
-            score = fold(partial, rest[k + 1])
+            count = st.chunk if st.rows is not None else max(st.chunk, 3)
+            digits, partial, out = children(k, st, digits, partial, out, 0, min(len(st.grid), count))
+            k = st.depth
+            score = fold(partial, rest[k])
             if outside:
-                score[~(out | reaches_out[k + 1])] = math.inf
+                score[~(out | reaches_out[k])] = math.inf
             i = int(np.argmin(score))
             digits, partial, out = digits[i : i + 1], partial[i : i + 1], out[i : i + 1]
         return float(partial[0]) ** (1.0 / power), bool(out[0])
 
-    # the dives end at box points, so their distances bound the minima
-    # from above and can cut before the walk reaches its first leaf
-    seeds = [dive(False), *([dive(True)] if reaches_out[0] else [])]
+    def neighbours(h):
+        """The distances of box point h (digits) and of every box point one
+        unit away from it in one coordinate, and which leave {0, 1}^n."""
+        points = [h]
+        for i in range(n):
+            for v in (h[i] - 1, h[i] + 1):
+                if 0 <= v < sizes[i]:
+                    points.append(h.copy())
+                    points[-1][i] = v
+        X = np.array(points, dtype=float)
+        sums = np.empty(len(X))
+        rows = chunk_rows(max(n, tab.offset.size, tab.row_closes.size))
+        for a in range(0, len(X), rows):
+            x = X[a : a + rows]
+            s = fold.reduce(flat[(x @ tab.index).astype(np.int64) + tab.offset], axis=1, initial=0.0)
+            if tab.row_closes.size:
+                fold(s, fold.reduce(abs_powers(x @ tab.coef.T - tab.shifted, q), axis=1), out=s)
+            sums[a : a + rows] = s
+        values = X + lows
+        out = np.any((values < 0) | (values > 1), axis=1)
+        return list(zip((sums ** (1.0 / power)).tolist(), out.tolist()))
+
+    # seeds end at box points, so they bound the minima from above and can
+    # cut before the walk reaches its first leaf
+    h = _box_digits(hint, ranges)
+    seeds = [dive(False)] if h is None else neighbours(h)
+    if reaches_out[0] and not any(o for _, o in seeds):
+        seeds.append(dive(True))
     seed_best = min(v for v, _ in seeds)
     seed_nb = min((v for v, o in seeds if o), default=math.inf)
 
     # two distances equal in exact arithmetic differ by at most twice the
     # rounding of one
     walk = _Minima(tol, 2 * slack)
-    # (fixed coordinates k, their digits x - lo, partial sums, outside
-    # {0, 1} so far, first flat child index still to expand)
-    stack = [(0, np.zeros((1, 0)), np.array([const]), np.zeros(1, dtype=bool), 0)]
+    # (fixed coordinates k, the step from them, their digits x - lo, partial
+    # sums, outside {0, 1} so far, first flat child index still to expand)
+    stack = [(0, step(0, 1) if n else None, np.zeros((1, 0)), np.array([const]), np.zeros(1, dtype=bool), 0)]
     while stack:
-        k, digits, partial, out, start = stack.pop()
+        k, st, digits, partial, out, start = stack.pop()
         if k == n:
             walk.add(partial ** (1.0 / power), out, lambda i, x=digits: x[i].astype(np.int64) + lows)
             continue
-        stop = min(start + budget, len(digits) * sizes[k])
-        if stop < len(digits) * sizes[k]:
-            stack.append((k, digits, partial, out, stop))
-        child, partial, out = children(k, digits, partial, out, start, stop)
+        total = len(digits) * len(st.grid)
+        stop = min(start + st.chunk, total)
+        if stop < total:
+            stack.append((k, st, digits, partial, out, stop))
+        child, partial, out = children(k, st, digits, partial, out, start, stop)
+        k = st.depth
         cut = tol.ceiling(min(walk.best, seed_best)) ** power
         nb_cut = max(cut, (min(walk.nb_best, seed_nb) * (1.0 + walk.rounding)) ** power)
-        if reaches_out[k + 1]:
+        if reaches_out[k]:
             cut = nb_cut
         elif nb_cut > cut:
             cut = np.where(out, nb_cut, cut)
-        live = np.flatnonzero(fold(partial, rest[k + 1]) <= cut * (1.0 + slack))
+        live = np.flatnonzero(fold(partial, rest[k]) <= cut * (1.0 + slack))
         if live.size < len(partial):
             child, partial, out = child[live], partial[live], out[live]
         if live.size:
-            stack.append((k + 1, child, partial, out, 0))
+            stack.append((k, step(k, live.size) if k < n else None, child, partial, out, 0))
     return walk.solution()
+
+
+def _box_digits(hint, ranges) -> np.ndarray | None:
+    """hint - lo, when hint is an integer point of the box; else None."""
+    if hint is None:
+        return None
+    h = np.asarray(hint, dtype=float)
+    lows, highs = np.array(ranges, dtype=float).reshape(-1, 2).T
+    if h.shape != lows.shape or not np.all((h == np.floor(h)) & (lows <= h) & (h <= highs)):
+        return None
+    return (h - lows).astype(np.int64)
 
 
 class _Minima:
@@ -458,7 +573,9 @@ def validate_reduction(
         raise InvalidInputError("formula and instance disagree on variable count")
     ranges = _ranges(box if box is not None else (0, 1), n)
     best, optimal = max_sat_brute(formula)
-    sol = cvp_enumerate(inst.basis, inst.target, inst.p, ranges, tol)
+    # the optimum is the closest boolean point when the reduction is right;
+    # as a hint it only speeds the search, whatever the instance
+    sol = cvp_enumerate(inst.basis, inst.target, inst.p, ranges, tol, hint=optimal[0])
     r = inst.radius
     mode = inst.meta.get("mode")
     conditions: list[Condition] = []

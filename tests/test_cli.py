@@ -1423,6 +1423,27 @@ class TestExitCodes:
         assert code == 1 and err.startswith("failure:") and "leaves the float range" in err, err
         assert stdout == "" and not out.exists()
 
+    @pytest.mark.parametrize("command", ["solve", "validate"])
+    def test_underflowing_p_in_an_instance_is_numeric_failure(self, tmp_path, capsys, command):
+        # at p = 10^30 every power of a residual below 1 reads 0, so every
+        # point of the gap instance would read distance 0
+        g, cnf, inst, out = (tmp_path / f for f in ("g.json", "f.cnf", "i.json", "out.json"))
+        cnf.write_text("p cnf 3 2\n1 2 3 0\n-1 -2 3 0\n")
+        assert run(["gadget", "find", "--k", "3", "--p", "3", "--out", str(g)], capsys)[0] == 0
+        argv = ["reduce", "sat", "--cnf", str(cnf), "--gadget", str(g), "--mode", "gap", "--s", "0.6", "--c", "0.95"]
+        assert run(argv + ["--out", str(inst)], capsys)[0] == 0
+        doc = json.loads(inst.read_text())
+        doc["p"] = "1e30"
+        inst.write_text(json.dumps(doc))
+        argv = {
+            "solve": ["oracle", "solve", str(inst), "--out", str(out)],
+            "validate": ["oracle", "validate", "--cnf", str(cnf), "--instance", str(inst)],
+        }[command]
+        code, stdout, err = run(argv, capsys)
+        assert code == 1 and err.startswith("failure:") and "leaves the float range" in err, err
+        assert "underflows to 0" in err
+        assert stdout == "" and not out.exists()
+
     def test_overflowing_gap_factor_is_numeric_failure(self, capsys):
         # (1 + eps)^p with eps = 10^300
         argv = ["params", "gap", "--p", "20", "--k", "21", "--s", "0.9999999", "--c", "1", "--eps", "1e300"]

@@ -135,16 +135,17 @@ def box_points(ranges):
     return list(itertools.product(*(range(lo, hi + 1) for lo, hi in ranges)))
 
 
-def walk(B, t, p, ranges, chunk=None):
-    """cvp_enumerate with the points of every evaluated chunk recorded and,
-    when `chunk` is given, the chunk budget forced to that many rows.
+def walk(B, t, p, ranges, chunk=None, hint=None):
+    """cvp_enumerate (given `hint`) with the points of every evaluated chunk
+    recorded and, when `chunk` is given, the chunk budget forced to that many
+    rows.
 
     Checks the search's bookkeeping against the per-point reference: each
     chunk's distances and outside-{0, 1} mask, no point evaluated twice,
     every skipped point beyond the tie band and, outside {0, 1}^n, beyond
     the non-boolean minimum.  With the budget unforced, every 2-D block
-    raised by `abs_powers` (tables and directly summed rows) holds at most
-    max(CHUNK_ENTRIES, width) entries.  Returns the solution, the rows per
+    raised by `abs_powers` (tables, directly summed rows and the hint's
+    seeding pass) holds at most max(CHUNK_ENTRIES, width) entries.  Returns the solution, the rows per
     chunk and the reference, for `assert_matches_reference`."""
     chunks, blocks = [], []
     add = oracle._Minima.add
@@ -166,7 +167,7 @@ def walk(B, t, p, ranges, chunk=None):
         stack.enter_context(mock.patch.object(oracle._Minima, "add", record))
         stack.enter_context(mock.patch.object(oracle, "chunk_rows", budget))
         stack.enter_context(mock.patch.object(oracle, "abs_powers", powers))
-        sol = oracle.cvp_enumerate(B, t, p, ranges)
+        sol = oracle.cvp_enumerate(B, t, p, ranges, hint=hint)
     for pts, d, outside in chunks:
         assert np.array_equal(outside, np.any((pts < 0) | (pts > 1), axis=1))
     evaluated = [tuple(x) for pts, _, _ in chunks for x in pts.tolist()]
@@ -296,6 +297,68 @@ class TestSupportSearch:
             sol, _, ref = walk(B, t, p, ranges)
         assert_matches_reference(sol, ref)
 
+    @settings(max_examples=150, deadline=None)
+    @given(
+        case=st.one_of(small_cvp(), sparse_cvp()),
+        kind=st.sampled_from(["random", "best", "worst", "outside", "length"]),
+        entries=st.sampled_from([None, 1, 4, 16]),
+        data=st.data(),
+    )
+    def test_any_hint_is_sound(self, case, kind, entries, data):
+        # a hint only seeds the cut; a far point, one outside the box and one
+        # of the wrong length give what no hint gives.  Small CHUNK_ENTRIES
+        # leave rows untabulated, which the seeding pass sums in chunks
+        B, t, p, ranges, chunk = case
+        chunk = data.draw(st.sampled_from([chunk, None]))
+        ref = point_distances(B, t, p, ranges)
+        hint = {
+            "random": tuple(data.draw(st.integers(lo, hi)) for lo, hi in ranges),
+            "best": min(ref, key=ref.get),
+            "worst": max(ref, key=ref.get),
+            "outside": (ranges[0][1] + 1,) + tuple(lo for lo, _ in ranges[1:]),
+            "length": tuple(lo for lo, _ in ranges) + (0,) * data.draw(st.sampled_from([-1, 1])),
+        }[kind][: len(ranges) + 1]
+        with contextlib.ExitStack() as stack:
+            if entries is not None:
+                stack.enter_context(mock.patch.object(oracle, "CHUNK_ENTRIES", entries))
+                stack.enter_context(mock.patch.object(numeric, "CHUNK_ENTRIES", entries))
+            plain = oracle.cvp_enumerate(B, t, p, ranges)
+            sol, walked, ref = walk(B, t, p, ranges, chunk, hint=hint)
+        if chunk is not None:
+            assert all(rows <= chunk for rows in walked)
+        assert_matches_reference(sol, ref)
+        assert sol.closest == plain.closest
+        assert sol.nonboolean_witness == plain.nonboolean_witness
+        assert sol.distance == pytest.approx(plain.distance, rel=1e-12, abs=1e-12)
+        assert sol.nonboolean_distance == pytest.approx(plain.nonboolean_distance, rel=1e-12, abs=1e-12)
+
+    def test_hint_evaluates_fewer_leaves(self, gadget3):
+        # counted, not timed: the rows handed to _Minima.add on binary boxes
+        add = oracle._Minima.add
+
+        def leaves(inst, hint):
+            rows = []
+
+            def record(self, d, outside, points):
+                rows.append(len(d))
+                return add(self, d, outside, points)
+
+            with mock.patch.object(oracle._Minima, "add", record):
+                sol = oracle.cvp_enumerate(inst.basis, inst.target, inst.p, (0, 1), hint=hint)
+            return sol, sum(rows)
+
+        totals = np.zeros(2, dtype=np.int64)
+        for seed in range(10):
+            f = random_3sat(13, 55, seed)
+            inst = reductions.sat_to_cvp(f, gadget3)
+            _, optimal = oracle.max_sat_brute(f)
+            plain, plain_rows = leaves(inst, None)
+            hinted, hinted_rows = leaves(inst, optimal[0])
+            assert hinted.closest == plain.closest == optimal
+            assert hinted_rows <= plain_rows
+            totals += (plain_rows, hinted_rows)
+        assert totals[1] < totals[0]
+
     @pytest.mark.parametrize("p", [1.0, 2.0, 3.0, math.inf])
     def test_near_ties_inside_band_kept(self, p):
         # distances 1e-11 apart are distinct but share the tie band, so the
@@ -416,6 +479,45 @@ class TestValidateReduction:
         report = oracle.validate_reduction(f, inst)
         assert not report.passed
         assert any(c.name == "decision-agreement" and not c.passed for c in report.conditions)
+
+    @pytest.mark.parametrize("seed", range(4))
+    @pytest.mark.parametrize("break_by", ["target", "sign"])
+    def test_wrong_hint_cannot_hide_broken_reduction(self, gadget3, seed, break_by):
+        # one clause block's target moved (to the block's image of the optimum
+        # with the clause's variables flipped, weighted up), or one block
+        # built with its literals' signs flipped, so that the optimum
+        # validate_reduction passes as the hint is no longer closest: the
+        # report must still fail, and be the one an unseeded search gives
+        f = random_3sat(6, 12, seed)
+        _, optimal = oracle.max_sat_brute(f)
+        for j, clause in enumerate(f.constraints):
+            if break_by == "target":
+                inst = reductions.sat_to_cvp(f, gadget3)
+                block = slice(j * 5, (j + 1) * 5)  # the k=3 gadget has 5 live rows
+                moved = np.array(optimal[0], dtype=float)
+                flipped = [abs(v) - 1 for v in clause.literals]
+                moved[flipped] = 1 - moved[flipped]
+                inst.basis[block] *= 10.0
+                inst.target[block] = inst.basis[block] @ moved
+            else:
+                wrong = list(f.constraints)
+                wrong[j] = Clause(tuple(-v for v in clause.literals))
+                inst = reductions.sat_to_cvp(CspFormula(n=f.n, constraints=wrong), gadget3)
+            assert len(inst.target) == 5 * f.m + f.n
+            sol = oracle.cvp_enumerate(inst.basis, inst.target, inst.p, (0, 1))
+            if optimal[0] not in sol.closest:
+                break
+        else:
+            pytest.fail("no block breaks the reduction")
+        report = oracle.validate_reduction(f, inst)
+        assert not report.passed
+        failed = {c.name for c in report.conditions if not c.passed}
+        assert failed & {"witness-bijection", "decision-agreement"}
+        enumerate_ = oracle.cvp_enumerate
+        unseeded = lambda *args, hint=None: enumerate_(*args)
+        with mock.patch.object(oracle, "cvp_enumerate", unseeded):
+            plain = oracle.validate_reduction(f, inst)
+        assert report.conditions == plain.conditions
 
     def test_gap_planted_satisfiable(self):
         lattice0 = gadgets.to_isolating_lattice(gadgets.parity_gadget(3, 1.0, 0))
