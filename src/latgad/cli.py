@@ -3,6 +3,12 @@
 Data goes to stdout or --out; logs go to stderr.  Exit codes: 0 success or
 verification pass, 1 verification failure, 2 usage error, 3 resource limit.
 
+Every --out file is written by one function, `_write`: it encodes the
+chunks as UTF-8 before opening the file, and writes the bytes with
+`os.writev` (so the CLI runs on POSIX systems only).  Text that a process
+writes again and again is held encoded: the basis chunks of the last prep
+read (`_prep_texts`), which every query against that prep writes.
+
 A process keeps one value per kind of input text, each decoded at most
 once: the last gadget and the last instance it read or wrote to --out
 (`_gadget_text`, `_instance_text`), the last formula it read
@@ -19,6 +25,7 @@ import dataclasses
 import functools
 import io
 import json
+import os
 import shlex
 import sys
 import time
@@ -47,13 +54,37 @@ def _log(msg: str) -> None:
     print(msg, file=sys.stderr)
 
 
+# the most buffers one os.writev takes
+_IOV_MAX = os.sysconf("SC_IOV_MAX")
+
+
+def _write(path: str, chunks) -> None:
+    """Write chunks, each bytes or a str written as UTF-8, to path: every
+    chunk is encoded before the file is opened, the file gets mode 0o666
+    less the umask, and the bytes go out in one os.writev per _IOV_MAX
+    buffers, resumed where a short write stopped.  The only writer of --out
+    files."""
+    buffers = [chunk.encode() if isinstance(chunk, str) else chunk for chunk in chunks]
+    fd = os.open(path, os.O_WRONLY | os.O_CREAT | os.O_TRUNC, 0o666)
+    try:
+        i = 0
+        while i < len(buffers):
+            written = os.writev(fd, buffers[i : i + _IOV_MAX])
+            while i < len(buffers) and written >= len(buffers[i]):
+                written -= len(buffers[i])
+                i += 1
+            if written:
+                buffers[i] = memoryview(buffers[i])[written:]
+    finally:
+        os.close(fd)
+
+
 def _emit(payload: dict, out: str | None) -> None:
     # every chunk is built before the file is opened, so a payload that
     # fails to encode leaves no file
     chunks = serialize.dump_chunks(payload)
     if out:
-        with open(out, "w") as fh:
-            fh.writelines(chunks)
+        _write(out, chunks)
     else:
         sys.stdout.writelines(chunks)
 
@@ -102,8 +133,7 @@ def _emit_through(slot: _LastText, payload: dict, out: str | None, read_back) ->
     if not out:
         return _emit(payload, None)
     text = serialize.dumps(payload)
-    with open(out, "w") as fh:
-        fh.write(text)
+    _write(out, [text])
     slot.seed(text, read_back)
 
 
@@ -111,15 +141,21 @@ def _emit_through(slot: _LastText, payload: dict, out: str | None, read_back) ->
 def _prep_texts(text: str):
     """The header, the basis text and the target block texts of the prep
     whose text is `text`, built once for the many queries a process may serve
-    on one prep.  The arrays are read-only, since every later query shares them."""
+    on one prep.  The basis chunks are held as UTF-8 bytes, so a query
+    writes them to --out as they are; each is encoded in place of its str,
+    so the basis is never held twice.  The arrays are read-only, since every
+    later query shares them."""
     art, basis = serialize.cvpp_from_json(json.loads(text))
+    basis = list(basis)
+    for i, chunk in enumerate(basis):
+        basis[i] = chunk.encode()
     blocks = serialize.target_block_texts(art)
     arrays = [art.block_columns, art.off_on, blocks[0]]
     if art.gadget is not None:
         arrays += [art.gadget.V, art.gadget.t_on, art.gadget.t_off]
     for a in arrays:
         a.flags.writeable = False
-    return art, basis, blocks
+    return art, tuple(basis), blocks
 
 
 def _frozen(g: gadgets.IsolatingGadget) -> gadgets.IsolatingGadget:
@@ -343,6 +379,8 @@ def _cmd_cvpp(args, tol: Tolerance) -> int:
             "threshold": formula.threshold if formula.threshold is not None else formula.m,
             "eps": art.gadget.eps if art.gadget is not None else None,
         }
+        if not args.out:
+            basis = tuple(chunk.decode() for chunk in basis)
         _emit(serialize.cvp_to_json(art.p, basis, serialize.target_text(blocks, present), radius, meta), args.out)
         return EXIT_OK
     raise InvalidInputError(f"unknown cvpp action {args.action!r}")
@@ -425,8 +463,7 @@ def _cmd_identities(args, tol: Tolerance) -> int:
                 rows.append(f"{serialize.fmt_real(const.p)},{serialize.fmt_real(const.W)},{c_str}")
             text = "\n".join(rows) + "\n"
             if args.out:
-                with open(args.out, "w") as fh:
-                    fh.write(text)
+                _write(args.out, [text])
             else:
                 sys.stdout.write(text)
             return EXIT_OK

@@ -567,11 +567,17 @@ def validate_reduction(
     >= c gives distance <= r, value < s gives distance > gamma r).  Max-norm
     preprocessing mode: decision agreement only (every falsifying assignment
     ties at the same distance there, so no witness structure survives).
+    Every condition compares against {0, 1}^n, so a box that leaves out 0 or
+    1 in some coordinate is refused.
     """
     n = inst.n
     if formula.n != n:
         raise InvalidInputError("formula and instance disagree on variable count")
     ranges = _ranges(box if box is not None else (0, 1), n)
+    # every condition compares against the points of {0, 1}^n
+    for lo, hi in ranges:
+        if lo > 0 or hi < 1:
+            raise InvalidInputError(f"a validation box must hold 0 and 1 in every coordinate, got {lo}..{hi}")
     best, optimal = max_sat_brute(formula)
     # the optimum is the closest boolean point when the reduction is right;
     # as a hint it only speeds the search, whatever the instance

@@ -279,6 +279,10 @@ class GapParams:
 
 
 def gamma_from_eps(p, eps: float, s: float, c: float) -> float:
+    """The gap factor a gadget of gap eps gives; eps must be finite and > 0,
+    the domain the artifact readers apply."""
+    if not (math.isfinite(eps) and eps > 0):
+        raise InvalidInputError(f"eps must be finite and > 0, got {eps!r}")
     q = finite_pvalue(p)
     grow = finite_float(lambda: (1.0 + eps) ** q, f"(1 + eps)^p at p={q:g}")
     shrink = 1.0 - 1.0 / grow

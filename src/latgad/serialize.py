@@ -41,7 +41,9 @@ and `target_text` is a query's only step: it gathers the block texts in
 table order and joins them.  The basis and block texts are a function of the
 prep alone, so a caller that serves many queries builds them once.  Both
 texts are tuples of chunks, and `dump_chunks` passes a tuple value through
-as is, so no step copies the whole document.
+as is, so no step copies the whole document.  A tuple may hold bytes, the
+UTF-8 of its text: the CLI keeps a prep's basis chunks encoded, and its one
+--out writer takes str and bytes chunks alike.
 """
 
 from __future__ import annotations

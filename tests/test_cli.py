@@ -12,7 +12,7 @@ import pytest
 
 from latgad import cli, gadgets, reductions, serialize
 from latgad.cli import dispatch
-from latgad.errors import InvalidInputError
+from latgad.errors import InvalidInputError, NumericDegeneracyError
 
 
 def run(argv, capsys):
@@ -1241,6 +1241,122 @@ class TestBatch:
         assert "gadget k=3 p=3.0" in proc.stderr and "io error" in proc.stderr
 
 
+def short_writev(limit: int):
+    """os.writev that writes at most limit bytes of the first non-empty buffer."""
+
+    def writev(fd, buffers):
+        first = next((b for b in buffers if len(b)), b"")
+        return os.write(fd, bytes(first[:limit]))
+
+    return writev
+
+
+class TestOutWriter:
+    """Every --out file goes through `cli._write`: it holds the bytes the same
+    command prints to stdout, whatever the caches hold and however short the
+    writes."""
+
+    INPUTS = {
+        "f.cnf": "p cnf 4 3\n1 2 3 0\n-1 -2 4 0\n2 -3 -4 0\n",
+        "f.xor": "p xor 4 3\n3 1 2 3 1\n3 2 3 4 0\n3 1 3 4 1\n",
+        "cube.txt": "\n".join(format(x, "02x") for x in range(2**6)) + "\n",
+        "set.txt": "\n".join(format(x, "01x") for x in range(8)) + "\n",
+        "s.txt": "00\n01\n02\n03\n",
+        "t.txt": "04\n05\n",
+    }
+    # (argv, --out file); a command may read the files written before it
+    COMMANDS = [
+        (["gadget", "find", "--k", "3", "--p", "3"], "g3.json"),
+        (["gadget", "find", "--k", "4", "--p", "3"], "g4.json"),
+        (["gadget", "parity", "--k", "3", "--p", "1.5", "--bit", "1"], "par.json"),
+        (["gadget", "lattice", "--in", "par.json"], "lat.json"),
+        (["gadget", "onoff", "--in", "g3.json"], "on.json"),
+        (["reduce", "sat", "--cnf", "f.cnf", "--gadget", "g3.json"], "inst.json"),
+        (["reduce", "sat", "--cnf", "f.cnf", "--gadget", "g3.json", "--mode", "gap", "--s", "0.6", "--c", "0.9"],
+         "gap.json"),
+        (["reduce", "parity", "--xor", "f.xor", "--p", "1", "--s", "0.6", "--c", "1.0"], "pinst.json"),
+        (["params", "gap", "--p", "3", "--k", "4", "--s", "0.95", "--c", "0.99", "--eps", "0.25"], "params.json"),
+        (["cvpp", "prep", "--n", "4", "--k", "3", "--gadget", "g4.json"], "prep.json"),
+        (["cvpp", "inf-prep", "--n", "4", "--k", "3"], "iprep.json"),
+        (["cvpp", "query", "--prep", "prep.json", "--cnf", "f.cnf"], "q.json"),
+        (["cvpp", "query", "--prep", "prep.json", "--cnf", "f.cnf", "--w", "2"], "qw.json"),
+        (["cvpp", "query", "--prep", "iprep.json", "--cnf", "f.cnf"], "iq.json"),
+        (["oracle", "solve", "inst.json", "--box=-1..1"], "solve.json"),
+        (["identities", "skp", "--k", "3", "--p", "1"], "skp.json"),
+        (["identities", "integral", "--n", "2", "--m", "1", "--p", "1"], "integral.json"),
+        (["identities", "bounds", "--k", "4", "--p", "1"], "bounds.json"),
+        (["identities", "ramanujan", "--k", "10", "--x", "2.5"], "ramanujan.json"),
+        (["identities", "cp-svp", "--p", "3"], "cp.json"),
+        (["identities", "cp-svp", "--find-p0"], "p0.json"),
+        (["identities", "cp-svp", "--grid", "2.5:4:4"], "cp.csv"),
+        (["cubes", "find", "--in", "cube.txt", "--dim", "3"], "cube.json"),
+        (["clauses", "isolate", "--in", "set.txt", "--k", "3"], "isolate.json"),
+        (["clauses", "separate", "--s-in", "s.txt", "--t-in", "t.txt"], "separate.json"),
+    ]
+
+    @pytest.mark.parametrize("caches", ["cold", "warm", "short-writes"])
+    def test_out_file_holds_the_stdout_bytes(self, tmp_path, capsys, monkeypatch, caches):
+        for name, text in self.INPUTS.items():
+            (tmp_path / name).write_text(text)
+        monkeypatch.chdir(tmp_path)
+        if caches == "short-writes":
+            monkeypatch.setattr(os, "writev", short_writev(7))
+        for argv, out in self.COMMANDS:
+            if caches == "cold":
+                clear_process_caches()
+            code, stdout, _ = run(argv, capsys)
+            if caches == "cold":
+                clear_process_caches()
+            assert run([*argv, "--out", out], capsys)[:2] == (code, ""), argv
+            assert code == 0 and Path(out).read_bytes() == stdout.encode(), argv
+
+    def test_more_buffers_than_one_writev_takes(self, tmp_path, monkeypatch):
+        real, calls = os.writev, []
+        monkeypatch.setattr(os, "writev", lambda fd, buffers: calls.append(len(buffers)) or real(fd, buffers))
+        chunks = [f"{i}," if i % 2 else f"{i};".encode() for i in range(2 * cli._IOV_MAX + 3)]
+        path = tmp_path / "many.txt"
+        cli._write(str(path), chunks)
+        assert path.read_bytes() == b"".join(c.encode() if isinstance(c, str) else c for c in chunks)
+        assert len(calls) >= 3 and max(calls) <= cli._IOV_MAX
+
+    def test_short_writes_resume_mid_buffer(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(os, "writev", short_writev(3))
+        chunks = ["", "abcdefgh", b"", b"ij", "éè", b"klmnopq"]
+        path = tmp_path / "short.txt"
+        cli._write(str(path), chunks)
+        assert path.read_bytes() == "abcdefghijéèklmnopq".encode()
+
+    def test_mode_follows_the_umask(self, tmp_path, capsys):
+        old = os.umask(0o027)
+        try:
+            code, _, _ = run(["params", "gap", "--p", "3", "--k", "4", "--s", "0.95", "--c", "0.99",
+                              "--out", str(tmp_path / "params.json")], capsys)
+        finally:
+            os.umask(old)
+        assert code == 0 and (tmp_path / "params.json").stat().st_mode & 0o777 == 0o640
+
+    def test_non_finite_payload_leaves_no_file(self, tmp_path):
+        path = tmp_path / "bad.json"
+        with pytest.raises(NumericDegeneracyError, match="not finite"):
+            cli._emit({"distance": float("inf")}, str(path))
+        assert not path.exists()
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["gadget", "find", "--k", "3", "--p", "3"],
+            ["params", "gap", "--p", "3", "--k", "4", "--s", "0.95", "--c", "0.99"],
+            ["identities", "cp-svp", "--grid", "2.5:4:4"],
+        ],
+        ids=["emit-through", "emit", "csv"],
+    )
+    def test_missing_directory_is_io_error(self, tmp_path, capsys, argv):
+        out = tmp_path / "missing" / "out.json"
+        code, stdout, err = run([*argv, "--out", str(out)], capsys)
+        assert code == 2 and stdout == ""
+        assert err.splitlines()[-1] == f"io error: [Errno 2] No such file or directory: '{out}'"
+
+
 class TestIdentitiesCommands:
     def test_skp(self, capsys):
         code, out, _ = run(["identities", "skp", "--k", "3", "--p", "1"], capsys)
@@ -1449,6 +1565,35 @@ class TestExitCodes:
         argv = ["params", "gap", "--p", "20", "--k", "21", "--s", "0.9999999", "--c", "1", "--eps", "1e300"]
         code, stdout, err = run(argv, capsys)
         assert code == 1 and stdout == "" and err.startswith("failure:") and "leaves the float range" in err, err
+
+    GAP = ["params", "gap", "--p", "3", "--k", "4", "--s", "0.95", "--c", "0.99"]
+
+    @pytest.mark.parametrize("eps", ["-1", "-2", "-0.5", "0", "nan", "inf"])
+    def test_gap_eps_that_is_not_positive_and_finite_is_usage(self, tmp_path, capsys, eps):
+        out = tmp_path / "gap.json"
+        code, stdout, err = run([*self.GAP, f"--eps={eps}", "--out", str(out)], capsys)
+        assert code == 2 and stdout == "" and "Traceback" not in err
+        assert err.startswith("usage error: eps must be finite and > 0"), err
+        assert not out.exists()
+
+    def test_gap_eps_keeps_its_bytes(self, capsys):
+        code, stdout, _ = run([*self.GAP, "--eps", "0.25"], capsys)
+        assert code == 0 and stdout == (
+            '{"c_prime":"0.52800000000000002","degenerate":false,"gamma":"1.0046530480590319",'
+            '"gamma_bound":"1.0000000208920026","s_prime":"0.5066666666666666"}\n'
+        )
+
+    @pytest.mark.parametrize("box", ["0..0", "1..2", "5..5"])
+    def test_validation_box_without_the_boolean_points_is_usage(self, tmp_path, capsys, box):
+        g, cnf, inst = tmp_path / "g.json", tmp_path / "f.cnf", tmp_path / "inst.json"
+        cnf.write_text("p cnf 3 2\n1 2 3 0\n-1 -2 3 0\n")
+        assert run(["gadget", "find", "--k", "3", "--p", "3", "--out", str(g)], capsys)[0] == 0
+        assert run(["reduce", "sat", "--cnf", str(cnf), "--gadget", str(g), "--out", str(inst)], capsys)[0] == 0
+        code, stdout, err = run(["oracle", "validate", "--cnf", str(cnf), "--instance", str(inst), f"--box={box}"], capsys)
+        assert code == 2 and stdout == ""
+        assert err == f"usage error: a validation box must hold 0 and 1 in every coordinate, got {box}\n"
+        # a closest-vector search takes any box
+        assert run(["oracle", "solve", str(inst), f"--box={box}"], capsys)[0] == 0
 
     @pytest.mark.parametrize("flag", ["--tol-rel", "--tol-abs"])
     def test_infinite_tolerance_is_usage(self, tmp_path, capsys, flag):

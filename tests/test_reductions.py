@@ -386,6 +386,22 @@ class TestGapParams:
         assert params.gamma is not None
         assert params.gamma >= params.gamma_bound
 
+    @pytest.mark.parametrize("k", range(3, 11))
+    def test_gadget_gamma_dominates_bound_on_grid(self, k):
+        # the paper's relation between gamma, p and k, for every parity
+        # lattice the reductions build, both bits, at two promise gaps
+        for p in (p for p in (1.0, 1.5, 2.5, 3.0, 5.0, 7.5) if k > p):
+            for bit in (0, 1):
+                lattice = gadgets.to_isolating_lattice(gadgets.parity_gadget(k, p, bit))
+                for s, c in ((0.6, 0.95), (0.8, 0.9)):
+                    params = reductions.parity_gap_params(p, k, s, c, eps=lattice.eps)
+                    assert params.gamma >= params.gamma_bound, (k, p, bit, s, c)
+
+    @pytest.mark.parametrize("eps", [-2.0, -1.0, -0.5, 0.0, math.nan, math.inf])
+    def test_gap_factor_needs_positive_finite_eps(self, eps):
+        with pytest.raises(InvalidInputError, match="eps must be finite and > 0"):
+            reductions.gamma_from_eps(3.0, eps, 0.8, 0.9)
+
     def test_range_validation(self):
         with pytest.raises(InvalidInputError):
             reductions.parity_gap_params(1.0, 3, s=0.4, c=0.9)

@@ -1,6 +1,8 @@
 """Smoke runs of the experiment scripts at small sizes: each must exit 0 and
-print its header line."""
+print its header line; and the summary of scripts/bench_pairs.py on
+synthetic runs."""
 
+import importlib.util
 import os
 import subprocess
 import sys
@@ -48,3 +50,50 @@ def test_gadget_grid_prints_refusals(p, cells):
     assert proc.returncode == 0, proc.stderr
     row = proc.stdout.splitlines()[1].split()
     assert row[0] == p and row[-len(cells) :] == cells
+
+
+def bench_pairs():
+    spec = importlib.util.spec_from_file_location("bench_pairs", ROOT / "scripts" / "bench_pairs.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def pair_records(parent: list[float], change: list[float], name="jobs_per_s") -> list[dict]:
+    return [
+        {"pair": i, "side": side, "metrics": {name: {"value": value, "unit": "1/s"}}}
+        for i, values in enumerate(zip(parent, change))
+        for side, value in zip(("parent", "change"), values)
+    ]
+
+
+class TestBenchPairsSummary:
+    HIGHER = [{"name": "jobs_per_s", "better": "higher"}]
+
+    def test_quartiles_wins_and_change(self):
+        parent = [100.0, 102.0, 98.0, 101.0, 99.0, 100.0, 103.0, 97.0, 100.0, 100.0]
+        change = [p + 10 for p in parent[:9]] + [100.0]  # one tie
+        (entry,) = bench_pairs().summarize(pair_records(parent, change), self.HIGHER).values()
+        assert entry["parent"]["median"] == 100.0 and entry["change"]["median"] == 110.0
+        assert (entry["parent"]["q1"], entry["parent"]["q3"]) == (99.25, 100.75)
+        assert entry["change_pct"] == pytest.approx(10.0)
+        assert (entry["wins"], entry["ties"], entry["pairs"]) == (9, 1, 10)
+        assert bench_pairs().gain_holds(entry)
+
+    def test_gain_rule_needs_nine_wins_and_a_lead_beyond_the_iqr(self):
+        bp = bench_pairs()
+        parent = [100.0, 102.0, 98.0, 101.0, 99.0, 100.0, 103.0, 97.0, 100.0, 100.0]
+        eight_wins = [p + 10 for p in parent[:8]] + [90.0, 90.0]
+        within_iqr = [p + 1 for p in parent]
+        for change in (eight_wins, within_iqr):
+            (entry,) = bp.summarize(pair_records(parent, change), self.HIGHER).values()
+            assert not bp.gain_holds(entry)
+
+    def test_lower_is_better_and_incomplete_pairs_are_left_out(self):
+        bp = bench_pairs()
+        records = pair_records([1.0, 1.2, 1.1], [0.8, 0.9, 0.85], "job_s_p50")
+        records.append({"pair": 3, "side": "parent", "metrics": {"job_s_p50": {"value": 9.0, "unit": "s"}}})
+        (entry,) = bp.summarize(records, [{"name": "job_s_p50", "better": "lower"}]).values()
+        assert (entry["wins"], entry["pairs"]) == (3, 3)
+        assert entry["parent"]["median"] == 1.1 and bp.gain_holds(entry)
+        assert "gain rule on job_s_p50: holds" in bp.report({"job_s_p50": entry}, "job_s_p50")
