@@ -12,7 +12,12 @@ in that copy and in this checkout, the parent first when i is even and the
 change first when i is odd.  A run that exits nonzero or does not read
 `correct: true` stops the script.  For every end-to-end metric of
 BENCHMARK.json it prints the median and quartiles of each side, the change
-of the medians in %, and the pairs the change won.  With --claim it also
+of the medians in %, the pairs the change won, and the no-regression
+verdict against the metric's bound: "within" when the change's median is
+worse than the parent's by at most the bound (a fraction of the parent's
+median), "worse" when by more, and "unresolved" when the parent's
+interquartile range is wider than the bound, unless every run of the change
+is better than every run of the parent.  With --claim it also
 prints whether the gain rule holds for that metric: the change better in at
 least 9 of 10 pairs, and the medians apart by more than the parent's
 interquartile range, in the better direction.  --out gets every run as JSON.
@@ -55,14 +60,15 @@ def run_once(root: Path, workload: str, seed: int, seconds: float) -> dict:
 
 def quartiles(values: list[float]) -> dict:
     q1, median, q3 = statistics.quantiles(values, n=4, method="inclusive") if len(values) > 1 else values * 3
-    return {"median": median, "q1": q1, "q3": q3, "iqr": q3 - q1}
+    return {"median": median, "q1": q1, "q3": q3, "iqr": q3 - q1, "min": min(values), "max": max(values)}
 
 
 def summarize(records: list[dict], metrics: list[dict]) -> dict:
-    """Per metric ({"name", "better"}): each side's quartiles over the
-    records ({"pair", "side", "metrics"}, with the metrics as run.py prints
-    them: {name: {"value", "unit"}}), the change of the medians in %, and
-    how many of the complete pairs the change won and tied."""
+    """Per metric ({"name", "better"} and, from BENCHMARK.json, "bound"):
+    each side's quartiles over the records ({"pair", "side", "metrics"},
+    with the metrics as run.py prints them: {name: {"value", "unit"}}), the
+    change of the medians in %, and how many of the complete pairs the
+    change won and tied."""
     pairs: dict[int, dict] = {}
     for rec in records:
         pairs.setdefault(rec["pair"], {})[rec["side"]] = rec["metrics"]
@@ -77,6 +83,7 @@ def summarize(records: list[dict], metrics: list[dict]) -> dict:
         out[name] = {
             **stats,
             "better": metric["better"],
+            "bound": metric.get("bound"),
             "change_pct": 100 * (stats["change"]["median"] - base) / base if base else math.nan,
             "wins": sum(gap > 0 for gap in gaps),
             "ties": sum(gap == 0 for gap in gaps),
@@ -94,11 +101,29 @@ def gain_holds(entry: dict) -> bool:
     return entry["wins"] >= math.ceil(0.9 * entry["pairs"]) and lead > entry["parent"]["iqr"]
 
 
+def regression_verdict(entry: dict) -> str:
+    """The no-regression rule on one summarize() entry with a bound:
+    "unresolved" when the parent's interquartile range is wider than the
+    bound times the parent's median, unless every change run is better than
+    every parent run; else "worse" when the change's median is worse than
+    the parent's by more than that, and "within" when it is not."""
+    sign = 1 if entry["better"] == "higher" else -1
+    parent, change = entry["parent"], entry["change"]
+    allowed = entry["bound"] * abs(parent["median"])
+    all_better = change["min"] > parent["max"] if sign > 0 else change["max"] < parent["min"]
+    if parent["iqr"] > allowed and not all_better:
+        return "unresolved"
+    return "worse" if sign * (parent["median"] - change["median"]) > allowed else "within"
+
+
 def report(summary: dict, claim: str | None) -> str:
-    lines = [f"{'metric':<18} {'parent median [q1, q3]':>34} {'change median [q1, q3]':>34} {'change':>8} won"]
+    lines = [f"{'metric':<18} {'parent median [q1, q3]':>34} {'change median [q1, q3]':>34} {'change':>8} won verdict"]
     for name, e in summary.items():
         sides = [f"{e[s]['median']:.4g} [{e[s]['q1']:.4g}, {e[s]['q3']:.4g}]" for s in SIDES]
-        lines.append(f"{name:<18} {sides[0]:>34} {sides[1]:>34} {e['change_pct']:>+7.1f}% {e['wins']}/{e['pairs']}")
+        verdict = regression_verdict(e) if e["bound"] is not None else "-"
+        lines.append(
+            f"{name:<18} {sides[0]:>34} {sides[1]:>34} {e['change_pct']:>+7.1f}% {e['wins']}/{e['pairs']} {verdict}"
+        )
     if claim is not None:
         verdict = "holds" if gain_holds(summary[claim]) else "does not hold"
         lines.append(f"gain rule on {claim}: {verdict}")

@@ -12,9 +12,11 @@ read (`_prep_texts`), which every query against that prep writes.
 A process keeps one value per kind of input text, each decoded at most
 once: the last gadget and the last instance it read or wrote to --out
 (`_gadget_text`, `_instance_text`), the last formula it read
-(`_formula_text`) and the last prep it read (`_prep_texts`).  A value
-written to --out goes in as reading the file back would give it.  `batch`
-runs many commands in one process, so that a pipeline's steps share these.
+(`_formula_text`) and the last prep it read (`_prep_texts`).  What reading
+an artifact gives, read-only arrays included, is serialize's to say: a
+value written to --out goes in as serialize's read-back of it
+(`gadget_read_back`, `instance_read_back`).  `batch` runs many commands in
+one process, so that a pipeline's steps share these.
 """
 
 from __future__ import annotations
@@ -143,60 +145,38 @@ def _prep_texts(text: str):
     whose text is `text`, built once for the many queries a process may serve
     on one prep.  The basis chunks are held as UTF-8 bytes, so a query
     writes them to --out as they are; each is encoded in place of its str,
-    so the basis is never held twice.  The arrays are read-only, since every
-    later query shares them."""
+    so the basis is never held twice.  The header's arrays are read-only,
+    since every later query shares them, as the reader made the gadget's."""
     art, basis = serialize.cvpp_from_json(json.loads(text))
     basis = list(basis)
     for i, chunk in enumerate(basis):
         basis[i] = chunk.encode()
     blocks = serialize.target_block_texts(art)
-    arrays = [art.block_columns, art.off_on, blocks[0]]
-    if art.gadget is not None:
-        arrays += [art.gadget.V, art.gadget.t_on, art.gadget.t_off]
-    for a in arrays:
+    for a in (art.block_columns, art.off_on, blocks[0]):
         a.flags.writeable = False
     return art, tuple(basis), blocks
-
-
-def _frozen(g: gadgets.IsolatingGadget) -> gadgets.IsolatingGadget:
-    """g as reading its gadget-v1 text gives it, so both ways into the gadget
-    cache agree: float p and eps, read-only C-ordered copies of V and t, the
-    constraint as JSON gives it back, and no meta."""
-    V, t = np.array(g.V, dtype=float, order="C"), np.array(g.t, dtype=float)
-    V.flags.writeable = t.flags.writeable = False
-    constraint = json.loads(json.dumps(g.constraint, sort_keys=True))
-    return serialize.gadget_of(float(g.p), int(g.k), V, t, float(g.eps), g.kind, constraint)
 
 
 @_LastText
 def _gadget_text(text: str):
     """The gadget whose JSON text is `text`: gadget-build's verify and onoff
-    read what its find wrote, and a run's `reduce sat`s read one gadget.  V
-    and t are read-only, since every later read shares them."""
-    return _frozen(serialize.gadget_from_json(json.loads(text)))
+    read what its find wrote, and a run's `reduce sat`s read one gadget."""
+    return serialize.gadget_from_json(json.loads(text))
 
 
 def _emit_gadget(g: gadgets.IsolatingGadget, out: str | None) -> None:
-    _emit_through(_gadget_text, serialize.gadget_to_json(g), out, lambda: _frozen(g))
-
-
-def _read_only(inst: reductions.CvpInstance) -> reductions.CvpInstance:
-    inst.basis.flags.writeable = inst.target.flags.writeable = False
-    return inst
+    _emit_through(_gadget_text, serialize.gadget_to_json(g), out, lambda: serialize.gadget_read_back(g))
 
 
 @_LastText
 def _instance_text(text: str):
     """The instance whose JSON text is `text`: sat-validate's validate reads
-    what its reduce wrote.  The basis and target are read-only, since every
-    later read shares them."""
-    return _read_only(serialize.instance_from_json(json.loads(text)))
+    what its reduce wrote."""
+    return serialize.instance_from_json(json.loads(text))
 
 
 def _emit_instance(inst: reductions.CvpInstance, out: str | None) -> None:
-    _emit_through(
-        _instance_text, serialize.instance_to_json(inst), out, lambda: _read_only(serialize.instance_read_back(inst))
-    )
+    _emit_through(_instance_text, serialize.instance_to_json(inst), out, lambda: serialize.instance_read_back(inst))
 
 
 def _read(path: str) -> str:

@@ -41,6 +41,7 @@ from .numeric import (
     DEFAULT_TOL,
     Tolerance,
     chunk_rows,
+    column_rank,
     finite_float,
     finite_pvalue,
     integer_grid,
@@ -623,7 +624,7 @@ def verify_parallelepiped(gadget: IsolatingGadget, tol: Tolerance = DEFAULT_TOL)
         Condition("positive-gap", gadget.eps > tol.rel, max(0.0, tol.rel - gadget.eps)),
     ]
     if gadget.kind == KIND_LATTICE:
-        rank = int(np.linalg.matrix_rank(gadget.V))
+        rank = column_rank(gadget.V)
         conditions.append(Condition("full-column-rank", rank == gadget.k, float(gadget.k - rank)))
     return VerificationReport(conditions, tol, check)
 

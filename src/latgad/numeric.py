@@ -128,6 +128,24 @@ def sin_half_pi(p) -> float:
     return math.sin(math.pi * q / 2.0)
 
 
+def column_rank(M: np.ndarray) -> int:
+    """The column rank of the d x n float array M, without an SVD when rows
+    with a single nonzero entry certify full rank: every column needs such
+    a row, and the smallest of the columns' largest such |entry| must clear
+    np.linalg.matrix_rank's threshold.  One such row per column forms a
+    diagonal submatrix, so M's smallest singular value is at least that
+    entry; sqrt(d n) times the largest |entry| bounds the largest one, which
+    sets the threshold, and unlike the Frobenius norm it cannot underflow.
+    Padded instances, CVPP queries, gap instances and isolating lattices all
+    hold such rows.  Any other M goes to the SVD."""
+    d, n = M.shape
+    singles = M[np.count_nonzero(M, axis=1) == 1]
+    smallest = np.abs(singles).max(axis=0, initial=0.0).min(initial=math.inf)
+    if smallest > np.abs(M).max(initial=0.0) * math.sqrt(d * n) * max(d, n) * np.finfo(float).eps:
+        return n
+    return int(np.linalg.matrix_rank(M))
+
+
 # largest integer exponent raised by repeated multiplication: on 2^16 floats
 # one multiply pass cost 1/40 to 1/190 of a float pow pass, so q - 1 passes
 # stay far cheaper for the small odd p the gadgets and reductions use

@@ -26,30 +26,13 @@ import numpy as np
 from .errors import InvalidInputError, ResourceLimitError, UnsupportedParametersError
 from .formulas import Clause, CspFormula
 from .gadgets import KIND_LATTICE, IsolatingGadget, OnOffGadget
-from .numeric import DEFAULT_TOL, finite_float, finite_pvalue, pvalue, sin_half_pi
+from .numeric import DEFAULT_TOL, column_rank, finite_float, finite_pvalue, pvalue, sin_half_pi
 
 MAX_BASIS_ENTRIES = 5 * 10**7
 # Smallest relative distance gap that sat_to_cvp leaves between assignments
 # one satisfied weight unit apart: a few times the default verification tie
 # band, and far above the float rounding of the stacked sums.
 MIN_WEIGHT_SEPARATION = 4 * DEFAULT_TOL.rel
-
-
-def _singleton_rows_certify_rank(basis: np.ndarray) -> bool:
-    """Whether rows with a single nonzero entry certify the full column rank
-    of the d x n basis without an SVD: every column needs such a row, and the
-    smallest of the columns' largest such |entry| must clear
-    np.linalg.matrix_rank's threshold.  One such row per column forms a
-    diagonal submatrix, so the basis's smallest singular value is at least
-    that entry; sqrt(d n) times the largest |entry| bounds the largest one,
-    which sets the threshold, and unlike the Frobenius norm it cannot
-    underflow.  Padded instances end in 2 alpha I_n, CVPP queries in a
-    diagonal tail, and gap instances hold every variable's identity rows."""
-    d, n = basis.shape
-    singles = basis[np.count_nonzero(basis, axis=1) == 1]
-    smallest = np.abs(singles).max(axis=0, initial=0.0).min(initial=math.inf)
-    largest = np.abs(basis).max(initial=0.0)
-    return bool(smallest > largest * math.sqrt(d * n) * max(d, n) * np.finfo(float).eps)
 
 
 @dataclass(eq=False)
@@ -71,7 +54,7 @@ class CvpInstance:
             raise InvalidInputError("basis and target dimensions disagree")
         if not self.radius > 0:
             raise InvalidInputError("radius must be positive")
-        if not _singleton_rows_certify_rank(self.basis) and np.linalg.matrix_rank(self.basis) != self.basis.shape[1]:
+        if column_rank(self.basis) != self.basis.shape[1]:
             raise InvalidInputError("basis must have full column rank")
 
     @property

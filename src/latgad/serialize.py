@@ -4,7 +4,9 @@ All real numbers travel as decimal strings with 17 significant digits, which
 round-trip binary64 exactly and keep output independent of platform float
 formatting.  Matrices are stored as lists of columns.  The gadget, on-off
 and instance readers refuse a matrix or vector entry that is not finite, and
-an eps or radius that is not finite and > 0.
+an eps or radius that is not finite and > 0.  Their arrays are read-only, so
+a process can share what it reads; `gadget_read_back` and
+`instance_read_back` give what reading a written artifact gives.
 
 Artifacts repeat a few values many times (a CVPP basis of 153 700 entries
 holds 19 distinct strings), so vectors and matrices go through a table:
@@ -15,21 +17,19 @@ are the same as formatting and parsing each entry on its own.
 
 Formatted reals need no JSON escaping, so every array of them in an
 artifact is written as one string join (`_joined`).  `fmt_vector` and
-`fmt_columns` return lists of private subclasses that `dump_chunks`
-recognises at the top level of a payload and writes from their joined text,
+`fmt_columns` return lists of private subclasses, holding that text, that
+`dump_chunks` recognises at the top level of a payload and writes from it,
 instead of passing them through the encoder, which escape-checks each
-string on its own: gadgets, on-off gadgets and CVP instances are written
-so.  The encoder refuses inf and nan, which are no JSON numbers.
+string on its own.  The encoder refuses inf and nan, which are no JSON
+numbers.
 
-The text of a column is a function of its float64 bit patterns, so a
-process formats each column once: `_last_texts` keeps the strings and the
-joined text of every vector and matrix column of the last payload written
-with any, keyed by the column's bytes (so -0.0 and 0.0 stay apart), and
-`fmt_vector` and `fmt_columns` look each column up before formatting it.
 An on-off gadget's V columns and t_on are the first k columns and the t of
-the gadget it comes from, so `gadget onoff` after `gadget find`, or `cvpp
-prep` after the gadget it reads was written, formats only t_off.  The memo
-holds one artifact, and every list handed out is the caller's own copy.
+the gadget it comes from.  So `gadget_to_json` and `onoff_to_json`, and
+nothing else, keep the texts of the last gadget's columns and targets in
+`_last_texts`, keyed by the column's bytes (so -0.0 and 0.0 stay apart), and
+format only the columns it lacks: `gadget onoff` after `gadget find`, or
+`cvpp prep` after the gadget it reads was written, formats only t_off.
+Every list handed out is the caller's own copy.
 
 A CVPP prep stores only its generator: n, k, the mode and, for the finite
 norms, the on-off gadget.  A query writes the basis those determine without
@@ -125,22 +125,15 @@ def _parse_table(items: list) -> np.ndarray:
 
 
 class _Reals(list):
-    """The fmt_real strings of one vector or matrix column, as a list of
-    the caller's own.  `key` is the bytes of the column's float64 entries and
-    `strings` the strings as formatted, a list no caller gets.  `dump_chunks`
-    writes `joined()`, the JSON text of `strings`, joined once and then kept,
-    so an edit to the list itself is not written."""
+    """The fmt_real strings of one vector or matrix column, as a list of the
+    caller's own, and `text`, their JSON text without brackets.
+    `dump_chunks` writes `text`, so an edit to the list is not written."""
 
-    __slots__ = ("key", "strings", "text")
+    __slots__ = ("text",)
 
-    def __init__(self, key: bytes, strings: list[str], text: str | None = None):
+    def __init__(self, strings: list[str], text: str | None = None):
         super().__init__(strings)
-        self.key, self.strings, self.text = key, strings, text
-
-    def joined(self) -> str:
-        if self.text is None:
-            self.text = _joined(self.strings)
-        return self.text
+        self.text = _joined(strings) if text is None else text
 
 
 class _RealColumns(list):
@@ -154,26 +147,8 @@ def _joined(strings) -> str:
     return '"' + '","'.join(strings) + '"' if strings else ""
 
 
-# the strings and JSON text of each vector and matrix column of the last
-# payload that dump_chunks wrote with any, by key: an on-off gadget repeats
-# the columns and t of the gadget it comes from
-_last_texts: dict[bytes, tuple[list[str], str]] = {}
-
-
-def _fmt_rows(rows: np.ndarray) -> list[_Reals]:
-    """_Reals of each row of the 2-D float array rows: the strings of
-    _last_texts where it holds the row's key, and the other rows formatted
-    through one table."""
-    keys = [row.tobytes() for row in rows]
-    hits = [_last_texts.get(key) for key in keys]
-    missing = [i for i, hit in enumerate(hits) if hit is None]
-    fresh = iter(_fmt_table(rows[missing]).tolist() if missing else ())
-    return [_Reals(key, *hit) if hit else _Reals(key, next(fresh)) for key, hit in zip(keys, hits)]
-
-
 def fmt_vector(v) -> list[str]:
-    (reals,) = _fmt_rows(np.asarray(v, dtype=float).reshape(1, -1))
-    return reals
+    return _Reals(_fmt_table(np.asarray(v, dtype=float).ravel()).tolist())
 
 
 def parse_vector(v) -> np.ndarray:
@@ -181,7 +156,28 @@ def parse_vector(v) -> np.ndarray:
 
 
 def fmt_columns(M) -> list[list[str]]:
-    return _RealColumns(_fmt_rows(np.asarray(M, dtype=float).T))
+    return _RealColumns(map(_Reals, _fmt_table(np.asarray(M, dtype=float).T).tolist()))
+
+
+# the strings and JSON text of each column and target of the last gadget or
+# on-off gadget formatted, by the column's float64 bytes: an on-off gadget
+# repeats the columns and t of the gadget it comes from
+_last_texts: dict[bytes, tuple[list[str], str]] = {}
+
+
+def _gadget_texts(V: np.ndarray, *targets: np.ndarray) -> list[_Reals]:
+    """fmt_vector of each column of V, then of each target: the texts of
+    _last_texts where it holds the column's bytes, and the other columns
+    formatted in one _fmt_table pass.  _last_texts then holds these."""
+    rows = np.vstack([np.asarray(V, dtype=float).T, *targets])
+    keys = [row.tobytes() for row in rows]
+    texts = {key: _last_texts[key] for key in keys if key in _last_texts}
+    missing = [i for i, key in enumerate(keys) if key not in texts]
+    for i, strings in zip(missing, _fmt_table(rows[missing]).tolist()):
+        texts[keys[i]] = strings, _joined(strings)
+    _last_texts.clear()
+    _last_texts.update(texts)
+    return [_Reals(*texts[key]) for key in keys]
 
 
 def parse_columns(cols) -> np.ndarray:
@@ -202,9 +198,11 @@ def parse_pnorm(s) -> float:
 
 
 def _finite(a: np.ndarray, name: str) -> np.ndarray:
-    """a, which must hold finite entries only."""
+    """a, which must hold finite entries only, made read-only: a process
+    shares what it reads with every later read of the same text."""
     if not np.isfinite(a).all():
         raise InvalidInputError(f"{name} has an entry that is not finite")
+    a.flags.writeable = False
     return a
 
 
@@ -235,29 +233,22 @@ def dump_chunks(obj: dict) -> list[str]:
     strings to write in order.  A top-level tuple value is JSON text already
     encoded, in chunks, and is written as is; a top-level vector or matrix
     from fmt_vector or fmt_columns is written from its joined text, without
-    the encoder.  A payload with any such value replaces _last_texts with
-    their texts."""
+    the encoder."""
     out = ["{"]
-    written: list[_Reals] = []
     for i, (key, value) in enumerate(sorted(obj.items())):
         out.append(("," if i else "") + _compact(key) + ":")
         if isinstance(value, tuple):
             out.extend(value)
         elif isinstance(value, _Reals):
-            out.append("[" + value.joined() + "]")
-            written.append(value)
+            out.append("[" + value.text + "]")
         elif isinstance(value, _RealColumns):
-            out.append("[[" + "],[".join([col.joined() for col in value]) + "]]" if value else "[]")
-            written += value
+            out.append("[[" + "],[".join([col.text for col in value]) + "]]" if value else "[]")
         else:
             try:
                 out.append(_compact(value))
             except ValueError as exc:
                 raise NumericDegeneracyError(f"{key} holds a number that is not finite: {exc}") from exc
     out.append("}\n")
-    if written:
-        _last_texts.clear()
-        _last_texts.update((reals.key, (reals.strings, reals.text)) for reals in written)
     return out
 
 
@@ -284,13 +275,14 @@ def _meta_out(meta: dict) -> dict:
 
 
 def gadget_to_json(g: IsolatingGadget) -> dict:
+    *V, t = _gadget_texts(g.V, g.t)
     out = {
         "schema": GADGET_SCHEMA,
         "p": fmt_real(g.p),
         "k": g.k,
         "kind": g.kind,
-        "V": fmt_columns(g.V),
-        "t": fmt_vector(g.t),
+        "V": _RealColumns(V),
+        "t": t,
         "eps": fmt_real(g.eps),
     }
     if g.constraint is not None:
@@ -318,14 +310,24 @@ def gadget_of(p: float, k: int, V: np.ndarray, t: np.ndarray, eps: float, kind: 
     return IsolatingGadget(p, k, _finite(V, "V"), _finite(t, "t"), _positive(eps, "eps"), kind, constraint)
 
 
+def gadget_read_back(g: IsolatingGadget) -> IsolatingGadget:
+    """The gadget that reading the text of gadget_to_json(g) gives, without
+    formatting or parsing V and t, which are g's own arrays, made read-only,
+    when they are C-ordered float64; meta is not written, so it is dropped."""
+    V, t = np.ascontiguousarray(g.V, dtype=float), np.ascontiguousarray(g.t, dtype=float)
+    constraint = json.loads(_compact(g.constraint))
+    return gadget_of(float(g.p), int(g.k), V, t, float(g.eps), g.kind, constraint)
+
+
 def onoff_to_json(g: OnOffGadget) -> dict:
+    *V, t_on, t_off = _gadget_texts(g.V, g.t_on, g.t_off)
     return {
         "schema": ONOFF_SCHEMA,
         "p": fmt_real(g.p),
         "k": g.k,
-        "V": fmt_columns(g.V),
-        "t_on": fmt_vector(g.t_on),
-        "t_off": fmt_vector(g.t_off),
+        "V": _RealColumns(V),
+        "t_on": t_on,
+        "t_off": t_off,
         "eps": fmt_real(g.eps),
     }
 
@@ -379,7 +381,9 @@ def instance_from_json(d: dict) -> CvpInstance:
 def instance_of(p: float, basis: np.ndarray, target: np.ndarray, radius: float, meta) -> CvpInstance:
     """The instance that a latgad-cvp-v1 artifact with these parsed fields
     and this meta, as JSON gives it, reads as.  Refused unless every entry
-    of the basis and target is finite and the radius is finite and > 0."""
+    of the basis and target is finite, the radius is finite and > 0, and
+    the meta that the oracle computes with lies in its domain: s and c in
+    (0, 1] with s <= c, gamma finite and >= 1, and threshold >= 0."""
     if not isinstance(meta, dict):
         raise InvalidInputError(f"instance meta must be an object, got {meta!r}")
     meta = dict(meta)
@@ -391,6 +395,14 @@ def instance_of(p: float, basis: np.ndarray, target: np.ndarray, radius: float, 
     for key, parse in (("gamma", parse_real), ("s", parse_real), ("c", parse_real), ("threshold", _parse_int)):
         if key in meta:
             meta[key] = parse(meta[key])
+    c = meta.get("c", 1.0)
+    s = meta.get("s", c)
+    if not 0 < s <= c <= 1:
+        raise InvalidInputError(f"instance meta needs 0 < s <= c <= 1, got s={s!r}, c={c!r}")
+    if "gamma" in meta and not (math.isfinite(meta["gamma"]) and meta["gamma"] >= 1):
+        raise InvalidInputError(f"instance meta gamma must be finite and >= 1, got {meta['gamma']!r}")
+    if meta.get("threshold", 0) < 0:
+        raise InvalidInputError(f"instance meta threshold must be >= 0, got {meta['threshold']}")
     return CvpInstance(p, _finite(basis, "basis"), _finite(target, "target"), _positive(radius, "radius"), meta)
 
 
@@ -399,7 +411,7 @@ def instance_read_back(inst: CvpInstance) -> CvpInstance:
     without formatting or parsing the arrays: every binary64 real
     round-trips fmt_real, and meta takes the JSON round trip that the
     artifact's own meta takes.  The basis and target are inst's own arrays
-    when they are C-ordered float64."""
+    when they are C-ordered float64, made read-only."""
     meta = json.loads(_compact(_meta_out(inst.meta)))
     basis, target = np.ascontiguousarray(inst.basis, dtype=float), np.ascontiguousarray(inst.target, dtype=float)
     return instance_of(float(inst.p), basis, target, float(inst.radius), meta)
@@ -424,7 +436,7 @@ def _basis_text(art: CvppArtifacts) -> tuple[str, ...]:
     # every entry formatted, each distinct value once: the columns of V, the
     # columns of -V, then 0 and the diagonal
     V = art.block_columns.T.ravel()
-    text = fmt_vector(np.concatenate([V, -V, [0.0, art.diagonal]]))
+    text = _fmt_table(np.concatenate([V, -V, [0.0, art.diagonal]])).tolist()
     # column s of V and of -V as JSON text, without brackets
     signed = [[_joined(text[(h * k + s) * rows : (h * k + s + 1) * rows]) for h in (0, 1)] for s in range(k)]
     blocks = [",".join(signed[s][(mask >> (k - 1 - s)) & 1] for mask in range(2**k)) for s in range(k)]
@@ -448,7 +460,7 @@ def target_block_texts(art: CvppArtifacts) -> tuple[np.ndarray, str]:
     present * 2^k + mask, and the text of the n tail entries.  Every entry
     is formatted once."""
     rows = art.block_rows
-    text = fmt_vector(np.append(art.target_blocks, art.target_tail))
+    text = _fmt_table(np.append(art.target_blocks, art.target_tail)).tolist()
     tail = text.pop()
     blocks = np.array([_joined(text[i : i + rows]) for i in range(0, len(text), rows)], dtype=object)
     return blocks, _joined([tail] * art.n)

@@ -1038,6 +1038,10 @@ def _set_scalar(field):
     return lambda doc, value: doc.__setitem__(field, value)
 
 
+def _set_meta(field):
+    return lambda doc, value: doc["meta"].__setitem__(field, value)
+
+
 NOT_FINITE = ("nan", "inf", "-inf")
 NOT_POSITIVE = (*NOT_FINITE, "-1", "0")
 
@@ -1053,6 +1057,14 @@ class TestReaderDomain:
                     "t_off": (_set_entry("t_off"), NOT_FINITE), "eps": (_set_scalar("eps"), NOT_POSITIVE)}
     INSTANCE_FIELDS = {"basis": (_set_entry("basis"), NOT_FINITE), "target": (_set_entry("target"), NOT_FINITE),
                        "radius": (_set_scalar("radius"), NOT_POSITIVE)}
+    # the gap instance holds s = 0.6 and c = 0.9
+    GAP_META = {"gamma": (*NOT_FINITE, "-1", "0", "0.5"), "s": (*NOT_FINITE, "5", "0", "-0.5", "0.95"),
+                "c": (*NOT_FINITE, "0", "1.5", "0.5")}
+    META_CASES = [
+        *[pytest.param("gap", f, v, id=f"gap-{f}-{v}") for f, vs in GAP_META.items() for v in vs],
+        pytest.param("padded", "threshold", -5, id="padded-threshold--5"),
+        pytest.param("padded", "threshold", "-1", id="padded-threshold--1"),
+    ]
 
     @staticmethod
     def cases(fields: dict, artifacts) -> list:
@@ -1125,14 +1137,23 @@ class TestReaderDomain:
         cnf, out = tmp_path / "f.cnf", str(tmp_path / "out.json")
         cnf.write_text(formula)
 
-        def commands(path):
-            return [
-                ["oracle", "solve", path, "--out", out],
-                ["oracle", "solve", path, "--box=-1..1", "--out", out],
-                ["oracle", "validate", "--cnf", str(cnf), "--instance", path],
-            ]
+        self.refused(tmp_path, capsys, texts[artifact], self.INSTANCE_FIELDS[field][0], value,
+                     self.instance_commands(cnf, out))
 
-        self.refused(tmp_path, capsys, texts[artifact], self.INSTANCE_FIELDS[field][0], value, commands)
+    @pytest.mark.parametrize("artifact, field, value", META_CASES)
+    def test_instance_meta(self, tmp_path, capsys, artifacts, artifact, field, value):
+        texts, formula = artifacts
+        cnf, out = tmp_path / "f.cnf", str(tmp_path / "out.json")
+        cnf.write_text(formula)
+        self.refused(tmp_path, capsys, texts[artifact], _set_meta(field), value, self.instance_commands(cnf, out))
+
+    @staticmethod
+    def instance_commands(cnf, out):
+        return lambda path: [
+            ["oracle", "solve", path, "--out", out],
+            ["oracle", "solve", path, "--box=-1..1", "--out", out],
+            ["oracle", "validate", "--cnf", str(cnf), "--instance", path],
+        ]
 
 
 class TestBatch:

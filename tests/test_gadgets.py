@@ -523,6 +523,18 @@ class TestVerify:
         report = gadgets.verify_parallelepiped(g)
         assert any(c.name == "full-column-rank" and not c.passed for c in report.conditions)
 
+    @pytest.mark.parametrize("k", [3, 5, 8, 10])
+    def test_builder_lattice_rank_needs_no_svd(self, monkeypatch, k):
+        # the scaled identity rows that to_isolating_lattice appends certify
+        # the rank, so the check runs no SVD
+        lattices = [gadgets.to_isolating_lattice(gadgets.find_isolating_parallelepiped(k, 3.0))]
+        if k <= 5:
+            lattices.append(gadgets.to_isolating_lattice(gadgets.parity_gadget(k, 1.5, 1)))
+        monkeypatch.setattr(np.linalg, "matrix_rank", lambda M: pytest.fail("ran an SVD"))
+        for g in lattices:
+            (rank,) = [c for c in gadgets.verify_parallelepiped(g).conditions if c.name == "full-column-rank"]
+            assert rank.passed and rank.residual == 0.0
+
 
 def toward(t, point, step, p):
     """t moved by `step` in the p-norm straight toward `point`: that point

@@ -97,3 +97,38 @@ class TestBenchPairsSummary:
         assert (entry["wins"], entry["pairs"]) == (3, 3)
         assert entry["parent"]["median"] == 1.1 and bp.gain_holds(entry)
         assert "gain rule on job_s_p50: holds" in bp.report({"job_s_p50": entry}, "job_s_p50")
+
+
+class TestBenchPairsVerdict:
+    """The no-regression verdict of every end-to-end metric against its
+    BENCHMARK.json bound."""
+
+    PARENT = [100.0, 102.0, 98.0, 101.0, 99.0, 100.0, 103.0, 97.0, 100.0, 100.0]  # iqr 1.5
+
+    def verdict(self, parent, change, better="higher", bound=0.15):
+        bp = bench_pairs()
+        metrics = [{"name": "jobs_per_s", "better": better, "bound": bound}]
+        (entry,) = bp.summarize(pair_records(parent, change), metrics).values()
+        assert f"/{len(parent)} {bp.regression_verdict(entry)}" in bp.report({"jobs_per_s": entry}, None)
+        return bp.regression_verdict(entry)
+
+    def test_within_the_bound(self):
+        assert self.verdict(self.PARENT, [p - 14 for p in self.PARENT]) == "within"
+        assert self.verdict(self.PARENT, [p + 30 for p in self.PARENT]) == "within"
+        assert self.verdict(self.PARENT, [p + 14 for p in self.PARENT], better="lower") == "within"
+
+    def test_worse_than_the_bound(self):
+        assert self.verdict(self.PARENT, [p - 16 for p in self.PARENT]) == "worse"
+        assert self.verdict(self.PARENT, [p + 16 for p in self.PARENT], better="lower") == "worse"
+
+    def test_unresolved_when_the_parent_spreads_wider_than_the_bound(self):
+        assert self.verdict(self.PARENT, self.PARENT, bound=0.01) == "unresolved"
+        assert self.verdict(self.PARENT, [p - 50 for p in self.PARENT], bound=0.01) == "unresolved"
+        # unless every change run beats every parent run
+        assert self.verdict(self.PARENT, [p + 10 for p in self.PARENT], bound=0.01) == "within"
+        assert self.verdict(self.PARENT, [p - 10 for p in self.PARENT], better="lower", bound=0.01) == "within"
+
+    def test_metrics_without_a_bound_print_no_verdict(self):
+        bp = bench_pairs()
+        (entry,) = bp.summarize(pair_records(self.PARENT, self.PARENT), TestBenchPairsSummary.HIGHER).values()
+        assert bp.report({"jobs_per_s": entry}, None).splitlines()[1].endswith(" -")

@@ -259,20 +259,24 @@ class TestDumps:
 
 
 class TestLastTexts:
-    """serialize keeps the column texts of the last payload it wrote."""
+    """serialize keeps the column texts of the last gadget or on-off gadget
+    it formatted, and only those."""
 
     @staticmethod
-    def payload(M) -> dict:
-        return {"V": serialize.fmt_columns(M), "t": serialize.fmt_vector(M[:, 0])}
+    def gadget(V) -> gadgets.IsolatingGadget:
+        V = np.asarray(V, dtype=float)
+        return gadgets.IsolatingGadget(p=3.0, k=V.shape[1], V=V, t=V[:, 0].copy(), eps=0.5)
 
     @pytest.mark.parametrize("written,now", [(0.0, -0.0), (-0.0, 0.0)])
     def test_signed_zeros_are_told_apart(self, written, now):
         M = np.array([[written, 1.5], [2.5, 0.5]])
-        serialize.dumps(self.payload(M))
+        serialize.dumps(serialize.gadget_to_json(self.gadget(M)))
         # column 0 and t now differ from the written ones by a zero's sign
+        M = M.copy()
         M[0, 0] = now
         want = [[serialize.fmt_real(x) for x in col] for col in M.T]
-        assert json.loads(serialize.dumps(self.payload(M))) == {"V": want, "t": want[0]}
+        doc = json.loads(serialize.dumps(serialize.gadget_to_json(self.gadget(M))))
+        assert (doc["V"], doc["t"]) == (want, want[0])
 
     def test_lists_are_the_callers(self):
         v = np.array([1.0, 2.0, 3.0])
@@ -283,14 +287,81 @@ class TestLastTexts:
             mine[0] = "x"
         assert serialize.fmt_vector(v) == ["1", "2", "3"]
         assert serialize.dumps({"t": serialize.fmt_vector(v)}) == '{"t":["1","2","3"]}\n'
+        g = self.gadget([[1.0], [2.0]])
+        mine = serialize.gadget_to_json(g)["t"]
+        mine[0] = "x"
+        assert serialize.gadget_to_json(g)["t"] == ["1", "2"]
+
+    def test_onoff_after_gadget_formats_only_t_off(self, monkeypatch):
+        g = gadgets.find_isolating_parallelepiped(4, 3.0)
+        onoff = gadgets.to_on_off(g)
+        cold = serialize.dumps(serialize.onoff_to_json(onoff))
+        serialize.dumps(serialize.gadget_to_json(g))
+        fmt, formatted = serialize.fmt_real, []
+        monkeypatch.setattr(serialize, "fmt_real", lambda x: formatted.append(float(x)) or fmt(x))
+        assert serialize.dumps(serialize.onoff_to_json(onoff)) == cold
+        # p, eps and each distinct bit pattern of t_off once, and nothing else
+        assert len(formatted) == 2 + len(bit_patterns(onoff.t_off))
+        assert bit_patterns(formatted) == bit_patterns(onoff.t_off) | bit_patterns([onoff.p, onoff.eps])
+        assert not bit_patterns(onoff.t_off) <= bit_patterns(onoff.t_on)
 
     def test_only_the_last_payload_is_kept(self):
-        a, b = np.array([[1.0], [2.0]]), np.array([[3.0, 4.0], [5.0, 6.0]])
-        serialize.dumps(self.payload(a))
-        serialize.dumps({"passed": True})  # a payload without arrays keeps them
-        assert set(serialize._last_texts) == {a.tobytes()}
-        serialize.dumps(self.payload(b))
-        assert set(serialize._last_texts) == {b[:, 0].tobytes(), b[:, 1].tobytes()}
+        a, b = self.gadget([[1.0], [2.0]]), self.gadget([[3.0, 4.0], [5.0, 6.0]])
+        serialize.dumps(serialize.gadget_to_json(a))
+        assert set(serialize._last_texts) == {a.t.tobytes()}
+        kept = dict(serialize._last_texts)
+        # an instance, a report and a bare vector leave the gadget's texts
+        inst = reductions.CvpInstance(p=2.0, basis=np.diag([7.0, 8.0]), target=[9.0, 1.0], radius=1.0)
+        serialize.dumps(serialize.instance_to_json(inst))
+        serialize.dumps(gadgets.verify_parallelepiped(gadgets.find_isolating_parallelepiped(2, 1.5)).to_json())
+        serialize.dumps({"t": serialize.fmt_vector([5.0, 6.0])})
+        assert serialize._last_texts == kept
+        serialize.dumps(serialize.gadget_to_json(b))
+        assert set(serialize._last_texts) == {b.V[:, 0].tobytes(), b.V[:, 1].tobytes()}
+
+
+class TestReadBack:
+    """The readers' arrays are read-only, and a written gadget's read-back is
+    its read."""
+
+    @staticmethod
+    def assert_read_only(*arrays):
+        for a in arrays:
+            assert not a.flags.writeable
+            with pytest.raises(ValueError, match="read-only"):
+                a[(0,) * a.ndim] = a[(0,) * a.ndim]
+
+    def test_readers_return_read_only_arrays(self):
+        g = gadgets.find_isolating_parallelepiped(3, 2.5)
+        back = serialize.gadget_from_json(json.loads(serialize.dumps(serialize.gadget_to_json(g))))
+        onoff = serialize.onoff_from_json(json.loads(serialize.dumps(serialize.onoff_to_json(gadgets.to_on_off(g)))))
+        inst = reductions.sat_to_cvp(CspFormula(n=3, constraints=[Clause((1, -2, 3))]), g)
+        read = serialize.instance_from_json(json.loads(serialize.dumps(serialize.instance_to_json(inst))))
+        prep, _ = serialize.cvpp_from_json(serialize.cvpp_to_json(reductions.cvpp_header(3, 2, gadgets.to_on_off(g))))
+        self.assert_read_only(back.V, back.t, onoff.V, onoff.t_on, onoff.t_off, read.basis, read.target)
+        self.assert_read_only(prep.gadget.V, prep.gadget.t_on, prep.gadget.t_off)
+
+    @pytest.mark.parametrize(
+        "build",
+        [
+            lambda: gadgets.find_isolating_parallelepiped(3, 3.0),
+            lambda: gadgets.find_isolating_parallelepiped(1, 1.0),
+            lambda: gadgets.to_isolating_lattice(gadgets.find_isolating_parallelepiped(5, 3.0)),
+            lambda: gadgets.parity_gadget(4, 3.0, 1),
+            lambda: gadgets.to_isolating_lattice(gadgets.parity_gadget(3, 1.5, 0)),
+        ],
+        ids=["find", "find-k1", "lattice", "parity", "parity-lattice"],
+    )
+    def test_gadget_read_back_is_the_read(self, build):
+        g = build()
+        read = serialize.gadget_from_json(json.loads(serialize.dumps(serialize.gadget_to_json(g))))
+        back = serialize.gadget_read_back(g)
+        fields = ("p", "k", "eps", "kind", "constraint", "meta")
+        assert [getattr(back, f) for f in fields] == [getattr(read, f) for f in fields]
+        assert [type(getattr(back, f)) for f in fields] == [type(getattr(read, f)) for f in fields]
+        for a, b in ((back.V, read.V), (back.t, read.t)):
+            assert (a.dtype, a.shape, a.strides, a.tobytes()) == (b.dtype, b.shape, b.strides, b.tobytes())
+        self.assert_read_only(back.V, back.t)
 
 
 def float_prep(art):
