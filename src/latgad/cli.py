@@ -351,14 +351,10 @@ def _cmd_cvpp(args, tol: Tolerance) -> int:
             # through the constructor, which checks the threshold
             formula = dataclasses.replace(formula, threshold=args.w)
         present, radius = reductions.cvpp_table_query(art, formula)
-        meta = {
-            "mode": "cvpp-" + art.mode,
-            "n": art.n,
-            "k": art.k,
-            "m": formula.m,
-            "threshold": formula.threshold if formula.threshold is not None else formula.m,
-            "eps": art.gadget.eps if art.gadget is not None else None,
-        }
+        threshold = formula.threshold if formula.threshold is not None else formula.m
+        meta = {"mode": "cvpp-" + art.mode, "threshold": threshold}
+        if art.gadget is not None:
+            meta["eps"] = art.gadget.eps
         if not args.out:
             basis = tuple(chunk.decode() for chunk in basis)
         _emit(serialize.cvp_to_json(art.p, basis, serialize.target_text(blocks, present), radius, meta), args.out)

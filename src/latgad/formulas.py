@@ -3,7 +3,6 @@ file formats (cnf, wcnf, and an xor variant with lines "k i_1 ... i_k b")."""
 
 from __future__ import annotations
 
-import hashlib
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -102,16 +101,6 @@ class CspFormula:
 
     def satisfied_weight(self, assignment: Sequence[int]) -> int:
         return sum(self.weight_of(i) for i, c in enumerate(self.constraints) if c.satisfied(assignment))
-
-    def content_hash(self) -> str:
-        h = hashlib.sha256()
-        h.update(f"n={self.n};W={self.threshold}".encode())
-        for i, c in enumerate(self.constraints):
-            if isinstance(c, Clause):
-                h.update(f";c{self.weight_of(i)}:{','.join(map(str, c.literals))}".encode())
-            else:
-                h.update(f";x{self.weight_of(i)}:{','.join(map(str, c.variables))}={c.bit}".encode())
-        return h.hexdigest()
 
 
 # ---------------------------------------------------------------------------

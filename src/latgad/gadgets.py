@@ -606,6 +606,12 @@ def _level_condition(name: str, x, dist, mask, level: float, tol: Tolerance) -> 
     return Condition(name, worst <= tol.allowance(level), worst, tuple(int(v) for v in x[mask][i]))
 
 
+def _gap_condition(eps: float, tol: Tolerance) -> Condition:
+    """eps above the noise floor and finite: at eps = inf the far level and
+    its allowance are infinite, so any far vertex would pass."""
+    return Condition("positive-gap", tol.rel < eps < math.inf, max(0.0, tol.rel - eps) if eps < math.inf else math.inf)
+
+
 def verify_parallelepiped(gadget: IsolatingGadget, tol: Tolerance = DEFAULT_TOL) -> VerificationReport:
     """Check the two-level distance pattern over all 2^k boolean vertices,
     one per Hamming class when the gadget is certified symmetric.
@@ -621,7 +627,7 @@ def verify_parallelepiped(gadget: IsolatingGadget, tol: Tolerance = DEFAULT_TOL)
     conditions = [
         _level_condition("close-vertices-at-1", x, dist, close, 1.0, tol),
         _level_condition("far-vertices-at-1+eps", x, dist, ~close, 1.0 + gadget.eps, tol),
-        Condition("positive-gap", gadget.eps > tol.rel, max(0.0, tol.rel - gadget.eps)),
+        _gap_condition(gadget.eps, tol),
     ]
     if gadget.kind == KIND_LATTICE:
         rank = column_rank(gadget.V)
@@ -641,7 +647,7 @@ def verify_on_off(gadget: OnOffGadget, tol: Tolerance = DEFAULT_TOL) -> Verifica
         _level_condition("on-target-nonzero-at-1", x, d_on, x.any(axis=1), 1.0, tol),
         Condition("on-target-origin-isolated", origin_res <= tol.allowance(far), origin_res),
         _level_condition("off-target-all-at-1", x, d_off, np.ones(len(x), dtype=bool), 1.0, tol),
-        Condition("positive-gap", gadget.eps > tol.rel, max(0.0, tol.rel - gadget.eps)),
+        _gap_condition(gadget.eps, tol),
     ]
     return VerificationReport(conditions, tol, check)
 

@@ -578,17 +578,25 @@ def validate_reduction(
     for lo, hi in ranges:
         if lo > 0 or hi < 1:
             raise InvalidInputError(f"a validation box must hold 0 and 1 in every coordinate, got {lo}..{hi}")
+    # the mode and its meta are checked before the brute force they judge
+    mode = inst.meta.get("mode")
+    if mode in ("padded", "cvpp-lp", "cvpp-inf"):
+        (W,) = _meta(inst, "threshold")
+    elif mode == "gap":
+        if formula.weights is not None or formula.m == 0:
+            raise InvalidInputError("gap instances come from unweighted formulas with constraints")
+        s, c, gamma = _meta(inst, "s", "c", "gamma")
+    else:
+        raise InvalidInputError(f"instance has unknown mode {mode!r}")
     best, optimal = max_sat_brute(formula)
     # the optimum is the closest boolean point when the reduction is right;
     # as a hint it only speeds the search, whatever the instance
     sol = cvp_enumerate(inst.basis, inst.target, inst.p, ranges, tol, hint=optimal[0])
     r = inst.radius
-    mode = inst.meta.get("mode")
     conditions: list[Condition] = []
     dist_leq_r = sol.distance <= tol.ceiling(r)
 
-    if mode in ("padded", "cvpp-lp", "cvpp-inf"):
-        (W,) = _meta(inst, "threshold")
+    if mode != "gap":
         conditions.append(
             Condition("decision-agreement", dist_leq_r == (best >= W), abs(sol.distance - r))
         )
@@ -613,10 +621,7 @@ def validate_reduction(
                     sol.nonboolean_witness,
                 )
             )
-    elif mode == "gap":
-        if formula.weights is not None or formula.m == 0:
-            raise InvalidInputError("gap instances come from unweighted formulas with constraints")
-        s, c, gamma = _meta(inst, "s", "c", "gamma")
+    else:
         val = best / formula.m
         if val >= c:
             conditions.append(
@@ -632,6 +637,4 @@ def validate_reduction(
             )
         else:
             conditions.append(Condition("gap-promise-violated-no-claim", True, 0.0))
-    else:
-        raise InvalidInputError(f"instance has unknown mode {mode!r}")
     return VerificationReport(conditions, tol)

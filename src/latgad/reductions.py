@@ -52,8 +52,8 @@ class CvpInstance:
         self.p = pvalue(self.p)
         if self.basis.ndim != 2 or self.basis.shape[0] != self.target.size:
             raise InvalidInputError("basis and target dimensions disagree")
-        if not self.radius > 0:
-            raise InvalidInputError("radius must be positive")
+        if not (math.isfinite(self.radius) and self.radius > 0):
+            raise InvalidInputError(f"radius must be finite and > 0, got {self.radius!r}")
         if column_rank(self.basis) != self.basis.shape[1]:
             raise InvalidInputError("basis must have full column rank")
 
@@ -64,6 +64,13 @@ class CvpInstance:
     @property
     def d(self) -> int:
         return self.basis.shape[0]
+
+
+def _cap_basis(d: int, n: int) -> None:
+    """Refuse a d x n basis of more than MAX_BASIS_ENTRIES entries, before
+    anything of that size is allocated."""
+    if d * n > MAX_BASIS_ENTRIES:
+        raise ResourceLimitError(f"basis of {d}x{n} entries exceeds cap {MAX_BASIS_ENTRIES}")
 
 
 def _live_rows(V: np.ndarray, *targets: np.ndarray) -> tuple[np.ndarray, ...]:
@@ -144,6 +151,7 @@ def sat_to_cvp(formula: CspFormula, gadget: IsolatingGadget) -> CvpInstance:
     # one d x n block and target per kept clause, then the padding; each
     # block is scaled after it is summed
     d, rows = gadget_t.size, len(kept) * gadget_t.size
+    _cap_basis(rows + n, n)
     basis, target = np.zeros((rows + n, n)), np.empty(rows + n)
     blocks, targets = basis[:rows].reshape(len(kept), d, n), target[:rows].reshape(len(kept), d)
     _place_literals(V, gadget_t, _literal_matrix([formula.constraints[i] for i in kept], worst), blocks, targets)
@@ -160,17 +168,7 @@ def sat_to_cvp(formula: CspFormula, gadget: IsolatingGadget) -> CvpInstance:
         basis=basis,
         target=target,
         radius=radius,
-        meta={
-            "mode": "padded",
-            "n": n,
-            "m": total,
-            "threshold": W,
-            "eps": eps,
-            "alpha": alpha,
-            "gadget_kind": gadget.kind,
-            "gadget_k": gadget.k,
-            "formula_sha256": formula.content_hash(),
-        },
+        meta={"mode": "padded", "threshold": W, "eps": eps, "alpha": alpha},
     )
 
 
@@ -217,6 +215,7 @@ def csp_to_cvp_gap(
     live = {gadget: _live_rows(gadget.V, gadget.t) for gadget in dict.fromkeys(lattices)}
     sizes = np.array([live[gadget][1].size for gadget in lattices])
     starts = np.cumsum(sizes) - sizes
+    _cap_basis(sizes.sum(), n)
     basis, target = np.empty((sizes.sum(), n)), np.empty(sizes.sum())
     for gadget, (V, t) in live.items():
         members = [i for i, other in enumerate(lattices) if other is gadget]
@@ -233,16 +232,7 @@ def csp_to_cvp_gap(
         basis=basis,
         target=target,
         radius=radius,
-        meta={
-            "mode": "gap",
-            "n": n,
-            "m": m,
-            "s": s,
-            "c": c,
-            "eps": eps,
-            "gamma": gamma,
-            "formula_sha256": formula.content_hash(),
-        },
+        meta={"mode": "gap", "s": s, "c": c, "gamma": gamma},
     )
     return inst, gamma
 
@@ -452,9 +442,7 @@ def cvpp_header(n: int, k: int, gadget: OnOffGadget | None) -> CvppArtifacts:
             raise InvalidInputError("on-off gadget has no nonzero row")
         off_on = np.stack([t_off, t_on])
     M = 2**k * math.comb(n, k)
-    d = M * columns.shape[0] + n
-    if d * n > MAX_BASIS_ENTRIES:
-        raise ResourceLimitError(f"basis of {d}x{n} entries exceeds cap {MAX_BASIS_ENTRIES}")
+    _cap_basis(M * columns.shape[0] + n, n)
     if gadget is not None:
         tail = M ** (1.0 / p) * (1.0 + gadget.eps)
     return CvppArtifacts(n=n, k=k, p=p, block_columns=columns, off_on=off_on, target_tail=tail, gadget=gadget)

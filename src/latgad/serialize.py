@@ -2,11 +2,14 @@
 
 All real numbers travel as decimal strings with 17 significant digits, which
 round-trip binary64 exactly and keep output independent of platform float
-formatting.  Matrices are stored as lists of columns.  The gadget, on-off
-and instance readers refuse a matrix or vector entry that is not finite, and
-an eps or radius that is not finite and > 0.  Their arrays are read-only, so
-a process can share what it reads; `gadget_read_back` and
-`instance_read_back` give what reading a written artifact gives.
+formatting.  Matrices are stored as lists of columns.  One table, `_FIELDS`,
+holds the parser and the domain of every artifact field and instance meta
+key, and every reader goes through it: a matrix or vector entry must be
+finite, eps, radius and alpha finite and > 0.  Instance meta keeps its mode,
+one of `_MODE_KEYS`, and the keys of that mode, typed; any other key is
+dropped.  The arrays read are read-only, so a process can share what it
+reads; `gadget_read_back` and `instance_read_back` give what reading a
+written artifact gives, checking the domain of their arrays only.
 
 Artifacts repeat a few values many times (a CVPP basis of 153 700 entries
 holds 19 distinct strings), so vectors and matrices go through a table:
@@ -197,30 +200,86 @@ def parse_pnorm(s) -> float:
     return pvalue(parse_real(s))
 
 
-def _finite(a: np.ndarray, name: str) -> np.ndarray:
-    """a, which must hold finite entries only, made read-only: a process
-    shares what it reads with every later read of the same text."""
-    if not np.isfinite(a).all():
-        raise InvalidInputError(f"{name} has an entry that is not finite")
-    a.flags.writeable = False
-    return a
+_FINITE = (lambda a: np.isfinite(a).all(), "has an entry that is not finite")
+_POSITIVE = (lambda x: math.isfinite(x) and x > 0, "must be finite and > 0")
+
+# Every artifact field and instance meta key that a reader computes with: the
+# name of its parser, looked up at call time (a wrapper set on this module's
+# attribute sees every read), and its domain as a test and the words of the
+# refusal.  The constructors check what ties fields together (shapes, k).
+_FIELDS = {
+    "p": ("parse_pnorm", None, None),
+    **dict.fromkeys(("k", "n"), ("_parse_int", None, None)),
+    **dict.fromkeys(("V", "basis"), ("parse_columns", *_FINITE)),
+    **dict.fromkeys(("t", "t_on", "t_off", "target"), ("parse_vector", *_FINITE)),
+    **dict.fromkeys(("eps", "radius", "alpha"), ("parse_real", *_POSITIVE)),
+    "threshold": ("_parse_int", lambda w: w >= 0, "must be >= 0"),
+    **dict.fromkeys(("s", "c"), ("parse_real", lambda x: 0 < x <= 1, "must lie in (0, 1]")),
+    "gamma": ("parse_real", lambda g: math.isfinite(g) and g >= 1, "must be finite and >= 1"),
+}
+
+# instance meta: each mode and the keys that something reads from it, in the
+# order they are read (oracle validate reads threshold, s, c and gamma; the
+# benchmark's checks read eps and alpha)
+_MODE_KEYS = {
+    "padded": ("threshold", "eps", "alpha"),
+    "gap": ("s", "c", "gamma"),
+    "cvpp-lp": ("threshold", "eps"),
+    "cvpp-inf": ("threshold",),
+}
 
 
-def _positive(x: float, name: str) -> float:
-    """x, which must be finite and > 0."""
-    if not (math.isfinite(x) and x > 0):
-        raise InvalidInputError(f"{name} must be finite and > 0, got {fmt_real(x)}")
+def _field(key: str, value):
+    """value of the field key, parsed and held to its domain; arrays come out
+    read-only, so a process shares what it reads with every later read of the
+    same text.  An array value is a read-back's own, parsed already: only its
+    domain is checked."""
+    parse, valid, words = _FIELDS[key]
+    x = value if isinstance(value, np.ndarray) else globals()[parse](value)
+    if valid is not None and not valid(x):
+        shown = "" if isinstance(x, np.ndarray) else f", got {x!r}"
+        raise InvalidInputError(f"{key} {words}{shown}")
+    if isinstance(x, np.ndarray):
+        x.flags.writeable = False
     return x
 
 
-def _check(d, schema: str, *keys: str) -> None:
-    """d must be a `schema` artifact holding every key in keys."""
+def _fields(d, schema: str, *keys: str) -> list:
+    """The values of keys in d, which must be a `schema` artifact holding
+    every one of them: read by _field where _FIELDS lists the key, else as
+    JSON gives them."""
     found = d.get("schema") if isinstance(d, dict) else type(d).__name__
     if found != schema:
         raise InvalidInputError(f"expected schema {schema}, got {found!r}")
     missing = [key for key in keys if key not in d]
     if missing:
         raise InvalidInputError(f"{schema} artifact has no {', '.join(map(repr, missing))}")
+    return [_field(key, d[key]) if key in _FIELDS else d[key] for key in keys]
+
+
+def _checked(**values) -> list:
+    """The values, read by _field: what a read-back hands a constructor."""
+    return [_field(key, value) for key, value in values.items()]
+
+
+def _meta_in(meta) -> dict:
+    """The instance meta that something reads: mode, one of _MODE_KEYS, and
+    the keys of that mode that meta holds, each read by _field.  Every other
+    key is dropped, and meta without a mode reads as {}."""
+    if not isinstance(meta, dict):
+        raise InvalidInputError(f"instance meta must be an object, got {meta!r}")
+    if "mode" not in meta:
+        return {}
+    mode = meta["mode"]
+    if not (isinstance(mode, str) and mode in _MODE_KEYS):
+        raise InvalidInputError(f"instance meta mode must be one of {', '.join(_MODE_KEYS)}, got {mode!r}")
+    out = {"mode": mode}
+    for key in _MODE_KEYS[mode]:
+        if key in meta:
+            out[key] = _field(key, meta[key])
+    if not out.get("s", 0) <= out.get("c", 1):
+        raise InvalidInputError(f"instance meta needs s <= c, got s={out['s']!r}, c={out['c']!r}")
+    return out
 
 
 # json.dumps(obj, sort_keys=True, separators=(",", ":"), allow_nan=False),
@@ -257,17 +316,7 @@ def dumps(obj: dict) -> str:
 
 
 def _meta_out(meta: dict) -> dict:
-    out = {}
-    for key, value in meta.items():
-        if isinstance(value, (np.floating, float)):
-            out[key] = fmt_real(value)
-        elif isinstance(value, tuple):
-            out[key] = [fmt_real(v) if isinstance(v, (float, np.floating)) else v for v in value]
-        elif isinstance(value, (np.integer,)):
-            out[key] = int(value)
-        else:
-            out[key] = value
-    return out
+    return {key: fmt_real(value) if isinstance(value, (np.floating, float)) else value for key, value in meta.items()}
 
 
 # ---------------------------------------------------------------------------
@@ -291,23 +340,7 @@ def gadget_to_json(g: IsolatingGadget) -> dict:
 
 
 def gadget_from_json(d: dict) -> IsolatingGadget:
-    _check(d, GADGET_SCHEMA, "p", "k", "V", "t", "eps", "kind")
-    return gadget_of(
-        parse_pnorm(d["p"]),
-        _parse_int(d["k"]),
-        parse_columns(d["V"]),
-        parse_vector(d["t"]),
-        parse_real(d["eps"]),
-        d["kind"],
-        d.get("constraint"),
-    )
-
-
-def gadget_of(p: float, k: int, V: np.ndarray, t: np.ndarray, eps: float, kind: str, constraint) -> IsolatingGadget:
-    """The gadget that a gadget-v1 artifact with these parsed fields reads
-    as; refused unless every entry of V and t is finite and eps is finite
-    and > 0."""
-    return IsolatingGadget(p, k, _finite(V, "V"), _finite(t, "t"), _positive(eps, "eps"), kind, constraint)
+    return IsolatingGadget(*_fields(d, GADGET_SCHEMA, "p", "k", "V", "t", "eps", "kind"), d.get("constraint"))
 
 
 def gadget_read_back(g: IsolatingGadget) -> IsolatingGadget:
@@ -315,8 +348,8 @@ def gadget_read_back(g: IsolatingGadget) -> IsolatingGadget:
     formatting or parsing V and t, which are g's own arrays, made read-only,
     when they are C-ordered float64; meta is not written, so it is dropped."""
     V, t = np.ascontiguousarray(g.V, dtype=float), np.ascontiguousarray(g.t, dtype=float)
-    constraint = json.loads(_compact(g.constraint))
-    return gadget_of(float(g.p), int(g.k), V, t, float(g.eps), g.kind, constraint)
+    fields = _checked(p=g.p, k=g.k, V=V, t=t, eps=g.eps)
+    return IsolatingGadget(*fields, g.kind, json.loads(_compact(g.constraint)))
 
 
 def onoff_to_json(g: OnOffGadget) -> dict:
@@ -333,15 +366,7 @@ def onoff_to_json(g: OnOffGadget) -> dict:
 
 
 def onoff_from_json(d: dict) -> OnOffGadget:
-    _check(d, ONOFF_SCHEMA, "p", "k", "V", "t_on", "t_off", "eps")
-    return OnOffGadget(
-        p=parse_pnorm(d["p"]),
-        k=_parse_int(d["k"]),
-        V=_finite(parse_columns(d["V"]), "V"),
-        t_on=_finite(parse_vector(d["t_on"]), "t_on"),
-        t_off=_finite(parse_vector(d["t_off"]), "t_off"),
-        eps=_positive(parse_real(d["eps"]), "eps"),
-    )
+    return OnOffGadget(*_fields(d, ONOFF_SCHEMA, "p", "k", "V", "t_on", "t_off", "eps"))
 
 
 # ---------------------------------------------------------------------------
@@ -368,53 +393,19 @@ def instance_to_json(inst: CvpInstance) -> dict:
 
 
 def instance_from_json(d: dict) -> CvpInstance:
-    _check(d, CVP_SCHEMA, "p", "basis", "target", "radius")
-    return instance_of(
-        parse_pnorm(d["p"]),
-        parse_columns(d["basis"]),
-        parse_vector(d["target"]),
-        parse_real(d["radius"]),
-        d.get("meta", {}),
-    )
-
-
-def instance_of(p: float, basis: np.ndarray, target: np.ndarray, radius: float, meta) -> CvpInstance:
-    """The instance that a latgad-cvp-v1 artifact with these parsed fields
-    and this meta, as JSON gives it, reads as.  Refused unless every entry
-    of the basis and target is finite, the radius is finite and > 0, and
-    the meta that the oracle computes with lies in its domain: s and c in
-    (0, 1] with s <= c, gamma finite and >= 1, and threshold >= 0."""
-    if not isinstance(meta, dict):
-        raise InvalidInputError(f"instance meta must be an object, got {meta!r}")
-    meta = dict(meta)
-    # the oracle computes with gamma, s, c and threshold, so they must parse;
-    # it reads neither eps nor alpha, and a max-norm query writes "eps": null
-    for key in ("eps", "alpha"):
-        if isinstance(meta.get(key), str):
-            meta[key] = parse_real(meta[key])
-    for key, parse in (("gamma", parse_real), ("s", parse_real), ("c", parse_real), ("threshold", _parse_int)):
-        if key in meta:
-            meta[key] = parse(meta[key])
-    c = meta.get("c", 1.0)
-    s = meta.get("s", c)
-    if not 0 < s <= c <= 1:
-        raise InvalidInputError(f"instance meta needs 0 < s <= c <= 1, got s={s!r}, c={c!r}")
-    if "gamma" in meta and not (math.isfinite(meta["gamma"]) and meta["gamma"] >= 1):
-        raise InvalidInputError(f"instance meta gamma must be finite and >= 1, got {meta['gamma']!r}")
-    if meta.get("threshold", 0) < 0:
-        raise InvalidInputError(f"instance meta threshold must be >= 0, got {meta['threshold']}")
-    return CvpInstance(p, _finite(basis, "basis"), _finite(target, "target"), _positive(radius, "radius"), meta)
+    fields = _fields(d, CVP_SCHEMA, "p", "basis", "target", "radius")
+    return CvpInstance(*fields, _meta_in(d.get("meta", {})))
 
 
 def instance_read_back(inst: CvpInstance) -> CvpInstance:
     """The instance that reading the text of instance_to_json(inst) gives,
     without formatting or parsing the arrays: every binary64 real
-    round-trips fmt_real, and meta takes the JSON round trip that the
-    artifact's own meta takes.  The basis and target are inst's own arrays
-    when they are C-ordered float64, made read-only."""
-    meta = json.loads(_compact(_meta_out(inst.meta)))
+    round-trips fmt_real, and the meta keys that are read parse to what
+    they hold.  The basis and target are inst's own arrays when they are
+    C-ordered float64, made read-only."""
     basis, target = np.ascontiguousarray(inst.basis, dtype=float), np.ascontiguousarray(inst.target, dtype=float)
-    return instance_of(float(inst.p), basis, target, float(inst.radius), meta)
+    fields = _checked(p=inst.p, basis=basis, target=target, radius=inst.radius)
+    return CvpInstance(*fields, _meta_in(inst.meta))
 
 
 def cvpp_to_json(art: CvppArtifacts) -> dict:
@@ -480,8 +471,7 @@ def cvpp_from_json(d: dict) -> tuple[CvppArtifacts, tuple[str, ...]]:
     """The prep's header as CvppArtifacts without a float basis, and the
     basis as the chunks of the JSON text of fmt_columns(basis): queries write
     the basis and compute only with the header."""
-    _check(d, CVPP_SCHEMA, "n", "k", "mode")
-    n, k, mode = _parse_int(d["n"]), _parse_int(d["k"]), d["mode"]
+    n, k, mode = _fields(d, CVPP_SCHEMA, "n", "k", "mode")
     if mode == "lp":
         if d.get("gadget") is None:
             raise InvalidInputError("lp preprocessing needs its on-off gadget")

@@ -1662,6 +1662,16 @@ class TestExitCodes:
         assert code == 3 and err.startswith("resource limit: total weight exceeds"), err
         assert not out.exists()
 
+    @pytest.mark.parametrize("mode", [[], ["--mode", "gap", "--s", "0.6", "--c", "0.9"]], ids=["padded", "gap"])
+    def test_basis_over_the_cap_is_resource_limit(self, tmp_path, capsys, monkeypatch, gadget, mode):
+        cnf, out = tmp_path / "f.cnf", tmp_path / "i.json"
+        cnf.write_text("p cnf 4 4\n1 2 0\n-1 3 0\n-2 4 0\n1 -4 0\n")
+        monkeypatch.setattr(reductions, "MAX_BASIS_ENTRIES", 40)
+        argv = ["reduce", "sat", "--cnf", str(cnf), "--gadget", str(gadget), *mode, "--out", str(out)]
+        code, _, err = run(argv, capsys)
+        assert code == 3 and err.startswith("resource limit: basis of") and "exceeds cap 40" in err, err
+        assert not out.exists()
+
     def test_weighted_formula_against_gap_instance_is_usage(self, tmp_path, capsys, gadget):
         cnf, wcnf, inst = tmp_path / "f.cnf", tmp_path / "f.wcnf", tmp_path / "i.json"
         cnf.write_text("p cnf 2 2\n1 2 0\n-1 0\n")

@@ -1,3 +1,4 @@
+import dataclasses
 import functools
 import math
 import time
@@ -522,6 +523,16 @@ class TestVerify:
         )
         report = gadgets.verify_parallelepiped(g)
         assert any(c.name == "full-column-rank" and not c.passed for c in report.conditions)
+
+    @pytest.mark.parametrize("eps", [math.inf, math.nan, -math.inf])
+    def test_eps_that_is_not_finite_fails_the_gap(self, eps):
+        # at eps = inf the far level and its allowance are infinite, so the
+        # far-vertex condition passes whatever the distances: the gap must not
+        g = dataclasses.replace(gadgets.parity_gadget(4, 3.0, 0), eps=eps)
+        on_off = dataclasses.replace(gadgets.to_on_off(gadgets.find_isolating_parallelepiped(3, 3.0)), eps=eps)
+        for report in (gadgets.verify_parallelepiped(g), gadgets.verify_on_off(on_off)):
+            assert not report.passed
+            assert [c.name for c in report.failures()][-1] == "positive-gap"
 
     @pytest.mark.parametrize("k", [3, 5, 8, 10])
     def test_builder_lattice_rank_needs_no_svd(self, monkeypatch, k):

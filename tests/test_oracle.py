@@ -12,7 +12,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from latgad import gadgets, numeric, oracle, reductions
-from latgad.errors import ResourceLimitError
+from latgad.errors import InvalidInputError, ResourceLimitError
 from latgad.formulas import Clause, CspFormula, XorConstraint
 from latgad.numeric import CHUNK_ENTRIES, DEFAULT_TOL, Tolerance, abs_powers, box_volume, chunk_rows, pnorm
 
@@ -470,6 +470,25 @@ class TestValidateReduction:
             f = random_3sat(6, 10, seed)
             inst = reductions.sat_to_cvp(f, gadget3)
             assert oracle.validate_reduction(f, inst).passed
+
+    @pytest.mark.parametrize(
+        "meta, message",
+        [
+            ({"mode": "sat"}, "unknown mode 'sat'"),
+            ({}, "unknown mode None"),
+            ({"mode": "padded"}, "padded instance meta lacks threshold"),
+            ({"mode": "cvpp-inf"}, "cvpp-inf instance meta lacks threshold"),
+            ({"mode": "gap", "s": 0.6, "c": 0.9}, "gap instance meta lacks gamma"),
+        ],
+    )
+    def test_meta_is_checked_before_the_brute_force(self, monkeypatch, gadget3, meta, message):
+        f = random_3sat(6, 10, 0)
+        inst = reductions.sat_to_cvp(f, gadget3)
+        inst.meta = meta
+        monkeypatch.setattr(oracle, "max_sat_brute", lambda formula: pytest.fail("ran the brute force"))
+        monkeypatch.setattr(oracle, "cvp_enumerate", lambda *args, **kwargs: pytest.fail("ran the search"))
+        with pytest.raises(InvalidInputError, match=message):
+            oracle.validate_reduction(f, inst)
 
     def test_shrunk_radius_flips_decision(self, gadget3):
         f = CspFormula(n=3, constraints=[Clause((1, 2, 3))])  # satisfiable

@@ -234,6 +234,30 @@ class TestSatToCvp:
         with pytest.raises(ResourceLimitError, match="total weight exceeds"):
             reductions.sat_to_cvp(CspFormula(n=4, constraints=clauses, weights=weights[:3] + [2]), gadget3)
 
+    def test_basis_over_the_cap_is_refused_before_it_is_built(self, monkeypatch, gadget3, parity_lattices):
+        f = CspFormula(n=4, constraints=[Clause((1, 2, 3)), Clause((-1, 2, 4)), Clause((2, -3, 4)), Clause((1, 3, 4))])
+        xor = CspFormula(n=4, constraints=[XorConstraint((1, 2, 3), 0), XorConstraint((2, 3, 4), 1)])
+        lattice = gadgets.to_isolating_lattice(gadget3)
+        builds = [
+            lambda: reductions.sat_to_cvp(f, gadget3),
+            lambda: reductions.csp_to_cvp_gap(f, [lattice] * f.m, s=0.6, c=0.9)[0],
+            lambda: reductions.csp_to_cvp_gap(xor, [parity_lattices[0], parity_lattices[1]], s=0.6, c=0.9)[0],
+        ]
+        for build in builds:
+            d, n = build().basis.shape
+            monkeypatch.setattr(reductions, "MAX_BASIS_ENTRIES", d * n - 1)
+            for name in ("zeros", "empty"):
+                allocate = getattr(np, name)
+
+                def guarded(shape, *args, allocate=allocate, **kwargs):
+                    assert math.prod(np.atleast_1d(shape)) < d * n, "allocated the basis"
+                    return allocate(shape, *args, **kwargs)
+
+                monkeypatch.setattr(np, name, guarded)
+            with pytest.raises(ResourceLimitError, match=f"basis of {d}x{n} entries exceeds cap {d * n - 1}"):
+                build()
+            monkeypatch.undo()
+
     def test_arity_above_gadget_rejected(self, gadget3):
         f = CspFormula(n=4, constraints=[Clause((1, 2, 3, 4))])
         with pytest.raises(InvalidInputError):
@@ -614,6 +638,11 @@ class TestInstanceRank:
         assert np.linalg.matrix_rank(np.asarray(basis)) < len(basis[0])
         with pytest.raises(InvalidInputError, match="full column rank"):
             self.instance(basis)
+
+    @pytest.mark.parametrize("radius", [math.inf, math.nan, 0.0, -1.0])
+    def test_radius_that_is_not_finite_and_positive_is_refused(self, radius):
+        with pytest.raises(InvalidInputError, match="radius must be finite and > 0"):
+            reductions.CvpInstance(p=2.0, basis=np.eye(2), target=np.ones(2), radius=radius)
 
     def test_diagonal_tail_needs_no_svd(self, monkeypatch):
         rank = np.linalg.matrix_rank
