@@ -37,7 +37,7 @@ def main():
     args = parser.parse_args()
 
     ks = list(range(1, args.kmax + 1))
-    print("p \\ k  " + "".join(f"{k:>12d}" for k in ks))
+    print("p \\ k".ljust(10) + "".join(f"{k:>12d}" for k in ks))
     for p in args.p:
         cells = []
         for k in ks:
@@ -46,7 +46,7 @@ def main():
                 cells.append(f"{gadgets.find_isolating_parallelepiped(k, p).eps:12.3e}")
             except LatgadError as exc:
                 cells.append(f"{refusal(exc):>12}")
-        print(f"{p:<7.4g}" + "".join(cells))
+        print(f"{p:<10.7g}" + "".join(cells))
     print("\n'-' marks the even-integer region p < k where no gadget exists;")
     print("'no-shift' a search that found no nonsingular shift, 'cap' a size cap.")
 

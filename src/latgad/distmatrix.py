@@ -11,17 +11,19 @@ are integer combinations of the same k + 1 powers P_r = |k - 2r - shift|^p
 cached builder (`class_tables`).  `class_sums` is the one summation rule: the
 `math.fsum` of one rounded product per r.  `eigen_report` applies it, one
 shift at a time; its verdict is the definition of a nonsingular shift.
-`screen_nonsingular` evaluates the spectra of a whole batch of shifts with one
-matmul against E, bounds the matmul's forward error, and gives the fsum
-verdict wherever the bound decides it and "undecided" where it cannot (the
-caller then asks `eigen_report`).  `distance_matrix` builds the dense
-2^k x 2^k matrix, which only the tests use, as the reference.
+`ShiftBatch` is the batched path over many shifts: one matmul against E gives
+every spectrum, a forward-error bound gives the fsum verdict wherever it
+decides it and "undecided" where it cannot (the caller then asks
+`eigen_report`), and for the shifts it passes one matmul against T and one
+stacked solve give the weight solve's gap eps.  `distance_matrix` builds the
+dense 2^k x 2^k matrix, which only the tests use, as the reference.
 """
 
 from __future__ import annotations
 
 import functools
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -129,16 +131,19 @@ def eigen_report(k: int, p, shift: float) -> EigenReport:
     return EigenReport(tuple(class_sums(class_tables(k)[1], class_powers(k, q, shift))))
 
 
-def screen_nonsingular(k: int, p, shifts) -> tuple[np.ndarray, np.ndarray]:
-    """Two boolean arrays over the shifts: `surely`, where a forward-error
-    bound on one batched evaluation proves `eigen_report(k, p, shift)
-    .nonsingular`, and `undecided`, where the bound cannot tell (elsewhere it
-    proves the shift singular).
+class ShiftBatch:
+    """The class-space kernel over a batch of shifts at one (k, p): every
+    candidate's powers P (one row per shift) are formed once, and both its
+    spectrum and its weight solve's class system come from them.
 
-    lam[c, s] is the matmul sum_r E[s][r] P[c, r] (E from `class_tables`), and
-    every lam[c, s] lies within err[c] = 8 (k + 2) u lam[c, 0] of the fsum
-    eigenvalue, u = 2^-53.  The derivation, with lam_0 = sum_r C(k, r) P_r the
-    positive all-ones eigenvalue (|lam_s| <= lam_0 for every s):
+    `surely` and `undecided` are the forward-error screen of the batched
+    spectrum lam = P E^T against `eigen_report`'s fsum verdict: `surely`
+    where the bound proves the shift nonsingular, `undecided` where it
+    cannot tell (elsewhere it proves the shift singular).  `nonsingular` is
+    `eigen_report`'s verdict on every shift: the screen's where it decides,
+    `eigen_report`'s own where it is undecided.  Every lam[c, s] lies within
+    err[c] = 8 (k + 2) u lam[c, 0] of the fsum eigenvalue, u = 2^-53.  The derivation, with lam_0 = sum_r C(k, r) P_r the positive
+    all-ones eigenvalue (|lam_s| <= lam_0 for every s):
       * the fsum route rounds one term E[s][r] P_r per r once (E[s][r] is an
         exact integer, and |E[s][r]| <= C(k, r) by Vandermonde's identity, so
         the terms' magnitudes sum to at most lam_0) and its correctly rounded
@@ -156,20 +161,58 @@ def screen_nonsingular(k: int, p, shifts) -> tuple[np.ndarray, np.ndarray]:
     NONSINGULAR_RATIO (lam_0 + err): then min_s |by_size[s]| / lambda_all is
     at least NONSINGULAR_RATIO however eigen_report rounds.  It is surely
     singular when min_s (|lam_s| + err) < NONSINGULAR_RATIO (lam_0 - err),
-    with room to spare for the rounding of the ratio.  Anything in between,
-    or any value that is not finite (a power beyond the float range), is
-    undecided.
+    with room to spare for the rounding of the ratio.  Both are compared as
+    min_s |lam_s| against lam_0 times one factor (err / lam_0 = 8 (k + 2) u
+    moved to the right).  Anything in between is undecided.  A shift whose
+    powers or spectrum leave the float range is neither: it drops out.
     """
-    k = check_k(k)
-    q = finite_pvalue(p)
-    E = np.array(class_tables(k)[1], dtype=float)
-    t = np.asarray(shifts, dtype=float).reshape(-1, 1)
-    with np.errstate(over="ignore", invalid="ignore"):
-        P = np.abs((k - 2.0 * np.arange(k + 1)) - t) ** q
-        lam = P @ E.T
-        err = (8 * (k + 2) * 2.0**-53) * lam[:, 0]
-        low = np.abs(lam).min(axis=1)
-        surely = low - err >= NONSINGULAR_RATIO * (lam[:, 0] + err)
-        surely_not = low + err < NONSINGULAR_RATIO * (lam[:, 0] - err)
-    finite = np.isfinite(lam).all(axis=1) & np.isfinite(err)
-    return surely & finite, ~((surely | surely_not) & finite)
+
+    def __init__(self, k: int, p, shifts):
+        self.k = k = check_k(k)
+        q = finite_pvalue(p)
+        self.shifts = np.asarray(shifts, dtype=float).ravel()
+        rel, ratio = 8 * (k + 2) * 2.0**-53, NONSINGULAR_RATIO
+        with np.errstate(over="ignore", invalid="ignore"):
+            self.powers = np.abs((k - 2.0 * np.arange(k + 1)) - self.shifts[:, None]) ** q
+            lam = self.powers @ _float_tables(k)[1]
+            self.lambda_all = lam[:, 0]
+            low = np.abs(lam).min(axis=1)
+            self.finite = np.isfinite(lam).all(axis=1)
+            self.surely = (low >= (ratio * (1 + rel) + rel) * self.lambda_all) & self.finite
+            self.undecided = (low >= (ratio * (1 - rel) - rel) * self.lambda_all) & self.finite & ~self.surely
+        self.nonsingular = self.surely.copy()
+        for c in np.flatnonzero(self.undecided):
+            self.nonsingular[c] = eigen_report(k, q, float(self.shifts[c])).nonsingular
+
+    def gaps(self, index) -> np.ndarray:
+        """eps of `gadgets.solve_weights` for the candidates at `index`, or a
+        value that is not finite where solve_weights's eps overflows.  One
+        matmul forms every class system Q = T P, and one stacked solve gives
+        every a = Q^-1 e_0.  Each candidate's powers are first scaled by the
+        power of two that brings its lambda_all into [1/2, 1): every row of
+        Q sums to lambda_all, so the solve stays off both ends of the float
+        range, as solve_weights's own scaling keeps it.  Only for candidates
+        the screen passed: a singular Q would abort the whole stack."""
+        k, index = self.k, np.asarray(index, dtype=np.intp)
+        lam, e = np.frexp(self.lambda_all[index])
+        Q = (np.ldexp(self.powers[index], -e[:, None]) @ _float_tables(k)[0]).reshape(-1, k + 1, k + 1)
+        a = np.linalg.solve(Q, np.eye(k + 1)[0])
+        lo, top = a.min(axis=1), np.abs(a).max(axis=1)
+        with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+            # solve_weights's two gaps: 1 / (lambda |min a|) where a has a
+            # negative entry (inf where it has none, or where it overflows),
+            # else, or where eps * a overflows, 1 / (lambda max |a|)
+            wide = 1.0 / (lam * np.minimum(lo, 0.0))
+            return np.where(np.isfinite(wide * top), -wide, 1.0 / (lam * top))
+
+
+@functools.lru_cache(maxsize=MAX_K)
+def _float_tables(k: int) -> tuple[np.ndarray, np.ndarray]:
+    """T and E of `class_tables` as float matrices to multiply the powers
+    by, one row of P per shift: P @ T gives Q's entries, class pair (J, j)
+    at column (k + 1) J + j, and P @ E the spectrum.  Read-only and shared."""
+    T, E = class_tables(k)
+    out = np.array(T, dtype=float).reshape((k + 1) ** 2, k + 1).T, np.array(E, dtype=float).T
+    for m in out:
+        m.flags.writeable = False
+    return out

@@ -44,6 +44,7 @@ from .numeric import (
     column_rank,
     finite_float,
     finite_pvalue,
+    float_range_error,
     integer_grid,
     pnorm,
     pnorm_pow,
@@ -56,6 +57,7 @@ KIND_TWO_LEVEL = "two-level"
 KIND_LATTICE = "isolating-lattice"
 
 SHIFT_SEARCH_DEPTH = 64
+SHIFT_GRID_DEPTH = 4
 
 # the full vertex walk costs 2^k d k multiply-adds, 4^14 * 14 (about 2 s) for a
 # 2^14-row gadget; above this arity only a certified gadget is checked
@@ -204,50 +206,84 @@ class VerificationReport:
 # shift search and weight solve
 
 
+def _walk_offsets(k: int, q: float) -> np.ndarray:
+    """The offsets j of the first-fit walk's shifts j + 2^-i, largest first.
+    For p not an integer, or p >= k, only j = k, matching the halting
+    guarantee for shifts above k; for odd integers p < k every eigenvalue of
+    a full-parity-heavy character vanishes identically above k, so j = k-1
+    down to 0."""
+    return np.arange(k - 1, -1, -1) if float(q).is_integer() and q < k else np.array([k])
+
+
+def _walk(k: int, q: float) -> np.ndarray:
+    """The first-fit walk's candidates j + 2^-i in its order: i = 1, 2, ...
+    up to SHIFT_SEARCH_DEPTH and, for each i, the offsets j in turn."""
+    steps = np.ldexp(1.0, -np.arange(1, SHIFT_SEARCH_DEPTH + 1))
+    return (_walk_offsets(k, q) + steps[:, None]).ravel()
+
+
+def _grid(k: int) -> np.ndarray:
+    """G_k = {j + 2^-i : 0 <= j <= k, 1 <= i <= SHIFT_GRID_DEPTH}, row i - 1
+    holding j = 0..k."""
+    steps = np.ldexp(1.0, -np.arange(1, SHIFT_GRID_DEPTH + 1))
+    return (np.arange(k + 1.0) + steps[:, None]).ravel()
+
+
+def _shift_ranking(k: int, q: float) -> list[float]:
+    """The nonsingular shifts of G_k (`_grid`), and the walk's first
+    nonsingular one (`_walk`), ranked by the gap eps their weight solve
+    gives, larger first, ties to the smaller shift.  A shift whose eps is
+    not finite drops out.
+
+    One `distmatrix.ShiftBatch` screens the candidates and solves the
+    nonsingular ones.  The walk's first SHIFT_GRID_DEPTH steps are all in
+    G_k; its other steps are only needed when none of those is nonsingular.
+    A one-offset walk's other steps (60 shifts) share G_k's batch; a
+    k-offset walk's (600) are screened only when they are needed."""
+    grid, offsets = _grid(k), _walk_offsets(k, q)
+    tail = _walk(k, q)[SHIFT_GRID_DEPTH * offsets.size :]
+    batch = distmatrix.ShiftBatch(k, q, np.concatenate([grid, tail]) if offsets.size == 1 else grid)
+    ok = batch.nonsingular
+    in_grid = ok[: grid.size].reshape(SHIFT_GRID_DEPTH, k + 1)[:, offsets].any()
+    if not in_grid and batch.shifts.size == grid.size:
+        batch = distmatrix.ShiftBatch(k, q, np.concatenate([grid, tail]))
+        ok = batch.nonsingular
+    picks = np.flatnonzero(ok[: grid.size])
+    if not in_grid:
+        picks = np.append(picks, np.flatnonzero(ok[grid.size :])[:1] + grid.size)
+    shifts, eps = batch.shifts[picks], batch.gaps(picks)
+    keep = np.isfinite(eps)
+    if not keep.any():
+        if not batch.finite[: grid.size].any():
+            raise float_range_error(f"the spectrum of every candidate shift at k={k}, p={q}")
+        raise NumericDegeneracyError(
+            f"no nonsingular shift with a finite gap found for k={k}, p={q} "
+            f"on the grid or within depth {SHIFT_SEARCH_DEPTH}"
+        )
+    shifts, eps = shifts[keep], eps[keep]
+    return shifts[np.lexsort((shifts, -eps))].tolist()
+
+
 def find_shift(k: int, p) -> float:
-    """The first candidate shift j + 2^-i that makes the distance-power matrix
-    nonsingular (relative eigenvalue threshold), trying i = 1, 2, ... in turn
-    and, for each i, the offsets j from the largest down.  That is not the
-    smallest nonsingular shift: at k = 10, p = 3 it tries 9.5, then returns
-    8.5.
+    """The shift whose distance-power matrix gives the largest gap eps:
+    the first of `_shift_ranking`, over the grid G_k of shifts j + 2^-i
+    (0 <= j <= k, 1 <= i <= SHIFT_GRID_DEPTH) and the shift the first-fit
+    walk returns (`_walk`), so its eps is never below the walk's.  Even
+    integers p < k are refused: no isolating gadget exists there at all.
+    NumericDegeneracyError when no candidate is nonsingular (relative
+    eigenvalue threshold) with a finite gap.
 
-    For p not an integer, or p >= k, only j = k is tried, matching the halting
-    guarantee for shifts above k.  For odd integers p < k every eigenvalue of
-    a full-parity-heavy character vanishes identically above k, so offsets
-    j = k-1 down to 0 are tried as well.  Even integers p < k are refused:
-    no isolating gadget exists there at all.
-
-    Every candidate is screened at once: one matmul gives every candidate's
-    spectrum, and a forward-error bound decides where the float spectrum
-    settles the fsum verdict of `distmatrix.eigen_report`
-    (`distmatrix.screen_nonsingular`).  A candidate the bound leaves open is
-    referred to `eigen_report` itself, so the chosen shift, or the exception,
-    is the one the candidate-by-candidate fsum walk gives.
+    The ranking is a float one (`distmatrix.ShiftBatch`); the gadget built
+    at the chosen shift comes from `solve_weights` alone.
     """
     q = finite_pvalue(p)
     if not (isinstance(k, (int, np.integer)) and k >= 1):
         raise InvalidInputError(f"k must be a positive integer, got {k!r}")
-    integral = float(q).is_integer()
-    if integral and int(q) % 2 == 0 and q < k:
+    if float(q).is_integer() and int(q) % 2 == 0 and q < k:
         raise UnsupportedParametersError(
             f"no isolating gadget exists for even integer p={q} with p < k={k}"
         )
-    k = distmatrix.check_k(k)
-    if integral and q < k:
-        offsets = tuple(range(k - 1, -1, -1))
-    else:
-        offsets = (k,)
-    # row i - 1 holds j + 2^-i for each offset j in turn: the walk's order
-    steps = np.ldexp(1.0, -np.arange(1, SHIFT_SEARCH_DEPTH + 1))
-    candidates = (np.array(offsets, dtype=float) + steps[:, None]).ravel()
-    surely, undecided = distmatrix.screen_nonsingular(k, q, candidates)
-    for c in np.flatnonzero(surely | undecided):
-        cand = float(candidates[c])
-        if surely[c] or distmatrix.eigen_report(k, q, cand).nonsingular:
-            return cand
-    raise NumericDegeneracyError(
-        f"no nonsingular shift found for k={k}, p={q} within depth {SHIFT_SEARCH_DEPTH}"
-    )
+    return _shift_ranking(distmatrix.check_k(k), q)[0]
 
 
 def solve_weights(k: int, p, shift: float) -> tuple[np.ndarray, float]:
@@ -276,6 +312,11 @@ def solve_weights(k: int, p, shift: float) -> tuple[np.ndarray, float]:
     solved by elimination.  The weights are exactly equal within a class, and
     the class at the negative minimum is exactly zero, so every weight is
     non-negative.
+
+    This is the one deterministic path from a shift to the weights that a
+    gadget's bytes come from; `distmatrix.ShiftBatch.gaps` gives the same
+    eps for a whole batch of shifts, in floats, only to rank them
+    (`find_shift`).
     """
     k = distmatrix.check_k(k)
     powers = distmatrix.class_powers(k, finite_pvalue(p), shift)
@@ -294,9 +335,10 @@ def solve_weights(k: int, p, shift: float) -> tuple[np.ndarray, float]:
     lam = math.ldexp(report.lambda_all, -e)
     lo = float(a.min())
     top = float(np.abs(a).max())  # H is nonsingular, so H^-1 e_0 is not zero
-    # the largest gap 1 / (lambda |lo|) overflows at k = 1, p = 448, and
-    # eps * a does at k = 1, p = 441 (so would the far level the verification
-    # computes): there the smaller gap keeps every weight non-negative
+    # at shift 1.5 the largest gap 1 / (lambda |lo|) overflows at k = 1,
+    # p = 448, and eps * a does at k = 1, p = 441 (so would the far level the
+    # verification computes): there the smaller gap keeps every weight
+    # non-negative
     wide = 1.0 / (lam * -lo) if lo < 0.0 and lam * -lo * sys.float_info.max >= 1.0 else math.inf
     if math.isfinite(wide * top):
         eps = wide
@@ -323,29 +365,49 @@ def _class_parallelepiped(by_class: np.ndarray, shift: float, q: float) -> tuple
     and target w^(1/p) shift, w read from the class weights by_class (class
     j: j coordinates +1): for y = 2z - 1, ||V z - t||_p^p is the y-entry of
     H w.  Row u becomes 2 w^(1/p) u^T and its target w^(1/p) (sum_i u_i +
-    shift), summed on the class row -1..-1 +1..+1, so every row of a class
-    has a bit-identical target, as the certificate (`_symmetric`) needs.
-    Rows are listed once, in integer_grid order, and gather the k + 1 class
-    rows by popcount.  Zero-weight rows are kept so d = 2^k is stable."""
+    shift), one product s_j (2j - k + shift) per class (the factor is exact
+    for every shift of find_shift's grid; adding +0 turns a zero-weight
+    class's -0 into 0), so every row of a class has a bit-identical target,
+    as the certificate (`_symmetric`) needs.  Rows are listed once, in
+    integer_grid order, and gather the k + 1 class rows by popcount.
+    Zero-weight rows are kept so d = 2^k is stable."""
     k = by_class.size - 1
     s = by_class ** (1.0 / q)
-    signs = 2.0 * _class_vertices(k) - 1.0
-    t = (s[:, None] * signs).sum(axis=1) + float(shift) * s
+    t = s * ((2.0 * np.arange(k + 1) - k) + float(shift)) + 0.0
     (x,) = integer_grid([(0, 1)] * k, 2**k)
     c = x.sum(axis=1)
     return (2.0 * s)[c][:, None] * (2.0 * x - 1.0), t[c]
 
 
+def _ranked_shifts(k: int, q: float):
+    """find_shift's shift, then the rest of its ranking (computed again,
+    only if the first does not build)."""
+    yield find_shift(k, q)
+    yield from _shift_ranking(k, q)[1:]
+
+
 def find_isolating_parallelepiped(k: int, p) -> IsolatingGadget:
     """An isolating parallelepiped for arity k in the p norm.
 
-    Exists iff p is not an even integer below k (or p >= k).  Pipeline: find a
-    nonsingular shift, solve for the class weights with the all-minus vertex
-    bumped, assemble the parallelepiped over {0, 1}^k, and normalize so the
-    2^k - 1 close vertices sit at distance exactly 1.
+    Exists iff p is not an even integer below k (or p >= k).  Builds the
+    shifts of find_shift's ranking in turn (`_isolating_at`) and returns the
+    first gadget that verifies; NumericDegeneracyError when none does.
     """
     q = finite_pvalue(p)
-    shift = find_shift(k, q)  # refuses even integers p < k
+    failure = None
+    for shift in _ranked_shifts(k, q):  # refuses even integers p < k
+        try:
+            return _isolating_at(k, q, shift)
+        except (NumericDegeneracyError, VerificationError) as exc:
+            failure = exc
+    raise NumericDegeneracyError(f"no ranked shift builds a verified gadget for k={k}, p={q}: {failure}")
+
+
+def _isolating_at(k: int, q: float, shift: float) -> IsolatingGadget:
+    """The isolating parallelepiped at one shift: solve for the class
+    weights with the all-minus vertex bumped, assemble the parallelepiped
+    over {0, 1}^k, normalize so the 2^k - 1 close vertices sit at distance
+    exactly 1, and verify it (VerificationError when it fails)."""
     by_class, solve_eps = solve_weights(k, q, shift)
     Vb, tb = _class_parallelepiped(by_class, shift, q)
     ref = np.ones(k)  # any vertex off the isolated one; all-ones is z = 1^k

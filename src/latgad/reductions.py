@@ -125,11 +125,16 @@ def sat_to_cvp(formula: CspFormula, gadget: IsolatingGadget) -> CvpInstance:
     adds w ||Bx - t||_p^p.  A total weight above max_padded_weight is
     refused: assignments one weight unit apart would lie closer together
     than verification can tell apart.  Clause arity up to the gadget arity is
-    allowed; shorter clauses leave the remaining gadget columns unused.
+    allowed; shorter clauses leave the remaining gadget columns unused.  The
+    gadget's close level must be the plain clause's: an isolating gadget, or
+    one whose constraint is the clause with no negated position.
     """
     q = finite_pvalue(gadget.p)
     if not all(isinstance(c, Clause) for c in formula.constraints):
         raise InvalidInputError("sat_to_cvp takes clause formulas; use the gap path for parity")
+    level = gadget.constraint
+    if level is not None and (level["type"] != "clause" or level.get("negated")):
+        raise InvalidInputError(f"sat_to_cvp needs a gadget whose close level is the plain clause's, got {level}")
     worst = max((c.arity for c in formula.constraints), default=0)
     if worst > gadget.k:
         raise InvalidInputError(f"clause arity {worst} exceeds gadget arity {gadget.k}")

@@ -97,6 +97,25 @@ class TestReduceAndOracle:
         assert code == 0
         assert out_json(out)["passed"] is True
 
+    @pytest.mark.parametrize("kind", ["parity", "parity-lattice", "isolating", "isolating-lattice"])
+    def test_sat_reduction_needs_the_clause_level(self, tmp_path, capsys, cnf, kind):
+        # a parity gadget's close level is not the clause's: reduce sat exits
+        # 2 on it and its lattice; the isolating gadget and its lattice reduce
+        # and validate
+        g, lat, inst = tmp_path / "g.json", tmp_path / "lat.json", tmp_path / "inst.json"
+        build = ["parity", "--k", "3", "--p", "1"] if kind.startswith("parity") else ["find", "--k", "3", "--p", "3"]
+        assert run(["gadget", *build, "--out", str(g)], capsys)[0] == 0
+        if kind.endswith("lattice"):
+            assert run(["gadget", "lattice", "--in", str(g), "--out", str(lat)], capsys)[0] == 0
+            g = lat
+        code, _, err = run(["reduce", "sat", "--cnf", str(cnf), "--gadget", str(g), "--out", str(inst)], capsys)
+        if kind.startswith("parity"):
+            assert code == 2 and "plain clause" in err and not inst.exists()
+            return
+        assert code == 0
+        code, out, _ = run(["oracle", "validate", "--cnf", str(cnf), "--instance", str(inst)], capsys)
+        assert code == 0 and out_json(out)["passed"] is True
+
     def test_oracle_honours_tolerance(self, tmp_path, capsys):
         # every sign pattern on three variables: unsatisfiable, so the closest
         # boolean point lies beyond the radius, but within 1.5 times it
@@ -546,9 +565,10 @@ class TestGadgetCache:
                 cli._gadget_text.cache_clear()
                 cold[name, i] = self.outcome(tmp_path, capsys, argv)
         # the lattice is no isolating parallelepiped, so it has no on-off
-        # gadget and no prep; every other command writes its own bytes
+        # gadget and no prep, and its parity level is not the clause's, so
+        # reduce sat refuses it; every other command writes its own bytes
         passed = [c[1] + (c[3] or "") for c in cold.values() if c[0] == 0]
-        assert len(set(passed)) == len(passed) == len(cold) - 2
+        assert len(set(passed)) == len(passed) == len(cold) - 3
         cli._gadget_text.cache_clear()
         for name in ["g3", "g3", "lat", "g5", "g3", "lat", "lat", "g5"]:
             for i, argv in enumerate(self.commands(tmp_path / f"{name}.json", cnf)):
@@ -1516,8 +1536,10 @@ class TestExitCodes:
         assert code == 3 and "resource" in err
         assert time.perf_counter() - start < 1.0
 
-    @pytest.mark.parametrize("k,p", [("10", "235"), ("3", "380")])
+    @pytest.mark.parametrize("k,p", [("10", "320"), ("3", "650")])
     def test_overflowing_p_is_numeric_failure(self, capsys, k, p):
+        # every candidate shift's powers leave the float range (k + 1/16 at
+        # least k + 1/16, so from p = 308 at k = 10 and p = 635 at k = 3)
         code, _, err = run(["gadget", "find", "--k", k, "--p", p], capsys)
         assert code == 1 and "leaves the float range" in err
 

@@ -231,3 +231,29 @@ class TestWeightMap:
         for idx, z in enumerate(x):
             dist_pow = pnorm(V @ z - t, p) ** p
             assert dist_pow == pytest.approx(mapped[idx], rel=1e-7, abs=1e-7)
+
+
+class TestShiftBatch:
+    """The batched kernel against the one-shift paths: eigen_report's
+    verdict and solve_weights's gap."""
+
+    @pytest.mark.parametrize("k", [1, 2, 3, 4, 6, 10, 16])
+    def test_verdicts_and_gaps_match_the_one_shift_paths(self, k):
+        shifts = gadgets._grid(k)
+        for p in (1.0, 1.5, 2.5, 3.0, 5.0, 7.75, 11.5, 50.0):
+            batch = distmatrix.ShiftBatch(k, p, shifts)
+            ok = batch.nonsingular
+            assert ok.tolist() == [distmatrix.eigen_report(k, p, s).nonsingular for s in shifts], (k, p)
+            assert not (batch.surely & ~ok).any()
+            index = np.flatnonzero(ok)
+            want = [gadgets.solve_weights(k, p, s)[1] for s in shifts[index]]
+            # the class system's condition reaches about 4e7 at k = 16
+            assert batch.gaps(index) == pytest.approx(want, rel=1e-6), (k, p)
+
+    def test_powers_past_the_float_range_drop_out(self):
+        # at shift 10.5 the largest power is 20.5^300, past the float range;
+        # at shift 0.5 it is 10.5^300, within it
+        batch = distmatrix.ShiftBatch(10, 300.0, [10.5, 0.5])
+        assert batch.finite.tolist() == [False, True]
+        assert not batch.surely[0] and not batch.undecided[0]
+        assert np.isfinite(batch.gaps([1])).all()

@@ -3,6 +3,7 @@ import functools
 import math
 import time
 import warnings
+from fractions import Fraction
 from itertools import permutations, product
 from unittest import mock
 
@@ -11,7 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from latgad import distmatrix, gadgets, oracle
+from latgad import distmatrix, gadgets, oracle, serialize
 from latgad.errors import (
     DegenerateConstructionError,
     InvalidInputError,
@@ -43,13 +44,13 @@ def spread(by_class):
 
 def reference_assembly(by_class, shift, q):
     """The parallelepiped assembled vertex by vertex: the 2^k weights, the
-    +-1 rows w^(1/p) u^T with targets w^(1/p) shift, then over {0, 1}^k the
-    rows doubled and each target raised by its row's sum in sorted order."""
+    +-1 rows w^(1/p) u^T, then over {0, 1}^k the rows doubled and each
+    target w^(1/p) times (the sum of u's entries + shift), -0 taken as 0."""
     k = by_class.size - 1
     (x,) = integer_grid([(0, 1)] * k, 2**k)
     scale = spread(by_class) ** (1.0 / q)
-    V = scale[:, None] * (2.0 * x - 1.0)
-    return 2.0 * V, np.sort(V, axis=1).sum(axis=1) + float(shift) * scale
+    u = 2.0 * x - 1.0
+    return 2.0 * scale[:, None] * u, scale * (u.sum(axis=1) + float(shift)) + 0.0
 
 
 def same_bits(a, b):
@@ -84,39 +85,64 @@ def shift_or_error(fn, k, p):
         return type(exc)
 
 
+def walk_gap(k, p):
+    """eps of the gadget built at the first-fit walk's shift, or None where
+    the walk finds no shift or its shift builds no verified gadget."""
+    try:
+        return gadgets._isolating_at(k, float(p), reference_shift(k, p)).eps
+    except (UnsupportedParametersError, NumericDegeneracyError, VerificationError):
+        return None
+
+
 class TestFindShift:
     def test_k1_p1_first_candidate(self):
-        # both eigenvalues at 1.5 are comfortably nonzero (3 and -2)
-        assert gadgets.find_shift(1, 1.0) == 1.5
+        # at k = 1, p = 1 the gap halves with each step of the shift's offset
+        # from 1: 1.0625 gives 32, 1.125 16, ..., the walk's 1.5 gives 4
+        ranking = gadgets._shift_ranking(1, 1.0)
+        assert ranking[:4] == [1.0625, 1.125, 1.25, 1.5]
+        assert gadgets.find_shift(1, 1.0) == 1.0625
+        assert [gadgets.solve_weights(1, 1.0, s)[1] for s in ranking[:4]] == pytest.approx([32.0, 16.0, 8.0, 4.0])
 
     @pytest.mark.parametrize("k", [1, 2, 3, 4, 6, 10, 16])
     def test_matches_reference_walk(self, k):
+        # the walk's shift is one member of the ranking wherever the walk
+        # finds one, and the ranking's first gives a gap at least as large;
+        # both refuse even integers p < k
         rng = np.random.default_rng(1200 + k)
         grid = [1.0 + 0.25 * i for i in range(45)] + [float(p) for p in rng.uniform(1.0, 12.0, 20)]
         for p in grid:
-            assert shift_or_error(gadgets.find_shift, k, p) == shift_or_error(reference_shift, k, p), (k, p)
+            walked = shift_or_error(reference_shift, k, p)
+            if walked is UnsupportedParametersError:
+                assert shift_or_error(gadgets.find_shift, k, p) is UnsupportedParametersError, (k, p)
+            elif walked is not NumericDegeneracyError:
+                ranking = gadgets._shift_ranking(k, p)
+                assert walked in ranking, (k, p)
+                best = gadgets.solve_weights(k, p, ranking[0])[1]
+                assert best >= gadgets.solve_weights(k, p, walked)[1] * (1 - 1e-9), (k, p)
 
     @pytest.mark.parametrize("nudge", [0, 1], ids=["ratio-met", "ratio-missed"])
     def test_undecided_candidate_goes_to_referee(self, monkeypatch, nudge):
-        # a threshold equal to the first candidate's fsum ratio (or one ulp
-        # above it) is inside every error bound: only eigen_report can decide
+        # a threshold equal to one candidate's fsum ratio (or one ulp above
+        # it) is inside every error bound: only eigen_report can decide, and
+        # the candidate is ranked exactly when its verdict is nonsingular
         k, p = 3, 2.5
         ratio = distmatrix.eigen_report(k, p, k + 0.5).min_ratio
         monkeypatch.setattr(distmatrix, "NONSINGULAR_RATIO", ratio if nudge == 0 else math.nextafter(ratio, 1.0))
         real, calls = distmatrix.eigen_report, []
         monkeypatch.setattr(distmatrix, "eigen_report", lambda *args: calls.append(args[2]) or real(*args))
-        shift = gadgets.find_shift(k, p)
-        assert calls[0] == k + 0.5
-        assert shift == (k + 0.5 if nudge == 0 else k + 0.25)
-        assert shift == reference_shift(k, p)
+        ranking = gadgets._shift_ranking(k, p)
+        assert k + 0.5 in calls
+        assert (k + 0.5 in ranking) == (nudge == 0)
+        assert all(real(k, p, s).nonsingular for s in ranking)
 
     def test_failing_search_needs_no_referee(self, monkeypatch):
+        # p a hair off an even integer: the screen proves every candidate singular
         def refuse(*args):
             raise AssertionError("the fsum spectrum was computed")
 
         monkeypatch.setattr(distmatrix, "eigen_report", refuse)
         with pytest.raises(NumericDegeneracyError, match="within depth 64"):
-            gadgets.find_shift(10, 2.5)
+            gadgets.find_shift(10, 1.999996)
 
     def test_k_cap(self):
         with pytest.raises(ResourceLimitError):
@@ -127,8 +153,10 @@ class TestFindShift:
             gadgets.find_shift(3, 2.0)
 
     def test_even_p_at_k_allowed(self):
+        # the walk's 2.5 is ranked, below 1.0625
+        assert gadgets._shift_ranking(2, 2.0)[:5] == [1.0625, 1.125, 1.25, 1.5, 2.0625]
+        assert reference_shift(2, 2.0) in gadgets._shift_ranking(2, 2.0)
         shift = gadgets.find_shift(2, 2.0)
-        assert 2.0 < shift <= 2.5
         report = distmatrix.eigen_report(2, 2.0, shift)
         assert report.nonsingular
 
@@ -137,6 +165,102 @@ class TestFindShift:
         shift = gadgets.find_shift(3, 1.0)
         assert shift < 3.0
         assert distmatrix.eigen_report(3, 1.0, shift).nonsingular
+
+
+P_GRID = [1.0 + 0.25 * i for i in range(45)]  # 1..12
+
+
+def even_below(k, p):
+    return float(p).is_integer() and int(p) % 2 == 0 and p < k
+
+
+class TestShiftRanking:
+    """find_shift ranks G_k and the walk's shift by gap; the builder builds
+    the ranking in turn until a gadget verifies."""
+
+    @pytest.mark.parametrize("k", range(1, 11))
+    def test_every_admissible_grid_point_builds(self, k):
+        for p in P_GRID:
+            if even_below(k, p):
+                with pytest.raises(UnsupportedParametersError):
+                    gadgets.find_isolating_parallelepiped(k, p)
+                continue
+            g = isolating(k, p)
+            assert g.meta["shift"] in gadgets._grid(k), (k, p)
+            assert gadgets.verify_parallelepiped(g).passed, (k, p)
+
+    @pytest.mark.parametrize("k", range(1, 11))
+    def test_class_targets_are_one_product(self, k):
+        # each class target s_j (2j - k + shift) rounds once (+0 only turns
+        # -0 into 0); the factor is exact for every shift of the grid
+        ones = np.ones(k)
+        for p in P_GRID:
+            if even_below(k, p):
+                continue
+            g = isolating(k, p)
+            shift = g.meta["shift"]
+            by_class, _ = gadgets.solve_weights(k, p, shift)
+            s = by_class ** (1.0 / p)
+            assert all(Fraction(2 * j - k) + Fraction(shift) == Fraction(2 * j - k + shift) for j in range(k + 1))
+            want = np.array([s[j] * (2 * j - k + shift) + 0.0 for j in range(k + 1)])
+            V, t = gadgets._class_parallelepiped(by_class, shift, p)
+            (x,) = integer_grid([(0, 1)] * k, 2**k)
+            assert same_bits(t, want[x.sum(axis=1)]), (k, p)
+            assert same_bits(g.t, t / pnorm(V @ ones - t, p)), (k, p)
+
+    @pytest.mark.parametrize("k", range(1, 11))
+    def test_gap_never_below_the_walks(self, k):
+        walked = 0
+        for p in P_GRID + [20.0, 50.0, 100.0, 233.5]:
+            floor = walk_gap(k, p)
+            if floor is not None:
+                assert isolating(k, p).eps >= floor, (k, p)
+                walked += 1
+        assert walked >= 20
+
+    @pytest.mark.parametrize("p", [1.999996, 3.999954, 5.999916])
+    def test_near_even_p_is_refused_fast(self, p):
+        # within 1e-4 of an even integer no candidate clears NONSINGULAR_RATIO
+        start = time.perf_counter()
+        with pytest.raises(NumericDegeneracyError):
+            gadgets.find_isolating_parallelepiped(10, p)
+        assert time.perf_counter() - start < 0.01
+
+    def test_overflowing_candidates_drop_out(self):
+        # at k = 10, p = 300 the walk's 10.5 gives 20.5^300, past the float
+        # range: it drops out, and a smaller shift builds
+        assert not distmatrix.ShiftBatch(10, 300.0, [10.5]).finite.any()
+        assert 10.5 not in gadgets._shift_ranking(10, 300.0)
+        assert gadgets.verify_parallelepiped(gadgets.find_isolating_parallelepiped(10, 300.0)).passed
+        # k = 1, p = 448: the walk's shift fell back to eps 0.0015
+        assert gadgets.find_isolating_parallelepiped(1, 448.0).eps >= 1.0
+
+    def test_failing_shift_goes_to_the_next(self, monkeypatch):
+        # a ranked shift whose gadget does not verify gives way to the next
+        ranking = gadgets._shift_ranking(4, 3.0)
+        real = gadgets.verify_parallelepiped
+
+        def fail_first(g, *args):
+            report = real(g, *args)
+            if g.meta["shift"] == ranking[0]:
+                report.conditions.append(gadgets.Condition("forced", False, 1.0))
+            return report
+
+        monkeypatch.setattr(gadgets, "verify_parallelepiped", fail_first)
+        assert gadgets.find_isolating_parallelepiped(4, 3.0).meta["shift"] == ranking[1]
+        monkeypatch.setattr(gadgets, "_shift_ranking", lambda k, q: ranking[:1])
+        with pytest.raises(NumericDegeneracyError, match="no ranked shift builds"):
+            gadgets.find_isolating_parallelepiped(4, 3.0)
+
+    def test_kernel_gaps_do_not_reach_the_bytes(self, monkeypatch):
+        # halving every ranked gap keeps the order, and the bytes
+        cases = [(10, 3.0), (3, 3.0), (4, 3.0), (10, 2.5), (1, 448.0)]
+        want = [serialize.dumps(serialize.gadget_to_json(gadgets.find_isolating_parallelepiped(*c))) for c in cases]
+        real, calls = distmatrix.ShiftBatch.gaps, []
+        halved = lambda self, index: calls.append(1) or 0.5 * real(self, index)  # noqa: E731
+        monkeypatch.setattr(distmatrix.ShiftBatch, "gaps", halved)
+        got = [serialize.dumps(serialize.gadget_to_json(gadgets.find_isolating_parallelepiped(*c))) for c in cases]
+        assert calls and got == want
 
 
 class TestSolveWeights:
@@ -164,24 +288,29 @@ class TestSolveWeights:
 
     @pytest.mark.parametrize("k,p", [(2, 358.0), (3, 379.0), (4, 320.5), (6, 275.5), (8, 253.0), (10, 234.0)])
     def test_gap_near_the_float_range(self, k, p):
-        # for large p the gap tends to 4 / (4k - 3), to 1e-9 by p = 201 at
-        # k <= 10; at these p, a = H^-1 e_0 is near the subnormal range
-        assert gadgets.find_isolating_parallelepiped(k, p).eps == pytest.approx(4 / (4 * k - 3), rel=1e-9)
+        # at the walk's shift k + 1/2 the gap tends to 4 / (4k - 3) for large
+        # p, to 1e-9 by p = 201 at k <= 10; at these p, a = H^-1 e_0 is near
+        # the subnormal range
+        shift = reference_shift(k, p)
+        assert shift == k + 0.5
+        assert gadgets._isolating_at(k, p, shift).eps == pytest.approx(4 / (4 * k - 3), rel=1e-9)
 
     def test_overflowing_gap_falls_back_to_smaller_one(self):
-        # at k = 1, p = 448 the largest gap 1 / (lambda |min a|) overflows
-        shift = gadgets.find_shift(1, 448.0)
+        # at k = 1, p = 448 the largest gap 1 / (lambda |min a|) at the
+        # walk's shift 1.5 overflows
+        shift = reference_shift(1, 448.0)
         by_class, eps = gadgets.solve_weights(1, 448.0, shift)
         assert math.isfinite(eps) and by_class.min() > 0.0
-        assert gadgets.find_isolating_parallelepiped(1, 448.0).eps > 0.0
+        assert gadgets._isolating_at(1, 448.0, shift).eps > 0.0
 
     def test_overflowing_weights_fall_back_to_smaller_gap(self):
         # at k = 1, p = 441 the largest gap 1 / (lambda |min a|) is finite,
         # about 1.8e308, but eps * a overflows: the smaller gap is taken
         # without a floating-point warning, as at p = 441.5
+        # (at the walk's shift 1.5)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            shift = gadgets.find_shift(1, 441.0)
+            shift = reference_shift(1, 441.0)
             by_class, eps = gadgets.solve_weights(1, 441.0, shift)
             g = gadgets.find_isolating_parallelepiped(1, 441.0)
         assert np.isfinite(by_class).all() and by_class.min() > 0.0
@@ -239,10 +368,10 @@ class TestSolveWeights:
 
     @pytest.mark.parametrize("k,p,eps", [(1, 30.0, 4.0), (2, 50.0, 0.8), (3, 100.0, 4 / 9)])
     def test_p_far_above_k_builds(self, k, p, eps):
-        # the gaps the dense solve gives; with the Krawtchouk sum for
-        # H^-1 e_0 the (1, 30) gap shrinks to 0.023 and the other two
-        # gadgets fail verification
-        assert gadgets.find_isolating_parallelepiped(k, p).eps == pytest.approx(eps, rel=1e-6)
+        # the gaps the dense solve gives at the walk's shift; with the
+        # Krawtchouk sum for H^-1 e_0 the (1, 30) gap shrinks to 0.023 and
+        # the other two gadgets fail verification
+        assert gadgets._isolating_at(k, p, reference_shift(k, p)).eps == pytest.approx(eps, rel=1e-6)
 
     def test_k14_within_budget(self):
         start = time.perf_counter()

@@ -98,6 +98,21 @@ class TestSatToCvp:
             else:
                 assert dist == pytest.approx(1.0 + gadget3.eps, rel=1e-9)
 
+    def test_gadget_must_isolate_the_plain_clause(self, gadget3):
+        # a parity level, or a clause with a negated position, is not the
+        # plain clause's: the instance would not encode the formula
+        f = CspFormula(n=3, constraints=[Clause((1, 2, 3))])
+        parity = gadgets.parity_gadget(3, 1.0, 0)
+        negated = gadgets.IsolatingGadget(
+            p=gadget3.p, k=3, V=gadget3.V, t=gadget3.t, eps=gadget3.eps,
+            kind=gadgets.KIND_TWO_LEVEL, constraint=gadgets.clause_constraint([2]),
+        )
+        for g in (parity, gadgets.to_isolating_lattice(parity), negated):
+            with pytest.raises(InvalidInputError, match="plain clause"):
+                reductions.sat_to_cvp(f, g)
+        for g in (gadget3, gadgets.to_isolating_lattice(gadget3)):
+            assert reductions.sat_to_cvp(f, g).meta["mode"] == "padded"
+
     def test_negated_literal_flips_sign_and_shifts(self, gadget3):
         f = CspFormula(n=3, constraints=[Clause((-1, 2, 3))])
         inst = reductions.sat_to_cvp(f, gadget3)

@@ -3,6 +3,7 @@ print its header line; and the summary of scripts/bench_pairs.py on
 synthetic runs."""
 
 import importlib.util
+import json
 import os
 import subprocess
 import sys
@@ -41,11 +42,12 @@ def run_script(script, args):
 
 @pytest.mark.parametrize(
     "p,cells",
-    [("2.5", ["no-shift"]), ("2", ["-"] * 8)],
+    [("1.999996", ["no-shift"]), ("2", ["-"] * 8)],
     ids=["no-shift", "even-p"],
 )
 def test_gadget_grid_prints_refusals(p, cells):
-    # at k = 10, p = 2.5 the shift search runs out; even p < k has no gadget
+    # at k = 10, p = 1.999996 no candidate shift is nonsingular; even p < k
+    # has no gadget
     proc = run_script("gadget_grid.py", ["--kmax", "10", "--p", p])
     assert proc.returncode == 0, proc.stderr
     row = proc.stdout.splitlines()[1].split()
@@ -132,3 +134,63 @@ class TestBenchPairsVerdict:
         bp = bench_pairs()
         (entry,) = bp.summarize(pair_records(self.PARENT, self.PARENT), TestBenchPairsSummary.HIGHER).values()
         assert bp.report({"jobs_per_s": entry}, None).splitlines()[1].endswith(" -")
+
+
+FAKE_CLI = '''import sys
+
+
+def dispatch(argv):
+    """Writes its argv to the --out file, if any, and echoes it."""
+    if "--out" in argv:
+        with open(argv[argv.index("--out") + 1], "w") as f:
+            f.write(" ".join(argv) + "{mark}")
+    print("ran", *argv)
+    print("note", file=sys.stderr)
+    return len(argv) % 3
+'''
+
+
+def fake_tree(root: Path, mark: str) -> Path:
+    """A tree whose src/latgad/cli.py has a dispatch that writes `mark`."""
+    pkg = root / "src" / "latgad"
+    pkg.mkdir(parents=True)
+    (pkg / "__init__.py").write_text("")
+    (pkg / "cli.py").write_text(FAKE_CLI.replace("{mark}", mark))
+    return root
+
+
+def byte_diff(tmp_path, marks):
+    corpus = tmp_path / "corpus.json"
+    corpus.write_text(json.dumps([
+        {"group": "lines", "dir": "lines", "chdir": True, "files": {"f.cnf": "p cnf 1 1\n1 0\n"},
+         "commands": [["gadget", "find", "--out", "g.json"], ["gadget", "verify", "--in", "g.json"]]},
+        {"group": "jobs", "dir": "jobs/job0", "drop": True, "files": {},
+         "commands": [["cvpp", "query", "--out", "jobs/job0/q.json"]]},
+    ]))
+    trees = [str(fake_tree(tmp_path / name, mark)) for name, mark in zip(("a", "b"), marks)]
+    return run_script("byte_diff.py", ["--trees", *trees, "--corpus", str(corpus)])
+
+
+class TestByteDiff:
+    def test_identical_trees(self, tmp_path):
+        proc = byte_diff(tmp_path, ["x", "x"])
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.splitlines() == ["byte_diff: 3 commands, 2 files: all identical"]
+
+    def test_one_changed_byte(self, tmp_path):
+        proc = byte_diff(tmp_path, ["x", "y"])
+        assert proc.returncode == 1, proc.stderr
+        lines = proc.stdout.splitlines()
+        assert lines[0] == "byte_diff: 3 commands, 2 files: 2 commands differ (file 2)"
+        assert lines[1].split() == ["jobs", "cvpp", "query", "1", "of", "1", "differ", "(file", "1)"]
+        assert "- gadget find --out g.json" in lines and "- cvpp query --out jobs/job0/q.json" in lines
+
+    def test_built_in_corpus(self, tmp_path):
+        # BENCH_write.json's 42 lines, then each workload's fixtures and jobs
+        out = tmp_path / "corpus.json"
+        assert run_script("byte_diff.py", ["--dump-corpus", str(out)]).returncode == 0
+        units = json.loads(out.read_text())
+        assert len(units[0]["commands"]) == 42 and units[0]["chdir"]
+        assert units[1] == {"group": "gadget-build", "dir": "fix-gadget-build", "files": {}, "commands": []}
+        assert {u["group"] for u in units} == {"BENCH_write", "gadget-build", "sat-validate", "cvpp-serve"}
+        assert all(u.get("drop") for u in units if u["dir"].count("/") == 1)
