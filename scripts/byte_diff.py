@@ -17,9 +17,7 @@ Every command's --out file is removed before the command runs.  A record
 holds the argv, the exit code, stdout, stderr and the SHA-256 of the --out
 file (null when none was written).  The script prints one summary line,
 then, when records differ, a count per group and command and the first
-differing records; it exits 1 when any record differs.  --trees A B compares
-two trees given as directories instead, and --corpus FILE runs a corpus
-JSON written by --dump-corpus (or by hand) instead of the built-in one.
+differing records; it exits 1 when any record differs.
 """
 
 from __future__ import annotations
@@ -111,8 +109,13 @@ def run_corpus(units: list[dict]) -> list[dict]:
             if out is not None:
                 (base / out).unlink(missing_ok=True)
             stdout, stderr = io.StringIO(), io.StringIO()
-            with contextlib.chdir(base), contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
-                code = dispatch(argv)
+            back = os.getcwd()
+            os.chdir(base)
+            try:
+                with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+                    code = dispatch(argv)
+            finally:
+                os.chdir(back)
             written = base / out if out is not None else None
             records.append({
                 "group": unit["group"],
@@ -127,11 +130,12 @@ def run_corpus(units: list[dict]) -> list[dict]:
     return records
 
 
-def run_tree(tree: Path, corpus: Path, work: Path) -> list[dict]:
-    """The corpus's records in a fresh process that imports latgad from
-    tree/src, run in a fresh directory under work."""
+def run_tree(tree: Path, units: list[dict], work: Path) -> list[dict]:
+    """The records of the corpus `units` in a fresh process that imports
+    latgad from tree/src, run in a fresh directory under work."""
     where = Path(tempfile.mkdtemp(dir=work))
-    records = where / "records.json"
+    corpus, records = where / "corpus.json", where / "records.json"
+    corpus.write_text(json.dumps(units))
     env = dict(os.environ, PYTHONPATH=str(tree / "src"), PYTHONHASHSEED="0",
                **{v: "1" for v in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS")})
     run_dir = where / "run"
@@ -144,11 +148,12 @@ def run_tree(tree: Path, corpus: Path, work: Path) -> list[dict]:
 
 
 FIELDS = ("exit_code", "stdout", "stderr", "file")
+SHOW = 3
 
 
-def compare(parent: list[dict], change: list[dict], show: int = 3) -> tuple[bool, str]:
+def compare(parent: list[dict], change: list[dict]) -> tuple[bool, str]:
     """(identical, report): the summary line, and when records differ, a
-    count per group and command and the first `show` differing records."""
+    count per group and command and the first SHOW differing records."""
     if [r["argv"] for r in parent] != [r["argv"] for r in change]:
         return False, "byte_diff: the two trees ran different command lists"
     differ = [(p, c) for p, c in zip(parent, change) if any(p[f] != c[f] for f in FIELDS)]
@@ -165,7 +170,7 @@ def compare(parent: list[dict], change: list[dict], show: int = 3) -> tuple[bool
     for key, counts in sorted(groups.items()):
         fields = ", ".join(f"{f} {counts[f]}" for f in FIELDS if counts[f])
         lines.append(f"  {key[0]:<12} {key[1]:<16} {counts['all']} of {totals[key]} differ ({fields})")
-    for p, c in differ[:show]:
+    for p, c in differ[:SHOW]:
         lines.append(f"- {' '.join(p['argv'])}")
         for f in FIELDS:
             if p[f] != c[f]:
@@ -177,32 +182,19 @@ def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     which = parser.add_mutually_exclusive_group(required=True)
     which.add_argument("--parent", help="git revision to compare this checkout against")
-    which.add_argument("--trees", nargs=2, metavar=("PARENT", "CHANGE"), help="two tree directories to compare")
     which.add_argument("--worker", nargs=2, metavar=("CORPUS", "RECORDS"), help=argparse.SUPPRESS)
-    which.add_argument("--dump-corpus", metavar="FILE", help="write the built-in corpus as JSON and exit")
-    parser.add_argument("--corpus", help="corpus JSON to run instead of the built-in one")
-    parser.add_argument("--show", type=int, default=3, help="differing records to print")
     args = parser.parse_args(argv)
     if args.worker:
         corpus, records = args.worker
         Path(records).write_text(json.dumps(run_corpus(json.loads(Path(corpus).read_text()))))
         return 0
-    if args.dump_corpus:
-        Path(args.dump_corpus).write_text(json.dumps(build_corpus(ROOT), indent=1) + "\n")
-        return 0
+    units = build_corpus(ROOT)
     with tempfile.TemporaryDirectory() as tmp:
         work = Path(tmp)
-        corpus = Path(args.corpus).resolve() if args.corpus else work / "corpus.json"
-        if not args.corpus:
-            corpus.write_text(json.dumps(build_corpus(ROOT)))
-        if args.parent:
-            trees = [work / "parent", ROOT]
-            trees[0].mkdir()
-            extract(args.parent, trees[0])
-        else:
-            trees = [Path(t).resolve() for t in args.trees]
-        parent, change = (run_tree(tree, corpus, work) for tree in trees)
-    identical, report = compare(parent, change, args.show)
+        (work / "parent").mkdir()
+        extract(args.parent, work / "parent")
+        parent, change = (run_tree(tree, units, work) for tree in (work / "parent", ROOT))
+    identical, report = compare(parent, change)
     print(report)
     return 0 if identical else 1
 

@@ -137,13 +137,15 @@ class ShiftBatch:
     spectrum and its weight solve's class system come from them.
 
     `surely` and `undecided` are the forward-error screen of the batched
-    spectrum lam = P E^T against `eigen_report`'s fsum verdict: `surely`
-    where the bound proves the shift nonsingular, `undecided` where it
-    cannot tell (elsewhere it proves the shift singular).  `nonsingular` is
-    `eigen_report`'s verdict on every shift: the screen's where it decides,
-    `eigen_report`'s own where it is undecided.  Every lam[c, s] lies within
-    err[c] = 8 (k + 2) u lam[c, 0] of the fsum eigenvalue, u = 2^-53.  The derivation, with lam_0 = sum_r C(k, r) P_r the positive
-    all-ones eigenvalue (|lam_s| <= lam_0 for every s):
+    spectrum lam = E P^T (one column per shift) against `eigen_report`'s
+    fsum verdict: `surely` where the bound proves the shift nonsingular,
+    `undecided` where it cannot tell (elsewhere it proves the shift
+    singular).  `nonsingular` is `eigen_report`'s verdict on every shift:
+    the screen's where it decides, `eigen_report`'s own where it is
+    undecided.  Every lam[s, c] lies within err[c] = 8 (k + 2) u lam[0, c]
+    of the fsum eigenvalue, u = 2^-53.  The derivation, with
+    lam_0 = sum_r C(k, r) P_r the positive all-ones eigenvalue
+    (|lam_s| <= lam_0 for every s):
       * the fsum route rounds one term E[s][r] P_r per r once (E[s][r] is an
         exact integer, and |E[s][r]| <= C(k, r) by Vandermonde's identity, so
         the terms' magnitudes sum to at most lam_0) and its correctly rounded
@@ -154,7 +156,7 @@ class ShiftBatch:
       * the matmul of k + 1 products, summed in any order, is within
         (k + 1) u / (1 - (k + 1) u) of sum_r |E[s][r]| P_r <= lam_0;
     in all (k + 9) u lam_0 up to O(u^2) terms.  8 (k + 2) is at least twice
-    k + 9, which leaves room for the O(u^2) terms, for lam[c, 0] standing in
+    k + 9, which leaves room for the O(u^2) terms, for lam[0, c] standing in
     for lam_0 and for the few roundings of the comparisons below.
 
     A shift is surely nonsingular when min_s (|lam_s| - err) >=
@@ -174,10 +176,12 @@ class ShiftBatch:
         rel, ratio = 8 * (k + 2) * 2.0**-53, NONSINGULAR_RATIO
         with np.errstate(over="ignore", invalid="ignore"):
             self.powers = np.abs((k - 2.0 * np.arange(k + 1)) - self.shifts[:, None]) ** q
-            lam = self.powers @ _float_tables(k)[1]
-            self.lambda_all = lam[:, 0]
-            low = np.abs(lam).min(axis=1)
-            self.finite = np.isfinite(lam).all(axis=1)
+            # one column per shift: the reductions over s then run across
+            # k + 1 long rows, many times faster than along N short ones
+            lam = _float_tables(k)[1] @ self.powers.T
+            self.lambda_all = lam[0]
+            low = np.abs(lam).min(axis=0)
+            self.finite = np.isfinite(lam).all(axis=0)
             self.surely = (low >= (ratio * (1 + rel) + rel) * self.lambda_all) & self.finite
             self.undecided = (low >= (ratio * (1 - rel) - rel) * self.lambda_all) & self.finite & ~self.surely
         self.nonsingular = self.surely.copy()
@@ -196,7 +200,10 @@ class ShiftBatch:
         k, index = self.k, np.asarray(index, dtype=np.intp)
         lam, e = np.frexp(self.lambda_all[index])
         Q = (np.ldexp(self.powers[index], -e[:, None]) @ _float_tables(k)[0]).reshape(-1, k + 1, k + 1)
-        a = np.linalg.solve(Q, np.eye(k + 1)[0])
+        # b as a stack of (k + 1) x 1 matrices: numpy 1.x reads a 1-D b
+        # against a stack of matrices as one matrix, not as a vector each
+        e0 = np.broadcast_to(np.eye(k + 1)[:, :1], (len(Q), k + 1, 1))
+        a = np.linalg.solve(Q, e0)[..., 0]
         lo, top = a.min(axis=1), np.abs(a).max(axis=1)
         with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
             # solve_weights's two gaps: 1 / (lambda |min a|) where a has a
@@ -210,9 +217,10 @@ class ShiftBatch:
 def _float_tables(k: int) -> tuple[np.ndarray, np.ndarray]:
     """T and E of `class_tables` as float matrices to multiply the powers
     by, one row of P per shift: P @ T gives Q's entries, class pair (J, j)
-    at column (k + 1) J + j, and P @ E the spectrum.  Read-only and shared."""
+    at column (k + 1) J + j, and E @ P^T the spectrum, one column per
+    shift.  Read-only and shared."""
     T, E = class_tables(k)
-    out = np.array(T, dtype=float).reshape((k + 1) ** 2, k + 1).T, np.array(E, dtype=float).T
+    out = np.array(T, dtype=float).reshape((k + 1) ** 2, k + 1).T, np.array(E, dtype=float)
     for m in out:
         m.flags.writeable = False
     return out

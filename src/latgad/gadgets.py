@@ -235,22 +235,20 @@ def _shift_ranking(k: int, q: float) -> list[float]:
     gives, larger first, ties to the smaller shift.  A shift whose eps is
     not finite drops out.
 
-    One `distmatrix.ShiftBatch` screens the candidates and solves the
-    nonsingular ones.  The walk's first SHIFT_GRID_DEPTH steps are all in
-    G_k; its other steps are only needed when none of those is nonsingular.
-    A one-offset walk's other steps (60 shifts) share G_k's batch; a
-    k-offset walk's (600) are screened only when they are needed."""
+    One `distmatrix.ShiftBatch` screens G_k and the walk's steps past G_k
+    (60 shifts for a one-offset walk, 60 k for a k-offset one), and solves
+    the nonsingular ones that are ranked."""
     grid, offsets = _grid(k), _walk_offsets(k, q)
     tail = _walk(k, q)[SHIFT_GRID_DEPTH * offsets.size :]
-    batch = distmatrix.ShiftBatch(k, q, np.concatenate([grid, tail]) if offsets.size == 1 else grid)
+    batch = distmatrix.ShiftBatch(k, q, np.concatenate([grid, tail]))
     ok = batch.nonsingular
-    in_grid = ok[: grid.size].reshape(SHIFT_GRID_DEPTH, k + 1)[:, offsets].any()
-    if not in_grid and batch.shifts.size == grid.size:
-        batch = distmatrix.ShiftBatch(k, q, np.concatenate([grid, tail]))
-        ok = batch.nonsingular
-    picks = np.flatnonzero(ok[: grid.size])
-    if not in_grid:
-        picks = np.append(picks, np.flatnonzero(ok[grid.size :])[:1] + grid.size)
+    # the walk's steps as indices into the batch, in the walk's order: its
+    # first SHIFT_GRID_DEPTH steps are G_k's columns `offsets`, row by row
+    walk = np.concatenate([(np.arange(SHIFT_GRID_DEPTH)[:, None] * (k + 1) + offsets).ravel(),
+                           grid.size + np.arange(tail.size)])
+    pick = walk[ok[walk]][:1]
+    # np.union1d would do, but it imports numpy.ma (1.7 MB of peak RSS)
+    picks = np.append(np.flatnonzero(ok[: grid.size]), pick[pick >= grid.size])
     shifts, eps = batch.shifts[picks], batch.gaps(picks)
     keep = np.isfinite(eps)
     if not keep.any():

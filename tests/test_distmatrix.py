@@ -257,3 +257,19 @@ class TestShiftBatch:
         assert batch.finite.tolist() == [False, True]
         assert not batch.surely[0] and not batch.undecided[0]
         assert np.isfinite(batch.gaps([1])).all()
+
+    def test_stacked_solve_reads_b_as_matrices(self, monkeypatch):
+        # numpy 1.x reads b as one vector per matrix only when
+        # b.ndim == a.ndim - 1, numpy 2.x only when b.ndim == 1; a b with
+        # a.ndim dimensions is a stack of matrices under both
+        solve, seen = np.linalg.solve, []
+
+        def strict(a, b):
+            seen.append((a.ndim, b.ndim))
+            return solve(a, b)
+
+        monkeypatch.setattr(np.linalg, "solve", strict)
+        batch = distmatrix.ShiftBatch(4, 3.0, gadgets._grid(4))
+        index = np.flatnonzero(batch.nonsingular)
+        gaps = batch.gaps(index)
+        assert seen == [(3, 3)] and gaps.shape == index.shape

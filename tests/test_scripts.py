@@ -159,37 +159,50 @@ def fake_tree(root: Path, mark: str) -> Path:
     return root
 
 
-def byte_diff(tmp_path, marks):
-    corpus = tmp_path / "corpus.json"
-    corpus.write_text(json.dumps([
-        {"group": "lines", "dir": "lines", "chdir": True, "files": {"f.cnf": "p cnf 1 1\n1 0\n"},
-         "commands": [["gadget", "find", "--out", "g.json"], ["gadget", "verify", "--in", "g.json"]]},
-        {"group": "jobs", "dir": "jobs/job0", "drop": True, "files": {},
-         "commands": [["cvpp", "query", "--out", "jobs/job0/q.json"]]},
-    ]))
-    trees = [str(fake_tree(tmp_path / name, mark)) for name, mark in zip(("a", "b"), marks)]
-    return run_script("byte_diff.py", ["--trees", *trees, "--corpus", str(corpus)])
+def byte_diff():
+    # byte_diff.py imports bench_pairs from its own directory
+    sys.path.insert(0, str(ROOT / "scripts"))
+    try:
+        spec = importlib.util.spec_from_file_location("byte_diff", ROOT / "scripts" / "byte_diff.py")
+        module = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(module)
+    finally:
+        sys.path.remove(str(ROOT / "scripts"))
+    return module
+
+
+CORPUS = [
+    {"group": "lines", "dir": "lines", "chdir": True, "files": {"f.cnf": "p cnf 1 1\n1 0\n"},
+     "commands": [["gadget", "find", "--out", "g.json"], ["gadget", "verify", "--in", "g.json"]]},
+    {"group": "jobs", "dir": "jobs/job0", "drop": True, "files": {},
+     "commands": [["cvpp", "query", "--out", "jobs/job0/q.json"]]},
+]
+
+
+def diff_trees(tmp_path, marks):
+    """compare() of the records of CORPUS on two fake trees."""
+    bd = byte_diff()
+    trees = [fake_tree(tmp_path / name, mark) for name, mark in zip(("a", "b"), marks)]
+    return bd.compare(*(bd.run_tree(tree, CORPUS, tmp_path) for tree in trees))
 
 
 class TestByteDiff:
     def test_identical_trees(self, tmp_path):
-        proc = byte_diff(tmp_path, ["x", "x"])
-        assert proc.returncode == 0, proc.stderr
-        assert proc.stdout.splitlines() == ["byte_diff: 3 commands, 2 files: all identical"]
+        identical, report = diff_trees(tmp_path, ["x", "x"])
+        assert identical
+        assert report.splitlines() == ["byte_diff: 3 commands, 2 files: all identical"]
 
     def test_one_changed_byte(self, tmp_path):
-        proc = byte_diff(tmp_path, ["x", "y"])
-        assert proc.returncode == 1, proc.stderr
-        lines = proc.stdout.splitlines()
+        identical, report = diff_trees(tmp_path, ["x", "y"])
+        assert not identical
+        lines = report.splitlines()
         assert lines[0] == "byte_diff: 3 commands, 2 files: 2 commands differ (file 2)"
         assert lines[1].split() == ["jobs", "cvpp", "query", "1", "of", "1", "differ", "(file", "1)"]
         assert "- gadget find --out g.json" in lines and "- cvpp query --out jobs/job0/q.json" in lines
 
-    def test_built_in_corpus(self, tmp_path):
+    def test_built_in_corpus(self):
         # BENCH_write.json's 42 lines, then each workload's fixtures and jobs
-        out = tmp_path / "corpus.json"
-        assert run_script("byte_diff.py", ["--dump-corpus", str(out)]).returncode == 0
-        units = json.loads(out.read_text())
+        units = byte_diff().build_corpus(ROOT)
         assert len(units[0]["commands"]) == 42 and units[0]["chdir"]
         assert units[1] == {"group": "gadget-build", "dir": "fix-gadget-build", "files": {}, "commands": []}
         assert {u["group"] for u in units} == {"BENCH_write", "gadget-build", "sat-validate", "cvpp-serve"}
