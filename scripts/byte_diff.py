@@ -1,5 +1,6 @@
 """Run one fixed command corpus on a parent revision and on this checkout,
-and compare every command's exit code, stdout, stderr and written files.
+and compare every command's exit code, stdout, stderr and written files,
+once through `dispatch` and once through `latgad batch`.
 
     python3 scripts/byte_diff.py --parent HEAD
 
@@ -15,9 +16,19 @@ corpus is
     directory of its own, on the job's input files.
 Every command's --out file is removed before the command runs.  A record
 holds the argv, the exit code, stdout, stderr and the SHA-256 of the --out
-file (null when none was written).  The script prints one summary line,
-then, when records differ, a count per group and command and the first
-differing records; it exits 1 when any record differs.
+file (null when none was written).
+
+The same process then runs the corpus a second time, in a fresh directory,
+as one `dispatch(["batch", "--in", F])` per unit, F holding the unit's
+command lines.  Its records hold each command's exit code and stdout, read
+from batch's JSON lines (without `seconds`).  Both passes also record the
+SHA-256 of every file in each unit's directory after its commands.  A
+batch record or directory is identical when it is equal in both passes of
+both trees.
+
+The script prints one summary line per pass, then, when records differ, a
+count per group and command and the first differing records; it exits 1
+when any record differs.
 """
 
 from __future__ import annotations
@@ -29,6 +40,7 @@ import hashlib
 import io
 import json
 import os
+import shlex
 import shutil
 import subprocess
 import sys
@@ -91,18 +103,30 @@ def out_path(argv: list[str]) -> str | None:
     return None
 
 
-def run_corpus(units: list[dict]) -> list[dict]:
+def unit_dir(unit: dict) -> Path:
+    """The unit's directory under the current one, with its files written."""
+    where = Path(unit["dir"])
+    where.mkdir(parents=True, exist_ok=True)
+    for name, text in unit["files"].items():
+        (where / name).write_text(text)
+    return where
+
+
+def dir_hashes(where: Path) -> dict[str, str]:
+    """The SHA-256 of every file under where, by its path relative to where."""
+    return {str(f.relative_to(where)): hashlib.sha256(f.read_bytes()).hexdigest()
+            for f in sorted(where.rglob("*")) if f.is_file()}
+
+
+def run_corpus(units: list[dict]) -> dict:
     """Every command of the corpus through latgad.cli.dispatch, in this
     process and directory; a unit's files are written into its directory
-    first."""
+    first.  Then the batch pass (`run_batches`)."""
     from latgad.cli import dispatch
 
-    records = []
+    records, dirs = [], {}
     for unit in units:
-        where = Path(unit["dir"])
-        where.mkdir(parents=True, exist_ok=True)
-        for name, text in unit["files"].items():
-            (where / name).write_text(text)
+        where = unit_dir(unit)
         base = where if unit.get("chdir") else Path(".")
         for argv in unit["commands"]:
             out = out_path(argv)
@@ -125,14 +149,46 @@ def run_corpus(units: list[dict]) -> list[dict]:
                 "stderr": stderr.getvalue(),
                 "file": hashlib.sha256(written.read_bytes()).hexdigest() if written and written.exists() else None,
             })
+        dirs[unit["dir"]] = dir_hashes(where)
         if unit.get("drop"):
             shutil.rmtree(where)
-    return records
+    batch, batch_dirs = run_batches(units, dispatch, Path("..", "batch").resolve())
+    return {"dispatch": records, "dirs": dirs, "batch": batch, "batch_dirs": batch_dirs}
 
 
-def run_tree(tree: Path, units: list[dict], work: Path) -> list[dict]:
-    """The records of the corpus `units` in a fresh process that imports
-    latgad from tree/src, run in a fresh directory under work."""
+def run_batches(units: list[dict], dispatch, root: Path) -> tuple[list[dict], dict]:
+    """The corpus again under the fresh directory root, each unit as one
+    `batch --in` call on a file of its command lines (kept outside root):
+    each command's exit code and stdout, and each unit directory's file
+    hashes after its batch."""
+    root.mkdir()
+    back = os.getcwd()
+    records, dirs = [], {}
+    try:
+        for i, unit in enumerate(units):
+            os.chdir(root)
+            where = unit_dir(unit)
+            lines = root.parent / f"batch-{i}.txt"
+            lines.write_text("".join(shlex.join(argv) + "\n" for argv in unit["commands"]))
+            stdout = io.StringIO()
+            os.chdir(where if unit.get("chdir") else root)
+            with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(io.StringIO()):
+                dispatch(["batch", "--in", str(lines)])
+            os.chdir(root)
+            for line in stdout.getvalue().splitlines():
+                r = json.loads(line)
+                records.append({f: r[f] for f in ("argv", *BATCH_FIELDS)})
+            dirs[unit["dir"]] = dir_hashes(where)
+            if unit.get("drop"):
+                shutil.rmtree(where)
+    finally:
+        os.chdir(back)
+    return records, dirs
+
+
+def run_tree(tree: Path, units: list[dict], work: Path) -> dict:
+    """The records of both passes over the corpus `units` in a fresh process
+    that imports latgad from tree/src, run in a fresh directory under work."""
     where = Path(tempfile.mkdtemp(dir=work))
     corpus, records = where / "corpus.json", where / "records.json"
     corpus.write_text(json.dumps(units))
@@ -148,12 +204,22 @@ def run_tree(tree: Path, units: list[dict], work: Path) -> list[dict]:
 
 
 FIELDS = ("exit_code", "stdout", "stderr", "file")
+BATCH_FIELDS = ("exit_code", "stdout")
 SHOW = 3
 
 
-def compare(parent: list[dict], change: list[dict]) -> tuple[bool, str]:
-    """(identical, report): the summary line, and when records differ, a
-    count per group and command and the first SHOW differing records."""
+def compare(parent: dict, change: dict) -> tuple[bool, str]:
+    """(identical, report) over both passes: one summary line per pass, each
+    followed by its differences when records differ."""
+    same, report = compare_dispatch(parent["dispatch"], change["dispatch"])
+    same_batch, batch_report = compare_batch(parent, change)
+    return same and same_batch, report + "\n" + batch_report
+
+
+def compare_dispatch(parent: list[dict], change: list[dict]) -> tuple[bool, str]:
+    """(identical, report) of the dispatch pass: the summary line, and when
+    records differ, a count per group and command and the first SHOW
+    differing records."""
     if [r["argv"] for r in parent] != [r["argv"] for r in change]:
         return False, "byte_diff: the two trees ran different command lists"
     differ = [(p, c) for p, c in zip(parent, change) if any(p[f] != c[f] for f in FIELDS)]
@@ -175,6 +241,49 @@ def compare(parent: list[dict], change: list[dict]) -> tuple[bool, str]:
         for f in FIELDS:
             if p[f] != c[f]:
                 lines.append(f"    {f}: {str(p[f])[:200]!r} -> {str(c[f])[:200]!r}")
+    return False, "\n".join(lines)
+
+
+def excerpts(values: list) -> list[str]:
+    """Up to 80 characters of each of the str(values), all from a little
+    before the first position where they differ."""
+    values = [str(v) for v in values]
+    at = min(len(v) for v in values)
+    at = next((i for i, chars in enumerate(zip(*values)) if len(set(chars)) > 1), at)
+    start = max(0, at - 20)
+    return [("..." if start else "") + v[start : start + 80] for v in values]
+
+
+RUNS = ("parent dispatch", "parent batch", "change dispatch", "change batch")
+
+
+def compare_batch(parent: dict, change: dict) -> tuple[bool, str]:
+    """(identical, report) of the batch pass: a command or a unit directory
+    is identical when its four runs (`RUNS`: each tree's dispatch and batch
+    passes) agree, on BATCH_FIELDS for a command and on every file's hash
+    for a directory.  The summary line, then the first SHOW differing
+    commands and directories with the value of each run."""
+    runs = [parent["dispatch"], parent["batch"], change["dispatch"], change["batch"]]
+    if any([r["argv"] for r in run] != [r["argv"] for r in runs[0]] for run in runs):
+        return False, "byte_diff batch: the passes ran different command lists"
+    commands = [(rs[0]["argv"], [{f: r[f] for f in BATCH_FIELDS} for r in rs]) for rs in zip(*runs)]
+    passes = [parent["dirs"], parent["batch_dirs"], change["dirs"], change["batch_dirs"]]
+    dirs = [(where, [p[where] for p in passes]) for where in passes[0]]
+    odd_commands = [(argv, views) for argv, views in commands if any(v != views[0] for v in views)]
+    odd_dirs = [(where, views) for where, views in dirs if any(v != views[0] for v in views)]
+    head = f"byte_diff batch: {len(commands)} commands, {len(dirs)} directories"
+    if not odd_commands and not odd_dirs:
+        return True, f"{head}: all identical"
+    lines = [f"{head}: {len(odd_commands)} commands differ, {len(odd_dirs)} directories differ"]
+    for argv, views in odd_commands[:SHOW]:
+        lines.append(f"- {' '.join(argv)}")
+        for f in BATCH_FIELDS:
+            if any(v[f] != views[0][f] for v in views):
+                shown = excerpts([v[f] for v in views])
+                lines.append(f"    {f}: " + ", ".join(f"{run} {text!r}" for run, text in zip(RUNS, shown)))
+    for where, views in odd_dirs[:SHOW]:
+        names = sorted({name for v in views for name in v if any(w.get(name) != v[name] for w in views)})
+        lines.append(f"- directory {where}: " + ", ".join(names))
     return False, "\n".join(lines)
 
 

@@ -9,6 +9,10 @@ chunks as UTF-8 before opening the file, and writes the bytes with
 writes again and again is held encoded: the basis chunks of the last prep
 read (`_prep_texts`), which every query against that prep writes.
 
+Every input file is read as bytes and decoded as UTF-8 in one call, the
+encoding `_write` writes, whatever the locale; line ends are left as they
+are, since every text parser splits lines with `str.splitlines`.
+
 A process keeps one value per kind of input text, each decoded at most
 once: the last gadget and the last instance it read or wrote to --out
 (`_gadget_text`, `_instance_text`), the last formula it read
@@ -91,14 +95,19 @@ def _emit(payload: dict, out: str | None) -> None:
         sys.stdout.writelines(chunks)
 
 
+def _bytes(path: str) -> bytes:
+    with open(path, "rb") as fh:
+        return fh.read()
+
+
 def _decoded(path: str, decode):
-    """decode(the text of path); text that is not UTF-8 or not JSON is not a
-    JSON artifact."""
-    with open(path) as fh:
-        try:
-            return decode(fh.read())
-        except (json.JSONDecodeError, UnicodeDecodeError) as exc:
-            raise InvalidInputError(f"{path} is not a JSON artifact: {exc}") from exc
+    """decode(the text of path): its bytes decoded as UTF-8, as `_write`
+    writes them; text that is not UTF-8 or not JSON is not a JSON artifact."""
+    data = _bytes(path)
+    try:
+        return decode(data.decode())
+    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+        raise InvalidInputError(f"{path} is not a JSON artifact: {exc}") from exc
 
 
 class _LastText:
@@ -180,12 +189,13 @@ def _emit_instance(inst: reductions.CvpInstance, out: str | None) -> None:
 
 
 def _read(path: str) -> str:
-    """The text of path; bytes that are not UTF-8 are not a text input."""
-    with open(path) as fh:
-        try:
-            return fh.read()
-        except UnicodeDecodeError as exc:
-            raise InvalidInputError(f"{path} is not UTF-8 text: {exc}") from exc
+    """The text of path, its bytes decoded as UTF-8 with line ends as they
+    are (every text parser splits lines with str.splitlines); bytes that are
+    not UTF-8 are not a text input."""
+    try:
+        return _bytes(path).decode()
+    except UnicodeDecodeError as exc:
+        raise InvalidInputError(f"{path} is not UTF-8 text: {exc}") from exc
 
 
 def _parse_box(text: str) -> tuple[int, int]:

@@ -8,8 +8,9 @@ S depends only on |S|, which keeps the full spectrum O(k^2) to compute.
 The spectrum and the weight solve's class system Q (`gadgets.solve_weights`)
 are integer combinations of the same k + 1 powers P_r = |k - 2r - shift|^p
 (`class_powers`): by_size = E P and Q = T P, with both exact tables from one
-cached builder (`class_tables`).  `class_sums` is the one summation rule: the
-`math.fsum` of one rounded product per r.  `eigen_report` applies it, one
+cached builder (`class_tables`, read-only int64 arrays).  `class_sums` is the
+one summation rule: the `math.fsum` of one rounded product per r, the
+products formed in one numpy multiply.  `eigen_report` applies it, one
 shift at a time; its verdict is the definition of a nonsingular shift.
 `ShiftBatch` is the batched path over many shifts: one matmul against E gives
 every spectrum, a forward-error bound gives the fsum verdict wherever it
@@ -63,22 +64,24 @@ def distance_matrix(k: int, p, shift: float) -> np.ndarray:
 
 
 @functools.lru_cache(maxsize=MAX_K)
-def class_tables(k: int) -> tuple[tuple, tuple]:
+def class_tables(k: int) -> tuple[np.ndarray, np.ndarray]:
     """The exact integer tables T, with Q[J][j] = sum_r T[J][j][r] P_r, and E,
     with by_size[s] = sum_r E[s][r] P_r: T[J][j][J+j-2m] = C(J, m) C(k-J, j-m)
     counts the class-j vertices sharing m of a class-J vertex's +1
     coordinates, and the Krawtchouk table E[J][j] sums the same counts signed
-    by (-1)^m.  Nested tuples of ints (at most C(16, 8)): read-only, one pair
+    by (-1)^m.  int64 arrays of shape (k + 1)^3 and (k + 1)^2 (every entry at
+    most C(16, 8) in magnitude, so exact as a float too): read-only, one pair
     per k shared by every caller."""
-    T = [[[0] * (k + 1) for _ in range(k + 1)] for _ in range(k + 1)]
-    E = [[0] * (k + 1) for _ in range(k + 1)]
+    T = np.zeros((k + 1, k + 1, k + 1), dtype=np.int64)
+    E = np.zeros((k + 1, k + 1), dtype=np.int64)
     for J in range(k + 1):
         for j in range(k + 1):
             for m in range(max(0, J + j - k), min(J, j) + 1):
                 c = math.comb(J, m) * math.comb(k - J, j - m)
-                T[J][j][J + j - 2 * m] = c
-                E[J][j] += (-1) ** m * c
-    return tuple(tuple(map(tuple, rows)) for rows in T), tuple(map(tuple, E))
+                T[J, j, J + j - 2 * m] = c
+                E[J, j] += (-1) ** m * c
+    T.flags.writeable = E.flags.writeable = False
+    return T, E
 
 
 def class_powers(k: int, q: float, shift: float) -> list[float]:
@@ -91,10 +94,15 @@ def class_powers(k: int, q: float, shift: float) -> list[float]:
 
 
 def class_sums(rows, powers: list[float]) -> list[float]:
-    """sum_r row[r] P_r for each row of a `class_tables` table: the math.fsum
-    of one rounded product per r (an exact integer times a float)."""
+    """sum_r row[r] P_r for each row of a `class_tables` table (any array of
+    rows of k + 1 integers): the math.fsum of one rounded product per r.  The
+    products are one numpy multiply, an exact integer times a float rounded
+    once, as Python's `int * float` rounds it, so each sum is bit-identical
+    to fsum over the Python products."""
+    with np.errstate(over="ignore"):
+        products = (np.asarray(rows) * np.asarray(powers, dtype=float)).tolist()
     try:
-        return [math.fsum([c * P for c, P in zip(row, powers)]) for row in rows]
+        return [math.fsum(row) for row in products]
     except OverflowError as exc:
         raise float_range_error("a class sum") from exc
 
@@ -220,7 +228,7 @@ def _float_tables(k: int) -> tuple[np.ndarray, np.ndarray]:
     at column (k + 1) J + j, and E @ P^T the spectrum, one column per
     shift.  Read-only and shared."""
     T, E = class_tables(k)
-    out = np.array(T, dtype=float).reshape((k + 1) ** 2, k + 1).T, np.array(E, dtype=float)
+    out = T.astype(float).reshape((k + 1) ** 2, k + 1).T, E.astype(float)
     for m in out:
         m.flags.writeable = False
     return out

@@ -324,7 +324,7 @@ def solve_weights(k: int, p, shift: float) -> tuple[np.ndarray, float]:
         raise InvalidInputError(
             f"distance matrix is singular at shift {shift!r} (min ratio {report.min_ratio:.3g})"
         )
-    Q = np.array([distmatrix.class_sums(rows, powers) for rows in T])
+    Q = np.array(distmatrix.class_sums(T.reshape(-1, k + 1), powers)).reshape(k + 1, k + 1)
     # solve at the scale of Q's largest entry: near the float range a's
     # entries, about 1/lambda, are subnormal and lose digits.  Scaling by a
     # power of two is exact, so this moves nothing else.
@@ -358,6 +358,18 @@ def _class_vertices(k: int) -> np.ndarray:
     return (np.arange(k) >= np.arange(k, -1, -1)[:, None]).astype(np.int64)
 
 
+@functools.lru_cache(maxsize=distmatrix.MAX_K)
+def _cube(k: int) -> tuple[np.ndarray, np.ndarray]:
+    """The 2^k vertices of {0, 1}^k in integer_grid order, as the signs
+    2x - 1 (int8 rows) and the popcount of each (its Hamming class).  Listed
+    once per k; read-only, shared by every builder."""
+    (x,) = integer_grid([(0, 1)] * k, 2**k)
+    out = (2 * x - 1).astype(np.int8), x.sum(axis=1)
+    for a in out:
+        a.flags.writeable = False
+    return out
+
+
 def _class_parallelepiped(by_class: np.ndarray, shift: float, q: float) -> tuple[np.ndarray, np.ndarray]:
     """V, t over {0, 1}^k of the +-1 parallelepiped with row u = w^(1/p) u^T
     and target w^(1/p) shift, w read from the class weights by_class (class
@@ -366,15 +378,14 @@ def _class_parallelepiped(by_class: np.ndarray, shift: float, q: float) -> tuple
     shift), one product s_j (2j - k + shift) per class (the factor is exact
     for every shift of find_shift's grid; adding +0 turns a zero-weight
     class's -0 into 0), so every row of a class has a bit-identical target,
-    as the certificate (`_symmetric`) needs.  Rows are listed once, in
-    integer_grid order, and gather the k + 1 class rows by popcount.
-    Zero-weight rows are kept so d = 2^k is stable."""
+    as the certificate (`_symmetric`) needs.  Rows are in integer_grid
+    order, and gather the k + 1 class rows by popcount from the cached cube
+    (`_cube`).  Zero-weight rows are kept so d = 2^k is stable."""
     k = by_class.size - 1
     s = by_class ** (1.0 / q)
     t = s * ((2.0 * np.arange(k + 1) - k) + float(shift)) + 0.0
-    (x,) = integer_grid([(0, 1)] * k, 2**k)
-    c = x.sum(axis=1)
-    return (2.0 * s)[c][:, None] * (2.0 * x - 1.0), t[c]
+    signs, c = _cube(k)
+    return (2.0 * s)[c][:, None] * signs, t[c]
 
 
 def _ranked_shifts(k: int, q: float):
@@ -598,18 +609,24 @@ def _symmetric(V: np.ndarray, targets: list[np.ndarray]) -> bool:
     Each comparison first tries the row bijection the permutation induces
     on integer_grid order (`_row_map`), which is how the builders lay out
     their 2^k r rows: equal rows under a bijection prove equal row
-    multisets in one array pass.  When that guess fails it sorts the rows
+    multisets in one array pass, made on the float64 bits of V and of each
+    target apart.  When that guess fails it sorts the rows of [V | targets]
     (`_row_multiset`), so a gadget whose rows come in another order, or
     that has extra rows (the lattice kind), is still certified exactly
     when its row multisets agree."""
-    k = V.shape[1]
+    d, k = V.shape
+    perms = ((1, 0, *range(2, k)), (*range(1, k), 0)) if k > 1 else ()
+    if d % 2**k == 0:
+        v_bits, *t_bits = [(a + 0.0).view(np.uint64) for a in (V, *targets)]
+        for perm in perms:
+            rows = _row_map(perm, d)
+            if not (np.array_equal(v_bits[:, list(perm)], v_bits[rows])
+                    and all(np.array_equal(b, b[rows]) for b in t_bits)):
+                break
+        else:
+            return True
     M = np.column_stack([V, *targets]) + 0.0
     tail = list(range(k, M.shape[1]))
-    perms = ((1, 0, *range(2, k)), (*range(1, k), 0)) if k > 1 else ()
-    if M.shape[0] % 2**k == 0:
-        bits = M.view(np.uint64)
-        if all(np.array_equal(bits[:, [*perm, *tail]], bits[_row_map(perm, M.shape[0])]) for perm in perms):
-            return True
     rows = _row_multiset(M)
     return all(np.array_equal(_row_multiset(M[:, [*perm, *tail]]), rows) for perm in perms)
 
@@ -626,15 +643,20 @@ def _vertex_distances(V: np.ndarray, p, targets: list[np.ndarray], by_popcount: 
     k = V.shape[1]
     if by_popcount and _symmetric(V, targets):
         x = _class_vertices(k)
-        return x, [row_pnorms(x @ V.T - t, p) for t in targets], CHECK_CLASSES
+        xv = x @ V.T
+        return x, [row_pnorms(xv - t, p) for t in targets], CHECK_CLASSES
     if k > MAX_WALK_K:
         raise ResourceLimitError(
             f"walking all 2^{k} vertices exceeds the cap k={MAX_WALK_K}; the class check needs "
             "a gadget symmetric under coordinate permutations and a level split by popcount"
         )
     chunks = list(integer_grid([(0, 1)] * k, chunk_rows(V.shape[0])))
-    dists = [np.concatenate([row_pnorms(x @ V.T - t, p) for x in chunks]) for t in targets]
-    return np.vstack(chunks), dists, CHECK_VERTICES
+    parts = [[] for _ in targets]
+    for x in chunks:
+        xv = x @ V.T
+        for part, t in zip(parts, targets):
+            part.append(row_pnorms(xv - t, p))
+    return np.vstack(chunks), [np.concatenate(part) for part in parts], CHECK_VERTICES
 
 
 def _by_popcount(gadget: IsolatingGadget) -> bool:

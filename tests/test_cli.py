@@ -1282,6 +1282,89 @@ class TestBatch:
         assert "gadget k=3 p=3.0" in proc.stderr and "io error" in proc.stderr
 
 
+class TestBytesRead:
+    """Every input file is read as bytes and decoded as UTF-8 in one call:
+    CRLF line ends read as the LF original does, and bytes that are not
+    UTF-8 text, or JSON, are refused with the messages a text-mode read
+    gave."""
+
+    CNF = "p cnf 6 5\n1 -2 3 0\n-1 4 5 0\n2 -4 6 0\n-3 -5 -6 0\n1 5 -6 0\n"
+
+    @staticmethod
+    def crlf(path: Path) -> Path:
+        copy = path.with_name("crlf-" + path.name)
+        copy.write_bytes(path.read_bytes().replace(b"\n", b"\r\n"))
+        return copy
+
+    @staticmethod
+    def read(path: Path, slot):
+        slot.cache_clear()
+        return cli._decoded(str(path), slot)
+
+    @pytest.fixture()
+    def files(self, tmp_path, capsys):
+        files = {name: tmp_path / name for name in ("g10.json", "g3.json", "f.cnf", "inst.json")}
+        files["f.cnf"].write_text(self.CNF)
+        assert run(["gadget", "find", "--k", "10", "--p", "3", "--out", str(files["g10.json"])], capsys)[0] == 0
+        assert run(["gadget", "find", "--k", "3", "--p", "3", "--out", str(files["g3.json"])], capsys)[0] == 0
+        reduce = ["reduce", "sat", "--cnf", str(files["f.cnf"]), "--gadget", str(files["g3.json"]), "--out", str(files["inst.json"])]
+        assert run(reduce, capsys)[0] == 0
+        return files
+
+    def test_crlf_artifacts_read_to_equal_arrays(self, capsys, files):
+        g, inst, cnf = files["g10.json"], files["inst.json"], files["f.cnf"]
+        assert b"\r\n" in self.crlf(g).read_bytes() and b"\r\n" in self.crlf(inst).read_bytes()
+        for path, slot, fields in ((g, cli._gadget_text, ("V", "t")), (inst, cli._instance_text, ("basis", "target"))):
+            a, b = self.read(path, slot), self.read(self.crlf(path), slot)
+            for name in fields:
+                x, y = getattr(a, name), getattr(b, name)
+                assert (x.shape, x.tobytes()) == (y.shape, y.tobytes()), (path.name, name)
+        for argv in (["gadget", "verify", "--in", "{g}"], ["oracle", "validate", "--cnf", str(cnf), "--instance", "{inst}"]):
+            outs = []
+            for gp, ip in ((g, inst), (self.crlf(g), self.crlf(inst))):
+                for slot in cli._LastText.slots:
+                    slot.cache_clear()
+                code, out, err = run([a.format(g=gp, inst=ip) for a in argv], capsys)
+                outs.append((code, out, err))
+            assert outs[0] == outs[1] and outs[0][0] == 0, argv
+
+    def test_crlf_dimacs_and_batch_parse_as_lf(self, tmp_path, capsys, monkeypatch, files):
+        cnf, crlf = files["f.cnf"], self.crlf(files["f.cnf"])
+        assert cli._read_formula(str(crlf)) == cli._read_formula(str(cnf))
+        reduce = ["reduce", "sat", "--cnf", "{cnf}", "--gadget", str(files["g3.json"])]
+        assert run([a.format(cnf=crlf) for a in reduce], capsys) == run([a.format(cnf=cnf) for a in reduce], capsys)
+        monkeypatch.chdir(tmp_path)
+        lines = tmp_path / "lines.txt"
+        lines.write_text("# steps\ngadget find --k 3 --p 3 --out b.json\n\ngadget verify --in b.json\n"
+                         f"oracle validate --cnf '{cnf}' --instance '{files['inst.json']}'\n")
+        records = []
+        for path in (lines, self.crlf(lines)):
+            code, out, err = run(["batch", "--in", str(path)], capsys)
+            got = [json.loads(line) for line in out.splitlines()]
+            records.append((code, [{k: v for k, v in r.items() if k != "seconds"} for r in got], err))
+        assert records[0] == records[1]
+        assert [r["argv"][:2] for r in records[0][1]] == [["gadget", "find"], ["gadget", "verify"], ["oracle", "validate"]]
+
+    def test_bom_and_invalid_bytes_keep_their_messages(self, tmp_path, capsys, files):
+        data = files["g10.json"].read_bytes()
+        bom, bad, cnf, bom_cnf = (tmp_path / n for n in ("bom.json", "bad.json", "bad.cnf", "bom.cnf"))
+        bom.write_bytes(b"\xef\xbb\xbf" + data)
+        bad.write_bytes(data[:100000] + b"\xff" + data[100000:])
+        cnf.write_bytes(b"p cnf 4 2\n1 2 3 0\n-1 \xff 4 0\n")
+        bom_cnf.write_bytes(b"\xef\xbb\xbf" + self.CNF.encode())
+        assert run(["gadget", "verify", "--in", str(bom)], capsys) == (2, "", (
+            f"usage error: {bom} is not a JSON artifact: Unexpected UTF-8 BOM (decode using utf-8-sig): "
+            "line 1 column 1 (char 0)\n"))
+        assert run(["gadget", "verify", "--in", str(bad)], capsys) == (2, "", (
+            f"usage error: {bad} is not a JSON artifact: 'utf-8' codec can't decode byte 0xff in position 100000: "
+            "invalid start byte\n"))
+        reduce = ["reduce", "sat", "--gadget", str(files["g3.json"]), "--cnf"]
+        assert run([*reduce, str(cnf)], capsys) == (2, "", (
+            f"usage error: {cnf} is not UTF-8 text: 'utf-8' codec can't decode byte 0xff in position 21: "
+            "invalid start byte\n"))
+        assert run([*reduce, str(bom_cnf)], capsys) == (2, "", "usage error: missing problem line\n")
+
+
 def short_writev(limit: int):
     """os.writev that writes at most limit bytes of the first non-empty buffer."""
 

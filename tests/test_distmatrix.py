@@ -166,14 +166,35 @@ class TestClassTables:
     def test_tables_are_shared_and_read_only(self):
         T, E = distmatrix.class_tables(4)
         assert distmatrix.class_tables(4)[0] is T
-        with pytest.raises(TypeError):
-            E[0][0] = 2
+        assert (T.dtype, E.dtype, T.shape, E.shape) == (np.int64, np.int64, (5, 5, 5), (5, 5))
+        for table in (T, E):
+            with pytest.raises(ValueError, match="read-only"):
+                table[0][0] = 2
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_overflow_is_numeric_failure(self):
         with pytest.raises(NumericDegeneracyError, match="leaves the float range"):
             distmatrix.class_powers(10, 235.0, 10.5)
         with pytest.raises(NumericDegeneracyError, match="leaves the float range"):
             distmatrix.class_sums([(1, 1)], [1e308, 1e308])
+        # a product that overflows is inf, as Python's int * float gives it
+        assert distmatrix.class_sums([(2, 1)], [1e308, 1.0]) == [math.inf]
+
+    @pytest.mark.parametrize("k", range(1, 17))
+    def test_sums_match_python_products(self, k):
+        # the fsum of Python's int * float products over nested-tuple
+        # tables, bit for bit, at every grid shift
+        T, E = distmatrix.class_tables(k)
+        rows = [tuple(row) for row in T.reshape(-1, k + 1).tolist()] + [tuple(row) for row in E.tolist()]
+        for p in (1.0, 1.5, 3.0, 7.9, 233.5):
+            for shift in gadgets._grid(k).tolist():
+                try:
+                    powers = distmatrix.class_powers(k, p, shift)
+                except NumericDegeneracyError:
+                    continue
+                want = [math.fsum([c * P for c, P in zip(row, powers)]) for row in rows]
+                got = distmatrix.class_sums(T.reshape(-1, k + 1), powers) + distmatrix.class_sums(E, powers)
+                assert [x.hex() for x in got] == [x.hex() for x in want], (k, p, shift)
 
 
 class TestDeterminant:

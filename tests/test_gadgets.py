@@ -178,7 +178,7 @@ class TestShiftRanking:
     """find_shift ranks G_k and the walk's shift by gap; the builder builds
     the ranking in turn until a gadget verifies."""
 
-    @pytest.mark.parametrize("k", range(1, 11))
+    @pytest.mark.parametrize("k", range(1, 13))
     def test_every_admissible_grid_point_builds(self, k):
         for p in P_GRID:
             if even_below(k, p):
@@ -189,7 +189,7 @@ class TestShiftRanking:
             assert g.meta["shift"] in gadgets._grid(k), (k, p)
             assert gadgets.verify_parallelepiped(g).passed, (k, p)
 
-    @pytest.mark.parametrize("k", range(1, 11))
+    @pytest.mark.parametrize("k", range(1, 13))
     def test_class_targets_are_one_product(self, k):
         # each class target s_j (2j - k + shift) rounds once (+0 only turns
         # -0 into 0); the factor is exact for every shift of the grid
@@ -438,6 +438,7 @@ class TestParallelepipedAssembly:
                 assert same_bits(V, want_V) and same_bits(t, want_t), (k, p, sign)
 
     def test_builders_list_the_cube_once(self, monkeypatch):
+        # each k's cube is listed at most once per process
         calls = []
         grid = gadgets.integer_grid
 
@@ -445,10 +446,13 @@ class TestParallelepipedAssembly:
             calls.append(len(ranges))
             return grid(ranges, chunk_size)
 
+        gadgets._cube.cache_clear()
         monkeypatch.setattr(gadgets, "integer_grid", counted)
         gadgets.find_isolating_parallelepiped(10, 3.0)
+        gadgets.find_isolating_parallelepiped(10, 4.5)
         gadgets.parity_gadget(9, 2.5, 1)
         assert calls == [10, 9]
+        assert not any(a.flags.writeable for a in gadgets._cube(10))
 
 
 class TestFindIsolating:

@@ -136,11 +136,26 @@ class TestBenchPairsVerdict:
         assert bp.report({"jobs_per_s": entry}, None).splitlines()[1].endswith(" -")
 
 
-FAKE_CLI = '''import sys
+FAKE_CLI = '''import contextlib
+import io
+import json
+import shlex
+import sys
 
 
 def dispatch(argv):
-    """Writes its argv to the --out file, if any, and echoes it."""
+    """A batch runs its file's lines and writes one JSON line each; any
+    other command writes its argv to the --out file, if any, and echoes it."""
+    if argv[:2] == ["batch", "--in"]:
+        with open(argv[2]) as f:
+            lines = f.read().splitlines()
+        for line in lines:
+            args, out = shlex.split(line), io.StringIO()
+            with contextlib.redirect_stdout(out):
+                code = dispatch(args)
+            record = {"argv": args, "exit_code": code, "seconds": 0.5, "stdout": out.getvalue() + "{batch}"}
+            print(json.dumps(record))
+        return 0
     if "--out" in argv:
         with open(argv[argv.index("--out") + 1], "w") as f:
             f.write(" ".join(argv) + "{mark}")
@@ -150,12 +165,13 @@ def dispatch(argv):
 '''
 
 
-def fake_tree(root: Path, mark: str) -> Path:
-    """A tree whose src/latgad/cli.py has a dispatch that writes `mark`."""
+def fake_tree(root: Path, mark: str, batch: str = "") -> Path:
+    """A tree whose src/latgad/cli.py has a dispatch that writes `mark`,
+    and whose batch adds `batch` to every command's stdout."""
     pkg = root / "src" / "latgad"
     pkg.mkdir(parents=True)
     (pkg / "__init__.py").write_text("")
-    (pkg / "cli.py").write_text(FAKE_CLI.replace("{mark}", mark))
+    (pkg / "cli.py").write_text(FAKE_CLI.replace("{mark}", mark).replace("{batch}", batch))
     return root
 
 
@@ -179,10 +195,10 @@ CORPUS = [
 ]
 
 
-def diff_trees(tmp_path, marks):
+def diff_trees(tmp_path, marks, batches=("", "")):
     """compare() of the records of CORPUS on two fake trees."""
     bd = byte_diff()
-    trees = [fake_tree(tmp_path / name, mark) for name, mark in zip(("a", "b"), marks)]
+    trees = [fake_tree(tmp_path / name, *args) for name, args in zip(("a", "b"), zip(marks, batches))]
     return bd.compare(*(bd.run_tree(tree, CORPUS, tmp_path) for tree in trees))
 
 
@@ -190,7 +206,10 @@ class TestByteDiff:
     def test_identical_trees(self, tmp_path):
         identical, report = diff_trees(tmp_path, ["x", "x"])
         assert identical
-        assert report.splitlines() == ["byte_diff: 3 commands, 2 files: all identical"]
+        assert report.splitlines() == [
+            "byte_diff: 3 commands, 2 files: all identical",
+            "byte_diff batch: 3 commands, 2 directories: all identical",
+        ]
 
     def test_one_changed_byte(self, tmp_path):
         identical, report = diff_trees(tmp_path, ["x", "y"])
@@ -199,6 +218,24 @@ class TestByteDiff:
         assert lines[0] == "byte_diff: 3 commands, 2 files: 2 commands differ (file 2)"
         assert lines[1].split() == ["jobs", "cvpp", "query", "1", "of", "1", "differ", "(file", "1)"]
         assert "- gadget find --out g.json" in lines and "- cvpp query --out jobs/job0/q.json" in lines
+        # the batch pass's stdout and exit codes agree; the files it leaves do not
+        at = lines.index("byte_diff batch: 3 commands, 2 directories: 0 commands differ, 2 directories differ")
+        assert lines[at + 1 :] == ["- directory lines: g.json", "- directory jobs/job0: q.json"]
+
+    def test_batch_that_disagrees_with_dispatch(self, tmp_path):
+        identical, report = diff_trees(tmp_path, ["x", "x"], ["", "!"])
+        assert not identical
+        lines = report.splitlines()
+        assert lines[:2] == [
+            "byte_diff: 3 commands, 2 files: all identical",
+            "byte_diff batch: 3 commands, 2 directories: 3 commands differ, 0 directories differ",
+        ]
+        assert lines[2] == "- gadget find --out g.json"
+        # each run's stdout from 20 characters before the first difference
+        assert lines[3] == (
+            "    stdout: parent dispatch '...t find --out g.json\\n', parent batch '...t find --out g.json\\n', "
+            "change dispatch '...t find --out g.json\\n', change batch '...t find --out g.json\\n!'"
+        )
 
     def test_built_in_corpus(self):
         # BENCH_write.json's 42 lines, then each workload's fixtures and jobs
