@@ -13,7 +13,10 @@ corpus is
     order in one directory, on the CNF and parity files below;
   * seed 4242 of each workload's 20 s job plan, read from
     `latbench/workloads.py`: its fixture steps, then each job's steps in a
-    directory of its own, on the job's input files.
+    directory of its own, on the job's input files;
+  * `gadget find --out` at every arity k = 1..12 (`SHIFT_K`), for p on the
+    0.25 grid of [1, 12], which holds every odd integer p < k, and the
+    large p of `SHIFT_P`, run in one directory, each to a file of its own.
 Every command's --out file is removed before the command runs.  A record
 holds the argv, the exit code, stdout, stderr and the SHA-256 of the --out
 file (null when none was written).
@@ -51,6 +54,8 @@ from bench_pairs import extract
 
 ROOT = Path(__file__).resolve().parents[1]
 SEED, SECONDS = 4242, 20.0
+SHIFT_K = range(1, 13)
+SHIFT_P = [1.0 + 0.25 * i for i in range(45)] + [233.5, 300.0, 448.0]
 
 # the inputs of BENCH_write.json's lines: a 10-variable 12-clause 3-CNF and
 # 8 parity constraints of arity 3 over 10 variables
@@ -90,6 +95,9 @@ def build_corpus(root: Path) -> list[dict]:
                 "files": {f: data.decode() for f, data in job.files.items()},
                 "commands": [[str(a) for a in argv] for argv in workload.steps(job, jobdir, fix)],
             })
+    units.append({"group": "shift-search", "dir": "shift-search", "chdir": True, "drop": True, "files": {},
+                  "commands": [["gadget", "find", "--k", str(k), "--p", repr(p), "--out", f"k{k}-p{p!r}.json"]
+                               for k in SHIFT_K for p in SHIFT_P]})
     return units
 
 

@@ -505,7 +505,7 @@ def _cmd_clauses(args, tol: Tolerance) -> int:
 
 def _batch_lines(text: str) -> list[list[str]]:
     """The shlex-split command lines of a batch; blank lines and lines that
-    start with `#` are skipped.  Every line is split before any runs."""
+    start with `#` are skipped.  Every line is split and checked before any runs."""
     commands = []
     for number, line in enumerate(text.splitlines(), 1):
         if not line.strip() or line.lstrip().startswith("#"):
@@ -514,7 +514,14 @@ def _batch_lines(text: str) -> list[list[str]]:
             argv = shlex.split(line)
         except ValueError as exc:
             raise InvalidInputError(f"batch line {number}: {exc}") from exc
-        if argv[:1] == ["batch"]:
+        # the command as dispatch parses it, global options before it
+        # included; a line that does not parse runs no batch
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+            try:
+                nested = build_parser().parse_args(argv).command == "batch"
+            except SystemExit:
+                nested = False
+        if nested:
             raise InvalidInputError(f"batch line {number}: a batch does not run batch")
         commands.append(argv)
     return commands

@@ -14,7 +14,7 @@ products formed in one numpy multiply.  `eigen_report` applies it, one
 shift at a time; its verdict is the definition of a nonsingular shift.
 `ShiftBatch` is the batched path over many shifts: one matmul against E gives
 every spectrum, a forward-error bound gives the fsum verdict wherever it
-decides it and "undecided" where it cannot (the caller then asks
+decides it and "undecided" where it cannot (it then asks
 `eigen_report`), and for the shifts it passes one matmul against T and one
 stacked solve give the weight solve's gap eps.  `distance_matrix` builds the
 dense 2^k x 2^k matrix, which only the tests use, as the reference.

@@ -56,7 +56,6 @@ KIND_ISOLATING = "isolating-parallelepiped"
 KIND_TWO_LEVEL = "two-level"
 KIND_LATTICE = "isolating-lattice"
 
-SHIFT_SEARCH_DEPTH = 64
 SHIFT_GRID_DEPTH = 4
 
 # the full vertex walk costs 2^k d k multiply-adds, 4^14 * 14 (about 2 s) for a
@@ -206,70 +205,35 @@ class VerificationReport:
 # shift search and weight solve
 
 
-def _walk_offsets(k: int, q: float) -> np.ndarray:
-    """The offsets j of the first-fit walk's shifts j + 2^-i, largest first.
-    For p not an integer, or p >= k, only j = k, matching the halting
-    guarantee for shifts above k; for odd integers p < k every eigenvalue of
-    a full-parity-heavy character vanishes identically above k, so j = k-1
-    down to 0."""
-    return np.arange(k - 1, -1, -1) if float(q).is_integer() and q < k else np.array([k])
-
-
-def _walk(k: int, q: float) -> np.ndarray:
-    """The first-fit walk's candidates j + 2^-i in its order: i = 1, 2, ...
-    up to SHIFT_SEARCH_DEPTH and, for each i, the offsets j in turn."""
-    steps = np.ldexp(1.0, -np.arange(1, SHIFT_SEARCH_DEPTH + 1))
-    return (_walk_offsets(k, q) + steps[:, None]).ravel()
-
-
 def _grid(k: int) -> np.ndarray:
-    """G_k = {j + 2^-i : 0 <= j <= k, 1 <= i <= SHIFT_GRID_DEPTH}, row i - 1
-    holding j = 0..k."""
+    """G_k = {j + 2^-i : 0 <= j <= k, 1 <= i <= SHIFT_GRID_DEPTH}."""
     steps = np.ldexp(1.0, -np.arange(1, SHIFT_GRID_DEPTH + 1))
     return (np.arange(k + 1.0) + steps[:, None]).ravel()
 
 
 def _shift_ranking(k: int, q: float) -> list[float]:
-    """The nonsingular shifts of G_k (`_grid`), and the walk's first
-    nonsingular one (`_walk`), ranked by the gap eps their weight solve
-    gives, larger first, ties to the smaller shift.  A shift whose eps is
-    not finite drops out.
-
-    One `distmatrix.ShiftBatch` screens G_k and the walk's steps past G_k
-    (60 shifts for a one-offset walk, 60 k for a k-offset one), and solves
-    the nonsingular ones that are ranked."""
-    grid, offsets = _grid(k), _walk_offsets(k, q)
-    tail = _walk(k, q)[SHIFT_GRID_DEPTH * offsets.size :]
-    batch = distmatrix.ShiftBatch(k, q, np.concatenate([grid, tail]))
-    ok = batch.nonsingular
-    # the walk's steps as indices into the batch, in the walk's order: its
-    # first SHIFT_GRID_DEPTH steps are G_k's columns `offsets`, row by row
-    walk = np.concatenate([(np.arange(SHIFT_GRID_DEPTH)[:, None] * (k + 1) + offsets).ravel(),
-                           grid.size + np.arange(tail.size)])
-    pick = walk[ok[walk]][:1]
-    # np.union1d would do, but it imports numpy.ma (1.7 MB of peak RSS)
-    picks = np.append(np.flatnonzero(ok[: grid.size]), pick[pick >= grid.size])
+    """The nonsingular shifts of G_k (`_grid`), ranked by the gap eps their
+    weight solve gives, larger first, ties to the smaller shift.  A shift
+    whose eps is not finite drops out.  One `distmatrix.ShiftBatch` screens
+    G_k and solves the nonsingular shifts."""
+    batch = distmatrix.ShiftBatch(k, q, _grid(k))
+    picks = np.flatnonzero(batch.nonsingular)
     shifts, eps = batch.shifts[picks], batch.gaps(picks)
     keep = np.isfinite(eps)
     if not keep.any():
-        if not batch.finite[: grid.size].any():
+        if not batch.finite.any():
             raise float_range_error(f"the spectrum of every candidate shift at k={k}, p={q}")
-        raise NumericDegeneracyError(
-            f"no nonsingular shift with a finite gap found for k={k}, p={q} "
-            f"on the grid or within depth {SHIFT_SEARCH_DEPTH}"
-        )
+        raise NumericDegeneracyError(f"no nonsingular shift with a finite gap found for k={k}, p={q} on the grid G_k")
     shifts, eps = shifts[keep], eps[keep]
     return shifts[np.lexsort((shifts, -eps))].tolist()
 
 
 def find_shift(k: int, p) -> float:
-    """The shift whose distance-power matrix gives the largest gap eps:
-    the first of `_shift_ranking`, over the grid G_k of shifts j + 2^-i
-    (0 <= j <= k, 1 <= i <= SHIFT_GRID_DEPTH) and the shift the first-fit
-    walk returns (`_walk`), so its eps is never below the walk's.  Even
-    integers p < k are refused: no isolating gadget exists there at all.
-    NumericDegeneracyError when no candidate is nonsingular (relative
-    eigenvalue threshold) with a finite gap.
+    """The shift of G_k (`_grid`) whose weight solve gives the largest gap
+    eps, the first of `_shift_ranking`.  Even integers p < k are refused: no
+    isolating gadget exists there at all.  NumericDegeneracyError when no
+    shift of G_k is nonsingular (relative eigenvalue threshold) with a
+    finite gap.
 
     The ranking is a float one (`distmatrix.ShiftBatch`); the gadget built
     at the chosen shift comes from `solve_weights` alone.
@@ -389,8 +353,7 @@ def _class_parallelepiped(by_class: np.ndarray, shift: float, q: float) -> tuple
 
 
 def _ranked_shifts(k: int, q: float):
-    """find_shift's shift, then the rest of its ranking (computed again,
-    only if the first does not build)."""
+    """find_shift's shift, then the rest of its ranking, computed again only if needed."""
     yield find_shift(k, q)
     yield from _shift_ranking(k, q)[1:]
 

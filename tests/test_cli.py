@@ -1262,8 +1262,12 @@ class TestBatch:
 
     @pytest.mark.parametrize(
         "line, message",
-        [("oracle solve 'inst.json", "No closing quotation"), ("batch --in lines.txt", "a batch does not run batch")],
-        ids=["unbalanced-quote", "nested-batch"],
+        [
+            ("oracle solve 'inst.json", "No closing quotation"),
+            ("batch --in lines.txt", "a batch does not run batch"),
+            ("--tol-rel 1e-9 batch --in lines.txt", "a batch does not run batch"),
+        ],
+        ids=["unbalanced-quote", "nested-batch", "nested-batch-after-option"],
     )
     def test_bad_line_runs_nothing(self, tmp_path, capsys, monkeypatch, line, message):
         monkeypatch.chdir(tmp_path)

@@ -238,9 +238,15 @@ class TestByteDiff:
         )
 
     def test_built_in_corpus(self):
-        # BENCH_write.json's 42 lines, then each workload's fixtures and jobs
+        # BENCH_write.json's 42 lines, then each workload's fixtures and jobs,
+        # then gadget find at k = 1..12 over 48 p each
         units = byte_diff().build_corpus(ROOT)
         assert len(units[0]["commands"]) == 42 and units[0]["chdir"]
         assert units[1] == {"group": "gadget-build", "dir": "fix-gadget-build", "files": {}, "commands": []}
-        assert {u["group"] for u in units} == {"BENCH_write", "gadget-build", "sat-validate", "cvpp-serve"}
+        assert {u["group"] for u in units} == {"BENCH_write", "gadget-build", "sat-validate", "cvpp-serve", "shift-search"}
+        shifts = units[-1]
+        assert shifts["group"] == "shift-search" and shifts["chdir"] and len(shifts["commands"]) == 12 * 48
+        assert shifts["commands"][0] == ["gadget", "find", "--k", "1", "--p", "1.0", "--out", "k1-p1.0.json"]
+        assert {argv[3] for argv in shifts["commands"]} == {str(k) for k in range(1, 13)}
+        assert {"5.0", "11.0", "233.5", "300.0", "448.0"} <= {argv[5] for argv in shifts["commands"]}
         assert all(u.get("drop") for u in units if u["dir"].count("/") == 1)
