@@ -14,9 +14,15 @@ corpus is
   * seed 4242 of each workload's 20 s job plan, read from
     `latbench/workloads.py`: its fixture steps, then each job's steps in a
     directory of its own, on the job's input files;
+  * the gadget writers (`writer_commands`): at k = 2..12, for odd integer
+    and non-integer p, `gadget find`, `verify` and `onoff`, and for
+    3 <= k and p < k `gadget parity` of both bits, `lattice` and, where the
+    box fits, `verify`, run in one directory, each to a file of its own;
   * `gadget find --out` at every arity k = 1..12 (`SHIFT_K`), for p on the
     0.25 grid of [1, 12], which holds every odd integer p < k, and the
     large p of `SHIFT_P`, run in one directory, each to a file of its own.
+A unit that names one --out path twice is refused: the batch pass could not
+remove the first file before the second command, as the dispatch pass does.
 Every command's --out file is removed before the command runs.  A record
 holds the argv, the exit code, stdout, stderr and the SHA-256 of the --out
 file (null when none was written).
@@ -56,6 +62,11 @@ ROOT = Path(__file__).resolve().parents[1]
 SEED, SECONDS = 4242, 20.0
 SHIFT_K = range(1, 13)
 SHIFT_P = [1.0 + 0.25 * i for i in range(45)] + [233.5, 300.0, 448.0]
+# the gadget writers: odd integer and non-integer p, and the arities whose
+# lattice fits gadget verify's default box [-3, 4]^k within oracle.BOX_CAP
+WRITER_K = range(2, 13)
+WRITER_P = [1.0, 1.5, 2.5, 3.0, 4.75, 5.0, 7.9, 11.0]
+LATTICE_BOX_K = 7
 
 # the inputs of BENCH_write.json's lines: a 10-variable 12-clause 3-CNF and
 # 8 parity constraints of arity 3 over 10 variables
@@ -95,10 +106,37 @@ def build_corpus(root: Path) -> list[dict]:
                 "files": {f: data.decode() for f, data in job.files.items()},
                 "commands": [[str(a) for a in argv] for argv in workload.steps(job, jobdir, fix)],
             })
+    units.append({"group": "gadget-writers", "dir": "gadget-writers", "chdir": True, "drop": True, "files": {},
+                  "commands": writer_commands()})
     units.append({"group": "shift-search", "dir": "shift-search", "chdir": True, "drop": True, "files": {},
                   "commands": [["gadget", "find", "--k", str(k), "--p", repr(p), "--out", f"k{k}-p{p!r}.json"]
                                for k in SHIFT_K for p in SHIFT_P]})
+    for unit in units:
+        outs = collections.Counter(os.path.normpath(out) for out in map(out_path, unit["commands"]) if out)
+        twice = [out for out, count in outs.items() if count > 1]
+        if twice:
+            raise SystemExit(f"byte_diff: unit {unit['dir']} ({unit['group']}) writes --out {twice[0]} twice")
     return units
+
+
+def writer_commands() -> list[list[str]]:
+    """For each k in WRITER_K and p in WRITER_P: gadget find, verify and
+    onoff, and for 3 <= k and p < k, gadget parity of both bits, its
+    lattice, and gadget verify on the lattice up to LATTICE_BOX_K; each
+    command writes a file of its own."""
+    commands = []
+    for k in WRITER_K:
+        for p in WRITER_P:
+            g = f"g{k}-p{p!r}.json"
+            commands += [["gadget", "find", "--k", str(k), "--p", repr(p), "--out", g],
+                         ["gadget", "verify", "--in", g],
+                         ["gadget", "onoff", "--in", g, "--out", f"o{k}-p{p!r}.json"]]
+            for bit in ("0", "1") if 3 <= k and p < k else ():
+                par, lat = f"par{k}-p{p!r}-b{bit}.json", f"lat{k}-p{p!r}-b{bit}.json"
+                commands += [["gadget", "parity", "--k", str(k), "--p", repr(p), "--bit", bit, "--out", par],
+                             ["gadget", "lattice", "--in", par, "--out", lat]]
+                commands += [["gadget", "verify", "--in", lat]] if k <= LATTICE_BOX_K else []
+    return commands
 
 
 def out_path(argv: list[str]) -> str | None:

@@ -25,6 +25,7 @@ import math
 import sys
 from dataclasses import dataclass, field
 from itertools import combinations
+from typing import NamedTuple
 
 import numpy as np
 
@@ -317,11 +318,6 @@ def solve_weights(k: int, p, shift: float) -> tuple[np.ndarray, float]:
     return by_class, eps
 
 
-def _class_vertices(k: int) -> np.ndarray:
-    """Row j: 0..0 1..1 with j ones, the first class-j vertex of integer_grid."""
-    return (np.arange(k) >= np.arange(k, -1, -1)[:, None]).astype(np.int64)
-
-
 @functools.lru_cache(maxsize=distmatrix.MAX_K)
 def _cube(k: int) -> tuple[np.ndarray, np.ndarray]:
     """The 2^k vertices of {0, 1}^k in integer_grid order, as the signs
@@ -341,10 +337,10 @@ def _class_parallelepiped(by_class: np.ndarray, shift: float, q: float) -> tuple
     H w.  Row u becomes 2 w^(1/p) u^T and its target w^(1/p) (sum_i u_i +
     shift), one product s_j (2j - k + shift) per class (the factor is exact
     for every shift of find_shift's grid; adding +0 turns a zero-weight
-    class's -0 into 0), so every row of a class has a bit-identical target,
-    as the certificate (`_symmetric`) needs.  Rows are in integer_grid
-    order, and gather the k + 1 class rows by popcount from the cached cube
-    (`_cube`).  Zero-weight rows are kept so d = 2^k is stable."""
+    class's -0 into 0).  Rows are in integer_grid order, gathered by
+    popcount from the cached cube (`_cube`), so the gadget is in class form
+    (`class_form`), which the certificate and the writers read.  Zero-weight
+    rows are kept so d = 2^k is stable."""
     k = by_class.size - 1
     s = by_class ** (1.0 / q)
     t = s * ((2.0 * np.arange(k + 1) - k) + float(shift)) + 0.0
@@ -547,47 +543,61 @@ def _row_multiset(M: np.ndarray) -> np.ndarray:
     return np.sort(M.view(np.dtype((np.void, M.shape[1] * M.itemsize))).ravel())
 
 
-# two generators per arity, each for a few row counts 2^k r
-@functools.lru_cache(maxsize=4 * distmatrix.MAX_K)
-def _row_map(perm: tuple[int, ...], d: int) -> np.ndarray:
-    """Row i of a d = 2^k r row gadget in integer_grid order stands for the
-    vertex x whose bits are the top k bits of i; the row of x[perm], with
-    the same low bits.  Read-only: one array is shared by every caller."""
-    k = len(perm)
-    shifts = np.arange(k - 1, -1, -1)
-    bits = (np.arange(2**k)[:, None] >> shifts) & 1
-    top = (bits[:, list(perm)] << shifts).sum(axis=1)
+class ClassForm(NamedTuple):
+    """V = values[index] and target j = targets[j][rows], bit for bit (`class_form`)."""
+    values: np.ndarray
+    targets: tuple[np.ndarray, ...]
+    index: np.ndarray  # d x k: the class of each V entry
+    rows: np.ndarray  # d: the class of each row
+
+
+@functools.lru_cache(maxsize=distmatrix.MAX_K)
+def _class_index(k: int, r: int) -> tuple[np.ndarray, ...]:
+    """For d = 2^k r rows, row i being vertex x = i // r of integer_grid with
+    low index i % r: the class of each entry (i, l), by (popcount of x, low
+    index, x_l), and of each row, by (popcount of x, low index), then the
+    flat position of the first entry and row of each.  Read-only, once per (k, r)."""
+    signs, c = _cube(k)
+    rows = (c[:, None] * r + np.arange(r)).ravel()
+    entries = 2 * rows[:, None] + np.repeat(signs > 0, r, axis=0)
+    _, first, index = np.unique(entries.ravel(), return_index=True, return_inverse=True)
+    out = index.reshape(entries.shape), first, rows, np.unique(rows, return_index=True)[1]
+    for a in out:
+        a.flags.writeable = False
+    return out
+
+
+def class_form(V: np.ndarray, targets) -> ClassForm | None:
+    """[V | targets] as one value per class of `_class_index`, or None when
+    d is no 2^k r or some entry's float64 bits (so -0.0 is not 0.0) differ
+    from the first of its class.  The builders' gadgets and their on-off
+    gadgets (r = 2) have this form, which every column permutation only
+    permutes the rows of: x -> x[perm] keeps popcount, low index and the bit
+    under each column."""
+    d, k = V.shape
     r = d >> k
-    rows = (top[:, None] * r + np.arange(r)).ravel()
-    rows.flags.writeable = False
-    return rows
+    if r == 0 or d != r << k:
+        return None
+    index, first, rows, first_row = _class_index(k, r)
+    bits = np.asarray(V, dtype=float).view(np.uint64)
+    t_bits = [np.asarray(t, dtype=float).view(np.uint64) for t in targets]
+    values, tables = np.take(bits, first), [b[first_row] for b in t_bits]
+    if np.array_equal(values[index], bits) and all(np.array_equal(a[rows], b) for a, b in zip(tables, t_bits)):
+        return ClassForm(values.view(float), tuple(a.view(float) for a in tables), index, rows)
+    return None
 
 
 def _symmetric(V: np.ndarray, targets: list[np.ndarray]) -> bool:
     """Certificate that every permutation of V's columns only permutes the
-    rows of [V | targets].  Each target's distance to V x then depends on
-    the popcount of x alone.  A transposition and a k-cycle generate all
-    permutations, so two comparisons decide it.
-
-    Each comparison first tries the row bijection the permutation induces
-    on integer_grid order (`_row_map`), which is how the builders lay out
-    their 2^k r rows: equal rows under a bijection prove equal row
-    multisets in one array pass, made on the float64 bits of V and of each
-    target apart.  When that guess fails it sorts the rows of [V | targets]
-    (`_row_multiset`), so a gadget whose rows come in another order, or
-    that has extra rows (the lattice kind), is still certified exactly
-    when its row multisets agree."""
-    d, k = V.shape
+    rows of [V | targets], so each target's distance to V x depends on the
+    popcount of x alone: a class form (`class_form`), or else equal sorted
+    rows (`_row_multiset`, -0 as 0) under a transposition and a k-cycle,
+    which generate all permutations.  The sort certifies rows in another
+    order, or extra rows (the lattice kind)."""
+    if class_form(V, targets) is not None:
+        return True
+    k = V.shape[1]
     perms = ((1, 0, *range(2, k)), (*range(1, k), 0)) if k > 1 else ()
-    if d % 2**k == 0:
-        v_bits, *t_bits = [(a + 0.0).view(np.uint64) for a in (V, *targets)]
-        for perm in perms:
-            rows = _row_map(perm, d)
-            if not (np.array_equal(v_bits[:, list(perm)], v_bits[rows])
-                    and all(np.array_equal(b, b[rows]) for b in t_bits)):
-                break
-        else:
-            return True
     M = np.column_stack([V, *targets]) + 0.0
     tail = list(range(k, M.shape[1]))
     rows = _row_multiset(M)
@@ -599,13 +609,13 @@ def _vertex_distances(V: np.ndarray, p, targets: list[np.ndarray], by_popcount: 
     to them, and the name of the check.
 
     When the level masks depend on popcount alone (`by_popcount`) and
-    `_symmetric` certifies the gadget, the first vertex of each Hamming class,
-    0..0 1..1, stands for its class: k + 1 vertices.  Otherwise every vertex
-    of {0, 1}^k is walked in chunks of the shared entry budget, up to arity
-    MAX_WALK_K."""
+    `_symmetric` certifies the gadget (by its class form, or by sorted
+    rows), the first vertex of each Hamming class, 0..0 1..1, stands for its
+    class: k + 1 vertices.  Otherwise every vertex of {0, 1}^k is walked in
+    chunks of the shared entry budget, up to arity MAX_WALK_K."""
     k = V.shape[1]
     if by_popcount and _symmetric(V, targets):
-        x = _class_vertices(k)
+        x = (np.arange(k) >= np.arange(k, -1, -1)[:, None]).astype(np.int64)  # row j: 0..0 1..1, j ones
         xv = x @ V.T
         return x, [row_pnorms(xv - t, p) for t in targets], CHECK_CLASSES
     if k > MAX_WALK_K:

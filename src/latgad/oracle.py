@@ -14,8 +14,8 @@ check, is summed directly once its last column is fixed.  The search's cut
 starts from a hint when it has one: `validate_reduction` passes the first
 optimal assignment of brute-force Max-SAT, and the hint and its neighbours
 are evaluated in one pass before the walk.  A hint only bounds the minima
-from above, so a wrong one, from a broken reduction, changes nothing but the
-time taken.
+from above, so a wrong one, from a broken reduction, changes the time taken
+and at most the rounding of a distance, never the points found.
 """
 
 from __future__ import annotations
@@ -85,8 +85,10 @@ def cvp_enumerate(basis, target, p, box, tol: Tolerance = DEFAULT_TOL, hint=None
     that minimum in mixed-radix order, counting distances that differ only by
     the rounding of the search's summation order as equal.  `hint`, a box
     point believed close, seeds the search's cut with its distance and its
-    neighbours'; any hint, or none, gives the same solution, and one outside
-    the box or of the wrong length is ignored.  A minimum whose p-th power
+    neighbours'; one outside the box or of the wrong length is ignored.  Any
+    hint, or none, gives the same tie set and witness, but the distances
+    only within that rounding: the cut sets how many coordinates a step
+    fixes, and so the order a leaf is summed in.  A minimum whose p-th power
     leaves the float range, or reads 0 although no point attaining it has a
     zero residual B z - t (the powers underflowed), raises float_range_error.
     """
@@ -259,7 +261,7 @@ def _support_search(q, ranges, tol: Tolerance, tab: _SupportTables, hint=None) -
     included: each seed is the distance of a box point, computed from B and
     t, so it only bounds the minima from above, and its sum, one term per
     group and row, is within the `slack` every cut allows.  The search
-    returns what it returns unseeded.
+    returns the points it returns unseeded, at distances within that slack.
     """
     n = len(ranges)
     finite = math.isfinite(q)

@@ -26,13 +26,10 @@ instead of passing them through the encoder, which escape-checks each
 string on its own.  The encoder refuses inf and nan, which are no JSON
 numbers.
 
-An on-off gadget's V columns and t_on are the first k columns and the t of
-the gadget it comes from.  So `gadget_to_json` and `onoff_to_json`, and
-nothing else, keep the texts of the last gadget's columns and targets in
-`_last_texts`, keyed by the column's bytes (so -0.0 and 0.0 stay apart), and
-format only the columns it lacks: `gadget onoff` after `gadget find`, or
-`cvpp prep` after the gadget it reads was written, formats only t_off.
-Every list handed out is the caller's own copy.
+The gadget writers skip that table for a gadget in class form
+(`gadgets.class_form`): a builder's gadget, or its on-off gadget, is one
+value per class, about 30 values at k = 10, so each is formatted once and
+the texts of its columns and targets are gathered from them.
 
 A CVPP prep stores only its generator: n, k, the mode and, for the finite
 norms, the on-off gadget.  A query writes the basis those determine without
@@ -58,7 +55,7 @@ from itertools import chain, combinations
 import numpy as np
 
 from .errors import InvalidInputError, NumericDegeneracyError
-from .gadgets import IsolatingGadget, OnOffGadget
+from .gadgets import IsolatingGadget, OnOffGadget, class_form
 from .numeric import pvalue
 from .reductions import CvpInstance, CvppArtifacts, cvpp_header
 
@@ -134,9 +131,9 @@ class _Reals(list):
 
     __slots__ = ("text",)
 
-    def __init__(self, strings: list[str], text: str | None = None):
+    def __init__(self, strings: list[str]):
         super().__init__(strings)
-        self.text = _joined(strings) if text is None else text
+        self.text = _joined(strings)
 
 
 class _RealColumns(list):
@@ -162,25 +159,15 @@ def fmt_columns(M) -> list[list[str]]:
     return _RealColumns(map(_Reals, _fmt_table(np.asarray(M, dtype=float).T).tolist()))
 
 
-# the strings and JSON text of each column and target of the last gadget or
-# on-off gadget formatted, by the column's float64 bytes: an on-off gadget
-# repeats the columns and t of the gadget it comes from
-_last_texts: dict[bytes, tuple[list[str], str]] = {}
-
-
 def _gadget_texts(V: np.ndarray, *targets: np.ndarray) -> list[_Reals]:
-    """fmt_vector of each column of V, then of each target: the texts of
-    _last_texts where it holds the column's bytes, and the other columns
-    formatted in one _fmt_table pass.  _last_texts then holds these."""
-    rows = np.vstack([np.asarray(V, dtype=float).T, *targets])
-    keys = [row.tobytes() for row in rows]
-    texts = {key: _last_texts[key] for key in keys if key in _last_texts}
-    missing = [i for i, key in enumerate(keys) if key not in texts]
-    for i, strings in zip(missing, _fmt_table(rows[missing]).tolist()):
-        texts[keys[i]] = strings, _joined(strings)
-    _last_texts.clear()
-    _last_texts.update(texts)
-    return [_Reals(*texts[key]) for key in keys]
+    """fmt_vector of each column of V, then of each target.  A gadget in
+    class form (`class_form`) formats each class value once and gathers the
+    texts; any other is formatted in one _fmt_table pass."""
+    form = class_form(V, targets)
+    if form is None:
+        return [_Reals(s) for s in _fmt_table(np.vstack([np.asarray(V, dtype=float).T, *targets])).tolist()]
+    v_text, *t_texts = (np.array(list(map(fmt_real, a.tolist())), dtype=object) for a in (form.values, *form.targets))
+    return [_Reals(s) for s in v_text[form.index.T].tolist() + [t[form.rows].tolist() for t in t_texts]]
 
 
 def parse_columns(cols) -> np.ndarray:

@@ -3,19 +3,18 @@
 import numpy as np
 import pytest
 
-from latgad import cli, gadgets, serialize
+from latgad import cli, gadgets
 
 
 @pytest.fixture(autouse=True)
 def empty_process_caches():
-    """Each test starts with every CLI cache, serialize's column texts and
-    the builders' cube empty, so a test that watches a text being decoded, a
-    value being formatted or a cube being listed sees it done whatever ran
-    before."""
+    """Each test starts with every CLI cache, the builders' cube and the
+    class index empty, so a test that watches a text being decoded, or a
+    cube or class index being listed, sees it done whatever ran before."""
     for slot in cli._LastText.slots:
         slot.cache_clear()
-    serialize._last_texts.clear()
     gadgets._cube.cache_clear()
+    gadgets._class_index.cache_clear()
 
 
 def character_table(subset, k: int) -> np.ndarray:

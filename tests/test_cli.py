@@ -766,29 +766,35 @@ class TestGadgetCache:
 def clear_process_caches() -> None:
     for slot in cli._LastText.slots:
         slot.cache_clear()
-    serialize._last_texts.clear()
 
 
 class TestColumnTexts:
-    """A process formats a column once: `gadget onoff` and `cvpp prep` reuse
-    the texts of the gadget written before them, and write the bytes of a
-    process that formats every column anew."""
+    """The gadget writers format a gadget in class form
+    (`gadgets.class_form`) one class value at a time, and write the bytes of
+    the generic writer, which formats every entry through one table."""
 
     P_GRID = [str(1 + 0.25 * i) for i in range(45)]  # 1.0, 1.25, ..., 12.0
 
     @staticmethod
     def warm_and_cold(tmp_path, capsys, monkeypatch, steps, inputs=None) -> None:
-        """Run each step in turn in one process, then each again after every
-        process cache is cleared, in a directory of its own; a step is a
-        list of argv run until one exits nonzero.  Exit codes, stdout and
-        --out bytes must agree."""
-        got = {}
+        """Run each step in turn in one process, then each again with the
+        class form refused and every process cache cleared before each
+        command, in a directory of its own; a step is a list of argv run
+        until one exits nonzero.  Exit codes, stdout and --out bytes must
+        agree, and the warm side must have written through the class form."""
+        got, forms = {}, []
+
+        def spy(V, targets):
+            forms.append(form := gadgets.class_form(V, targets))
+            return form
+
         for side in ("warm", "cold"):
             d = tmp_path / side
             d.mkdir()
             for name, text in (inputs or {}).items():
                 (d / name).write_text(text)
             monkeypatch.chdir(d)
+            monkeypatch.setattr(serialize, "class_form", spy if side == "warm" else lambda V, targets: None)
             got[side] = []
             for step in steps:
                 for argv in step:
@@ -800,6 +806,7 @@ class TestColumnTexts:
                         break
             got[side].append({f.name: f.read_bytes() for f in d.iterdir()})
         assert got["warm"] == got["cold"]
+        assert any(form is not None for form in forms)
 
     def test_onoff_after_find(self, tmp_path, capsys, monkeypatch):
         steps = [
@@ -839,8 +846,8 @@ class TestColumnTexts:
         assert len(list((tmp_path / "warm").glob("qw*.json"))) > 3 * len(self.P_GRID) // 2
 
     def test_parity_gadgets_and_lattices(self, tmp_path, capsys, monkeypatch):
-        # each parity gadget is written while the texts of the one before it
-        # are kept: columns of equal length, told apart by their bits
+        # parity gadgets of both bits are in class form; their lattices, with
+        # k extra rows, are not, and take the generic writer on both sides
         names = [(p, bit) for p in ("1", "1.5", "3", "5") for bit in ("0", "1")]
         steps = [
             [["gadget", "parity", "--k", "6", "--p", p, "--bit", bit, "--out", f"par{p}-{bit}.json"]]

@@ -1,3 +1,4 @@
+import collections
 import dataclasses
 import functools
 import math
@@ -886,6 +887,7 @@ class TestVertexWalk:
                 walked.append(len(rows))
                 yield rows
 
+        gadgets._cube(g.k)  # the class form lists the cube once; that is no walk
         if isinstance(g, gadgets.OnOffGadget):
             t_on = g.t_on + scale * rng.standard_normal(g.d)
             t_off = g.t_off + scale * rng.standard_normal(g.d)
@@ -926,6 +928,73 @@ def with_arrays(g, V, targets):
 
 def verifier(g):
     return gadgets.verify_on_off if isinstance(g, gadgets.OnOffGadget) else gadgets.verify_parallelepiped
+
+
+def reference_symmetric(V, targets) -> bool:
+    """The two-permutation certificate: a transposition and a k-cycle, which
+    generate all permutations, each first tried as the row bijection it
+    induces on integer_grid order (row i: vertex i // r, low index i % r),
+    on float64 bits with -0 taken as 0, and when that fails by comparing
+    the sorted rows of [V | targets] under each (`_row_multiset`)."""
+    d, k = V.shape
+    perms = ((1, 0, *range(2, k)), (*range(1, k), 0)) if k > 1 else ()
+    if d % 2**k == 0:
+        shifts = np.arange(k - 1, -1, -1)
+        bits = (np.arange(2**k)[:, None] >> shifts) & 1
+        v_bits, *t_bits = [(a + 0.0).view(np.uint64) for a in (V, *targets)]
+        for perm in perms:
+            top = (bits[:, list(perm)] << shifts).sum(axis=1)
+            rows = (top[:, None] * (d >> k) + np.arange(d >> k)).ravel()
+            if not (np.array_equal(v_bits[:, list(perm)], v_bits[rows])
+                    and all(np.array_equal(b, b[rows]) for b in t_bits)):
+                break
+        else:
+            return True
+    M = np.column_stack([V, *targets]) + 0.0
+    tail = list(range(k, M.shape[1]))
+    rows = gadgets._row_multiset(M)
+    return all(np.array_equal(gadgets._row_multiset(M[:, [*perm, *tail]]), rows) for perm in perms)
+
+
+CERT_P = (1.0, 1.5, 2.5, 3.0, 4.75, 7.9)
+
+
+def certificate_cases():
+    """Isolating gadgets at k = 1..12 on CERT_P, parity gadgets at k = 3..12
+    of both bits, and the on-off gadgets and lattices of both."""
+    for k in range(1, 13):
+        for p in CERT_P:
+            if not even_below(k, p):
+                g = isolating(k, p)
+                yield g
+                yield gadgets.to_isolating_lattice(g)
+                if k >= 2:
+                    yield gadgets.to_on_off(g)
+            if k >= 3 and p < k and p != 2.0:
+                for bit in (0, 1):
+                    yield parity(k, p, bit)
+                    yield gadgets.to_isolating_lattice(parity(k, p, bit))
+
+
+def perturbed(g, rng) -> dict:
+    """Copies of g's V and targets, by what changed: one entry moved by
+    1 ulp, one zero's sign flipped (when g holds a zero), and two rows of
+    differing entries swapped."""
+    M = np.column_stack([g.V, *targets_of(g)])
+    i, j = rng.integers(M.shape[0]), rng.integers(M.shape[1])
+    out = {"ulp": M.copy()}
+    out["ulp"][i, j] = np.nextafter(M[i, j], np.inf)
+    zeros = np.argwhere(M == 0.0)
+    if zeros.size:
+        i, j = zeros[rng.integers(len(zeros))]
+        out["zero-sign"] = M.copy()
+        out["zero-sign"][i, j] = -M[i, j]
+    a, b = rng.choice(M.shape[0], 2, replace=False)
+    while np.array_equal(M[a], M[b]):
+        a, b = rng.choice(M.shape[0], 2, replace=False)
+    out["swap"] = M.copy()
+    out["swap"][[a, b]] = M[[b, a]]
+    return {name: (A[:, : g.k], list(A[:, g.k :].T)) for name, A in out.items()}
 
 
 @st.composite
@@ -1005,8 +1074,8 @@ class TestCertificate:
                 assert report.check == (gadgets.CHECK_CLASSES if unseen else gadgets.CHECK_VERTICES), (c, i, j)
 
     def test_built_gadgets_certify_without_sorting(self, monkeypatch):
-        # the builders lay rows out in integer_grid order, so the row maps of
-        # the two generators certify them and the sort never runs
+        # the builders lay rows out in integer_grid order, so their class
+        # form certifies them and the sort never runs
         def sort(M):
             raise AssertionError("the sorted-row fallback ran")
 
@@ -1019,7 +1088,7 @@ class TestCertificate:
         assert gadgets.verify_parallelepiped(par).check == gadgets.CHECK_CLASSES
 
     def test_shuffled_rows_certify_by_sorting(self):
-        # no row map matches rows in another order: the sort decides, and
+        # rows in another order have no class form: the sort decides, and
         # the report is the one of the gadget as built, up to the rounding of
         # distances summed over the rows in another order
         calls = []
@@ -1058,6 +1127,66 @@ class TestCertificate:
             perm = np.random.default_rng(5).permutation(g.k)
             report = verifier(g)(with_arrays(g, g.V[:, perm], targets_of(g)))
             assert report.check == gadgets.CHECK_CLASSES and report.passed
+
+    def test_matches_the_two_permutation_reference(self):
+        rng = np.random.default_rng(35)
+        verdicts = collections.defaultdict(collections.Counter)
+        for g in certificate_cases():
+            targets = targets_of(g)
+            assert gadgets._symmetric(g.V, targets) == reference_symmetric(g.V, targets) is True
+            for name, (V, ts) in perturbed(g, rng).items():
+                verdict = reference_symmetric(V, ts)
+                assert gadgets._symmetric(V, ts) == verdict, (name, g.k, g.p, type(g).__name__)
+                verdicts[name][verdict] += 1
+        # the sort certifies swapped rows and zeros of either sign; a moved
+        # ulp breaks the symmetry unless the row is one a permutation fixes
+        assert verdicts["swap"][True] > 400 and not verdicts["swap"][False]
+        assert verdicts["zero-sign"][True] > 200 and not verdicts["zero-sign"][False]
+        assert verdicts["ulp"][False] > verdicts["ulp"][True] > 0
+
+    @pytest.mark.parametrize("k,r", [(1, 1), (3, 2), (5, 1), (6, 3), (10, 1)])
+    def test_two_values_per_class_and_bit(self, k, r):
+        # V's entry (i, l) is a value of its (popcount, low index, x_l),
+        # drawn at random, so not +-a_c; the certificate holds, and a swap of
+        # two columns' values in one row breaks it
+        rng = np.random.default_rng(k * 10 + r)
+        signs, c = gadgets._cube(k)
+        table = rng.uniform(-4.0, 4.0, size=(k + 1, r, 2))
+        low = np.tile(np.arange(r), 2**k)
+        V = table[np.repeat(c, r)[:, None], low[:, None], np.repeat(signs > 0, r, axis=0).astype(int)]
+        t = rng.uniform(-4.0, 4.0, size=(k + 1, r))[np.repeat(c, r), low]
+        assert gadgets.class_form(V, [t]) is not None
+        assert gadgets._symmetric(V, [t]) == reference_symmetric(V, [t]) is True
+        if k > 1:
+            row = next(i for i in range(len(V)) if V[i, 0] != V[i, 1])
+            V[row, [0, 1]] = V[row, [1, 0]]
+            assert gadgets.class_form(V, [t]) is None
+            assert gadgets._symmetric(V, [t]) == reference_symmetric(V, [t])
+
+    def test_tables_rebuild_the_gadget(self):
+        for g in certificate_cases():
+            form = gadgets.class_form(g.V, targets_of(g))
+            if getattr(g, "kind", None) == gadgets.KIND_LATTICE:
+                assert form is None  # 2^k + k rows
+                continue
+            assert same_bits(form.values[form.index], g.V)
+            assert len(form.targets) == len(targets_of(g))
+            for table, t in zip(form.targets, targets_of(g)):
+                assert same_bits(table[form.rows], t)
+            assert form.values.size == 2 * g.k * (g.d >> g.k)  # (popcount, low index, bit), two classes empty
+
+    def test_class_index_is_built_once_per_k_and_r(self):
+        gadgets._class_index.cache_clear()
+        g = gadgets.find_isolating_parallelepiped(10, 3.0)
+        gadgets.find_isolating_parallelepiped(10, 4.5)
+        serialize.dumps(serialize.gadget_to_json(g))
+        onoff = gadgets.to_on_off(g)
+        serialize.dumps(serialize.onoff_to_json(onoff))
+        gadgets.parity_gadget(9, 2.5, 1)
+        info = gadgets._class_index.cache_info()
+        assert (info.misses, info.currsize) == (3, 3)  # (10, 1), (9, 2) and (9, 1)
+        assert not any(a.flags.writeable for a in gadgets._class_index(10, 1))
+        assert gadgets._class_index(9, 2)[0].shape == (onoff.d, 9)
 
     @pytest.mark.parametrize("p", [1.0, 3.0])
     def test_k16_builds(self, p):

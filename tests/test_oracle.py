@@ -1,9 +1,12 @@
 import contextlib
+import functools
+import importlib.util
 import itertools
 import math
 import random
 import sys
 import time
+from pathlib import Path
 from unittest import mock
 
 import numpy as np
@@ -13,7 +16,7 @@ from hypothesis import strategies as st
 
 from latgad import gadgets, numeric, oracle, reductions
 from latgad.errors import InvalidInputError, ResourceLimitError
-from latgad.formulas import Clause, CspFormula, XorConstraint
+from latgad.formulas import Clause, CspFormula, XorConstraint, parse_dimacs
 from latgad.numeric import CHUNK_ENTRIES, DEFAULT_TOL, Tolerance, abs_powers, box_volume, chunk_rows, pnorm
 
 
@@ -42,6 +45,18 @@ def mixed_formulas(draw):
     m = len(constraints)
     weights = draw(st.none() | st.lists(st.integers(min_value=0, max_value=9), min_size=m, max_size=m))
     return CspFormula(n=n, constraints=constraints, weights=weights)
+
+
+ROOT = Path(__file__).resolve().parents[1]
+
+
+@functools.cache
+def latbench_workloads():
+    """latbench/workloads.py, the benchmark's seeded job plans."""
+    spec = importlib.util.spec_from_file_location("latbench_workloads", ROOT / "latbench" / "workloads.py")
+    module = sys.modules[spec.name] = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
 
 
 @pytest.fixture(scope="module")
@@ -358,6 +373,36 @@ class TestSupportSearch:
             assert hinted_rows <= plain_rows
             totals += (plain_rows, hinted_rows)
         assert totals[1] < totals[0]
+
+    @pytest.mark.parametrize("seed", [777, 4242])
+    def test_hint_moves_at_most_the_rounding_on_the_benchmark_plans(self, gadget3, seed):
+        # the sat-validate jobs of a 20 s plan: the hint validate passes (the
+        # first optimum) gives the unhinted closest set, witness and
+        # decisions.  The cut sets how many coordinates a step fixes, so the
+        # order a leaf is summed in, and a distance can move by its rounding
+        # (15.220149732059516 against ...518 on four of these jobs)
+        workload = latbench_workloads().WORKLOADS["sat-validate"]
+        moved = 0
+        for job in workload.plan(seed, latbench_workloads().plan_size(workload, 20.0)):
+            formula = parse_dimacs(job.files["f.cnf"].decode())
+            inst = reductions.sat_to_cvp(formula, gadget3)
+            box = tuple(map(int, job.params["box"].split("..")))
+            _, optimal = oracle.max_sat_brute(formula)
+            hinted = oracle.cvp_enumerate(inst.basis, inst.target, inst.p, box, hint=optimal[0])
+            plain = oracle.cvp_enumerate(inst.basis, inst.target, inst.p, box)
+            assert (hinted.closest, hinted.nonboolean_witness) == (plain.closest, plain.nonboolean_witness)
+            r = DEFAULT_TOL.ceiling(inst.radius)
+            for sol in (hinted, plain):
+                assert (sol.distance <= r, sol.nonboolean_distance > r) == (
+                    plain.distance <= r, plain.nonboolean_distance > r)
+            # _support_search's slack: the rounding of one sum of a term per
+            # group, row and depth, and of the 1/p-th root
+            tab = oracle._support_tables(inst.basis, inst.target, inst.p, oracle._ranges(box, inst.n))
+            slack = 4 * (tab.closes.size + tab.row_closes.size + inst.n + inst.p + 8) * np.finfo(float).eps
+            for a, b in ((hinted.distance, plain.distance), (hinted.nonboolean_distance, plain.nonboolean_distance)):
+                assert a == b or abs(a - b) <= 2 * slack * min(a, b)
+            moved += hinted.distance != plain.distance
+        assert moved <= 4
 
     @pytest.mark.parametrize("p", [1.0, 2.0, 3.0, math.inf])
     def test_near_ties_inside_band_kept(self, p):

@@ -2,9 +2,11 @@
 print its header line; and the summary of scripts/bench_pairs.py on
 synthetic runs."""
 
+import collections
 import importlib.util
 import json
 import os
+import shutil
 import subprocess
 import sys
 from pathlib import Path
@@ -237,13 +239,37 @@ class TestByteDiff:
             "change dispatch '...t find --out g.json\\n', change batch '...t find --out g.json\\n!'"
         )
 
+    def test_one_out_path_twice_is_refused(self, tmp_path):
+        # the batch pass cannot remove a unit's first file before a second
+        # command writes the same path, so such a unit is no corpus
+        lines = ["gadget find --k 3 --p 3 --out g.json", "gadget find --k 4 --p 3 --out ./g.json"]
+        (tmp_path / "BENCH_write.json").write_text(json.dumps({"outputs_sha256": {"lines": lines}}))
+        (tmp_path / "latbench").mkdir()
+        shutil.copy(ROOT / "latbench" / "workloads.py", tmp_path / "latbench")
+        with pytest.raises(SystemExit, match=r"unit lines \(BENCH_write\) writes --out g\.json twice"):
+            byte_diff().build_corpus(tmp_path)
+
     def test_built_in_corpus(self):
         # BENCH_write.json's 42 lines, then each workload's fixtures and jobs,
         # then gadget find at k = 1..12 over 48 p each
         units = byte_diff().build_corpus(ROOT)
         assert len(units[0]["commands"]) == 42 and units[0]["chdir"]
         assert units[1] == {"group": "gadget-build", "dir": "fix-gadget-build", "files": {}, "commands": []}
-        assert {u["group"] for u in units} == {"BENCH_write", "gadget-build", "sat-validate", "cvpp-serve", "shift-search"}
+        assert {u["group"] for u in units} == {
+            "BENCH_write", "gadget-build", "sat-validate", "cvpp-serve", "gadget-writers", "shift-search"
+        }
+        (writers,) = [u for u in units if u["group"] == "gadget-writers"]
+        assert writers["chdir"] and writers["commands"][:3] == [
+            ["gadget", "find", "--k", "2", "--p", "1.0", "--out", "g2-p1.0.json"],
+            ["gadget", "verify", "--in", "g2-p1.0.json"],
+            ["gadget", "onoff", "--in", "g2-p1.0.json", "--out", "o2-p1.0.json"],
+        ]
+        by_action = collections.Counter(argv[1] for argv in writers["commands"])
+        # 11 arities x 8 p; parity of both bits where 3 <= k and p < k, 120
+        # gadgets, each with its lattice, verified up to k = 7
+        assert by_action == {"find": 88, "onoff": 88, "parity": 120, "lattice": 120, "verify": 88 + 48}
+        assert {argv[3] for argv in writers["commands"] if argv[1] == "parity"} == {str(k) for k in range(3, 13)}
+        assert {argv[7] for argv in writers["commands"] if argv[1] == "parity"} == {"0", "1"}
         shifts = units[-1]
         assert shifts["group"] == "shift-search" and shifts["chdir"] and len(shifts["commands"]) == 12 * 48
         assert shifts["commands"][0] == ["gadget", "find", "--k", "1", "--p", "1.0", "--out", "k1-p1.0.json"]

@@ -259,8 +259,8 @@ class TestDumps:
 
 
 class TestLastTexts:
-    """serialize keeps the column texts of the last gadget or on-off gadget
-    it formatted, and only those."""
+    """The gadget writers keep no texts between calls: every list handed out
+    is the caller's own, and a zero is written with its sign."""
 
     @staticmethod
     def gadget(V) -> gadgets.IsolatingGadget:
@@ -292,32 +292,21 @@ class TestLastTexts:
         mine[0] = "x"
         assert serialize.gadget_to_json(g)["t"] == ["1", "2"]
 
-    def test_onoff_after_gadget_formats_only_t_off(self, monkeypatch):
+    @pytest.mark.parametrize("kind", ["isolating", "on-off", "parity"])
+    def test_a_zero_of_the_other_sign_is_written(self, kind):
+        # a class holding 0.0 and -0.0 is no class: the gadget is written
+        # entry by entry, each zero with its own sign
         g = gadgets.find_isolating_parallelepiped(4, 3.0)
-        onoff = gadgets.to_on_off(g)
-        cold = serialize.dumps(serialize.onoff_to_json(onoff))
-        serialize.dumps(serialize.gadget_to_json(g))
-        fmt, formatted = serialize.fmt_real, []
-        monkeypatch.setattr(serialize, "fmt_real", lambda x: formatted.append(float(x)) or fmt(x))
-        assert serialize.dumps(serialize.onoff_to_json(onoff)) == cold
-        # p, eps and each distinct bit pattern of t_off once, and nothing else
-        assert len(formatted) == 2 + len(bit_patterns(onoff.t_off))
-        assert bit_patterns(formatted) == bit_patterns(onoff.t_off) | bit_patterns([onoff.p, onoff.eps])
-        assert not bit_patterns(onoff.t_off) <= bit_patterns(onoff.t_on)
-
-    def test_only_the_last_payload_is_kept(self):
-        a, b = self.gadget([[1.0], [2.0]]), self.gadget([[3.0, 4.0], [5.0, 6.0]])
-        serialize.dumps(serialize.gadget_to_json(a))
-        assert set(serialize._last_texts) == {a.t.tobytes()}
-        kept = dict(serialize._last_texts)
-        # an instance, a report and a bare vector leave the gadget's texts
-        inst = reductions.CvpInstance(p=2.0, basis=np.diag([7.0, 8.0]), target=[9.0, 1.0], radius=1.0)
-        serialize.dumps(serialize.instance_to_json(inst))
-        serialize.dumps(gadgets.verify_parallelepiped(gadgets.find_isolating_parallelepiped(2, 1.5)).to_json())
-        serialize.dumps({"t": serialize.fmt_vector([5.0, 6.0])})
-        assert serialize._last_texts == kept
-        serialize.dumps(serialize.gadget_to_json(b))
-        assert set(serialize._last_texts) == {b.V[:, 0].tobytes(), b.V[:, 1].tobytes()}
+        g = {"isolating": g, "on-off": gadgets.to_on_off(g), "parity": gadgets.parity_gadget(5, 1.5, 0)}[kind]
+        to_json = serialize.onoff_to_json if kind == "on-off" else serialize.gadget_to_json
+        V = g.V.copy()
+        i, j = np.argwhere(V == 0.0)[-1]
+        V[i, j] = -V[i, j]
+        assert gadgets.class_form(g.V, [g.t_on] if kind == "on-off" else [g.t]) is not None
+        g = dataclasses.replace(g, V=V)
+        doc = json.loads(serialize.dumps(to_json(g)))
+        assert doc["V"] == [[serialize.fmt_real(x) for x in col] for col in V.T]
+        assert doc["V"][j][i] != serialize.fmt_real(-V[i, j])
 
 
 class TestReadBack:
