@@ -18,6 +18,10 @@ corpus is
     and non-integer p, `gadget find`, `verify` and `onoff`, and for
     3 <= k and p < k `gadget parity` of both bits, `lattice` and, where the
     box fits, `verify`, run in one directory, each to a file of its own;
+  * cold reads (`cold_commands`): at k = 3, 4 and 10, two gadgets A and B
+    built in turn and then read alternately (`verify` A, `onoff` B,
+    `verify` B, `onoff` A), so each read misses the CLI's one-gadget cache
+    and goes through the reader, then `cvpp prep` from A;
   * `gadget find --out` at every arity k = 1..12 (`SHIFT_K`), for p on the
     0.25 grid of [1, 12], which holds every odd integer p < k, and the
     large p of `SHIFT_P`, run in one directory, each to a file of its own.
@@ -67,6 +71,9 @@ SHIFT_P = [1.0 + 0.25 * i for i in range(45)] + [233.5, 300.0, 448.0]
 WRITER_K = range(2, 13)
 WRITER_P = [1.0, 1.5, 2.5, 3.0, 4.75, 5.0, 7.9, 11.0]
 LATTICE_BOX_K = 7
+# cold reads: two gadgets per arity, each read after the other was written
+COLD_K = (3, 4, 10)
+COLD_P = (3.0, 4.75)
 
 # the inputs of BENCH_write.json's lines: a 10-variable 12-clause 3-CNF and
 # 8 parity constraints of arity 3 over 10 variables
@@ -108,6 +115,8 @@ def build_corpus(root: Path) -> list[dict]:
             })
     units.append({"group": "gadget-writers", "dir": "gadget-writers", "chdir": True, "drop": True, "files": {},
                   "commands": writer_commands()})
+    units.append({"group": "gadget-cold", "dir": "gadget-cold", "chdir": True, "drop": True, "files": {},
+                  "commands": cold_commands()})
     units.append({"group": "shift-search", "dir": "shift-search", "chdir": True, "drop": True, "files": {},
                   "commands": [["gadget", "find", "--k", str(k), "--p", repr(p), "--out", f"k{k}-p{p!r}.json"]
                                for k in SHIFT_K for p in SHIFT_P]})
@@ -136,6 +145,21 @@ def writer_commands() -> list[list[str]]:
                 commands += [["gadget", "parity", "--k", str(k), "--p", repr(p), "--bit", bit, "--out", par],
                              ["gadget", "lattice", "--in", par, "--out", lat]]
                 commands += [["gadget", "verify", "--in", lat]] if k <= LATTICE_BOX_K else []
+    return commands
+
+
+def cold_commands() -> list[list[str]]:
+    """For each k in COLD_K, with A and B the gadgets of the two p of
+    COLD_P: gadget find A, find B, verify A, onoff B, verify B, onoff A,
+    and cvpp prep of arity k - 1 on k - 1 variables from A; each command
+    writes a file of its own."""
+    commands = []
+    for k in COLD_K:
+        a, b = (f"g{k}-p{p!r}.json" for p in COLD_P)
+        commands += [["gadget", "find", "--k", str(k), "--p", repr(p), "--out", g] for p, g in zip(COLD_P, (a, b))]
+        commands += [["gadget", "verify", "--in", a], ["gadget", "onoff", "--in", b, "--out", f"o-{b}"],
+                     ["gadget", "verify", "--in", b], ["gadget", "onoff", "--in", a, "--out", f"o-{a}"],
+                     ["cvpp", "prep", "--n", str(k - 1), "--k", str(k - 1), "--gadget", a, "--out", f"prep-{a}"]]
     return commands
 
 

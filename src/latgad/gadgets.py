@@ -14,8 +14,8 @@ pattern:
 On-off gadgets carry a second target equidistant from all 2^k vertices, used
 to disable absent clauses in preprocessing-based reductions.
 
-The isolating and parity builders weight a +-1 cube by Hamming class, and
-one assembly turns the k + 1 class weights into V and t.
+The isolating and parity builders weight a +-1 cube by Hamming class; their
+gadgets, and on-off gadgets, carry the class form (`ClassForm`) of the weights.
 """
 
 from __future__ import annotations
@@ -119,6 +119,8 @@ class IsolatingGadget:
     kind: str = KIND_ISOLATING
     constraint: dict | None = None
     meta: dict = field(default_factory=dict)
+    form: ClassForm | None = field(default=None, init=False, compare=False, repr=False)  # `carry_form`
+    targets = property(lambda self: (self.t,))
 
     def __post_init__(self):
         self.V = np.asarray(self.V, dtype=float)
@@ -146,6 +148,8 @@ class OnOffGadget:
     t_off: np.ndarray
     eps: float
     meta: dict = field(default_factory=dict)
+    form: ClassForm | None = field(default=None, init=False, compare=False, repr=False)
+    targets = property(lambda self: (self.t_on, self.t_off))
 
     def __post_init__(self):
         self.V = np.asarray(self.V, dtype=float)
@@ -330,22 +334,91 @@ def _cube(k: int) -> tuple[np.ndarray, np.ndarray]:
     return out
 
 
-def _class_parallelepiped(by_class: np.ndarray, shift: float, q: float) -> tuple[np.ndarray, np.ndarray]:
-    """V, t over {0, 1}^k of the +-1 parallelepiped with row u = w^(1/p) u^T
-    and target w^(1/p) shift, w read from the class weights by_class (class
-    j: j coordinates +1): for y = 2z - 1, ||V z - t||_p^p is the y-entry of
-    H w.  Row u becomes 2 w^(1/p) u^T and its target w^(1/p) (sum_i u_i +
-    shift), one product s_j (2j - k + shift) per class (the factor is exact
-    for every shift of find_shift's grid; adding +0 turns a zero-weight
-    class's -0 into 0).  Rows are in integer_grid order, gathered by
-    popcount from the cached cube (`_cube`), so the gadget is in class form
-    (`class_form`), which the certificate and the writers read.  Zero-weight
-    rows are kept so d = 2^k is stable."""
+# ---------------------------------------------------------------------------
+# class form
+
+
+class ClassForm(NamedTuple):
+    """V = values[index] and target j = targets[j][rows], bit for bit: a gadget's class form (`carry_form`)."""
+    values: np.ndarray
+    targets: tuple[np.ndarray, ...]
+    index: np.ndarray  # d x k: the class of each V entry
+    rows: np.ndarray  # d: the class of each row
+
+    def expand(self) -> tuple[np.ndarray, list[np.ndarray]]:
+        return self.values[self.index], [t[self.rows] for t in self.targets]
+
+
+@functools.lru_cache(maxsize=distmatrix.MAX_K)
+def _class_index(k: int, r: int) -> tuple[np.ndarray, ...]:
+    """For d = 2^k r rows, row i being vertex x = i // r of integer_grid with
+    low index l = i % r: the class of each entry (i, j), in the order of its
+    code 2 (popcount(x) r + l) + x_j, and of each row, popcount(x) r + l; the
+    flat position of the first entry and row of each; and the codes.  Read-only, once per (k, r)."""
+    signs, c = _cube(k)
+    rows = (c[:, None] * r + np.arange(r)).ravel()
+    entries = (2 * rows[:, None] + np.repeat(signs > 0, r, axis=0)).ravel()
+    present = np.zeros(2 * (k + 1) * r, dtype=bool)  # numbers the codes by its cumsum: no sort
+    present[entries] = True
+    codes = np.flatnonzero(present)
+    # popcount c is first at vertex 2^c - 1, 0..0 1..1: a 0 at x_0 (c < k), a 1 at x_(k-c)
+    first_row = ((2 ** np.arange(k + 1) - 1)[:, None] * r + np.arange(r)).ravel()
+    first = first_row[codes >> 1] * k + (codes & 1) * (k - (codes >> 1) // r)
+    out = (np.cumsum(present) - 1)[entries].reshape(rows.size, k), first, rows, first_row, codes
+    for a in out:
+        a.flags.writeable = False
+    return out
+
+
+def class_form(V: np.ndarray, targets) -> ClassForm | None:
+    """[V | targets] as one value per class of `_class_index`, or None when
+    d is no 2^k r or some entry's float64 bits (so -0.0 is not 0.0) differ
+    from the first of its class.  The builders' gadgets and their on-off
+    gadgets (r = 2) carry this form (`carry_form`), which every column
+    permutation only permutes the rows of: x -> x[perm] keeps popcount, low
+    index and the bit under each column."""
+    d, k = V.shape
+    r = d >> k
+    if r == 0 or d != r << k:
+        return None
+    index, first, rows, first_row, _ = _class_index(k, r)
+    bits = np.asarray(V, dtype=float).view(np.uint64)
+    t_bits = [np.asarray(t, dtype=float).view(np.uint64) for t in targets]
+    values, tables = np.take(bits, first), [b[first_row] for b in t_bits]
+    if np.array_equal(values[index], bits) and all(np.array_equal(a[rows], b) for a, b in zip(tables, t_bits)):
+        return ClassForm(values.view(float), tuple(a.view(float) for a in tables), index, rows)
+    return None
+
+
+def form_of(V: np.ndarray, targets, form: ClassForm | None = None) -> ClassForm | None:
+    """form, a gadget's own class form, else `class_form(V, targets)`: what the certificate and writers read."""
+    return form if form is not None else class_form(V, targets)
+
+
+def carry_form(g, form: ClassForm | None = None):
+    """g, an isolating or on-off gadget, carrying form (else `class_form`'s),
+    its arrays made read-only so that the form cannot go stale."""
+    g.form = form_of(g.V, g.targets, form)
+    for a in (g.V, *g.targets):
+        a.flags.writeable = False
+    return g
+
+
+def _class_parallelepiped(by_class: np.ndarray, shift: float, q: float, scale: float = 1.0) -> ClassForm:
+    """The class form over {0, 1}^k of the +-1 parallelepiped with row
+    u = w^(1/p) u^T and target w^(1/p) shift, w read from the class weights
+    by_class (class j: j coordinates +1): for y = 2z - 1, ||V z - t||_p^p
+    is the y-entry of H w.  Row u becomes 2 w^(1/p) u^T and its target
+    w^(1/p) (sum_i u_i + shift), one product s_j (2j - k + shift) per class
+    (the factor is exact for every shift of find_shift's grid; adding +0
+    turns a zero-weight class's -0 into 0), each divided by scale.  It
+    expands to rows in integer_grid order, zero-weight rows kept so d = 2^k
+    is stable; the builders hand it on with the gadget (`carry_form`)."""
     k = by_class.size - 1
     s = by_class ** (1.0 / q)
     t = s * ((2.0 * np.arange(k + 1) - k) + float(shift)) + 0.0
-    signs, c = _cube(k)
-    return (2.0 * s)[c][:, None] * signs, t[c]
+    index, _, rows, _, codes = _class_index(k, 1)
+    return ClassForm((2.0 * s)[codes >> 1] * (2.0 * (codes & 1) - 1.0) / scale, (t / scale,), index, rows)
 
 
 def _ranked_shifts(k: int, q: float):
@@ -377,22 +450,23 @@ def _isolating_at(k: int, q: float, shift: float) -> IsolatingGadget:
     over {0, 1}^k, normalize so the 2^k - 1 close vertices sit at distance
     exactly 1, and verify it (VerificationError when it fails)."""
     by_class, solve_eps = solve_weights(k, q, shift)
-    Vb, tb = _class_parallelepiped(by_class, shift, q)
+    Vb, (tb,) = _class_parallelepiped(by_class, shift, q).expand()
     ref = np.ones(k)  # any vertex off the isolated one; all-ones is z = 1^k
     scale = pnorm(Vb @ ref - tb, q)
     if scale <= 0.0:
         raise NumericDegeneracyError("degenerate construction: reference vertex at distance 0")
-    Vb /= scale
-    tb /= scale
+    form = _class_parallelepiped(by_class, shift, q, scale)
+    V, (t,) = form.expand()
     gadget = IsolatingGadget(
         p=q,
         k=int(k),
-        V=Vb,
-        t=tb,
-        eps=pnorm(tb, q) - 1.0,
+        V=V,
+        t=t,
+        eps=pnorm(t, q) - 1.0,
         kind=KIND_ISOLATING,
         meta={"shift": shift, "solve_eps": solve_eps},
     )
+    carry_form(gadget, form)
     report = verify_parallelepiped(gadget)
     if not report.passed:
         raise VerificationError(f"constructed gadget failed verification: {report.failures()}")
@@ -447,16 +521,14 @@ def parity_gadget(k: int, p, bit: int) -> IsolatingGadget:
     sign = (-1) ** (eta + formula_bit)
     # the full-parity character prod u_i is (-1)^(k - j) on class j
     by_class = 1.0 + sign * (-1.0) ** (k - np.arange(k + 1))
-    Vb, tb = _class_parallelepiped(by_class, shift, q)
-    scale = low ** (1.0 / q)
-    Vb /= scale
-    tb /= scale
+    form = _class_parallelepiped(by_class, shift, q, low ** (1.0 / q))
+    V, (t,) = form.expand()
     eps = (high / low) ** (1.0 / q) - 1.0
     gadget = IsolatingGadget(
         p=q,
         k=int(k),
-        V=Vb,
-        t=tb,
+        V=V,
+        t=t,
         eps=eps,
         kind=KIND_TWO_LEVEL,
         constraint=parity_constraint(bit),
@@ -467,6 +539,7 @@ def parity_gadget(k: int, p, bit: int) -> IsolatingGadget:
             "levels": (low, high),
         },
     )
+    carry_form(gadget, form)
     report = verify_parallelepiped(gadget)
     if not report.passed:
         raise VerificationError(f"parity gadget failed its level check: {report.failures()}")
@@ -511,7 +584,7 @@ def to_isolating_lattice(gadget: IsolatingGadget) -> IsolatingGadget:
 
 def to_on_off(gadget: IsolatingGadget) -> OnOffGadget:
     """Drop the last column of a (k+1)-ary isolating parallelepiped to get an
-    arity-k on-off gadget: t_on = t and t_off = t - v_{k+1}."""
+    arity-k on-off gadget: t_on = t and t_off = t - v_{k+1}, and its class form."""
     if gadget.kind != KIND_ISOLATING:
         raise InvalidInputError("on-off conversion needs an isolating parallelepiped")
     if gadget.k < 2:
@@ -526,6 +599,20 @@ def to_on_off(gadget: IsolatingGadget) -> OnOffGadget:
         eps=gadget.eps,
         meta=dict(gadget.meta),
     )
+    if gadget.form is not None:
+        # the parent's row of vertex (x, b) and low index l < r is the row of
+        # x and low index b r + l: on-off row class (c, b r + l) is the
+        # parent's (c + b, l), entry class (row class, bit) the parent's (its
+        # row class, bit), and t_off there is t - v at (its row class, b)
+        r = gadget.d >> gadget.k
+        index, _, rows, _, codes = _class_index(k, 2 * r)
+        full = np.zeros(2 * (k + 2) * r)  # the parent's values by code
+        full[_class_index(k + 1, r)[4]] = gadget.form.values
+        cls = np.arange(2 * (k + 1) * r)  # c 2r + b r + l
+        parent, b = cls // (2 * r) * r + cls % (2 * r), cls // r % 2
+        t_on = gadget.form.targets[0][parent]
+        values = full[2 * parent[codes >> 1] + (codes & 1)]
+        carry_form(out, ClassForm(values, (t_on, t_on - full[2 * parent + b]), index, rows))
     report = verify_on_off(out)
     if not report.passed:
         raise VerificationError(f"on-off conversion failed verification: {report.failures()}")
@@ -543,58 +630,14 @@ def _row_multiset(M: np.ndarray) -> np.ndarray:
     return np.sort(M.view(np.dtype((np.void, M.shape[1] * M.itemsize))).ravel())
 
 
-class ClassForm(NamedTuple):
-    """V = values[index] and target j = targets[j][rows], bit for bit (`class_form`)."""
-    values: np.ndarray
-    targets: tuple[np.ndarray, ...]
-    index: np.ndarray  # d x k: the class of each V entry
-    rows: np.ndarray  # d: the class of each row
-
-
-@functools.lru_cache(maxsize=distmatrix.MAX_K)
-def _class_index(k: int, r: int) -> tuple[np.ndarray, ...]:
-    """For d = 2^k r rows, row i being vertex x = i // r of integer_grid with
-    low index i % r: the class of each entry (i, l), by (popcount of x, low
-    index, x_l), and of each row, by (popcount of x, low index), then the
-    flat position of the first entry and row of each.  Read-only, once per (k, r)."""
-    signs, c = _cube(k)
-    rows = (c[:, None] * r + np.arange(r)).ravel()
-    entries = 2 * rows[:, None] + np.repeat(signs > 0, r, axis=0)
-    _, first, index = np.unique(entries.ravel(), return_index=True, return_inverse=True)
-    out = index.reshape(entries.shape), first, rows, np.unique(rows, return_index=True)[1]
-    for a in out:
-        a.flags.writeable = False
-    return out
-
-
-def class_form(V: np.ndarray, targets) -> ClassForm | None:
-    """[V | targets] as one value per class of `_class_index`, or None when
-    d is no 2^k r or some entry's float64 bits (so -0.0 is not 0.0) differ
-    from the first of its class.  The builders' gadgets and their on-off
-    gadgets (r = 2) have this form, which every column permutation only
-    permutes the rows of: x -> x[perm] keeps popcount, low index and the bit
-    under each column."""
-    d, k = V.shape
-    r = d >> k
-    if r == 0 or d != r << k:
-        return None
-    index, first, rows, first_row = _class_index(k, r)
-    bits = np.asarray(V, dtype=float).view(np.uint64)
-    t_bits = [np.asarray(t, dtype=float).view(np.uint64) for t in targets]
-    values, tables = np.take(bits, first), [b[first_row] for b in t_bits]
-    if np.array_equal(values[index], bits) and all(np.array_equal(a[rows], b) for a, b in zip(tables, t_bits)):
-        return ClassForm(values.view(float), tuple(a.view(float) for a in tables), index, rows)
-    return None
-
-
-def _symmetric(V: np.ndarray, targets: list[np.ndarray]) -> bool:
+def _symmetric(V: np.ndarray, targets, form: ClassForm | None = None) -> bool:
     """Certificate that every permutation of V's columns only permutes the
     rows of [V | targets], so each target's distance to V x depends on the
-    popcount of x alone: a class form (`class_form`), or else equal sorted
-    rows (`_row_multiset`, -0 as 0) under a transposition and a k-cycle,
-    which generate all permutations.  The sort certifies rows in another
-    order, or extra rows (the lattice kind)."""
-    if class_form(V, targets) is not None:
+    popcount of x alone: a class form (`form_of`: form, else `class_form`'s),
+    or else equal sorted rows (`_row_multiset`, -0 as 0) under a
+    transposition and a k-cycle, which generate all permutations.  The sort
+    certifies rows in another order, or extra rows (the lattice kind)."""
+    if form_of(V, targets, form) is not None:
         return True
     k = V.shape[1]
     perms = ((1, 0, *range(2, k)), (*range(1, k), 0)) if k > 1 else ()
@@ -604,17 +647,17 @@ def _symmetric(V: np.ndarray, targets: list[np.ndarray]) -> bool:
     return all(np.array_equal(_row_multiset(M[:, [*perm, *tail]]), rows) for perm in perms)
 
 
-def _vertex_distances(V: np.ndarray, p, targets: list[np.ndarray], by_popcount: bool):
-    """The vertices to check, in integer_grid order, each target's distances
-    to them, and the name of the check.
+def _vertex_distances(g, by_popcount: bool):
+    """The vertices to check, in integer_grid order, each of g's targets'
+    distances to them, and the name of the check.
 
     When the level masks depend on popcount alone (`by_popcount`) and
     `_symmetric` certifies the gadget (by its class form, or by sorted
     rows), the first vertex of each Hamming class, 0..0 1..1, stands for its
     class: k + 1 vertices.  Otherwise every vertex of {0, 1}^k is walked in
     chunks of the shared entry budget, up to arity MAX_WALK_K."""
-    k = V.shape[1]
-    if by_popcount and _symmetric(V, targets):
+    V, p, targets, k = g.V, g.p, g.targets, g.k
+    if by_popcount and _symmetric(V, targets, g.form):
         x = (np.arange(k) >= np.arange(k, -1, -1)[:, None]).astype(np.int64)  # row j: 0..0 1..1, j ones
         xv = x @ V.T
         return x, [row_pnorms(xv - t, p) for t in targets], CHECK_CLASSES
@@ -677,7 +720,7 @@ def verify_parallelepiped(gadget: IsolatingGadget, tol: Tolerance = DEFAULT_TOL)
     check that ran.  An uncertified gadget above arity MAX_WALK_K raises
     ResourceLimitError.
     """
-    x, (dist,), check = _vertex_distances(gadget.V, gadget.p, [gadget.t], _by_popcount(gadget))
+    x, (dist,), check = _vertex_distances(gadget, _by_popcount(gadget))
     close = _close_mask(gadget, x)
     conditions = [
         _level_condition("close-vertices-at-1", x, dist, close, 1.0, tol),
@@ -694,8 +737,7 @@ def verify_on_off(gadget: OnOffGadget, tol: Tolerance = DEFAULT_TOL) -> Verifica
     """The on-off pattern, checked like `verify_parallelepiped`: t_on puts
     every nonzero vertex at 1 and the origin at 1 + eps, t_off every vertex
     at 1."""
-    targets = [gadget.t_on, gadget.t_off]
-    x, (d_on, d_off), check = _vertex_distances(gadget.V, gadget.p, targets, by_popcount=True)
+    x, (d_on, d_off), check = _vertex_distances(gadget, by_popcount=True)
     far = 1.0 + gadget.eps
     origin_res = abs(float(d_on[0]) - far)  # x[0] is the origin
     conditions = [

@@ -20,16 +20,13 @@ are the same as formatting and parsing each entry on its own.
 
 Formatted reals need no JSON escaping, so every array of them in an
 artifact is written as one string join (`_joined`).  `fmt_vector` and
-`fmt_columns` return lists of private subclasses, holding that text, that
-`dump_chunks` recognises at the top level of a payload and writes from it,
-instead of passing them through the encoder, which escape-checks each
-string on its own.  The encoder refuses inf and nan, which are no JSON
-numbers.
-
-The gadget writers skip that table for a gadget in class form
-(`gadgets.class_form`): a builder's gadget, or its on-off gadget, is one
-value per class, about 30 values at k = 10, so each is formatted once and
-the texts of its columns and targets are gathered from them.
+`fmt_columns` return lists of private subclasses that hold that text, and
+`dump_chunks` writes it at the top level of a payload instead of passing the
+strings through the encoder, which escape-checks each one and refuses inf
+and nan, which are no JSON numbers.  The gadget writers hold their arrays as
+JSON text chunks, as the CVPP query below does, with no list of strings: a
+gadget in class form (`gadgets.form_of`), about 30 values at k = 10, has
+each class value formatted once and its texts gathered.
 
 A CVPP prep stores only its generator: n, k, the mode and, for the finite
 norms, the on-off gadget.  A query writes the basis those determine without
@@ -55,7 +52,7 @@ from itertools import chain, combinations
 import numpy as np
 
 from .errors import InvalidInputError, NumericDegeneracyError
-from .gadgets import IsolatingGadget, OnOffGadget, class_form
+from .gadgets import IsolatingGadget, OnOffGadget, carry_form, form_of
 from .numeric import pvalue
 from .reductions import CvpInstance, CvppArtifacts, cvpp_header
 
@@ -159,15 +156,16 @@ def fmt_columns(M) -> list[list[str]]:
     return _RealColumns(map(_Reals, _fmt_table(np.asarray(M, dtype=float).T).tolist()))
 
 
-def _gadget_texts(V: np.ndarray, *targets: np.ndarray) -> list[_Reals]:
-    """fmt_vector of each column of V, then of each target.  A gadget in
-    class form (`class_form`) formats each class value once and gathers the
-    texts; any other is formatted in one _fmt_table pass."""
-    form = class_form(V, targets)
+def _gadget_texts(g: IsolatingGadget | OnOffGadget) -> list[str]:
+    """The JSON text, without brackets, of fmt_vector of each column of g's
+    V, then of each target.  Through a class form (`form_of`) each class
+    value is formatted and quoted once, and each text is one gather and one
+    join; any other gadget is formatted in one _fmt_table pass."""
+    form = form_of(g.V, g.targets, g.form)
     if form is None:
-        return [_Reals(s) for s in _fmt_table(np.vstack([np.asarray(V, dtype=float).T, *targets])).tolist()]
-    v_text, *t_texts = (np.array(list(map(fmt_real, a.tolist())), dtype=object) for a in (form.values, *form.targets))
-    return [_Reals(s) for s in v_text[form.index.T].tolist() + [t[form.rows].tolist() for t in t_texts]]
+        return list(map(_joined, _fmt_table(np.vstack([np.asarray(g.V, dtype=float).T, *g.targets])).tolist()))
+    v, *ts = (np.array([f'"{fmt_real(x)}"' for x in a.tolist()], dtype=object) for a in (form.values, *form.targets))
+    return [",".join(v[col].tolist()) for col in form.index.T] + [",".join(t[form.rows].tolist()) for t in ts]
 
 
 def parse_columns(cols) -> np.ndarray:
@@ -274,8 +272,8 @@ def _meta_in(meta) -> dict:
 _compact = json.JSONEncoder(sort_keys=True, separators=(",", ":"), allow_nan=False).encode
 
 
-def dump_chunks(obj: dict) -> list[str]:
-    """Compact JSON with sorted keys and a final newline, as a list of
+def dump_chunks(obj: dict, end: str = "}\n") -> list[str]:
+    """Compact JSON with sorted keys and a final newline (end), as a list of
     strings to write in order.  A top-level tuple value is JSON text already
     encoded, in chunks, and is written as is; a top-level vector or matrix
     from fmt_vector or fmt_columns is written from its joined text, without
@@ -294,7 +292,7 @@ def dump_chunks(obj: dict) -> list[str]:
                 out.append(_compact(value))
             except ValueError as exc:
                 raise NumericDegeneracyError(f"{key} holds a number that is not finite: {exc}") from exc
-    out.append("}\n")
+    out.append(end)
     return out
 
 
@@ -311,14 +309,14 @@ def _meta_out(meta: dict) -> dict:
 
 
 def gadget_to_json(g: IsolatingGadget) -> dict:
-    *V, t = _gadget_texts(g.V, g.t)
+    *V, t = _gadget_texts(g)
     out = {
         "schema": GADGET_SCHEMA,
         "p": fmt_real(g.p),
         "k": g.k,
         "kind": g.kind,
-        "V": _RealColumns(V),
-        "t": t,
+        "V": ("[[", "],[".join(V), "]]"),
+        "t": ("[", t, "]"),
         "eps": fmt_real(g.eps),
     }
     if g.constraint is not None:
@@ -327,33 +325,33 @@ def gadget_to_json(g: IsolatingGadget) -> dict:
 
 
 def gadget_from_json(d: dict) -> IsolatingGadget:
-    return IsolatingGadget(*_fields(d, GADGET_SCHEMA, "p", "k", "V", "t", "eps", "kind"), d.get("constraint"))
+    return carry_form(IsolatingGadget(*_fields(d, GADGET_SCHEMA, "p", "k", "V", "t", "eps", "kind"), d.get("constraint")))
 
 
 def gadget_read_back(g: IsolatingGadget) -> IsolatingGadget:
     """The gadget that reading the text of gadget_to_json(g) gives, without
     formatting or parsing V and t, which are g's own arrays, made read-only,
-    when they are C-ordered float64; meta is not written, so it is dropped."""
+    when they are C-ordered float64, and g's class form; meta is dropped."""
     V, t = np.ascontiguousarray(g.V, dtype=float), np.ascontiguousarray(g.t, dtype=float)
     fields = _checked(p=g.p, k=g.k, V=V, t=t, eps=g.eps)
-    return IsolatingGadget(*fields, g.kind, json.loads(_compact(g.constraint)))
+    return carry_form(IsolatingGadget(*fields, g.kind, json.loads(_compact(g.constraint))), g.form)
 
 
 def onoff_to_json(g: OnOffGadget) -> dict:
-    *V, t_on, t_off = _gadget_texts(g.V, g.t_on, g.t_off)
+    *V, t_on, t_off = _gadget_texts(g)
     return {
         "schema": ONOFF_SCHEMA,
         "p": fmt_real(g.p),
         "k": g.k,
-        "V": _RealColumns(V),
-        "t_on": t_on,
-        "t_off": t_off,
+        "V": ("[[", "],[".join(V), "]]"),
+        "t_on": ("[", t_on, "]"),
+        "t_off": ("[", t_off, "]"),
         "eps": fmt_real(g.eps),
     }
 
 
 def onoff_from_json(d: dict) -> OnOffGadget:
-    return OnOffGadget(*_fields(d, ONOFF_SCHEMA, "p", "k", "V", "t_on", "t_off", "eps"))
+    return carry_form(OnOffGadget(*_fields(d, ONOFF_SCHEMA, "p", "k", "V", "t_on", "t_off", "eps")))
 
 
 # ---------------------------------------------------------------------------
@@ -398,7 +396,7 @@ def instance_read_back(inst: CvpInstance) -> CvpInstance:
 def cvpp_to_json(art: CvppArtifacts) -> dict:
     out = {"schema": CVPP_SCHEMA, "mode": art.mode, "n": art.n, "k": art.k}
     if art.gadget is not None:
-        out["gadget"] = onoff_to_json(art.gadget)
+        out["gadget"] = tuple(dump_chunks(onoff_to_json(art.gadget), "}"))
     return out
 
 

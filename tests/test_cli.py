@@ -768,25 +768,69 @@ def clear_process_caches() -> None:
         slot.cache_clear()
 
 
+class TestCarriedForm:
+    """A find -> verify -> onoff -> prep sequence proves no class form: the
+    builder and to_on_off hand theirs on, and a write seeds the read cache
+    with the gadget that carries it.  A cold read proves it once."""
+
+    STEPS = [
+        ["gadget", "find", "--k", "10", "--p", "3", "--out", "g.json"],
+        ["gadget", "verify", "--in", "g.json"],
+        ["gadget", "onoff", "--in", "g.json", "--out", "o.json"],
+        ["cvpp", "prep", "--n", "9", "--k", "9", "--gadget", "g.json", "--out", "prep.json"],
+    ]
+
+    @staticmethod
+    def proofs(monkeypatch) -> list:
+        """The shapes of V that gadgets.class_form is called on, from now on."""
+        calls, proof = [], gadgets.class_form
+        monkeypatch.setattr(gadgets, "class_form", lambda V, targets: calls.append(V.shape) or proof(V, targets))
+        return calls
+
+    def test_dispatch_proves_no_form(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        calls = self.proofs(monkeypatch)
+        assert [run(argv, capsys)[0] for argv in self.STEPS] == [0, 0, 0, 0]
+        assert calls == []
+
+    def test_batch_proves_no_form(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "steps.txt").write_text("".join(shlex.join(argv) + "\n" for argv in self.STEPS))
+        calls = self.proofs(monkeypatch)
+        code, out, _ = run(["batch", "--in", "steps.txt"], capsys)
+        assert code == 0 and [json.loads(line)["exit_code"] for line in out.splitlines()] == [0, 0, 0, 0]
+        assert calls == []
+
+    def test_cold_verify_proves_once(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        assert run(self.STEPS[0], capsys)[0] == 0
+        clear_process_caches()
+        calls = self.proofs(monkeypatch)
+        code, out, _ = run(self.STEPS[1], capsys)
+        assert code == 0 and out_json(out)["check"] == gadgets.CHECK_CLASSES
+        assert calls == [(2**10, 10)]
+
+
 class TestColumnTexts:
-    """The gadget writers format a gadget in class form
-    (`gadgets.class_form`) one class value at a time, and write the bytes of
-    the generic writer, which formats every entry through one table."""
+    """The gadget writers format a gadget in class form (`gadgets.form_of`:
+    the form it carries, else `gadgets.class_form`'s) one class value at a
+    time, and write the bytes of the generic writer, which formats every
+    entry through one table."""
 
     P_GRID = [str(1 + 0.25 * i) for i in range(45)]  # 1.0, 1.25, ..., 12.0
 
     @staticmethod
     def warm_and_cold(tmp_path, capsys, monkeypatch, steps, inputs=None) -> None:
         """Run each step in turn in one process, then each again with the
-        class form refused and every process cache cleared before each
-        command, in a directory of its own; a step is a list of argv run
+        writers given no class form and every process cache cleared before
+        each command, in a directory of its own; a step is a list of argv run
         until one exits nonzero.  Exit codes, stdout and --out bytes must
         agree, and the warm side must have written through the class form."""
         got, forms = {}, []
 
-        def spy(V, targets):
-            forms.append(form := gadgets.class_form(V, targets))
-            return form
+        def spy(V, targets, form=None):
+            forms.append(found := gadgets.form_of(V, targets, form))
+            return found
 
         for side in ("warm", "cold"):
             d = tmp_path / side
@@ -794,7 +838,7 @@ class TestColumnTexts:
             for name, text in (inputs or {}).items():
                 (d / name).write_text(text)
             monkeypatch.chdir(d)
-            monkeypatch.setattr(serialize, "class_form", spy if side == "warm" else lambda V, targets: None)
+            monkeypatch.setattr(serialize, "form_of", spy if side == "warm" else lambda V, targets, form=None: None)
             got[side] = []
             for step in steps:
                 for argv in step:

@@ -238,7 +238,7 @@ class TestWeightMap:
             )
         )
         H = distmatrix.distance_matrix(k, p, shift)
-        V, t = gadgets._class_parallelepiped(by_class, shift, p)
+        V, (t,) = gadgets._class_parallelepiped(by_class, shift, p).expand()
         (x,) = integer_grid([(0, 1)] * k, 2**k)
         mapped = H @ by_class[x.sum(axis=1)]
         for idx, z in enumerate(x):

@@ -1,6 +1,7 @@
 import collections
 import dataclasses
 import functools
+import json
 import math
 import time
 import warnings
@@ -210,7 +211,7 @@ class TestShiftRanking:
             s = by_class ** (1.0 / p)
             assert all(Fraction(2 * j - k) + Fraction(shift) == Fraction(2 * j - k + shift) for j in range(k + 1))
             want = np.array([s[j] * (2 * j - k + shift) + 0.0 for j in range(k + 1)])
-            V, t = gadgets._class_parallelepiped(by_class, shift, p)
+            V, (t,) = gadgets._class_parallelepiped(by_class, shift, p).expand()
             (x,) = integer_grid([(0, 1)] * k, 2**k)
             assert same_bits(t, want[x.sum(axis=1)]), (k, p)
             assert same_bits(g.t, t / pnorm(V @ ones - t, p)), (k, p)
@@ -389,7 +390,7 @@ class TestSolveWeights:
 
 class TestParallelepipedAssembly:
     def test_k1_rows_and_distances(self):
-        V, t = gadgets._class_parallelepiped(np.array([0.0, 2.0]), 1.5, 1.0)
+        V, (t,) = gadgets._class_parallelepiped(np.array([0.0, 2.0]), 1.5, 1.0).expand()
         assert V.tolist() == [[-0.0], [4.0]]
         assert t == pytest.approx([0.0, 5.0])
         assert pnorm(V @ [1.0] - t, 1) == pytest.approx(1.0)
@@ -397,7 +398,7 @@ class TestParallelepipedAssembly:
 
     def test_uniform_weights_give_constant_distance(self):
         lam = distmatrix.eigen_report(2, 2.0, 2.5).by_size[0]
-        V, t = gadgets._class_parallelepiped(np.ones(3), 2.5, 2.0)
+        V, (t,) = gadgets._class_parallelepiped(np.ones(3), 2.5, 2.0).expand()
         for z in product((0, 1), repeat=2):
             assert pnorm(V @ np.array(z, float) - t, 2) ** 2 == pytest.approx(lam)
 
@@ -406,7 +407,7 @@ class TestParallelepipedAssembly:
         # all-plus one: ||V z - t|| = ||V_pm (2z - 1) - t_pm|| with row u of
         # V_pm w^(1/p) u^T and its target w^(1/p) shift
         by_class, shift, q = np.array([0.5, 0.0, 2.0, 1.5]), 3.25, 2.5
-        V, t = gadgets._class_parallelepiped(by_class, shift, q)
+        V, (t,) = gadgets._class_parallelepiped(by_class, shift, q).expand()
         (x,) = integer_grid([(0, 1)] * 3, 8)
         scale = spread(by_class) ** (1.0 / q)
         V_pm, t_pm = scale[:, None] * (2.0 * x - 1.0), shift * scale
@@ -425,7 +426,7 @@ class TestParallelepipedAssembly:
                 by_class, _ = gadgets.solve_weights(k, p, shift)
             except (UnsupportedParametersError, NumericDegeneracyError):
                 continue
-            V, t = gadgets._class_parallelepiped(by_class, shift, p)
+            V, (t,) = gadgets._class_parallelepiped(by_class, shift, p).expand()
             want_V, want_t = reference_assembly(by_class, shift, p)
             assert same_bits(V, want_V) and same_bits(t, want_t), (k, p)
             built += 1
@@ -440,7 +441,7 @@ class TestParallelepipedAssembly:
                 continue
             for sign in (1, -1):
                 by_class = 1.0 + sign * (-1.0) ** (k - np.arange(k + 1))
-                V, t = gadgets._class_parallelepiped(by_class, shift, p)
+                V, (t,) = gadgets._class_parallelepiped(by_class, shift, p).expand()
                 want_V, want_t = reference_assembly(by_class, shift, p)
                 assert same_bits(V, want_V) and same_bits(t, want_t), (k, p, sign)
 
@@ -625,7 +626,8 @@ class TestOnOff:
 class TestVerify:
     def test_perturbation_fails_with_witness(self):
         g = gadgets.find_isolating_parallelepiped(2, 1.5)
-        g.t[0] += 1e-3
+        # a builder's arrays are read-only, so the perturbation is a copy's
+        g = gadgets.IsolatingGadget(g.p, g.k, g.V, g.t + np.eye(g.d)[0] * 1e-3, g.eps)
         report = gadgets.verify_parallelepiped(g)
         assert not report.passed
         bad = report.failures()
@@ -1210,6 +1212,83 @@ class TestCertificate:
         monkeypatch.setattr(gadgets, "integer_grid", walk)
         with pytest.raises(ResourceLimitError):
             gadgets.verify_parallelepiped(moved)
+
+
+def unique_class_index(k, r):
+    """`_class_index` as np.unique numbers the entry and row codes: the
+    inverse, the first positions, the row classes and the first rows, and the
+    distinct entry codes."""
+    signs, c = gadgets._cube(k)
+    rows = (c[:, None] * r + np.arange(r)).ravel()
+    entries = 2 * rows[:, None] + np.repeat(signs > 0, r, axis=0)
+    codes, first, index = np.unique(entries.ravel(), return_index=True, return_inverse=True)
+    return index.reshape(entries.shape), first, rows, np.unique(rows, return_index=True)[1], codes
+
+
+def same_form(a, b) -> bool:
+    """Two class forms with the same values and targets, bit for bit, and the same index and rows."""
+    return (
+        same_bits(a.values, b.values)
+        and len(a.targets) == len(b.targets)
+        and all(same_bits(x, y) for x, y in zip(a.targets, b.targets))
+        and np.array_equal(a.index, b.index)
+        and np.array_equal(a.rows, b.rows)
+    )
+
+
+def read_back(g):
+    """g written and read through its JSON text."""
+    if isinstance(g, gadgets.OnOffGadget):
+        return serialize.onoff_from_json(json.loads(serialize.dumps(serialize.onoff_to_json(g))))
+    return serialize.gadget_from_json(json.loads(serialize.dumps(serialize.gadget_to_json(g))))
+
+
+class TestCarriedForm:
+    """The builders and to_on_off hand out their class form with the
+    gadget, the readers prove it once, and a form never outlives the arrays
+    it describes."""
+
+    @pytest.mark.parametrize("r", [1, 2, 3])
+    def test_class_index_matches_unique(self, r):
+        for k in range(1, 13):
+            got, want = gadgets._class_index(k, r), unique_class_index(k, r)
+            assert len(got) == len(want)
+            for a, b in zip(got, want):
+                assert a.dtype == b.dtype and np.array_equal(a, b), (k, r)
+
+    def test_carried_form_is_class_form(self):
+        kinds = collections.Counter()
+        for g in certificate_cases():
+            form = gadgets.class_form(g.V, targets_of(g))
+            if getattr(g, "kind", None) == gadgets.KIND_LATTICE:
+                assert g.form is None and form is None
+                continue
+            assert g.form is not None and same_form(g.form, form), (type(g).__name__, g.k, g.p)
+            back = read_back(g)
+            assert same_form(back.form, form), (type(g).__name__, g.k, g.p)
+            kinds[type(g).__name__, getattr(g, "kind", None)] += 1
+        # isolating gadgets at k = 1..12 over CERT_P, the on-off gadget of
+        # each from k = 2, and parity gadgets at k = 3..12 of both bits for
+        # the 52 pairs with p < k
+        assert kinds == {
+            ("IsolatingGadget", gadgets.KIND_ISOLATING): 12 * 6,
+            ("OnOffGadget", None): 11 * 6,
+            ("IsolatingGadget", gadgets.KIND_TWO_LEVEL): 2 * 52,
+        }
+
+    def test_no_stale_form(self):
+        g, par = isolating(4, 3.0), parity(5, 1.5, 1)
+        onoff = gadgets.to_on_off(g)
+        V = g.V.copy()
+        V[0, 0] = np.nextafter(V[0, 0], np.inf)
+        assert dataclasses.replace(g, V=V).form is None
+        assert dataclasses.replace(onoff, t_off=onoff.t_on).form is None
+        assert gadgets.IsolatingGadget(g.p, g.k, g.V.copy(), g.t.copy(), g.eps).form is None
+        assert gadgets.to_isolating_lattice(par).form is None
+        for a in (g.V, g.t, par.V, par.t, onoff.V, onoff.t_on, onoff.t_off):
+            assert not a.flags.writeable
+            with pytest.raises(ValueError, match="read-only"):
+                a[(0,) * a.ndim] += 1.0
 
 
 class TestObstruction:

@@ -251,12 +251,13 @@ class TestByteDiff:
 
     def test_built_in_corpus(self):
         # BENCH_write.json's 42 lines, then each workload's fixtures and jobs,
-        # then gadget find at k = 1..12 over 48 p each
+        # the gadget writers, the cold reads, then gadget find at k = 1..12
+        # over 48 p each
         units = byte_diff().build_corpus(ROOT)
         assert len(units[0]["commands"]) == 42 and units[0]["chdir"]
         assert units[1] == {"group": "gadget-build", "dir": "fix-gadget-build", "files": {}, "commands": []}
         assert {u["group"] for u in units} == {
-            "BENCH_write", "gadget-build", "sat-validate", "cvpp-serve", "gadget-writers", "shift-search"
+            "BENCH_write", "gadget-build", "sat-validate", "cvpp-serve", "gadget-writers", "gadget-cold", "shift-search"
         }
         (writers,) = [u for u in units if u["group"] == "gadget-writers"]
         assert writers["chdir"] and writers["commands"][:3] == [
@@ -270,6 +271,19 @@ class TestByteDiff:
         assert by_action == {"find": 88, "onoff": 88, "parity": 120, "lattice": 120, "verify": 88 + 48}
         assert {argv[3] for argv in writers["commands"] if argv[1] == "parity"} == {str(k) for k in range(3, 13)}
         assert {argv[7] for argv in writers["commands"] if argv[1] == "parity"} == {"0", "1"}
+        # per arity two gadgets, each read right after the other was written
+        (cold,) = [u for u in units if u["group"] == "gadget-cold"]
+        assert cold["chdir"] and cold["drop"] and len(cold["commands"]) == 3 * 7
+        assert cold["commands"][:7] == [
+            ["gadget", "find", "--k", "3", "--p", "3.0", "--out", "g3-p3.0.json"],
+            ["gadget", "find", "--k", "3", "--p", "4.75", "--out", "g3-p4.75.json"],
+            ["gadget", "verify", "--in", "g3-p3.0.json"],
+            ["gadget", "onoff", "--in", "g3-p4.75.json", "--out", "o-g3-p4.75.json"],
+            ["gadget", "verify", "--in", "g3-p4.75.json"],
+            ["gadget", "onoff", "--in", "g3-p3.0.json", "--out", "o-g3-p3.0.json"],
+            ["cvpp", "prep", "--n", "2", "--k", "2", "--gadget", "g3-p3.0.json", "--out", "prep-g3-p3.0.json"],
+        ]
+        assert [argv[3] for argv in cold["commands"] if argv[1] == "find"] == ["3", "3", "4", "4", "10", "10"]
         shifts = units[-1]
         assert shifts["group"] == "shift-search" and shifts["chdir"] and len(shifts["commands"]) == 12 * 48
         assert shifts["commands"][0] == ["gadget", "find", "--k", "1", "--p", "1.0", "--out", "k1-p1.0.json"]

@@ -120,7 +120,7 @@ class TestTables:
 class TestGadgetJson:
     def test_round_trip(self):
         g = gadgets.find_isolating_parallelepiped(2, 1.5)
-        d = serialize.gadget_to_json(g)
+        d = json.loads(serialize.dumps(serialize.gadget_to_json(g)))
         assert d["schema"] == "latgad-gadget-v1"
         back = serialize.gadget_from_json(d)
         assert back.k == g.k and back.p == g.p and back.eps == g.eps
@@ -129,7 +129,7 @@ class TestGadgetJson:
 
     def test_constraint_travels(self):
         g = gadgets.parity_gadget(3, 1.0, 1)
-        back = serialize.gadget_from_json(serialize.gadget_to_json(g))
+        back = serialize.gadget_from_json(json.loads(serialize.dumps(serialize.gadget_to_json(g))))
         assert back.constraint == {"type": "parity", "bit": 1}
         assert back.kind == gadgets.KIND_TWO_LEVEL
 
@@ -145,7 +145,7 @@ class TestGadgetJson:
 
     @pytest.mark.parametrize("field, value", [("k", "x"), ("k", None), ("t", None)])
     def test_bad_field_rejected(self, field, value):
-        d = serialize.gadget_to_json(gadgets.find_isolating_parallelepiped(2, 1.5))
+        d = json.loads(serialize.dumps(serialize.gadget_to_json(gadgets.find_isolating_parallelepiped(2, 1.5))))
         d[field] = value
         with pytest.raises(InvalidInputError):
             serialize.gadget_from_json(d)
@@ -184,6 +184,10 @@ def compact(obj) -> str:
     return json.dumps(obj, sort_keys=True, separators=(",", ":"))
 
 
+# the payloads whose gadget arrays are held as JSON text (a tuple of chunks)
+TEXT_KINDS = ("gadget", "parity", "lattice", "onoff", "prep")
+
+
 def payloads():
     """One payload of every artifact kind the command line writes."""
     g = gadgets.find_isolating_parallelepiped(3, 2.5)
@@ -207,7 +211,11 @@ class TestDumps:
     @pytest.mark.parametrize("kind", sorted(payloads()))
     def test_matches_json_dumps(self, kind):
         payload = payloads()[kind]
-        assert serialize.dumps(payload) == compact(payload) + "\n"
+        if kind in TEXT_KINDS:
+            text = serialize.dumps(payload)
+            assert text == compact(json.loads(text)) + "\n"
+        else:
+            assert serialize.dumps(payload) == compact(payload) + "\n"
 
     def test_joined_arrays_match_encoder(self, monkeypatch):
         # every fmt_real shape: signed zeros, infinities, nan, subnormals,
@@ -224,10 +232,14 @@ class TestDumps:
         }
         # test_matches_json_dumps covers the payloads of payloads(); the
         # arrays of a gadget, an on-off gadget, an instance and the shapes
-        # above are written without the encoder
-        joined = [serialize.gadget_to_json(g), serialize.onoff_to_json(gadgets.to_on_off(g)), shapes]
+        # above are written without the encoder, a gadget's as the text of
+        # its arrays' per-entry lists
+        onoff = gadgets.to_on_off(g)
+        joined = [serialize.gadget_to_json(g), serialize.onoff_to_json(onoff), shapes]
         joined.append(payloads()["instance"])
-        want = [compact(payload) + "\n" for payload in joined]
+        lists = [{"V": serialize.fmt_columns(x.V), **{key: serialize.fmt_vector(getattr(x, key)) for key in keys}}
+                 for x, keys in ((g, ["t"]), (onoff, ["t_on", "t_off"]))]
+        want = [compact({**payload, **listed}) + "\n" for payload, listed in zip(joined, [*lists, {}, {}])]
         encode = serialize._compact
 
         def no_arrays(value):
@@ -245,7 +257,8 @@ class TestDumps:
             chunks = tuple(text[i : i + 7] for i in range(0, len(text), 7))
         else:
             # the basis text a query builds from the prep, beside the
-            # formatted float basis
+            # formatted float basis; the prep's gadget is read from its text
+            payload = json.loads(serialize.dumps(payload))
             art, chunks = serialize.cvpp_from_json(payload)
             ref = float_prep(art)
             payload = {**payload, "basis": serialize.fmt_columns(ref.basis)}
@@ -287,10 +300,15 @@ class TestLastTexts:
             mine[0] = "x"
         assert serialize.fmt_vector(v) == ["1", "2", "3"]
         assert serialize.dumps({"t": serialize.fmt_vector(v)}) == '{"t":["1","2","3"]}\n'
+        # a gadget payload's arrays are immutable text
         g = self.gadget([[1.0], [2.0]])
-        mine = serialize.gadget_to_json(g)["t"]
-        mine[0] = "x"
-        assert serialize.gadget_to_json(g)["t"] == ["1", "2"]
+        payload = serialize.gadget_to_json(g)
+        for key in ("V", "t"):
+            assert type(payload[key]) is tuple and all(type(chunk) is str for chunk in payload[key])
+        with pytest.raises(TypeError):
+            payload["t"][0] = "x"
+        assert "".join(payload["t"]) == '["1","2"]' and "".join(payload["V"]) == '[["1","2"]]'
+        assert serialize.gadget_to_json(g)["t"] == payload["t"]
 
     @pytest.mark.parametrize("kind", ["isolating", "on-off", "parity"])
     def test_a_zero_of_the_other_sign_is_written(self, kind):
@@ -326,7 +344,7 @@ class TestReadBack:
         onoff = serialize.onoff_from_json(json.loads(serialize.dumps(serialize.onoff_to_json(gadgets.to_on_off(g)))))
         inst = reductions.sat_to_cvp(CspFormula(n=3, constraints=[Clause((1, -2, 3))]), g)
         read = serialize.instance_from_json(json.loads(serialize.dumps(serialize.instance_to_json(inst))))
-        prep, _ = serialize.cvpp_from_json(serialize.cvpp_to_json(reductions.cvpp_header(3, 2, gadgets.to_on_off(g))))
+        prep, _ = serialize.cvpp_from_json(json.loads(serialize.dumps(serialize.cvpp_to_json(reductions.cvpp_header(3, 2, gadgets.to_on_off(g))))))
         self.assert_read_only(back.V, back.t, onoff.V, onoff.t_on, onoff.t_off, read.basis, read.target)
         self.assert_read_only(prep.gadget.V, prep.gadget.t_on, prep.gadget.t_off)
 
@@ -458,7 +476,7 @@ class TestCvppBasisText:
         zero = np.all(g.V == 0, axis=1) & (g.t_off == 0) & (g.t_on == 0)
         assert zero.sum() == 3
         art = reductions.cvpp_preprocess(3, 2, g)
-        back, chunks = serialize.cvpp_from_json(serialize.cvpp_to_json(art))
+        back, chunks = serialize.cvpp_from_json(json.loads(serialize.dumps(serialize.cvpp_to_json(art))))
         basis = serialize.parse_columns(json.loads("".join(chunks)))
         assert back.block_rows == g.d - 3 and basis.shape == (back.M * (g.d - 3) + 3, 3)
         for present in (np.zeros(back.M, dtype=bool), np.ones(back.M, dtype=bool)):
@@ -499,14 +517,14 @@ class TestCanonColumns:
 
     def test_matches_parse_then_format(self):
         for art in every_prep():
-            _, chunks = serialize.cvpp_from_json(serialize.cvpp_to_json(art))
+            _, chunks = serialize.cvpp_from_json(json.loads(serialize.dumps(serialize.cvpp_to_json(art))))
             text = "".join(chunks)
             assert text == compact(serialize.fmt_columns(serialize.parse_columns(json.loads(text))))
 
     def test_each_distinct_entry_formatted_once(self, monkeypatch):
         fmt_real = serialize.fmt_real
         for art in every_prep():
-            header = serialize.cvpp_to_json(art)
+            header = json.loads(serialize.dumps(serialize.cvpp_to_json(art)))
             calls = []
             with monkeypatch.context() as mp:
                 mp.setattr(serialize, "fmt_real", lambda x: calls.append(x) or fmt_real(x))
@@ -541,7 +559,7 @@ class TestCvppJson:
     def test_round_trip(self):
         g = gadgets.find_isolating_parallelepiped(3, 2.5)
         art = reductions.cvpp_preprocess(4, 2, gadgets.to_on_off(g))
-        back, basis = serialize.cvpp_from_json(serialize.cvpp_to_json(art))
+        back, basis = serialize.cvpp_from_json(json.loads(serialize.dumps(serialize.cvpp_to_json(art))))
         assert back.basis is None and back.d == art.d
         assert np.array_equal(serialize.parse_columns(json.loads("".join(basis))), art.basis)
         assert back.gadget.eps == art.gadget.eps
@@ -573,7 +591,7 @@ class TestCvppJson:
     def test_header_must_match_basis(self, field, edit, message):
         # the header generates the basis, so it must describe one that exists
         g = gadgets.find_isolating_parallelepiped(2, 2.5)
-        d = serialize.cvpp_to_json(reductions.cvpp_preprocess(3, 1, gadgets.to_on_off(g)))
+        d = json.loads(serialize.dumps(serialize.cvpp_to_json(reductions.cvpp_preprocess(3, 1, gadgets.to_on_off(g)))))
         d[field] = edit(d[field])
         with pytest.raises(InvalidInputError, match=message):
             serialize.cvpp_from_json(d)
