@@ -7,7 +7,8 @@ once through `dispatch` and once through `latgad batch`.
 The parent revision is extracted with `git archive REV | tar -x` into a
 temporary directory, as `scripts/bench_pairs.py` does.  Each tree runs the
 whole corpus in one Python process through `latgad.cli.dispatch`, importing
-latgad from its own `src/`, in a fresh directory, with one BLAS thread.  The
+latgad from its own `src/`, in a fresh directory, with one BLAS thread and
+COLUMNS=80, the terminal width an argparse parser wraps its help to.  The
 corpus is
   * the command lines of `BENCH_write.json` (`outputs_sha256.lines`), run in
     order in one directory, on the CNF and parity files below;
@@ -22,6 +23,8 @@ corpus is
     built in turn and then read alternately (`verify` A, `onoff` B,
     `verify` B, `onoff` A), so each read misses the CLI's one-gadget cache
     and goes through the reader, then `cvpp prep` from A;
+  * the CLI surface (`usage_commands`): help at the top level, at every
+    command and at every action, and command lines that the parser refuses;
   * `gadget find --out` at every arity k = 1..12 (`SHIFT_K`), for p on the
     0.25 grid of [1, 12], which holds every odd integer p < k, and the
     large p of `SHIFT_P`, run in one directory, each to a file of its own.
@@ -74,6 +77,41 @@ LATTICE_BOX_K = 7
 # cold reads: two gadgets per arity, each read after the other was written
 COLD_K = (3, 4, 10)
 COLD_P = (3.0, 4.75)
+# the CLI's commands and their actions, each given -h; `batch -h` is left
+# out, since a batch refuses a line that runs batch
+ACTIONS = {
+    "gadget": ["find", "parity", "lattice", "onoff", "verify"],
+    "reduce": ["sat", "parity"],
+    "params": ["gap"],
+    "cvpp": ["prep", "inf-prep", "query"],
+    "oracle": ["solve", "validate"],
+    "identities": ["skp", "integral", "bounds", "ramanujan", "cp-svp"],
+    "cubes": ["find"],
+    "clauses": ["isolate", "separate"],
+}
+# command lines the parser refuses, one per kind of usage error
+MALFORMED = [
+    ["--tol-rel", "1e-9"],
+    ["gadgets"],
+    ["gadget"],
+    ["gadget", "build"],
+    ["gadget", "find", "--k", "3"],
+    ["params", "gap", "--p", "3"],
+    ["gadget", "find", "--k", "x", "--p", "3"],
+    ["gadget", "find", "--k", "3", "--p", "y"],
+    ["gadget", "find", "--k", "x", "-h"],
+    ["gadget", "find", "--k", "3", "--p", "3", "--nope"],
+    ["gadget", "find", "--k", "3", "--p", "3", "--tol-rel", "1e-6"],
+    ["--tol", "1e-6", "gadget", "find", "--k", "3", "--p", "3"],
+    ["--tol-rel", "-1e-9", "gadget", "find", "--k", "3", "--p", "3"],
+    ["clauses", "separate", "--s", "s.txt", "--t", "t.txt"],
+    ["reduce", "sat", "--cnf", "f.cnf", "--gadget", "g.json", "--mode", "fast"],
+    ["oracle", "solve", "--box", "-1..2", "inst.json"],
+    ["oracle", "solve", "--out", "o.json"],
+    ["oracle", "solve", "a.json", "b.json"],
+    ["identities", "cp-svp", "--find-p0=1"],
+    ["gadget", "find", "-hx"],
+]
 
 # the inputs of BENCH_write.json's lines: a 10-variable 12-clause 3-CNF and
 # 8 parity constraints of arity 3 over 10 variables
@@ -117,6 +155,8 @@ def build_corpus(root: Path) -> list[dict]:
                   "commands": writer_commands()})
     units.append({"group": "gadget-cold", "dir": "gadget-cold", "chdir": True, "drop": True, "files": {},
                   "commands": cold_commands()})
+    units.append({"group": "cli-usage", "dir": "cli-usage", "chdir": True, "drop": True, "files": {},
+                  "commands": usage_commands()})
     units.append({"group": "shift-search", "dir": "shift-search", "chdir": True, "drop": True, "files": {},
                   "commands": [["gadget", "find", "--k", str(k), "--p", repr(p), "--out", f"k{k}-p{p!r}.json"]
                                for k in SHIFT_K for p in SHIFT_P]})
@@ -161,6 +201,14 @@ def cold_commands() -> list[list[str]]:
                      ["gadget", "verify", "--in", b], ["gadget", "onoff", "--in", a, "--out", f"o-{a}"],
                      ["cvpp", "prep", "--n", str(k - 1), "--k", str(k - 1), "--gadget", a, "--out", f"prep-{a}"]]
     return commands
+
+
+def usage_commands() -> list[list[str]]:
+    """-h at the top level, at every command and at every action of ACTIONS
+    (--help there), then the MALFORMED lines; none of them runs a command."""
+    helps = [["-h"]] + [[command, "-h"] for command in ACTIONS]
+    helps += [[command, action, "--help"] for command, actions in ACTIONS.items() for action in actions]
+    return helps + MALFORMED
 
 
 def out_path(argv: list[str]) -> str | None:
@@ -262,7 +310,7 @@ def run_tree(tree: Path, units: list[dict], work: Path) -> dict:
     where = Path(tempfile.mkdtemp(dir=work))
     corpus, records = where / "corpus.json", where / "records.json"
     corpus.write_text(json.dumps(units))
-    env = dict(os.environ, PYTHONPATH=str(tree / "src"), PYTHONHASHSEED="0",
+    env = dict(os.environ, PYTHONPATH=str(tree / "src"), PYTHONHASHSEED="0", COLUMNS="80",
                **{v: "1" for v in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS")})
     run_dir = where / "run"
     run_dir.mkdir()

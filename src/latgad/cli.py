@@ -3,6 +3,13 @@
 Data goes to stdout or --out; logs go to stderr.  Exit codes: 0 success or
 verification pass, 1 verification failure, 2 usage error, 3 resource limit.
 
+The command table `COMMANDS` is the grammar: the options of each (command,
+action), with GLOBAL_OPTIONS before the command.  `parse_argv` reads argv
+against it in one pass per level, by the rules of the standard-library
+parser tree it replaced (option prefixes, `--name=value`, negative-number
+values, `--`), and the help and every usage error are built from it, in
+that parser's words.
+
 Every --out file is written by one function, `_write`: it encodes the
 chunks as UTF-8 before opening the file, and writes the bytes with
 `os.writev` (so the CLI runs on POSIX systems only).  Text that a process
@@ -25,16 +32,16 @@ one process, so that a pipeline's steps share these.
 
 from __future__ import annotations
 
-import argparse
 import contextlib
 import dataclasses
-import functools
 import io
 import json
 import os
 import shlex
+import stat
 import sys
 import time
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -68,21 +75,31 @@ def _write(path: str, chunks) -> None:
     """Write chunks, each bytes or a str written as UTF-8, to path: every
     chunk is encoded before the file is opened, the file gets mode 0o666
     less the umask, and the bytes go out in one os.writev per _IOV_MAX
-    buffers, resumed where a short write stopped.  The only writer of --out
-    files."""
+    buffers, resumed where a short write stopped.  An existing regular file
+    is overwritten in place and then cut to the bytes written, also when a
+    write fails part-way, so no tail of its old bytes is left.  The only
+    writer of --out files."""
     buffers = [chunk.encode() if isinstance(chunk, str) else chunk for chunk in chunks]
-    fd = os.open(path, os.O_WRONLY | os.O_CREAT | os.O_TRUNC, 0o666)
+    fd = os.open(path, os.O_WRONLY | os.O_CREAT, 0o666)
+    size = 0
     try:
         i = 0
         while i < len(buffers):
             written = os.writev(fd, buffers[i : i + _IOV_MAX])
+            size += written
             while i < len(buffers) and written >= len(buffers[i]):
                 written -= len(buffers[i])
                 i += 1
             if written:
                 buffers[i] = memoryview(buffers[i])[written:]
     finally:
-        os.close(fd)
+        try:
+            # cutting in place is cheaper than emptying the file at open;
+            # a device or a FIFO has no length to cut
+            if stat.S_ISREG(os.fstat(fd).st_mode):
+                os.ftruncate(fd, size)
+        finally:
+            os.close(fd)
 
 
 def _emit(payload: dict, out: str | None) -> None:
@@ -516,11 +533,10 @@ def _batch_lines(text: str) -> list[list[str]]:
             raise InvalidInputError(f"batch line {number}: {exc}") from exc
         # the command as dispatch parses it, global options before it
         # included; a line that does not parse runs no batch
-        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
-            try:
-                nested = build_parser().parse_args(argv).command == "batch"
-            except SystemExit:
-                nested = False
+        try:
+            nested = parse_argv(argv).command == "batch"
+        except ParseExit:
+            nested = False
         if nested:
             raise InvalidInputError(f"batch line {number}: a batch does not run batch")
         commands.append(argv)
@@ -548,140 +564,332 @@ def _cmd_batch(args, tol: Tolerance) -> int:
 
 
 # ---------------------------------------------------------------------------
-# parser
+# the command table and its parser
 
 
-@functools.cache
-def build_parser() -> argparse.ArgumentParser:
-    """The CLI parser, built on first use and shared by every later dispatch."""
-    top = argparse.ArgumentParser(prog="latgad")
-    top.add_argument("--tol-rel", type=float, default=1e-9)
-    top.add_argument("--tol-abs", type=float, default=1e-12)
-    sub = top.add_subparsers(dest="command", required=True)
+class _Opt:
+    """One entry of the command table: an option `--name VALUE`, converted by
+    kind and checked against choices; a flag when kind is bool; the
+    positional argument when name has no leading '-'.  The value goes to
+    dest, the name without its dashes by default."""
 
-    g = sub.add_parser("gadget")
-    ga = g.add_subparsers(dest="action", required=True)
-    find = ga.add_parser("find")
-    find.add_argument("--k", type=int, required=True)
-    find.add_argument("--p", type=float, required=True)
-    find.add_argument("--out")
-    par = ga.add_parser("parity")
-    par.add_argument("--k", type=int, required=True)
-    par.add_argument("--p", type=float, required=True)
-    par.add_argument("--bit", type=int, default=0)
-    par.add_argument("--out")
-    lat = ga.add_parser("lattice")
-    lat.add_argument("--in", dest="infile", required=True)
-    lat.add_argument("--out")
-    oo = ga.add_parser("onoff")
-    oo.add_argument("--in", dest="infile", required=True)
-    oo.add_argument("--out")
-    ver = ga.add_parser("verify")
-    ver.add_argument("--in", dest="infile", required=True)
-    ver.add_argument("--box-radius", type=int, default=3)
+    __slots__ = ("name", "kind", "required", "default", "dest", "choices", "help")
 
-    r = sub.add_parser("reduce")
-    ra = r.add_subparsers(dest="action", required=True)
-    rs = ra.add_parser("sat")
-    rs.add_argument("--cnf", required=True)
-    rs.add_argument("--gadget", required=True)
-    rs.add_argument("--mode", choices=("padded", "gap"), default="padded")
-    rs.add_argument("--s", type=float)
-    rs.add_argument("--c", type=float)
-    rs.add_argument("--out")
-    rp = ra.add_parser("parity")
-    rp.add_argument("--xor", required=True)
-    rp.add_argument("--p", type=float, required=True)
-    rp.add_argument("--s", type=float)
-    rp.add_argument("--c", type=float)
-    rp.add_argument("--out")
+    def __init__(self, name, kind=str, *, required=False, default=None, dest=None, choices=None, help=None):
+        self.name, self.kind, self.required, self.choices, self.help = name, kind, required, choices, help
+        self.default = False if kind is bool else default
+        self.dest = dest or name.lstrip("-").replace("-", "_")
 
-    pg = sub.add_parser("params")
-    pga = pg.add_subparsers(dest="action", required=True)
-    gap = pga.add_parser("gap")
-    gap.add_argument("--p", type=float, required=True)
-    gap.add_argument("--k", type=int, required=True)
-    gap.add_argument("--s", type=float, required=True)
-    gap.add_argument("--c", type=float, required=True)
-    gap.add_argument("--eps", type=float)
-    gap.add_argument("--out")
 
-    cv = sub.add_parser("cvpp")
-    cva = cv.add_subparsers(dest="action", required=True)
-    prep = cva.add_parser("prep")
-    prep.add_argument("--n", type=int, required=True)
-    prep.add_argument("--k", type=int, required=True)
-    prep.add_argument("--gadget", required=True, help="(k+1)-ary isolating gadget JSON")
-    prep.add_argument("--out")
-    iprep = cva.add_parser("inf-prep")
-    iprep.add_argument("--n", type=int, required=True)
-    iprep.add_argument("--k", type=int, required=True)
-    iprep.add_argument("--out")
-    q = cva.add_parser("query")
-    q.add_argument("--prep", required=True)
-    q.add_argument("--cnf", required=True)
-    q.add_argument("--w", type=int)
-    q.add_argument("--out")
+_K = _Opt("--k", int, required=True)
+_N = _Opt("--n", int, required=True)
+_P = _Opt("--p", float, required=True)
+_S, _C = _Opt("--s", float), _Opt("--c", float)
+_IN = _Opt("--in", dest="infile", required=True)
+_CNF = _Opt("--cnf", required=True)
+_OUT = _Opt("--out")
 
-    o = sub.add_parser("oracle")
-    oa = o.add_subparsers(dest="action", required=True)
-    solve = oa.add_parser("solve")
-    solve.add_argument("instance")
-    solve.add_argument("--box", help="per-coordinate integer range, e.g. '-1..2'")
-    solve.add_argument("--out")
-    val = oa.add_parser("validate")
-    val.add_argument("--cnf", required=True)
-    val.add_argument("--instance", required=True)
-    val.add_argument("--box")
+# the options taken before the command
+GLOBAL_OPTIONS = (_Opt("--tol-rel", float, default=1e-9), _Opt("--tol-abs", float, default=1e-12))
 
-    ident = sub.add_parser("identities")
-    ia = ident.add_subparsers(dest="action", required=True)
-    skp = ia.add_parser("skp")
-    skp.add_argument("--k", type=int, required=True)
-    skp.add_argument("--p", type=float, required=True)
-    skp.add_argument("--out")
-    integral = ia.add_parser("integral")
-    integral.add_argument("--n", type=int, required=True)
-    integral.add_argument("--m", type=int, required=True)
-    integral.add_argument("--p", type=float, required=True)
-    integral.add_argument("--out")
-    bounds = ia.add_parser("bounds")
-    bounds.add_argument("--k", type=int, required=True)
-    bounds.add_argument("--p", type=float, required=True)
-    bounds.add_argument("--c", type=int, default=0)
-    bounds.add_argument("--out")
-    ram = ia.add_parser("ramanujan")
-    ram.add_argument("--k", type=int, required=True)
-    ram.add_argument("--x", type=float, required=True)
-    ram.add_argument("--out")
-    cp = ia.add_parser("cp-svp")
-    cp.add_argument("--p", type=float)
-    cp.add_argument("--find-p0", action="store_true")
-    cp.add_argument("--grid", help="CSV sweep lo:hi:count")
-    cp.add_argument("--out")
+# The grammar of the CLI: the options of each (command, action), in the
+# order usage lines and "required" errors list them; a command without
+# actions is keyed (command, None).  Commands and actions are listed in the
+# order of their first key.
+COMMANDS = {
+    ("gadget", "find"): (_K, _P, _OUT),
+    ("gadget", "parity"): (_K, _P, _Opt("--bit", int, default=0), _OUT),
+    ("gadget", "lattice"): (_IN, _OUT),
+    ("gadget", "onoff"): (_IN, _OUT),
+    ("gadget", "verify"): (_IN, _Opt("--box-radius", int, default=3)),
+    ("reduce", "sat"): (
+        _CNF,
+        _Opt("--gadget", required=True),
+        _Opt("--mode", choices=("padded", "gap"), default="padded"),
+        _S,
+        _C,
+        _OUT,
+    ),
+    ("reduce", "parity"): (_Opt("--xor", required=True), _P, _S, _C, _OUT),
+    ("params", "gap"): (
+        _P,
+        _K,
+        _Opt("--s", float, required=True),
+        _Opt("--c", float, required=True),
+        _Opt("--eps", float),
+        _OUT,
+    ),
+    ("cvpp", "prep"): (_N, _K, _Opt("--gadget", required=True, help="(k+1)-ary isolating gadget JSON"), _OUT),
+    ("cvpp", "inf-prep"): (_N, _K, _OUT),
+    ("cvpp", "query"): (_Opt("--prep", required=True), _CNF, _Opt("--w", int), _OUT),
+    ("oracle", "solve"): (
+        _Opt("instance", required=True),
+        _Opt("--box", help="per-coordinate integer range, e.g. '-1..2'"),
+        _OUT,
+    ),
+    ("oracle", "validate"): (_CNF, _Opt("--instance", required=True), _Opt("--box")),
+    ("identities", "skp"): (_K, _P, _OUT),
+    ("identities", "integral"): (_N, _Opt("--m", int, required=True), _P, _OUT),
+    ("identities", "bounds"): (_K, _P, _Opt("--c", int, default=0), _OUT),
+    ("identities", "ramanujan"): (_K, _Opt("--x", float, required=True), _OUT),
+    ("identities", "cp-svp"): (
+        _Opt("--p", float),
+        _Opt("--find-p0", bool),
+        _Opt("--grid", help="CSV sweep lo:hi:count"),
+        _OUT,
+    ),
+    ("cubes", "find"): (
+        _Opt("--in", dest="infile", required=True, help="hex bitstrings, one per line"),
+        _Opt("--dim", int, required=True),
+        _OUT,
+    ),
+    ("clauses", "isolate"): (_IN, _K, _OUT),
+    ("clauses", "separate"): (
+        _Opt("--s-in", dest="close", required=True),
+        _Opt("--t-in", dest="away", required=True),
+        _OUT,
+    ),
+    ("batch", None): (_Opt("--in", dest="infile", help="command lines, one per line (default: stdin)"),),
+}
 
-    cb = sub.add_parser("cubes")
-    cba = cb.add_subparsers(dest="action", required=True)
-    cf = cba.add_parser("find")
-    cf.add_argument("--in", dest="infile", required=True, help="hex bitstrings, one per line")
-    cf.add_argument("--dim", type=int, required=True)
-    cf.add_argument("--out")
+_HELP = _Opt("-h, --help", bool, help="show this help message and exit")
+# the positional argument that names the command, or the action
+_COMMAND, _ACTION = _Opt("command", required=True), _Opt("action", required=True)
+_DASHES = "--"  # the mark of the `--` after which every argument is a value
 
-    cl = sub.add_parser("clauses")
-    cla = cl.add_subparsers(dest="action", required=True)
-    iso = cla.add_parser("isolate")
-    iso.add_argument("--in", dest="infile", required=True)
-    iso.add_argument("--k", type=int, required=True)
-    iso.add_argument("--out")
-    sep = cla.add_parser("separate")
-    sep.add_argument("--s-in", dest="close", required=True)
-    sep.add_argument("--t-in", dest="away", required=True)
-    sep.add_argument("--out")
+# each command's actions, [None] for a command without actions
+_ACTIONS: dict[str, list] = {}
+for _key in COMMANDS:
+    _ACTIONS.setdefault(_key[0], []).append(_key[1])
 
-    bt = sub.add_parser("batch")
-    bt.add_argument("--in", dest="infile", help="command lines, one per line (default: stdin)")
 
-    return top
+class ParseExit(Exception):
+    """parse_argv's end without a namespace: help (code 0, text for stdout)
+    or a usage error (code 2, text for stderr)."""
+
+    def __init__(self, code: int, text: str):
+        super().__init__(text)
+        self.code, self.text = code, text
+
+
+def _level(words: tuple) -> tuple[tuple, _Opt | None, list | None]:
+    """(options, positional argument, names below) of the level that words
+    name: the top level (), a command, or a (command, action).  The names
+    below are the commands, or the command's actions, that the positional
+    argument chooses from; None where it is no command or action."""
+    if not words:
+        return GLOBAL_OPTIONS, _COMMAND, list(_ACTIONS)
+    if len(words) == 1 and _ACTIONS[words[0]] != [None]:
+        return (), _ACTION, _ACTIONS[words[0]]
+    opts = COMMANDS[words if len(words) == 2 else (words[0], None)]
+    return opts, next((o for o in opts if o.name[0] != "-"), None), None
+
+
+def _negative_number(arg: str) -> bool:
+    """Whether arg, which starts with '-', is a negative number as the old
+    parser read one: digits, or maybe digits, a '.' and digits, after the
+    '-' and before an optional last newline.  Such an argument is a value."""
+    body = arg[1:-1] if arg.endswith("\n") else arg[1:]
+    whole, dot, frac = body.partition(".")
+    return body.isdecimal() or bool(dot) and (not whole or whole.isdecimal()) and frac.isdecimal()
+
+
+def _option(words: tuple, arg: str, opts: tuple):
+    """How the level words, with options opts, reads arg, which starts with
+    '-', the old parser's way: None for a value, else (option, option
+    string, text after '=' or None), the option None when the level has no
+    such option.  An option string wins, else a unique prefix of one."""
+    head, eq, text = arg.partition("=")
+    text = text if eq else None
+    if head == "-h" or head == "--help":
+        return _HELP, head, text
+    for o in opts:
+        if head == o.name:
+            return o, head, text
+    if len(arg) == 1:
+        return None
+    if arg[1] == "-":
+        hits = [(_HELP, "--help", text)] if "--help".startswith(head) else []
+        for o in opts:
+            if o.name.startswith(head):
+                hits.append((o, o.name, text))
+    else:
+        # the one one-dash option string, joined to its value as in -hh
+        hits = [(_HELP, "-h", arg[2:])] if arg[:2] == "-h" else []
+    if len(hits) > 1:
+        raise _error(words, f"ambiguous option: {arg} could match {', '.join(name for _, name, _ in hits)}")
+    if hits:
+        return hits[0]
+    if " " in arg or arg[1] != "-" and _negative_number(arg):
+        return None
+    return None, arg, None
+
+
+def _value(words: tuple, opt: _Opt, text: str):
+    try:
+        value = opt.kind(text)
+    except (TypeError, ValueError):
+        raise _error(words, f"argument {opt.name}: invalid {opt.kind.__name__} value: {text!r}") from None
+    if opt.choices is not None and value not in opt.choices:
+        choices = ", ".join(map(repr, opt.choices))
+        raise _error(words, f"argument {opt.name}: invalid choice: {value!r} (choose from {choices})")
+    return value
+
+
+def _scan(words: tuple, args: list, values: dict) -> list:
+    """Parse args at the level words names into values, as the parser
+    tree this table replaced did: every argument is read first (an
+    ambiguous prefix is an error), then options take their values in order
+    and the positional argument takes the first value left, a command or an
+    action taking every argument after it to the level below.  Returns the
+    arguments no level took."""
+    opts, positional, below = _level(words)
+    wanted = opts if below is None else (*opts, positional)
+    for o in wanted:
+        values[o.dest] = o.default
+    end = args.index("--") if "--" in args else len(args)
+    marks = [_option(words, arg, opts) if arg[:1] == "-" else None for arg in args[:end]]
+    if end < len(args):
+        marks += [_DASHES] + [None] * (len(args) - end - 1)
+    extras, seen, i, n = [], set(), 0, len(args)
+    while i < n:
+        mark = marks[i]
+        if mark is None or mark is _DASHES:
+            first = i + (mark is _DASHES)  # the value after a leading `--`
+            if positional is None or first == n:
+                extras.append(args[i])
+                i += 1
+            elif below is not None:
+                name = args[i]
+                if name not in below:
+                    choices = ", ".join(map(repr, below))
+                    raise _error(words, f"argument {positional.name}: invalid choice: {name!r} (choose from {choices})")
+                values[positional.dest] = name
+                seen.add(positional)
+                extras += _scan((*words, name), args[i + 1 :], values)
+                break
+            else:
+                values[positional.dest] = args[first]
+                seen.add(positional)
+                i = first + 1
+                if i < n and marks[i] is _DASHES:  # a `--` right after the value goes with it
+                    i += 1
+                positional = None
+            continue
+        opt, name, text = mark
+        if opt is None:
+            extras.append(args[i])
+            i += 1
+        elif opt.kind is bool:
+            if opt is _HELP and name == "-h":
+                # -hh is -h twice
+                while text and text[0] == "h":
+                    text = text[1:] or None
+            if text is not None:
+                shown = "-h/--help" if opt is _HELP else name
+                raise _error(words, f"argument {shown}: ignored explicit argument {text!r}")
+            if opt is _HELP:
+                raise ParseExit(EXIT_OK, _help(words))
+            values[opt.dest] = True
+            seen.add(opt)
+            i += 1
+        else:
+            if text is None:
+                if i + 1 == n or marks[i + 1] is not None:
+                    raise _error(words, f"argument {name}: expected one argument")
+                text = args[i + 1]
+                i += 1
+            # a `--` given after '=' is dropped, which leaves no value but []
+            values[opt.dest] = [] if text == "--" else _value(words, opt, text)
+            seen.add(opt)
+            i += 1
+    missing = [o.name for o in wanted if o.required and o not in seen]
+    if missing:
+        raise _error(words, f"the following arguments are required: {', '.join(missing)}")
+    return extras
+
+
+def parse_argv(argv) -> SimpleNamespace:
+    """The values of argv (without the program name) by their dests: the
+    global options, `command`, `action` (but for `batch`) and the action's
+    options.  Raises ParseExit for help and for usage errors."""
+    values = {}
+    extras = _scan((), list(argv), values)
+    if extras:
+        raise _error((), f"unrecognized arguments: {' '.join(extras)}")
+    return SimpleNamespace(**values)
+
+
+# usage lines wrap as the old parser wrapped them on an 80-column terminal
+_WIDTH = 78
+
+
+def _usage(words: tuple) -> str:
+    """The usage line of the level words names, wrapped as the old parser
+    wrapped it at _WIDTH: the options after the program, then the
+    positional arguments from a line of their own."""
+    opts, positional, below = _level(words)
+    prog = " ".join(("latgad", *words))
+    opt_parts = ["[-h]"]
+    for o in opts:
+        if o.name[0] != "-":
+            continue
+        text = o.name if o.kind is bool else f"{o.name} {_metavar(o)}"
+        opt_parts += text.split() if o.required else [f"[{text}]"]
+    pos_parts = ["{" + ",".join(below) + "}", "..."] if below else [positional.name] if positional else []
+    if len(f"usage: {prog} ") + len(" ".join(opt_parts + pos_parts)) <= _WIDTH:
+        return f"usage: {prog} " + " ".join(opt_parts + pos_parts)
+    indent = " " * len(f"usage: {prog} ")
+    return "\n".join(_fill([prog, *opt_parts], indent, "usage: ") + _fill(pos_parts, indent))
+
+
+def _fill(parts: list, indent: str, first: str = "") -> list:
+    """parts joined by spaces into lines of at most _WIDTH characters, a
+    line started with a part too long for it; the first line starts with
+    first if given, every other line with indent."""
+    lines, line, width = [], [], len(first or indent) - 1
+    for part in parts:
+        if line and width + 1 + len(part) > _WIDTH:
+            lines.append(line)
+            line, width = [], len(indent) - 1
+        line.append(part)
+        width += 1 + len(part)
+    if line:
+        lines.append(line)
+    return [(first if first and not i else indent) + " ".join(line) for i, line in enumerate(lines)]
+
+
+def _metavar(o: _Opt) -> str:
+    return "{" + ",".join(o.choices) + "}" if o.choices else o.dest.upper()
+
+
+def _help(words: tuple) -> str:
+    """The help of the level words names: its usage, its positional
+    argument and its options, each with its help text in a column."""
+    opts, positional, below = _level(words)
+    rows = [(_HELP.name, _HELP.help)]
+    rows += [(o.name if o.kind is bool else f"{o.name} {_metavar(o)}", o.help) for o in opts if o.name[0] == "-"]
+    sections = [("options:", rows)]
+    if positional is not None:
+        shown = "{" + ",".join(below) + "}" if below else positional.name
+        sections.insert(0, ("positional arguments:", [(shown, None)]))
+    column = min(max(len(text) for _, section in sections for text, _ in section) + 4, 24)
+    blocks = [_usage(words)]
+    for title, section in sections:
+        lines = [title]
+        for text, help in section:
+            if help is None:
+                lines.append(f"  {text}")
+            elif len(text) <= column - 4:
+                lines.append(f"  {text.ljust(column - 4)}  {help}")
+            else:
+                lines.append(f"  {text}\n{' ' * column}{help}")
+        blocks.append("\n".join(lines))
+    return "\n\n".join(blocks) + "\n"
+
+
+def _error(words: tuple, message: str) -> ParseExit:
+    return ParseExit(EXIT_USAGE, f"{_usage(words)}\n{' '.join(('latgad', *words))}: error: {message}\n")
 
 
 _HANDLERS = {
@@ -698,11 +906,11 @@ _HANDLERS = {
 
 
 def dispatch(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:
-        return EXIT_USAGE if exc.code not in (0, None) else EXIT_OK
+        args = parse_argv(sys.argv[1:] if argv is None else argv)
+    except ParseExit as stop:
+        (sys.stdout if stop.code == EXIT_OK else sys.stderr).write(stop.text)
+        return stop.code
     try:
         return _HANDLERS[args.command](args, Tolerance(rel=args.tol_rel, abs=args.tol_abs))
     except ResourceLimitError as exc:

@@ -251,13 +251,14 @@ class TestByteDiff:
 
     def test_built_in_corpus(self):
         # BENCH_write.json's 42 lines, then each workload's fixtures and jobs,
-        # the gadget writers, the cold reads, then gadget find at k = 1..12
-        # over 48 p each
+        # the gadget writers, the cold reads, the CLI's help and usage errors,
+        # then gadget find at k = 1..12 over 48 p each
         units = byte_diff().build_corpus(ROOT)
         assert len(units[0]["commands"]) == 42 and units[0]["chdir"]
         assert units[1] == {"group": "gadget-build", "dir": "fix-gadget-build", "files": {}, "commands": []}
         assert {u["group"] for u in units} == {
-            "BENCH_write", "gadget-build", "sat-validate", "cvpp-serve", "gadget-writers", "gadget-cold", "shift-search"
+            "BENCH_write", "gadget-build", "sat-validate", "cvpp-serve", "gadget-writers", "gadget-cold", "cli-usage",
+            "shift-search",
         }
         (writers,) = [u for u in units if u["group"] == "gadget-writers"]
         assert writers["chdir"] and writers["commands"][:3] == [
@@ -284,6 +285,9 @@ class TestByteDiff:
             ["cvpp", "prep", "--n", "2", "--k", "2", "--gadget", "g3-p3.0.json", "--out", "prep-g3-p3.0.json"],
         ]
         assert [argv[3] for argv in cold["commands"] if argv[1] == "find"] == ["3", "3", "4", "4", "10", "10"]
+        (usage,) = [u for u in units if u["group"] == "cli-usage"]
+        assert usage["commands"][:2] == [["-h"], ["gadget", "-h"]] and ["batch", "-h"] not in usage["commands"]
+        assert ["oracle", "solve", "--help"] in usage["commands"] and ["gadgets"] in usage["commands"]
         shifts = units[-1]
         assert shifts["group"] == "shift-search" and shifts["chdir"] and len(shifts["commands"]) == 12 * 48
         assert shifts["commands"][0] == ["gadget", "find", "--k", "1", "--p", "1.0", "--out", "k1-p1.0.json"]
