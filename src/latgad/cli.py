@@ -7,8 +7,10 @@ The command table `COMMANDS` is the grammar: the options of each (command,
 action), with GLOBAL_OPTIONS before the command.  `parse_argv` reads argv
 against it in one pass per level, by the rules of the standard-library
 parser tree it replaced (option prefixes, `--name=value`, negative-number
-values, `--`), and the help and every usage error are built from it, in
-that parser's words.
+values, `--`), but refuses the `--name=--` that parser read as [].  The
+help and every usage error are built from the table: the usage on one
+line, each help text from column 24, and each error in that parser's
+words.
 
 Every --out file is written by one function, `_write`: it encodes the
 chunks as UTF-8 before opening the file, and writes the bytes with
@@ -38,7 +40,6 @@ import io
 import json
 import os
 import shlex
-import stat
 import sys
 import time
 from types import SimpleNamespace
@@ -75,31 +76,21 @@ def _write(path: str, chunks) -> None:
     """Write chunks, each bytes or a str written as UTF-8, to path: every
     chunk is encoded before the file is opened, the file gets mode 0o666
     less the umask, and the bytes go out in one os.writev per _IOV_MAX
-    buffers, resumed where a short write stopped.  An existing regular file
-    is overwritten in place and then cut to the bytes written, also when a
-    write fails part-way, so no tail of its old bytes is left.  The only
-    writer of --out files."""
+    buffers, resumed where a short write stopped.  The only writer of --out
+    files."""
     buffers = [chunk.encode() if isinstance(chunk, str) else chunk for chunk in chunks]
-    fd = os.open(path, os.O_WRONLY | os.O_CREAT, 0o666)
-    size = 0
+    fd = os.open(path, os.O_WRONLY | os.O_CREAT | os.O_TRUNC, 0o666)
     try:
         i = 0
         while i < len(buffers):
             written = os.writev(fd, buffers[i : i + _IOV_MAX])
-            size += written
             while i < len(buffers) and written >= len(buffers[i]):
                 written -= len(buffers[i])
                 i += 1
             if written:
                 buffers[i] = memoryview(buffers[i])[written:]
     finally:
-        try:
-            # cutting in place is cheaper than emptying the file at open;
-            # a device or a FIFO has no length to cut
-            if stat.S_ISREG(os.fstat(fd).st_mode):
-                os.ftruncate(fd, size)
-        finally:
-            os.close(fd)
+        os.close(fd)
 
 
 def _emit(payload: dict, out: str | None) -> None:
@@ -799,8 +790,10 @@ def _scan(words: tuple, args: list, values: dict) -> list:
                     raise _error(words, f"argument {name}: expected one argument")
                 text = args[i + 1]
                 i += 1
-            # a `--` given after '=' is dropped, which leaves no value but []
-            values[opt.dest] = [] if text == "--" else _value(words, opt, text)
+            elif text == "--":
+                # the old parser dropped a `--` given after '=' and stored []
+                raise _error(words, f"argument {name}: expected one argument")
+            values[opt.dest] = _value(words, opt, text)
             seen.add(opt)
             i += 1
     missing = [o.name for o in wanted if o.required and o not in seen]
@@ -820,71 +813,43 @@ def parse_argv(argv) -> SimpleNamespace:
     return SimpleNamespace(**values)
 
 
-# usage lines wrap as the old parser wrapped them on an 80-column terminal
-_WIDTH = 78
-
-
 def _usage(words: tuple) -> str:
-    """The usage line of the level words names, wrapped as the old parser
-    wrapped it at _WIDTH: the options after the program, then the
-    positional arguments from a line of their own."""
+    """The usage line of the level words names, on one line: the options
+    after the program, then the positional argument."""
     opts, positional, below = _level(words)
-    prog = " ".join(("latgad", *words))
-    opt_parts = ["[-h]"]
+    parts = ["usage: latgad", *words, "[-h]"]
     for o in opts:
-        if o.name[0] != "-":
-            continue
-        text = o.name if o.kind is bool else f"{o.name} {_metavar(o)}"
-        opt_parts += text.split() if o.required else [f"[{text}]"]
-    pos_parts = ["{" + ",".join(below) + "}", "..."] if below else [positional.name] if positional else []
-    if len(f"usage: {prog} ") + len(" ".join(opt_parts + pos_parts)) <= _WIDTH:
-        return f"usage: {prog} " + " ".join(opt_parts + pos_parts)
-    indent = " " * len(f"usage: {prog} ")
-    return "\n".join(_fill([prog, *opt_parts], indent, "usage: ") + _fill(pos_parts, indent))
+        if o.name[0] == "-":
+            parts.append(_invocation(o) if o.required else f"[{_invocation(o)}]")
+    if below:
+        parts += ["{" + ",".join(below) + "}", "..."]
+    elif positional is not None:
+        parts.append(positional.name)
+    return " ".join(parts)
 
 
-def _fill(parts: list, indent: str, first: str = "") -> list:
-    """parts joined by spaces into lines of at most _WIDTH characters, a
-    line started with a part too long for it; the first line starts with
-    first if given, every other line with indent."""
-    lines, line, width = [], [], len(first or indent) - 1
-    for part in parts:
-        if line and width + 1 + len(part) > _WIDTH:
-            lines.append(line)
-            line, width = [], len(indent) - 1
-        line.append(part)
-        width += 1 + len(part)
-    if line:
-        lines.append(line)
-    return [(first if first and not i else indent) + " ".join(line) for i, line in enumerate(lines)]
-
-
-def _metavar(o: _Opt) -> str:
-    return "{" + ",".join(o.choices) + "}" if o.choices else o.dest.upper()
+def _invocation(o: _Opt) -> str:
+    """An option as usage and help show it: its name, and its value's
+    name or choices unless it is a flag."""
+    if o.kind is bool:
+        return o.name
+    return f"{o.name} {{{','.join(o.choices)}}}" if o.choices else f"{o.name} {o.dest.upper()}"
 
 
 def _help(words: tuple) -> str:
     """The help of the level words names: its usage, its positional
-    argument and its options, each with its help text in a column."""
+    argument and its options, each with its help text from column 24."""
     opts, positional, below = _level(words)
-    rows = [(_HELP.name, _HELP.help)]
-    rows += [(o.name if o.kind is bool else f"{o.name} {_metavar(o)}", o.help) for o in opts if o.name[0] == "-"]
-    sections = [("options:", rows)]
+    blocks = [_usage(words)]
     if positional is not None:
         shown = "{" + ",".join(below) + "}" if below else positional.name
-        sections.insert(0, ("positional arguments:", [(shown, None)]))
-    column = min(max(len(text) for _, section in sections for text, _ in section) + 4, 24)
-    blocks = [_usage(words)]
-    for title, section in sections:
-        lines = [title]
-        for text, help in section:
-            if help is None:
-                lines.append(f"  {text}")
-            elif len(text) <= column - 4:
-                lines.append(f"  {text.ljust(column - 4)}  {help}")
-            else:
-                lines.append(f"  {text}\n{' ' * column}{help}")
-        blocks.append("\n".join(lines))
+        blocks.append(f"positional arguments:\n  {shown}")
+    lines = ["options:"]
+    for o in (_HELP, *opts):
+        if o.name[0] == "-":
+            text = _invocation(o)
+            lines.append(f"  {text}" if o.help is None else f"  {text:20}  {o.help}")
+    blocks.append("\n".join(lines))
     return "\n\n".join(blocks) + "\n"
 
 
