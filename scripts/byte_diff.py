@@ -24,7 +24,7 @@ corpus is
     `verify` B, `onoff` A), so each read misses the CLI's one-gadget cache
     and goes through the reader, then `cvpp prep` from A;
   * the CLI surface (`usage_commands`): help at the top level, at every
-    command and at every action, and command lines that the parser refuses;
+    command and at every action, and malformed command lines (`MALFORMED`);
   * `gadget find --out` at every arity k = 1..12 (`SHIFT_K`), for p on the
     0.25 grid of [1, 12], which holds every odd integer p < k, and the
     large p of `SHIFT_P`, run in one directory, each to a file of its own.
@@ -89,7 +89,9 @@ ACTIONS = {
     "cubes": ["find"],
     "clauses": ["isolate", "separate"],
 }
-# command lines the parser refuses, one per kind of usage error
+# command lines the parser refuses, one per kind of usage error, and a
+# `clauses separate` line whose --t prefixes both global options but, after
+# the command, reads as --t-in
 MALFORMED = [
     ["--tol-rel", "1e-9"],
     ["gadgets"],
@@ -205,7 +207,7 @@ def cold_commands() -> list[list[str]]:
 
 def usage_commands() -> list[list[str]]:
     """-h at the top level, at every command and at every action of ACTIONS
-    (--help there), then the MALFORMED lines; none of them runs a command."""
+    (--help there), then the MALFORMED lines; none of them writes a file."""
     helps = [["-h"]] + [[command, "-h"] for command in ACTIONS]
     helps += [[command, action, "--help"] for command, actions in ACTIONS.items() for action in actions]
     return helps + MALFORMED

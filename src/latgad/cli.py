@@ -7,7 +7,9 @@ The command table `COMMANDS` is the grammar: the options of each (command,
 action), with GLOBAL_OPTIONS before the command.  `parse_argv` reads argv
 against it in one pass per level, by the rules of the standard-library
 parser tree it replaced (option prefixes, `--name=value`, negative-number
-values, `--`), but refuses the `--name=--` that parser read as [].  The
+values, `--`), but refuses the `--name=--` that parser read as [], and
+matches a level's option prefixes only against the arguments before its
+command or action word (`--t` after `clauses separate` is `--t-in`).  The
 help and every usage error are built from the table: the usage on one
 line, each help text from column 24, and each error in that parser's
 words.
@@ -716,6 +718,11 @@ def _option(words: tuple, arg: str, opts: tuple):
     return None, arg, None
 
 
+def _takes_next(mark) -> bool:
+    """Whether the option that mark (of `_option`) reads takes the next argument as its value."""
+    return mark is not None and mark[0] is not None and mark[0].kind is not bool and mark[2] is None
+
+
 def _value(words: tuple, opt: _Opt, text: str):
     try:
         value = opt.kind(text)
@@ -729,19 +736,25 @@ def _value(words: tuple, opt: _Opt, text: str):
 
 def _scan(words: tuple, args: list, values: dict) -> list:
     """Parse args at the level words names into values, as the parser
-    tree this table replaced did: every argument is read first (an
-    ambiguous prefix is an error), then options take their values in order
-    and the positional argument takes the first value left, a command or an
-    action taking every argument after it to the level below.  Returns the
+    tree this table replaced did: every argument up to the command or
+    action word, if the level takes one, is read first (an ambiguous prefix
+    is an error), then options take their values in order and the
+    positional argument takes the first value left, a command or an action
+    taking every argument after it to the level below.  Returns the
     arguments no level took."""
     opts, positional, below = _level(words)
     wanted = opts if below is None else (*opts, positional)
     for o in wanted:
         values[o.dest] = o.default
     end = args.index("--") if "--" in args else len(args)
-    marks = [_option(words, arg, opts) if arg[:1] == "-" else None for arg in args[:end]]
-    if end < len(args):
-        marks += [_DASHES] + [None] * (len(args) - end - 1)
+    marks = []
+    for arg in args[:end]:
+        marks.append(_option(words, arg, opts) if arg[:1] == "-" else None)
+        if below is not None and marks[-1] is None and not (len(marks) > 1 and _takes_next(marks[-2])):
+            break  # a value no option takes: the command or action word, the rest the level below's
+    else:
+        if end < len(args):
+            marks += [_DASHES] + [None] * (len(args) - end - 1)
     extras, seen, i, n = [], set(), 0, len(args)
     while i < n:
         mark = marks[i]

@@ -69,7 +69,8 @@ def class_tables(k: int) -> tuple[np.ndarray, np.ndarray]:
     with by_size[s] = sum_r E[s][r] P_r: T[J][j][J+j-2m] = C(J, m) C(k-J, j-m)
     counts the class-j vertices sharing m of a class-J vertex's +1
     coordinates, and the Krawtchouk table E[J][j] sums the same counts signed
-    by (-1)^m.  int64 arrays of shape (k + 1)^3 and (k + 1)^2 (every entry at
+    by (-1)^m; T also weighs the class vertices' distances in the gadget
+    vertex check.  int64 arrays of shape (k + 1)^3 and (k + 1)^2 (every entry at
     most C(16, 8) in magnitude, so exact as a float too): read-only, one pair
     per k shared by every caller."""
     T = np.zeros((k + 1, k + 1, k + 1), dtype=np.int64)

@@ -41,6 +41,7 @@ from .errors import (
 from .numeric import (
     DEFAULT_TOL,
     Tolerance,
+    abs_powers,
     chunk_rows,
     column_rank,
     finite_float,
@@ -630,15 +631,13 @@ def _row_multiset(M: np.ndarray) -> np.ndarray:
     return np.sort(M.view(np.dtype((np.void, M.shape[1] * M.itemsize))).ravel())
 
 
-def _symmetric(V: np.ndarray, targets, form: ClassForm | None = None) -> bool:
-    """Certificate that every permutation of V's columns only permutes the
-    rows of [V | targets], so each target's distance to V x depends on the
-    popcount of x alone: a class form (`form_of`: form, else `class_form`'s),
-    or else equal sorted rows (`_row_multiset`, -0 as 0) under a
-    transposition and a k-cycle, which generate all permutations.  The sort
-    certifies rows in another order, or extra rows (the lattice kind)."""
-    if form_of(V, targets, form) is not None:
-        return True
+def _symmetric(V: np.ndarray, targets) -> bool:
+    """Certificate, for a gadget without a class form, that every
+    permutation of V's columns only permutes the rows of [V | targets], so
+    each target's distance to V x depends on the popcount of x alone: equal
+    sorted rows (`_row_multiset`, -0 as 0) under a transposition and a
+    k-cycle, which generate all permutations.  The sort certifies rows in
+    another order, or extra rows (the lattice kind)."""
     k = V.shape[1]
     perms = ((1, 0, *range(2, k)), (*range(1, k), 0)) if k > 1 else ()
     M = np.column_stack([V, *targets]) + 0.0
@@ -647,20 +646,71 @@ def _symmetric(V: np.ndarray, targets, form: ClassForm | None = None) -> bool:
     return all(np.array_equal(_row_multiset(M[:, [*perm, *tail]]), rows) for perm in perms)
 
 
+@functools.lru_cache(maxsize=distmatrix.MAX_K)
+def _class_terms(k: int, r: int) -> tuple[np.ndarray, ...]:
+    """The terms of the class vertices' distances for a class form of
+    d = 2^k r rows (`_class_index`), one per (vertex class j, row class
+    R = c r + l, overlap m) that C(j, m) C(k - j, c - m) rows share: the
+    positions in the form's values of v1(R) and v0(R), the values of codes
+    2R + 1 and 2R (past the end where the code is absent, at c = 0 or k,
+    since m or j - m is 0 there); R; the factors m and j - m; that count,
+    T[j, c, j + c - 2m] of `distmatrix.class_tables`; and the first term of
+    each j.  Sorted by j; read-only, once per (k, r)."""
+    codes = _class_index(k, r)[4]
+    at = np.full(2 * (k + 1) * r, codes.size)
+    at[codes] = np.arange(codes.size)
+    T = distmatrix.class_tables(k)[0]
+    j, c, s = (np.repeat(a, r) for a in np.nonzero(T))
+    rows = c * r + np.tile(np.arange(r), j.size // r)
+    m = (j + c - s) // 2
+    out = (at[2 * rows + 1], at[2 * rows], rows, m.astype(float), (j - m).astype(float),
+           T[j, c, s].astype(float), np.searchsorted(j, np.arange(k + 1)))
+    for a in out:
+        a.flags.writeable = False
+    return out
+
+
+def _class_distances(form: ClassForm, k: int, p: float) -> list[np.ndarray]:
+    """Each target's distance to the k + 1 class vertices 0..0 1..1 from the
+    class form alone: the class-j vertex's p-th power sum over the rows is
+    the count-weighted sum over `_class_terms` of
+    |m v1(R) + (j - m) v0(R) - t(R)|^p (the max of the |.| for p = inf).
+    A distance that leaves the float range raises float_range_error."""
+    one, zero, rows, ones, zeros, count, starts = _class_terms(k, form.rows.size >> k)
+    values = np.append(form.values, 0.0)
+    xv = ones * values[one] + zeros * values[zero]
+    out = []
+    with np.errstate(over="ignore"):
+        for t in form.targets:
+            w = abs_powers(xv - t[rows], p)
+            if math.isinf(p):
+                out.append(np.maximum.reduceat(w, starts))
+            else:
+                out.append(np.add.reduceat(w * count, starts) ** (1 / p))
+    if not all(np.isfinite(d).all() for d in out):
+        raise float_range_error(f"a vertex distance at p={p:g}")
+    return out
+
+
 def _vertex_distances(g, by_popcount: bool):
     """The vertices to check, in integer_grid order, each of g's targets'
     distances to them, and the name of the check.
 
-    When the level masks depend on popcount alone (`by_popcount`) and
-    `_symmetric` certifies the gadget (by its class form, or by sorted
-    rows), the first vertex of each Hamming class, 0..0 1..1, stands for its
-    class: k + 1 vertices.  Otherwise every vertex of {0, 1}^k is walked in
-    chunks of the shared entry budget, up to arity MAX_WALK_K."""
+    When the level masks depend on popcount alone (`by_popcount`), the first
+    vertex of each Hamming class, 0..0 1..1, stands for its class: k + 1
+    vertices.  A gadget with a class form (`form_of`) gets their distances
+    from the form (`_class_distances`); one without evaluates them over its
+    rows, once `_symmetric` certifies it.  Otherwise every vertex of
+    {0, 1}^k is walked in chunks of the shared entry budget, up to arity
+    MAX_WALK_K."""
     V, p, targets, k = g.V, g.p, g.targets, g.k
-    if by_popcount and _symmetric(V, targets, g.form):
+    if by_popcount:
         x = (np.arange(k) >= np.arange(k, -1, -1)[:, None]).astype(np.int64)  # row j: 0..0 1..1, j ones
-        xv = x @ V.T
-        return x, [row_pnorms(xv - t, p) for t in targets], CHECK_CLASSES
+        form = form_of(V, targets, g.form)
+        if form is not None:
+            return x, _class_distances(form, k, p), CHECK_CLASSES
+        if _symmetric(V, targets):
+            return x, [row_pnorms(x @ V.T - t, p) for t in targets], CHECK_CLASSES
     if k > MAX_WALK_K:
         raise ResourceLimitError(
             f"walking all 2^{k} vertices exceeds the cap k={MAX_WALK_K}; the class check needs "

@@ -155,7 +155,7 @@ MAX_MUL_POWER = 8
 def abs_powers(x: np.ndarray, p) -> np.ndarray:
     """|x|^p elementwise for finite p, and |x| for p = inf, in a new array
     (`x` is never written).  The oracle raises its table and row blocks with
-    it."""
+    it, and the class vertex check its terms."""
     q = pvalue(p)
     w = np.empty(x.shape)
     if math.isinf(q) or q == 1.0:
@@ -174,9 +174,10 @@ def abs_powers(x: np.ndarray, p) -> np.ndarray:
 
 def row_pnorms(diffs: np.ndarray, p) -> np.ndarray:
     """The p-norm of every row of a 2-D array of finite entries (no
-    rescaling, unlike pnorm); `diffs` is never written.  The gadget vertex
-    checks use it.  A row whose power sum leaves the float range raises
-    float_range_error."""
+    rescaling, unlike pnorm); `diffs` is never written.  The vertex checks
+    of a gadget without a class form use it: its class vertices after the
+    sorted-row certificate, and the walk.  A row whose power sum leaves the
+    float range raises float_range_error."""
     q = pvalue(p)
     with np.errstate(over="ignore"):
         w = abs_powers(diffs, q)

@@ -1703,6 +1703,18 @@ class TestExitCodes:
         code, _, err = run(["gadget", "find", "--k", k, "--p", p], capsys)
         assert code == 1 and "leaves the float range" in err
 
+    @pytest.mark.parametrize("k,p,past", [("10", "307", "307.9"), ("3", "634", "634.9")])
+    def test_float_range_edge(self, tmp_path, capsys, k, p, past):
+        # the largest p on each side that builds, verifies and converts, and
+        # the next one tried, which leaves the float range
+        g, oo = tmp_path / "g.json", tmp_path / "oo.json"
+        assert run(["gadget", "find", "--k", k, "--p", p, "--out", str(g)], capsys)[0] == 0
+        code, out, _ = run(["gadget", "verify", "--in", str(g)], capsys)
+        assert code == 0 and out_json(out)["passed"] is True and out_json(out)["check"] == gadgets.CHECK_CLASSES
+        assert run(["gadget", "onoff", "--in", str(g), "--out", str(oo)], capsys)[0] == 0
+        code, _, err = run(["gadget", "find", "--k", k, "--p", past], capsys)
+        assert code == 1 and err.startswith("failure:") and "leaves the float range" in err, err
+
     @pytest.mark.parametrize("command", ["lattice", "gap"])
     def test_overflowing_lattice_is_numeric_failure(self, tmp_path, capsys, command):
         # the k=1, p=700 gadget builds, but its lattice extension needs 3^p

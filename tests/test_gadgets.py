@@ -1002,8 +1002,9 @@ def perturbed(g, rng) -> dict:
 @st.composite
 def symmetric_case(draw):
     """A noise-free gadget of every kind whose close level is a union of
-    Hamming classes, for k in 1..8, with its columns permuted and its eps
-    scaled (by 0.5 the far level fails)."""
+    Hamming classes, for k in 1..8, with its columns permuted or not (a
+    permutation leaves no class form, so its sorted rows certify it) and
+    its eps scaled (by 0.5 the far level fails)."""
     k = draw(st.integers(1, 8))
     p = draw(st.sampled_from([1.5, 2.5, 3.0]))
     kind = draw(st.sampled_from(["isolating", "parity", "clause", "lattice", "on-off"]))
@@ -1024,19 +1025,109 @@ def symmetric_case(draw):
         g = gadgets.IsolatingGadget(p, k, base.V, base.t, base.eps, gadgets.KIND_TWO_LEVEL, label)
     if kind == "lattice":
         g = gadgets.to_isolating_lattice(g)
-    perm = draw(st.permutations(range(k)))
+    perm = draw(st.permutations(range(k))) if draw(st.booleans()) else list(range(k))
     g = with_arrays(g, g.V[:, perm], targets_of(g))
     g.eps *= draw(st.sampled_from([1.0, 1.0 + 1e-6, 0.5]))
     return g
 
 
+AGREE_P = [1.0 + 0.25 * i for i in range(21)] + [7.0, 9.0, 11.0]
+
+
+def class_form_cases():
+    """Isolating gadgets at k = 1..12 on the 0.25 grid of [1, 6] and at odd
+    integer p above it, the on-off gadget of each, and parity gadgets at
+    k = 3..12 of both bits: every builder's gadget carries a class form."""
+    for k in range(1, 13):
+        for p in AGREE_P:
+            if not even_below(k, p):
+                yield isolating(k, p)
+                if k >= 2:
+                    yield gadgets.to_on_off(isolating(k, p))
+    for k in range(3, 13):
+        for p in AGREE_P:
+            if p < k and not even_below(k, p):
+                for bit in (0, 1):
+                    yield parity(k, p, bit)
+
+
+def class_levels(g) -> dict:
+    """Each level condition's target and level by name."""
+    return {"close-vertices-at-1": (0, 1.0), "far-vertices-at-1+eps": (0, 1.0 + g.eps),
+            "on-target-nonzero-at-1": (0, 1.0), "on-target-origin-isolated": (0, 1.0 + g.eps),
+            "off-target-all-at-1": (1, 1.0)}
+
+
+def assert_rows_agree(g):
+    """g's report from its class form against the report of the same gadget
+    without one, whose class vertices are evaluated over its rows: the same
+    check, verdicts and conditions; residuals within 8 ulps of the level; a
+    witness that differs only where the two witnesses' residuals are within
+    that band in both evaluations."""
+    verify = verifier(g)
+    assert gadgets.form_of(g.V, targets_of(g), g.form) is not None
+    classes, (_, by_form, _) = verify(g), gadgets._vertex_distances(g, by_popcount(g))
+    with mock.patch.object(gadgets, "form_of", return_value=None):
+        rows, (_, by_rows, _) = verify(g), gadgets._vertex_distances(g, by_popcount(g))
+    assert classes.check == rows.check == gadgets.CHECK_CLASSES
+    assert classes.passed == rows.passed
+    assert [(c.name, c.passed) for c in classes.conditions] == [(c.name, c.passed) for c in rows.conditions]
+    for c, r in zip(classes.conditions, rows.conditions):
+        target, level = class_levels(g).get(c.name, (0, 1.0))
+        band = 8 * 2.0**-52 * max(1.0, level)
+        assert abs(c.residual - r.residual) <= band, (c.name, c.residual, r.residual)
+        if c.witness != r.witness:
+            for dist in (by_form, by_rows):
+                res = np.abs(dist[target] - level)
+                assert abs(res[sum(c.witness)] - res[sum(r.witness)]) <= band, c.name
+
+
 class TestCertificate:
+    def test_class_form_agrees_with_rows(self):
+        cases = collections.Counter()
+        for g in class_form_cases():
+            assert_rows_agree(g)
+            cases[type(g).__name__, getattr(g, "kind", None)] += 1
+        assert cases == {("IsolatingGadget", gadgets.KIND_ISOLATING): 264, ("OnOffGadget", None): 240,
+                         ("IsolatingGadget", gadgets.KIND_TWO_LEVEL): 334}
+
+    def test_class_form_of_a_max_norm_file(self):
+        # a file may name p = inf; the reader proves the form, and the class
+        # distances are the largest |entry| over the rows
+        doc = json.loads(serialize.dumps(serialize.gadget_to_json(isolating(5, 3.0))))
+        doc["p"] = "inf"
+        g = serialize.gadget_from_json(doc)
+        assert g.p == math.inf and g.form is not None
+        assert_rows_agree(g)
+        _, (dist,), _ = gadgets._vertex_distances(g, True)
+        (x,) = integer_grid([(0, 1)] * 5, 32)
+        walked = np.abs(x @ g.V.T - g.t).max(axis=1)
+        assert np.array_equal(dist, [walked[x.sum(axis=1) == j].max() for j in range(6)])
+
+    def test_class_power_sum_out_of_float_range(self):
+        # scaled so that every single power stays finite, but the largest
+        # vertex's power sum is 1.2 times the float maximum
+        g, q = isolating(6, 3.0), 3.0
+        (x,) = integer_grid([(0, 1)] * 6, 64)
+        powers = np.abs(x @ g.V.T - g.t) ** q
+        top = powers.sum(axis=1).max()
+        assert powers.max() < top / 1.5
+        s = math.exp((math.log(1.2) + math.log(np.finfo(float).max) - math.log(top)) / q)
+        big = gadgets.IsolatingGadget(q, 6, g.V * s, g.t * s, g.eps)
+        assert gadgets.class_form(big.V, [big.t]) is not None
+        assert np.isfinite(np.abs(x @ big.V.T - big.t) ** q).all()
+        for form_of in (gadgets.form_of, lambda V, targets, form=None: None):
+            with mock.patch.object(gadgets, "form_of", form_of), \
+                    pytest.raises(NumericDegeneracyError, match="a vertex distance at p=3 leaves the float range"):
+                gadgets._vertex_distances(big, True)
+
     @settings(max_examples=80, deadline=None)
     @given(g=symmetric_case())
     def test_agrees_with_full_walk(self, g):
         verify = verifier(g)
         classes = verify(g)
-        with mock.patch.object(gadgets, "_symmetric", return_value=False):
+        with mock.patch.object(gadgets, "form_of", return_value=None), \
+                mock.patch.object(gadgets, "_symmetric", return_value=False):
             walk = verify(g)
         assert (classes.check, walk.check) == (gadgets.CHECK_CLASSES, gadgets.CHECK_VERTICES)
         assert classes.passed == walk.passed
