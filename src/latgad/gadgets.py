@@ -326,9 +326,10 @@ def solve_weights(k: int, p, shift: float) -> tuple[np.ndarray, float]:
 @functools.lru_cache(maxsize=distmatrix.MAX_K)
 def _cube(k: int) -> tuple[np.ndarray, np.ndarray]:
     """The 2^k vertices of {0, 1}^k in integer_grid order, as the signs
-    2x - 1 (int8 rows) and the popcount of each (its Hamming class).  Listed
-    once per k; read-only, shared by every builder."""
-    (x,) = integer_grid([(0, 1)] * k, 2**k)
+    2x - 1 (int8 rows) and the popcount of each (its Hamming class, int64),
+    read from the bits of the row numbers.  Listed once per k; read-only,
+    shared by every builder."""
+    x = (np.arange(2**k)[:, None] >> np.arange(k - 1, -1, -1)) & 1  # coordinate j is bit k - 1 - j
     out = (2 * x - 1).astype(np.int8), x.sum(axis=1)
     for a in out:
         a.flags.writeable = False
@@ -350,6 +351,16 @@ class ClassForm(NamedTuple):
         return self.values[self.index], [t[self.rows] for t in self.targets]
 
 
+def _present(k: int, r: int) -> np.ndarray:
+    """Which codes 2 (c r + l) + bit of `_class_index` some entry of a
+    2^k r-row class form holds: all but a 1 at popcount c = 0 and a 0 at
+    c = k.  Its cumsum numbers the codes: no sort."""
+    present = np.ones(2 * (k + 1) * r, dtype=bool)
+    present[1 : 2 * r : 2] = False
+    present[2 * k * r :: 2] = False
+    return present
+
+
 @functools.lru_cache(maxsize=distmatrix.MAX_K)
 def _class_index(k: int, r: int) -> tuple[np.ndarray, ...]:
     """For d = 2^k r rows, row i being vertex x = i // r of integer_grid with
@@ -359,13 +370,44 @@ def _class_index(k: int, r: int) -> tuple[np.ndarray, ...]:
     signs, c = _cube(k)
     rows = (c[:, None] * r + np.arange(r)).ravel()
     entries = (2 * rows[:, None] + np.repeat(signs > 0, r, axis=0)).ravel()
-    present = np.zeros(2 * (k + 1) * r, dtype=bool)  # numbers the codes by its cumsum: no sort
-    present[entries] = True
+    present = _present(k, r)
     codes = np.flatnonzero(present)
     # popcount c is first at vertex 2^c - 1, 0..0 1..1: a 0 at x_0 (c < k), a 1 at x_(k-c)
     first_row = ((2 ** np.arange(k + 1) - 1)[:, None] * r + np.arange(r)).ravel()
     first = first_row[codes >> 1] * k + (codes & 1) * (k - (codes >> 1) // r)
     out = (np.cumsum(present) - 1)[entries].reshape(rows.size, k), first, rows, first_row, codes
+    for a in out:
+        a.flags.writeable = False
+    return out
+
+
+@functools.lru_cache(maxsize=distmatrix.MAX_K)
+def class_blocks(k: int, r: int) -> tuple[np.ndarray, ...]:
+    """The row blocks of a class form of d = 2^k r rows (`_class_index`),
+    which a writer joins once each.  Vertex x splits into its first
+    h = k - s coordinates H and its last s = ceil(k / 3) coordinates L, and
+    block H is the 2^s r consecutive rows of one H.  Over a block, column j
+    holds the values of codes 2 ((popcount(H) + popcount(L)) r + l) + x_j,
+    with x_j a bit of H (a high column, j < h) or of L (a low column), and a
+    target the values of row classes (popcount(H) + popcount(L)) r + l: so
+    they depend only on popcount(H) and on H's bit or the low column.  (The
+    rule for s was the fastest measured for the writer at k = 10 and 16.)
+
+    Returns the numbers in the form's values of the distinct column blocks
+    (bit 0 at popcount(H) = 0..h-1, bit 1 at 1..h, then the low columns,
+    popcount(H) major), the row classes of the h + 1 target blocks, the block
+    of each column at each H (k x 2^h), and that of the targets, popcount(H)
+    (1 x 2^h).  Read-only, once per (k, r)."""
+    s = (k + 2) // 3
+    h = k - s
+    low_signs, low_c = _cube(s)
+    high_signs, high_c = _cube(h)
+    rows = ((np.arange(h + 1)[:, None] + low_c)[:, :, None] * r + np.arange(r)).reshape(h + 1, -1)
+    low_bits = np.repeat(low_signs > 0, r, axis=0).T  # s x 2^s r
+    codes = np.concatenate([2 * rows[:h], 2 * rows[1:] + 1, (2 * rows[:, None] + low_bits).reshape(-1, rows.shape[1])])
+    high = np.where((high_signs > 0).T, h - 1 + high_c, high_c)
+    out = ((np.cumsum(_present(k, r)) - 1)[codes], rows,
+           np.concatenate([high, 2 * h + s * high_c + np.arange(s)[:, None]]), high_c[None])
     for a in out:
         a.flags.writeable = False
     return out

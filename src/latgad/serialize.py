@@ -26,7 +26,12 @@ strings through the encoder, which escape-checks each one and refuses inf
 and nan, which are no JSON numbers.  The gadget writers hold their arrays as
 JSON text chunks, as the CVPP query below does, with no list of strings: a
 gadget in class form (`gadgets.form_of`), about 30 values at k = 10, has
-each class value formatted once and its texts gathered.
+each class value formatted once.  Its texts are joined from row blocks
+(`gadgets.class_blocks`): a column's text over 2^s r consecutive rows
+depends only on the popcount of their shared high bits and on the column's
+bit there or its low position, so each of those few block texts is one
+gather and one join, and each column and target text is one join of its
+2^(k - s) block texts.
 
 A CVPP prep stores only its generator: n, k, the mode and, for the finite
 norms, the on-off gadget.  A query writes the basis those determine without
@@ -52,7 +57,7 @@ from itertools import chain, combinations
 import numpy as np
 
 from .errors import InvalidInputError, NumericDegeneracyError
-from .gadgets import IsolatingGadget, OnOffGadget, carry_form, form_of
+from .gadgets import IsolatingGadget, OnOffGadget, carry_form, class_blocks, form_of
 from .numeric import pvalue
 from .reductions import CvpInstance, CvppArtifacts, cvpp_header
 
@@ -159,13 +164,23 @@ def fmt_columns(M) -> list[list[str]]:
 def _gadget_texts(g: IsolatingGadget | OnOffGadget) -> list[str]:
     """The JSON text, without brackets, of fmt_vector of each column of g's
     V, then of each target.  Through a class form (`form_of`) each class
-    value is formatted and quoted once, and each text is one gather and one
-    join; any other gadget is formatted in one _fmt_table pass."""
+    value is formatted and quoted once, each distinct row block of
+    `class_blocks` is one gather and one join of them, and each text one
+    join of its blocks; any other gadget is formatted in one _fmt_table
+    pass."""
     form = form_of(g.V, g.targets, g.form)
     if form is None:
         return list(map(_joined, _fmt_table(np.vstack([np.asarray(g.V, dtype=float).T, *g.targets])).tolist()))
+    blocks, t_blocks, columns, t_order = class_blocks(g.k, form.rows.size >> g.k)
     v, *ts = (np.array([f'"{fmt_real(x)}"' for x in a.tolist()], dtype=object) for a in (form.values, *form.targets))
-    return [",".join(v[col].tolist()) for col in form.index.T] + [",".join(t[form.rows].tolist()) for t in ts]
+    return _block_joins(v, blocks, columns) + [text for t in ts for text in _block_joins(t, t_blocks, t_order)]
+
+
+def _block_joins(quoted: np.ndarray, blocks: np.ndarray, order: np.ndarray) -> list[str]:
+    """For each row of order, the join of its block texts, block b's text
+    being the join of quoted[blocks[b]]."""
+    texts = np.array([",".join(block) for block in quoted[blocks].tolist()], dtype=object)
+    return [",".join(texts[row].tolist()) for row in order]
 
 
 def parse_columns(cols) -> np.ndarray:

@@ -8,13 +8,15 @@ from latgad import cli, gadgets
 
 @pytest.fixture(autouse=True)
 def empty_process_caches():
-    """Each test starts with every CLI cache, the builders' cube and the
-    class index empty, so a test that watches a text being decoded, or a
-    cube or class index being listed, sees it done whatever ran before."""
+    """Each test starts with every CLI cache, the builders' cube, the class
+    index and the block tables empty, so a test that watches a text being
+    decoded, or a cube, class index or table being listed, sees it done
+    whatever ran before."""
     for slot in cli._LastText.slots:
         slot.cache_clear()
     gadgets._cube.cache_clear()
     gadgets._class_index.cache_clear()
+    gadgets.class_blocks.cache_clear()
 
 
 def character_table(subset, k: int) -> np.ndarray:

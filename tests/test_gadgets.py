@@ -445,22 +445,23 @@ class TestParallelepipedAssembly:
                 want_V, want_t = reference_assembly(by_class, shift, p)
                 assert same_bits(V, want_V) and same_bits(t, want_t), (k, p, sign)
 
-    def test_builders_list_the_cube_once(self, monkeypatch):
+    def test_builders_list_the_cube_once(self):
         # each k's cube is listed at most once per process
-        calls = []
-        grid = gadgets.integer_grid
-
-        def counted(ranges, chunk_size):
-            calls.append(len(ranges))
-            return grid(ranges, chunk_size)
-
         gadgets._cube.cache_clear()
-        monkeypatch.setattr(gadgets, "integer_grid", counted)
         gadgets.find_isolating_parallelepiped(10, 3.0)
         gadgets.find_isolating_parallelepiped(10, 4.5)
         gadgets.parity_gadget(9, 2.5, 1)
-        assert calls == [10, 9]
+        info = gadgets._cube.cache_info()
+        assert (info.misses, info.currsize) == (2, 2)  # k = 10 and 9
         assert not any(a.flags.writeable for a in gadgets._cube(10))
+
+    def test_cube_is_the_integer_grid(self):
+        # the bit-operation cube is integer_grid's, in its dtypes
+        for k in range(gadgets.distmatrix.MAX_K + 1):
+            (x,) = gadgets.integer_grid([(0, 1)] * k, 2**k)
+            signs, popcounts = gadgets._cube(k)
+            assert signs.dtype == np.int8 and popcounts.dtype == np.int64
+            assert np.array_equal(signs, 2 * x - 1) and np.array_equal(popcounts, x.sum(axis=1)), k
 
 
 class TestFindIsolating:

@@ -2,6 +2,8 @@ import dataclasses
 import functools
 import json
 import math
+import subprocess
+import sys
 from itertools import combinations
 
 import numpy as np
@@ -325,6 +327,97 @@ class TestLastTexts:
         doc = json.loads(serialize.dumps(to_json(g)))
         assert doc["V"] == [[serialize.fmt_real(x) for x in col] for col in V.T]
         assert doc["V"][j][i] != serialize.fmt_real(-V[i, j])
+
+
+BLOCK_P = [1 + 0.25 * i for i in range(21)] + [7.0, 9.0, 11.0]  # the 0.25 grid of [1, 6], and odd p above it
+
+
+def admissible(k, p) -> bool:
+    """Whether the builders take (k, p): every p but an even integer below k."""
+    return not (float(p).is_integer() and int(p) % 2 == 0 and p < k)
+
+
+class TestBlockTexts:
+    """A gadget in class form is written from its row blocks
+    (`gadgets.class_blocks`), each joined once, with the texts of the
+    generic writer, which formats every entry through one table."""
+
+    @staticmethod
+    def assert_generic(g, monkeypatch):
+        assert gadgets.form_of(g.V, g.targets, g.form) is not None
+        texts = serialize._gadget_texts(g)
+        with monkeypatch.context() as mp:
+            mp.setattr(serialize, "form_of", lambda V, targets, form=None: None)
+            assert texts == serialize._gadget_texts(g), (type(g).__name__, g.k, g.p)
+
+    def test_isolating_and_onoff(self, monkeypatch):
+        count = 0
+        for k in range(1, 15):
+            for p in filter(functools.partial(admissible, k), BLOCK_P):
+                g = gadgets.find_isolating_parallelepiped(k, p)
+                self.assert_generic(g, monkeypatch)
+                if k >= 2:
+                    self.assert_generic(gadgets.to_on_off(g), monkeypatch)
+                count += 1
+        assert count == 14 * len(BLOCK_P) - 30  # p = 2, 4 and 6 below k (12, 10 and 8 arities) are refused
+
+    def test_parity(self, monkeypatch):
+        for k in range(3, 13):
+            for p in (p for p in BLOCK_P if p < k and admissible(k, p)):
+                for bit in (0, 1):
+                    self.assert_generic(gadgets.parity_gadget(k, p, bit), monkeypatch)
+
+    def test_nested_onoff_of_a_prep(self, monkeypatch):
+        # the prep writes its on-off gadget (r = 2) inside its own payload
+        for k in (1, 2, 3):
+            for p in (1.0, 1.5, 3.0, 5.0):
+                g = gadgets.to_on_off(gadgets.find_isolating_parallelepiped(k + 1, p))
+                art = reductions.cvpp_header(k + 1, k, g)
+                self.assert_generic(art.gadget, monkeypatch)
+                text = serialize.dumps(serialize.cvpp_to_json(art))
+                with monkeypatch.context() as mp:
+                    mp.setattr(serialize, "form_of", lambda V, targets, form=None: None)
+                    assert text == serialize.dumps(serialize.cvpp_to_json(art))
+
+    def test_k16(self, monkeypatch):
+        g = gadgets.find_isolating_parallelepiped(16, 3.3)
+        self.assert_generic(g, monkeypatch)
+
+    @pytest.mark.parametrize("r", [1, 2, 3])
+    def test_random_class_tables(self, monkeypatch, r):
+        # arbitrary values per class, zeros of both signs among them; at
+        # k = 0 and 1 the rows are one block
+        rng = np.random.default_rng(40 + r)
+        pool = np.array([0.0, -0.0, 1.0, -1.0, 1 / 3, -2.5e17, 5e-324, 1e300, 0.1, 7.0])
+        for k in range(0, 9):
+            codes = gadgets._class_index(k, r)[4]
+            for _ in range(4):
+                values = rng.choice(pool, codes.size)
+                tables = tuple(rng.choice(pool, (k + 1) * r) for _ in range(1 + (r == 2)))
+                if k:
+                    values[rng.integers(codes.size)] = -0.0
+                index, _, rows, _, _ = gadgets._class_index(k, r)
+                form = gadgets.ClassForm(values, tables, index, rows)
+                V, targets = form.expand()
+                if r == 2:
+                    g = gadgets.OnOffGadget(p=3.0, k=k, V=V, t_on=targets[0], t_off=targets[1], eps=0.5)
+                else:
+                    g = gadgets.IsolatingGadget(p=3.0, k=k, V=V, t=targets[0], eps=0.5)
+                gadgets.carry_form(g, form)
+                self.assert_generic(g, monkeypatch)
+                if k:
+                    assert '"-0"' in ",".join(serialize._gadget_texts(g)[:k])
+
+    def test_no_tables_at_import(self):
+        # import builds no block table; one (k, r) builds read-only tables
+        code = ("import latgad.cli\nfrom latgad import gadgets\n"
+                "print(gadgets.class_blocks.cache_info().currsize, gadgets._class_index.cache_info().currsize,"
+                " gadgets._cube.cache_info().currsize)")
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+        assert proc.stdout.split() == ["0", "0", "0"], proc.stderr
+        tables = gadgets.class_blocks(10, 2)
+        assert not any(a.flags.writeable for a in tables)
+        assert gadgets.class_blocks.cache_info().currsize == 1
 
 
 class TestReadBack:
