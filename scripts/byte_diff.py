@@ -27,7 +27,12 @@ corpus is
     command and at every action, and malformed command lines (`MALFORMED`);
   * `gadget find --out` at every arity k = 1..12 (`SHIFT_K`), for p on the
     0.25 grid of [1, 12], which holds every odd integer p < k, and the
-    large p of `SHIFT_P`, run in one directory, each to a file of its own.
+    large p of `SHIFT_P`, run in one directory, each to a file of its own;
+  * the paper's other commands (`paper_commands`): `cubes find` on the
+    14-point set of `CUBE_14` and on seeded point sets at n = 6..12 for
+    d = 2 and 3, `clauses isolate` and `separate` on the point files of
+    `CLAUSE_FILES`, and `identities skp`, `integral`, `bounds` and
+    `ramanujan` on a small grid, refused inputs included.
 A unit that names one --out path twice is refused: the batch pass could not
 remove the first file before the second command, as the dispatch pass does.
 Every command's --out file is removed before the command runs.  A record
@@ -56,6 +61,7 @@ import hashlib
 import io
 import json
 import os
+import random
 import shlex
 import shutil
 import subprocess
@@ -115,6 +121,26 @@ MALFORMED = [
     ["gadget", "find", "-hx"],
 ]
 
+# the paper's other commands: a set holding the affine 3-cube with base 02
+# and directions 12, 0b, 07, which the largest pair-sum classes miss; the
+# seeded sets' arities, dimensions and seeds; and the clause point files
+CUBE_14 = "02\n04\n05\n06\n07\n09\n0a\n0d\n0e\n10\n14\n17\n1b\n1c\n"
+CUBE_N, CUBE_D, CUBE_SEEDS = range(6, 13), (2, 3), range(6)
+CLAUSE_FILES = {
+    "corners.txt": "0\n1\n2\n3\n4\n5\n6\n7\n",
+    "square.txt": "0\n1\n2\n3\n",
+    "single.txt": "5\n",
+    "eight.txt": "03\n1c\n25\n4a\n5f\n66\n91\nb8\n",
+    "twelve.txt": "00\n11\n2e\n37\n48\n5d\n6a\n7f\n83\n9c\nc5\nf0\n",
+    "face.txt": "0\n1\n2\n3\n",
+    "opposite.txt": "4\n5\n",
+    "spread.txt": "1\n2\n4\n7\n",
+    "origin.txt": "0\n8\n",
+    "close8.txt": "0f\n33\n55\nf1\n",
+    "away8.txt": "00\n80\nc3\n3c\na5\n5a\n",
+    "three.txt": "1\n2\n3\n",
+}
+
 # the inputs of BENCH_write.json's lines: a 10-variable 12-clause 3-CNF and
 # 8 parity constraints of arity 3 over 10 variables
 CNF = (
@@ -159,6 +185,9 @@ def build_corpus(root: Path) -> list[dict]:
                   "commands": cold_commands()})
     units.append({"group": "cli-usage", "dir": "cli-usage", "chdir": True, "drop": True, "files": {},
                   "commands": usage_commands()})
+    files, commands = paper_commands()
+    units.append({"group": "paper", "dir": "paper", "chdir": True, "drop": True, "files": files,
+                  "commands": commands})
     units.append({"group": "shift-search", "dir": "shift-search", "chdir": True, "drop": True, "files": {},
                   "commands": [["gadget", "find", "--k", str(k), "--p", repr(p), "--out", f"k{k}-p{p!r}.json"]
                                for k in SHIFT_K for p in SHIFT_P]})
@@ -211,6 +240,44 @@ def usage_commands() -> list[list[str]]:
     helps = [["-h"]] + [[command, "-h"] for command in ACTIONS]
     helps += [[command, action, "--help"] for command, actions in ACTIONS.items() for action in actions]
     return helps + MALFORMED
+
+
+def paper_commands() -> tuple[dict[str, str], list[list[str]]]:
+    """The point files and command lines of the paper's other commands:
+    cubes find at --dim 1..4 on CUBE_14, and at each d of CUBE_D on
+    CUBE_SEEDS seeded sets for each n in CUBE_N, of 2^floor(n/2) (d = 2) or
+    2^(floor(3n/4) - 1) (d = 3) points up to a factor of two either way,
+    written in hex; clauses on CLAUSE_FILES; and the identities.  A few
+    lines write --out files."""
+    files = {"cube14.txt": CUBE_14, **CLAUSE_FILES}
+    commands = [["cubes", "find", "--in", "cube14.txt", "--dim", str(d)] for d in (1, 2, 3, 4)]
+    commands += [["cubes", "find", "--in", "cube14.txt", "--dim", d, "--out", f"cube14-d{d}.json"] for d in "34"]
+    for n in CUBE_N:
+        for d in CUBE_D:
+            for seed in CUBE_SEEDS:
+                rng = random.Random(f"cubes-{n}-{d}-{seed}")
+                size = 2 ** (n // 2) if d == 2 else 2 ** (3 * n // 4 - 1)
+                points = rng.sample(range(2**n), rng.randint(size // 2, 2 * size))
+                name = f"cubes-n{n}-d{d}-s{seed}.txt"
+                files[name] = "".join(f"{x:0{(n + 3) // 4}x}\n" for x in points)
+                commands.append(["cubes", "find", "--in", name, "--dim", str(d)])
+    for name, k in [("corners", 3), ("square", 2), ("single", 3), ("eight", 3), ("twelve", 4), ("corners", 2)]:
+        commands.append(["clauses", "isolate", "--in", f"{name}.txt", "--k", str(k)])
+    commands.append(["clauses", "isolate", "--in", "twelve.txt", "--k", "4", "--out", "isolate.json"])
+    for close, away in [("face", "opposite"), ("spread", "origin"), ("close8", "away8"), ("three", "opposite"),
+                        ("face", "square")]:
+        commands.append(["clauses", "separate", "--s-in", f"{close}.txt", "--t-in", f"{away}.txt"])
+    commands.append(["clauses", "separate", "--s-in", "close8.txt", "--t-in", "away8.txt", "--out", "separate.json"])
+    commands += [["identities", "skp", "--k", str(k), "--p", p] for k in (2, 3, 5, 8) for p in ("1", "1.5", "3", "4")]
+    commands += [["identities", "integral", "--n", str(n), "--m", str(m), "--p", p]
+                 for n, m in ((2, 1), (3, 1), (4, 2), (6, 3)) for p in ("0.5", "1", "2.5")]
+    commands += [["identities", "bounds", "--k", str(k), "--p", p, "--c", c]
+                 for k in (3, 4, 6) for p in ("1", "2.5", "3") for c in "01"]
+    commands += [["identities", "ramanujan", "--k", str(k), "--x", x] for k in (2, 3, 5) for x in ("0.5", "2", "7.25")]
+    commands += [["identities", action, *args, "--out", f"{action}.json"] for action, args in [
+        ("skp", ["--k", "5", "--p", "3"]), ("integral", ["--n", "4", "--m", "2", "--p", "2.5"]),
+        ("bounds", ["--k", "4", "--p", "3", "--c", "1"]), ("ramanujan", ["--k", "3", "--x", "2"])]]
+    return files, commands
 
 
 def out_path(argv: list[str]) -> str | None:

@@ -1,11 +1,12 @@
 """Shared numeric and combinatorial substrate.
 
-Vectors and small dense matrices are plain numpy arrays.  The hypercube is
-listed by `integer_grid` alone: over [(0, 1)] * k it yields {0, 1}^k in
+Vectors and small dense matrices are plain numpy arrays.  The hypercube has
+one order, `integer_grid`'s: over [(0, 1)] * k it yields {0, 1}^k in
 lexicographic order with the all-zeros point at index 0, and the vertices of
 {-1, +1}^k are 2x - 1 in that same order, so index 0 is the all-minus-ones
-vertex.  All floating verification uses relative tolerance against the
-larger magnitude with an absolute fallback near zero.
+vertex.  `gadgets._cube` reads the builders' cube in that order from the
+bits of the row numbers.  All floating verification uses relative tolerance
+against the larger magnitude with an absolute fallback near zero.
 """
 
 from __future__ import annotations

@@ -18,15 +18,14 @@ per distinct entry.  The formatting table finds the patterns by a sort and
 looks each entry up by binary search.  The bytes written and the values read
 are the same as formatting and parsing each entry on its own.
 
-Formatted reals need no JSON escaping, so every array of them in an
-artifact is written as one string join (`_joined`).  `fmt_vector` and
-`fmt_columns` return lists of private subclasses that hold that text, and
-`dump_chunks` writes it at the top level of a payload instead of passing the
-strings through the encoder, which escape-checks each one and refuses inf
-and nan, which are no JSON numbers.  The gadget writers hold their arrays as
-JSON text chunks, as the CVPP query below does, with no list of strings: a
-gadget in class form (`gadgets.form_of`), about 30 values at k = 10, has
-each class value formatted once.  Its texts are joined from row blocks
+Formatted reals need no JSON escaping, so each array of them is joined
+(`_joined`) into JSON text, and written arrays are held as tuples of str
+chunks alone: `fmt_vector` gives ("[", text, "]"), and `_matrix_text` puts
+a matrix's column texts, never joined, between "[[", "],[" and "]]".
+`dump_chunks` writes a tuple as it is, without the encoder, which would
+escape-check each string.  `_gadget_payload` writes gadgets and on-off
+gadgets: one in class form (`gadgets.form_of`), about 30 values at k = 10,
+has each class value formatted once.  Its texts are joined from row blocks
 (`gadgets.class_blocks`): a column's text over 2^s r consecutive rows
 depends only on the popcount of their shared high bits and on the column's
 bit there or its low position, so each of those few block texts is one
@@ -37,13 +36,12 @@ A CVPP prep stores only its generator: n, k, the mode and, for the finite
 norms, the on-off gadget.  A query writes the basis those determine without
 building the float matrix: `_basis_text` formats each distinct entry of the
 block columns (the gadget's live rows) and their negations once, and joins
-the columns, and runs of zeros, into the JSON text of `fmt_columns(basis)`.
+each column, runs of zeros included, into its text in `fmt_columns(basis)`.
 `target_block_texts` formats the 2 x 2^k target blocks and the tail once,
 and `target_text` is a query's only step: it gathers the block texts in
 table order and joins them.  The basis and block texts are a function of the
-prep alone, so a caller that serves many queries builds them once.  Both
-texts are tuples of chunks, and `dump_chunks` passes a tuple value through
-as is, so no step copies the whole document.  A tuple may hold bytes, the
+prep alone, so a caller that serves many queries builds them once.  Both are
+chunks, so no step copies the whole document.  A tuple may hold bytes, the
 UTF-8 of its text: the CLI keeps a prep's basis chunks encoded, and its one
 --out writer takes str and bytes chunks alike.
 """
@@ -126,22 +124,6 @@ def _parse_table(items: list) -> np.ndarray:
     return np.fromiter(map(convert, items), float, len(items))
 
 
-class _Reals(list):
-    """The fmt_real strings of one vector or matrix column, as a list of the
-    caller's own, and `text`, their JSON text without brackets.
-    `dump_chunks` writes `text`, so an edit to the list is not written."""
-
-    __slots__ = ("text",)
-
-    def __init__(self, strings: list[str]):
-        super().__init__(strings)
-        self.text = _joined(strings)
-
-
-class _RealColumns(list):
-    """A list of `_Reals` columns, which `dump_chunks` writes by joining."""
-
-
 def _joined(strings) -> str:
     """fmt_real strings as the JSON text of the array's entries, without the
     brackets.  fmt_real writes only digits, signs, '.', 'e', "inf" and "nan",
@@ -149,16 +131,23 @@ def _joined(strings) -> str:
     return '"' + '","'.join(strings) + '"' if strings else ""
 
 
-def fmt_vector(v) -> list[str]:
-    return _Reals(_fmt_table(np.asarray(v, dtype=float).ravel()).tolist())
+def _matrix_text(columns: list[str]) -> tuple[str, ...]:
+    """The JSON text of a matrix, as chunks, from its column texts without
+    brackets, each a chunk of its own; no columns give ("[]",)."""
+    marks = ["[[", *["],["] * (len(columns) - 1)]
+    return (*chain.from_iterable(zip(marks, columns)), "]]") if columns else ("[]",)
+
+
+def fmt_vector(v) -> tuple[str, ...]:
+    return ("[", _joined(_fmt_table(np.asarray(v, dtype=float).ravel()).tolist()), "]")
 
 
 def parse_vector(v) -> np.ndarray:
     return _parse_table(_entries(v))
 
 
-def fmt_columns(M) -> list[list[str]]:
-    return _RealColumns(map(_Reals, _fmt_table(np.asarray(M, dtype=float).T).tolist()))
+def fmt_columns(M) -> tuple[str, ...]:
+    return _matrix_text(list(map(_joined, _fmt_table(np.asarray(M, dtype=float).T).tolist())))
 
 
 def _gadget_texts(g: IsolatingGadget | OnOffGadget) -> list[str]:
@@ -290,18 +279,13 @@ _compact = json.JSONEncoder(sort_keys=True, separators=(",", ":"), allow_nan=Fal
 def dump_chunks(obj: dict, end: str = "}\n") -> list[str]:
     """Compact JSON with sorted keys and a final newline (end), as a list of
     strings to write in order.  A top-level tuple value is JSON text already
-    encoded, in chunks, and is written as is; a top-level vector or matrix
-    from fmt_vector or fmt_columns is written from its joined text, without
-    the encoder."""
+    encoded, in chunks (an array from fmt_vector, fmt_columns or a writer),
+    and is written as is."""
     out = ["{"]
     for i, (key, value) in enumerate(sorted(obj.items())):
         out.append(("," if i else "") + _compact(key) + ":")
         if isinstance(value, tuple):
             out.extend(value)
-        elif isinstance(value, _Reals):
-            out.append("[" + value.text + "]")
-        elif isinstance(value, _RealColumns):
-            out.append("[[" + "],[".join([col.text for col in value]) + "]]" if value else "[]")
         else:
             try:
                 out.append(_compact(value))
@@ -323,17 +307,24 @@ def _meta_out(meta: dict) -> dict:
 # gadgets
 
 
-def gadget_to_json(g: IsolatingGadget) -> dict:
-    *V, t = _gadget_texts(g)
-    out = {
-        "schema": GADGET_SCHEMA,
+def _gadget_payload(g: IsolatingGadget | OnOffGadget, schema: str, *targets: str) -> dict:
+    """The fields of a gadget or on-off artifact that both kinds hold, with
+    the targets under the keys targets: V's chunks are the column texts of
+    `_gadget_texts` themselves."""
+    texts = _gadget_texts(g)
+    return {
+        "schema": schema,
         "p": fmt_real(g.p),
         "k": g.k,
-        "kind": g.kind,
-        "V": ("[[", "],[".join(V), "]]"),
-        "t": ("[", t, "]"),
+        "V": _matrix_text(texts[: -len(targets)]),
+        **{key: ("[", t, "]") for key, t in zip(targets, texts[-len(targets) :])},
         "eps": fmt_real(g.eps),
     }
+
+
+def gadget_to_json(g: IsolatingGadget) -> dict:
+    out = _gadget_payload(g, GADGET_SCHEMA, "t")
+    out["kind"] = g.kind
     if g.constraint is not None:
         out["constraint"] = g.constraint
     return out
@@ -353,16 +344,7 @@ def gadget_read_back(g: IsolatingGadget) -> IsolatingGadget:
 
 
 def onoff_to_json(g: OnOffGadget) -> dict:
-    *V, t_on, t_off = _gadget_texts(g)
-    return {
-        "schema": ONOFF_SCHEMA,
-        "p": fmt_real(g.p),
-        "k": g.k,
-        "V": ("[[", "],[".join(V), "]]"),
-        "t_on": ("[", t_on, "]"),
-        "t_off": ("[", t_off, "]"),
-        "eps": fmt_real(g.eps),
-    }
+    return _gadget_payload(g, ONOFF_SCHEMA, "t_on", "t_off")
 
 
 def onoff_from_json(d: dict) -> OnOffGadget:
@@ -437,12 +419,12 @@ def _basis_text(art: CvppArtifacts) -> tuple[str, ...]:
     for i, varset in enumerate(combinations(range(art.n), k)):
         for s, v in enumerate(varset):
             columns[v][i] = blocks[s]
-    chunks = []
+    texts = []
     for v, pieces in enumerate(columns):
         tail = [zero] * art.n
         tail[v] = diagonal
-        chunks += ("],[" if chunks else "[[", ",".join([*pieces, _joined(tail)]))
-    return (*chunks, "]]")
+        texts.append(",".join([*pieces, _joined(tail)]))
+    return _matrix_text(texts)
 
 
 def target_block_texts(art: CvppArtifacts) -> tuple[np.ndarray, str]:

@@ -1,6 +1,7 @@
 import io
 import json
 import os
+import random
 import re
 import shlex
 import subprocess
@@ -235,7 +236,7 @@ def float_path_bytes(query_text: str, prep_doc: dict) -> str:
     onoff = serialize.onoff_from_json(prep_doc["gadget"]) if prep_doc["mode"] == "lp" else None
     art = reductions.cvpp_preprocess(n, k, onoff)
     doc = json.loads(query_text)
-    doc["basis"] = serialize.fmt_columns(art.basis)
+    doc["basis"] = json.loads("".join(serialize.fmt_columns(art.basis)))
     return json.dumps(doc, sort_keys=True, separators=(",", ":")) + "\n"
 
 
@@ -292,6 +293,22 @@ class TestCvppQueryBytes:
         f.write_text(cnf)
         assert run(["cvpp", action, "--prep", str(prep), "--cnf", str(f), "--out", str(q)], capsys)[0] == 0
         assert q.read_text() == float_path_bytes(q.read_text(), prep_doc)
+
+    def test_payload_holds_chunks(self, tmp_path, capsys, preps, monkeypatch):
+        # the query's basis and target are tuples of chunks, whether written
+        # to stdout (str) or to --out (the basis as UTF-8 bytes)
+        payloads = []
+        emit = cli._emit
+        monkeypatch.setattr(cli, "_emit", lambda payload, out: payloads.append(payload) or emit(payload, out))
+        f = tmp_path / "f.cnf"
+        f.write_text("p cnf 4 1\n1 2 0\n")
+        for out in ([], ["--out", str(tmp_path / "q.json")]):
+            assert run(["cvpp", "query", "--prep", str(preps[4, 2]), "--cnf", str(f), *out], capsys)[0] == 0
+        assert len(payloads) == 2
+        for payload, kinds in zip(payloads, [(str,), (str, bytes)]):
+            for key in ("basis", "target"):
+                assert type(payload[key]) is tuple and all(type(chunk) in kinds for chunk in payload[key]), key
+            assert not any(isinstance(value, list) for value in payload.values())
 
     def test_no_float_basis(self, tmp_path, capsys, preps, monkeypatch):
         # the prep's on-off gadget is parsed; the basis is written as text
@@ -1611,6 +1628,21 @@ class TestCombinatoricsCommands:
         payload = out_json(out)
         assert payload["found"] is True
         assert len(payload["directions"]) == 3
+
+    def test_cubes_find_off_the_greedy_path(self, tmp_path, capsys):
+        # the largest pair-sum classes lead to no cube in this set; a deeper
+        # branch of the search finds one
+        pts = tmp_path / "points.txt"
+        pts.write_text("02\n04\n05\n06\n07\n09\n0a\n0d\n0e\n10\n14\n17\n1b\n1c\n")
+        code, out, _ = run(["cubes", "find", "--in", str(pts), "--dim", "3"], capsys)
+        assert (code, out) == (0, '{"base":"02","directions":["12","0b","07"],"found":true}\n')
+
+    def test_cubes_find_budget_exits_3(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setattr(cli.cubes_mod, "MAX_CUBE_CALLS", 5)
+        pts = tmp_path / "points.txt"
+        pts.write_text("".join(f"{x:03x}\n" for x in random.Random(7).sample(range(2**12), 100)))
+        code, out, err = run(["cubes", "find", "--in", str(pts), "--dim", "3"], capsys)
+        assert (code, out) == (3, "") and "affine-cube search passed 5 calls" in err
 
     def test_clauses_isolate(self, tmp_path, capsys):
         pts = tmp_path / "set.txt"

@@ -1,10 +1,12 @@
+import collections
+import itertools
 import random
 
 import numpy as np
 import pytest
 
 from latgad import cubes
-from latgad.errors import InvalidInputError
+from latgad.errors import InvalidInputError, ResourceLimitError
 from latgad.formulas import Clause
 
 
@@ -49,6 +51,97 @@ class TestAffineCube:
         assert cubes.independent_f2((0b001, 0b010, 0b100))
         assert not cubes.independent_f2((0b011, 0b101, 0b110))
         assert not cubes.independent_f2((0b0,))
+
+
+# an affine 3-cube (base 02, directions 12, 0b, 07) that no largest pair-sum
+# class leads to
+MISSED_BY_GREEDY = [0x02, 0x04, 0x05, 0x06, 0x07, 0x09, 0x0A, 0x0D, 0x0E, 0x10, 0x14, 0x17, 0x1B, 0x1C]
+
+
+def holds_cube(points, d: int) -> bool:
+    """Whether points hold an affine d-cube, by trying every base b and every
+    d independent directions among the sums b ^ x."""
+    S = set(points)
+    for b in S:
+        for dirs in itertools.combinations(sorted(x ^ b for x in S - {b}), d):
+            if cubes.independent_f2(dirs) and cubes.AffineCube(b, dirs, 0).points() <= S:
+                return True
+    return False
+
+
+def greedy_cube(pts: list[int], d: int, n: int):
+    """The search's first branch alone: the largest pair-sum class, the
+    smaller sum on ties, at each level; (base, directions) or None."""
+    if len(pts) < 2:
+        return None
+    if d == 1:
+        return pts[0], (pts[0] ^ pts[1],)
+    counts = [0] * 2**n
+    for a, b in itertools.combinations(pts, 2):
+        counts[a ^ b] += 1
+    z = counts.index(max(counts))
+    if z == 0:
+        return None
+    here = set(pts)
+    sub = greedy_cube(sorted(x for x in here if x ^ z in here and x < x ^ z), d - 1, n)
+    return None if sub is None else (sub[0], sub[1] + (z,))
+
+
+def seeded_sets(n: int, d: int, count: int = 100):
+    """count seeded subsets of F_2^n, of 2^d up to 2^(n-1) + 2^d points,
+    where sets with and without a d-cube both occur."""
+    for seed in range(count):
+        rng = random.Random(f"{n}-{d}-{seed}")
+        yield rng.sample(range(2**n), rng.randint(2**d, min(2**n, 2 ** (n - 1) + 2**d)))
+
+
+class TestCompleteSearch:
+    def test_cube_off_the_greedy_path(self):
+        assert greedy_cube(MISSED_BY_GREEDY, 3, 5) is None
+        cube = cubes.find_affine_cube(MISSED_BY_GREEDY, d=3, n=5)
+        assert (cube.base, cube.directions) == (0x02, (0x12, 0x0B, 0x07))
+
+    @pytest.mark.parametrize("n,d", [(4, 2), (4, 3), (5, 2), (5, 3)])
+    def test_agrees_with_brute_force(self, n, d):
+        held = 0
+        for points in seeded_sets(n, d):
+            cube = cubes.find_affine_cube(points, d=d, n=n)
+            assert (cube is not None) == holds_cube(points, d), sorted(points)
+            held += cube is not None
+        assert 0 < held < 100
+
+    @pytest.mark.parametrize("n,d", [(5, 3), (6, 3), (8, 3), (10, 3), (8, 4)])
+    def test_first_branch_is_the_greedy_path(self, n, d):
+        # every cube the largest classes lead to is found with its base and
+        # directions
+        found = 0
+        for points in seeded_sets(n, d, count=40):
+            greedy = greedy_cube(sorted(points), d, n)
+            cube = cubes.find_affine_cube(points, d=d, n=n)
+            if greedy is not None:
+                assert (cube.base, cube.directions) == greedy
+                found += 1
+        assert found
+
+    @pytest.mark.parametrize("n", [6, 10, 16])
+    def test_sum_classes_match_a_count_of_pairs(self, n):
+        # sorted sums (few pairs) and a count over all 2^n sums (many pairs)
+        # give the classes in one order: by pair count, then by sum
+        rng = random.Random(n)
+        for size in (5, 20, 60, 200):
+            pts = sorted(rng.sample(range(2**n), min(size, 2**n)))
+            counts = collections.Counter(a ^ b for a, b in itertools.combinations(pts, 2))
+            for least in (1, 2, 4):
+                want = sorted((z for z, c in counts.items() if c >= least), key=lambda z: (-counts[z], z))
+                assert cubes._sum_classes(pts, n, least).tolist() == want
+
+    def test_budget_spent_is_a_resource_error(self, monkeypatch):
+        # a cube-free set whose search takes more than a few calls
+        points = random.Random(7).sample(range(2**12), 100)
+        assert cubes.find_affine_cube(points, d=3, n=12) is None
+        monkeypatch.setattr(cubes, "MAX_CUBE_CALLS", 5)
+        with pytest.raises(ResourceLimitError, match="5 calls"):
+            cubes.find_affine_cube(points, d=3, n=12)
 
 
 class TestIsolatingClause:

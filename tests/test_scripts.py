@@ -252,13 +252,14 @@ class TestByteDiff:
     def test_built_in_corpus(self):
         # BENCH_write.json's 42 lines, then each workload's fixtures and jobs,
         # the gadget writers, the cold reads, the CLI's help and usage errors,
-        # then gadget find at k = 1..12 over 48 p each
+        # the paper's other commands, then gadget find at k = 1..12 over 48 p
+        # each
         units = byte_diff().build_corpus(ROOT)
         assert len(units[0]["commands"]) == 42 and units[0]["chdir"]
         assert units[1] == {"group": "gadget-build", "dir": "fix-gadget-build", "files": {}, "commands": []}
         assert {u["group"] for u in units} == {
             "BENCH_write", "gadget-build", "sat-validate", "cvpp-serve", "gadget-writers", "gadget-cold", "cli-usage",
-            "shift-search",
+            "paper", "shift-search",
         }
         (writers,) = [u for u in units if u["group"] == "gadget-writers"]
         assert writers["chdir"] and writers["commands"][:3] == [
@@ -288,6 +289,20 @@ class TestByteDiff:
         (usage,) = [u for u in units if u["group"] == "cli-usage"]
         assert usage["commands"][:2] == [["-h"], ["gadget", "-h"]] and ["batch", "-h"] not in usage["commands"]
         assert ["oracle", "solve", "--help"] in usage["commands"] and ["gadgets"] in usage["commands"]
+        (paper,) = [u for u in units if u["group"] == "paper"]
+        assert paper["chdir"] and paper["drop"]
+        by_action = collections.Counter(tuple(argv[:2]) for argv in paper["commands"])
+        # 14-point set at --dim 1..4 and twice with --out, 7 arities x 2
+        # dimensions x 6 seeds; the clause lines; the identities grid and one
+        # --out line per action
+        assert by_action == {("cubes", "find"): 6 + 7 * 2 * 6, ("clauses", "isolate"): 7, ("clauses", "separate"): 6,
+                             ("identities", "skp"): 17, ("identities", "integral"): 13, ("identities", "bounds"): 19,
+                             ("identities", "ramanujan"): 10}
+        assert paper["commands"][2] == ["cubes", "find", "--in", "cube14.txt", "--dim", "3"]
+        assert paper["files"]["cube14.txt"].split() == "02 04 05 06 07 09 0a 0d 0e 10 14 17 1b 1c".split()
+        seeded = [argv for argv in paper["commands"] if argv[3].startswith("cubes-n")]
+        assert {(argv[3].split("-")[1], argv[5]) for argv in seeded} == {(f"n{n}", d) for n in range(6, 13) for d in "23"}
+        assert all(argv[3] in paper["files"] for argv in paper["commands"] if argv[2] == "--in")
         shifts = units[-1]
         assert shifts["group"] == "shift-search" and shifts["chdir"] and len(shifts["commands"]) == 12 * 48
         assert shifts["commands"][0] == ["gadget", "find", "--k", "1", "--p", "1.0", "--out", "k1-p1.0.json"]

@@ -42,6 +42,17 @@ vectors = arrays(float, st.integers(0, 12), elements=pooled)
 matrices = arrays(float, st.tuples(st.integers(0, 8), st.integers(1, 5)), elements=pooled)
 
 
+def read(chunks):
+    """What a tuple of JSON text chunks, as the writers hold an array, reads
+    as."""
+    return json.loads("".join(chunks))
+
+
+def read_payload(payload: dict) -> dict:
+    """payload with each tuple of chunks read as the JSON it writes."""
+    return {key: read(value) if isinstance(value, tuple) else value for key, value in payload.items()}
+
+
 def same_bits(a, b):
     """Equal bit for bit, except that any NaN matches any NaN."""
     nan = np.isnan(a)
@@ -57,14 +68,14 @@ class TestTables:
     @given(matrices)
     @settings(max_examples=200)
     def test_columns_match_per_entry(self, M):
-        cols = serialize.fmt_columns(M)
+        cols = read(serialize.fmt_columns(M))
         assert cols == [[serialize.fmt_real(x) for x in M[:, j]] for j in range(M.shape[1])]
         assert same_bits(serialize.parse_columns(cols), M)
 
     @given(vectors)
     @settings(max_examples=200)
     def test_vectors_match_per_entry(self, v):
-        strings = serialize.fmt_vector(v)
+        strings = read(serialize.fmt_vector(v))
         assert strings == [serialize.fmt_real(x) for x in v]
         assert same_bits(serialize.parse_vector(strings), v)
 
@@ -85,7 +96,7 @@ class TestTables:
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(serialize, "fmt_real", counting_fmt)
             mp.setattr(serialize, "parse_real", counting_parse)
-            cols = serialize.fmt_columns(M)
+            cols = read(serialize.fmt_columns(M))
             serialize.parse_columns(cols)
         assert calls["fmt"] == len(np.unique(M.view(np.uint64)))
         assert calls["parse"] == len({s for col in cols for s in col})
@@ -169,7 +180,7 @@ class TestInstanceJson:
         inst = reductions.sat_to_cvp(f, g)
         d = serialize.instance_to_json(inst)
         assert d["schema"] == "latgad-cvp-v1"
-        back = serialize.instance_from_json(d)
+        back = serialize.instance_from_json(json.loads(serialize.dumps(d)))
         assert type(inst.p) is type(back.p) is float and back.p == inst.p == 2.5
         assert np.array_equal(back.basis, inst.basis)
         assert np.array_equal(back.target, inst.target)
@@ -209,6 +220,13 @@ def payloads():
     }
 
 
+def per_entry(a) -> list:
+    """fmt_real of each entry of the vector a, or of each column of the
+    matrix a: the JSON that fmt_vector or fmt_columns writes."""
+    a = np.asarray(a, dtype=float)
+    return [per_entry(col) for col in a.T] if a.ndim == 2 else [serialize.fmt_real(x) for x in a]
+
+
 class TestDumps:
     @pytest.mark.parametrize("kind", sorted(payloads()))
     def test_matches_json_dumps(self, kind):
@@ -217,7 +235,7 @@ class TestDumps:
             text = serialize.dumps(payload)
             assert text == compact(json.loads(text)) + "\n"
         else:
-            assert serialize.dumps(payload) == compact(payload) + "\n"
+            assert serialize.dumps(payload) == compact(read_payload(payload)) + "\n"
 
     def test_joined_arrays_match_encoder(self, monkeypatch):
         # every fmt_real shape: signed zeros, infinities, nan, subnormals,
@@ -225,23 +243,28 @@ class TestDumps:
         reals = [-0.0, 0.0, math.inf, -math.inf, math.nan, 5e-324, -2.5e-310, 2.2250738585072014e-308]
         reals += [1e300, -1e-300, 0.1, 1 / 3, -7.0, 1e16, 123456789.5]
         g = gadgets.find_isolating_parallelepiped(10, 3.0)
-        shapes = {
-            "v": serialize.fmt_vector(reals),
-            "empty": serialize.fmt_vector([]),
-            "cols": serialize.fmt_columns(np.array([reals, reals[::-1]]).T),
-            "no-rows": serialize.fmt_columns(np.zeros((0, 2))),
-            "no-cols": serialize.fmt_columns(np.zeros((3, 0))),
+        arrays = {
+            "v": reals,
+            "empty": [],
+            "cols": np.array([reals, reals[::-1]]).T,
+            "no-rows": np.zeros((0, 2)),
+            "no-cols": np.zeros((3, 0)),
         }
+        fmt = {1: serialize.fmt_vector, 2: serialize.fmt_columns}
+        shapes = {key: fmt[np.ndim(a)](a) for key, a in arrays.items()}
         # test_matches_json_dumps covers the payloads of payloads(); the
         # arrays of a gadget, an on-off gadget, an instance and the shapes
-        # above are written without the encoder, a gadget's as the text of
-        # its arrays' per-entry lists
+        # above are written without the encoder, as the text of their
+        # per-entry lists
         onoff = gadgets.to_on_off(g)
-        joined = [serialize.gadget_to_json(g), serialize.onoff_to_json(onoff), shapes]
-        joined.append(payloads()["instance"])
-        lists = [{"V": serialize.fmt_columns(x.V), **{key: serialize.fmt_vector(getattr(x, key)) for key in keys}}
+        f = CspFormula(n=3, constraints=[Clause((1, -2, 3))])
+        inst = reductions.sat_to_cvp(f, gadgets.find_isolating_parallelepiped(3, 2.5))
+        joined = [serialize.gadget_to_json(g), serialize.onoff_to_json(onoff), shapes, serialize.instance_to_json(inst)]
+        lists = [{"V": per_entry(x.V), **{key: per_entry(getattr(x, key)) for key in keys}}
                  for x, keys in ((g, ["t"]), (onoff, ["t_on", "t_off"]))]
-        want = [compact({**payload, **listed}) + "\n" for payload, listed in zip(joined, [*lists, {}, {}])]
+        lists.append({key: per_entry(a) for key, a in arrays.items()})
+        lists.append({"basis": per_entry(inst.basis), "target": per_entry(inst.target)})
+        want = [compact({**payload, **listed}) + "\n" for payload, listed in zip(joined, lists)]
         encode = serialize._compact
 
         def no_arrays(value):
@@ -255,7 +278,7 @@ class TestDumps:
     def test_json_text_written_as_is(self, kind):
         payload = payloads()[kind]
         if kind == "instance":
-            text = compact(payload["basis"])
+            text = "".join(payload["basis"])
             chunks = tuple(text[i : i + 7] for i in range(0, len(text), 7))
         else:
             # the basis text a query builds from the prep, beside the
@@ -265,7 +288,8 @@ class TestDumps:
             ref = float_prep(art)
             payload = {**payload, "basis": serialize.fmt_columns(ref.basis)}
         written = serialize.dump_chunks({**payload, "basis": chunks})
-        assert "".join(written) == serialize.dumps({**payload, "basis": chunks}) == compact(payload) + "\n"
+        want = compact(read_payload(payload)) + "\n"
+        assert "".join(written) == serialize.dumps({**payload, "basis": chunks}) == want
 
     @pytest.mark.parametrize("x", [math.inf, -math.inf, math.nan])
     def test_no_number_that_is_not_finite(self, x):
@@ -273,9 +297,42 @@ class TestDumps:
             serialize.dump_chunks({"conditions": [{"residual": x}], "passed": False})
 
 
+class TestOneForm:
+    """A tuple of str chunks is the one form of a written array."""
+
+    ARRAYS = ("V", "t", "t_on", "t_off", "basis", "target", "gadget")
+
+    @pytest.mark.parametrize("kind", ["gadget", "parity", "lattice", "onoff", "instance", "prep", "inf-prep"])
+    def test_writer_payloads_hold_chunks(self, kind):
+        payload = payloads()[kind]
+        held = [key for key in self.ARRAYS if key in payload]
+        assert held or kind == "inf-prep"
+        for key in held:
+            assert type(payload[key]) is tuple and all(type(chunk) is str for chunk in payload[key]), key
+        assert not any(isinstance(value, list) for value in payload.values())
+
+    def test_v_chunks_are_the_column_texts(self, monkeypatch):
+        # V's chunks are _gadget_texts' column strings, not a joined copy
+        made = []
+        gadget_texts = serialize._gadget_texts
+        monkeypatch.setattr(serialize, "_gadget_texts", lambda g: made.append(gadget_texts(g)) or made[-1])
+        g = gadgets.find_isolating_parallelepiped(10, 3.0)
+        for x, to_json, targets in [
+            (g, serialize.gadget_to_json, 1),
+            (gadgets.to_on_off(g), serialize.onoff_to_json, 2),
+            (gadgets.parity_gadget(5, 1.5, 0), serialize.gadget_to_json, 1),
+        ]:
+            V = to_json(x)["V"]
+            columns = made[-1][:-targets]
+            assert len(columns) == x.k and len(V) == 2 * x.k + 1
+            assert all(chunk is text for chunk, text in zip(V[1::2], columns))
+            assert V[0::2] == ("[[", *["],["] * (x.k - 1), "]]")
+
+
 class TestLastTexts:
-    """The gadget writers keep no texts between calls: every list handed out
-    is the caller's own, and a zero is written with its sign."""
+    """The gadget writers keep no texts between calls: every array handed
+    out is immutable text, the list it reads as is the caller's own, and a
+    zero is written with its sign."""
 
     @staticmethod
     def gadget(V) -> gadgets.IsolatingGadget:
@@ -297,10 +354,12 @@ class TestLastTexts:
         v = np.array([1.0, 2.0, 3.0])
         written = serialize.fmt_vector(v)
         serialize.dumps({"t": written})
-        for mine in (written, serialize.fmt_vector(v)):
+        with pytest.raises(TypeError):
+            written[0] = "x"
+        for mine in (read(written), read(serialize.fmt_vector(v))):
             mine.pop()
             mine[0] = "x"
-        assert serialize.fmt_vector(v) == ["1", "2", "3"]
+        assert read(serialize.fmt_vector(v)) == ["1", "2", "3"]
         assert serialize.dumps({"t": serialize.fmt_vector(v)}) == '{"t":["1","2","3"]}\n'
         # a gadget payload's arrays are immutable text
         g = self.gadget([[1.0], [2.0]])
@@ -551,7 +610,7 @@ class TestCvppBasisText:
             art = reductions.cvpp_preprocess(n, k, g)
             back, chunks = serialize.cvpp_from_json(json.loads(serialize.dumps(serialize.cvpp_to_json(art))))
             text = "".join(chunks)
-            assert json.loads(text) == serialize.fmt_columns(art.basis)
+            assert json.loads(text) == read(serialize.fmt_columns(art.basis))
             assert text == compact(json.loads(text))
             assert back.target_tail == art.target_tail and back.d == art.d
             for f in random_queries(n, k, seed=[n, k, int(4 * p)]):
@@ -582,7 +641,7 @@ class TestCvppBasisText:
             art = reductions.cvpp_preprocess(n, k, None)
             back, chunks = serialize.cvpp_from_json(json.loads(serialize.dumps(serialize.cvpp_to_json(art))))
             text = "".join(chunks)
-            assert json.loads(text) == serialize.fmt_columns(art.basis)
+            assert json.loads(text) == read(serialize.fmt_columns(art.basis))
             assert text == compact(json.loads(text))
             for f in random_queries(n, k, seed=[n, k]):
                 target, radius = reductions.cvpp_query(back, f)
@@ -612,7 +671,7 @@ class TestCanonColumns:
         for art in every_prep():
             _, chunks = serialize.cvpp_from_json(json.loads(serialize.dumps(serialize.cvpp_to_json(art))))
             text = "".join(chunks)
-            assert text == compact(serialize.fmt_columns(serialize.parse_columns(json.loads(text))))
+            assert text == compact(read(serialize.fmt_columns(serialize.parse_columns(json.loads(text)))))
 
     def test_each_distinct_entry_formatted_once(self, monkeypatch):
         fmt_real = serialize.fmt_real
