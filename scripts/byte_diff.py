@@ -8,8 +8,9 @@ The parent revision is extracted with `git archive REV | tar -x` into a
 temporary directory, as `scripts/bench_pairs.py` does.  Each tree runs the
 whole corpus in one Python process through `latgad.cli.dispatch`, importing
 latgad from its own `src/`, in a fresh directory, with one BLAS thread and
-COLUMNS=80, the terminal width an argparse parser wraps its help to.  The
-corpus is
+COLUMNS=80.  That width matters only for a parent tree from before the CLI's
+command table, whose argparse parser wraps its help to the terminal; the
+table's help does not depend on it.  The corpus is
   * the command lines of `BENCH_write.json` (`outputs_sha256.lines`), run in
     order in one directory, on the CNF and parity files below;
   * seed 4242 of each workload's 20 s job plan, read from
@@ -48,8 +49,9 @@ batch record or directory is identical when it is equal in both passes of
 both trees.
 
 The script prints one summary line per pass, then, when records differ, a
-count per group and command and the first differing records; it exits 1
-when any record differs.
+count per group and command, the values of the first SHOW differing records
+and the argv of every other differing command and the name of every other
+differing directory; it exits 1 when any record differs.
 """
 
 from __future__ import annotations
@@ -405,8 +407,8 @@ def compare(parent: dict, change: dict) -> tuple[bool, str]:
 
 def compare_dispatch(parent: list[dict], change: list[dict]) -> tuple[bool, str]:
     """(identical, report) of the dispatch pass: the summary line, and when
-    records differ, a count per group and command and the first SHOW
-    differing records."""
+    records differ, a count per group and command, the first SHOW differing
+    records with their values, and the argv of every other one."""
     if [r["argv"] for r in parent] != [r["argv"] for r in change]:
         return False, "byte_diff: the two trees ran different command lists"
     differ = [(p, c) for p, c in zip(parent, change) if any(p[f] != c[f] for f in FIELDS)]
@@ -423,9 +425,9 @@ def compare_dispatch(parent: list[dict], change: list[dict]) -> tuple[bool, str]
     for key, counts in sorted(groups.items()):
         fields = ", ".join(f"{f} {counts[f]}" for f in FIELDS if counts[f])
         lines.append(f"  {key[0]:<12} {key[1]:<16} {counts['all']} of {totals[key]} differ ({fields})")
-    for p, c in differ[:SHOW]:
+    for i, (p, c) in enumerate(differ):
         lines.append(f"- {' '.join(p['argv'])}")
-        for f in FIELDS:
+        for f in FIELDS if i < SHOW else ():
             if p[f] != c[f]:
                 lines.append(f"    {f}: {str(p[f])[:200]!r} -> {str(c[f])[:200]!r}")
     return False, "\n".join(lines)
@@ -448,8 +450,8 @@ def compare_batch(parent: dict, change: dict) -> tuple[bool, str]:
     """(identical, report) of the batch pass: a command or a unit directory
     is identical when its four runs (`RUNS`: each tree's dispatch and batch
     passes) agree, on BATCH_FIELDS for a command and on every file's hash
-    for a directory.  The summary line, then the first SHOW differing
-    commands and directories with the value of each run."""
+    for a directory.  The summary line, then every differing command and
+    directory, the first SHOW of each with the value of each run."""
     runs = [parent["dispatch"], parent["batch"], change["dispatch"], change["batch"]]
     if any([r["argv"] for r in run] != [r["argv"] for r in runs[0]] for run in runs):
         return False, "byte_diff batch: the passes ran different command lists"
@@ -462,15 +464,15 @@ def compare_batch(parent: dict, change: dict) -> tuple[bool, str]:
     if not odd_commands and not odd_dirs:
         return True, f"{head}: all identical"
     lines = [f"{head}: {len(odd_commands)} commands differ, {len(odd_dirs)} directories differ"]
-    for argv, views in odd_commands[:SHOW]:
+    for i, (argv, views) in enumerate(odd_commands):
         lines.append(f"- {' '.join(argv)}")
-        for f in BATCH_FIELDS:
+        for f in BATCH_FIELDS if i < SHOW else ():
             if any(v[f] != views[0][f] for v in views):
                 shown = excerpts([v[f] for v in views])
                 lines.append(f"    {f}: " + ", ".join(f"{run} {text!r}" for run, text in zip(RUNS, shown)))
-    for where, views in odd_dirs[:SHOW]:
+    for i, (where, views) in enumerate(odd_dirs):
         names = sorted({name for v in views for name in v if any(w.get(name) != v[name] for w in views)})
-        lines.append(f"- directory {where}: " + ", ".join(names))
+        lines.append(f"- directory {where}" + (": " + ", ".join(names) if i < SHOW else ""))
     return False, "\n".join(lines)
 
 

@@ -3,16 +3,17 @@
 Data goes to stdout or --out; logs go to stderr.  Exit codes: 0 success or
 verification pass, 1 verification failure, 2 usage error, 3 resource limit.
 
-The command table `COMMANDS` is the grammar: the options of each (command,
-action), with GLOBAL_OPTIONS before the command.  `parse_argv` reads argv
-against it in one pass per level, by the rules of the standard-library
-parser tree it replaced (option prefixes, `--name=value`, negative-number
-values, `--`), but refuses the `--name=--` that parser read as [], and
-matches a level's option prefixes only against the arguments before its
-command or action word (`--t` after `clauses separate` is `--t-in`).  The
-help and every usage error are built from the table: the usage on one
-line, each help text from column 24, and each error in that parser's
-words.
+The command table `COMMANDS` is the grammar and the router: the handler and
+the options of each (command, action), with GLOBAL_OPTIONS before the
+command.  `dispatch` calls the handler of the key that argv names.
+`parse_argv` reads argv against the table in one pass per level, by the
+rules of the standard-library parser tree it replaced (option prefixes,
+`--name=value`, negative-number values, `--`), but refuses the
+`--name=--` that parser read as [], and matches a level's option prefixes
+only against the arguments before its command or action word (`--t` after
+`clauses separate` is `--t-in`).  The help and every usage error are built
+from the table: the usage on one line, each help text from column 24, and
+each error in that parser's words.
 
 Every --out file is written by one function, `_write`: it encodes the
 chunks as UTF-8 before opening the file, and writes the bytes with
@@ -273,74 +274,80 @@ def _report_exit(report) -> int:
 
 
 # ---------------------------------------------------------------------------
-# subcommand handlers
+# the action handlers, each named in COMMANDS
 
 
-def _cmd_gadget(args, tol: Tolerance) -> int:
-    if args.action == "find":
-        g = gadgets.find_isolating_parallelepiped(args.k, args.p)
-        _emit_gadget(g, args.out)
-        _log(f"gadget k={g.k} p={g.p} eps={g.eps:.6g}")
-        return EXIT_OK
-    if args.action == "parity":
-        g = gadgets.parity_gadget(args.k, args.p, args.bit)
-        _emit_gadget(g, args.out)
-        _log(f"parity gadget k={g.k} p={g.p} bit={args.bit} eps={g.eps:.6g}")
-        return EXIT_OK
-    if args.action == "lattice":
-        g = _decoded(args.infile, _gadget_text)
-        _emit_gadget(gadgets.to_isolating_lattice(g), args.out)
-        return EXIT_OK
-    if args.action == "onoff":
-        g = _decoded(args.infile, _gadget_text)
-        _emit(serialize.onoff_to_json(gadgets.to_on_off(g)), args.out)
-        return EXIT_OK
-    if args.action == "verify":
-        g = _decoded(args.infile, _gadget_text)
-        report = gadgets.verify_parallelepiped(g, tol)
-        if g.kind == gadgets.KIND_LATTICE:
-            lattice = oracle.verify_lattice_condition(g, args.box_radius, tol)
-            report = gadgets.VerificationReport(report.conditions + lattice.conditions, tol, report.check)
-        return _report_exit(report)
-    raise InvalidInputError(f"unknown gadget action {args.action!r}")
+def _gadget_find(args, tol: Tolerance) -> int:
+    g = gadgets.find_isolating_parallelepiped(args.k, args.p)
+    _emit_gadget(g, args.out)
+    _log(f"gadget k={g.k} p={g.p} eps={g.eps:.6g}")
+    return EXIT_OK
 
 
-def _cmd_reduce(args, tol: Tolerance) -> int:
-    if args.action == "sat":
-        formula = _read_formula(args.cnf, "cnf")
-        gadget = _decoded(args.gadget, _gadget_text)
-        if args.mode == "padded":
-            inst = reductions.sat_to_cvp(formula, gadget)
-            gamma = None
-        else:
-            if args.s is None or args.c is None:
-                raise InvalidInputError("gap mode needs --s and --c")
-            lattice = gadgets.to_isolating_lattice(gadget)
-            inst, gamma = reductions.csp_to_cvp_gap(formula, [lattice] * formula.m, args.s, args.c)
-        _emit_instance(inst, args.out)
-        _log(f"instance d={inst.d} n={inst.n} r={inst.radius:.6g}" + (f" gamma={gamma:.6g}" if gamma else ""))
-        return EXIT_OK
-    if args.action == "parity":
-        formula = _read_formula(args.xor, "xor")
+def _gadget_parity(args, tol: Tolerance) -> int:
+    g = gadgets.parity_gadget(args.k, args.p, args.bit)
+    _emit_gadget(g, args.out)
+    _log(f"parity gadget k={g.k} p={g.p} bit={args.bit} eps={g.eps:.6g}")
+    return EXIT_OK
+
+
+def _gadget_lattice(args, tol: Tolerance) -> int:
+    g = _decoded(args.infile, _gadget_text)
+    _emit_gadget(gadgets.to_isolating_lattice(g), args.out)
+    return EXIT_OK
+
+
+def _gadget_onoff(args, tol: Tolerance) -> int:
+    g = _decoded(args.infile, _gadget_text)
+    _emit(serialize.onoff_to_json(gadgets.to_on_off(g)), args.out)
+    return EXIT_OK
+
+
+def _gadget_verify(args, tol: Tolerance) -> int:
+    g = _decoded(args.infile, _gadget_text)
+    report = gadgets.verify_parallelepiped(g, tol)
+    if g.kind == gadgets.KIND_LATTICE:
+        lattice = oracle.verify_lattice_condition(g, args.box_radius, tol)
+        report = gadgets.VerificationReport(report.conditions + lattice.conditions, tol, report.check)
+    return _report_exit(report)
+
+
+def _reduce_sat(args, tol: Tolerance) -> int:
+    formula = _read_formula(args.cnf, "cnf")
+    gadget = _decoded(args.gadget, _gadget_text)
+    if args.mode == "padded":
+        inst = reductions.sat_to_cvp(formula, gadget)
+        gamma = None
+    else:
         if args.s is None or args.c is None:
-            raise InvalidInputError("parity reduction is a gap reduction: needs --s and --c")
-        lattice_for = {}
-        lattices = []
-        for constraint in formula.constraints:
-            key = (constraint.arity, constraint.bit)
-            if key not in lattice_for:
-                lattice_for[key] = gadgets.to_isolating_lattice(
-                    gadgets.parity_gadget(constraint.arity, args.p, constraint.bit)
-                )
-            lattices.append(lattice_for[key])
-        inst, gamma = reductions.csp_to_cvp_gap(formula, lattices, args.s, args.c)
-        _emit_instance(inst, args.out)
-        _log(f"instance d={inst.d} n={inst.n} r={inst.radius:.6g} gamma={gamma:.6g}")
-        return EXIT_OK
-    raise InvalidInputError(f"unknown reduce action {args.action!r}")
+            raise InvalidInputError("gap mode needs --s and --c")
+        lattice = gadgets.to_isolating_lattice(gadget)
+        inst, gamma = reductions.csp_to_cvp_gap(formula, [lattice] * formula.m, args.s, args.c)
+    _emit_instance(inst, args.out)
+    _log(f"instance d={inst.d} n={inst.n} r={inst.radius:.6g}" + (f" gamma={gamma:.6g}" if gamma else ""))
+    return EXIT_OK
 
 
-def _cmd_params(args, tol: Tolerance) -> int:
+def _reduce_parity(args, tol: Tolerance) -> int:
+    formula = _read_formula(args.xor, "xor")
+    if args.s is None or args.c is None:
+        raise InvalidInputError("parity reduction is a gap reduction: needs --s and --c")
+    lattice_for = {}
+    lattices = []
+    for constraint in formula.constraints:
+        key = (constraint.arity, constraint.bit)
+        if key not in lattice_for:
+            lattice_for[key] = gadgets.to_isolating_lattice(
+                gadgets.parity_gadget(constraint.arity, args.p, constraint.bit)
+            )
+        lattices.append(lattice_for[key])
+    inst, gamma = reductions.csp_to_cvp_gap(formula, lattices, args.s, args.c)
+    _emit_instance(inst, args.out)
+    _log(f"instance d={inst.d} n={inst.n} r={inst.radius:.6g} gamma={gamma:.6g}")
+    return EXIT_OK
+
+
+def _params_gap(args, tol: Tolerance) -> int:
     result = reductions.sat_gap_params(args.p, args.k, args.s, args.c, args.eps)
     payload = {
         "s_prime": serialize.fmt_real(result.s_prime),
@@ -354,131 +361,138 @@ def _cmd_params(args, tol: Tolerance) -> int:
     return EXIT_OK
 
 
-def _cmd_cvpp(args, tol: Tolerance) -> int:
-    if args.action in ("prep", "inf-prep"):
-        onoff = None  # the max-norm prep needs no gadget
-        if args.action == "prep":
-            onoff = gadgets.to_on_off(_decoded(args.gadget, _gadget_text))
-        # the prep file holds the header alone: a query rebuilds the basis text from it
-        art = reductions.cvpp_header(args.n, args.k, onoff)
-        _emit(serialize.cvpp_to_json(art), args.out)
-        _log(f"prep basis {art.d}x{art.n}, {art.M} clause blocks")
-        return EXIT_OK
-    if args.action == "query":
-        art, basis, blocks = _decoded(args.prep, _prep_texts)
-        formula = _read_formula(args.cnf, "cnf")
-        if args.w is not None:
-            # through the constructor, which checks the threshold
-            formula = dataclasses.replace(formula, threshold=args.w)
-        present, radius = reductions.cvpp_table_query(art, formula)
-        threshold = formula.threshold if formula.threshold is not None else formula.m
-        meta = {"mode": "cvpp-" + art.mode, "threshold": threshold}
-        if art.gadget is not None:
-            meta["eps"] = art.gadget.eps
-        if not args.out:
-            basis = tuple(chunk.decode() for chunk in basis)
-        _emit(serialize.cvp_to_json(art.p, basis, serialize.target_text(blocks, present), radius, meta), args.out)
-        return EXIT_OK
-    raise InvalidInputError(f"unknown cvpp action {args.action!r}")
+def _cvpp_prep(args, tol: Tolerance) -> int:
+    """cvpp prep and inf-prep."""
+    onoff = None  # the max-norm prep needs no gadget
+    if args.action == "prep":
+        onoff = gadgets.to_on_off(_decoded(args.gadget, _gadget_text))
+    # the prep file holds the header alone: a query rebuilds the basis text from it
+    art = reductions.cvpp_header(args.n, args.k, onoff)
+    _emit(serialize.cvpp_to_json(art), args.out)
+    _log(f"prep basis {art.d}x{art.n}, {art.M} clause blocks")
+    return EXIT_OK
 
 
-def _cmd_oracle(args, tol: Tolerance) -> int:
-    if args.action == "solve":
-        inst = _decoded(args.instance, _instance_text)
-        box = _parse_box(args.box) if args.box else (0, 1)
-        sol = oracle.cvp_enumerate(inst.basis, inst.target, inst.p, box, tol)
-        _emit(
-            {
-                "distance": serialize.fmt_real(sol.distance),
-                "radius": serialize.fmt_real(inst.radius),
-                "within_radius": sol.distance <= tol.ceiling(inst.radius),
-                "closest": [list(z) for z in sol.closest],
-            },
-            args.out,
-        )
-        return EXIT_OK
-    if args.action == "validate":
-        inst = _decoded(args.instance, _instance_text)
-        formula = _read_formula(args.cnf)
-        box = _parse_box(args.box) if args.box else None
-        report = oracle.validate_reduction(formula, inst, box, tol)
-        return _report_exit(report)
-    raise InvalidInputError(f"unknown oracle action {args.action!r}")
+def _cvpp_query(args, tol: Tolerance) -> int:
+    art, basis, blocks = _decoded(args.prep, _prep_texts)
+    formula = _read_formula(args.cnf, "cnf")
+    if args.w is not None:
+        # through the constructor, which checks the threshold
+        formula = dataclasses.replace(formula, threshold=args.w)
+    present, radius = reductions.cvpp_table_query(art, formula)
+    threshold = formula.threshold if formula.threshold is not None else formula.m
+    meta = {"mode": "cvpp-" + art.mode, "threshold": threshold}
+    if art.gadget is not None:
+        meta["eps"] = art.gadget.eps
+    if not args.out:
+        basis = tuple(chunk.decode() for chunk in basis)
+    _emit(serialize.cvp_to_json(art.p, basis, serialize.target_text(blocks, present), radius, meta), args.out)
+    return EXIT_OK
 
 
-def _cmd_identities(args, tol: Tolerance) -> int:
-    if args.action == "skp":
-        res = identities.s_kp(args.k, args.p)
-        _emit(
-            {
-                "value": serialize.fmt_real(res.value),
-                "sign": res.sign,
-                "lower_bound": serialize.fmt_real(res.lower_bound),
-            },
-            args.out,
-        )
-        return EXIT_OK
-    if args.action == "integral":
-        direct = identities.direct_alt_sum(args.n, args.m, args.p)
-        via_integral = identities.alt_sum_integral(args.n, args.m, args.p)
-        _emit(
-            {
-                "direct": serialize.fmt_real(direct),
-                "integral": serialize.fmt_real(via_integral),
-                "abs_diff": serialize.fmt_real(abs(direct - via_integral)),
-            },
-            args.out,
-        )
-        return EXIT_OK
-    if args.action == "bounds":
-        rep = identities.non_alt_bound_check(args.k, args.p, args.c)
-        payload = {
-            "lhs": serialize.fmt_real(rep.lhs),
-            "rhs": serialize.fmt_real(rep.rhs),
-            "passed": rep.passed,
-        }
-        if rep.rhs_c1 is not None:
-            payload["rhs_c1"] = serialize.fmt_real(rep.rhs_c1)
-            payload["passed_c1"] = rep.passed_c1
-        _emit(payload, args.out)
-        return EXIT_OK if rep.passed else EXIT_FAIL
-    if args.action == "ramanujan":
-        residual = identities.ramanujan_check(args.k, args.x)
-        _emit({"residual": serialize.fmt_real(residual)}, args.out)
-        return EXIT_OK
-    if args.action == "cp-svp":
-        if args.find_p0:
-            _emit({"p0": serialize.fmt_real(identities.find_p0())}, args.out)
-            return EXIT_OK
-        if args.grid:
-            ps = _parse_grid(args.grid)
-            rows = ["p,W,C"]
-            for p in ps:
-                const = identities.svp_constants(float(p))
-                c_str = serialize.fmt_real(const.C) if const.C is not None else ""
-                rows.append(f"{serialize.fmt_real(const.p)},{serialize.fmt_real(const.W)},{c_str}")
-            text = "\n".join(rows) + "\n"
-            if args.out:
-                _write(args.out, [text])
-            else:
-                sys.stdout.write(text)
-            return EXIT_OK
-        if args.p is None:
-            raise InvalidInputError("cp-svp needs --p, --grid, or --find-p0")
-        const = identities.svp_constants(args.p)
-        _emit(
-            {
-                "W": serialize.fmt_real(const.W),
-                "C": serialize.fmt_real(const.C) if const.C is not None else None,
-                "defined": const.C is not None,
-            },
-            args.out,
-        )
-        return EXIT_OK
-    raise InvalidInputError(f"unknown identities action {args.action!r}")
+def _oracle_solve(args, tol: Tolerance) -> int:
+    inst = _decoded(args.instance, _instance_text)
+    box = _parse_box(args.box) if args.box else (0, 1)
+    sol = oracle.cvp_enumerate(inst.basis, inst.target, inst.p, box, tol)
+    _emit(
+        {
+            "distance": serialize.fmt_real(sol.distance),
+            "radius": serialize.fmt_real(inst.radius),
+            "within_radius": sol.distance <= tol.ceiling(inst.radius),
+            "closest": [list(z) for z in sol.closest],
+        },
+        args.out,
+    )
+    return EXIT_OK
 
 
-def _cmd_cubes(args, tol: Tolerance) -> int:
+def _oracle_validate(args, tol: Tolerance) -> int:
+    inst = _decoded(args.instance, _instance_text)
+    formula = _read_formula(args.cnf)
+    box = _parse_box(args.box) if args.box else None
+    report = oracle.validate_reduction(formula, inst, box, tol)
+    return _report_exit(report)
+
+
+def _identities_skp(args, tol: Tolerance) -> int:
+    res = identities.s_kp(args.k, args.p)
+    _emit(
+        {
+            "value": serialize.fmt_real(res.value),
+            "sign": res.sign,
+            "lower_bound": serialize.fmt_real(res.lower_bound),
+        },
+        args.out,
+    )
+    return EXIT_OK
+
+
+def _identities_integral(args, tol: Tolerance) -> int:
+    direct = identities.direct_alt_sum(args.n, args.m, args.p)
+    via_integral = identities.alt_sum_integral(args.n, args.m, args.p)
+    _emit(
+        {
+            "direct": serialize.fmt_real(direct),
+            "integral": serialize.fmt_real(via_integral),
+            "abs_diff": serialize.fmt_real(abs(direct - via_integral)),
+        },
+        args.out,
+    )
+    return EXIT_OK
+
+
+def _identities_bounds(args, tol: Tolerance) -> int:
+    rep = identities.non_alt_bound_check(args.k, args.p, args.c)
+    payload = {
+        "lhs": serialize.fmt_real(rep.lhs),
+        "rhs": serialize.fmt_real(rep.rhs),
+        "passed": rep.passed,
+    }
+    if rep.rhs_c1 is not None:
+        payload["rhs_c1"] = serialize.fmt_real(rep.rhs_c1)
+        payload["passed_c1"] = rep.passed_c1
+    _emit(payload, args.out)
+    return EXIT_OK if rep.passed else EXIT_FAIL
+
+
+def _identities_ramanujan(args, tol: Tolerance) -> int:
+    residual = identities.ramanujan_check(args.k, args.x)
+    _emit({"residual": serialize.fmt_real(residual)}, args.out)
+    return EXIT_OK
+
+
+def _identities_cp_svp(args, tol: Tolerance) -> int:
+    if args.find_p0:
+        _emit({"p0": serialize.fmt_real(identities.find_p0())}, args.out)
+        return EXIT_OK
+    if args.grid:
+        ps = _parse_grid(args.grid)
+        rows = ["p,W,C"]
+        for p in ps:
+            const = identities.svp_constants(float(p))
+            c_str = serialize.fmt_real(const.C) if const.C is not None else ""
+            rows.append(f"{serialize.fmt_real(const.p)},{serialize.fmt_real(const.W)},{c_str}")
+        text = "\n".join(rows) + "\n"
+        if args.out:
+            _write(args.out, [text])
+        else:
+            sys.stdout.write(text)
+        return EXIT_OK
+    if args.p is None:
+        raise InvalidInputError("cp-svp needs --p, --grid, or --find-p0")
+    const = identities.svp_constants(args.p)
+    _emit(
+        {
+            "W": serialize.fmt_real(const.W),
+            "C": serialize.fmt_real(const.C) if const.C is not None else None,
+            "defined": const.C is not None,
+        },
+        args.out,
+    )
+    return EXIT_OK
+
+
+def _cubes_find(args, tol: Tolerance) -> int:
     points, n = _read_points(args.infile)
     cube = cubes_mod.find_affine_cube(points, args.dim, n)
     if cube is None:
@@ -496,21 +510,21 @@ def _cmd_cubes(args, tol: Tolerance) -> int:
     return EXIT_OK
 
 
-def _cmd_clauses(args, tol: Tolerance) -> int:
-    if args.action == "isolate":
-        points, n = _read_points(args.infile)
-        clause = cubes_mod.clause_isolating_one(points, args.k, n)
-        _emit({"literals": list(clause.literals)}, args.out)
-        return EXIT_OK
-    if args.action == "separate":
-        close, n1 = _read_points(args.close)
-        away, n2 = _read_points(args.away)
-        if n1 != n2:
-            raise InvalidInputError("point files must use the same width")
-        clause = cubes_mod.separating_3cnf(close, away, n1)
-        _emit({"literals": list(clause.literals)}, args.out)
-        return EXIT_OK
-    raise InvalidInputError(f"unknown clauses action {args.action!r}")
+def _clauses_isolate(args, tol: Tolerance) -> int:
+    points, n = _read_points(args.infile)
+    clause = cubes_mod.clause_isolating_one(points, args.k, n)
+    _emit({"literals": list(clause.literals)}, args.out)
+    return EXIT_OK
+
+
+def _clauses_separate(args, tol: Tolerance) -> int:
+    close, n1 = _read_points(args.close)
+    away, n2 = _read_points(args.away)
+    if n1 != n2:
+        raise InvalidInputError("point files must use the same width")
+    clause = cubes_mod.separating_3cnf(close, away, n1)
+    _emit({"literals": list(clause.literals)}, args.out)
+    return EXIT_OK
 
 
 def _batch_lines(text: str) -> list[list[str]]:
@@ -536,7 +550,7 @@ def _batch_lines(text: str) -> list[list[str]]:
     return commands
 
 
-def _cmd_batch(args, tol: Tolerance) -> int:
+def _batch(args, tol: Tolerance) -> int:
     """Run each command of the batch through dispatch, in order, in this
     process, and write one JSON line per command: its argv, exit code, wall
     seconds and stdout text.  Stderr passes through; the exit code is the
@@ -585,64 +599,65 @@ _OUT = _Opt("--out")
 # the options taken before the command
 GLOBAL_OPTIONS = (_Opt("--tol-rel", float, default=1e-9), _Opt("--tol-abs", float, default=1e-12))
 
-# The grammar of the CLI: the options of each (command, action), in the
-# order usage lines and "required" errors list them; a command without
-# actions is keyed (command, None).  Commands and actions are listed in the
-# order of their first key.
+# The grammar and the router of the CLI: for each (command, action), its
+# handler and its options, in the order usage lines and "required" errors
+# list them; a command without actions is keyed (command, None).  Commands
+# and actions are listed in the order of their first key.
 COMMANDS = {
-    ("gadget", "find"): (_K, _P, _OUT),
-    ("gadget", "parity"): (_K, _P, _Opt("--bit", int, default=0), _OUT),
-    ("gadget", "lattice"): (_IN, _OUT),
-    ("gadget", "onoff"): (_IN, _OUT),
-    ("gadget", "verify"): (_IN, _Opt("--box-radius", int, default=3)),
+    ("gadget", "find"): (_gadget_find, (_K, _P, _OUT)),
+    ("gadget", "parity"): (_gadget_parity, (_K, _P, _Opt("--bit", int, default=0), _OUT)),
+    ("gadget", "lattice"): (_gadget_lattice, (_IN, _OUT)),
+    ("gadget", "onoff"): (_gadget_onoff, (_IN, _OUT)),
+    ("gadget", "verify"): (_gadget_verify, (_IN, _Opt("--box-radius", int, default=3))),
     ("reduce", "sat"): (
-        _CNF,
-        _Opt("--gadget", required=True),
-        _Opt("--mode", choices=("padded", "gap"), default="padded"),
-        _S,
-        _C,
-        _OUT,
+        _reduce_sat,
+        (
+            _CNF,
+            _Opt("--gadget", required=True),
+            _Opt("--mode", choices=("padded", "gap"), default="padded"),
+            _S,
+            _C,
+            _OUT,
+        ),
     ),
-    ("reduce", "parity"): (_Opt("--xor", required=True), _P, _S, _C, _OUT),
+    ("reduce", "parity"): (_reduce_parity, (_Opt("--xor", required=True), _P, _S, _C, _OUT)),
     ("params", "gap"): (
-        _P,
-        _K,
-        _Opt("--s", float, required=True),
-        _Opt("--c", float, required=True),
-        _Opt("--eps", float),
-        _OUT,
+        _params_gap,
+        (_P, _K, _Opt("--s", float, required=True), _Opt("--c", float, required=True), _Opt("--eps", float), _OUT),
     ),
-    ("cvpp", "prep"): (_N, _K, _Opt("--gadget", required=True, help="(k+1)-ary isolating gadget JSON"), _OUT),
-    ("cvpp", "inf-prep"): (_N, _K, _OUT),
-    ("cvpp", "query"): (_Opt("--prep", required=True), _CNF, _Opt("--w", int), _OUT),
+    ("cvpp", "prep"): (
+        _cvpp_prep,
+        (_N, _K, _Opt("--gadget", required=True, help="(k+1)-ary isolating gadget JSON"), _OUT),
+    ),
+    ("cvpp", "inf-prep"): (_cvpp_prep, (_N, _K, _OUT)),
+    ("cvpp", "query"): (_cvpp_query, (_Opt("--prep", required=True), _CNF, _Opt("--w", int), _OUT)),
     ("oracle", "solve"): (
-        _Opt("instance", required=True),
-        _Opt("--box", help="per-coordinate integer range, e.g. '-1..2'"),
-        _OUT,
+        _oracle_solve,
+        (_Opt("instance", required=True), _Opt("--box", help="per-coordinate integer range, e.g. '-1..2'"), _OUT),
     ),
-    ("oracle", "validate"): (_CNF, _Opt("--instance", required=True), _Opt("--box")),
-    ("identities", "skp"): (_K, _P, _OUT),
-    ("identities", "integral"): (_N, _Opt("--m", int, required=True), _P, _OUT),
-    ("identities", "bounds"): (_K, _P, _Opt("--c", int, default=0), _OUT),
-    ("identities", "ramanujan"): (_K, _Opt("--x", float, required=True), _OUT),
+    ("oracle", "validate"): (_oracle_validate, (_CNF, _Opt("--instance", required=True), _Opt("--box"))),
+    ("identities", "skp"): (_identities_skp, (_K, _P, _OUT)),
+    ("identities", "integral"): (_identities_integral, (_N, _Opt("--m", int, required=True), _P, _OUT)),
+    ("identities", "bounds"): (_identities_bounds, (_K, _P, _Opt("--c", int, default=0), _OUT)),
+    ("identities", "ramanujan"): (_identities_ramanujan, (_K, _Opt("--x", float, required=True), _OUT)),
     ("identities", "cp-svp"): (
-        _Opt("--p", float),
-        _Opt("--find-p0", bool),
-        _Opt("--grid", help="CSV sweep lo:hi:count"),
-        _OUT,
+        _identities_cp_svp,
+        (_Opt("--p", float), _Opt("--find-p0", bool), _Opt("--grid", help="CSV sweep lo:hi:count"), _OUT),
     ),
     ("cubes", "find"): (
-        _Opt("--in", dest="infile", required=True, help="hex bitstrings, one per line"),
-        _Opt("--dim", int, required=True),
-        _OUT,
+        _cubes_find,
+        (
+            _Opt("--in", dest="infile", required=True, help="hex bitstrings, one per line"),
+            _Opt("--dim", int, required=True),
+            _OUT,
+        ),
     ),
-    ("clauses", "isolate"): (_IN, _K, _OUT),
+    ("clauses", "isolate"): (_clauses_isolate, (_IN, _K, _OUT)),
     ("clauses", "separate"): (
-        _Opt("--s-in", dest="close", required=True),
-        _Opt("--t-in", dest="away", required=True),
-        _OUT,
+        _clauses_separate,
+        (_Opt("--s-in", dest="close", required=True), _Opt("--t-in", dest="away", required=True), _OUT),
     ),
-    ("batch", None): (_Opt("--in", dest="infile", help="command lines, one per line (default: stdin)"),),
+    ("batch", None): (_batch, (_Opt("--in", dest="infile", help="command lines, one per line (default: stdin)"),)),
 }
 
 _HELP = _Opt("-h, --help", bool, help="show this help message and exit")
@@ -674,7 +689,7 @@ def _level(words: tuple) -> tuple[tuple, _Opt | None, list | None]:
         return GLOBAL_OPTIONS, _COMMAND, list(_ACTIONS)
     if len(words) == 1 and _ACTIONS[words[0]] != [None]:
         return (), _ACTION, _ACTIONS[words[0]]
-    opts = COMMANDS[words if len(words) == 2 else (words[0], None)]
+    opts = COMMANDS[words if len(words) == 2 else (words[0], None)][1]
     return opts, next((o for o in opts if o.name[0] != "-"), None), None
 
 
@@ -870,19 +885,6 @@ def _error(words: tuple, message: str) -> ParseExit:
     return ParseExit(EXIT_USAGE, f"{_usage(words)}\n{' '.join(('latgad', *words))}: error: {message}\n")
 
 
-_HANDLERS = {
-    "gadget": _cmd_gadget,
-    "reduce": _cmd_reduce,
-    "params": _cmd_params,
-    "cvpp": _cmd_cvpp,
-    "oracle": _cmd_oracle,
-    "identities": _cmd_identities,
-    "cubes": _cmd_cubes,
-    "clauses": _cmd_clauses,
-    "batch": _cmd_batch,
-}
-
-
 def dispatch(argv=None) -> int:
     try:
         args = parse_argv(sys.argv[1:] if argv is None else argv)
@@ -890,7 +892,8 @@ def dispatch(argv=None) -> int:
         (sys.stdout if stop.code == EXIT_OK else sys.stderr).write(stop.text)
         return stop.code
     try:
-        return _HANDLERS[args.command](args, Tolerance(rel=args.tol_rel, abs=args.tol_abs))
+        handler = COMMANDS[args.command, getattr(args, "action", None)][0]
+        return handler(args, Tolerance(rel=args.tol_rel, abs=args.tol_abs))
     except ResourceLimitError as exc:
         _log(f"resource limit: {exc}")
         return EXIT_RESOURCE

@@ -24,7 +24,6 @@ from __future__ import annotations
 
 import functools
 import math
-import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -140,6 +139,27 @@ def eigen_report(k: int, p, shift: float) -> EigenReport:
     return EigenReport(tuple(class_sums(class_tables(k)[1], class_powers(k, q, shift))))
 
 
+def gap(lam, a) -> tuple[np.ndarray, np.ndarray]:
+    """(eps, wide): the weight gap of `gadgets.solve_weights`, and whether
+    it is the wide one, for each class solution a = Q^-1 e_0 along a's last
+    axis, solved at the scale where lambda_all is lam.  Where a has a
+    negative entry and neither 1 / (lam |min a|) nor that gap times a
+    overflows, wide holds and eps is that gap: the class at a's minimum then
+    gets weight exactly zero.  Elsewhere eps is the smaller gap
+    1 / (lam max |a|), which keeps every weight non-negative (not finite
+    where it overflows).  At shift 1.5 the wide gap overflows at k = 1,
+    p = 448, and eps * a does at k = 1, p = 441 (so would the far level the
+    verification computes).  The one gap rule: the gadget's eps and the
+    ranking of shifts (`ShiftBatch.gaps`) both come from it."""
+    lo, top = np.min(a, axis=-1), np.max(np.abs(a), axis=-1)
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        # -far is the wide gap; inf or -inf where a has no negative entry or
+        # the gap overflows
+        far = 1.0 / (lam * np.minimum(lo, 0.0))
+        wide = np.isfinite(far * top)
+        return np.where(wide, -far, 1.0 / (lam * top)), wide
+
+
 class ShiftBatch:
     """The class-space kernel over a batch of shifts at one (k, p): every
     candidate's powers P (one row per shift) are formed once, and both its
@@ -198,8 +218,8 @@ class ShiftBatch:
             self.nonsingular[c] = eigen_report(k, q, float(self.shifts[c])).nonsingular
 
     def gaps(self, index) -> np.ndarray:
-        """eps of `gadgets.solve_weights` for the candidates at `index`, or a
-        value that is not finite where solve_weights's eps overflows.  One
+        """eps of `gadgets.solve_weights` for the candidates at `index`, by
+        `gap`, or a value that is not finite where that eps overflows.  One
         matmul forms every class system Q = T P, and one stacked solve gives
         every a = Q^-1 e_0.  Each candidate's powers are first scaled by the
         power of two that brings its lambda_all into [1/2, 1): every row of
@@ -212,14 +232,7 @@ class ShiftBatch:
         # b as a stack of (k + 1) x 1 matrices: numpy 1.x reads a 1-D b
         # against a stack of matrices as one matrix, not as a vector each
         e0 = np.broadcast_to(np.eye(k + 1)[:, :1], (len(Q), k + 1, 1))
-        a = np.linalg.solve(Q, e0)[..., 0]
-        lo, top = a.min(axis=1), np.abs(a).max(axis=1)
-        with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-            # solve_weights's two gaps: 1 / (lambda |min a|) where a has a
-            # negative entry (inf where it has none, or where it overflows),
-            # else, or where eps * a overflows, 1 / (lambda max |a|)
-            wide = 1.0 / (lam * np.minimum(lo, 0.0))
-            return np.where(np.isfinite(wide * top), -wide, 1.0 / (lam * top))
+        return gap(lam, np.linalg.solve(Q, e0)[..., 0])[0]
 
 
 @functools.lru_cache(maxsize=MAX_K)

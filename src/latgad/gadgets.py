@@ -22,7 +22,6 @@ from __future__ import annotations
 
 import functools
 import math
-import sys
 from dataclasses import dataclass, field
 from itertools import combinations
 from typing import NamedTuple
@@ -282,9 +281,9 @@ def solve_weights(k: int, p, shift: float) -> tuple[np.ndarray, float]:
     non-negative.
 
     This is the one deterministic path from a shift to the weights that a
-    gadget's bytes come from; `distmatrix.ShiftBatch.gaps` gives the same
-    eps for a whole batch of shifts, in floats, only to rank them
-    (`find_shift`).
+    gadget's bytes come from.  The choice of eps is `distmatrix.gap`, which
+    `distmatrix.ShiftBatch.gaps` applies to a whole batch of shifts, in
+    floats, only to rank them (`find_shift`).
     """
     k = distmatrix.check_k(k)
     powers = distmatrix.class_powers(k, finite_pvalue(p), shift)
@@ -301,22 +300,14 @@ def solve_weights(k: int, p, shift: float) -> tuple[np.ndarray, float]:
     e = math.frexp(float(np.abs(Q).max()))[1]
     a = np.linalg.solve(np.ldexp(Q, -e), np.eye(k + 1)[0])
     lam = math.ldexp(report.lambda_all, -e)
-    lo = float(a.min())
-    top = float(np.abs(a).max())  # H is nonsingular, so H^-1 e_0 is not zero
-    # at shift 1.5 the largest gap 1 / (lambda |lo|) overflows at k = 1,
-    # p = 448, and eps * a does at k = 1, p = 441 (so would the far level the
-    # verification computes): there the smaller gap keeps every weight
-    # non-negative
-    wide = 1.0 / (lam * -lo) if lo < 0.0 and lam * -lo * sys.float_info.max >= 1.0 else math.inf
-    if math.isfinite(wide * top):
-        eps = wide
-    else:
-        lo, eps = 0.0, 1.0 / (lam * top)
+    # H is nonsingular, so H^-1 e_0 is not zero
+    eps, wide = distmatrix.gap(lam, a)
+    eps = float(eps)
     by_class = np.ldexp(1.0 / lam + eps * a, -e)
     floor = float(by_class.min())
     if floor < -1e-12 * max(1.0, float(np.abs(by_class).max())):
         raise NumericDegeneracyError(f"weight solve produced negative entry {floor:.3g}")
-    if lo < 0.0:
+    if wide:
         by_class[int(a.argmin())] = 0.0
     # a class that ties the minimum up to rounding can sit a hair below zero
     np.clip(by_class, 0.0, None, out=by_class)

@@ -202,16 +202,19 @@ def chunk_rows(width: int) -> int:
 def integer_grid(ranges: Sequence[tuple[int, int]], chunk_size: int) -> Iterator[np.ndarray]:
     """Yield the integer box prod [lo_i, hi_i] as (m, n) int64 arrays of at
     most `chunk_size` rows, in ascending mixed-radix order (last coordinate
-    fastest).  The box of no coordinates is one point: a single (1, 0) chunk."""
+    fastest).  Each row number's digits are taken by divmod, last coordinate
+    first, so any number of coordinates is listed (np.unravel_index takes at
+    most 64).  The box of no coordinates is one point: a single (1, 0) chunk."""
     total = box_volume(ranges)
-    if not ranges:  # np.unravel_index refuses the empty shape
-        yield np.zeros((1, 0), dtype=np.int64)
-        return
     lows = np.array([lo for lo, _ in ranges], dtype=np.int64)
-    sizes = tuple(hi - lo + 1 for lo, hi in ranges)
+    sizes = [hi - lo + 1 for lo, hi in ranges]
     for start in range(0, total, chunk_size):
-        idx = np.arange(start, min(start + chunk_size, total), dtype=np.int64)
-        yield np.column_stack(np.unravel_index(idx, sizes)) + lows
+        rest = np.arange(start, min(start + chunk_size, total), dtype=np.int64)
+        grid = np.empty((rest.size, len(sizes)), dtype=np.int64)
+        for i in range(len(sizes) - 1, -1, -1):
+            rest, grid[:, i] = np.divmod(rest, sizes[i])
+        grid += lows
+        yield grid
 
 
 def box_volume(ranges: Sequence[tuple[int, int]]) -> int:

@@ -294,12 +294,8 @@ def _support_search(q, ranges, tol: Tolerance, tab: _SupportTables, hint=None) -
             span *= sizes[b]
             b += 1
         if (k, b) not in steps:
-            grid = np.zeros((span, b - k), dtype=np.int64)
-            stride = 1
-            for i in range(b - 1, k - 1, -1):  # mixed radix, the last coordinate fastest
-                grid[:, i - k] = np.arange(span) // stride % sizes[i]
-                stride *= sizes[i]
-            values = grid + lows[k:b]
+            (values,) = integer_grid(ranges[k:b], span)
+            grid = values - lows[k:b]
             closing = by_depth[bounds[k + 1] : bounds[b + 1]]
             r0, r1 = row_bounds[k + 1], row_bounds[b + 1]
             steps[k, b] = _Step(

@@ -9,6 +9,7 @@ import sys
 import time
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from latgad import cli, gadgets, reductions, serialize
@@ -116,6 +117,17 @@ class TestReduceAndOracle:
         assert code == 0
         code, out, _ = run(["oracle", "validate", "--cnf", str(cnf), "--instance", str(inst)], capsys)
         assert code == 0 and out_json(out)["passed"] is True
+
+    def test_solve_over_64_columns(self, tmp_path, capsys):
+        # one all-ones row over 70 columns on I_70: a support group wider
+        # than the 64 dimensions np.unravel_index takes
+        inst = tmp_path / "inst.json"
+        basis = np.vstack([np.ones((1, 70)), np.eye(70)])
+        payload = serialize.instance_to_json(reductions.CvpInstance(2.0, basis, np.eye(71)[0], 1.5))
+        inst.write_text(serialize.dumps(payload))
+        code, out, _ = run(["oracle", "solve", str(inst), "--box", "0..0"], capsys)
+        assert code == 0
+        assert out_json(out) == {"closest": [[0] * 70], "distance": "1", "radius": "1.5", "within_radius": True}
 
     def test_oracle_honours_tolerance(self, tmp_path, capsys):
         # every sign pattern on three variables: unsatisfiable, so the closest
@@ -1659,6 +1671,52 @@ class TestCombinatoricsCommands:
         code, out, _ = run(["clauses", "separate", "--s-in", str(close), "--t-in", str(away)], capsys)
         assert code == 0
         assert 1 <= len(out_json(out)["literals"]) <= 3
+
+
+class TestRefusals:
+    """Inputs the parser takes and the command refuses: each exit code and
+    stderr line, and the one identities bounds line that passes."""
+
+    @pytest.fixture()
+    def files(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.chdir(tmp_path)
+        texts = {
+            "f.cnf": "p cnf 3 2\n1 2 3 0\n-1 -2 3 0\n",
+            "f.xor": "p xor 3 1\n3 1 2 3 1\n",
+            "empty.txt": "",
+            "mixed.txt": "00\n000\n",
+            "narrow.txt": "0\n1\n",
+            "wide.txt": "00\n01\n",
+        }
+        for name, text in texts.items():
+            (tmp_path / name).write_text(text)
+        assert run(["gadget", "find", "--k", "3", "--p", "3", "--out", "g.json"], capsys)[0] == 0
+        assert run(["reduce", "sat", "--cnf", "f.cnf", "--gadget", "g.json", "--out", "inst.json"], capsys)[0] == 0
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["reduce", "sat", "--cnf", "f.cnf", "--gadget", "g.json", "--mode", "gap"], "gap mode needs --s and --c"),
+            (["reduce", "sat", "--cnf", "f.cnf", "--gadget", "g.json", "--mode", "gap", "--s", "0.5"],
+             "gap mode needs --s and --c"),
+            (["reduce", "parity", "--xor", "f.xor", "--p", "3"],
+             "parity reduction is a gap reduction: needs --s and --c"),
+            (["oracle", "solve", "inst.json", "--box", "1-2"], "box must look like 'lo..hi', got '1-2'"),
+            (["cubes", "find", "--in", "empty.txt", "--dim", "1"], "no points in empty.txt"),
+            (["cubes", "find", "--in", "mixed.txt", "--dim", "1"], "all hex bitstrings must have the same width"),
+            (["clauses", "separate", "--s-in", "narrow.txt", "--t-in", "wide.txt"],
+             "point files must use the same width"),
+            (["identities", "cp-svp"], "cp-svp needs --p, --grid, or --find-p0"),
+            (["gadget", "parity", "--k", "5", "--p", "3", "--bit", "2"], "parity bit must be 0 or 1"),
+        ],
+    )
+    def test_usage_errors(self, files, capsys, argv, message):
+        assert run(argv, capsys) == (2, "", f"usage error: {message}\n")
+
+    def test_bounds_at_c1(self, capsys):
+        code, out, err = run(["identities", "bounds", "--k", "6", "--p", "3", "--c", "1"], capsys)
+        assert (code, err) == (0, "")
+        assert out == '{"lhs":"227.5","passed":true,"passed_c1":true,"rhs":"42446.25","rhs_c1":"71280"}\n'
 
 
 class TestSharedParser:

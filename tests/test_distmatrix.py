@@ -1,4 +1,5 @@
 import math
+import sys
 from itertools import chain, combinations, product
 
 import numpy as np
@@ -244,6 +245,57 @@ class TestWeightMap:
         for idx, z in enumerate(x):
             dist_pow = pnorm(V @ z - t, p) ** p
             assert dist_pow == pytest.approx(mapped[idx], rel=1e-7, abs=1e-7)
+
+
+def scalar_gap(lam, a):
+    """The gap lines of gadgets.solve_weights before distmatrix.gap, one
+    class solution at a time: (eps, whether the class at min a is zeroed)."""
+    lo = float(a.min())
+    top = float(np.abs(a).max())
+    wide = 1.0 / (lam * -lo) if lo < 0.0 and lam * -lo * sys.float_info.max >= 1.0 else math.inf
+    if math.isfinite(wide * top):
+        eps = wide
+    else:
+        lo, eps = 0.0, 1.0 / (lam * top)
+    return eps, lo < 0.0
+
+
+class TestGap:
+    """distmatrix.gap against the scalar lines it replaced."""
+
+    CASES = [
+        (0.75, [1.0, -0.5, 0.25]),
+        (0.75, [1.0, 0.5, 0.25]),
+        (0.5, [1.0, -0.0, 0.5]),
+        (0.5, [1.0, -0.0, 0.0]),
+        # the wide gap overflows; the wide gap times a overflows
+        (0.5, [1.0, -1e-308]),
+        (0.5, [1e10, -1e-300]),
+    ]
+
+    @pytest.mark.parametrize("lam, a", CASES)
+    def test_matches_the_scalar_lines(self, lam, a):
+        eps, wide = distmatrix.gap(lam, np.array(a))
+        assert (float(eps), bool(wide)) == scalar_gap(lam, np.array(a))
+
+    def test_stacked_rows_match_one_at_a_time(self):
+        lam = np.array([lam for lam, _ in self.CASES[:4]])
+        a = np.array([row for _, row in self.CASES[:4]])
+        eps, wide = distmatrix.gap(lam, a)
+        assert [(float(e), bool(w)) for e, w in zip(eps, wide)] == [scalar_gap(x, r) for x, r in zip(lam, a)]
+
+    @pytest.mark.parametrize("p", [440.0, 441.0, 447.0, 448.0])
+    def test_solve_weights_near_the_float_range(self, monkeypatch, p):
+        # k = 1 at shift 1.5: the wide gap times a overflows from p = 441, and
+        # the wide gap itself by p = 448; the class zeroed is the one at min a
+        # exactly when the wide gap is taken
+        seen, gap = [], distmatrix.gap
+        monkeypatch.setattr(distmatrix, "gap", lambda lam, a: seen.append((lam, a)) or gap(lam, a))
+        by_class, eps = gadgets.solve_weights(1, p, 1.5)
+        ((lam, a),) = seen
+        want, zeroed = scalar_gap(lam, a)
+        assert eps == want and math.isfinite(eps)
+        assert (by_class == 0.0).tolist() == [zeroed and i == int(a.argmin()) for i in range(2)]
 
 
 class TestShiftBatch:

@@ -160,7 +160,15 @@ class TestGridHelpers:
 
     @pytest.mark.parametrize(
         "ranges,chunk",
-        [([(0, 1)] * 3, 3), ([(-1, 2), (0, 1), (3, 5)], 7), ([(-3, 4)] * 2, 1), ([(2, 2)], 4)],
+        [
+            ([(0, 1)] * 3, 3),
+            ([(-1, 2), (0, 1), (3, 5)], 7),
+            ([(-3, 4)] * 2, 1),
+            ([(2, 2)], 4),
+            ([(0, 1)] * 14, 1000),
+            # past the 64 dimensions np.unravel_index takes
+            ([(0, 0)] * 69 + [(-1, 1)], 2),
+        ],
     )
     def test_chunks_match_product_order(self, ranges, chunk):
         want = list(product(*(range(lo, hi + 1) for lo, hi in ranges)))

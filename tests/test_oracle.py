@@ -90,6 +90,13 @@ class TestCvpEnumerate:
         sol = oracle.cvp_enumerate(np.eye(2), [0.5, 0.5], 2.0, (0, 1))
         assert sol.closest == [(0, 0), (0, 1), (1, 0), (1, 1)]
 
+    def test_support_over_64_columns(self):
+        # the all-ones row's support group spans 70 columns; its one-point
+        # support box is tabulated through integer_grid
+        B, t = np.vstack([np.ones((1, 70)), np.eye(70)]), np.eye(71)[0]
+        sol = oracle.cvp_enumerate(B, t, 2.0, (0, 0))
+        assert sol.distance == 1.0 and sol.closest == [(0,) * 70]
+
 
 def point_distances(B, t, p, ranges) -> dict:
     """Per-point reference for cvp_enumerate: every box point in mixed-radix

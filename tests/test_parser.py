@@ -248,7 +248,7 @@ def argvs(draw) -> list[str]:
     the action's options, the positional argument, repeated and global
     options and odd arguments, in any order."""
     key = draw(st.sampled_from(list(cli.COMMANDS)))
-    names = [o.name for o in cli.COMMANDS[key] if o.name[0] == "-"]
+    names = [o.name for o in cli.COMMANDS[key][1] if o.name[0] == "-"]
     argv = []
     for _ in range(draw(st.integers(0, 2))):
         argv += option_tokens(draw, GLOBAL_NAMES)
@@ -256,7 +256,7 @@ def argvs(draw) -> list[str]:
     if draw(st.integers(0, 9)) == 0:
         argv.append(draw(st.sampled_from(["nope", "gadgets", "find", "--"])))
     parts = []
-    for opt in cli.COMMANDS[key]:
+    for opt in cli.COMMANDS[key][1]:
         if opt.name[0] != "-":
             parts.append([draw(st.sampled_from(["inst.json", "-1", "-x", "--", "a b"]))])
         elif opt.required or draw(st.booleans()):
@@ -366,7 +366,7 @@ def test_help_lists_every_command_action_and_option():
         assert code == 0 and out == reference([command, "--help"])[1]
         if actions != [None]:
             assert "{" + ",".join(actions) + "}" in out
-    for key, opts in cli.COMMANDS.items():
+    for key, (_, opts) in cli.COMMANDS.items():
         argv = [word for word in key if word] + ["--help"]
         code, out, _, _ = table(argv)
         assert code == 0 and out == reference(argv)[1]

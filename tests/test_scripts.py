@@ -239,6 +239,27 @@ class TestByteDiff:
             "change dispatch '...t find --out g.json\\n', change batch '...t find --out g.json\\n!'"
         )
 
+    def test_every_differing_record_is_listed(self, tmp_path):
+        # past the first SHOW records, each differing command is listed by
+        # its argv and each differing directory by its name
+        bd = byte_diff()
+        corpus = [{"group": "many", "dir": f"u{i}", "chdir": True, "files": {},
+                   "commands": [["gadget", "find", "--out", f"g{i}.json"]]} for i in range(bd.SHOW + 2)]
+        trees = [fake_tree(tmp_path / "a", "x"), fake_tree(tmp_path / "b", "y", "!")]
+        identical, report = bd.compare(*(bd.run_tree(tree, corpus, tmp_path) for tree in trees))
+        assert not identical
+        lines = report.splitlines()
+        at = lines.index("byte_diff batch: 5 commands, 5 directories: 5 commands differ, 5 directories differ")
+        argvs = [f"- gadget find --out g{i}.json" for i in range(5)]
+        assert [line for line in lines[:at] if line.startswith("- ")] == argvs
+        assert [line for line in lines[at:] if line.startswith("- ")] == argvs + [
+            "- directory u0: g0.json", "- directory u1: g1.json", "- directory u2: g2.json",
+            "- directory u3", "- directory u4",
+        ]
+        # the values of the first SHOW records only
+        assert sum(line.startswith("    file: ") for line in lines[:at]) == bd.SHOW
+        assert sum(line.startswith("    stdout: ") for line in lines[at:]) == bd.SHOW
+
     def test_one_out_path_twice_is_refused(self, tmp_path):
         # the batch pass cannot remove a unit's first file before a second
         # command writes the same path, so such a unit is no corpus
